@@ -8,7 +8,7 @@ together with all supporting closed forms (elliptic integrals, Gauss
 hypergeometric transformations, branch and singularity claims).
 """
 
-from .config import DEFAULTS, RunConfig, get_precision, set_precision, show_config
+from .config import DEFAULTS, show_config
 from .identities import (
     VerificationReport,
     asymptotic_gap,
@@ -45,11 +45,9 @@ from .poly import (
     poly_to_text,
     verify_substitution,
 )
-from .quadrature import NumericalError, QuadratureResult, adaptive, periodic_trapezoid, tanh_sinh
+from .quadrature import NumericalError, QuadratureResult, periodic_trapezoid, tanh_sinh
 from .roots import BranchPair, poly_roots, quadratic_roots
 from .specfun import (
-    Hyp2F1Spec,
-    MuParameter,
     SingularityProfile,
     UnsupportedRegimeError,
     agm,
@@ -60,8 +58,6 @@ from .specfun import (
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
-    hyp2f1,
-    mu_of_lambda,
     singular_points,
 )
 

@@ -12,7 +12,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .config import DEFAULTS, RunConfig, set_precision, show_config
+from .config import DEFAULTS, show_config
 from .identities import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mahler measures of the Q/P/R families and their identity checks.",
     )
     parser.add_argument("--show-config", action="store_true", help="print budgets/tolerances as JSON and exit")
-    parser.add_argument("--precision", choices=("double", "extended"),
-                        help="scalar working precision (default: MAHLER_PRECISION or double)")
     parser.add_argument("--seed", type=int, default=DEFAULTS.seed, help="seed for sampled checks")
     sub = parser.add_subparsers(dest="command")
 
@@ -234,12 +232,9 @@ def cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    precision = args.precision or os.environ.get("MAHLER_PRECISION")
     try:
-        if precision:
-            set_precision(precision)
         if args.show_config:
-            print(show_config(RunConfig(precision=precision or "double", seed=args.seed)))
+            print(show_config(args.seed))
             return EXIT_OK
         if args.command is None:
             parser.error("a command is required (compute, verify or sweep)")

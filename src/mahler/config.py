@@ -1,4 +1,4 @@
-"""Default budgets, tolerances and the global precision switch.
+"""Default budgets and tolerances.
 
 Everything the CLI prints under ``--show-config`` lives here, so that any
 published number can be reproduced from one place.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class Defaults:
     tanh_sinh_tol: float = 1.0e-12
     tanh_sinh_level_max: int = 12
 
-    # adaptive Simpson fallback
-    adaptive_tol: float = 1.0e-10
-    adaptive_depth_max: int = 48
-
     # Gauss hypergeometric series
     series_tol: float = 1.0e-16
     series_max_terms: int = 100_000
@@ -42,53 +38,13 @@ class Defaults:
     branch_scan_nodes: int = 10_000
     fd_step: float = 1.0e-3
 
-    # working digits of the extended-precision escape hatch
-    extended_dps: int = 30
-
     seed: int = 0
 
 
 DEFAULTS = Defaults()
 
-_VALID_PRECISION = ("double", "extended")
-_precision = "double"
 
-
-def set_precision(mode: str) -> None:
-    """Select the scalar working precision ("double" or "extended")."""
-    global _precision
-    if mode not in _VALID_PRECISION:
-        raise ValueError(f"precision must be one of {_VALID_PRECISION}, got {mode!r}")
-    _precision = mode
-
-
-def get_precision() -> str:
-    return _precision
-
-
-@dataclass
-class RunConfig:
-    """CLI-facing runtime configuration."""
-
-    precision: str = "double"
-    node_budget: int = DEFAULTS.circle_nodes_start
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    output_format: str = "table"
-    seed: int = DEFAULTS.seed
-
-    def __post_init__(self) -> None:
-        if self.precision not in _VALID_PRECISION:
-            raise ValueError(f"precision must be one of {_VALID_PRECISION}")
-        if self.node_budget < 64:
-            raise ValueError("node_budget must be at least 64")
-        if self.output_format not in ("json", "csv", "table"):
-            raise ValueError("output_format must be json, csv or table")
-
-
-def show_config(config: RunConfig | None = None) -> str:
-    """Render the full configuration (defaults plus run overrides) as JSON."""
-    payload = {
-        "defaults": dataclasses.asdict(DEFAULTS),
-        "run": dataclasses.asdict(config if config is not None else RunConfig()),
-    }
+def show_config(seed: int = DEFAULTS.seed) -> str:
+    """Render the defaults plus the run's seed as JSON."""
+    payload = {"defaults": dataclasses.asdict(DEFAULTS), "run": {"seed": seed}}
     return json.dumps(payload, indent=2, sort_keys=True)

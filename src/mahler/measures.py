@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
-from .quadrature import NumericalError
+from .quadrature import NumericalError, _err_floor
 from .roots import BranchPair, poly_roots, quadratic_roots
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "r_measure",
 ]
 
-_EPS = sys.float_info.epsilon
 _LOG_CLAMP = 1e-300  # |P| below this at a node means the grid hit a zero
 _TRIM = 1e-13  # relative threshold for dropping a vanishing leading coefficient
 _CHUNK = 256  # rows per block in torus streaming; fixed for reproducibility
@@ -74,10 +72,6 @@ class BranchExtremes:
     max_abs_y_minus: float
     min_abs_y_plus: float
     arg_t_at_extremes: tuple[float, float]  # (t at max|y-|, t at min|y+|)
-
-
-def _err_floor(value: float) -> float:
-    return 4 * _EPS * (1.0 + abs(value))
 
 
 def _circle_budget(n: int | None) -> tuple[int, int]:

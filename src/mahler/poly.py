@@ -51,6 +51,8 @@ def _normalise_coeff(c) -> Coeff:
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, float):
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient must be finite, got {c!r}")
         return c
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
 
@@ -367,23 +369,27 @@ def _exact_parameter(v) -> Fraction | float:
     return float(v)
 
 
+def _q_member(k: Fraction | float) -> LaurentPolynomial:
+    """``Q_k`` for an exact or float k; only the family ``Q`` restricts k to integers."""
+    return LaurentPolynomial(
+        {
+            (0, 2): 1,
+            (4, 1): 1,
+            (3, 1): k,
+            (2, 1): 2 * k,
+            (1, 1): k,
+            (0, 1): 1,
+            (4, 0): 1,
+        },
+        nvars=2,
+    )
+
+
 def make_family(spec: FamilySpec) -> LaurentPolynomial:
     """Construct the requested family member, expanded in its two variables."""
     a = _exact_parameter(spec.parameter)
     if spec.family == "Q":
-        k = a
-        return LaurentPolynomial(
-            {
-                (0, 2): 1,
-                (4, 1): 1,
-                (3, 1): k,
-                (2, 1): 2 * k,
-                (1, 1): k,
-                (0, 1): 1,
-                (4, 0): 1,
-            },
-            nvars=2,
-        )
+        return _q_member(a)
     if spec.family == "P":
         lam = a
         return LaurentPolynomial(
@@ -405,20 +411,7 @@ def make_family(spec: FamilySpec) -> LaurentPolynomial:
             nvars=2,
         )
     # Q_shifted: Q_{lam+4}(X-1, Y), expanded once, symbolically.
-    k = a + 4
-    q = make_family(FamilySpec("Q", k)) if _is_integral(k) else LaurentPolynomial(
-        {
-            (0, 2): 1,
-            (4, 1): 1,
-            (3, 1): k,
-            (2, 1): 2 * k,
-            (1, 1): k,
-            (0, 1): 1,
-            (4, 0): 1,
-        },
-        nvars=2,
-    )
-    return q.substitute_affine(0, 1, -1)
+    return _q_member(_exact_parameter(a + 4)).substitute_affine(0, 1, -1)
 
 
 # -- the genus-reducing substitution identity ---------------------------------
@@ -512,7 +505,10 @@ def poly_from_text(text: str) -> LaurentPolynomial:
         if any(ch in cs for ch in ".eE") and "/" not in cs:
             coeff = float(cs)
         else:
-            coeff = Fraction(cs)
+            try:
+                coeff = Fraction(cs)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in polynomial line {line!r}") from exc
         e = tuple(int(v) for v in es.split(","))
         if nvars is None:
             nvars = len(e)

@@ -1,16 +1,14 @@
 """Quadrature engines sized to the integrals that show up here.
 
-Three engines:
+Two engines:
 
 * :func:`periodic_trapezoid` for integrals of 1-periodic functions (circle
   averages), which converge geometrically for analytic integrands;
 * :func:`tanh_sinh` for finite intervals whose integrand may blow up like an
-  inverse square root at the endpoints;
-* :func:`adaptive` (adaptive Simpson bisection) as a general fallback for
-  smooth, non-periodic pieces.
+  inverse square root at the endpoints.
 
 Singularities must sit at interval endpoints; interior singular points are
-the caller's job to split at.  All engines are pure functions and safe for
+the caller's job to split at.  Both engines are pure functions and safe for
 concurrent use.
 """
 
@@ -23,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULTS, get_precision
+from .config import DEFAULTS
 
-__all__ = ["QuadratureResult", "NumericalError", "periodic_trapezoid", "tanh_sinh", "adaptive"]
+__all__ = ["QuadratureResult", "NumericalError", "periodic_trapezoid", "tanh_sinh"]
 
 _EPS = sys.float_info.epsilon
 # The double-exponential transform maps |t| ~ 5 to points whose weight times
@@ -43,7 +41,7 @@ class QuadratureResult:
 
     ``error_estimate`` is the absolute difference between the last two
     refinement levels; it is an indicator, not a guarantee.  ``converged``
-    is False when a level/subdivision cap was reached first.
+    is False when the level cap was reached first.
     """
 
     value: float
@@ -123,8 +121,6 @@ def tanh_sinh(
         raise ValueError("endpoints must be finite")
     tol = DEFAULTS.tanh_sinh_tol if tol is None else float(tol)
     level_max = DEFAULTS.tanh_sinh_level_max if level_max is None else int(level_max)
-    if get_precision() == "extended":
-        return _tanh_sinh_extended(f, a, b, tol, level_max)
 
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
@@ -175,114 +171,3 @@ def tanh_sinh(
             converged = True
             break
     return QuadratureResult(value=value, error_estimate=max(err, _err_floor(value)), nodes=nodes, converged=converged)
-
-
-def _tanh_sinh_extended(f, a, b, tol, level_max) -> QuadratureResult:
-    """Same ladder with mpmath scalars (the extended-precision escape hatch)."""
-    import mpmath as mp
-
-    with mp.workdps(DEFAULTS.extended_dps):
-        mid = (mp.mpf(a) + mp.mpf(b)) / 2
-        rad = (mp.mpf(b) - mp.mpf(a)) / 2
-        half_pi = mp.pi / 2
-        nodes = 0
-
-        def eval_at(t):
-            nonlocal nodes
-            u = half_pi * mp.sinh(t)
-            w = rad * half_pi * mp.cosh(t) / mp.cosh(u) ** 2
-            d = rad * 2 / (1 + mp.exp(2 * abs(u)))
-            x = b - d if t > 0 else (a + d if t < 0 else mid)
-            if x <= a or x >= b:
-                return mp.mpf(0)
-            nodes += 1
-            fx = mp.mpf(f(x))
-            if mp.isnan(fx) or mp.isinf(fx):
-                raise NumericalError(f"integrand not finite at x={float(x)!r}")
-            return w * fx
-
-        t_hard = mp.mpf(DEFAULTS.extended_dps) / 4 + 4  # tail cutoff grows with precision
-        def row(h, first, step):
-            total = mp.mpf(0)
-            t = first
-            while t <= t_hard:
-                total += eval_at(t) + (eval_at(-t) if t > 0 else 0)
-                t += step
-            return total
-
-        h = mp.mpf(1)
-        total = row(h, mp.mpf(0), h)
-        value = h * total
-        err = mp.inf
-        converged = False
-        for _ in range(level_max):
-            h /= 2
-            total += row(h, h, 2 * h)
-            new_value = h * total
-            err = abs(new_value - value)
-            value = new_value
-            if err <= tol:
-                converged = True
-                break
-        return QuadratureResult(
-            value=float(value),
-            error_estimate=max(float(err), _err_floor(float(value))),
-            nodes=nodes,
-            converged=converged,
-        )
-
-
-def adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float | None = None,
-    *,
-    depth_max: int | None = None,
-) -> QuadratureResult:
-    """Adaptive Simpson bisection with the nested 3/5-point error estimate.
-
-    Sub-intervals are split until the local Richardson error ``|S2 - S1|/15``
-    fits a width-proportional share of ``tol``; per-interval errors are
-    summed into the error estimate.  Exceeding the depth cap is an error.
-    """
-    if not (a < b):
-        raise ValueError("need a < b")
-    tol = DEFAULTS.adaptive_tol if tol is None else float(tol)
-    depth_max = DEFAULTS.adaptive_depth_max if depth_max is None else int(depth_max)
-
-    nodes = 0
-
-    def fv(x: float) -> float:
-        nonlocal nodes
-        nodes += 1
-        y = f(x)
-        if not math.isfinite(y):
-            raise NumericalError(f"integrand is not finite at x={x!r}")
-        return y
-
-    def simpson(fa: float, fm: float, fb: float, width: float) -> float:
-        return width * (fa + 4.0 * fm + fb) / 6.0
-
-    fa, fm, fb = fv(a), fv(0.5 * (a + b)), fv(b)
-    whole = simpson(fa, fm, fb, b - a)
-    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
-    value = 0.0
-    err = 0.0
-    while stack:
-        x0, x1, f0, f1, f2, s, budget, depth = stack.pop()
-        if depth > depth_max:
-            raise NumericalError("adaptive bisection exceeded the subdivision cap")
-        xm = 0.5 * (x0 + x1)
-        fl = fv(0.5 * (x0 + xm))
-        fr = fv(0.5 * (xm + x1))
-        sl = simpson(f0, fl, f1, xm - x0)
-        sr = simpson(f1, fr, f2, x1 - xm)
-        delta = sl + sr - s
-        if abs(delta) <= 15.0 * budget or (x1 - x0) < 16 * _EPS * max(abs(x0), abs(x1), 1.0):
-            value += sl + sr + delta / 15.0
-            err += abs(delta) / 15.0
-        else:
-            stack.append((x0, xm, f0, fl, f1, sl, budget / 2, depth + 1))
-            stack.append((xm, x1, f1, fr, f2, sr, budget / 2, depth + 1))
-    return QuadratureResult(value=value, error_estimate=max(err, _err_floor(value)), nodes=nodes)

@@ -1,8 +1,7 @@
 """Special functions and closed forms for the measure derivatives.
 
 Contains the Gauss hypergeometric machinery (direct series plus the AGM
-route for the (1/2, 1/2; 1) case), the internal parameterisation
-``lam = 2(1 + mu^2)/mu``, the bookkeeping of the cubic singularities
+route for the (1/2, 1/2; 1) case), the bookkeeping of the cubic singularities
 ``(1 + lam*x)(1 + lam*x + 4x^2)`` together with their images under
 ``x = z(1-z)``, and the lambda-derivatives of the three family measures:
 
@@ -24,22 +23,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULTS, get_precision
+from .config import DEFAULTS
 from .quadrature import NumericalError, QuadratureResult, tanh_sinh
 
 __all__ = [
-    "Hyp2F1Spec",
-    "MuParameter",
     "SingularityProfile",
     "UnsupportedRegimeError",
     "agm",
     "gauss_2f1_series",
     "gauss_2f1_agm",
-    "hyp2f1",
-    "mu_of_lambda",
     "singular_points",
     "cubic_singularities",
-    "radical_kernel",
     "integrate_derivative_kernel",
     "dp_dlambda",
     "dr_dlambda",
@@ -59,32 +53,12 @@ def agm(x: float, y: float) -> float:
     """Arithmetic-geometric mean of two positive reals, to machine fixed point."""
     if x <= 0 or y <= 0:
         raise ValueError("agm needs positive arguments")
-    if get_precision() == "extended":
-        import mpmath as mp
-
-        with mp.workdps(DEFAULTS.extended_dps):
-            return float(mp.agm(x, y))
     a, g = float(x), float(y)
     for _ in range(64):
         if abs(a - g) <= 4e-16 * a:
             break
         a, g = 0.5 * (a + g), math.sqrt(a * g)
     return 0.5 * (a + g)
-
-
-@dataclass(frozen=True)
-class Hyp2F1Spec:
-    """Parameters of a Gauss hypergeometric evaluation F(a, b; c | z)."""
-
-    a: float | Fraction
-    b: float | Fraction
-    c: float | Fraction
-    z: float
-
-    def __post_init__(self) -> None:
-        c = float(self.c)
-        if c <= 0 and c == int(c):
-            raise ValueError("c must not be a non-positive integer")
 
 
 def gauss_2f1_series(a, b, c, z, *, tol: float | None = None, max_terms: int | None = None) -> float:
@@ -102,19 +76,6 @@ def gauss_2f1_series(a, b, c, z, *, tol: float | None = None, max_terms: int | N
         raise ValueError("series evaluation requires |z| < 1")
     tol = DEFAULTS.series_tol if tol is None else float(tol)
     max_terms = DEFAULTS.series_max_terms if max_terms is None else int(max_terms)
-
-    if get_precision() == "extended":
-        import mpmath as mp
-
-        with mp.workdps(DEFAULTS.extended_dps):
-            term = mp.mpf(1)
-            total = mp.mpf(1)
-            for n in range(max_terms):
-                term *= (a + n) * (b + n) / ((c + n) * (1 + n)) * z
-                total += term
-                if abs(term) < tol * abs(total):
-                    return float(total)
-            raise NumericalError("hypergeometric series did not converge within the term cap")
 
     term = 1.0
     total = 1.0
@@ -136,47 +97,6 @@ def gauss_2f1_agm(z: float) -> float:
     if not z < 1.0:
         raise ValueError("the AGM route requires z < 1")
     return 1.0 / agm(1.0, math.sqrt(1.0 - z))
-
-
-def hyp2f1(spec: Hyp2F1Spec) -> float:
-    """Evaluate the requested hypergeometric value.
-
-    The (1/2, 1/2; 1) case is dispatched to the AGM (any z < 1); everything
-    else goes through the direct series (|z| < 1).
-    """
-    a, b, c = float(spec.a), float(spec.b), float(spec.c)
-    if (a, b, c) == (0.5, 0.5, 1.0):
-        return gauss_2f1_agm(spec.z)
-    return gauss_2f1_series(a, b, c, spec.z)
-
-
-# -- internal parameterisation ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MuParameter:
-    """Solution mu of ``lam = 2(1 + mu^2)/mu`` with the smaller modulus."""
-
-    mu: float
-    lam: float
-    branch: str  # "positive" (mu > 0) or "negative" (mu < 0)
-
-
-def mu_of_lambda(lam: float) -> MuParameter:
-    """Invert ``lam = 2(1 + mu^2)/mu`` on the branch with |mu| <= 1/2.
-
-    Real for |lam| >= 4; |mu| < 1/2 corresponds to |lam| > 5 and |lam| = 5
-    gives |mu| = 1/2 exactly.
-    """
-    lam = float(lam)
-    if abs(lam) < 4.0:
-        raise ValueError("mu is complex for |lam| < 4")
-    s = math.sqrt(lam * lam - 16.0)
-    mu = (lam - math.copysign(s, lam)) / 4.0
-    back = 2.0 * (1.0 + mu * mu) / mu
-    if abs(back - lam) > 1e-12 * max(1.0, abs(lam)):
-        raise NumericalError("mu(lambda) round trip failed")
-    return MuParameter(mu=mu, lam=lam, branch="positive" if mu > 0 else "negative")
 
 
 # -- singular points of the derivative integrals ----------------------------------
@@ -279,23 +199,6 @@ def dr_dlambda(lam: float) -> float:
     return fast
 
 
-def radical_kernel(lam: float, *, with_linear_factor: bool = False):
-    """Integrand 1/sqrt(-(1+lam*x)(1+lam*x+4x^2)[*(1-4x)]), guarded near ends."""
-
-    def g(x: float) -> float:
-        u = 1.0 + lam * x
-        r = -u * (u + 4.0 * x * x)
-        if with_linear_factor:
-            r *= 1.0 - 4.0 * x
-        if r <= 0.0:
-            # reachable only by rounding within a few ulp of an endpoint,
-            # where the double-exponential weight is negligible anyway
-            return 0.0
-        return 1.0 / math.sqrt(r)
-
-    return g
-
-
 def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False, tol: float = 1e-13):
     """Tanh-sinh integral of the radical kernel between consecutive roots.
 
@@ -304,7 +207,9 @@ def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False,
     distances, and each half is integrated in its distance-to-endpoint
     coordinate, so the inverse-square-root endpoints are resolved down to the
     last representable double instead of flooring near sqrt(machine epsilon).
-    Returns the summed :class:`QuadratureResult` of the two halves.
+    A radicand that is not positive at the midpoint raises
+    :class:`NumericalError`.  Returns the summed :class:`QuadratureResult` of
+    the two halves.
     """
     lam = float(lam)
     x0, x1, x2 = cubic_singularities(lam)
@@ -359,6 +264,8 @@ def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False,
         return g
 
     half = 0.5 * (b - a)
+    if fac_left(half) <= 0.0 or (lin_left is not None and lin_left(half) <= 0.0):
+        raise NumericalError("radicand is not positive at the midpoint of the integration interval")
     left = tanh_sinh(make_g(fac_left, lin_left), 0.0, half, tol)
     right = tanh_sinh(make_g(fac_right, lin_right), 0.0, half, tol)
     return QuadratureResult(
@@ -367,12 +274,6 @@ def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False,
         nodes=left.nodes + right.nodes,
         converged=left.converged and right.converged,
     )
-
-
-def _check_radicand_positive(g, a: float, b: float) -> None:
-    mid = 0.5 * (a + b)
-    if g(mid) <= 0.0:
-        raise NumericalError("radicand is not positive at the midpoint of the integration interval")
 
 
 def dq_dlambda_closed(lam: float) -> float:
@@ -384,14 +285,9 @@ def dq_dlambda_closed(lam: float) -> float:
     """
     lam = float(lam)
     if lam < -5.0:
-        x0, x1, _ = cubic_singularities(lam)
-        _check_radicand_positive(radical_kernel(lam), x0, x1)
         val = integrate_derivative_kernel(lam).value
         return -val / math.pi
     if lam > 13.0:
-        x0, _, x2 = cubic_singularities(lam)
-        _check_radicand_positive(radical_kernel(lam), x2, x0)
-        _check_radicand_positive(radical_kernel(lam, with_linear_factor=True), x2, x0)
         val = integrate_derivative_kernel(lam).value + integrate_derivative_kernel(lam, with_linear_factor=True).value
         return val / (2.0 * math.pi)
     raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")

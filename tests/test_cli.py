@@ -147,7 +147,7 @@ def test_show_config(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["defaults"]["tanh_sinh_level_max"] == 12
-    assert payload["run"]["node_budget"] >= 64
+    assert payload["run"] == {"seed": 0}
 
 
 def test_missing_command_is_usage_error(capsys):
@@ -157,7 +157,30 @@ def test_missing_command_is_usage_error(capsys):
 
 
 def test_precision_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("MAHLER_PRECISION", "extended")
-    code, out, _ = run(capsys, ["--show-config"])
-    assert code == 0
-    assert json.loads(out)["run"]["precision"] == "extended"
+    # MAHLER_PRECISION is no longer read: it must neither crash the kernel
+    # integrals nor change a byte of their output
+    for suite in ("J", "derivatives"):
+        monkeypatch.delenv("MAHLER_PRECISION", raising=False)
+        plain = run(capsys, ["verify", suite])
+        monkeypatch.setenv("MAHLER_PRECISION", "extended")
+        assert run(capsys, ["verify", suite]) == plain
+        assert plain[0] == 0
+
+
+def test_precision_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", "extended", "verify", "J"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("first, reason, method", [
+    ("1e400:0,0", "finite", "torus"),
+    ("1e400:0,0", "finite", "jensen"),
+    ("1/0:0,0", "'1/0:0,0'", "torus"),
+])
+def test_compute_rejects_malformed_poly_file(capsys, tmp_path, first, reason, method):
+    f = tmp_path / "bad.txt"
+    f.write_text(first + "\n1:1,0\n1:0,1\n")
+    code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", method])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and reason in err

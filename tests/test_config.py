@@ -1,33 +1,6 @@
 import json
 
-import pytest
-
-from mahler.config import DEFAULTS, RunConfig, get_precision, set_precision, show_config
-
-
-def test_run_config_defaults():
-    cfg = RunConfig()
-    assert cfg.seed == 0
-    assert cfg.node_budget >= 64
-    assert cfg.output_format == "table"
-
-
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(node_budget=32)
-    with pytest.raises(ValueError):
-        RunConfig(precision="quad")
-    with pytest.raises(ValueError):
-        RunConfig(output_format="xml")
-
-
-def test_precision_switch_roundtrip():
-    assert get_precision() == "double"
-    set_precision("extended")
-    assert get_precision() == "extended"
-    set_precision("double")
-    with pytest.raises(ValueError):
-        set_precision("single")
+from mahler.config import DEFAULTS, show_config
 
 
 def test_show_config_is_json_with_all_budgets():

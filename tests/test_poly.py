@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -43,6 +44,10 @@ def test_family_q_rejects_non_integer():
 def test_family_coefficients_exact_for_rational_parameter():
     assert make_family(FamilySpec("P", Fraction(1, 3))).is_exact()
     assert make_family(FamilySpec("Q_shifted", 13)).is_exact()
+    half = make_family(FamilySpec("Q_shifted", Fraction(1, 2)))
+    assert half.is_exact() and half.terms[(3, 1)] == Fraction(1, 2)
+    assert make_family(FamilySpec("Q_shifted", 13.0)) == make_family(FamilySpec("Q_shifted", 13))
+    assert not make_family(FamilySpec("Q_shifted", 0.5)).is_exact()
     assert not make_family(FamilySpec("R", 0.1)).is_exact()
 
 
@@ -175,6 +180,16 @@ def test_serialization_roundtrip():
 def test_serialization_parses_comments_and_blanks():
     P = poly_from_text("# a comment\n\n2:1,0\n1/2:0,-1\n")
     assert P == lp({(1, 0): 2, (0, -1): Fraction(1, 2)})
+
+
+def test_serialization_rejects_malformed_coefficients():
+    with pytest.raises(ValueError, match="finite"):
+        poly_from_text("1e400:0,0\n1:1,0\n1:0,1\n")
+    with pytest.raises(ValueError, match="1/0:0,0"):
+        poly_from_text("1:1,0\n1/0:0,0\n")
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            lp({(0, 0): bad})
 
 
 def test_zero_polynomial_needs_explicit_nvars():
