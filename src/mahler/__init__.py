@@ -46,7 +46,7 @@ from .poly import (
     verify_substitution,
 )
 from .quadrature import NumericalError, QuadratureResult, periodic_trapezoid, tanh_sinh
-from .roots import BranchPair, poly_roots, quadratic_roots
+from .roots import BranchPair, batch_roots, poly_roots, quadratic_roots
 from .specfun import (
     SingularityProfile,
     UnsupportedRegimeError,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -82,13 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tol(option: str, value: float) -> float:
+    # a NaN or non-positive tolerance is never met: every ladder would run to its cap
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{option} must be a positive finite number, got {value!r}")
+    return value
+
+
 def _parse_tol_overrides(pairs) -> dict[str, float]:
     out = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
         if not value or name not in DEFAULT_TOLERANCES:
             raise ValueError(f"bad tolerance override {pair!r}")
-        out[name] = float(value)
+        out[name] = _check_tol(f"--tol {name}", float(value))
     return out
 
 
@@ -117,6 +125,8 @@ def _compute_family(args):
 
 
 def cmd_compute(args) -> int:
+    if args.tol is not None:
+        _check_tol("--tol", args.tol)
     if args.poly_file:
         with open(args.poly_file, "r", encoding="utf-8") as fh:
             poly = poly_from_text(fh.read())

@@ -30,7 +30,7 @@ import numpy as np
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
 from .quadrature import NumericalError, _err_floor
-from .roots import BranchPair, poly_roots, quadratic_roots
+from .roots import BranchPair, batch_roots, poly_roots, quadratic_roots
 
 __all__ = [
     "MeasureValue",
@@ -131,37 +131,26 @@ _TORUS_OFFSETS = (0.5, 0.7071067811865476, 0.8660254037844386)
 
 
 def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
-    """Mean of log|P| over the offset n^k tensor grid, streamed in row blocks."""
-    k = P.nvars
-    pows: list[dict[int, np.ndarray]] = []
-    for dim in range(k):
-        nodes = _circle(n, _TORUS_OFFSETS[dim])
-        exps = {e[dim] for e in P.terms}
-        pows.append({e: nodes**e for e in exps})
-    terms = [(e, complex(c)) for e, c in P.items()]
+    """Mean of log|P| over the offset n^k tensor grid, streamed in row blocks.
 
-    if k == 1:
-        acc = np.zeros(n, dtype=complex)
-        for e, c in terms:
-            acc += c * pows[0][e[0]]
-        mags = np.abs(acc)
-        if mags.min() < _LOG_CLAMP:
-            raise NumericalError("polynomial vanishes on the sampling grid; use the Jensen method")
-        return float(np.log(mags).mean())
+    Terms are grouped by their exponent in the last variable; each group's
+    coefficient is evaluated on the flattened grid of the other variables, so
+    a row block of P is one matrix product with the last variable's powers.
+    """
+    k = P.nvars
+    grids = [_circle(n, _TORUS_OFFSETS[dim]) for dim in range(k)]
+    column = {e: g for g, e in enumerate(sorted({e[-1] for e in P.terms}))}
+    table = np.stack([grids[-1] ** e for e in column])
+    coeffs = np.zeros((n ** (k - 1), len(column)), dtype=complex)
+    for e, c in P.items():
+        term = np.full(1, complex(c))
+        for dim in range(k - 1):
+            term = np.multiply.outer(term, grids[dim] ** e[dim]).ravel()
+        coeffs[:, column[e[-1]]] += term
 
     total = 0.0
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, n))
-        m = rows.stop - rows.start
-        if k == 2:
-            acc = np.zeros((m, n), dtype=complex)
-            for e, c in terms:
-                acc += c * pows[0][e[0]][rows, None] * pows[1][e[1]][None, :]
-        else:
-            acc = np.zeros((m, n, n), dtype=complex)
-            for e, c in terms:
-                acc += c * pows[0][e[0]][rows, None, None] * pows[1][e[1]][None, :, None] * pows[2][e[2]][None, None, :]
-        mags = np.abs(acc)
+    for start in range(0, len(coeffs), _CHUNK):
+        mags = np.abs(coeffs[start : start + _CHUNK] @ table)
         if mags.min() < _LOG_CLAMP:
             raise NumericalError("polynomial vanishes on the sampling grid; use the Jensen method")
         total += float(np.log(mags).sum())
@@ -241,11 +230,8 @@ def _jensen_mean(C: np.ndarray) -> float:
             r1, r2 = _stable_quadratic_arrays(b, c)
             out[idx] = np.log(absC[2, idx]) + _log_plus(np.abs(r1)) + _log_plus(np.abs(r2))
         else:
-            for i in idx:
-                roots = poly_roots(list(C[: deg + 1, i]))
-                out[i] = math.log(absC[deg, i]) + sum(
-                    math.log(max(1.0, abs(r))) for r in roots
-                )
+            roots = batch_roots(C[: deg + 1, idx])
+            out[idx] = np.log(absC[deg, idx]) + _log_plus(np.abs(roots)).sum(axis=0)
     return float(out.mean())
 
 
@@ -271,10 +257,10 @@ def mahler_jensen_2var(
 ) -> MeasureValue:
     """Measure of a two-variable polynomial by the Jensen reduction in ``var``.
 
-    At each circle node x the fiber polynomial's roots come from the roots
-    module (the closed-form quadratic for degree <= 2, simultaneous iteration
-    above); the node value is ``log|lead(x)| + sum log+ |root|``.  The error
-    estimate comes from node doubling.
+    At each circle node x the fiber polynomial's roots come from closed forms
+    for degree <= 2 and from one batched Aberth-Ehrlich solve over all nodes
+    of a higher degree; the node value is ``log|lead(x)| + sum log+ |root|``.
+    The error estimate comes from node doubling.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")

@@ -346,6 +346,8 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
+        if isinstance(self.parameter, float) and not math.isfinite(self.parameter):
+            raise ValueError(f"the parameter of family {self.family} must be finite, got {self.parameter!r}")
         if self.family == "Q" and not _is_integral(self.parameter):
             raise ValueError("family Q requires an integer parameter")
 

@@ -184,3 +184,26 @@ def test_compute_rejects_malformed_poly_file(capsys, tmp_path, first, reason, me
     code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", method])
     assert code == 2
     assert out == "" and err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["compute", "--family", "r", "--lambda", "6", "--tol", "nan"], "--tol"),
+    (["compute", "--family", "r", "--lambda", "6", "--tol", "-1"], "--tol"),
+    (["compute", "--family", "qk", "--k", "2", "--method", "torus", "--tol", "inf"], "--tol"),
+    (["compute", "--family", "r", "--lambda", "6", "--tol", "0"], "--tol"),
+    (["verify", "main", "--lambda", "-6", "--tol", "main=nan"], "--tol main"),
+    (["verify", "main", "--lambda", "-6", "--tol", "main=-1"], "--tol main"),
+    (["verify", "boyd", "--k", "2", "--tol", "boyd=inf"], "--tol boyd"),
+])
+def test_non_positive_or_non_finite_tolerance_is_usage_error(capsys, argv, option):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {option} must be a positive finite number")
+
+
+@pytest.mark.parametrize("family, value", [("r", "nan"), ("p", "inf"), ("q", "-inf")])
+@pytest.mark.parametrize("method", ["fast", "jensen"])
+def test_compute_rejects_non_finite_family_parameter(capsys, family, value, method):
+    code, out, err = run(capsys, ["compute", "--family", family, f"--lambda={value}", "--method", method])
+    assert code == 2
+    assert out == "" and "parameter" in err and "finite" in err

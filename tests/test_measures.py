@@ -1,9 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mahler.measures import (
+    _TORUS_OFFSETS,
+    _circle,
+    _torus_mean_log,
     branch_extremes,
     mahler_1var,
     mahler_jensen_2var,
@@ -49,6 +53,48 @@ def test_torus_rejects_too_many_variables():
 def test_torus_clamps_vanishing_values():
     with pytest.raises(NumericalError):
         mahler_torus(lp({(0, 0): 1e-320}))
+
+
+def _naive_torus_mean_log(P, n):
+    """Reference: log|P| on the offset grid summed term by term (the kernel
+    before terms were grouped into one matrix product per row block)."""
+    k = P.nvars
+    pows = []
+    for dim in range(k):
+        nodes = _circle(n, _TORUS_OFFSETS[dim])
+        pows.append({e[dim]: nodes ** e[dim] for e in P.terms})
+    terms = [(e, complex(c)) for e, c in P.items()]
+    if k == 1:
+        acc = np.zeros(n, dtype=complex)
+        for e, c in terms:
+            acc += c * pows[0][e[0]]
+        return float(np.log(np.abs(acc)).mean())
+    total = 0.0
+    for start in range(0, n, 256):
+        rows = slice(start, min(start + 256, n))
+        m = rows.stop - rows.start
+        if k == 2:
+            acc = np.zeros((m, n), dtype=complex)
+            for e, c in terms:
+                acc += c * pows[0][e[0]][rows, None] * pows[1][e[1]][None, :]
+        else:
+            acc = np.zeros((m, n, n), dtype=complex)
+            for e, c in terms:
+                acc += c * pows[0][e[0]][rows, None, None] * pows[1][e[1]][None, :, None] * pows[2][e[2]][None, None, :]
+        total += float(np.log(np.abs(acc)).sum())
+    return total / float(n**k)
+
+
+@pytest.mark.parametrize("terms, nvars, n", [
+    ({(3,): 2, (-2,): 1, (0,): 0.5}, 1, 1000),
+    ({(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1, (0, 0): 4}, 2, 1024),  # R_4, zero on the torus
+    ({(2, -1): 1.5, (0, 3): -0.25, (-3, 0): 1, (1, 1): 2, (0, 0): 0.75}, 2, 600),
+    ({(1, 1, -1): 2, (0, 0, 0): 1, (-1, 2, 1): 0.3, (0, -1, 0): 1.5, (2, 0, 1): -1}, 3, 64),
+])
+def test_torus_kernel_matches_term_by_term_reference(terms, nvars, n):
+    P = LaurentPolynomial(terms, nvars=nvars)
+    ref = _naive_torus_mean_log(P, n)
+    assert abs(_torus_mean_log(P, n) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def test_smyth_polynomial_both_methods():

@@ -41,6 +41,13 @@ def test_family_q_rejects_non_integer():
         FamilySpec("Q", 0.5)
 
 
+@pytest.mark.parametrize("family", ["Q", "P", "R", "Q_shifted"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_family_rejects_non_finite_parameter(family, value):
+    with pytest.raises(ValueError, match=f"parameter of family {family} must be finite"):
+        FamilySpec(family, value)
+
+
 def test_family_coefficients_exact_for_rational_parameter():
     assert make_family(FamilySpec("P", Fraction(1, 3))).is_exact()
     assert make_family(FamilySpec("Q_shifted", 13)).is_exact()

@@ -1,9 +1,15 @@
+import cmath
+import itertools
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
-from mahler.roots import poly_roots, quadratic_roots
+from mahler.measures import _coeff_rows, mahler_jensen_2var
+from mahler.poly import FamilySpec, as_poly_in_y, make_family
+from mahler.roots import RootSolveError, batch_roots, poly_roots, quadratic_roots
 
 
 def test_quadratic_distinct_real_roots():
@@ -105,3 +111,109 @@ def test_poly_roots_validation():
 def test_branch_pair_iterates_in_order():
     lo, hi = quadratic_roots(-3, 2)
     assert (lo, hi) == (1, 2)
+
+
+# -- batched Aberth-Ehrlich -------------------------------------------------------
+
+
+def _scalar_aberth(coeffs, max_iter=200, tol=1e-13):
+    """Reference: the one-polynomial, one-root-at-a-time Aberth loop the
+    batched solver replaced (same start circle and freezing rules, but each
+    correction sees the roots already updated in its sweep)."""
+    eps = sys.float_info.epsilon
+    cs = [complex(c) for c in coeffs]
+    mon = [c / cs[-1] for c in cs]
+    d = len(cs) - 1
+    radius = 1.0 + max(abs(c) for c in mon[:-1])
+    z = [
+        radius
+        * (0.65 + 0.1 * math.fmod(0.618033988749895 * i, 1.0))
+        * cmath.exp(2j * math.pi * (i + 0.25) / d + 0.42j)
+        for i in range(d)
+    ]
+    done = [False] * d
+    for _ in range(max_iter):
+        for i in range(d):
+            if done[i]:
+                continue
+            p = dp = 0j
+            for c in reversed(mon):
+                dp = dp * z[i] + p
+                p = p * z[i] + c
+            if abs(p) <= 8 * eps * sum(abs(c) * abs(z[i]) ** j for j, c in enumerate(mon)):
+                done[i] = True
+                continue
+            w = p / dp
+            s = sum(1.0 / (z[i] - z[j]) for j in range(d) if j != i)
+            step = w / (1.0 - w * s)
+            z[i] -= step
+            done[i] = abs(step) / max(1.0, abs(z[i])) < tol
+        if all(done):
+            return z
+    raise AssertionError("reference solver did not converge")
+
+
+def _set_distance(found, ref):
+    """Per column, the largest root distance under the best pairing."""
+    return np.min(
+        [np.abs(found[list(perm)] - ref).max(axis=0) for perm in itertools.permutations(range(len(ref)))],
+        axis=0,
+    )
+
+
+@pytest.mark.parametrize("k", [-2, 0, 2, 3, 5])
+def test_batch_roots_match_scalar_aberth_on_qk_fibers(k):
+    # degree-4 fibers in X of Q_k on the 4096-node circle grid
+    C = _coeff_rows(as_poly_in_y(make_family(FamilySpec("Q", k)), 0), 4096)
+    found = batch_roots(C)
+    ref = np.array([_scalar_aberth(C[:, i]) for i in range(C.shape[1])]).T
+    scale = np.maximum(1.0, np.abs(ref).max(axis=0))
+    assert (_set_distance(found, ref) <= 1e-12 * scale).all()
+    for i in range(0, C.shape[1], 256):  # one column alone gives the same roots
+        assert poly_roots(C[:, i]) == sorted((complex(z) for z in found[:, i]), key=lambda z: (abs(z), z.real, z.imag))
+
+
+def test_batch_roots_mix_clustered_and_separated_columns():
+    rng = random.Random(7)
+    cols, known = [], []
+    for _ in range(6):
+        roots = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)]
+        cols.append(_expand_monic(roots))
+        known.append(roots)
+    cols.insert(2, _expand_monic([-1, -1, -1, 2]))  # triple root beside a simple one
+    cols.append([3 * c for c in _expand_monic([0.5j, 0.5j, -0.5j, -0.5j])])  # two double roots, not monic
+    found = batch_roots(np.array(cols).T)
+    for col, roots in zip(np.delete(found, [2, 7], axis=1).T, known):
+        assert _set_distance(col[:, None], np.array(roots)[:, None])[0] <= 1e-10
+    assert np.sort(np.abs(found[:, 2] + 1))[:3].max() < 1e-4
+    assert np.abs(found[:, 2] - 2).min() < 1e-12
+    assert _set_distance(found[:, 7:], np.array([[0.5j], [0.5j], [-0.5j], [-0.5j]]))[0] < 1e-6
+    for i, col in enumerate(cols):  # no column is disturbed by its neighbours
+        assert sorted(found[:, i], key=lambda z: (abs(z), z.real, z.imag)) == poly_roots(col)
+
+
+def test_batch_roots_raises_when_iterations_run_out():
+    C = _coeff_rows(as_poly_in_y(make_family(FamilySpec("Q", 3)), 0), 64)
+    with pytest.raises(RootSolveError):
+        batch_roots(C, max_iter=2)
+    with pytest.raises(RootSolveError):
+        poly_roots([1, 3, 3, 1], max_iter=3)
+
+
+def test_batch_roots_validation():
+    with pytest.raises(ValueError):
+        batch_roots(np.ones(3))
+    with pytest.raises(ValueError):
+        batch_roots(np.ones((1, 4)))
+    with pytest.raises(ValueError):
+        batch_roots(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    assert batch_roots(np.array([[2.0, -3.0], [1.0, 1.0]])).tolist() == [[-2, 3]]
+
+
+@pytest.mark.parametrize("k", [-2, 2, 3, 5])
+def test_jensen_in_either_variable_agrees_on_qk(k):
+    # var=0 solves degree-4 fibers by Aberth, var=1 quadratics in closed form
+    P = make_family(FamilySpec("Q", k))
+    by_x = mahler_jensen_2var(P, var=0, tol=1e-6)
+    by_y = mahler_jensen_2var(P, var=1, tol=1e-6)
+    assert abs(by_x.value - by_y.value) <= by_x.error_estimate + by_y.error_estimate
