@@ -179,6 +179,10 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    # a NaN or infinite bound or step never lets the grid pass --to
+    for option, value in (("--from", start), ("--to", stop), ("--step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     values = []

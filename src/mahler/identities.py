@@ -68,7 +68,7 @@ __all__ = [
 # measure-level checks stack two quadratures, derivative/integral checks one,
 # special-function checks none; tolerances split accordingly
 DEFAULT_TOLERANCES = {
-    "boyd": 1e-7,
+    "boyd": 1e-8,
     "main": 1e-7,
     "derivatives": 1e-8,
     "J": 1e-9,

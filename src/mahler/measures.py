@@ -15,8 +15,13 @@ On top of those sit fast family paths ``q_measure``, ``p_measure`` and
 ``|y_minus| <= 1 <= |y_plus|`` hold (lam <= -4 or lam >= 13); outside it
 silently falls back to the generic Jensen evaluator.
 
-Circle rules place nodes with a half-step offset so that points where a
-branch modulus touches 1 (like t = 0) are never sampled exactly.
+The Jensen integrand is analytic on the circle except at breakpoints,
+where a fiber root crosses |y| = 1, roots collide or the leading coefficient
+vanishes.  When it has breakpoints (from resultants for generic input, from
+closed forms for the P and R families), each arc between them is integrated
+by tanh-sinh; otherwise a midpoint ladder doubles the node count.  Circle
+rules place nodes with a half-step offset so that points where a branch
+modulus touches 1 (like t = 0) are never sampled exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
-from .quadrature import NumericalError, _err_floor
+from .quadrature import NumericalError, _err_floor, tanh_sinh
 from .roots import BranchPair, batch_roots, poly_roots, quadratic_roots
 
 __all__ = [
@@ -48,6 +53,8 @@ __all__ = [
 _LOG_CLAMP = 1e-300  # |P| below this at a node means the grid hit a zero
 _TRIM = 1e-13  # relative threshold for dropping a vanishing leading coefficient
 _CHUNK = 256  # rows per block in torus streaming; fixed for reproducibility
+_CLUSTER = 2e-2  # resultant roots closer than this are one (multiple) root
+_ON_CIRCLE = 1e-6  # a root mean this close to |x| = 1 is a breakpoint
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,8 @@ def _stable_quadratic_arrays(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, 
     return q, r2
 
 
-def _jensen_mean(C: np.ndarray) -> float:
-    """Mean over nodes of ``log|lead| + sum_j log+ |root_j|``.
+def _jensen_values(C: np.ndarray) -> np.ndarray:
+    """Per-node ``log|lead| + sum_j log+ |root_j|``.
 
     ``C`` has shape (degree+1, n): ascending coefficients of the fiber
     polynomial at each node.  A leading coefficient below the relative trim
@@ -232,20 +239,129 @@ def _jensen_mean(C: np.ndarray) -> float:
         else:
             roots = batch_roots(C[: deg + 1, idx])
             out[idx] = np.log(absC[deg, idx]) + _log_plus(np.abs(roots)).sum(axis=0)
-    return float(out.mean())
+    return out
 
 
-def _coeff_rows(view, n: int) -> np.ndarray:
-    """Evaluate the univariate-view coefficients on the offset circle grid."""
-    nodes = _circle(n)
+def _jensen_mean(C: np.ndarray) -> float:
+    """Mean over nodes of :func:`_jensen_values`."""
+    return float(_jensen_values(C).mean())
+
+
+def _coeff_rows(view, x: np.ndarray) -> np.ndarray:
+    """Evaluate the univariate-view coefficients at the circle points ``x``."""
     other = 1 - view.var  # two-variable case
-    rows = np.zeros((len(view.coeffs), n), dtype=complex)
+    rows = np.zeros((len(view.coeffs), len(x)), dtype=complex)
     for j, cj in enumerate(view.coeffs):
-        acc = np.zeros(n, dtype=complex)
+        acc = np.zeros(len(x), dtype=complex)
         for e, c in cj.items():
-            acc += complex(c) * nodes ** e[other]
+            acc += complex(c) * x ** e[other]
         rows[j] = acc
     return rows
+
+
+# -- breakpoints -----------------------------------------------------------------
+
+
+def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sylvester matrices, one per column, of ascending coefficient columns f and g."""
+    p, q = len(f) - 1, len(g) - 1
+    S = np.zeros((f.shape[1], p + q, p + q), dtype=complex)
+    for i in range(q):
+        S[:, i, i : i + p + 1] = f[::-1].T
+    for i in range(p):
+        S[:, q + i, i : i + q + 1] = g[::-1].T
+    return S
+
+
+def _circle_roots(values: np.ndarray) -> list[complex]:
+    """Unit-circle roots of the polynomial whose values at the m-th roots of unity are given.
+
+    The coefficients come back from one FFT (``fft``, not ``ifft``: the
+    samples sit at ``exp(+2 pi i k/m)``).  Roots closer than ``_CLUSTER`` are
+    replaced by their mean before the on-circle test, because ``np.roots``
+    scatters a root of multiplicity k by about eps^(1/k) and the mean of the
+    scattered copies is accurate again.
+    """
+    coeffs = np.fft.fft(values) / len(values)
+    # leading coefficients at rounding level belong to no root; np.roots would
+    # turn them into spurious huge ones
+    big = np.nonzero(np.abs(coeffs) > 1e-12 * np.abs(coeffs).max())[0]
+    roots = np.roots(coeffs[: big[-1] + 1][::-1])
+    if not len(roots):
+        return []
+    # single-linkage clusters: spread the smallest index along chains of close roots
+    close = np.abs(roots[:, None] - roots[None, :]) < _CLUSTER
+    label = np.arange(len(roots))
+    while True:
+        spread = np.where(close, label, len(roots)).min(axis=1)
+        if (spread == label).all():
+            break
+        label = spread
+    means = [roots[label == k].mean() for k in np.unique(label)]
+    return [complex(z) for z in means if abs(abs(z) - 1.0) < _ON_CIRCLE]
+
+
+def _breakpoints(view) -> np.ndarray:
+    """Sorted t in [0, 1) where the Jensen integrand of ``view`` may fail to be analytic.
+
+    A fiber root crosses |y| = 1 only where it is also a root of
+    ``P*(x, y) = x^D y^d conj(P)(1/x, 1/y)``, so those x are the unit-circle
+    roots of Res_y(P, P*); colliding roots and a vanishing leading
+    coefficient show up as roots of Res_y(P, dP/dy).  Both resultants are
+    sampled as determinants of Sylvester matrices at m >= degree + 1 roots of
+    unity.  For a reciprocal P (P* = P up to a monomial) Res_y(P, P*)
+    vanishes identically and is skipped.
+    """
+    other = 1 - view.var
+    exps = [e[other] for cj in view.coeffs for e in cj.terms]
+    lo, D = min(exps), max(exps) - min(exps)
+    d = len(view.coeffs) - 1
+    if d < 1:
+        return np.zeros(0)
+    points = []
+    # (degree bound in x of the resultant, y-coefficients of the partner of P)
+    for degree, partner in (
+        ((2 * d - 1) * D, lambda x, C: C[1:] * np.arange(1, d + 1)[:, None]),  # dP/dy
+        (2 * d * D, lambda x, C: x**D * np.conj(C[::-1])),  # P*, using conj(x) = 1/x
+    ):
+        m = degree + 1
+        x = np.exp(2j * np.pi * np.arange(m) / m)
+        C = _coeff_rows(view, x) * x ** (-lo)
+        S = _sylvester(C, partner(x, C))
+        res = np.linalg.det(S)
+        # a resultant at rounding level against its Hadamard bound vanishes identically
+        bound = np.prod(np.linalg.norm(S, axis=2), axis=1).max()
+        if np.abs(res).max() > 1e-12 * bound:
+            points += _circle_roots(res)
+    t = np.angle(points) / (2.0 * np.pi) % 1.0
+    return np.unique(np.where(t < 1.0, t, 0.0))
+
+
+# -- circle means ------------------------------------------------------------------
+
+
+def _circle_mean(level_fn, values_at, cuts, n: int | None, tol: float) -> tuple[float, float]:
+    """(value, error estimate) of a circle mean of the Jensen integrand.
+
+    With breakpoints ``cuts`` (t in [0, 1)) and no pinned node count, each arc
+    between consecutive cuts is integrated by vectorized tanh-sinh on the
+    per-node values ``values_at(t)``; the integrand is analytic inside an arc
+    and at worst square-root-like at its ends.  Without cuts, with ``n``
+    given, or when an arc does not converge, the midpoint ladder on
+    ``level_fn(m)`` runs instead.
+    """
+    if n is None and len(cuts):
+        ends = list(cuts) + [cuts[0] + 1.0]
+        arcs = [
+            tanh_sinh(values_at, a, b, tol / len(cuts), vectorized=True)
+            for a, b in zip(ends[:-1], ends[1:])
+            if a < b
+        ]
+        if all(r.converged for r in arcs):
+            return sum(r.value for r in arcs), sum(r.error_estimate for r in arcs)
+    n_start, n_max = _circle_budget(n)
+    value, err, _ = _refine(level_fn, n_start, n_max, tol)
+    return value, err
 
 
 def mahler_jensen_2var(
@@ -260,7 +376,9 @@ def mahler_jensen_2var(
     At each circle node x the fiber polynomial's roots come from closed forms
     for degree <= 2 and from one batched Aberth-Ehrlich solve over all nodes
     of a higher degree; the node value is ``log|lead(x)| + sum log+ |root|``.
-    The error estimate comes from node doubling.
+    The circle is split at the breakpoints of the integrand (see
+    :func:`_breakpoints`) and each arc integrated by tanh-sinh; without
+    breakpoints, or with ``n`` given, node doubling runs on the whole circle.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
@@ -268,8 +386,13 @@ def mahler_jensen_2var(
         raise ValueError("the Jensen evaluator works on two-variable polynomials")
     view = as_poly_in_y(P, var)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    n_start, n_max = _circle_budget(n)
-    value, err, _ = _refine(lambda m: _jensen_mean(_coeff_rows(view, m)), n_start, n_max, tol)
+    value, err = _circle_mean(
+        lambda m: _jensen_mean(_coeff_rows(view, _circle(m))),
+        lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t))),
+        _breakpoints(view) if n is None else (),
+        n,
+        tol,
+    )
     return MeasureValue(value=value, method="jensen", error_estimate=err)
 
 
@@ -386,12 +509,21 @@ def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     return MeasureValue(value=value, method="family_fast", error_estimate=err, lam=lam, family=spec)
 
 
-def _p_mean(lam: float, n: int) -> float:
-    x = _circle(n)
-    c0 = x * x + x
-    c1 = x * x - (lam + 2.0) * x + 1.0
-    c2 = x + 1.0
-    return _jensen_mean(np.stack([c0, c1, c2]))
+def _p_rows(lam: float, x: np.ndarray) -> np.ndarray:
+    return np.stack([x * x + x, x * x - (lam + 2.0) * x + 1.0, x + 1.0])
+
+
+def _p_cuts(lam: float) -> tuple[float, ...]:
+    """Breakpoints t of the P-family integrand, from |2 cos th - lam - 2| = 4 |cos(th/2)|.
+
+    With ``w = sqrt(5 + lam)`` the solutions are |cos(th/2)| in
+    {(1 + w)/2, |w - 1|/2}; there are none for lam < -5.
+    """
+    if lam < -5.0:
+        return ()
+    w = math.sqrt(5.0 + lam)
+    mags = [m for m in ((1.0 + w) / 2.0, abs(w - 1.0) / 2.0) if m <= 1.0]
+    return tuple(sorted({math.acos(s * m) / math.pi % 1.0 for m in mags for s in (1.0, -1.0)}))
 
 
 def p_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
@@ -406,16 +538,26 @@ def p_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     if lam == -4.0:
         return MeasureValue(value=0.0, method="family_fast", error_estimate=0.0, lam=lam, family=spec)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    n_start, n_max = _circle_budget(n)
-    value, err, _ = _refine(lambda m: _p_mean(lam, m), n_start, n_max, tol)
+    value, err = _circle_mean(
+        lambda m: _jensen_mean(_p_rows(lam, _circle(m))),
+        lambda t: _jensen_values(_p_rows(lam, np.exp(2j * np.pi * t))),
+        _p_cuts(lam),
+        n,
+        tol,
+    )
     return MeasureValue(value=value, method="family_fast", error_estimate=err, lam=lam, family=spec)
 
 
-def _r_mean(lam: float, n: int) -> float:
-    t = (np.arange(n) + 0.5) / n
+def _r_rows(lam: float, t: np.ndarray) -> np.ndarray:
     b = (2.0 * np.cos(2.0 * np.pi * t) + lam).astype(complex)
-    one = np.ones(n, dtype=complex)
-    return _jensen_mean(np.stack([one, b, one]))
+    one = np.ones(len(t), dtype=complex)
+    return np.stack([one, b, one])
+
+
+def _r_cuts(lam: float) -> tuple[float, ...]:
+    """Breakpoints t of the R-family integrand, from cos(2 pi t) = (+-2 - lam)/2."""
+    cosines = [c for c in ((2.0 - lam) / 2.0, (-2.0 - lam) / 2.0) if -1.0 <= c <= 1.0]
+    return tuple(sorted({(s * math.acos(c) / (2.0 * math.pi)) % 1.0 for c in cosines for s in (1.0, -1.0)}))
 
 
 def r_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
@@ -423,6 +565,11 @@ def r_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     lam = float(lam)
     spec = FamilySpec("R", lam)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    n_start, n_max = _circle_budget(n)
-    value, err, _ = _refine(lambda m: _r_mean(lam, m), n_start, n_max, tol)
+    value, err = _circle_mean(
+        lambda m: _jensen_mean(_r_rows(lam, (np.arange(m) + 0.5) / m)),
+        lambda t: _jensen_values(_r_rows(lam, t)),
+        _r_cuts(lam),
+        n,
+        tol,
+    )
     return MeasureValue(value=value, method="family_fast", error_estimate=err, lam=lam, family=spec)

@@ -1,0 +1,138 @@
+"""Breakpoints of the Jensen integrand and the choice between arcs and the ladder."""
+
+import math
+
+import numpy as np
+import pytest
+
+import mahler.measures as measures
+from mahler.config import DEFAULTS
+from mahler.measures import (
+    _breakpoints,
+    _circle,
+    _circle_budget,
+    _coeff_rows,
+    _jensen_mean,
+    _p_cuts,
+    _p_rows,
+    _r_cuts,
+    _r_rows,
+    _refine,
+    mahler_jensen_2var,
+    p_measure,
+    r_measure,
+)
+from mahler.poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
+
+
+def _cuts(P, var=1):
+    return _breakpoints(as_poly_in_y(P, var))
+
+
+def _swap(P):
+    return LaurentPolynomial({(e[1], e[0]): c for e, c in P.items()}, nvars=2)
+
+
+def _t_of_cosines(cosines):
+    """t in [0, 1) with cos(2 pi t) = c, for each c in [-1, 1]."""
+    ts = {s * math.acos(c) / (2 * math.pi) % 1.0 for c in cosines if -1 <= c <= 1 for s in (1, -1)}
+    return sorted({0.0 if t > 1 - 1e-15 else t for t in ts})
+
+
+def _assert_same_points(found, expected, tol=1e-12):
+    found, expected = np.asarray(found, dtype=float), np.asarray(expected, dtype=float)
+    assert found.shape == expected.shape, (found, expected)
+    if not found.size:
+        return
+    gap = np.abs(found[:, None] - expected[None, :]) % 1.0
+    assert np.minimum(gap, 1.0 - gap).min(axis=1).max() <= tol, (found, expected)
+
+
+@pytest.mark.parametrize("k", range(-3, 6))
+def test_qk_breakpoints_match_closed_form(k):
+    # on |X| = 1 the Y-fiber is X^2 (Z^2 + s Z + 1) with s = 4c^2 + 2kc + 2k - 2, c = cos(theta);
+    # its roots leave the circle where s = +-2
+    cosines = []
+    for const in (2 * k - 4, 2 * k):
+        disc = 4 * k * k - 16 * const
+        if disc >= 0:
+            cosines += [(-2 * k + sg * math.sqrt(disc)) / 8 for sg in (1, -1)]
+    _assert_same_points(_cuts(make_family(FamilySpec("Q", k))), _t_of_cosines(cosines))
+
+
+@pytest.mark.parametrize("lam", [-5.0, -4.9, -4.5, -3.0, -1.0, 0.0, 1.5, 3.99, 4.0, 13.0, -7.0])
+def test_p_breakpoints_match_closed_form(lam):
+    # the resultant also vanishes at x = -1, where the leading coefficient x + 1 does;
+    # the combined integrand is analytic there, so the closed form leaves that point out
+    expected = sorted(set(_p_cuts(lam)) | {0.5})
+    _assert_same_points(_cuts(make_family(FamilySpec("P", lam))), expected)
+
+
+@pytest.mark.parametrize("lam", [-4.0, -3.0, -1.0, 0.0, 1.0, 2.0, 3.5, 4.0, 6.0])
+def test_r_breakpoints_match_closed_form(lam):
+    _assert_same_points(_cuts(make_family(FamilySpec("R", lam))), _r_cuts(lam))
+    _assert_same_points(_r_cuts(lam), _t_of_cosines([(2 - lam) / 2, (-2 - lam) / 2]))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_triple_root_of_swapped_qk_is_found(k):
+    # Res_y of Q_k(y, x) has a triple root at x = -1; np.roots scatters it by
+    # about 1e-5, and only the mean of the scattered copies lies on the circle
+    cuts = _cuts(_swap(make_family(FamilySpec("Q", k))))
+    assert np.abs(cuts - 0.5).min() <= 1e-12, cuts
+
+
+def test_touching_point_of_q4_is_a_breakpoint():
+    # Q_4 has s = (2c + 2)^2 + 2 >= 2: the double root at X = -1 touches the circle
+    # (a fourfold root of the resultant in var 1, a higher one in var 0)
+    P = make_family(FamilySpec("Q", 4))
+    _assert_same_points(_cuts(P, 1), [0.5])
+    _assert_same_points(_cuts(P, 0), [0.5])
+
+
+def test_smyth_breakpoints_come_from_res_with_p_star():
+    # 1 + x + y: |y| = |1 + x| = 1 at x = exp(+-2 pi i/3); the discriminant is constant
+    P = LaurentPolynomial({(0, 0): 1, (1, 0): 1, (0, 1): 1}, nvars=2)
+    _assert_same_points(_cuts(P), [1 / 3, 2 / 3])
+
+
+def _ladder(level_fn, n=None):
+    n_start, n_max = _circle_budget(n)
+    return _refine(level_fn, n_start, n_max, DEFAULTS.measure_tol)[:2]
+
+
+def _generic_level(P):
+    view = as_poly_in_y(P, 1)
+    return lambda m: _jensen_mean(_coeff_rows(view, _circle(m)))
+
+
+def test_inputs_without_breakpoints_run_the_ladder_bit_for_bit():
+    assert _p_cuts(13.0) == () and _r_cuts(6.0) == ()
+    mv = p_measure(13.0)
+    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_p_rows(13.0, _circle(m))))
+    mv = r_measure(6.0)
+    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_r_rows(6.0, (np.arange(m) + 0.5) / m)))
+    R6 = make_family(FamilySpec("R", 6.0))
+    assert len(_cuts(R6)) == 0
+    mv = mahler_jensen_2var(R6)
+    assert (mv.value, mv.error_estimate) == _ladder(_generic_level(R6))
+
+
+def test_pinned_node_count_runs_the_ladder_bit_for_bit():
+    mv = p_measure(-1.0, 4096)
+    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_p_rows(-1.0, _circle(m))), 4096)
+    mv = r_measure(2.0, 4096)
+    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_r_rows(2.0, (np.arange(m) + 0.5) / m)), 4096)
+    Q2 = make_family(FamilySpec("Q", 2))
+    mv = mahler_jensen_2var(Q2, 8192)
+    assert (mv.value, mv.error_estimate) == _ladder(_generic_level(Q2), 8192)
+
+
+def test_an_unconverged_arc_falls_back_to_the_ladder(monkeypatch):
+    real = measures.tanh_sinh
+    monkeypatch.setattr(measures, "tanh_sinh", lambda *args, **kwargs: real(*args, **kwargs, level_max=2))
+    Q2 = make_family(FamilySpec("Q", 2))
+    mv = mahler_jensen_2var(Q2)
+    assert (mv.value, mv.error_estimate) == _ladder(_generic_level(Q2))
+    mv = p_measure(-1.0)
+    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_p_rows(-1.0, _circle(m))))

@@ -122,6 +122,25 @@ def test_sweep_empty_range_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--from", "nan", "--to", "7", "--step", "1"),
+        ("--from", "5", "--to", "inf", "--step", "1"),
+        ("--from", "5", "--to", "7", "--step", "nan"),
+        ("--from", "5", "--to", "7", "--step=-inf"),
+        ("--from", "5", "--to", "7", "--step", "0"),
+    ],
+)
+def test_sweep_rejects_non_finite_range_or_non_positive_step(capsys, monkeypatch, bounds):
+    rows = []
+    monkeypatch.setattr("mahler.cli._sweep_row", lambda *args: rows.append(args))
+    code, out, err = run(capsys, ["sweep", "--family", "r", *bounds])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == "" and rows == []
+
+
 def test_sweep_with_no_valid_rows_is_numerical_failure(capsys):
     code, out, _ = run(capsys, ["sweep", "--identity", "main", "--from", "0", "--to", "2", "--step", "1"])
     assert code == 3

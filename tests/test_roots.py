@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mahler.measures import _coeff_rows, mahler_jensen_2var
+from mahler.measures import _circle, _coeff_rows, mahler_jensen_2var
 from mahler.poly import FamilySpec, as_poly_in_y, make_family
 from mahler.roots import RootSolveError, batch_roots, poly_roots, quadratic_roots
 
@@ -164,7 +164,7 @@ def _set_distance(found, ref):
 @pytest.mark.parametrize("k", [-2, 0, 2, 3, 5])
 def test_batch_roots_match_scalar_aberth_on_qk_fibers(k):
     # degree-4 fibers in X of Q_k on the 4096-node circle grid
-    C = _coeff_rows(as_poly_in_y(make_family(FamilySpec("Q", k)), 0), 4096)
+    C = _coeff_rows(as_poly_in_y(make_family(FamilySpec("Q", k)), 0), _circle(4096))
     found = batch_roots(C)
     ref = np.array([_scalar_aberth(C[:, i]) for i in range(C.shape[1])]).T
     scale = np.maximum(1.0, np.abs(ref).max(axis=0))
@@ -193,7 +193,7 @@ def test_batch_roots_mix_clustered_and_separated_columns():
 
 
 def test_batch_roots_raises_when_iterations_run_out():
-    C = _coeff_rows(as_poly_in_y(make_family(FamilySpec("Q", 3)), 0), 64)
+    C = _coeff_rows(as_poly_in_y(make_family(FamilySpec("Q", 3)), 0), _circle(64))
     with pytest.raises(RootSolveError):
         batch_roots(C, max_iter=2)
     with pytest.raises(RootSolveError):
