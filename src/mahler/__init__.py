@@ -26,27 +26,24 @@ from .measures import (
     BranchExtremes,
     MeasureValue,
     branch_extremes,
-    mahler_1var,
     mahler_jensen_2var,
     mahler_torus,
     p_measure,
     q_measure,
     r_measure,
-    y_branches,
 )
 from .poly import (
     FamilySpec,
     LaurentPolynomial,
     UnivariateView,
     as_poly_in_y,
-    evaluate,
     make_family,
     poly_from_text,
     poly_to_text,
     verify_substitution,
 )
-from .quadrature import NumericalError, QuadratureResult, periodic_trapezoid, tanh_sinh
-from .roots import BranchPair, batch_roots, poly_roots, quadratic_roots
+from .quadrature import NumericalError, QuadratureResult, tanh_sinh
+from .roots import batch_roots, quadratic_roots
 from .specfun import (
     SingularityProfile,
     UnsupportedRegimeError,

@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", type=int, help="integer parameter for family qk")
     pc.add_argument("--poly-file", help="evaluate a serialized polynomial instead of a family")
     pc.add_argument("--method", choices=("fast", "jensen", "torus"), default="fast")
-    pc.add_argument("--nodes", type=int, help="final node count (per dimension for torus)")
+    pc.add_argument("--nodes", type=int,
+                    help="final node count, a multiple of 4 and at least 8 (per dimension for torus)")
     pc.add_argument("--tol", type=float, help="target error estimate")
     pc.add_argument("--format", choices=("table", "json"), default="table")
 

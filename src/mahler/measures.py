@@ -26,7 +26,6 @@ modulus touches 1 (like t = 0) are never sampled exactly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,15 +34,13 @@ import numpy as np
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
 from .quadrature import NumericalError, _err_floor, tanh_sinh
-from .roots import BranchPair, batch_roots, poly_roots, quadratic_roots
+from .roots import batch_roots, quadratic_roots
 
 __all__ = [
     "MeasureValue",
     "BranchExtremes",
     "mahler_torus",
     "mahler_jensen_2var",
-    "mahler_1var",
-    "y_branches",
     "branch_extremes",
     "q_measure",
     "p_measure",
@@ -81,13 +78,21 @@ class BranchExtremes:
     arg_t_at_extremes: tuple[float, float]  # (t at max|y-|, t at min|y+|)
 
 
-def _circle_budget(n: int | None) -> tuple[int, int]:
-    """(start, cap) node counts for a circle rule; ``n`` pins the final level."""
+def _budget(
+    n: int | None, tol: float, start: int = DEFAULTS.circle_nodes_start, cap: int = DEFAULTS.circle_nodes_max
+) -> tuple[int, int, float]:
+    """(start, cap, tol) for :func:`_refine`.
+
+    Without ``n`` the ladder doubles from ``start`` until the tolerance is met
+    or ``cap`` is reached.  A pinned ``n`` runs exactly the levels n/4, n/2
+    and n with no tolerance stop, so ``n`` is the final node count and the
+    estimate compares it with two coarser levels.
+    """
     if n is None:
-        return DEFAULTS.circle_nodes_start, DEFAULTS.circle_nodes_max
-    if n < 8:
-        raise ValueError("need at least 8 nodes")
-    return max(8, n // 4), n
+        return start, cap, tol
+    if n < 8 or n % 4:
+        raise ValueError(f"the node count must be a multiple of 4 and at least 8, got {n}")
+    return n // 4, n, 0.0
 
 
 def _refine(
@@ -168,8 +173,9 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
     """Measure of ``P`` by direct torus quadrature (1 to 3 variables).
 
     With ``n`` given, that per-dimension node count is final and the error
-    estimate compares against coarser levels; otherwise levels double from
-    the configured start until the estimate drops below ``tol``.
+    estimate compares it with n/4 and n/2 (see :func:`_budget`); otherwise
+    levels double from the configured start until the estimate drops below
+    ``tol``.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
@@ -178,14 +184,11 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
         raise ValueError("torus quadrature supports at most 3 variables")
     tol = DEFAULTS.torus_tol if tol is None else float(tol)
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
-    n_start = min(DEFAULTS.torus_nodes_start, n_max)
-    if n is not None:
-        if n < 8:
-            raise ValueError("need at least 8 nodes per dimension")
-        n_start = max(8, n // 4)
-        n_max = n
     value, err, _ = _refine(
-        lambda m: _torus_mean_log(P, m), n_start, n_max, tol, prev_weight=0.5, safety=1.25
+        lambda m: _torus_mean_log(P, m),
+        *_budget(n, tol, min(DEFAULTS.torus_nodes_start, n_max), n_max),
+        prev_weight=0.5,
+        safety=1.25,
     )
     return MeasureValue(value=value, method="torus", error_estimate=err)
 
@@ -195,16 +198,6 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
 
 def _log_plus(v: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(1.0, v))
-
-
-def _stable_quadratic_arrays(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of monic y^2 + b y + c, elementwise, cancellation-free."""
-    s = np.sqrt(b * b - 4.0 * c)
-    s = np.where((np.conj(b) * s).real < 0.0, -s, s)
-    q = -(b + s) / 2.0
-    safe = q != 0
-    r2 = np.where(safe, c / np.where(safe, q, 1.0), 0.0)
-    return q, r2
 
 
 def _jensen_values(C: np.ndarray) -> np.ndarray:
@@ -234,7 +227,7 @@ def _jensen_values(C: np.ndarray) -> np.ndarray:
         elif deg == 2:
             b = C[1, idx] / C[2, idx]
             c = C[0, idx] / C[2, idx]
-            r1, r2 = _stable_quadratic_arrays(b, c)
+            r1, r2 = quadratic_roots(b, c)
             out[idx] = np.log(absC[2, idx]) + _log_plus(np.abs(r1)) + _log_plus(np.abs(r2))
         else:
             roots = batch_roots(C[: deg + 1, idx])
@@ -359,8 +352,7 @@ def _circle_mean(level_fn, values_at, cuts, n: int | None, tol: float) -> tuple[
         ]
         if all(r.converged for r in arcs):
             return sum(r.value for r in arcs), sum(r.error_estimate for r in arcs)
-    n_start, n_max = _circle_budget(n)
-    value, err, _ = _refine(level_fn, n_start, n_max, tol)
+    value, err, _ = _refine(level_fn, *_budget(n, tol))
     return value, err
 
 
@@ -378,7 +370,8 @@ def mahler_jensen_2var(
     of a higher degree; the node value is ``log|lead(x)| + sum log+ |root|``.
     The circle is split at the breakpoints of the integrand (see
     :func:`_breakpoints`) and each arc integrated by tanh-sinh; without
-    breakpoints, or with ``n`` given, node doubling runs on the whole circle.
+    breakpoints node doubling runs on the whole circle, and with ``n`` given
+    the whole-circle rule runs at exactly n/4, n/2 and n nodes.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
@@ -396,49 +389,7 @@ def mahler_jensen_2var(
     return MeasureValue(value=value, method="jensen", error_estimate=err)
 
 
-def mahler_1var(P: LaurentPolynomial) -> float:
-    """Exact (root-based) measure of a one-variable polynomial."""
-    if P.is_zero():
-        raise ValueError("the zero polynomial has no measure")
-    if P.nvars != 1:
-        raise ValueError("expected a one-variable polynomial")
-    lo, hi = P.degree_range(0)
-    coeffs = [0j] * (hi - lo + 1)
-    for e, c in P.items():
-        coeffs[e[0] - lo] = complex(c)
-    if len(coeffs) == 1:
-        return math.log(abs(coeffs[0]))
-    roots = poly_roots(coeffs)
-    return math.log(abs(coeffs[-1])) + sum(math.log(max(1.0, abs(r))) for r in roots)
-
-
 # -- branch machinery -------------------------------------------------------------
-
-
-def y_branches(lam: float, x: complex) -> BranchPair:
-    """The two fiber roots of ``y^2 + (2x^2 + lam*x + 1) y + x^4`` at ``x``.
-
-    Uses the closed form built on the principal square root of
-    ``1/4 + x^2/(lam*x + 1)``, with the smaller root recovered from the
-    product so no cancellation occurs; falls back to the direct quadratic
-    when ``lam*x = -1``.  Ordered by modulus, exactly like
-    :func:`mahler.roots.quadratic_roots` on the same quadratic.
-    """
-    x = complex(x)
-    u = lam * x + 1.0
-    if u == 0:
-        return quadratic_roots(2.0 * x * x + lam * x + 1.0, x**4)
-    w = x * x / u
-    s = cmath.sqrt(0.25 + w)
-    cand1 = 0.5 + w + s
-    cand2 = 0.5 + w - s
-    big = cand1 if abs(cand1) >= abs(cand2) else cand2
-    if big == 0:
-        return BranchPair(0j, 0j)
-    r_big = -u * big
-    r_small = x**4 / r_big if r_big != 0 else 0j
-    pair = sorted((complex(r_big), complex(r_small)), key=lambda z: (abs(z), z.real, z.imag))
-    return BranchPair(pair[0], pair[1])
 
 
 def _branch_moduli_on_curve(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,7 +398,7 @@ def _branch_moduli_on_curve(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.n
     x = z * (1.0 - z)
     b = 2.0 * x * x + lam * x + 1.0
     c = x**4
-    big, small = _stable_quadratic_arrays(b, c)
+    big, small = quadratic_roots(b, c)
     a_big = np.abs(big)
     a_small = np.abs(small)
     return np.minimum(a_big, a_small), np.maximum(a_big, a_small)
@@ -504,8 +455,7 @@ def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
         mv = mahler_jensen_2var(make_family(spec), n, tol=tol)
         return MeasureValue(mv.value, "jensen", mv.error_estimate, lam=lam, family=spec)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    n_start, n_max = _circle_budget(n)
-    value, err, _ = _refine(lambda m: _q_half_mean(lam, m), n_start, n_max, tol)
+    value, err, _ = _refine(lambda m: _q_half_mean(lam, m), *_budget(n, tol))
     return MeasureValue(value=value, method="family_fast", error_estimate=err, lam=lam, family=spec)
 
 
@@ -536,6 +486,7 @@ def p_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     lam = float(lam)
     spec = FamilySpec("P", lam)
     if lam == -4.0:
+        _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
         return MeasureValue(value=0.0, method="family_fast", error_estimate=0.0, lam=lam, family=spec)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
     value, err = _circle_mean(

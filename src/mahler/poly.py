@@ -35,7 +35,6 @@ __all__ = [
     "UnivariateView",
     "FamilySpec",
     "make_family",
-    "evaluate",
     "as_poly_in_y",
     "verify_substitution",
     "poly_to_text",
@@ -272,11 +271,6 @@ class LaurentPolynomial:
                     term *= z**p
             total += term
         return total
-
-
-def evaluate(P: LaurentPolynomial, point: Sequence[complex]) -> complex:
-    """Functional alias for :meth:`LaurentPolynomial.evaluate`."""
-    return P.evaluate(point)
 
 
 # -- univariate view ---------------------------------------------------------

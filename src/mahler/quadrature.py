@@ -1,15 +1,10 @@
-"""Quadrature engines sized to the integrals that show up here.
-
-Two engines:
-
-* :func:`periodic_trapezoid` for integrals of 1-periodic functions (circle
-  averages), which converge geometrically for analytic integrands;
-* :func:`tanh_sinh` for finite intervals whose integrand may blow up like an
-  inverse square root at the endpoints.
+"""Tanh-sinh quadrature for finite intervals whose integrand may blow up like
+an inverse square root at the endpoints.
 
 Singularities must sit at interval endpoints; interior singular points are
-the caller's job to split at.  Both engines are pure functions and safe for
-concurrent use.
+the caller's job to split at.  :func:`tanh_sinh` is a pure function and safe
+for concurrent use.  Circle averages are midpoint ladders built by their
+callers (see :mod:`mahler.measures`).
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULTS
 
-__all__ = ["QuadratureResult", "NumericalError", "periodic_trapezoid", "tanh_sinh"]
+__all__ = ["QuadratureResult", "NumericalError", "tanh_sinh"]
 
 _EPS = sys.float_info.epsilon
 # The double-exponential transform maps |t| ~ 5 to points whose weight times
@@ -53,50 +48,6 @@ class QuadratureResult:
 
 def _err_floor(value: float) -> float:
     return 4 * _EPS * (1.0 + abs(value))
-
-
-def periodic_trapezoid(
-    f: Callable,
-    n: int,
-    *,
-    offset: float = 0.5,
-    vectorized: bool = False,
-) -> QuadratureResult:
-    """Average a 1-periodic function over ``n`` equispaced nodes.
-
-    Nodes sit at ``(k + offset)/n``; the default half-step offset keeps
-    integrands sampled away from t = 0.  The error estimate compares against
-    the ``n/2``-node rule.
-
-    Parameters
-    ----------
-    f : callable
-        Function of one real argument with period 1.  With
-        ``vectorized=True`` it receives the whole node array at once.
-    n : int
-        Node count; a power of two, at least 8.
-    """
-    if n < 8 or n & (n - 1):
-        raise ValueError("n must be a power of two and at least 8")
-
-    def level(m: int) -> float:
-        t = (np.arange(m) + offset) / m
-        if vectorized:
-            vals = np.asarray(f(t), dtype=float)
-            if vals.shape != t.shape:
-                raise ValueError("vectorized integrand returned a wrong shape")
-        else:
-            vals = np.fromiter((float(f(tk)) for tk in t), dtype=float, count=m)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise NumericalError(f"integrand is not finite at t={t[k]!r}")
-        return float(vals.mean())
-
-    half = level(n // 2)
-    full = level(n)
-    err = max(abs(full - half), _err_floor(full))
-    return QuadratureResult(value=full, error_estimate=err, nodes=n + n // 2)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,15 +1,12 @@
-"""Numerically stable root solving: quadratics and a batched Aberth-Ehrlich solver."""
+"""Numerically stable root solving: an elementwise quadratic solver and a batched Aberth-Ehrlich solver."""
 
 from __future__ import annotations
 
-import cmath
 import sys
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["BranchPair", "quadratic_roots", "batch_roots", "poly_roots", "RootSolveError"]
+__all__ = ["quadratic_roots", "batch_roots", "RootSolveError"]
 
 _EPS = sys.float_info.epsilon
 
@@ -18,43 +15,23 @@ class RootSolveError(RuntimeError):
     """Simultaneous iteration failed to converge within the iteration cap."""
 
 
-def _modulus_key(z: complex):
-    # order by modulus, ties broken by real then imaginary part
-    return (abs(z), z.real, z.imag)
+def quadratic_roots(b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Roots ``(q, c/q)`` of monic ``y^2 + b y + c``, elementwise and cancellation-free.
 
-
-@dataclass(frozen=True)
-class BranchPair:
-    """The two roots of a monic quadratic, ordered by modulus."""
-
-    y_minus: complex
-    y_plus: complex
-
-    def __iter__(self):
-        return iter((self.y_minus, self.y_plus))
-
-
-def quadratic_roots(b: complex, c: complex) -> BranchPair:
-    """Roots of ``y^2 + b y + c``, cancellation-free.
-
-    The larger root comes from ``-(b + s)/2`` with the square-root sign
-    aligned with ``b`` so the sum never cancels; the smaller root is ``c``
-    divided by it.
+    ``b`` and ``c`` are scalars or arrays of one shape.  ``q = -(b + s)/2``
+    with the square root ``s`` of the discriminant taken with the sign that
+    aligns it with ``b``, so the sum never cancels and ``q`` is the root of
+    larger modulus; the other root is ``c/q`` (0 where ``q`` is 0, which
+    happens only for ``b = c = 0``).
     """
-    b = complex(b)
-    c = complex(c)
-    s = cmath.sqrt(b * b - 4 * c)
-    if (b.conjugate() * s).real < 0:
-        s = -s
-    q = -(b + s) / 2
-    if q == 0:
-        # b == 0 and c == 0: double root at the origin
-        r1 = r2 = 0j
-    else:
-        r1 = q
-        r2 = c / q
-    lo, hi = sorted((r1, r2), key=_modulus_key)
-    return BranchPair(lo, hi)
+    b = np.asarray(b, dtype=complex)
+    c = np.asarray(c, dtype=complex)
+    s = np.sqrt(b * b - 4.0 * c)
+    s = np.where((np.conj(b) * s).real < 0.0, -s, s)
+    q = -(b + s) / 2.0
+    safe = q != 0
+    r2 = np.where(safe, c / np.where(safe, q, 1.0), 0.0)
+    return q, r2
 
 
 _CHUNK = 4096  # columns per Aberth block; bounds memory at the node cap
@@ -128,11 +105,3 @@ def _aberth_block(mon: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
                 return out
             live, z, mon, absmon, done = live[keep], z[:, keep], mon[:, keep], absmon[:, keep], done[:, keep]
     raise RootSolveError(f"no convergence within {max_iter} iterations")
-
-
-def poly_roots(coeffs: Sequence[complex], *, max_iter: int = 200, tol: float = 1e-13) -> list[complex]:
-    """All roots of ``sum(coeffs[j] * y**j)``: one column of :func:`batch_roots`,
-    sorted by modulus (ties by real, then imaginary part)."""
-    column = np.array([complex(c) for c in coeffs]).reshape(-1, 1)
-    roots = batch_roots(column, max_iter=max_iter, tol=tol)
-    return sorted((complex(z) for z in roots[:, 0]), key=_modulus_key)

@@ -10,7 +10,7 @@ from mahler.config import DEFAULTS
 from mahler.measures import (
     _breakpoints,
     _circle,
-    _circle_budget,
+    _budget,
     _coeff_rows,
     _jensen_mean,
     _p_cuts,
@@ -97,8 +97,7 @@ def test_smyth_breakpoints_come_from_res_with_p_star():
 
 
 def _ladder(level_fn, n=None):
-    n_start, n_max = _circle_budget(n)
-    return _refine(level_fn, n_start, n_max, DEFAULTS.measure_tol)[:2]
+    return _refine(level_fn, *_budget(n, DEFAULTS.measure_tol))[:2]
 
 
 def _generic_level(P):

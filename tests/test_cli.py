@@ -50,6 +50,13 @@ def test_compute_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("nodes", ["4", "10"])
+def test_compute_rejects_a_node_count_that_is_not_a_multiple_of_four_from_eight(capsys, nodes):
+    code, out, err = run(capsys, ["compute", "--family", "r", "--lambda", "6", "--nodes", nodes])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "multiple of 4" in err
+
+
 def test_verify_main_passes(capsys):
     code, out, err = run(capsys, ["verify", "main", "--lambda", "-6", "-8", "13", "16"])
     assert code == 0

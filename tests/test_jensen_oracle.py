@@ -120,3 +120,11 @@ def test_smyth_in_either_variable(var):
         ref = float(3 * mp.sqrt(3) / (4 * mp.pi) * l2)  # L'(chi_-3, -1)
     P = LaurentPolynomial({(0, 0): 1, (1, 0): 1, (0, 1): 1}, nvars=2)
     _assert_close(mahler_jensen_2var(P, var=var), ref)
+
+
+@pytest.mark.parametrize("lam, n", [(6.0, 8), (2.0, 64), (4.0, 1000)])
+def test_pinned_node_count_estimate_covers_the_error(lam, n):
+    # a pinned n runs the levels n/4, n/2 and n, so even n = 8 has two gaps to
+    # compare; a one-level ladder would report only the rounding floor
+    mv = r_measure(lam, n)
+    assert abs(mv.value - r_reference(lam)) <= mv.error_estimate

@@ -1,24 +1,22 @@
 import math
-import random
 
 import numpy as np
 import pytest
 
+import mahler.measures as measures
 from mahler.measures import (
     _TORUS_OFFSETS,
     _circle,
     _torus_mean_log,
     branch_extremes,
-    mahler_1var,
     mahler_jensen_2var,
     mahler_torus,
     p_measure,
     q_measure,
     r_measure,
-    y_branches,
 )
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family
-from mahler.quadrature import NumericalError, periodic_trapezoid
+from mahler.quadrature import NumericalError
 from mahler.roots import quadratic_roots
 
 # the measure of 1 + x + y has the closed form (3 sqrt(3) / 4 pi) L(chi_-3, 2)
@@ -142,57 +140,14 @@ def test_jensen_rejects_zero_polynomial():
         mahler_jensen_2var(LaurentPolynomial({}, nvars=2))
 
 
-def test_mahler_1var_exact_cases():
-    assert mahler_1var(LaurentPolynomial({(1,): 1, (0,): -2}, nvars=1)) == pytest.approx(math.log(2), abs=1e-13)
-    assert abs(mahler_1var(LaurentPolynomial({(1,): 1, (0,): 1}, nvars=1))) < 1e-13
-
-
 # -- branch machinery ----------------------------------------------------------------
 
 
-def test_y_branches_at_origin():
-    pair = y_branches(7.0, 0)
-    assert pair.y_minus == 0
-    assert abs(pair.y_plus + 1) < 1e-15
-
-
-def test_y_branches_lam13_x1():
-    pair = y_branches(13.0, 1)
-    assert pair.y_minus.real == pytest.approx(-8 + math.sqrt(63), rel=1e-12)
-    assert pair.y_plus.real == pytest.approx(-8 - math.sqrt(63), rel=1e-12)
-
-
-def test_y_branches_lam_minus6_x_minus2():
-    # fiber quadratic y^2 + 21y + 16 at the curve point x(1/2) = -2
-    pair = y_branches(-6.0, -2)
-    assert pair.y_minus.real == pytest.approx((-21 + math.sqrt(377)) / 2, rel=1e-12)
-    assert pair.y_plus.real == pytest.approx((-21 - math.sqrt(377)) / 2, rel=1e-12)
-    assert abs(pair.y_minus * pair.y_plus) == pytest.approx(16.0, rel=1e-12)
-
-
-def test_y_branches_matches_quadratic_roots():
-    rng = random.Random(5)
-    for _ in range(300):
-        lam = rng.uniform(-20, 20)
-        x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if x == 0:
-            continue
-        got = y_branches(lam, x)
-        ref = quadratic_roots(2 * x * x + lam * x + 1, x**4)
-        assert abs(got.y_minus - ref.y_minus) <= 1e-10 * max(1.0, abs(ref.y_minus))
-        assert abs(got.y_plus - ref.y_plus) <= 1e-10 * max(1.0, abs(ref.y_plus))
-
-
 def test_branch_product_equals_x_fourth_on_curve():
-    rng = random.Random(9)
-    for _ in range(1000):
-        t = rng.uniform(-0.5, 0.5)
-        z = complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
-        x = z * (1 - z)
-        if x == 0:
-            continue
-        pair = y_branches(-7.5, x)
-        assert abs(pair.y_minus * pair.y_plus) == pytest.approx(abs(x) ** 4, rel=1e-10)
+    z = np.exp(2j * np.pi * np.random.default_rng(9).uniform(-0.5, 0.5, 1000))
+    x = z * (1 - z)
+    y_plus, y_minus = quadratic_roots(2 * x * x - 7.5 * x + 1, x**4)
+    assert np.abs(y_minus * y_plus) == pytest.approx(np.abs(x) ** 4, rel=1e-10)
 
 
 def test_branch_extremes_lam13():
@@ -248,15 +203,13 @@ def test_q_measure_falls_back_in_the_gap():
 
 
 def test_q_full_period_equals_twice_half_period():
+    # reference: the full-period midpoint mean of log|y+| at 2048 nodes, roots from np.roots
     lam = 16.0
-
-    def g(t):
-        z = complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
-        return math.log(abs(y_branches(lam, z * (1 - z)).y_plus))
-
-    full = periodic_trapezoid(g, 2048)
+    z = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)
+    x = z * (1 - z)
+    y_plus = [np.abs(np.roots([1, 2 * xi * xi + lam * xi + 1, xi**4])).max() for xi in x]
     q = q_measure(lam, n=1024)
-    assert abs(full.value - q.value) < 1e-12
+    assert abs(float(np.mean(np.log(y_plus))) - q.value) < 1e-12
 
 
 def test_p_measure_degenerate_member_is_exactly_zero():
@@ -296,3 +249,43 @@ def test_method_agreement_spot_checks():
         t = mahler_torus(P)
         j = mahler_jensen_2var(P)
         assert abs(t.value - j.value) <= t.error_estimate + j.error_estimate
+
+
+# -- pinned node counts ------------------------------------------------------------
+
+
+_PINNED = {
+    "r": lambda n: r_measure(6.0, n),
+    "p": lambda n: p_measure(-1.0, n),
+    "q": lambda n: q_measure(16.0, n),
+    "jensen": lambda n: mahler_jensen_2var(make_family(FamilySpec("Q", 2)), n),
+    "torus": lambda n: mahler_torus(make_family(FamilySpec("R", 6.0)), n),
+}
+
+
+def _record_levels(monkeypatch):
+    """Node count of every ladder level the measures evaluate, in order."""
+    seen = []
+    jensen, half, torus = measures._jensen_mean, measures._q_half_mean, measures._torus_mean_log
+    monkeypatch.setattr(measures, "_jensen_mean", lambda C: seen.append(C.shape[1]) or jensen(C))
+    monkeypatch.setattr(measures, "_q_half_mean", lambda lam, m: seen.append(m) or half(lam, m))
+    monkeypatch.setattr(measures, "_torus_mean_log", lambda P, m: seen.append(m) or torus(P, m))
+    return seen
+
+
+@pytest.mark.parametrize("n", [12, 1000])
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_pinned_node_count_is_the_final_level(monkeypatch, name, n):
+    # exactly n/4, n/2 and n: no tolerance stop before n, no level past it
+    seen = _record_levels(monkeypatch)
+    _PINNED[name](n)
+    assert seen == [n // 4, n // 2, n]
+
+
+@pytest.mark.parametrize("n", [0, 4, 7, 10, 1002])
+@pytest.mark.parametrize("name", [*_PINNED, "p_exact_zero"])
+def test_pinned_node_count_must_be_a_multiple_of_four_from_eight(name, n):
+    # p(-4) is returned exactly, without a ladder, and still rejects a bad n
+    evaluate = _PINNED.get(name, lambda n: p_measure(-4.0, n))
+    with pytest.raises(ValueError, match="multiple of 4"):
+        evaluate(n)

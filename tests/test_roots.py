@@ -6,51 +6,101 @@ import sys
 
 import numpy as np
 import pytest
+from mpmath import mp, mpc, polyroots
 
 from mahler.measures import _circle, _coeff_rows, mahler_jensen_2var
 from mahler.poly import FamilySpec, as_poly_in_y, make_family
-from mahler.roots import RootSolveError, batch_roots, poly_roots, quadratic_roots
+from mahler.roots import RootSolveError, batch_roots, quadratic_roots
+
+
+def _roots(coeffs, **kwargs):
+    """Roots of one polynomial (ascending coefficients): one column of batch_roots, sorted by modulus."""
+    column = np.array(coeffs, dtype=complex).reshape(-1, 1)
+    return sorted((complex(z) for z in batch_roots(column, **kwargs)[:, 0]), key=lambda z: (abs(z), z.real, z.imag))
 
 
 def test_quadratic_distinct_real_roots():
-    pair = quadratic_roots(-3, 2)
-    assert pair.y_minus == pytest.approx(1)
-    assert pair.y_plus == pytest.approx(2)
+    q, small = quadratic_roots(-3, 2)
+    assert q == pytest.approx(2)
+    assert small == pytest.approx(1)
 
 
 def test_quadratic_zero_root():
-    pair = quadratic_roots(1, 0)
-    assert pair.y_minus == 0
-    assert pair.y_plus == pytest.approx(-1)
+    q, small = quadratic_roots(1, 0)
+    assert q == pytest.approx(-1)
+    assert small == 0
 
 
 def test_quadratic_large_small_pair():
     # y^2 + 16y + 1, the fiber quadratic at lam=13, x=1
-    pair = quadratic_roots(16, 1)
-    assert pair.y_plus == pytest.approx(-8 - math.sqrt(63), rel=1e-14)
-    assert pair.y_minus == pytest.approx(-8 + math.sqrt(63), rel=1e-14)
-    assert pair.y_minus * pair.y_plus == pytest.approx(1, rel=1e-13)
+    q, small = quadratic_roots(16, 1)
+    assert q == pytest.approx(-8 - math.sqrt(63), rel=1e-14)
+    assert small == pytest.approx(-8 + math.sqrt(63), rel=1e-14)
+    assert q * small == pytest.approx(1, rel=1e-13)
+    # y^2 + 21y + 16, the fiber quadratic at lam=-6 and the curve point x(1/2) = -2
+    q, small = quadratic_roots(21, 16)
+    assert q == pytest.approx((-21 - math.sqrt(377)) / 2, rel=1e-14)
+    assert small == pytest.approx((-21 + math.sqrt(377)) / 2, rel=1e-14)
+    assert q * small == pytest.approx(16, rel=1e-13)
 
 
 def test_quadratic_double_zero():
-    pair = quadratic_roots(0, 0)
-    assert pair.y_minus == 0 and pair.y_plus == 0
+    q, small = quadratic_roots(0, 0)
+    assert q == 0 and small == 0
 
 
 def test_quadratic_ordering_is_by_modulus():
-    pair = quadratic_roots(0, 4)  # roots +-2i
-    assert abs(pair.y_minus) == abs(pair.y_plus)
-    assert (pair.y_minus.real, pair.y_minus.imag) <= (pair.y_plus.real, pair.y_plus.imag)
+    q, small = quadratic_roots(0, 4)  # roots +-2i
+    assert abs(q) == abs(small) == 2
+    assert q * small == 4
+    # q is the root of larger modulus
+    q, small = quadratic_roots(*_random_quadratics(4))
+    assert (np.abs(small) <= np.abs(q) * (1 + 4 * sys.float_info.epsilon)).all()
+
+
+def _random_quadratics(seed):
+    """(b, c) of random monic quadratics, with b = 0, c = 0, b = c = 0 and equal-modulus root pairs among them."""
+    rng = random.Random(seed)
+    z = lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    pairs = [(z(), z()) for _ in range(400)]
+    pairs += [(0j, z()) for _ in range(50)] + [(z(), 0j) for _ in range(50)] + [(0j, 0j)]
+    for _ in range(50):
+        radius, angle, apart = rng.uniform(0.1, 3), rng.uniform(0, 2 * math.pi), rng.uniform(0.5, math.pi)
+        r1, r2 = cmath.rect(radius, angle), cmath.rect(radius, angle + apart)
+        pairs.append((-(r1 + r2), r1 * r2))
+    return np.array(pairs).T
+
+
+def test_quadratic_matches_mpmath_polyroots():
+    b, c = _random_quadratics(13)
+    q, small = quadratic_roots(b, c)
+    with mp.workdps(30):
+        for i in range(len(b)):
+            ref = [complex(r) for r in polyroots([1, mpc(b[i]), mpc(c[i])], maxsteps=100, extraprec=60)]
+            # each root to 10 ulp of its own modulus, under the better of the two pairings
+            errs = [max(abs(x - r) - 10 * sys.float_info.epsilon * abs(r) for x, r in zip((q[i], small[i]), pair))
+                    for pair in (ref, ref[::-1])]
+            assert min(errs) <= 0.0, (b[i], c[i], q[i], small[i], ref)
+    for i in range(0, len(b), 37):  # a scalar call gives the same bits as its array element
+        assert quadratic_roots(b[i], c[i]) == (q[i], small[i])
+
+
+def test_quadratic_agrees_with_aberth_on_random_quadratics():
+    b, c = _random_quadratics(11)
+    q, small = quadratic_roots(b, c)
+    found = batch_roots(np.array([c, b, np.ones_like(b)]))
+    scale = np.maximum(1.0, np.abs(q))
+    assert (_set_distance(found, np.array([q, small])) <= 1e-11 * scale).all()
 
 
 def test_poly_roots_square():
-    roots = poly_roots([-1, 0, 1])
+    roots = _roots([-1, 0, 1])
     assert roots[0] == pytest.approx(-1, abs=1e-12)
     assert roots[1] == pytest.approx(1, abs=1e-12)
 
 
 def test_poly_roots_triple_cluster():
-    for r in poly_roots([1, 3, 3, 1]):
+    for r in _roots([1, 3, 3, 1]):
         assert abs(r + 1) < 1e-4
 
 
@@ -58,8 +108,15 @@ def test_poly_roots_fiber_of_q0_at_i():
     # Q_0 = (Y + 1)(Y + X^4): at X = i both roots collapse to -1
     x = 1j
     coeffs = [x**4, x**4 + 1, 1]
-    for r in poly_roots(coeffs):
+    for r in _roots(coeffs):
         assert abs(r + 1) < 1e-6
+
+
+def test_poly_roots_validation():
+    with pytest.raises(ValueError):
+        _roots([1.0])
+    with pytest.raises(ValueError):
+        _roots([1.0, 0.0])
 
 
 def _expand_monic(roots):
@@ -78,7 +135,7 @@ def test_poly_roots_vieta_residuals():
     for _ in range(200):
         d = rng.randint(2, 6)
         roots = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(d)]
-        found = poly_roots(_expand_monic(roots))
+        found = _roots(_expand_monic(roots))
         s_true = sum(roots)
         p_true = 1.0 + 0j
         for r in roots:
@@ -88,29 +145,6 @@ def test_poly_roots_vieta_residuals():
             p_found *= r
         assert abs(sum(found) - s_true) <= 1e-10 * max(1.0, abs(s_true))
         assert abs(p_found - p_true) <= 1e-10 * max(1.0, abs(p_true))
-
-
-def test_quadratic_agrees_with_aberth_on_random_quadratics():
-    rng = random.Random(11)
-    for _ in range(1000):
-        b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        pair = quadratic_roots(b, c)
-        roots = poly_roots([c, b, 1])
-        assert abs(pair.y_minus - roots[0]) <= 1e-11 * max(1.0, abs(roots[0]))
-        assert abs(pair.y_plus - roots[1]) <= 1e-11 * max(1.0, abs(roots[1]))
-
-
-def test_poly_roots_validation():
-    with pytest.raises(ValueError):
-        poly_roots([1.0])
-    with pytest.raises(ValueError):
-        poly_roots([1.0, 0.0])
-
-
-def test_branch_pair_iterates_in_order():
-    lo, hi = quadratic_roots(-3, 2)
-    assert (lo, hi) == (1, 2)
 
 
 # -- batched Aberth-Ehrlich -------------------------------------------------------
@@ -170,7 +204,7 @@ def test_batch_roots_match_scalar_aberth_on_qk_fibers(k):
     scale = np.maximum(1.0, np.abs(ref).max(axis=0))
     assert (_set_distance(found, ref) <= 1e-12 * scale).all()
     for i in range(0, C.shape[1], 256):  # one column alone gives the same roots
-        assert poly_roots(C[:, i]) == sorted((complex(z) for z in found[:, i]), key=lambda z: (abs(z), z.real, z.imag))
+        assert _roots(C[:, i]) == sorted((complex(z) for z in found[:, i]), key=lambda z: (abs(z), z.real, z.imag))
 
 
 def test_batch_roots_mix_clustered_and_separated_columns():
@@ -189,7 +223,7 @@ def test_batch_roots_mix_clustered_and_separated_columns():
     assert np.abs(found[:, 2] - 2).min() < 1e-12
     assert _set_distance(found[:, 7:], np.array([[0.5j], [0.5j], [-0.5j], [-0.5j]]))[0] < 1e-6
     for i, col in enumerate(cols):  # no column is disturbed by its neighbours
-        assert sorted(found[:, i], key=lambda z: (abs(z), z.real, z.imag)) == poly_roots(col)
+        assert sorted(found[:, i], key=lambda z: (abs(z), z.real, z.imag)) == _roots(col)
 
 
 def test_batch_roots_raises_when_iterations_run_out():
@@ -197,7 +231,7 @@ def test_batch_roots_raises_when_iterations_run_out():
     with pytest.raises(RootSolveError):
         batch_roots(C, max_iter=2)
     with pytest.raises(RootSolveError):
-        poly_roots([1, 3, 3, 1], max_iter=3)
+        _roots([1, 3, 3, 1], max_iter=3)
 
 
 def test_batch_roots_validation():
