@@ -51,7 +51,6 @@ from .specfun import (
     cubic_singularities,
     dp_dlambda,
     dq_dlambda_closed,
-    dq_dlambda_fd,
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,

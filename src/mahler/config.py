@@ -34,9 +34,8 @@ class Defaults:
     series_tol: float = 1.0e-16
     series_max_terms: int = 100_000
 
-    # scans and finite differences
+    # branch-modulus scans
     branch_scan_nodes: int = 10_000
-    fd_step: float = 1.0e-3
 
     seed: int = 0
 

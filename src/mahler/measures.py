@@ -10,18 +10,19 @@ Two generic, mutually independent evaluators:
 
 On top of those sit fast family paths ``q_measure``, ``p_measure`` and
 ``r_measure``.  ``q_measure`` uses the one-branch reduction
-``q(lam) = 2 * int_0^(1/2) log|y_plus(x(t))| dt`` with
+``q(lam) = int_0^1 log|y_plus(x(t))| dt`` with
 ``x(t) = e^(2 pi i t)(1 - e^(2 pi i t))``, valid where the branch bounds
 ``|y_minus| <= 1 <= |y_plus|`` hold (lam <= -4 or lam >= 13); outside it
 silently falls back to the generic Jensen evaluator.
 
-The Jensen integrand is analytic on the circle except at breakpoints,
-where a fiber root crosses |y| = 1, roots collide or the leading coefficient
-vanishes.  When it has breakpoints (from resultants for generic input, from
-closed forms for the P and R families), each arc between them is integrated
-by tanh-sinh; otherwise a midpoint ladder doubles the node count.  Circle
-rules place nodes with a half-step offset so that points where a branch
-modulus touches 1 (like t = 0) are never sampled exactly.
+Every circle mean goes through :func:`_circle_mean`.  Its integrand is
+analytic on the circle except at breakpoints, where a fiber root crosses
+|y| = 1, roots collide or the leading coefficient vanishes.  When it has
+breakpoints (from resultants for generic input, from closed forms for the
+three families), each arc between them is integrated by tanh-sinh;
+otherwise a midpoint ladder doubles the node count.  Circle rules place
+nodes with a half-step offset so that points where a branch modulus touches
+1 (like t = 0) are never sampled exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
 from .quadrature import NumericalError, _err_floor, tanh_sinh
 from .roots import batch_roots, quadratic_roots
+from .specfun import cubic_singularities
 
 __all__ = [
     "MeasureValue",
@@ -51,22 +53,16 @@ _LOG_CLAMP = 1e-300  # |P| below this at a node means the grid hit a zero
 _TRIM = 1e-13  # relative threshold for dropping a vanishing leading coefficient
 _CHUNK = 256  # rows per block in torus streaming; fixed for reproducibility
 _CLUSTER = 2e-2  # resultant roots closer than this are one (multiple) root
-_ON_CIRCLE = 1e-6  # a root mean this close to |x| = 1 is a breakpoint
+_ON_CIRCLE = 1e-6  # a root (mean) this close to the integration path is a breakpoint
 
 
 @dataclass(frozen=True)
 class MeasureValue:
-    """A measure evaluation with its method tag and a posteriori error.
-
-    ``lam`` is the family parameter when one applies (None for generic
-    polynomials), ``family`` the originating family spec if any.
-    """
+    """A measure evaluation with its method tag and a posteriori error."""
 
     value: float
     method: str  # "torus" | "jensen" | "family_fast"
     error_estimate: float
-    lam: float | None = None
-    family: FamilySpec | None = None
 
 
 @dataclass(frozen=True)
@@ -235,11 +231,6 @@ def _jensen_values(C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jensen_mean(C: np.ndarray) -> float:
-    """Mean over nodes of :func:`_jensen_values`."""
-    return float(_jensen_values(C).mean())
-
-
 def _coeff_rows(view, x: np.ndarray) -> np.ndarray:
     """Evaluate the univariate-view coefficients at the circle points ``x``."""
     other = 1 - view.var  # two-variable case
@@ -333,15 +324,15 @@ def _breakpoints(view) -> np.ndarray:
 # -- circle means ------------------------------------------------------------------
 
 
-def _circle_mean(level_fn, values_at, cuts, n: int | None, tol: float) -> tuple[float, float]:
-    """(value, error estimate) of a circle mean of the Jensen integrand.
+def _circle_mean(values_at, cuts, n: int | None, tol: float) -> tuple[float, float]:
+    """(value, error estimate) of the mean over t in [0, 1) of ``values_at(t)``.
 
-    With breakpoints ``cuts`` (t in [0, 1)) and no pinned node count, each arc
-    between consecutive cuts is integrated by vectorized tanh-sinh on the
-    per-node values ``values_at(t)``; the integrand is analytic inside an arc
-    and at worst square-root-like at its ends.  Without cuts, with ``n``
-    given, or when an arc does not converge, the midpoint ladder on
-    ``level_fn(m)`` runs instead.
+    ``values_at`` maps an array of t to the per-node integrand.  With
+    breakpoints ``cuts`` (t in [0, 1)) and no pinned node count, each arc
+    between consecutive cuts is integrated by vectorized tanh-sinh; the
+    integrand is analytic inside an arc and at worst square-root-like at its
+    ends.  Without cuts, with ``n`` given, or when an arc does not converge,
+    the midpoint ladder runs on the whole period instead.
     """
     if n is None and len(cuts):
         ends = list(cuts) + [cuts[0] + 1.0]
@@ -352,7 +343,7 @@ def _circle_mean(level_fn, values_at, cuts, n: int | None, tol: float) -> tuple[
         ]
         if all(r.converged for r in arcs):
             return sum(r.value for r in arcs), sum(r.error_estimate for r in arcs)
-    value, err, _ = _refine(level_fn, *_budget(n, tol))
+    value, err, _ = _refine(lambda m: float(values_at((np.arange(m) + 0.5) / m).mean()), *_budget(n, tol))
     return value, err
 
 
@@ -380,7 +371,6 @@ def mahler_jensen_2var(
     view = as_poly_in_y(P, var)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
     value, err = _circle_mean(
-        lambda m: _jensen_mean(_coeff_rows(view, _circle(m))),
         lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t))),
         _breakpoints(view) if n is None else (),
         n,
@@ -429,34 +419,44 @@ def branch_extremes(lam: float, n: int | None = None) -> BranchExtremes:
 # -- family paths -----------------------------------------------------------------
 
 
-def _q_half_mean(lam: float, n: int) -> float:
-    """Mean of log|y_plus(x(t))| over n offset nodes in (0, 1/2).
+def _parameter(family: str, lam) -> float:
+    """``lam`` as a float; the family spec rejects a non-finite value."""
+    return FamilySpec(family, float(lam)).parameter
 
-    The integrand is even in t, so this equals the full-period midpoint rule
-    at 2n nodes, which is the measure itself.
+
+def _q_cuts(lam: float) -> tuple[float, ...]:
+    """Breakpoints t of ``log|y_plus(x(t))|``, where y+ and y- collide, for |lam| >= 4.
+
+    That happens where x(t) is a zero of (1 + lam x)(1 + lam x + 4x^2).  On
+    x(t) = z(1 - z) the value x is real only at 0 (t = 0), 1 (t = 1/6, 5/6)
+    and -2 (t = 1/2), and 0 is never a zero, so only 1 and -2 can be cut
+    points; on the fast-path range the zero x2 = 1 at lam = -5 is the one case.
     """
-    t = (np.arange(n) + 0.5) / (2.0 * n)
-    _, hi = _branch_moduli_on_curve(lam, t)
-    if hi.min() < _LOG_CLAMP:
-        raise NumericalError("vanishing branch modulus on the sampling grid")
-    return float(np.log(hi).mean())
+    zeros = cubic_singularities(lam)
+    return tuple(t for x, t in ((1.0, 1 / 6), (-2.0, 0.5), (1.0, 5 / 6)) if min(abs(z - x) for z in zeros) < _ON_CIRCLE)
 
 
 def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
     """Measure of the shifted hyperelliptic member at ``lam``.
 
     On lam <= -4 or lam >= 13 the one-branch reduction applies:
-    ``q = 2 * int_0^(1/2) log|y_plus(x(t))| dt``.  Elsewhere the generic
-    Jensen evaluator runs on the expanded polynomial (method tag "jensen").
+    ``q = int_0^1 log|y_plus(x(t))| dt``, split at :func:`_q_cuts`.  Elsewhere
+    the generic Jensen evaluator runs on the expanded polynomial (method tag
+    "jensen").
     """
-    lam = float(lam)
-    spec = FamilySpec("Q_shifted", lam)
+    lam = _parameter("Q_shifted", lam)
     if not (lam <= -4.0 or lam >= 13.0):
-        mv = mahler_jensen_2var(make_family(spec), n, tol=tol)
-        return MeasureValue(mv.value, "jensen", mv.error_estimate, lam=lam, family=spec)
+        return mahler_jensen_2var(make_family(FamilySpec("Q_shifted", lam)), n, tol=tol)
+
+    def log_y_plus(t: np.ndarray) -> np.ndarray:
+        _, hi = _branch_moduli_on_curve(lam, t)
+        if hi.min() < _LOG_CLAMP:
+            raise NumericalError("vanishing branch modulus on the sampling grid")
+        return np.log(hi)
+
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    value, err, _ = _refine(lambda m: _q_half_mean(lam, m), *_budget(n, tol))
-    return MeasureValue(value=value, method="family_fast", error_estimate=err, lam=lam, family=spec)
+    value, err = _circle_mean(log_y_plus, _q_cuts(lam), n, tol)
+    return MeasureValue(value=value, method="family_fast", error_estimate=err)
 
 
 def _p_rows(lam: float, x: np.ndarray) -> np.ndarray:
@@ -483,20 +483,13 @@ def p_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     ``(x+1)(y+1)(y+x)``, each factor of measure zero, so that value is
     returned exactly rather than through quadrature.
     """
-    lam = float(lam)
-    spec = FamilySpec("P", lam)
+    lam = _parameter("P", lam)
     if lam == -4.0:
         _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
-        return MeasureValue(value=0.0, method="family_fast", error_estimate=0.0, lam=lam, family=spec)
+        return MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    value, err = _circle_mean(
-        lambda m: _jensen_mean(_p_rows(lam, _circle(m))),
-        lambda t: _jensen_values(_p_rows(lam, np.exp(2j * np.pi * t))),
-        _p_cuts(lam),
-        n,
-        tol,
-    )
-    return MeasureValue(value=value, method="family_fast", error_estimate=err, lam=lam, family=spec)
+    value, err = _circle_mean(lambda t: _jensen_values(_p_rows(lam, np.exp(2j * np.pi * t))), _p_cuts(lam), n, tol)
+    return MeasureValue(value=value, method="family_fast", error_estimate=err)
 
 
 def _r_rows(lam: float, t: np.ndarray) -> np.ndarray:
@@ -513,14 +506,7 @@ def _r_cuts(lam: float) -> tuple[float, ...]:
 
 def r_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
     """Measure of the four-term family member at ``lam`` (any real)."""
-    lam = float(lam)
-    spec = FamilySpec("R", lam)
+    lam = _parameter("R", lam)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    value, err = _circle_mean(
-        lambda m: _jensen_mean(_r_rows(lam, (np.arange(m) + 0.5) / m)),
-        lambda t: _jensen_values(_r_rows(lam, t)),
-        _r_cuts(lam),
-        n,
-        tol,
-    )
-    return MeasureValue(value=value, method="family_fast", error_estimate=err, lam=lam, family=spec)
+    value, err = _circle_mean(lambda t: _jensen_values(_r_rows(lam, t)), _r_cuts(lam), n, tol)
+    return MeasureValue(value=value, method="family_fast", error_estimate=err)

@@ -290,15 +290,6 @@ class UnivariateView:
     offset: int
     coeffs: tuple[LaurentPolynomial, ...]
 
-    def reassemble(self) -> LaurentPolynomial:
-        nvars = self.coeffs[0].nvars
-        out = LaurentPolynomial.zero(nvars)
-        for j, cj in enumerate(self.coeffs):
-            e = [0] * nvars
-            e[self.var] = j + self.offset
-            out = out + cj.multiply_monomial(1, e)
-        return out
-
 
 def as_poly_in_y(P: LaurentPolynomial, var: int = 1) -> UnivariateView:
     """View ``P`` as a univariate polynomial in ``var``.

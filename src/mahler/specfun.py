@@ -12,9 +12,11 @@ route for the (1/2, 1/2; 1) case), the bookkeeping of the cubic singularities
   ``sign(lam)/|lam| * F(1/2, 1/2; 1 | 16/lam^2)`` cross-checked against the
   quadrature on every call;
 * ``dq_dlambda_closed(lam)``: elliptic integrals between consecutive cubic
-  singularities, for lam < -5 and lam > 13;
-* ``dq_dlambda_fd(lam, h)``: the central finite difference of the measure
-  itself, used as an independent oracle.
+  singularities, for lam < -5 and lam > 13.
+
+The elliptic integrals, the quadrature cross-check of ``dr_dlambda``
+included, all go through one radical-kernel integral,
+:func:`_radical_integral`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "dp_dlambda",
     "dr_dlambda",
     "dq_dlambda_closed",
-    "dq_dlambda_fd",
 ]
 
 
@@ -180,100 +181,68 @@ def dr_dlambda(lam: float) -> float:
         raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
     sign = math.copysign(1.0, lam)
     fast = sign * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam)
-    l2 = lam * lam
-
-    # two halves in distance-to-endpoint coordinates, so both inverse-sqrt
-    # endpoints are resolved to full double precision
-    def g_left(t: float) -> float:
-        r = t * (1.0 - t) * (l2 - 16.0 * t)
-        return 1.0 / math.sqrt(r) if r > 0.0 else 0.0
-
-    def g_right(s: float) -> float:  # t = 1 - s
-        r = (1.0 - s) * s * (l2 - 16.0 + 16.0 * s)
-        return 1.0 / math.sqrt(r) if r > 0.0 else 0.0
-
-    integral = tanh_sinh(g_left, 0.0, 0.5).value + tanh_sinh(g_right, 0.0, 0.5).value
+    integral = _radical_integral(0.0, 1.0, lam * lam / 16.0, 16.0).value
     slow = sign * integral / math.pi
     if abs(fast - slow) > 1e-11 * max(1.0, abs(fast)):
         raise NumericalError(f"dr/dlambda routes disagree at lam={lam!r}: {fast!r} vs {slow!r}")
     return fast
 
 
-def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False, tol: float = 1e-13):
-    """Tanh-sinh integral of the radical kernel between consecutive roots.
+def _radical_integral(a: float, b: float, far: float, c: float, linear: bool = False, tol: float | None = None):
+    """Tanh-sinh integral over [a, b] of ``1/sqrt(c (x-a)(b-x)(far-x))``.
 
-    For lam <= -5 the interval is [x0, x1]; for lam > 5 it is [x2, x0].  The
-    radicand is taken in the factored form ``4|lam|`` times the three root
-    distances, and each half is integrated in its distance-to-endpoint
-    coordinate, so the inverse-square-root endpoints are resolved down to the
-    last representable double instead of flooring near sqrt(machine epsilon).
-    A radicand that is not positive at the midpoint raises
-    :class:`NumericalError`.  Returns the summed :class:`QuadratureResult` of
-    the two halves.
+    With ``linear`` the radicand has the extra factor ``(1 - 4x)``.  Each half
+    is integrated in its distance-to-endpoint coordinate s, so the
+    inverse-square-root endpoints are resolved down to the last representable
+    double instead of flooring near sqrt(machine epsilon).  The sign of the
+    radicand comes from the signed ``c`` and the side of ``far``; a radicand
+    that is not positive at the midpoint (a far root inside [a, b], say)
+    raises :class:`NumericalError`.  Returns the summed
+    :class:`QuadratureResult` of the two halves.
     """
-    lam = float(lam)
-    x0, x1, x2 = cubic_singularities(lam)
-    if lam <= -5.0:
-        if with_linear_factor:
-            raise ValueError("the (1-4x) factor is only used on the positive side")
-        a, b = x0, x1
-        c = 4.0 * abs(lam)
-        third_a = x2 - a  # distance from the left endpoint to the far root
-        third_b = x2 - b
+    length, half = b - a, 0.5 * (b - a)
+    fa, fb, la, lb = far - a, far - b, 1.0 - 4.0 * a, 1.0 - 4.0 * b
+    sides = (
+        (lambda s: c * s * (length - s) * (fa - s), lambda s: la - 4.0 * s),  # x = a + s
+        (lambda s: c * (length - s) * s * (fb + s), lambda s: lb + 4.0 * s),  # x = b - s
+    )
+    fac, lin = sides[0]
+    if fac(half) <= 0.0 or (linear and lin(half) <= 0.0):
+        raise NumericalError("radicand is not positive at the midpoint of the integration interval")
 
-        def fac_left(s: float) -> float:  # x = a + s
-            return c * s * ((b - a) - s) * (third_a - s)
-
-        def fac_right(s: float) -> float:  # x = b - s
-            return c * ((b - a) - s) * s * (third_b + s)
-
-        lin_left = lin_right = None
-    elif lam > 5.0:
-        a, b = x2, x0
-        c = 4.0 * lam
-        third_a = a - x1
-        third_b = b - x1
-
-        def fac_left(s: float) -> float:  # x = a + s
-            return c * s * ((b - a) - s) * (third_a + s)
-
-        def fac_right(s: float) -> float:  # x = b - s
-            return c * ((b - a) - s) * s * (third_b - s)
-
-        if with_linear_factor:
-            la, lb = 1.0 - 4.0 * a, 1.0 - 4.0 * b
-
-            def lin_left(s: float) -> float:
-                return la - 4.0 * s
-
-            def lin_right(s: float) -> float:
-                return lb + 4.0 * s
-
-        else:
-            lin_left = lin_right = None
-    else:
-        raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
-
-    def make_g(fac, lin):
+    def kernel(fac, lin):
         def g(s: float) -> float:
-            r = fac(s)
-            if lin is not None:
-                r *= lin(s)
+            r = fac(s) * lin(s) if linear else fac(s)
             return 1.0 / math.sqrt(r) if r > 0.0 else 0.0
 
         return g
 
-    half = 0.5 * (b - a)
-    if fac_left(half) <= 0.0 or (lin_left is not None and lin_left(half) <= 0.0):
-        raise NumericalError("radicand is not positive at the midpoint of the integration interval")
-    left = tanh_sinh(make_g(fac_left, lin_left), 0.0, half, tol)
-    right = tanh_sinh(make_g(fac_right, lin_right), 0.0, half, tol)
+    left, right = (tanh_sinh(kernel(fac, lin), 0.0, half, tol) for fac, lin in sides)
     return QuadratureResult(
         value=left.value + right.value,
         error_estimate=left.error_estimate + right.error_estimate,
         nodes=left.nodes + right.nodes,
         converged=left.converged and right.converged,
     )
+
+
+def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False, tol: float = 1e-13):
+    """Integral of the radical kernel ``1/sqrt(-(1 + lam x)(1 + lam x + 4x^2))`` between consecutive roots.
+
+    For lam <= -5 the interval is [x0, x1] with the far root x2 to its right;
+    for lam > 5 it is [x2, x0] with x1 to its left.  The radicand is taken in
+    the factored form ``-4 lam (x - a)(b - x)(far - x)`` (see
+    :func:`_radical_integral`).
+    """
+    lam = float(lam)
+    x0, x1, x2 = cubic_singularities(lam)
+    if lam <= -5.0:
+        if with_linear_factor:
+            raise ValueError("the (1-4x) factor is only used on the positive side")
+        return _radical_integral(x0, x1, x2, -4.0 * lam, tol=tol)
+    if lam > 5.0:
+        return _radical_integral(x2, x0, x1, -4.0 * lam, with_linear_factor, tol)
+    raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
 
 
 def dq_dlambda_closed(lam: float) -> float:
@@ -291,19 +260,3 @@ def dq_dlambda_closed(lam: float) -> float:
         val = integrate_derivative_kernel(lam).value + integrate_derivative_kernel(lam, with_linear_factor=True).value
         return val / (2.0 * math.pi)
     raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
-
-
-def dq_dlambda_fd(lam: float, h: float | None = None) -> float:
-    """Central finite difference of the measure itself (independent oracle)."""
-    from .measures import q_measure  # late import: measures sits above this module
-
-    lam = float(lam)
-    h = DEFAULTS.fd_step if h is None else float(h)
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    lo, hi = lam - h, lam + h
-    if not (hi <= -4.0 or lo >= 13.0):
-        raise ValueError("finite difference would straddle the supported regimes")
-    qp = q_measure(hi, tol=1e-12)
-    qm = q_measure(lo, tol=1e-12)
-    return (qp.value - qm.value) / (2.0 * h)

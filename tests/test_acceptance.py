@@ -22,12 +22,12 @@ from mahler.poly import FamilySpec, LaurentPolynomial, make_family, verify_subst
 from mahler.specfun import (
     dp_dlambda,
     dq_dlambda_closed,
-    dq_dlambda_fd,
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
     singular_points,
 )
+from test_specfun import dq_dlambda_fd
 
 
 def _announce(num: int, text: str, ok: bool) -> None:

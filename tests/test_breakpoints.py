@@ -8,16 +8,16 @@ import pytest
 import mahler.measures as measures
 from mahler.config import DEFAULTS
 from mahler.measures import (
+    _branch_moduli_on_curve,
     _breakpoints,
-    _circle,
-    _budget,
+    _circle_mean,
     _coeff_rows,
-    _jensen_mean,
+    _jensen_values,
     _p_cuts,
     _p_rows,
+    _q_cuts,
     _r_cuts,
     _r_rows,
-    _refine,
     mahler_jensen_2var,
     p_measure,
     r_measure,
@@ -74,6 +74,19 @@ def test_r_breakpoints_match_closed_form(lam):
     _assert_same_points(_r_cuts(lam), _t_of_cosines([(2 - lam) / 2, (-2 - lam) / 2]))
 
 
+def test_q_cuts_are_the_branch_collisions():
+    # at lam = -5 the zero x2 = 1 of the cubic is x(t) = z(1 - z) at t = 1/6
+    # and 5/6, where y+ and y- collide
+    assert _q_cuts(-5.0) == (1 / 6, 5 / 6)
+    lo, hi = _branch_moduli_on_curve(-5.0, np.array([1 / 6, 5 / 6]))
+    assert np.allclose(lo, hi, rtol=1e-6)
+    # nowhere else on the sweep grids, unshifted or at any seed's shift (2j + 1)/128
+    shifts = [0.0] + [(2 * j + 1) / 128 for j in range(16)]
+    grid = {start + i / 4 for d in shifts for start in (-55.0 - d, 13.0 + d) for i in range(201)}
+    grid.discard(-5.0)
+    assert [lam for lam in grid if _q_cuts(lam)] == []
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_triple_root_of_swapped_qk_is_found(k):
     # Res_y of Q_k(y, x) has a triple root at x = -1; np.roots scatters it by
@@ -96,35 +109,44 @@ def test_smyth_breakpoints_come_from_res_with_p_star():
     _assert_same_points(_cuts(P), [1 / 3, 2 / 3])
 
 
-def _ladder(level_fn, n=None):
-    return _refine(level_fn, *_budget(n, DEFAULTS.measure_tol))[:2]
+def _ladder(values_at, n=None):
+    """The whole-period midpoint ladder of the circle-mean driver (no cuts)."""
+    return _circle_mean(values_at, (), n, DEFAULTS.measure_tol)
 
 
-def _generic_level(P):
+def _generic_values(P):
     view = as_poly_in_y(P, 1)
-    return lambda m: _jensen_mean(_coeff_rows(view, _circle(m)))
+    return lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t)))
+
+
+def _p_values(lam):
+    return lambda t: _jensen_values(_p_rows(lam, np.exp(2j * np.pi * t)))
+
+
+def _r_values(lam):
+    return lambda t: _jensen_values(_r_rows(lam, t))
 
 
 def test_inputs_without_breakpoints_run_the_ladder_bit_for_bit():
     assert _p_cuts(13.0) == () and _r_cuts(6.0) == ()
     mv = p_measure(13.0)
-    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_p_rows(13.0, _circle(m))))
+    assert (mv.value, mv.error_estimate) == _ladder(_p_values(13.0))
     mv = r_measure(6.0)
-    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_r_rows(6.0, (np.arange(m) + 0.5) / m)))
+    assert (mv.value, mv.error_estimate) == _ladder(_r_values(6.0))
     R6 = make_family(FamilySpec("R", 6.0))
     assert len(_cuts(R6)) == 0
     mv = mahler_jensen_2var(R6)
-    assert (mv.value, mv.error_estimate) == _ladder(_generic_level(R6))
+    assert (mv.value, mv.error_estimate) == _ladder(_generic_values(R6))
 
 
 def test_pinned_node_count_runs_the_ladder_bit_for_bit():
     mv = p_measure(-1.0, 4096)
-    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_p_rows(-1.0, _circle(m))), 4096)
+    assert (mv.value, mv.error_estimate) == _ladder(_p_values(-1.0), 4096)
     mv = r_measure(2.0, 4096)
-    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_r_rows(2.0, (np.arange(m) + 0.5) / m)), 4096)
+    assert (mv.value, mv.error_estimate) == _ladder(_r_values(2.0), 4096)
     Q2 = make_family(FamilySpec("Q", 2))
     mv = mahler_jensen_2var(Q2, 8192)
-    assert (mv.value, mv.error_estimate) == _ladder(_generic_level(Q2), 8192)
+    assert (mv.value, mv.error_estimate) == _ladder(_generic_values(Q2), 8192)
 
 
 def test_an_unconverged_arc_falls_back_to_the_ladder(monkeypatch):
@@ -132,6 +154,6 @@ def test_an_unconverged_arc_falls_back_to_the_ladder(monkeypatch):
     monkeypatch.setattr(measures, "tanh_sinh", lambda *args, **kwargs: real(*args, **kwargs, level_max=2))
     Q2 = make_family(FamilySpec("Q", 2))
     mv = mahler_jensen_2var(Q2)
-    assert (mv.value, mv.error_estimate) == _ladder(_generic_level(Q2))
+    assert (mv.value, mv.error_estimate) == _ladder(_generic_values(Q2))
     mv = p_measure(-1.0)
-    assert (mv.value, mv.error_estimate) == _ladder(lambda m: _jensen_mean(_p_rows(-1.0, _circle(m))))
+    assert (mv.value, mv.error_estimate) == _ladder(_p_values(-1.0))

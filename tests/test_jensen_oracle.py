@@ -7,6 +7,9 @@ and of the P and R families have root product of modulus 1, so the Jensen
 integrand is arccosh(max(1, |s|/2)) for a real s(theta); the references
 integrate that over [0, pi], split where |s| = 2.
 
+The shifted family q is checked through the paper's relations q = r
+(lam <= -5) and q = (r + p)/2 (lam >= 13).
+
 Each value must lie within 1e-13 of its reference and within its own error
 estimate.  The one exception is Q_4: its fiber has a double root on the
 circle at the touching point X = -1 (|s| = 2 there without crossing).  The
@@ -19,7 +22,7 @@ quadrature error estimate cannot see it.
 import pytest
 from mpmath import mp, mpf
 
-from mahler.measures import mahler_jensen_2var, p_measure, r_measure
+from mahler.measures import mahler_jensen_2var, p_measure, q_measure, r_measure
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family
 
 DPS = 30
@@ -110,6 +113,14 @@ def test_r_matches_split_integral(lam):
     ref = r_reference(lam)
     _assert_close(r_measure(lam), ref)
     _assert_close(mahler_jensen_2var(make_family(FamilySpec("R", lam))), ref)
+
+
+@pytest.mark.parametrize("lam", [-5.0, -5.03, -55.0, 13.03, 63.0])
+def test_q_matches_the_paper_relations(lam):
+    # q = r for lam <= -5 and q = (r + p)/2 for lam >= 13; at lam = -5 the
+    # branches y+ and y- collide on the path, at t = 1/6 and 5/6
+    ref = r_reference(lam) if lam <= -5 else 0.5 * (r_reference(lam) + p_reference(lam))
+    _assert_close(q_measure(lam), ref)
 
 
 @pytest.mark.parametrize("var", [0, 1])

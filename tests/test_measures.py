@@ -203,13 +203,17 @@ def test_q_measure_falls_back_in_the_gap():
 
 
 def test_q_full_period_equals_twice_half_period():
-    # reference: the full-period midpoint mean of log|y+| at 2048 nodes, roots from np.roots
+    # q_measure(lam, n) is the n-node full-period midpoint mean of log|y+|;
+    # log|y+| is even in t, so that equals the n/2-node mean over (0, 1/2)
     lam = 16.0
-    z = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)
-    x = z * (1 - z)
-    y_plus = [np.abs(np.roots([1, 2 * xi * xi + lam * xi + 1, xi**4])).max() for xi in x]
-    q = q_measure(lam, n=1024)
-    assert abs(float(np.mean(np.log(y_plus))) - q.value) < 1e-12
+
+    def mean_log_y_plus(t):
+        x = np.exp(2j * np.pi * t) * (1 - np.exp(2j * np.pi * t))
+        return float(np.mean([np.log(np.abs(np.roots([1, 2 * xi * xi + lam * xi + 1, xi**4])).max()) for xi in x]))
+
+    full = mean_log_y_plus((np.arange(2048) + 0.5) / 2048)
+    assert abs(mean_log_y_plus((np.arange(1024) + 0.5) / 2048) - full) < 1e-12
+    assert abs(q_measure(lam, n=2048).value - full) < 1e-12
 
 
 def test_p_measure_degenerate_member_is_exactly_zero():
@@ -266,9 +270,12 @@ _PINNED = {
 def _record_levels(monkeypatch):
     """Node count of every ladder level the measures evaluate, in order."""
     seen = []
-    jensen, half, torus = measures._jensen_mean, measures._q_half_mean, measures._torus_mean_log
-    monkeypatch.setattr(measures, "_jensen_mean", lambda C: seen.append(C.shape[1]) or jensen(C))
-    monkeypatch.setattr(measures, "_q_half_mean", lambda lam, m: seen.append(m) or half(lam, m))
+    circle_mean, torus = measures._circle_mean, measures._torus_mean_log
+
+    def recording_circle_mean(values_at, *args):
+        return circle_mean(lambda t: seen.append(len(t)) or values_at(t), *args)
+
+    monkeypatch.setattr(measures, "_circle_mean", recording_circle_mean)
     monkeypatch.setattr(measures, "_torus_mean_log", lambda P, m: seen.append(m) or torus(P, m))
     return seen
 

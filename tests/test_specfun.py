@@ -3,7 +3,7 @@ import math
 import pytest
 
 import mahler.specfun
-from mahler.measures import p_measure
+from mahler.measures import p_measure, q_measure
 from mahler.quadrature import NumericalError, tanh_sinh
 from mahler.specfun import (
     UnsupportedRegimeError,
@@ -11,7 +11,6 @@ from mahler.specfun import (
     cubic_singularities,
     dp_dlambda,
     dq_dlambda_closed,
-    dq_dlambda_fd,
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
@@ -23,6 +22,19 @@ from mahler.specfun import (
 # against the independent quadrature route)
 F_HALF_AT_HALF = 1.1803405990160962
 DR_AT_20 = 0.050511572391185255
+
+
+FD_STEP = 1e-3
+
+
+def dq_dlambda_fd(lam: float, h: float = FD_STEP) -> float:
+    """Central finite difference of the q measure itself (independent oracle)."""
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    lo, hi = lam - h, lam + h
+    if not (hi <= -4.0 or lo >= 13.0):
+        raise ValueError("finite difference would straddle the supported regimes")
+    return (q_measure(hi, tol=1e-12).value - q_measure(lo, tol=1e-12).value) / (2.0 * h)
 
 
 def radical_kernel(lam: float):
@@ -193,10 +205,17 @@ def test_radical_kernel_positive_inside_interval(monkeypatch):
     assert integrate_derivative_kernel(16.0, with_linear_factor=True).value > 0
     # a third root moved inside [x0, x1] makes the radicand negative at the
     # midpoint; the kernel integral must refuse it rather than return a number
-    x0, x1, _ = cubic_singularities(-6.0)
+    x0, x1, x2 = cubic_singularities(-6.0)
     monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: (x0, x1, 0.5 * (x0 + x1) - 1e-3))
     with pytest.raises(NumericalError):
         integrate_derivative_kernel(-6.0)
+    # the same on the positive side, with x1 moved inside [x2, x0]: the sign
+    # comes from the signed factor -4 lam, so taking |far - x| would accept it
+    x0, x1, x2 = cubic_singularities(16.0)
+    monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: (x0, 0.5 * (x2 + x0) + 1e-3, x2))
+    for linear in (False, True):
+        with pytest.raises(NumericalError):
+            integrate_derivative_kernel(16.0, with_linear_factor=linear)
 
 
 def test_kernel_integral_matches_direct_tanh_sinh():
