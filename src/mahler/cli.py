@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .config import DEFAULTS, show_config
 from .identities import (
+    DEFAULT_PARAMS,
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
     reports_to_jsonl,
@@ -101,47 +102,38 @@ def _parse_tol_overrides(pairs) -> dict[str, float]:
     return out
 
 
-def _compute_family(args):
-    if args.family == "qk":
-        if args.k is None:
-            raise ValueError("family qk needs --k")
-        poly = make_family(FamilySpec("Q", args.k))
-        parameter = float(args.k)
-        if args.method == "torus":
-            mv = mahler_torus(poly, args.nodes, tol=args.tol)
-        else:
-            mv = mahler_jensen_2var(poly, args.nodes, tol=args.tol)
-        return parameter, mv
-    if args.lam is None:
-        raise ValueError(f"family {args.family} needs --lambda")
-    lam = args.lam
-    if args.method == "fast":
-        fn = {"q": q_measure, "p": p_measure, "r": r_measure}[args.family]
-        return lam, fn(lam, args.nodes, tol=args.tol)
-    family = {"q": "Q_shifted", "p": "P", "r": "R"}[args.family]
-    poly = make_family(FamilySpec(family, lam))
-    if args.method == "torus":
-        return lam, mahler_torus(poly, args.nodes, tol=args.tol)
-    return lam, mahler_jensen_2var(poly, args.nodes, tol=args.tol)
+# the fast one-branch paths; looked up per call, so a rebinding of these
+# module names (the layer tracer in perfbench) reaches every call
+def _fast(family):
+    return {"q": q_measure, "p": p_measure, "r": r_measure}.get(family)
 
 
 def cmd_compute(args) -> int:
     if args.tol is not None:
         _check_tol("--tol", args.tol)
+    method, fast = args.method, None
     if args.poly_file:
         with open(args.poly_file, "r", encoding="utf-8") as fh:
             poly = poly_from_text(fh.read())
-        if args.method == "torus" or poly.nvars != 2:
-            mv = mahler_torus(poly, args.nodes, tol=args.tol)
-        else:
-            mv = mahler_jensen_2var(poly, args.nodes, tol=args.tol)
-        parameter = None
-        label = os.path.basename(args.poly_file)
+        label, parameter = os.path.basename(args.poly_file), None
+        if poly.nvars != 2:
+            method = "torus"
     else:
         if not args.family:
             raise ValueError("need --family or --poly-file")
-        parameter, mv = _compute_family(args)
         label = args.family
+        option, value = ("--k", args.k) if label == "qk" else ("--lambda", args.lam)
+        if value is None:
+            raise ValueError(f"family {label} needs {option}")
+        parameter = float(value)
+        fast = _fast(label) if method == "fast" else None
+        if not fast:
+            family = {"q": "Q_shifted", "p": "P", "r": "R", "qk": "Q"}[label]
+            poly = make_family(FamilySpec(family, value))
+    if fast:
+        mv = fast(parameter, args.nodes, tol=args.tol)
+    else:
+        mv = (mahler_torus if method == "torus" else mahler_jensen_2var)(poly, args.nodes, tol=args.tol)
     payload = {
         "family": label,
         "parameter": parameter,
@@ -200,17 +192,10 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
 def _sweep_row(kind: str, name: str, lam: float) -> str:
     try:
         if kind == "family":
-            fn = {"q": q_measure, "p": p_measure, "r": r_measure}[name]
-            mv = fn(lam)
+            mv = _fast(name)(lam)
             return f"{_fmt(lam)},{_fmt(mv.value)},,,{_fmt(mv.error_estimate)},ok"
-        if name == "main":
-            rep = verify_main(lam)
-        elif name == "boyd":
-            rep = verify_boyd(int(lam))
-        elif name == "derivatives":
-            rep = verify_derivatives(lam)
-        else:
-            rep = verify_J(lam, name)
+        checks = {"main": verify_main, "boyd": lambda v: verify_boyd(int(v)), "derivatives": verify_derivatives}
+        rep = checks[name](lam) if name in checks else verify_J(lam, name)
         status = "ok" if rep.passed else "fail"
         return (
             f"{_fmt(lam)},{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.residual)},"
@@ -249,7 +234,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.show_config:
-            print(show_config(args.seed))
+            suites = {name: {"params": DEFAULT_PARAMS[name], "tolerance": DEFAULT_TOLERANCES[name]}
+                      for name in DEFAULT_PARAMS}
+            print(show_config(args.seed, verify=suites))
             return EXIT_OK
         if args.command is None:
             parser.error("a command is required (compute, verify or sweep)")
@@ -261,7 +248,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -43,7 +43,7 @@ class Defaults:
 DEFAULTS = Defaults()
 
 
-def show_config(seed: int = DEFAULTS.seed) -> str:
-    """Render the defaults plus the run's seed as JSON."""
-    payload = {"defaults": dataclasses.asdict(DEFAULTS), "run": {"seed": seed}}
+def show_config(seed: int = DEFAULTS.seed, **sections) -> str:
+    """Render the defaults, the run's seed and any further named sections as JSON."""
+    payload = {"defaults": dataclasses.asdict(DEFAULTS), "run": {"seed": seed}, **sections}
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -79,33 +79,20 @@ DEFAULT_TOLERANCES = {
     "asymptotics": 1.0,
 }
 
+# one entry per suite: the parameters each suite runs on when not overridden
 DEFAULT_PARAMS = {
     "main": (-5.0, -6.0, -8.0, -10.0, -20.0, 13.0, 14.0, 16.0, 20.0, 50.0),
     "boyd": (-3, -2, -1, 0, 1, 2, 3, 4),
     "derivatives": (-6.0, -8.0, -12.0, 14.0, 16.0, 25.0),
-    "J1": (13.5, 16.0, 25.0),
-    "J2": (-6.0, -8.0, -12.0),
-    "J3": (13.5, 16.0, 25.0),
-    "hyp_grid": 20,
+    "J": (-6.0, -8.0, -12.0, 13.5, 16.0, 25.0),
+    "hyp": (20,),
     "branches": (13.0, 20.0, -4.0, -5.0, -10.0),
     "singularities": (-5.01, -6.0, -20.0, 13.01, 16.0, 50.0),
-    "asymptotics_pos": (16.0, 32.0, 64.0, 128.0),
-    "asymptotics_neg": (-8.0, -16.0, -32.0, -64.0, -128.0),
+    "asymptotics": ((16.0, 32.0, 64.0, 128.0), (-8.0, -16.0, -32.0, -64.0, -128.0)),
     "substitution": (13.0, -6.0, 0.5),
 }
 
-SUITE_NAMES = (
-    "all",
-    "main",
-    "boyd",
-    "derivatives",
-    "J",
-    "hyp",
-    "branches",
-    "singularities",
-    "asymptotics",
-    "substitution",
-)
+SUITE_NAMES = ("all", *DEFAULT_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -165,38 +152,30 @@ def verify_main(lam: float, *, tol: float | None = None) -> VerificationReport:
     """q(lam) against r(lam) (lam <= -5) or (r(lam)+p(lam))/2 (lam >= 13)."""
     lam = float(lam)
     tol = DEFAULT_TOLERANCES["main"] if tol is None else float(tol)
-    if lam <= -5.0:
-        q = q_measure(lam)
-        r = r_measure(lam)
-        return _report(
-            "main_neg", lam, q.value, r.value, q.value - r.value, tol,
-            error_estimate=q.error_estimate + r.error_estimate,
-        )
-    if lam >= 13.0:
-        q = q_measure(lam)
-        r = r_measure(lam)
+    if not (lam <= -5.0 or lam >= 13.0):
+        raise ValueError("the relation is stated for lam <= -5 or lam >= 13")
+    q = q_measure(lam)
+    r = r_measure(lam)
+    rhs, rhs_error = r.value, r.error_estimate
+    if lam > 0:
         p = p_measure(lam)
-        rhs = 0.5 * (r.value + p.value)
-        return _report(
-            "main_pos", lam, q.value, rhs, q.value - rhs, tol,
-            error_estimate=q.error_estimate + 0.5 * (r.error_estimate + p.error_estimate),
-        )
-    raise ValueError("the relation is stated for lam <= -5 or lam >= 13")
+        rhs, rhs_error = 0.5 * (r.value + p.value), 0.5 * (r.error_estimate + p.error_estimate)
+    return _report(
+        "main_neg" if lam < 0 else "main_pos", lam, q.value, rhs, q.value - rhs, tol,
+        error_estimate=q.error_estimate + rhs_error,
+    )
 
 
 def verify_derivatives(lam: float, *, tol: float | None = None) -> VerificationReport:
     """dq/dlam against dr/dlam (lam < -5) or (dr+dp)/2 (lam > 13), open ranges."""
     lam = float(lam)
     tol = DEFAULT_TOLERANCES["derivatives"] if tol is None else float(tol)
-    if lam < -5.0:
-        lhs = dq_dlambda_closed(lam)
-        rhs = dr_dlambda(lam)
-        return _report("derivative_neg", lam, lhs, rhs, lhs - rhs, tol)
-    if lam > 13.0:
-        lhs = dq_dlambda_closed(lam)
-        rhs = 0.5 * (dr_dlambda(lam) + dp_dlambda(lam))
-        return _report("derivative_pos", lam, lhs, rhs, lhs - rhs, tol)
-    raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
+    if not (lam < -5.0 or lam > 13.0):
+        raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
+    lhs = dq_dlambda_closed(lam)
+    dr = dr_dlambda(lam)
+    rhs = dr if lam < 0 else 0.5 * (dr + dp_dlambda(lam))
+    return _report("derivative_neg" if lam < 0 else "derivative_pos", lam, lhs, rhs, lhs - rhs, tol)
 
 
 def verify_J(lam: float, which: str, *, tol: float | None = None) -> VerificationReport:
@@ -235,34 +214,30 @@ def verify_hyp_transforms(grid_size: int = 20, *, tol: float | None = None) -> t
         raise ValueError("grid_size must be at least 5")
     tol = DEFAULT_TOLERANCES["hyp"] if tol is None else float(tol)
 
-    worst1 = (0.0, 1.0, 1.0)
-    for j in range(1, grid_size + 1):
-        mu = 0.5 * j / (grid_size + 1)
-        lhs = gauss_2f1_agm(mu**3 * (2.0 + mu) / (1.0 + 2.0 * mu)) / math.sqrt(1.0 + 2.0 * mu)
+    def transform_1(mu):
         den = 1.0 + 4.0 * mu + mu * mu
-        rhs = gauss_2f1_series(1.0 / 3.0, 2.0 / 3.0, 1.0, 27.0 * mu * (1.0 + mu) ** 4 / (2.0 * den**3)) / den
-        if abs(lhs - rhs) >= abs(worst1[1] - worst1[2]):
-            worst1 = (mu, lhs, rhs)
-    rep1 = _report(
-        "hyp_transform_1", grid_size, worst1[1], worst1[2], worst1[1] - worst1[2], tol,
-        detail=f"worst_mu={worst1[0]!r}",
-    )
+        lhs = gauss_2f1_agm(mu**3 * (2.0 + mu) / (1.0 + 2.0 * mu)) / math.sqrt(1.0 + 2.0 * mu)
+        return lhs, gauss_2f1_series(1.0 / 3.0, 2.0 / 3.0, 1.0, 27.0 * mu * (1.0 + mu) ** 4 / (2.0 * den**3)) / den
 
-    worst2 = (0.0, 1.0, 1.0)
-    for j in range(1, grid_size + 1):
-        mu = 0.5 * j / (grid_size + 1)
-        if j % 2:
-            mu = -mu
+    def transform_2(mu):
         m4 = mu**4
         lhs = gauss_2f1_agm(-m4 / (1.0 - m4)) / math.sqrt(1.0 - m4)
-        rhs = gauss_2f1_series(0.5, 0.5, 1.0, 4.0 * mu * mu / (1.0 + mu * mu) ** 2) / (1.0 + mu * mu)
-        if abs(lhs - rhs) >= abs(worst2[1] - worst2[2]):
-            worst2 = (mu, lhs, rhs)
-    rep2 = _report(
-        "hyp_transform_2", grid_size, worst2[1], worst2[2], worst2[1] - worst2[2], tol,
-        detail=f"worst_mu={worst2[0]!r}",
-    )
-    return rep1, rep2
+        return lhs, gauss_2f1_series(0.5, 0.5, 1.0, 4.0 * mu * mu / (1.0 + mu * mu) ** 2) / (1.0 + mu * mu)
+
+    reports = []
+    transforms = (("hyp_transform_1", transform_1, False), ("hyp_transform_2", transform_2, True))
+    for identity_id, sides, alternate in transforms:
+        worst = (0.0, 1.0, 1.0)  # (mu, lhs, rhs); the last of equal residuals wins
+        for j in range(1, grid_size + 1):
+            mu = 0.5 * j / (grid_size + 1)
+            if alternate and j % 2:
+                mu = -mu
+            lhs, rhs = sides(mu)
+            if abs(lhs - rhs) >= abs(worst[1] - worst[2]):
+                worst = (mu, lhs, rhs)
+        mu, lhs, rhs = worst
+        reports.append(_report(identity_id, grid_size, lhs, rhs, lhs - rhs, tol, detail=f"worst_mu={mu!r}"))
+    return tuple(reports)
 
 
 def verify_branch_bounds(lam: float, n: int | None = None, *, tol: float | None = None) -> VerificationReport:
@@ -353,6 +328,14 @@ def _sort_reports(reports: list[VerificationReport]) -> list[VerificationReport]
     return sorted(reports, key=lambda r: (r.identity_id, r.parameter, r.detail))
 
 
+def _J_reports(lam, tol) -> list[VerificationReport]:
+    """J2 for lam < 0, otherwise J3, and J1 as well for lam > 5."""
+    reports = [verify_J(lam, "J2" if lam < 0 else "J3", tol=tol)]
+    if lam > 5:
+        reports.append(verify_J(lam, "J1", tol=tol))
+    return reports
+
+
 def run_suite(
     suite: str,
     *,
@@ -366,58 +349,33 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run one named suite (or ``all``) and return sorted reports.
 
-    ``lambdas``/``ks``/``grid``/``n``/``samples`` override the documented
-    defaults; ``tolerances`` overrides per-suite tolerances by name.
+    Each suite runs its check on every entry of its ``DEFAULT_PARAMS`` list.
+    ``ks`` replaces that list for ``boyd``, ``grid`` for ``hyp`` (also under
+    ``all``), and ``lambdas`` for every other suite (``asymptotics`` takes it
+    as one list); ``n`` and ``samples`` are passed to the branch and
+    substitution checks.  ``tolerances`` overrides per-suite tolerances by name.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     if suite == "all" and (lambdas or ks):
         raise ValueError("parameter overrides apply to individual suites, not to 'all'")
     tolerances = tolerances or {}
-
-    def tol_for(name):
-        return tolerances.get(name)
-
+    checks = {
+        "main": lambda lam, tol: [verify_main(lam, tol=tol)],
+        "boyd": lambda k, tol: [verify_boyd(k, tol=tol)],
+        "derivatives": lambda lam, tol: [verify_derivatives(lam, tol=tol)],
+        "J": _J_reports,
+        "hyp": lambda size, tol: verify_hyp_transforms(size, tol=tol),
+        "branches": lambda lam, tol: [verify_branch_bounds(lam, n, tol=tol)],
+        "singularities": lambda lam, tol: [verify_singularity_order(lam, tol=tol)],
+        "asymptotics": lambda lams, tol: asymptotic_gap(lams, tol=tol),
+        "substitution": lambda lam, tol: [verify_substitution_identity(lam, samples or 100, seed=seed, tol=tol)],
+    }
+    overrides = {"boyd": ks, "hyp": grid and (grid,), "asymptotics": lambdas and (lambdas,)}
     reports: list[VerificationReport] = []
-    if suite in ("all", "main"):
-        for lam in (lambdas if (lambdas and suite != "all") else DEFAULT_PARAMS["main"]):
-            reports.append(verify_main(lam, tol=tol_for("main")))
-    if suite in ("all", "boyd"):
-        for k in (ks if (ks and suite != "all") else DEFAULT_PARAMS["boyd"]):
-            reports.append(verify_boyd(k, tol=tol_for("boyd")))
-    if suite in ("all", "derivatives"):
-        for lam in (lambdas if (lambdas and suite != "all") else DEFAULT_PARAMS["derivatives"]):
-            reports.append(verify_derivatives(lam, tol=tol_for("derivatives")))
-    if suite in ("all", "J"):
-        if lambdas and suite != "all":
-            for lam in lambdas:
-                which = "J2" if lam < 0 else "J3"
-                reports.append(verify_J(lam, which, tol=tol_for("J")))
-                if lam > 5:
-                    reports.append(verify_J(lam, "J1", tol=tol_for("J")))
-        else:
-            for which in ("J1", "J2", "J3"):
-                for lam in DEFAULT_PARAMS[which]:
-                    reports.append(verify_J(lam, which, tol=tol_for("J")))
-    if suite in ("all", "hyp"):
-        reports.extend(verify_hyp_transforms(grid or DEFAULT_PARAMS["hyp_grid"], tol=tol_for("hyp")))
-    if suite in ("all", "branches"):
-        for lam in (lambdas if (lambdas and suite != "all") else DEFAULT_PARAMS["branches"]):
-            reports.append(verify_branch_bounds(lam, n, tol=tol_for("branches")))
-    if suite in ("all", "singularities"):
-        for lam in (lambdas if (lambdas and suite != "all") else DEFAULT_PARAMS["singularities"]):
-            reports.append(verify_singularity_order(lam, tol=tol_for("singularities")))
-    if suite in ("all", "asymptotics"):
-        if lambdas and suite != "all":
-            reports.extend(asymptotic_gap(lambdas, tol=tol_for("asymptotics")))
-        else:
-            reports.extend(asymptotic_gap(DEFAULT_PARAMS["asymptotics_pos"], tol=tol_for("asymptotics")))
-            reports.extend(asymptotic_gap(DEFAULT_PARAMS["asymptotics_neg"], tol=tol_for("asymptotics")))
-    if suite in ("all", "substitution"):
-        for lam in (lambdas if (lambdas and suite != "all") else DEFAULT_PARAMS["substitution"]):
-            reports.append(
-                verify_substitution_identity(lam, samples or 100, seed=seed, tol=tol_for("substitution"))
-            )
+    for name in DEFAULT_PARAMS if suite == "all" else (suite,):
+        for param in overrides.get(name, lambdas) or DEFAULT_PARAMS[name]:
+            reports.extend(checks[name](param, tolerances.get(name)))
     return _sort_reports(reports)
 
 

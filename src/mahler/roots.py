@@ -6,12 +6,14 @@ import sys
 
 import numpy as np
 
+from .quadrature import NumericalError
+
 __all__ = ["quadratic_roots", "batch_roots", "RootSolveError"]
 
 _EPS = sys.float_info.epsilon
 
 
-class RootSolveError(RuntimeError):
+class RootSolveError(NumericalError):
     """Simultaneous iteration failed to converge within the iteration cap."""
 
 

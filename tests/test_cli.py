@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 
 from mahler.cli import main
+from mahler.identities import DEFAULT_PARAMS, DEFAULT_TOLERANCES, verify_branch_bounds
 from mahler.measures import q_measure, r_measure
 
 
@@ -174,6 +176,62 @@ def test_show_config(capsys):
     payload = json.loads(out)
     assert payload["defaults"]["tanh_sinh_level_max"] == 12
     assert payload["run"] == {"seed": 0}
+    assert payload["verify"] == json.loads(json.dumps({
+        name: {"params": params, "tolerance": DEFAULT_TOLERANCES[name]} for name, params in DEFAULT_PARAMS.items()
+    }))
+    assert payload["verify"]["hyp"] == {"params": [20], "tolerance": 1e-12}
+    assert payload["verify"]["asymptotics"]["params"][1] == [-8.0, -16.0, -32.0, -64.0, -128.0]
+
+
+def _reports(out):
+    return [json.loads(line) for line in out.strip().split("\n")]
+
+
+def test_verify_all_applies_grid_n_and_samples(capsys):
+    code, out, _ = run(capsys, ["verify", "all", "--grid", "7", "--n", "200", "--samples", "5"])
+    assert code == 0
+    reports = _reports(out)
+    assert len(reports) == 76
+    hyp = [r for r in reports if r["identity_id"].startswith("hyp_transform")]
+    assert [r["parameter"] for r in hyp] == [7.0, 7.0]
+    assert [r["detail"] for r in reports if r["identity_id"] == "substitution"] == ["samples=5"] * 3
+    branches = [r for r in reports if r["identity_id"] == "branch_bounds"]
+    assert [r["detail"] for r in branches] == [verify_branch_bounds(r["parameter"], 200).detail for r in branches]
+    assert [r["detail"] for r in branches] != [verify_branch_bounds(r["parameter"]).detail for r in branches]
+
+
+@pytest.mark.parametrize("suite, flag", [
+    ("boyd", ["--lambda", "3"]),
+    ("main", ["--k", "3"]),
+    ("hyp", ["--lambda", "5"]),
+])
+def test_verify_ignores_a_flag_that_does_not_apply(capsys, suite, flag):
+    plain = run(capsys, ["verify", suite])
+    assert plain[0] == 0
+    assert run(capsys, ["verify", suite, *flag]) == plain
+
+
+def test_compute_root_solve_failure_is_numerical_failure(capsys, tmp_path):
+    # the fibers y^20 + x + 9e12 defeat Aberth from its Cauchy-bound start circle
+    f = tmp_path / "aberth.txt"
+    f.write_text("9000000000000:0,0\n1:1,0\n1:0,20\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen", "--nodes", "8"])
+    assert code == 3
+    assert out == "" and err == "numerical failure: no convergence within 200 iterations\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--poly-file", "{missing}/poly.txt"],
+    ["verify", "main", "--lambda", "-6", "--out", "{missing}/report.jsonl"],
+    ["sweep", "--family", "r", "--from", "5", "--to", "6", "--step", "1", "--out", "{missing}/r.csv"],
+])
+def test_missing_file_or_directory_is_usage_error(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, [a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert out == "" and err.startswith("error: [Errno 2] No such file or directory") and str(missing) in err
 
 
 def test_missing_command_is_usage_error(capsys):

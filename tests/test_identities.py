@@ -4,6 +4,8 @@ import pytest
 
 from mahler.identities import (
     DEFAULT_PARAMS,
+    DEFAULT_TOLERANCES,
+    SUITE_NAMES,
     asymptotic_gap,
     reports_to_jsonl,
     run_suite,
@@ -177,3 +179,47 @@ def test_summary_table_shape():
     table = summary_table(reports)
     assert "hyp_transform_1" in table
     assert table.strip().endswith("checks passed")
+
+
+# every check `verify all` runs, by identity id, with its parameters in report order
+ALL_INVENTORY = {
+    "J1": [13.5, 16.0, 25.0],
+    "J2": [-12.0, -8.0, -6.0],
+    "J3": [13.5, 16.0, 25.0],
+    "asymptotic_gap": [v for v in (-128.0, -64.0, -32.0, -16.0, -8.0, 16.0, 32.0, 64.0, 128.0) for _ in range(3)],
+    "boyd": [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+    "branch_bounds": [-10.0, -5.0, -4.0, 13.0, 20.0],
+    "derivative_neg": [-12.0, -8.0, -6.0],
+    "derivative_pos": [14.0, 16.0, 25.0],
+    "hyp_transform_1": [20.0],
+    "hyp_transform_2": [20.0],
+    "main_neg": [-20.0, -10.0, -8.0, -6.0, -5.0],
+    "main_pos": [13.0, 14.0, 16.0, 20.0, 50.0],
+    "singularity_order": [-20.0, -6.0, -5.01, 13.01, 16.0, 50.0],
+    "substitution": [-6.0, 0.5, 13.0],
+}
+
+
+def test_suite_table_has_one_entry_per_suite():
+    assert SUITE_NAMES == ("all", *DEFAULT_PARAMS)
+    assert set(DEFAULT_PARAMS) == set(DEFAULT_TOLERANCES)
+
+
+def test_verify_all_inventory():
+    reports = run_suite("all")
+    inventory = {}
+    for r in reports:
+        inventory.setdefault(r.identity_id, []).append(r.parameter)
+    assert inventory == ALL_INVENTORY
+    assert len(reports) == 76
+    assert all(r.passed for r in reports)
+    gaps = [r.detail for r in reports if r.identity_id == "asymptotic_gap"]
+    assert gaps == ["p", "q", "r"] * 9
+
+
+def test_J_suite_rule_on_overrides():
+    # J2 for lam < 0, J3 otherwise, and J1 too for lam > 5
+    reports = run_suite("J", lambdas=[14.0, -7.0])
+    assert [(r.identity_id, r.parameter) for r in reports] == [("J1", 14.0), ("J2", -7.0), ("J3", 14.0)]
+    with pytest.raises(ValueError, match="J3 requires lam > 5"):
+        run_suite("J", lambdas=[3.0])
