@@ -16,7 +16,7 @@ class Defaults:
     """Node budgets and tolerances used when a caller does not override them."""
 
     # circle rules (the midpoint ladders of the Jensen and family evaluators)
-    circle_nodes_start: int = 4096
+    circle_nodes_start: int = 64
     circle_nodes_max: int = 262144
     measure_tol: float = 1.0e-9
 

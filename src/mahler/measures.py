@@ -99,6 +99,7 @@ def _refine(
     *,
     prev_weight: float = 0.25,
     safety: float = 1.0,
+    geometric: bool = True,
 ) -> tuple[float, float, int]:
     """Double nodes until two successive levels agree to tol or the cap bites.
 
@@ -106,21 +107,24 @@ def _refine(
     gap guarded by ``prev_weight`` times the previous gap (an accidentally
     small step must not masquerade as convergence) and scaled by ``safety``;
     slowly converging rules with sign-oscillating level errors need both.
+    A ``geometric`` rule (midpoint, analytic periodic integrand) whose last
+    three gaps fall in ratio (r < r_prev/2, r < 1/2) reports the tail
+    ``gap * r / (1 - r)``; it stops only when gap and estimate are below tol.
     """
     n = n_start
     value = level_fn(n)
-    gap = math.inf
-    prev_gap = math.inf
+    gaps, err = [0.0, 0.0], 0.0  # zeros ahead of the first gap: no guard, no tail yet
     while n < n_max:
         nxt = level_fn(2 * n)
-        prev_gap, gap = gap, abs(nxt - value)
+        gaps.append(abs(nxt - value))
         value = nxt
         n *= 2
-        if gap < tol:
+        g0, g1, g2 = gaps[-3:]
+        err = max(g2, prev_weight * g1)
+        if geometric and g0 > 0 and 2 * g2 < g1 and 2 * g2 * g0 < g1 * g1:  # r = g2/g1, r_prev = g1/g0
+            err = g2 * g2 / (g1 - g2)
+        if g2 < tol and (err < tol or not geometric):
             break
-    err = gap if math.isfinite(gap) else 0.0
-    if math.isfinite(prev_gap):
-        err = max(err, prev_weight * prev_gap)
     return value, max(safety * err, _err_floor(value)), n
 
 
@@ -168,10 +172,8 @@ def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
 def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
     """Measure of ``P`` by direct torus quadrature (1 to 3 variables).
 
-    With ``n`` given, that per-dimension node count is final and the error
-    estimate compares it with n/4 and n/2 (see :func:`_budget`); otherwise
-    levels double from the configured start until the estimate drops below
-    ``tol``.
+    ``n`` pins the final per-dimension node count (see :func:`_budget`);
+    otherwise levels double until the last gap drops below ``tol``.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
@@ -185,6 +187,7 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
         *_budget(n, tol, min(DEFAULTS.torus_nodes_start, n_max), n_max),
         prev_weight=0.5,
         safety=1.25,
+        geometric=False,
     )
     return MeasureValue(value=value, method="torus", error_estimate=err)
 
@@ -312,10 +315,13 @@ def _breakpoints(view) -> np.ndarray:
         x = np.exp(2j * np.pi * np.arange(m) / m)
         C = _coeff_rows(view, x) * x ** (-lo)
         S = _sylvester(C, partner(x, C))
-        res = np.linalg.det(S)
-        # a resultant at rounding level against its Hadamard bound vanishes identically
-        bound = np.prod(np.linalg.norm(S, axis=2), axis=1).max()
-        if np.abs(res).max() > 1e-12 * bound:
+        # a resultant at rounding level against its Hadamard bound 2^h vanishes identically;
+        # one power-of-two scale, exact in floating point, keeps det finite for large coefficients
+        with np.errstate(divide="ignore"):  # a fiber vanishing at a node gives a zero row
+            h = np.log2(np.linalg.norm(S, axis=2)).sum(axis=1).max()
+        k = math.floor(h / len(S[0]))
+        res = np.linalg.det(S * 2.0**-k)
+        if np.abs(res).max() > 1e-12 * 2.0 ** (h - k * len(S[0])):
             points += _circle_roots(res)
     t = np.angle(points) / (2.0 * np.pi) % 1.0
     return np.unique(np.where(t < 1.0, t, 0.0))
@@ -359,10 +365,7 @@ def mahler_jensen_2var(
     At each circle node x the fiber polynomial's roots come from closed forms
     for degree <= 2 and from one batched Aberth-Ehrlich solve over all nodes
     of a higher degree; the node value is ``log|lead(x)| + sum log+ |root|``.
-    The circle is split at the breakpoints of the integrand (see
-    :func:`_breakpoints`) and each arc integrated by tanh-sinh; without
-    breakpoints node doubling runs on the whole circle, and with ``n`` given
-    the whole-circle rule runs at exactly n/4, n/2 and n nodes.
+    Its mean is taken by :func:`_circle_mean`, split at :func:`_breakpoints`.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")

@@ -44,12 +44,13 @@ def batch_roots(C, *, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:
 
     ``C`` has shape (d+1, n): column i holds the ascending coefficients of
     one polynomial of degree d with a nonzero leading coefficient.  Returns
-    the (d, n) roots, unsorted.  Every column starts from the same
-    deterministically perturbed circle; a root freezes (and stops moving)
-    once its correction drops below ``tol * max(1, |root|)`` or its backward
-    error is at rounding level.  Multiple roots are reported as the
-    numerical cluster the iteration settles into.  Columns are solved in
-    blocks of ``_CHUNK``.
+    the (d, n) roots, unsorted.  Every column starts from one
+    deterministically perturbed circle, scaled by Fujiwara's bound
+    ``2 max_k |a_k|^(1/(d-k))`` on its root moduli.  A root freezes (and
+    stops moving) once its correction drops below ``tol * max(1, |root|)``
+    or its backward error is at rounding level.  Multiple roots are reported
+    as the numerical cluster the iteration settles into.  Columns are solved
+    in blocks of ``_CHUNK``.
     """
     C = np.asarray(C, dtype=complex)
     if C.ndim != 2:
@@ -73,7 +74,8 @@ def _aberth_block(mon: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
     d, m = mon.shape[0] - 1, mon.shape[1]
     i = np.arange(d)
     circle = (0.65 + 0.1 * np.fmod(0.618033988749895 * i, 1.0)) * np.exp(2j * np.pi * (i + 0.25) / d + 0.42j)
-    out = circle[:, None] * (1.0 + np.abs(mon[:-1]).max(axis=0))
+    bound = 2.0 * (np.abs(mon[:-1]) ** (1.0 / (d - i))[:, None]).max(axis=0)
+    out = circle[:, None] * np.where(bound > 0, bound, 1.0)  # bound 0: y^d, all roots at 0
     live, z, absmon, done = np.arange(m), out, np.abs(mon), np.zeros((d, m), dtype=bool)
     for _ in range(max_iter):
         absz = np.abs(z)

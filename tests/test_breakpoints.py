@@ -1,6 +1,7 @@
 """Breakpoints of the Jensen integrand and the choice between arcs and the ladder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ def test_smyth_breakpoints_come_from_res_with_p_star():
     # 1 + x + y: |y| = |1 + x| = 1 at x = exp(+-2 pi i/3); the discriminant is constant
     P = LaurentPolynomial({(0, 0): 1, (1, 0): 1, (0, 1): 1}, nvars=2)
     _assert_same_points(_cuts(P), [1 / 3, 2 / 3])
+
+
+def test_large_coefficients_do_not_overflow_the_resultants():
+    # y^13 + 2xy + x + 1 times 9e12: its 26 x 26 Sylvester determinants are
+    # near 1e340, past the double range, yet the breakpoints are those of the
+    # unscaled polynomial
+    terms = {(0, 13): 1, (1, 1): 2, (1, 0): 1, (0, 0): 1}
+    small = _cuts(LaurentPolynomial(terms, nvars=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = _cuts(LaurentPolynomial({e: 9 * 10**12 * c for e, c in terms.items()}, nvars=2))
+    assert len(small) == 12
+    _assert_same_points(big, small, tol=1e-9)
 
 
 def _ladder(values_at, n=None):

@@ -1,11 +1,14 @@
 import json
+import math
 import warnings
 
 import pytest
 
+import mahler.measures as measures
 from mahler.cli import main
 from mahler.identities import DEFAULT_PARAMS, DEFAULT_TOLERANCES, verify_branch_bounds
 from mahler.measures import q_measure, r_measure
+from mahler.roots import RootSolveError
 
 
 def run(capsys, argv):
@@ -82,7 +85,8 @@ def test_verify_hyp_residuals(capsys):
 
 
 def test_verify_failure_exit_code(capsys):
-    code, out, _ = run(capsys, ["verify", "main", "--lambda", "-6", "--tol", "main=1e-20"])
+    # the asymptotic gap m - log|lam| is nonzero by construction, so 1e-20 cannot be met
+    code, out, _ = run(capsys, ["verify", "asymptotics", "--lambda", "16", "32", "--tol", "asymptotics=1e-20"])
     assert code == 1
 
 
@@ -211,15 +215,28 @@ def test_verify_ignores_a_flag_that_does_not_apply(capsys, suite, flag):
     assert run(capsys, ["verify", suite, *flag]) == plain
 
 
-def test_compute_root_solve_failure_is_numerical_failure(capsys, tmp_path):
-    # the fibers y^20 + x + 9e12 defeat Aberth from its Cauchy-bound start circle
+def test_compute_root_solve_failure_is_numerical_failure(capsys, tmp_path, monkeypatch):
+    def no_convergence(C):
+        raise RootSolveError("no convergence within 200 iterations")
+
+    monkeypatch.setattr(measures, "batch_roots", no_convergence)
+    f = tmp_path / "cubic.txt"
+    f.write_text("1:0,0\n1:1,0\n1:0,3\n")
+    code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen", "--nodes", "8"])
+    assert code == 3
+    assert out == "" and err == "numerical failure: no convergence within 200 iterations\n"
+
+
+def test_compute_large_constant_term_with_degree_20_fibers(capsys, tmp_path):
+    # the fibers y^20 + x + 9e12 have roots of modulus about 4.4; Aberth started
+    # on the Cauchy-bound circle of radius 9e12 did not converge in 200 iterations
     f = tmp_path / "aberth.txt"
     f.write_text("9000000000000:0,0\n1:1,0\n1:0,20\n")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen", "--nodes", "8"])
-    assert code == 3
-    assert out == "" and err == "numerical failure: no convergence within 200 iterations\n"
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen", "--format", "json"])
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["value"] - math.log(9e12)) < 1e-12
 
 
 @pytest.mark.parametrize("argv", [

@@ -170,7 +170,8 @@ def test_jsonl_round_trips():
 
 
 def test_tolerance_override_can_force_failure():
-    reports = run_suite("main", lambdas=[-6.0], tolerances={"main": 1e-20})
+    # the asymptotic gap m - log|lam| is nonzero by construction, so 1e-20 cannot be met
+    reports = run_suite("asymptotics", lambdas=[16.0, 32.0], tolerances={"asymptotics": 1e-20})
     assert not all(r.passed for r in reports)
 
 

@@ -22,7 +22,7 @@ quadrature error estimate cannot see it.
 import pytest
 from mpmath import mp, mpf
 
-from mahler.measures import mahler_jensen_2var, p_measure, q_measure, r_measure
+from mahler.measures import _p_cuts, _q_cuts, _r_cuts, mahler_jensen_2var, p_measure, q_measure, r_measure
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family
 
 DPS = 30
@@ -121,6 +121,23 @@ def test_q_matches_the_paper_relations(lam):
     # branches y+ and y- collide on the path, at t = 1/6 and 5/6
     ref = r_reference(lam) if lam <= -5 else 0.5 * (r_reference(lam) + p_reference(lam))
     _assert_close(q_measure(lam), ref)
+
+
+@pytest.mark.parametrize("lam", [-55.0, -5.03, 13.03, 63.0])
+def test_r_and_p_on_the_whole_circle_ladder(lam):
+    # no breakpoints at the ends of the sweep ranges: the midpoint ladder and
+    # its geometric tail estimate produce these values, not tanh-sinh arcs
+    assert not _r_cuts(lam) and not _p_cuts(lam)
+    _assert_close(r_measure(lam), r_reference(lam))
+    _assert_close(p_measure(lam), p_reference(lam))
+
+
+def test_q_near_its_cut_on_the_whole_circle_ladder():
+    # just past lam = -5 the branches nearly collide at t = 1/6 and 5/6 without a
+    # cut, so the ladder climbs to 16384 nodes before its tail estimate holds
+    lam = -5.0078125
+    assert not _q_cuts(lam)
+    _assert_close(q_measure(lam), r_reference(lam))
 
 
 @pytest.mark.parametrize("var", [0, 1])

@@ -296,3 +296,40 @@ def test_pinned_node_count_must_be_a_multiple_of_four_from_eight(name, n):
     evaluate = _PINNED.get(name, lambda n: p_measure(-4.0, n))
     with pytest.raises(ValueError, match="multiple of 4"):
         evaluate(n)
+
+
+# -- the whole-circle ladder's error estimate ------------------------------------
+
+
+def test_geometric_ladder_stops_early_on_its_tail_estimate():
+    # errors 2^(-n/8): at 512 nodes the gaps 3.9e-3, 1.5e-5, 2.3e-10 fall in ratio
+    def level(n):
+        return 1.0 + 0.5 ** (n / 8)
+
+    value, err, nodes = measures._refine(level, 64, 2**18, 1e-9)
+    assert nodes == 512
+    assert abs(value - 1.0) <= err < 1e-9
+    # the guard max(gap, gap_prev / 4) at the same level is 3.8e-6, above tol
+    assert measures._refine(level, 64, 512, 1e-9, geometric=False)[1] > 1e-6
+
+
+@pytest.mark.parametrize("level", [
+    lambda n: 1.0 + n**-2.0,  # ratio 1/4 at every level: never falling
+    lambda n: 1.0 + (-1.0) ** round(math.log2(n)) * n**-1.5,  # sign-alternating, ratio 2^-1.5
+], ids=["n^-2", "alternating n^-1.5"])
+def test_algebraic_ladder_keeps_the_guard(level):
+    # n^-2 meets tol at 65536 nodes; the alternating ladder reaches the cap unconverged
+    value, err, nodes = measures._refine(level, 64, 2**18, 1e-9)
+    assert (value, err, nodes) == measures._refine(level, 64, 2**18, 1e-9, geometric=False)
+    assert abs(value - 1.0) <= err
+
+
+@pytest.mark.parametrize("n", [8, 64, 1000])
+def test_pinned_ladder_estimate_is_the_two_gap_guard(n):
+    # n/4, n/2 and n give two gaps, never three, so the tail model cannot apply
+    def values_at(t):
+        return np.log(np.abs(3.0 + np.exp(2j * np.pi * t)))
+
+    v1, v2, v3 = (float(values_at((np.arange(m) + 0.5) / m).mean()) for m in (n // 4, n // 2, n))
+    expected = max(abs(v3 - v2), 0.25 * abs(v2 - v1), measures._err_floor(v3))
+    assert measures._circle_mean(values_at, (), n, 1e-9) == (v3, expected)
