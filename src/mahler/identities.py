@@ -279,7 +279,7 @@ def verify_singularity_order(lam: float, *, tol: float | None = None) -> Verific
                    z1, z2 - z1, z3 - z2, z4 - z3, 1.0 - z4]
     else:
         z1, z2 = prof.z_points
-        margins = [-2.0 - prof.x1, prof.x2 + 2.0, prof.x0 - prof.x2, -prof.x0, z2 - z1]
+        margins = [-2.0 - prof.x1, prof.x2 + 2.0, prof.x0 - prof.x2, -prof.x0, z1 + 1.0, z2 - z1, 1.0 - z2]
     worst = min(margins)
     return _report(
         "singularity_order", lam, worst, 0.0, max(0.0, -worst), tol,

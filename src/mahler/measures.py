@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
-from .quadrature import NumericalError, _err_floor, tanh_sinh
+from .quadrature import NumericalError, _budget, _refine, tanh_sinh
 from .roots import batch_roots, quadratic_roots
 from .specfun import cubic_singularities
 
@@ -72,60 +72,6 @@ class BranchExtremes:
     max_abs_y_minus: float
     min_abs_y_plus: float
     arg_t_at_extremes: tuple[float, float]  # (t at max|y-|, t at min|y+|)
-
-
-def _budget(
-    n: int | None, tol: float, start: int = DEFAULTS.circle_nodes_start, cap: int = DEFAULTS.circle_nodes_max
-) -> tuple[int, int, float]:
-    """(start, cap, tol) for :func:`_refine`.
-
-    Without ``n`` the ladder doubles from ``start`` until the tolerance is met
-    or ``cap`` is reached.  A pinned ``n`` runs exactly the levels n/4, n/2
-    and n with no tolerance stop, so ``n`` is the final node count and the
-    estimate compares it with two coarser levels.
-    """
-    if n is None:
-        return start, cap, tol
-    if n < 8 or n % 4:
-        raise ValueError(f"the node count must be a multiple of 4 and at least 8, got {n}")
-    return n // 4, n, 0.0
-
-
-def _refine(
-    level_fn,
-    n_start: int,
-    n_max: int,
-    tol: float,
-    *,
-    prev_weight: float = 0.25,
-    safety: float = 1.0,
-    geometric: bool = True,
-) -> tuple[float, float, int]:
-    """Double nodes until two successive levels agree to tol or the cap bites.
-
-    Returns (value, error_estimate, nodes).  The estimate is the last level
-    gap guarded by ``prev_weight`` times the previous gap (an accidentally
-    small step must not masquerade as convergence) and scaled by ``safety``;
-    slowly converging rules with sign-oscillating level errors need both.
-    A ``geometric`` rule (midpoint, analytic periodic integrand) whose last
-    three gaps fall in ratio (r < r_prev/2, r < 1/2) reports the tail
-    ``gap * r / (1 - r)``; it stops only when gap and estimate are below tol.
-    """
-    n = n_start
-    value = level_fn(n)
-    gaps, err = [0.0, 0.0], 0.0  # zeros ahead of the first gap: no guard, no tail yet
-    while n < n_max:
-        nxt = level_fn(2 * n)
-        gaps.append(abs(nxt - value))
-        value = nxt
-        n *= 2
-        g0, g1, g2 = gaps[-3:]
-        err = max(g2, prev_weight * g1)
-        if geometric and g0 > 0 and 2 * g2 < g1 and 2 * g2 * g0 < g1 * g1:  # r = g2/g1, r_prev = g1/g0
-            err = g2 * g2 / (g1 - g2)
-        if g2 < tol and (err < tol or not geometric):
-            break
-    return value, max(safety * err, _err_floor(value)), n
 
 
 # -- torus evaluator -----------------------------------------------------------
@@ -335,7 +281,7 @@ def _circle_mean(values_at, cuts, n: int | None, tol: float) -> tuple[float, flo
 
     ``values_at`` maps an array of t to the per-node integrand.  With
     breakpoints ``cuts`` (t in [0, 1)) and no pinned node count, each arc
-    between consecutive cuts is integrated by vectorized tanh-sinh; the
+    between consecutive cuts is integrated by tanh-sinh; the
     integrand is analytic inside an arc and at worst square-root-like at its
     ends.  Without cuts, with ``n`` given, or when an arc does not converge,
     the midpoint ladder runs on the whole period instead.
@@ -343,7 +289,7 @@ def _circle_mean(values_at, cuts, n: int | None, tol: float) -> tuple[float, flo
     if n is None and len(cuts):
         ends = list(cuts) + [cuts[0] + 1.0]
         arcs = [
-            tanh_sinh(values_at, a, b, tol / len(cuts), vectorized=True)
+            tanh_sinh(values_at, a, b, tol / len(cuts))
             for a, b in zip(ends[:-1], ends[1:])
             if a < b
         ]

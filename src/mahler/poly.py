@@ -152,17 +152,6 @@ class LaurentPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()}, nvars=self._nvars)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            other = LaurentPolynomial.constant(other, self._nvars)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, LaurentPolynomial):
             c = _normalise_coeff(other)
@@ -183,18 +172,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(out, nvars=self._nvars)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = LaurentPolynomial.constant(1, self._nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):

@@ -25,8 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .config import DEFAULTS
-from .quadrature import NumericalError, QuadratureResult, tanh_sinh
+from .quadrature import NumericalError, QuadratureResult, _budget, _refine
+from .roots import quadratic_roots
 
 __all__ = [
     "SingularityProfile",
@@ -115,12 +118,17 @@ class SingularityProfile:
 
 
 def cubic_singularities(lam: float) -> tuple[float, float, float]:
-    """(x0, x1, x2) = (-1/lam, -(lam+s)/8, -(lam-s)/8) with s = sqrt(lam^2-16)."""
+    """(x0, x1, x2) = (-1/lam, -(lam+s)/8, -(lam-s)/8) with s = sqrt(lam^2-16).
+
+    x1 and x2 are the roots of ``4x^2 + lam x + 1``: the one of larger
+    modulus from :func:`quadratic_roots` and the other as its cofactor, so
+    neither cancels.
+    """
     lam = float(lam)
     if lam * lam < 16.0:
         raise ValueError("real singular points require |lam| >= 4")
-    s = math.sqrt(lam * lam - 16.0)
-    return (-1.0 / lam, -(lam + s) / 8.0, -(lam - s) / 8.0)
+    big, small = (float(x.real) for x in quadratic_roots(lam / 4.0, 0.25))
+    return (-1.0 / lam, *((small, big) if lam < 0.0 else (big, small)))
 
 
 def _z_of_x(x: float, sign: int) -> float:
@@ -130,27 +138,20 @@ def _z_of_x(x: float, sign: int) -> float:
 def singular_points(lam: float) -> SingularityProfile:
     """Singularity bookkeeping for the flattened derivative integrals.
 
-    For lam < -5 the x-roots satisfy 0 < x0 < x1 < 1/4 with x2 > 1 and all
-    four z-images lie on (0, 1); for lam > 13 they satisfy
-    x1 < -2 < x2 < x0 < 0 with two z-images.  Anything in between is
-    rejected.
+    For lam < -5 the x-roots should satisfy 0 < x0 < x1 < 1/4 with x2 > 1,
+    with all four z-images on (0, 1); for lam > 13 they should satisfy
+    x1 < -2 < x2 < x0 < 0 with two z-images on (-1, 1).  Those orderings are
+    checked by ``identities.verify_singularity_order``.  Anything in between
+    is rejected.
     """
     lam = float(lam)
     if lam < -5.0:
         x0, x1, x2 = cubic_singularities(lam)
-        if not (0.0 < x0 < x1 < 0.25 and x2 > 1.0):
-            raise NumericalError("x-ordering violated in the negative regime")
         z = (_z_of_x(x0, -1), _z_of_x(x1, -1), _z_of_x(x1, +1), _z_of_x(x0, +1))
-        if not all(0.0 < a < b < 1.0 for a, b in zip(z, z[1:])):
-            raise NumericalError("z-ordering violated in the negative regime")
         return SingularityProfile(x0=x0, x1=x1, x2=x2, z_points=z, regime="neg")
     if lam > 13.0:
         x0, x1, x2 = cubic_singularities(lam)
-        if not (x1 < -2.0 < x2 < x0 < 0.0):
-            raise NumericalError("x-ordering violated in the positive regime")
         z = (_z_of_x(x2, -1), _z_of_x(x0, -1))
-        if not (-1.0 < z[0] < z[1] < 1.0):
-            raise NumericalError("z-ordering violated in the positive regime")
         return SingularityProfile(x0=x0, x1=x1, x2=x2, z_points=z, regime="pos")
     raise UnsupportedRegimeError("singular points are classified only for lam < -5 or lam > 13")
 
@@ -172,7 +173,7 @@ def dp_dlambda(lam: float) -> float:
 def dr_dlambda(lam: float) -> float:
     """Derivative of the R-family measure, |lam| > 4.
 
-    Evaluates both the AGM closed form and the tanh-sinh quadrature of
+    Evaluates both the AGM closed form and the quadrature of
     ``int_0^1 dt/sqrt(t(1-t)(lam^2 - 16t))`` and insists they agree to
     1e-11 before returning the (more precise) closed form.
     """
@@ -189,41 +190,31 @@ def dr_dlambda(lam: float) -> float:
 
 
 def _radical_integral(a: float, b: float, far: float, c: float, linear: bool = False, tol: float | None = None):
-    """Tanh-sinh integral over [a, b] of ``1/sqrt(c (x-a)(b-x)(far-x))``.
+    """Integral over [a, b] of ``1/sqrt(c (x-a)(b-x)(far-x))``, a :class:`QuadratureResult`.
 
-    With ``linear`` the radicand has the extra factor ``(1 - 4x)``.  Each half
-    is integrated in its distance-to-endpoint coordinate s, so the
-    inverse-square-root endpoints are resolved down to the last representable
-    double instead of flooring near sqrt(machine epsilon).  The sign of the
-    radicand comes from the signed ``c`` and the side of ``far``; a radicand
-    that is not positive at the midpoint (a far root inside [a, b], say)
-    raises :class:`NumericalError`.  Returns the summed
-    :class:`QuadratureResult` of the two halves.
+    With ``linear`` the radicand has the extra factor ``(1 - 4x)``.  The
+    substitution ``x = (a+b)/2 + (b-a)/2 cos(pi t)`` turns
+    ``dx/sqrt((x-a)(b-x))`` into ``pi dt``, so the integral is the mean over
+    t in [0, 1) of ``pi/sqrt(c (far-x) [1-4x])``: a smooth periodic
+    integrand, on which the midpoint ladder converges geometrically
+    (Gauss-Chebyshev quadrature).  The sign of the radicand comes from the
+    signed ``c`` and the side of ``far``; a radicand that is not positive at
+    a node (a far root inside [a, b], say) raises :class:`NumericalError`.
     """
-    length, half = b - a, 0.5 * (b - a)
-    fa, fb, la, lb = far - a, far - b, 1.0 - 4.0 * a, 1.0 - 4.0 * b
-    sides = (
-        (lambda s: c * s * (length - s) * (fa - s), lambda s: la - 4.0 * s),  # x = a + s
-        (lambda s: c * (length - s) * s * (fb + s), lambda s: lb + 4.0 * s),  # x = b - s
-    )
-    fac, lin = sides[0]
-    if fac(half) <= 0.0 or (linear and lin(half) <= 0.0):
-        raise NumericalError("radicand is not positive at the midpoint of the integration interval")
+    rad = 0.5 * (b - a)
 
-    def kernel(fac, lin):
-        def g(s: float) -> float:
-            r = fac(s) * lin(s) if linear else fac(s)
-            return 1.0 / math.sqrt(r) if r > 0.0 else 0.0
+    def mean(m: int) -> float:
+        half = 0.5 * np.pi * (np.arange(m) + 0.5) / m  # half the angle pi t
+        # far - x from the end nearer to far, so that a far root close to it does not cancel
+        gap = far - b + 2.0 * rad * np.sin(half) ** 2 if far >= b else far - a - 2.0 * rad * np.cos(half) ** 2
+        r = c * gap * (1.0 - 4.0 * a - 8.0 * rad * np.cos(half) ** 2) if linear else c * gap
+        if r.min() <= 0.0:
+            raise NumericalError("radicand is not positive inside the integration interval")
+        return float((np.pi / np.sqrt(r)).mean())
 
-        return g
-
-    left, right = (tanh_sinh(kernel(fac, lin), 0.0, half, tol) for fac, lin in sides)
-    return QuadratureResult(
-        value=left.value + right.value,
-        error_estimate=left.error_estimate + right.error_estimate,
-        nodes=left.nodes + right.nodes,
-        converged=left.converged and right.converged,
-    )
+    start, cap, tol = _budget(None, DEFAULTS.tanh_sinh_tol if tol is None else float(tol))
+    value, err, nodes = _refine(mean, start, cap, tol)
+    return QuadratureResult(value=value, error_estimate=err, nodes=nodes, converged=nodes < cap)
 
 
 def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False, tol: float = 1e-13):

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 import mahler.measures as measures
+import mahler.specfun as specfun
 from mahler.cli import main
 from mahler.identities import DEFAULT_PARAMS, DEFAULT_TOLERANCES, verify_branch_bounds
 from mahler.measures import q_measure, r_measure
@@ -308,3 +309,57 @@ def test_compute_rejects_non_finite_family_parameter(capsys, family, value, meth
     code, out, err = run(capsys, ["compute", "--family", family, f"--lambda={value}", "--method", method])
     assert code == 2
     assert out == "" and "parameter" in err and "finite" in err
+
+
+def test_compute_default_table_line(capsys):
+    code, out, err = run(capsys, ["compute", "--family", "r", "--lambda", "6", "--nodes", "1024"])
+    assert code == 0 and err == ""
+    assert out == "r parameter=6.0 value=1.72731175401429 method=family_fast error_estimate=2.4223394437099887e-15\n"
+
+
+def test_compute_three_variable_poly_file_switches_to_torus(capsys, tmp_path):
+    # the Jensen reduction needs two variables; m(1 + x + y + z) = 7 zeta(3) / (2 pi^2)
+    f = tmp_path / "smyth3.txt"
+    f.write_text("1:0,0,0\n1:1,0,0\n1:0,1,0\n1:0,0,1\n")
+    code, out, _ = run(capsys, ["compute", "--poly-file", str(f), "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "torus" and payload["parameter"] is None
+    assert abs(payload["value"] - 7 * 1.2020569031595943 / (2 * math.pi**2)) < 1e-4
+
+
+def test_sweep_out_writes_the_csv_to_the_file(capsys, tmp_path):
+    argv = ["sweep", "--family", "r", "--from", "5", "--to", "7", "--step", "1"]
+    _, expected, _ = run(capsys, argv)
+    f = tmp_path / "r.csv"
+    code, out, _ = run(capsys, [*argv, "--out", str(f)])
+    assert code == 0 and out == ""
+    assert f.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "main", "--lambda", "-6", "--tol", "nosuch=1e-3"], "error: bad tolerance override 'nosuch=1e-3'\n"),
+    (["compute", "--lambda", "6"], "error: need --family or --poly-file\n"),
+    (["sweep", "--identity", "boyd", "--from", "1", "--to", "2", "--step", "0.5"],
+     "error: boyd sweeps take integer parameters\n"),
+])
+def test_usage_errors_print_their_reason(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [["verify", "J", "--lambda", "1e5"], ["verify", "derivatives", "--lambda", "1e6"]])
+def test_kernel_checks_at_large_lambda(capsys, argv):
+    # the cancelling small root of 4x^2 + lam x + 1 once made the J interval negative here
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert all(r["passed"] for r in _reports(out))
+
+
+def test_singularity_order_violation_is_a_failed_check(capsys, monkeypatch):
+    # swapping x0 and x1 breaks 0 < x0 < x1 < 1/4: a FAIL row and exit 1, not a numerical failure
+    cubic = specfun.cubic_singularities
+    monkeypatch.setattr(specfun, "cubic_singularities", lambda lam: (lambda x0, x1, x2: (x1, x0, x2))(*cubic(lam)))
+    code, out, err = run(capsys, ["verify", "singularities", "--lambda", "-6"])
+    assert code == 1
+    assert [r["passed"] for r in _reports(out)] == [False]
+    assert "singularity_order" in err and "FAIL" in err and "0/1 checks passed" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mahler.measures as measures
+import mahler.quadrature as quadrature
 from mahler.measures import (
     _TORUS_OFFSETS,
     _circle,
@@ -306,11 +307,11 @@ def test_geometric_ladder_stops_early_on_its_tail_estimate():
     def level(n):
         return 1.0 + 0.5 ** (n / 8)
 
-    value, err, nodes = measures._refine(level, 64, 2**18, 1e-9)
+    value, err, nodes = quadrature._refine(level, 64, 2**18, 1e-9)
     assert nodes == 512
     assert abs(value - 1.0) <= err < 1e-9
     # the guard max(gap, gap_prev / 4) at the same level is 3.8e-6, above tol
-    assert measures._refine(level, 64, 512, 1e-9, geometric=False)[1] > 1e-6
+    assert quadrature._refine(level, 64, 512, 1e-9, geometric=False)[1] > 1e-6
 
 
 @pytest.mark.parametrize("level", [
@@ -319,8 +320,8 @@ def test_geometric_ladder_stops_early_on_its_tail_estimate():
 ], ids=["n^-2", "alternating n^-1.5"])
 def test_algebraic_ladder_keeps_the_guard(level):
     # n^-2 meets tol at 65536 nodes; the alternating ladder reaches the cap unconverged
-    value, err, nodes = measures._refine(level, 64, 2**18, 1e-9)
-    assert (value, err, nodes) == measures._refine(level, 64, 2**18, 1e-9, geometric=False)
+    value, err, nodes = quadrature._refine(level, 64, 2**18, 1e-9)
+    assert (value, err, nodes) == quadrature._refine(level, 64, 2**18, 1e-9, geometric=False)
     assert abs(value - 1.0) <= err
 
 
@@ -331,5 +332,5 @@ def test_pinned_ladder_estimate_is_the_two_gap_guard(n):
         return np.log(np.abs(3.0 + np.exp(2j * np.pi * t)))
 
     v1, v2, v3 = (float(values_at((np.arange(m) + 0.5) / m).mean()) for m in (n // 4, n // 2, n))
-    expected = max(abs(v3 - v2), 0.25 * abs(v2 - v1), measures._err_floor(v3))
+    expected = max(abs(v3 - v2), 0.25 * abs(v2 - v1), quadrature._err_floor(v3))
     assert measures._circle_mean(values_at, (), n, 1e-9) == (v3, expected)

@@ -183,11 +183,6 @@ def test_multiplication_is_exact_on_fractions():
     assert prod.is_exact()
 
 
-def test_power_matches_repeated_multiplication():
-    a = lp({(1, 0): 1, (0, 0): -1})
-    assert a**3 == a * a * a
-
-
 def test_serialization_roundtrip():
     P = lp({(1, -2): Fraction(-3, 2), (0, 0): 4, (2, 1): 0.125})
     text = poly_to_text(P)

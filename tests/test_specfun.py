@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 import mahler.specfun
 from mahler.measures import p_measure, q_measure
@@ -14,6 +16,7 @@ from mahler.specfun import (
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
+    _radical_integral,
     integrate_derivative_kernel,
     singular_points,
 )
@@ -38,16 +41,14 @@ def dq_dlambda_fd(lam: float, h: float = FD_STEP) -> float:
 
 
 def radical_kernel(lam: float):
-    """Naive integrand 1/sqrt(-(1+lam*x)(1+lam*x+4x^2)), guarded near ends."""
+    """Naive integrand 1/sqrt(-(1+lam*x)(1+lam*x+4x^2)) on an array of x, guarded near ends."""
 
-    def g(x: float) -> float:
+    def g(x):
         u = 1.0 + lam * x
         r = -u * (u + 4.0 * x * x)
-        if r <= 0.0:
-            # reachable only by rounding within a few ulp of an endpoint,
-            # where the double-exponential weight is negligible anyway
-            return 0.0
-        return 1.0 / math.sqrt(r)
+        # r <= 0 is reachable only by rounding within a few ulp of an
+        # endpoint, where the double-exponential weight is negligible anyway
+        return np.where(r > 0.0, 1.0 / np.sqrt(np.where(r > 0.0, r, 1.0)), 0.0)
 
     return g
 
@@ -219,9 +220,58 @@ def test_radical_kernel_positive_inside_interval(monkeypatch):
 
 
 def test_kernel_integral_matches_direct_tanh_sinh():
-    # the endpoint-anchored split must agree with the naive engine call to
+    # the cosine-variable ladder must agree with the naive engine call to
     # within the naive call's representability floor
     x0, x1, _ = cubic_singularities(-8.0)
     direct = tanh_sinh(radical_kernel(-8.0), x0, x1)
-    split = integrate_derivative_kernel(-8.0)
-    assert abs(direct.value - split.value) < 5e-8
+    ladder = integrate_derivative_kernel(-8.0)
+    assert abs(direct.value - ladder.value) < 5e-8
+
+
+def _radical_reference(a, b, far, c, linear=False) -> float:
+    """int_a^b dx/sqrt(c (x-a)(b-x)(far-x) [1-4x]) at 40 digits, with x = a + (b-a) sin^2(phi)."""
+    with mp.workdps(40):
+        a, b, far, c = (mpf(v) for v in (a, b, far, c))
+
+        def f(phi):
+            x = a + (b - a) * mp.sin(phi) ** 2
+            return 2 / mp.sqrt(c * (far - x) * ((1 - 4 * x) if linear else 1))
+
+        return float(mp.quad(f, [0, mp.pi / 2]))
+
+
+# the reference takes the double roots, so it measures the integration alone
+@pytest.mark.parametrize("lam", [-1e4, -55.0078125, -20.0, -8.0, -6.0, -5.03, -5.0])
+def test_j2_kernel_matches_mpmath(lam):
+    x0, x1, x2 = cubic_singularities(lam)
+    r = integrate_derivative_kernel(lam)
+    assert r.converged
+    assert abs(r.value - _radical_reference(x0, x1, x2, -4.0 * lam)) <= 1e-15 * r.value
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["J1", "J3"])
+@pytest.mark.parametrize("lam", [5.0001, 5.03, 6.0, 13.0078125, 16.0, 25.0, 63.0078125, 1e4])
+def test_j1_j3_kernels_match_mpmath(lam, linear):
+    x0, x1, x2 = cubic_singularities(lam)
+    r = integrate_derivative_kernel(lam, with_linear_factor=linear)
+    assert r.converged
+    assert abs(r.value - _radical_reference(x2, x0, x1, -4.0 * lam, linear)) <= 1e-15 * r.value
+
+
+@pytest.mark.parametrize("lam", [4.01, 4.5, 5.03, 20.0, 1e4])
+def test_dr_quadrature_route_matches_mpmath(lam):
+    # at 4.01 the far root lam^2/16 sits 5e-3 past the end of [0, 1]
+    far = lam * lam / 16.0
+    r = _radical_integral(0.0, 1.0, far, 16.0)
+    assert r.converged
+    assert abs(r.value - _radical_reference(0.0, 1.0, far, 16.0)) <= 1e-15 * r.value
+
+
+@pytest.mark.parametrize("lam", [-1e6, -1e4, 1e4, 1e6])
+def test_cubic_singularities_match_mpmath(lam):
+    # the root of 4x^2 + lam x + 1 near -1/lam used to cancel: 6.8e-10 relative at 1e4
+    with mp.workdps(40):
+        s = mp.sqrt(mpf(lam) ** 2 - 16)
+        exact = (-1 / mpf(lam), -(lam + s) / 8, -(lam - s) / 8)
+    for got, want in zip(cubic_singularities(lam), exact):
+        assert abs(got - want) <= 1e-15 * abs(want)
