@@ -280,7 +280,7 @@ def verify_singularity_order(lam: float, *, tol: float | None = None) -> Verific
     else:
         z1, z2 = prof.z_points
         margins = [-2.0 - prof.x1, prof.x2 + 2.0, prof.x0 - prof.x2, -prof.x0, z1 + 1.0, z2 - z1, 1.0 - z2]
-    worst = min(margins)
+    worst = min(m for m in margins if not math.isnan(m))  # a NaN z-image has a negative x margin already
     return _report(
         "singularity_order", lam, worst, 0.0, max(0.0, -worst), tol,
         detail=prof.regime,

@@ -119,7 +119,11 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
     """Measure of ``P`` by direct torus quadrature (1 to 3 variables).
 
     ``n`` pins the final per-dimension node count (see :func:`_budget`);
-    otherwise levels double until the last gap drops below ``tol``.
+    otherwise levels double from ``torus_nodes_start`` (at most a sixteenth
+    of the cap, so at least five levels) until the power-law estimate of
+    ``quadrature._refine`` meets ``tol``.  Where ``P`` vanishes on the torus
+    the rule converges like a power of n, and the estimate and value come from
+    Richardson extrapolation once the fitted exponent settles.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
@@ -130,9 +134,7 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
     value, err, _ = _refine(
         lambda m: _torus_mean_log(P, m),
-        *_budget(n, tol, min(DEFAULTS.torus_nodes_start, n_max), n_max),
-        prev_weight=0.5,
-        safety=1.25,
+        *_budget(n, tol, min(DEFAULTS.torus_nodes_start, n_max // 16), n_max),
         geometric=False,
     )
     return MeasureValue(value=value, method="torus", error_estimate=err)

@@ -167,38 +167,81 @@ def _budget(
     return n // 4, n, 0.0
 
 
-def _refine(
-    level_fn,
-    n_start: int,
-    n_max: int,
-    tol: float,
-    *,
-    prev_weight: float = 0.25,
-    safety: float = 1.0,
-    geometric: bool = True,
-) -> tuple[float, float, int]:
-    """Double nodes until two successive levels agree to tol or the cap bites.
+_PREV_WEIGHT = 0.25  # share of the previous gap (or extrapolated step) that guards the last one
+# A power-law ladder (error ~ C n^-p: the trapezoid rule on an integrand with
+# algebraic or logarithmic singularities) is extrapolated only with an exponent
+# in this band on which two successive levels agree to within _RATE_AGREE.
+_RATE_BAND = (0.5, 4.0)
+_RATE_AGREE = 0.1
+_POWER_SAFETY = 1.25  # scales every estimate of a power-law ladder
 
-    Returns (value, error_estimate, nodes).  The estimate is the last level
-    gap guarded by ``prev_weight`` times the previous gap (an accidentally
-    small step must not masquerade as convergence) and scaled by ``safety``;
-    slowly converging rules with sign-oscillating level errors need both.
-    A ``geometric`` rule (midpoint, analytic periodic integrand) whose last
-    three gaps fall in ratio (r < r_prev/2, r < 1/2) reports the tail
-    ``gap * r / (1 - r)``; it stops only when gap and estimate are below tol.
+
+def _geometric_estimate(values: list[float]) -> tuple[float, float, float]:
+    """(value, last gap, estimate) of a ladder whose error falls geometrically.
+
+    The estimate is the last gap guarded by ``_PREV_WEIGHT`` times the
+    previous gap (an accidentally small step must not masquerade as
+    convergence).  Once the last three gaps fall in ratio (r < r_prev/2,
+    r < 1/2) it is the tail ``gap * r / (1 - r)``.
     """
-    n = n_start
-    value = level_fn(n)
-    gaps, err = [0.0, 0.0], 0.0  # zeros ahead of the first gap: no guard, no tail yet
-    while n < n_max:
-        nxt = level_fn(2 * n)
-        gaps.append(abs(nxt - value))
-        value = nxt
-        n *= 2
-        g0, g1, g2 = gaps[-3:]
-        err = max(g2, prev_weight * g1)
-        if geometric and g0 > 0 and 2 * g2 < g1 and 2 * g2 * g0 < g1 * g1:  # r = g2/g1, r_prev = g1/g0
+    g2 = abs(values[-1] - values[-2])
+    g1 = abs(values[-2] - values[-3]) if len(values) > 2 else 0.0
+    err = max(g2, _PREV_WEIGHT * g1)
+    if len(values) > 3:
+        g0 = abs(values[-3] - values[-4])
+        if g0 > 0 and 2 * g2 < g1 and 2 * g2 * g0 < g1 * g1:  # r = g2/g1, r_prev = g1/g0
             err = g2 * g2 / (g1 - g2)
-        if g2 < tol and (err < tol or not geometric):
+    return values[-1], g2, err
+
+
+def _power_estimate(values: list[float]) -> tuple[float, float, float]:
+    """(value, last step, estimate) of a ladder whose error falls like a power of n.
+
+    Richardson extrapolation: with signed gaps d1, d2 ending at level v, the
+    exponent is p = log2(d1/d2) and the extrapolated value
+    e = v + d2/(2^p - 1), exact for v_n = V + C n^-p.  When each of the last
+    three levels has a fit (its two gaps share a sign and shrink) and the
+    last two exponents agree and lie in ``_RATE_BAND``, the value is e and
+    the estimate guards its last step: max(|e_k - e_(k-1)|, w |e_(k-1) - e_(k-2)|).
+    Otherwise the raw gaps set it: with three or more, the tail of the
+    slowest admitted rate n^-1/2 beyond the larger of the last two gaps,
+    max(g, g_prev)/(sqrt(2) - 1); with two (a pinned node count), the guard
+    max(g, g_prev/2).
+    """
+    fits = []
+    for k in range(max(len(values) - 3, 2), len(values)):
+        d1, d2 = values[k - 1] - values[k - 2], values[k] - values[k - 1]
+        if d2 != 0.0 and d1 / d2 > 1.0:
+            p = math.log2(d1 / d2)
+            fits.append((p, values[k] + d2 / (2.0**p - 1.0)))
+    if len(fits) == 3 and abs(fits[2][0] - fits[1][0]) <= _RATE_AGREE and _RATE_BAND[0] <= fits[2][0] <= _RATE_BAND[1]:
+        e0, e1, e2 = (e for _, e in fits)
+        return e2, abs(e2 - e1), _POWER_SAFETY * max(abs(e2 - e1), _PREV_WEIGHT * abs(e1 - e0))
+    g = abs(values[-1] - values[-2])
+    g_prev = abs(values[-2] - values[-3]) if len(values) > 2 else 0.0
+    if len(values) > 3:
+        return values[-1], g, _POWER_SAFETY * max(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
+    return values[-1], g, _POWER_SAFETY * max(g, 0.5 * g_prev)
+
+
+def _refine(level_fn, n_start: int, n_max: int, tol: float, *, geometric: bool = True) -> tuple[float, float, int]:
+    """Double nodes from ``n_start`` until the estimate meets tol or ``n_max`` is reached.
+
+    Returns (value, error_estimate, nodes).  A ``geometric`` ladder (midpoint
+    rule, analytic periodic integrand) is estimated by
+    :func:`_geometric_estimate`, any other (torus rule, integrand with
+    singularities) by :func:`_power_estimate`.  The ladder stops when the last
+    step and the estimate are both below tol; a power-law ladder needs three
+    gaps first, so neither its first gap nor an unchecked rate can stop it.
+    """
+    estimate = _geometric_estimate if geometric else _power_estimate
+    n = n_start
+    values = [level_fn(n)]
+    value, err = values[0], 0.0
+    while n < n_max:
+        n *= 2
+        values.append(level_fn(n))
+        value, step, err = estimate(values)
+        if step < tol and err < tol and (geometric or len(values) > 3):
             break
-    return value, max(safety * err, _err_floor(value)), n
+    return value, max(err, _err_floor(value)), n

@@ -132,7 +132,9 @@ def cubic_singularities(lam: float) -> tuple[float, float, float]:
 
 
 def _z_of_x(x: float, sign: int) -> float:
-    return 0.5 * (1.0 + sign * math.sqrt(1.0 - 4.0 * x))
+    """A root z of z(1 - z) = x; NaN for x > 1/4, whose images are not real."""
+    d = 1.0 - 4.0 * x
+    return 0.5 * (1.0 + sign * math.sqrt(d)) if d >= 0.0 else math.nan
 
 
 def singular_points(lam: float) -> SingularityProfile:
@@ -141,8 +143,9 @@ def singular_points(lam: float) -> SingularityProfile:
     For lam < -5 the x-roots should satisfy 0 < x0 < x1 < 1/4 with x2 > 1,
     with all four z-images on (0, 1); for lam > 13 they should satisfy
     x1 < -2 < x2 < x0 < 0 with two z-images on (-1, 1).  Those orderings are
-    checked by ``identities.verify_singularity_order``.  Anything in between
-    is rejected.
+    checked by ``identities.verify_singularity_order``; where they fail so
+    that an x lies above 1/4, its z-images are NaN.  Anything in between is
+    rejected.
     """
     lam = float(lam)
     if lam < -5.0:

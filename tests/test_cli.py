@@ -363,3 +363,13 @@ def test_singularity_order_violation_is_a_failed_check(capsys, monkeypatch):
     assert code == 1
     assert [r["passed"] for r in _reports(out)] == [False]
     assert "singularity_order" in err and "FAIL" in err and "0/1 checks passed" in err
+
+
+def test_singularity_order_violation_above_a_quarter_is_a_failed_check(capsys, monkeypatch):
+    # swapping x1 and x2 puts x1 > 1/4, whose z-images are not real: still a FAIL row and exit 1
+    cubic = specfun.cubic_singularities
+    monkeypatch.setattr(specfun, "cubic_singularities", lambda lam: (lambda x0, x1, x2: (x0, x2, x1))(*cubic(lam)))
+    code, out, err = run(capsys, ["verify", "singularities", "--lambda", "-6"])
+    assert code == 1
+    assert [r["passed"] for r in _reports(out)] == [False]
+    assert "singularity_order" in err and "FAIL" in err and "0/1 checks passed" in err

@@ -302,6 +302,19 @@ def test_pinned_node_count_must_be_a_multiple_of_four_from_eight(name, n):
 # -- the whole-circle ladder's error estimate ------------------------------------
 
 
+def _guard_ladder(level, n, cap, tol):
+    """The guard rule alone: estimate max(gap, gap_prev/4), stop once gap and estimate are below tol."""
+    values, gaps = [level(n)], [0.0]
+    while n < cap:
+        n *= 2
+        values.append(level(n))
+        gaps.append(abs(values[-1] - values[-2]))
+        err = max(gaps[-1], 0.25 * gaps[-2])
+        if gaps[-1] < tol and err < tol:
+            break
+    return values[-1], max(err, quadrature._err_floor(values[-1])), n
+
+
 def test_geometric_ladder_stops_early_on_its_tail_estimate():
     # errors 2^(-n/8): at 512 nodes the gaps 3.9e-3, 1.5e-5, 2.3e-10 fall in ratio
     def level(n):
@@ -311,7 +324,7 @@ def test_geometric_ladder_stops_early_on_its_tail_estimate():
     assert nodes == 512
     assert abs(value - 1.0) <= err < 1e-9
     # the guard max(gap, gap_prev / 4) at the same level is 3.8e-6, above tol
-    assert quadrature._refine(level, 64, 512, 1e-9, geometric=False)[1] > 1e-6
+    assert _guard_ladder(level, 64, 512, 1e-9)[1] > 1e-6
 
 
 @pytest.mark.parametrize("level", [
@@ -321,7 +334,7 @@ def test_geometric_ladder_stops_early_on_its_tail_estimate():
 def test_algebraic_ladder_keeps_the_guard(level):
     # n^-2 meets tol at 65536 nodes; the alternating ladder reaches the cap unconverged
     value, err, nodes = quadrature._refine(level, 64, 2**18, 1e-9)
-    assert (value, err, nodes) == quadrature._refine(level, 64, 2**18, 1e-9, geometric=False)
+    assert (value, err, nodes) == _guard_ladder(level, 64, 2**18, 1e-9)
     assert abs(value - 1.0) <= err
 
 
@@ -334,3 +347,62 @@ def test_pinned_ladder_estimate_is_the_two_gap_guard(n):
     v1, v2, v3 = (float(values_at((np.arange(m) + 0.5) / m).mean()) for m in (n // 4, n // 2, n))
     expected = max(abs(v3 - v2), 0.25 * abs(v2 - v1), quadrature._err_floor(v3))
     assert measures._circle_mean(values_at, (), n, 1e-9) == (v3, expected)
+
+
+# -- the torus ladder's power-law estimate ------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_power_ladder_extrapolates_a_pure_power_law(p):
+    # two successive fitted exponents equal p exactly, so the fifth level (1024)
+    # extrapolates to the limit up to rounding
+    value, err, nodes = quadrature._refine(lambda n: 1.0 + n**-p, 64, 4096, 1e-9, geometric=False)
+    assert nodes == 1024
+    assert abs(value - 1.0) <= err == quadrature._err_floor(value)
+
+
+@pytest.mark.parametrize("level, tol, stop", [
+    (lambda n: 1.0 + n**-2.0 + 20.0 * n**-3.0, 2.5e-7, 2048),  # the fitted exponent drifts down to 2
+    (lambda n: 1.0 + 1e-2 * n**-1.5 - 1e-3 * 2.0 ** (-n / 32), 1e-9, 4096),  # a hump: no single rate
+], ids=["n^-2 + n^-3", "n^-1.5 - 2^(-n/32)"])
+def test_power_ladder_estimate_holds_on_two_terms(level, tol, stop):
+    value, err, nodes = quadrature._refine(level, 64, 4096, tol, geometric=False)
+    assert nodes == stop
+    assert abs(value - 1.0) <= err
+
+
+def test_power_ladder_needs_three_gaps():
+    # a constant ladder has zero gaps; the whole-circle rule stops on its first
+    # gap, the power-law rule only on its third
+    assert quadrature._refine(lambda n: 2.0, 64, 4096, 1e-9)[2] == 128
+    assert quadrature._refine(lambda n: 2.0, 64, 4096, 1e-9, geometric=False)[2] == 512
+
+
+def test_power_ladder_stops_on_its_estimate_not_on_a_small_gap():
+    # an accidentally small last gap after large ones: the old torus rule stopped
+    # on that gap alone at 512; the raw estimate max(g, g_prev)/(sqrt(2) - 1)
+    # waits until two small gaps in a row
+    table = {64: 0.0, 128: 1e-4, 256: 3e-4, 512: 3e-4 + 1e-12}
+    value, err, nodes = quadrature._refine(lambda n: table.get(n, 3e-4), 64, 4096, 1e-9, geometric=False)
+    assert nodes == 1024
+    assert value == 3e-4 and err < 1e-9
+
+
+def test_cubic_fiber_torus_estimate_guards_the_extrapolated_values():
+    # y^3 + 2xy + 3: extrapolated values approach log 3 slowly; at 1024^2 the last
+    # extrapolated step is 3.3e-10 but the value is 9.9e-10 off, so the estimate
+    # must keep the guard on the previous step
+    mv = mahler_torus(lp({(0, 3): 1, (1, 1): 2, (0, 0): 3}))
+    assert abs(mv.value - math.log(3.0)) <= mv.error_estimate <= 2.5e-7
+
+
+def test_torus_r0_extrapolates_to_zero():
+    # R_0 = x + 1/x + y + 1/y converges like 1/n; the limit 0 is reached to rounding
+    mv = mahler_torus(make_family(FamilySpec("R", 0.0)))
+    assert abs(mv.value) <= mv.error_estimate < 1e-14
+
+
+def test_three_variable_torus_runs_five_levels(monkeypatch):
+    seen = _record_levels(monkeypatch)
+    mahler_torus(lp({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, nvars=3))
+    assert seen == [8, 16, 32, 64, 128]
