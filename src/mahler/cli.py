@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import DEFAULTS, show_config
 from .identities import (
@@ -21,12 +20,9 @@ from .identities import (
     reports_to_jsonl,
     run_suite,
     summary_table,
-    verify_boyd,
-    verify_derivatives,
-    verify_J,
-    verify_main,
+    sweep_reports,
 )
-from .measures import mahler_jensen_2var, mahler_torus, p_measure, q_measure, r_measure
+from .measures import MeasureValue, family_measures, mahler_jensen_2var, mahler_torus, p_measure, q_measure, r_measure
 from .poly import FamilySpec, make_family, poly_from_text
 from .quadrature import NumericalError
 
@@ -81,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--to", dest="stop", type=float, required=True)
     ps.add_argument("--step", type=float, required=True)
     ps.add_argument("--out", help="write CSV here instead of stdout")
-    ps.add_argument("--jobs", type=int, default=1, help="parallel rows (output order is unchanged)")
+    ps.add_argument("--jobs", type=int, default=1,
+                    help="accepted and ignored: the rows of a sweep are evaluated together as one batch")
     return parser
 
 
@@ -189,36 +186,28 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _sweep_row(kind: str, name: str, lam: float) -> str:
-    try:
-        if kind == "family":
-            mv = _fast(name)(lam)
-            return f"{_fmt(lam)},{_fmt(mv.value)},,,{_fmt(mv.error_estimate)},ok"
-        checks = {"main": verify_main, "boyd": lambda v: verify_boyd(int(v)), "derivatives": verify_derivatives}
-        rep = checks[name](lam) if name in checks else verify_J(lam, name)
-        status = "ok" if rep.passed else "fail"
-        return (
-            f"{_fmt(lam)},{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.residual)},"
-            f"{_fmt(rep.error_estimate)},{status}"
-        )
-    except (ValueError, NumericalError) as exc:
-        reason = str(exc).replace(",", ";").replace("\n", " ")
+def _csv_row(lam: float, result) -> str:
+    """One sweep row: a family value, an identity report, or the error its row failed with."""
+    if isinstance(result, Exception):
+        reason = str(result).replace(",", ";").replace("\n", " ")
         return f"{_fmt(lam)},,,,,error:{reason}"
+    if isinstance(result, MeasureValue):
+        return f"{_fmt(lam)},{_fmt(result.value)},,,{_fmt(result.error_estimate)},ok"
+    status = "ok" if result.passed else "fail"
+    return (
+        f"{_fmt(lam)},{_fmt(result.lhs)},{_fmt(result.rhs)},{_fmt(result.residual)},"
+        f"{_fmt(result.error_estimate)},{status}"
+    )
 
 
 def cmd_sweep(args) -> int:
     values = _sweep_values(args.start, args.stop, args.step)
     if not values:
         raise ValueError("empty sweep range")
-    kind = "family" if args.family else "identity"
-    name = args.family or args.identity
-    if name == "boyd" and not all(float(v).is_integer() for v in values):
+    if args.identity == "boyd" and not all(float(v).is_integer() for v in values):
         raise ValueError("boyd sweeps take integer parameters")
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(kind, name, v), values))
-    else:
-        rows = [_sweep_row(kind, name, v) for v in values]
+    results = family_measures(args.family, values) if args.family else sweep_reports(args.identity, values)
+    rows = [_csv_row(lam, result) for lam, result in zip(values, results)]
     text = _CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -33,12 +33,14 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .measures import branch_extremes, mahler_jensen_2var, p_measure, q_measure, r_measure
+from .measures import branch_extremes, family_measures, mahler_jensen_2var, p_measure
 from .poly import FamilySpec, make_family
 from .poly import verify_substitution as _substitution_residual
+from .quadrature import _ROW_ERRORS, _one, _unwrap
 from .specfun import (
+    _dq_rows,
+    _dr_rows,
     dp_dlambda,
-    dq_dlambda_closed,
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
@@ -51,6 +53,7 @@ __all__ = [
     "verify_boyd",
     "verify_main",
     "verify_derivatives",
+    "sweep_reports",
     "verify_J",
     "verify_hyp_transforms",
     "verify_branch_bounds",
@@ -150,32 +153,89 @@ def verify_boyd(k: int, *, tol: float | None = None) -> VerificationReport:
 
 def verify_main(lam: float, *, tol: float | None = None) -> VerificationReport:
     """q(lam) against r(lam) (lam <= -5) or (r(lam)+p(lam))/2 (lam >= 13)."""
-    lam = float(lam)
+    return _one(_main_reports([lam], tol))
+
+
+def _main_reports(lams, tol: float | None = None) -> list:
+    """:func:`verify_main` at every lam, or the exception its row failed with; each family is one batch."""
     tol = DEFAULT_TOLERANCES["main"] if tol is None else float(tol)
-    if not (lam <= -5.0 or lam >= 13.0):
-        raise ValueError("the relation is stated for lam <= -5 or lam >= 13")
-    q = q_measure(lam)
-    r = r_measure(lam)
-    rhs, rhs_error = r.value, r.error_estimate
-    if lam > 0:
-        p = p_measure(lam)
-        rhs, rhs_error = 0.5 * (r.value + p.value), 0.5 * (r.error_estimate + p.error_estimate)
-    return _report(
-        "main_neg" if lam < 0 else "main_pos", lam, q.value, rhs, q.value - rhs, tol,
-        error_estimate=q.error_estimate + rhs_error,
-    )
+    lams = [float(lam) for lam in lams]
+    out: list = [
+        None if lam <= -5.0 or lam >= 13.0 else ValueError("the relation is stated for lam <= -5 or lam >= 13")
+        for lam in lams
+    ]
+    q = _batch(lambda v: family_measures("q", v), lams, out)
+    r = _batch(lambda v: family_measures("r", v), lams, out)
+    p = _batch(lambda v: family_measures("p", v), [lam if lam > 0 else None for lam in lams], out)
+    for i, lam in enumerate(lams):
+        if out[i] is None:
+            rhs, rhs_error = r[i].value, r[i].error_estimate
+            if lam > 0:
+                rhs, rhs_error = 0.5 * (r[i].value + p[i].value), 0.5 * (r[i].error_estimate + p[i].error_estimate)
+            out[i] = _report(
+                "main_neg" if lam < 0 else "main_pos", lam, q[i].value, rhs, q[i].value - rhs, tol,
+                error_estimate=q[i].error_estimate + rhs_error,
+            )
+    return out
+
+
+def _batch(evaluate, params, out: list) -> dict:
+    """``evaluate`` on the list of those ``params`` that are not None and whose row in ``out`` has not failed yet.
+
+    Returns the results by row; a row that fails here gets its exception in ``out``.
+    """
+    rows = [i for i, v in enumerate(params) if out[i] is None and v is not None]
+    results = dict(zip(rows, evaluate([params[i] for i in rows])))
+    for i, res in results.items():
+        if isinstance(res, Exception):
+            out[i] = res
+    return results
 
 
 def verify_derivatives(lam: float, *, tol: float | None = None) -> VerificationReport:
     """dq/dlam against dr/dlam (lam < -5) or (dr+dp)/2 (lam > 13), open ranges."""
-    lam = float(lam)
+    return _one(_derivative_reports([lam], tol))
+
+
+def _derivative_reports(lams, tol: float | None = None) -> list:
+    """:func:`verify_derivatives` at every lam, or the exception its row failed with; dq and dr are one batch each."""
     tol = DEFAULT_TOLERANCES["derivatives"] if tol is None else float(tol)
-    if not (lam < -5.0 or lam > 13.0):
-        raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
-    lhs = dq_dlambda_closed(lam)
-    dr = dr_dlambda(lam)
-    rhs = dr if lam < 0 else 0.5 * (dr + dp_dlambda(lam))
-    return _report("derivative_neg" if lam < 0 else "derivative_pos", lam, lhs, rhs, lhs - rhs, tol)
+    lams = [float(lam) for lam in lams]
+    out: list = [
+        None if lam < -5.0 or lam > 13.0
+        else ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
+        for lam in lams
+    ]
+    dq = _batch(_dq_rows, lams, out)
+    dr = _batch(_dr_rows, lams, out)
+    dp = _batch(lambda v: [_attempt(dp_dlambda, lam) for lam in v], [lam if lam > 0 else None for lam in lams], out)
+    for i, lam in enumerate(lams):
+        if out[i] is None:
+            rhs = dr[i] if lam < 0 else 0.5 * (dr[i] + dp[i])
+            out[i] = _report("derivative_neg" if lam < 0 else "derivative_pos", lam, dq[i], rhs, dq[i] - rhs, tol)
+    return out
+
+
+def _attempt(check, param):
+    """``check(param)``, or the exception its row failed with."""
+    try:
+        return check(param)
+    except _ROW_ERRORS as exc:
+        return exc
+
+
+def sweep_reports(identity: str, params) -> list:
+    """One report per parameter of a sweep of ``identity``, or the exception its row failed with.
+
+    ``main`` and ``derivatives`` rows are evaluated as batches; ``boyd`` and
+    the ``J`` rows one by one.
+    """
+    if identity == "main":
+        return _main_reports(params)
+    if identity == "derivatives":
+        return _derivative_reports(params)
+    check = (lambda v: verify_boyd(int(v))) if identity == "boyd" else (lambda v: verify_J(v, identity))
+    return [_attempt(check, v) for v in params]
 
 
 def verify_J(lam: float, which: str, *, tol: float | None = None) -> VerificationReport:
@@ -304,12 +364,9 @@ def asymptotic_gap(lams, *, tol: float | None = None) -> list[VerificationReport
     tol = DEFAULT_TOLERANCES["asymptotics"] if tol is None else float(tol)
     prev = {"q": math.inf, "r": math.inf, "p": math.inf}
     reports = []
-    for lam in lams:
-        vals = {
-            "q": q_measure(lam).value,
-            "r": r_measure(lam).value,
-            "p": p_measure(lam).value,
-        }
+    families = ("q", "r", "p")
+    for lam, row in zip(lams, zip(*(family_measures(fam, lams) for fam in families))):
+        vals = {fam: mv.value for fam, mv in zip(families, _unwrap(list(row)))}
         ref = math.log(abs(lam))
         for fam in ("q", "r", "p"):
             gap = vals[fam] - ref
@@ -349,8 +406,9 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run one named suite (or ``all``) and return sorted reports.
 
-    Each suite runs its check on every entry of its ``DEFAULT_PARAMS`` list.
-    ``ks`` replaces that list for ``boyd``, ``grid`` for ``hyp`` (also under
+    Each suite runs its check on every entry of its ``DEFAULT_PARAMS`` list;
+    ``main`` and ``derivatives`` evaluate the list as one batch.  ``ks``
+    replaces that list for ``boyd``, ``grid`` for ``hyp`` (also under
     ``all``), and ``lambdas`` for every other suite (``asymptotics`` takes it
     as one list); ``n`` and ``samples`` are passed to the branch and
     substitution checks.  ``tolerances`` overrides per-suite tolerances by name.
@@ -360,10 +418,12 @@ def run_suite(
     if suite == "all" and (lambdas or ks):
         raise ValueError("parameter overrides apply to individual suites, not to 'all'")
     tolerances = tolerances or {}
+    batches = {
+        "main": lambda lams, tol: _unwrap(_main_reports(lams, tol)),
+        "derivatives": lambda lams, tol: _unwrap(_derivative_reports(lams, tol)),
+    }
     checks = {
-        "main": lambda lam, tol: [verify_main(lam, tol=tol)],
         "boyd": lambda k, tol: [verify_boyd(k, tol=tol)],
-        "derivatives": lambda lam, tol: [verify_derivatives(lam, tol=tol)],
         "J": _J_reports,
         "hyp": lambda size, tol: verify_hyp_transforms(size, tol=tol),
         "branches": lambda lam, tol: [verify_branch_bounds(lam, n, tol=tol)],
@@ -374,8 +434,12 @@ def run_suite(
     overrides = {"boyd": ks, "hyp": grid and (grid,), "asymptotics": lambdas and (lambdas,)}
     reports: list[VerificationReport] = []
     for name in DEFAULT_PARAMS if suite == "all" else (suite,):
-        for param in overrides.get(name, lambdas) or DEFAULT_PARAMS[name]:
-            reports.extend(checks[name](param, tolerances.get(name)))
+        params, tol = overrides.get(name, lambdas) or DEFAULT_PARAMS[name], tolerances.get(name)
+        if name in batches:
+            reports.extend(batches[name](params, tol))
+            continue
+        for param in params:
+            reports.extend(checks[name](param, tol))
     return _sort_reports(reports)
 
 

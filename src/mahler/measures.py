@@ -15,7 +15,9 @@ On top of those sit fast family paths ``q_measure``, ``p_measure`` and
 ``|y_minus| <= 1 <= |y_plus|`` hold (lam <= -4 or lam >= 13); outside it
 silently falls back to the generic Jensen evaluator.
 
-Every circle mean goes through :func:`_circle_mean`.  Its integrand is
+Every circle mean goes through :func:`_circle_means`, which evaluates many
+rows (parameters) of one integrand at once; :func:`family_measures` runs a
+family on a whole parameter list that way.  The integrand is
 analytic on the circle except at breakpoints, where a fiber root crosses
 |y| = 1, roots collide or the leading coefficient vanishes.  When it has
 breakpoints (from resultants for generic input, from closed forms for the
@@ -34,7 +36,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
-from .quadrature import NumericalError, _budget, _refine, tanh_sinh
+from .quadrature import _ROW_ERRORS, NumericalError, _budget, _ladder, _midpoint_means, _one, _refine, tanh_sinh
 from .roots import batch_roots, quadratic_roots
 from .specfun import cubic_singularities
 
@@ -47,6 +49,7 @@ __all__ = [
     "q_measure",
     "p_measure",
     "r_measure",
+    "family_measures",
 ]
 
 _LOG_CLAMP = 1e-300  # |P| below this at a node means the grid hit a zero
@@ -54,6 +57,7 @@ _TRIM = 1e-13  # relative threshold for dropping a vanishing leading coefficient
 _CHUNK = 256  # rows per block in torus streaming; fixed for reproducibility
 _CLUSTER = 2e-2  # resultant roots closer than this are one (multiple) root
 _ON_CIRCLE = 1e-6  # a root (mean) this close to the integration path is a breakpoint
+_MERGE = 1e-10  # breakpoints t closer than this on the circle are one
 
 
 @dataclass(frozen=True)
@@ -272,33 +276,60 @@ def _breakpoints(view) -> np.ndarray:
         if np.abs(res).max() > 1e-12 * 2.0 ** (h - k * len(S[0])):
             points += _circle_roots(res)
     t = np.angle(points) / (2.0 * np.pi) % 1.0
-    return np.unique(np.where(t < 1.0, t, 0.0))
+    t = np.sort(np.where(t < 1.0, t, 0.0))
+    # one point found twice (by both resultants, say) comes back as two t a few ulps
+    # apart, possibly on either side of the wrap of [0, 1): keep the first, so that no
+    # arc between consecutive breakpoints is too short to hold a node
+    t = t[np.diff(t, prepend=-1.0) > _MERGE]
+    return t[:-1] if len(t) > 1 and t[-1] - t[0] >= 1.0 - _MERGE else t
 
 
 # -- circle means ------------------------------------------------------------------
 
 
-def _circle_mean(values_at, cuts, n: int | None, tol: float) -> tuple[float, float]:
-    """(value, error estimate) of the mean over t in [0, 1) of ``values_at(t)``.
+def _circle_means(nodes, values, cuts, n: int | None, tol: float) -> list:
+    """(value, error estimate) of the mean over t in [0, 1) of each row's integrand.
 
-    ``values_at`` maps an array of t to the per-node integrand.  With
-    breakpoints ``cuts`` (t in [0, 1)) and no pinned node count, each arc
-    between consecutive cuts is integrated by tanh-sinh; the
+    A row that fails gets its exception instead.  Row i's integrand at an
+    array of t is ``values(np.array([i]), nodes(t))[0]`` (see
+    :func:`quadrature._midpoint_means`), and ``cuts[i]`` holds its
+    breakpoints (t in [0, 1)).  A row with breakpoints and no pinned node
+    count integrates each arc between consecutive cuts by tanh-sinh; the
     integrand is analytic inside an arc and at worst square-root-like at its
-    ends.  Without cuts, with ``n`` given, or when an arc does not converge,
-    the midpoint ladder runs on the whole period instead.
+    ends.  All other rows (no cuts, ``n`` given, or an arc that does not
+    converge) share one midpoint ladder on the whole period, each row to its
+    own stop.
     """
-    if n is None and len(cuts):
-        ends = list(cuts) + [cuts[0] + 1.0]
-        arcs = [
-            tanh_sinh(values_at, a, b, tol / len(cuts))
-            for a, b in zip(ends[:-1], ends[1:])
-            if a < b
-        ]
-        if all(r.converged for r in arcs):
-            return sum(r.value for r in arcs), sum(r.error_estimate for r in arcs)
-    value, err, _ = _refine(lambda m: float(values_at((np.arange(m) + 0.5) / m).mean()), *_budget(n, tol))
-    return value, err
+    start, cap, ladder_tol = _budget(n, tol)
+    out: list = [None] * len(cuts)
+    ladder = []
+    for i, row_cuts in enumerate(cuts):
+        if n is None and len(row_cuts):
+            one = np.array([i])
+            ends = list(row_cuts) + [row_cuts[0] + 1.0]
+            try:
+                arcs = [
+                    tanh_sinh(lambda t: values(one, nodes(t))[0], a, b, tol / len(row_cuts))
+                    for a, b in zip(ends[:-1], ends[1:])
+                    if a < b
+                ]
+            except _ROW_ERRORS as exc:
+                out[i] = exc
+                continue
+            if all(r.converged for r in arcs):
+                out[i] = (sum(r.value for r in arcs), sum(r.error_estimate for r in arcs))
+                continue
+        ladder.append(i)
+    rows = np.array(ladder, dtype=int)
+    results = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows), start, cap, ladder_tol)
+    for i, res in zip(ladder, results):
+        out[i] = res if isinstance(res, Exception) else res[:2]
+    return out
+
+
+def _circle_mean(values_at, cuts, n: int | None, tol: float) -> tuple[float, float]:
+    """(value, error estimate) of the mean over t in [0, 1) of ``values_at(t)``: one row of :func:`_circle_means`."""
+    return _one(_circle_means(values_at, lambda rows, v: v[None, :], [cuts], n, tol))
 
 
 def mahler_jensen_2var(
@@ -333,16 +364,25 @@ def mahler_jensen_2var(
 # -- branch machinery -------------------------------------------------------------
 
 
-def _branch_moduli_on_curve(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|y-|, |y+|) along x(t) = e^(2 pi i t)(1 - e^(2 pi i t)), vectorized."""
+def _curve(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node data (x, 2x^2, x^4) of x(t) = z(1 - z), z = e^(2 pi i t)."""
     z = np.exp(2j * np.pi * t)
     x = z * (1.0 - z)
-    b = 2.0 * x * x + lam * x + 1.0
-    c = x**4
-    big, small = quadratic_roots(b, c)
+    return x, 2.0 * x * x, x**4
+
+
+def _branch_moduli(lam, curve) -> tuple[np.ndarray, np.ndarray]:
+    """(|y-|, |y+|) at the :func:`_curve` nodes, for a scalar lam or a column of them."""
+    x, x2, x4 = curve
+    big, small = quadratic_roots(x2 + lam * x + 1.0, x4)
     a_big = np.abs(big)
     a_small = np.abs(small)
     return np.minimum(a_big, a_small), np.maximum(a_big, a_small)
+
+
+def _branch_moduli_on_curve(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|y-|, |y+|) along x(t) = e^(2 pi i t)(1 - e^(2 pi i t)), vectorized."""
+    return _branch_moduli(lam, _curve(t))
 
 
 def branch_extremes(lam: float, n: int | None = None) -> BranchExtremes:
@@ -395,23 +435,23 @@ def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     the generic Jensen evaluator runs on the expanded polynomial (method tag
     "jensen").
     """
-    lam = _parameter("Q_shifted", lam)
-    if not (lam <= -4.0 or lam >= 13.0):
-        return mahler_jensen_2var(make_family(FamilySpec("Q_shifted", lam)), n, tol=tol)
-
-    def log_y_plus(t: np.ndarray) -> np.ndarray:
-        _, hi = _branch_moduli_on_curve(lam, t)
-        if hi.min() < _LOG_CLAMP:
-            raise NumericalError("vanishing branch modulus on the sampling grid")
-        return np.log(hi)
-
-    tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    value, err = _circle_mean(log_y_plus, _q_cuts(lam), n, tol)
-    return MeasureValue(value=value, method="family_fast", error_estimate=err)
+    return _one(family_measures("q", [lam], n, tol=tol))
 
 
-def _p_rows(lam: float, x: np.ndarray) -> np.ndarray:
-    return np.stack([x * x + x, x * x - (lam + 2.0) * x + 1.0, x + 1.0])
+def _p_nodes(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Node data (x, x^2, x^2 + x, x + 1) of the P fiber at x = e^(2 pi i t)."""
+    x = np.exp(2j * np.pi * t)
+    xx = x * x
+    return x, xx, xx + x, x + 1.0
+
+
+def _p_rows(lam, nodes) -> np.ndarray:
+    """Ascending y-coefficients of the P fiber at the :func:`_p_nodes`, for a scalar lam or a column."""
+    x, xx, xx_x, x_1 = nodes
+    mid = xx - (lam + 2.0) * x + 1.0
+    C = np.empty((3, *mid.shape), dtype=complex)
+    C[0], C[1], C[2] = xx_x, mid, x_1
+    return C
 
 
 def _p_cuts(lam: float) -> tuple[float, ...]:
@@ -434,18 +474,18 @@ def p_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     ``(x+1)(y+1)(y+x)``, each factor of measure zero, so that value is
     returned exactly rather than through quadrature.
     """
-    lam = _parameter("P", lam)
-    if lam == -4.0:
-        _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
-        return MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
-    tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    value, err = _circle_mean(lambda t: _jensen_values(_p_rows(lam, np.exp(2j * np.pi * t))), _p_cuts(lam), n, tol)
-    return MeasureValue(value=value, method="family_fast", error_estimate=err)
+    return _one(family_measures("p", [lam], n, tol=tol))
 
 
-def _r_rows(lam: float, t: np.ndarray) -> np.ndarray:
-    b = (2.0 * np.cos(2.0 * np.pi * t) + lam).astype(complex)
-    one = np.ones(len(t), dtype=complex)
+def _r_nodes(t: np.ndarray) -> np.ndarray:
+    """Node data 2 cos(2 pi t) of the R fiber."""
+    return 2.0 * np.cos(2.0 * np.pi * t)
+
+
+def _r_rows(lam, cos2: np.ndarray) -> np.ndarray:
+    """Ascending y-coefficients of the R fiber at the :func:`_r_nodes`, for a scalar lam or a column."""
+    b = (cos2 + lam).astype(complex)
+    one = np.ones(b.shape, dtype=complex)
     return np.stack([one, b, one])
 
 
@@ -457,7 +497,70 @@ def _r_cuts(lam: float) -> tuple[float, ...]:
 
 def r_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
     """Measure of the four-term family member at ``lam`` (any real)."""
-    lam = _parameter("R", lam)
-    tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    value, err = _circle_mean(lambda t: _jensen_values(_r_rows(lam, t)), _r_cuts(lam), n, tol)
-    return MeasureValue(value=value, method="family_fast", error_estimate=err)
+    return _one(family_measures("r", [lam], n, tol=tol))
+
+
+# -- batched family rows ------------------------------------------------------------
+
+_FAMILIES = {"q": "Q_shifted", "p": "P", "r": "R"}
+_CUTS = {"q": _q_cuts, "p": _p_cuts, "r": _r_cuts}
+
+
+def _fast_integrand(family: str, lams: np.ndarray):
+    """(nodes, values) of the fast-path integrand of ``family`` at the parameters ``lams``.
+
+    See :func:`_circle_means`.  The node data depend on t only; each row adds
+    its parameter as a column.
+    """
+    lam = lams[:, None]
+    if family == "q":
+
+        def log_y_plus(rows, curve):
+            hi = _branch_moduli(lam[rows], curve)[1]
+            if hi.min() < _LOG_CLAMP:
+                raise NumericalError("vanishing branch modulus on the sampling grid")
+            return np.log(hi)
+
+        return _curve, log_y_plus
+    if family == "p":
+        return _p_nodes, lambda rows, nodes: _jensen_rows(_p_rows(lam[rows], nodes))
+    return _r_nodes, lambda rows, cos2: _jensen_rows(_r_rows(lam[rows], cos2))
+
+
+def _jensen_rows(C: np.ndarray) -> np.ndarray:
+    """:func:`_jensen_values` of coefficient planes of shape (degree+1, rows, nodes), per (row, node)."""
+    return _jensen_values(C.reshape(len(C), -1)).reshape(C.shape[1:])
+
+
+def family_measures(family: str, lams, n: int | None = None, *, tol: float | None = None) -> list:
+    """q, p or r (``family``) at every parameter of ``lams``.
+
+    Returns a :class:`MeasureValue` per row, or the exception the row failed
+    with, in the order of ``lams``.  The rows on the fast path share one
+    :func:`_circle_means` call, so those that run the midpoint ladder
+    evaluate each level together.  Rows with breakpoints (tanh-sinh arcs),
+    q off its one-branch range (Jensen) and the exact p(-4) stay alone.
+    """
+    out: list = [None] * len(lams)
+    fast, cuts = [], []
+    for i, lam in enumerate(lams):
+        try:
+            lam = _parameter(_FAMILIES[family], lam)
+            if family == "q" and not (lam <= -4.0 or lam >= 13.0):
+                out[i] = mahler_jensen_2var(make_family(FamilySpec("Q_shifted", lam)), n, tol=tol)
+            elif family == "p" and lam == -4.0:
+                _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
+                out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
+            else:
+                cuts.append(_CUTS[family](lam))
+                fast.append((i, lam))
+        except _ROW_ERRORS as exc:
+            out[i] = exc
+    if fast:
+        tol = DEFAULTS.measure_tol if tol is None else float(tol)
+        nodes, values = _fast_integrand(family, np.array([lam for _, lam in fast]))
+        for (i, _), res in zip(fast, _circle_means(nodes, values, cuts, n, tol)):
+            if not isinstance(res, Exception):
+                res = MeasureValue(value=res[0], method="family_fast", error_estimate=res[1])
+            out[i] = res
+    return out

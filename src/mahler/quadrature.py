@@ -3,10 +3,12 @@
 :func:`tanh_sinh` integrates over a finite interval whose integrand may blow
 up like an inverse square root at the endpoints.  Singularities must sit at
 interval endpoints; interior singular points are the caller's job to split
-at.  :func:`_refine` runs a node-doubling ladder, such as the midpoint rule
-on a periodic integrand, to a tolerance (see :mod:`mahler.measures` for the
-circle means and :mod:`mahler.specfun` for the radical kernels).  Both are
-pure functions and safe for concurrent use.
+at.  :func:`_ladder` runs node-doubling ladders, such as the midpoint rule
+on a periodic integrand, to a tolerance, many rows at once; :func:`_refine`
+is its one-row case and :func:`_midpoint_means` evaluates a level of the
+midpoint rule in blocks (see :mod:`mahler.measures` for the circle means
+and :mod:`mahler.specfun` for the radical kernels).  All are pure functions
+and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ _T_HARD = 5.0
 
 class NumericalError(RuntimeError):
     """A numerical routine could not produce a trustworthy value."""
+
+
+# what one row of a batch may fail with, leaving the other rows alone
+_ROW_ERRORS = (ValueError, NumericalError)
 
 
 @dataclass(frozen=True)
@@ -225,23 +231,102 @@ def _power_estimate(values: list[float]) -> tuple[float, float, float]:
 
 
 def _refine(level_fn, n_start: int, n_max: int, tol: float, *, geometric: bool = True) -> tuple[float, float, int]:
-    """Double nodes from ``n_start`` until the estimate meets tol or ``n_max`` is reached.
+    """One ladder of :func:`_ladder`: ``level_fn(n)`` is its level-n value.
 
-    Returns (value, error_estimate, nodes).  A ``geometric`` ladder (midpoint
-    rule, analytic periodic integrand) is estimated by
-    :func:`_geometric_estimate`, any other (torus rule, integrand with
-    singularities) by :func:`_power_estimate`.  The ladder stops when the last
-    step and the estimate are both below tol; a power-law ladder needs three
-    gaps first, so neither its first gap nor an unchecked rate can stop it.
+    Returns (value, error_estimate, nodes), or raises what ``level_fn`` raised.
+    """
+    return _one(_ladder(lambda live, n: [level_fn(n)], 1, n_start, n_max, tol, geometric=geometric))
+
+
+def _unwrap(results: list) -> list:
+    """The results of a batch; the exception of the first failed row is raised."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _one(results: list):
+    """The result of a one-row batch; a failed row's exception is raised."""
+    (result,) = _unwrap(results)
+    return result
+
+
+def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol: float, *, geometric: bool = True) -> list:
+    """Node-doubling ladders of ``rows`` rows, from ``n_start`` until each row's estimate meets tol or ``n_max``.
+
+    ``level_fn(live, n)`` returns the level-n values of the rows in the index
+    array ``live``; all rows still running share each level, and a row that
+    has stopped leaves it.  A ``geometric`` ladder (midpoint rule, analytic
+    periodic integrand) is estimated by :func:`_geometric_estimate`, any
+    other (torus rule, integrand with singularities) by
+    :func:`_power_estimate`.  A row stops when its last step and estimate
+    are both below tol; a power-law ladder needs three gaps first, so neither
+    its first gap nor an unchecked rate can stop it.  Returns per row
+    (value, error_estimate, nodes), or the ``_ROW_ERRORS`` exception its
+    evaluation raised: a level that raises is evaluated again row by row, so
+    that only the failing row leaves with it.
     """
     estimate = _geometric_estimate if geometric else _power_estimate
+    out: list = [None] * rows
+    values: list[list[float]] = [[] for _ in range(rows)]
+    live = np.arange(rows)
     n = n_start
-    values = [level_fn(n)]
-    value, err = values[0], 0.0
-    while n < n_max:
+    while len(live):
+        running = []
+        for i, v in zip(live.tolist(), _level(level_fn, live, n)):
+            if isinstance(v, Exception):
+                out[i] = v
+                continue
+            values[i].append(v)
+            value, err, stop = v, 0.0, False
+            if len(values[i]) > 1:
+                value, step, err = estimate(values[i])
+                stop = step < tol and err < tol and (geometric or len(values[i]) > 3)
+            if stop or n >= n_max:
+                out[i] = (value, max(err, _err_floor(value)), n)
+            else:
+                running.append(i)
+        live = np.array(running, dtype=int)
         n *= 2
-        values.append(level_fn(n))
-        value, step, err = estimate(values)
-        if step < tol and err < tol and (geometric or len(values) > 3):
-            break
-    return value, max(err, _err_floor(value)), n
+    return out
+
+
+def _level(level_fn, live: np.ndarray, n: int) -> list:
+    """Level-n values of the rows ``live``; a row whose evaluation raises gets its exception instead."""
+    try:
+        return list(level_fn(live, n))
+    except _ROW_ERRORS as exc:
+        if len(live) == 1:
+            return [exc]
+    return [v for i in range(len(live)) for v in _level(level_fn, live[i : i + 1], n)]
+
+
+# -- the midpoint rule in blocks -------------------------------------------------
+
+_BLOCK = 4096  # nodes per integrand call (rows times nodes); bounds memory at the node cap
+
+
+def _midpoint_means(nodes, values, live: np.ndarray, m: int) -> list[float]:
+    """Level-m midpoint means over t in [0, 1) of the rows ``live``.
+
+    ``nodes(t)`` maps a 1-D array of nodes t_k = (k + 1/2)/m to the node data
+    that all rows share, and ``values(rows, data)`` maps that data to the
+    (len(rows), len(t)) integrand values of the rows ``rows``.  Each call
+    receives at most ``_BLOCK`` nodes.  A row longer than a block is summed
+    piecewise, splitting where numpy's pairwise summation splits, so every
+    mean equals ``values_at(t).mean()`` over the whole row bit for bit.
+    """
+
+    def sums(lo: int, hi: int) -> np.ndarray:
+        if hi - lo > _BLOCK:
+            half = (hi - lo) // 2
+            half -= half % 8
+            return sums(lo, lo + half) + sums(lo + half, hi)
+        data = nodes((np.arange(lo, hi) + 0.5) / m)
+        step = max(1, _BLOCK // (hi - lo))
+        if step >= len(live):
+            return values(live, data).sum(axis=1)
+        return np.concatenate([values(live[i : i + step], data).sum(axis=1) for i in range(0, len(live), step)])
+
+    return (sums(0, m) / m).tolist()

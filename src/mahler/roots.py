@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from .quadrature import NumericalError
+from .quadrature import _BLOCK, NumericalError
 
 __all__ = ["quadratic_roots", "batch_roots", "RootSolveError"]
 
@@ -36,9 +36,6 @@ def quadratic_roots(b, c) -> tuple[np.ndarray, np.ndarray]:
     return q, r2
 
 
-_CHUNK = 4096  # columns per Aberth block; bounds memory at the node cap
-
-
 def batch_roots(C, *, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:
     """Roots of every column of ``C`` by Aberth-Ehrlich iteration.
 
@@ -50,7 +47,7 @@ def batch_roots(C, *, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:
     stops moving) once its correction drops below ``tol * max(1, |root|)``
     or its backward error is at rounding level.  Multiple roots are reported
     as the numerical cluster the iteration settles into.  Columns are solved
-    in blocks of ``_CHUNK``.
+    in blocks of ``quadrature._BLOCK``.
     """
     C = np.asarray(C, dtype=complex)
     if C.ndim != 2:
@@ -61,8 +58,8 @@ def batch_roots(C, *, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:
         raise ValueError("leading coefficient must be nonzero")
     d, n = C.shape[0] - 1, C.shape[1]
     out = np.empty((d, n), dtype=complex)
-    for start in range(0, n, _CHUNK):
-        block = slice(start, min(start + _CHUNK, n))
+    for start in range(0, n, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n))
         mon = C[:, block] / C[-1, block]
         out[:, block] = -mon[0] if d == 1 else _aberth_block(mon, max_iter, tol)
     return out

@@ -16,7 +16,8 @@ route for the (1/2, 1/2; 1) case), the bookkeeping of the cubic singularities
 
 The elliptic integrals, the quadrature cross-check of ``dr_dlambda``
 included, all go through one radical-kernel integral,
-:func:`_radical_integral`.
+:func:`_radical_integral`, whose rows can share one ladder
+(:func:`_radical_integrals`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULTS
-from .quadrature import NumericalError, QuadratureResult, _budget, _refine
+from .quadrature import _ROW_ERRORS, NumericalError, QuadratureResult, _budget, _ladder, _midpoint_means, _one
 from .roots import quadratic_roots
 
 __all__ = [
@@ -180,16 +181,33 @@ def dr_dlambda(lam: float) -> float:
     ``int_0^1 dt/sqrt(t(1-t)(lam^2 - 16t))`` and insists they agree to
     1e-11 before returning the (more precise) closed form.
     """
-    lam = float(lam)
-    if abs(lam) <= 4.0:
-        raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
-    sign = math.copysign(1.0, lam)
-    fast = sign * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam)
-    integral = _radical_integral(0.0, 1.0, lam * lam / 16.0, 16.0).value
-    slow = sign * integral / math.pi
-    if abs(fast - slow) > 1e-11 * max(1.0, abs(fast)):
-        raise NumericalError(f"dr/dlambda routes disagree at lam={lam!r}: {fast!r} vs {slow!r}")
-    return fast
+    return _one(_dr_rows([lam]))
+
+
+def _dr_rows(lams) -> list:
+    """:func:`dr_dlambda` at every lam, or the exception its row failed with; the quadratures share one ladder."""
+    out: list = [None] * len(lams)
+    fast = {}
+    for i, lam in enumerate(lams):
+        try:
+            lam = float(lam)
+            if abs(lam) <= 4.0:
+                raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
+            sign = math.copysign(1.0, lam)
+            fast[i] = (lam, sign, sign * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam))
+        except _ROW_ERRORS as exc:
+            out[i] = exc
+    kernels = [(0.0, 1.0, lam * lam / 16.0, 16.0, False) for lam, _, _ in fast.values()]
+    for (i, (lam, sign, value)), res in zip(fast.items(), _radical_integrals(kernels)):
+        if isinstance(res, Exception):
+            out[i] = res
+            continue
+        slow = sign * res.value / math.pi
+        if abs(value - slow) > 1e-11 * max(1.0, abs(value)):
+            out[i] = NumericalError(f"dr/dlambda routes disagree at lam={lam!r}: {value!r} vs {slow!r}")
+        else:
+            out[i] = value
+    return out
 
 
 def _radical_integral(a: float, b: float, far: float, c: float, linear: bool = False, tol: float | None = None):
@@ -204,23 +222,70 @@ def _radical_integral(a: float, b: float, far: float, c: float, linear: bool = F
     signed ``c`` and the side of ``far``; a radicand that is not positive at
     a node (a far root inside [a, b], say) raises :class:`NumericalError`.
     """
-    rad = 0.5 * (b - a)
+    return _one(_radical_integrals([(a, b, far, c, linear)], tol))
 
-    def mean(m: int) -> float:
-        half = 0.5 * np.pi * (np.arange(m) + 0.5) / m  # half the angle pi t
-        # far - x from the end nearer to far, so that a far root close to it does not cancel
-        gap = far - b + 2.0 * rad * np.sin(half) ** 2 if far >= b else far - a - 2.0 * rad * np.cos(half) ** 2
-        r = c * gap * (1.0 - 4.0 * a - 8.0 * rad * np.cos(half) ** 2) if linear else c * gap
+
+def _radical_integrals(kernels, tol: float | None = None) -> list:
+    """:func:`_radical_integral` of every ``(a, b, far, c, linear)`` in ``kernels``, on one shared ladder.
+
+    Returns a :class:`QuadratureResult` per row, or the exception the row
+    failed with.  The nodes' sin^2 and cos^2 of the half angle are computed
+    once per level; each row adds its endpoints as columns.
+    """
+    if not kernels:
+        return []
+    # far - x is taken from the end nearer to far, so that a far root close to it does not
+    # cancel: gap = offset + slope * (sin^2 or cos^2 of the half angle).  The factor
+    # [1 - 4x] = base - tilt cos^2 of a row without it is 1 - 0 cos^2 = 1 exactly.
+    columns, near_b = [], []
+    for a, b, far, c, linear in kernels:
+        rad = 0.5 * (b - a)
+        near_b.append(far >= b)
+        offset, slope = (far - b, 2.0 * rad) if far >= b else (far - a, -(2.0 * rad))
+        columns.append((offset, slope, c, 1.0 - 4.0 * a if linear else 1.0, 8.0 * rad if linear else 0.0))
+    columns, near_b = np.array(columns), np.array(near_b)[:, None]
+    any_linear = any(linear for *_, linear in kernels)
+
+    def nodes(t):
+        half = 0.5 * np.pi * t  # half the angle pi t
+        return np.sin(half) ** 2, np.cos(half) ** 2
+
+    def values(rows, trig):
+        sin2, cos2 = trig
+        offset, slope, c, base, tilt = columns[rows].T[:, :, None]
+        r = c * (offset + slope * np.where(near_b[rows], sin2, cos2))
+        if any_linear:
+            r = r * (base - tilt * cos2)
         if r.min() <= 0.0:
             raise NumericalError("radicand is not positive inside the integration interval")
-        return float((np.pi / np.sqrt(r)).mean())
+        return np.pi / np.sqrt(r)
 
     start, cap, tol = _budget(None, DEFAULTS.tanh_sinh_tol if tol is None else float(tol))
-    value, err, nodes = _refine(mean, start, cap, tol)
-    return QuadratureResult(value=value, error_estimate=err, nodes=nodes, converged=nodes < cap)
+    results = _ladder(lambda live, m: _midpoint_means(nodes, values, live, m), len(kernels), start, cap, tol)
+    return [
+        res if isinstance(res, Exception)
+        else QuadratureResult(value=res[0], error_estimate=res[1], nodes=res[2], converged=res[2] < cap)
+        for res in results
+    ]
 
 
-def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False, tol: float = 1e-13):
+_KERNEL_TOL = 1e-13  # of the elliptic integrals between singularities
+
+
+def _kernel(lam: float, with_linear_factor: bool = False) -> tuple:
+    """(a, b, far, c, linear) of :func:`integrate_derivative_kernel` for :func:`_radical_integral`."""
+    lam = float(lam)
+    x0, x1, x2 = cubic_singularities(lam)
+    if lam <= -5.0:
+        if with_linear_factor:
+            raise ValueError("the (1-4x) factor is only used on the positive side")
+        return x0, x1, x2, -4.0 * lam, False
+    if lam > 5.0:
+        return x2, x0, x1, -4.0 * lam, with_linear_factor
+    raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
+
+
+def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False, tol: float = _KERNEL_TOL):
     """Integral of the radical kernel ``1/sqrt(-(1 + lam x)(1 + lam x + 4x^2))`` between consecutive roots.
 
     For lam <= -5 the interval is [x0, x1] with the far root x2 to its right;
@@ -228,15 +293,7 @@ def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False,
     the factored form ``-4 lam (x - a)(b - x)(far - x)`` (see
     :func:`_radical_integral`).
     """
-    lam = float(lam)
-    x0, x1, x2 = cubic_singularities(lam)
-    if lam <= -5.0:
-        if with_linear_factor:
-            raise ValueError("the (1-4x) factor is only used on the positive side")
-        return _radical_integral(x0, x1, x2, -4.0 * lam, tol=tol)
-    if lam > 5.0:
-        return _radical_integral(x2, x0, x1, -4.0 * lam, with_linear_factor, tol)
-    raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
+    return _radical_integral(*_kernel(lam, with_linear_factor), tol)
 
 
 def dq_dlambda_closed(lam: float) -> float:
@@ -246,11 +303,33 @@ def dq_dlambda_closed(lam: float) -> float:
     lam > 13: ``(1/2pi)`` times the sum of the integrals over [x2, x0] of the
     same kernel and of the kernel with the extra ``(1-4x)`` factor.
     """
-    lam = float(lam)
-    if lam < -5.0:
-        val = integrate_derivative_kernel(lam).value
-        return -val / math.pi
-    if lam > 13.0:
-        val = integrate_derivative_kernel(lam).value + integrate_derivative_kernel(lam, with_linear_factor=True).value
-        return val / (2.0 * math.pi)
-    raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
+    return _one(_dq_rows([lam]))
+
+
+def _dq_rows(lams) -> list:
+    """:func:`dq_dlambda_closed` at every lam, or the exception its row failed with; the integrals share one ladder."""
+    out: list = [None] * len(lams)
+    kernels, owner = [], []
+    for i, lam in enumerate(lams):
+        try:
+            lam = float(lam)
+            if not (lam < -5.0 or lam > 13.0):
+                raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
+            row = [_kernel(lam)] + ([_kernel(lam, True)] if lam > 13.0 else [])
+        except _ROW_ERRORS as exc:
+            out[i] = exc
+            continue
+        kernels += row
+        owner += [i] * len(row)
+    parts: dict[int, list] = {}
+    for i, res in zip(owner, _radical_integrals(kernels, _KERNEL_TOL)):
+        parts.setdefault(i, []).append(res)
+    for i, row in parts.items():
+        failed = [res for res in row if isinstance(res, Exception)]
+        if failed:
+            out[i] = failed[0]
+        elif len(row) == 1:
+            out[i] = -row[0].value / math.pi
+        else:
+            out[i] = (row[0].value + row[1].value) / (2.0 * math.pi)
+    return out

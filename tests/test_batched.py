@@ -1,0 +1,154 @@
+"""Batched ladders: a whole parameter grid as one ladder over (row, node) blocks.
+
+Every row of a batch must equal its one-row call bit for bit, value and
+error estimate, and a row that fails must fail alone, with the message its
+one-row call raises.
+"""
+
+import numpy as np
+import pytest
+
+import mahler.measures as measures
+import mahler.quadrature as quadrature
+import mahler.specfun as specfun
+from mahler.cli import main
+from mahler.identities import _derivative_reports, _main_reports, verify_derivatives, verify_main
+from mahler.measures import family_measures, p_measure, q_measure, r_measure
+from mahler.quadrature import NumericalError
+
+# crosses every row that leaves the shared ladder or stresses it: the q cut at -5,
+# -5.0078125 (16,384 nodes), -4.5 (q capped at 262,144 nodes), q on Jensen in the gap
+# -4 < lam < 13, the exact p(-4), r's cuts for |lam| <= 4 and p's for lam >= -5
+GRID = [-20.0, -6.0, -5.25, -5.0078125, -5.0, -4.5, -4.0, -2.0, 0.0, 3.0, 4.0, 4.5, 13.0, 13.03125, 20.0, 63.0]
+SINGLE = {"q": q_measure, "r": r_measure, "p": p_measure}
+
+
+def _outcome(call, *args, **kwargs):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(batch, singles):
+    """Batch results against one-row outcomes, exceptions compared by type and message."""
+    return [(type(r), str(r)) if isinstance(r, Exception) else r for r in batch] == singles
+
+
+@pytest.mark.parametrize("family", ["q", "r", "p"])
+def test_batched_family_rows_equal_one_row_calls(family):
+    singles = [_outcome(SINGLE[family], lam) for lam in GRID]
+    assert _same(family_measures(family, GRID), singles)
+    if family == "q":
+        assert {mv.method for mv in singles} == {"family_fast", "jensen"}
+
+
+@pytest.mark.parametrize("family", ["q", "r", "p"])
+def test_batched_rows_with_a_pinned_node_count_equal_one_row_calls(family):
+    # 1000 = 4 * 250: rows of 250, 500 and 1000 nodes share blocks unaligned to any vector width
+    lams = [-7.0, -6.0, 13.5, 16.0, 30.0]
+    singles = [_outcome(SINGLE[family], lam, 1000) for lam in lams]
+    assert _same(family_measures(family, lams, 1000), singles)
+
+
+def test_batched_identity_rows_equal_one_row_calls():
+    lams = [-20.0, -6.0, -5.0078125, -5.0, -4.5, 0.0, 12.5, 13.0, 13.03125, 63.0]
+    assert _same(_main_reports(lams), [_outcome(verify_main, lam) for lam in lams])
+    assert _same(_derivative_reports(lams), [_outcome(verify_derivatives, lam) for lam in lams])
+
+
+def test_batched_derivative_kernels_equal_one_row_calls():
+    lams = [-80.0, -6.0, -5.0078125, -5.0, -4.0, 0.0, 4.5, 13.0, 13.03125, 16.0, 63.0, 1e6]
+    assert _same(specfun._dq_rows(lams), [_outcome(specfun.dq_dlambda_closed, lam) for lam in lams])
+    assert _same(specfun._dr_rows(lams), [_outcome(specfun.dr_dlambda, lam) for lam in lams])
+    # plain and linear kernels on both sides of the interval, and a far root inside it
+    kernels = [(0.0, 1.0, 2.25, 16.0, False), (0.1, 0.3, 1.1, 24.0, False), (-2.2, -0.05, -3.1, -64.0, True),
+               (-2.2, -0.05, -3.1, -64.0, False), (0.0, 1.0, 0.5, 16.0, False), (0.0, 1.0, 1.0 + 1e-9, 16.0, False)]
+    singles = [_outcome(specfun._radical_integral, *k) for k in kernels]
+    assert _same(specfun._radical_integrals(kernels), singles)
+    assert singles[4][0] is NumericalError
+
+
+@pytest.mark.parametrize("m", [64, 1000, 6000, 16384, 262144])
+def test_rows_in_blocks_sum_like_one_mean_over_the_row(m):
+    # a row longer than a block is summed piece by piece in numpy's pairwise order
+    def row(t, scale):
+        return scale * np.log(np.abs(3.0 + np.exp(2j * np.pi * t))) * (1.0 + t)
+
+    t = (np.arange(m) + 0.5) / m
+    means = quadrature._midpoint_means(lambda t: t, lambda rows, t: row(t, rows[:, None] + 1.0), np.arange(3), m)
+    assert means == [float(row(t, k + 1.0).mean()) for k in range(3)]
+
+
+def test_a_failing_row_leaves_the_ladder_alone():
+    # row 2 raises at its second level; the others run on as if it had never been there
+    def level(live, n):
+        if 2 in live and n > 64:
+            raise NumericalError("planted")
+        return [1.0 + (i + 1) * 0.5 ** (n / 8) for i in live]
+
+    batch = quadrature._ladder(level, 5, 64, 4096, 1e-12)
+    for i in range(5):
+        alone = _outcome(quadrature._refine, lambda n, i=i: level(np.array([i]), n)[0], 64, 4096, 1e-12)
+        assert (batch[i] if i != 2 else (type(batch[i]), str(batch[i]))) == alone
+    assert str(batch[2]) == "planted"
+
+
+def _csv(lam, mv):
+    return f"{lam!r},{mv.value!r},,,{mv.error_estimate!r},ok"
+
+
+def test_family_sweep_isolates_a_failing_row(capsys, monkeypatch):
+    # the planted row fails inside the shared ladder; its neighbours on the ladder, on
+    # tanh-sinh arcs (-5) and on Jensen (-3.75, -3.5) print what their one-row calls give
+    grid = [-6.5 + 0.25 * i for i in range(13)]
+    expected = [_csv(lam, q_measure(lam)) for lam in grid]
+    real = measures._branch_moduli
+
+    def broken(lam, curve):
+        lo, hi = real(lam, curve)
+        return lo, np.where(np.asarray(lam) == -5.5, 0.0, hi)
+
+    monkeypatch.setattr(measures, "_branch_moduli", broken)
+    expected[4] = "-5.5,,,,,error:vanishing branch modulus on the sampling grid"
+    assert main(["sweep", "--family", "q", "--from", "-6.5", "--to", "-3.5", "--step", "0.25"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
+def test_main_sweep_across_the_gap_prints_its_error_rows(capsys):
+    grid = [-5.5 + 0.5 * i for i in range(39)]
+    expected = []
+    for lam in grid:
+        if -5.0 < lam < 13.0:
+            expected.append(f"{lam!r},,,,,error:the relation is stated for lam <= -5 or lam >= 13")
+            continue
+        rep = verify_main(lam)
+        expected.append(f"{lam!r},{rep.lhs!r},{rep.rhs!r},{rep.residual!r},{rep.error_estimate!r},ok")
+    assert main(["sweep", "--identity", "main", "--from", "-5.5", "--to", "13.5", "--step", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
+def test_no_integrand_call_exceeds_one_block(monkeypatch):
+    # the bound that keeps a batch's memory flat: rows times nodes per call, also for a
+    # row of 16,384 nodes (-5.0078125) and for 201 rows at once
+    sizes = []
+    real = quadrature._midpoint_means
+
+    def spy(nodes, values, live, m):
+        def counted(rows, data):
+            out = values(rows, data)
+            sizes.append(out.size)
+            return out
+
+        return real(nodes, counted, live, m)
+
+    monkeypatch.setattr(measures, "_midpoint_means", spy)
+    monkeypatch.setattr(specfun, "_midpoint_means", spy)
+    lams = [-55.0078125 + 0.25 * i for i in range(201)]
+    for family in ("q", "r", "p"):
+        family_measures(family, lams)
+    specfun._dq_rows(lams)
+    specfun._dr_rows(lams)
+    assert max(sizes) == quadrature._BLOCK
+    assert q_measure(-5.0078125) == family_measures("q", lams)[-1]

@@ -1,5 +1,6 @@
 """Breakpoints of the Jensen integrand and the choice between arcs and the ladder."""
 
+import json
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import mahler.measures as measures
+from mahler.cli import main
 from mahler.config import DEFAULTS
 from mahler.measures import (
     _branch_moduli_on_curve,
@@ -15,15 +17,17 @@ from mahler.measures import (
     _coeff_rows,
     _jensen_values,
     _p_cuts,
+    _p_nodes,
     _p_rows,
     _q_cuts,
     _r_cuts,
+    _r_nodes,
     _r_rows,
     mahler_jensen_2var,
     p_measure,
     r_measure,
 )
-from mahler.poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
+from mahler.poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family, poly_from_text
 
 
 def _cuts(P, var=1):
@@ -123,6 +127,25 @@ def test_large_coefficients_do_not_overflow_the_resultants():
     _assert_same_points(big, small, tol=1e-9)
 
 
+# one breakpoint found twice, a few ulps apart, once across the wrap of [0, 1)
+@pytest.mark.parametrize("text", [
+    "3:0,1\n1:0,2\n-1:1,0\n-2:1,1\n-1:1,2\n2:2,0\n",  # 3y + y^2 - x - 2xy - xy^2 + 2x^2
+    "1:0,0\n1:0,1\n2:0,2\n-2:2,2\n",  # 1 + y + 2y^2 - 2x^2y^2
+    "-1:1,0\n2:1,2\n-1:2,0\n2:2,2\n",  # -x + 2xy^2 - x^2 + 2x^2y^2 = x(1 + x)(2y^2 - 1)
+], ids=["wrap", "zero", "half"])
+def test_breakpoints_found_twice_are_merged(tmp_path, capsys, text):
+    P = poly_from_text(text)
+    t = _cuts(P)
+    gaps = np.diff(np.append(t, t[0] + 1.0))
+    assert len(t) and gaps.min() > measures._MERGE
+    path = tmp_path / "poly.txt"
+    path.write_text(text)
+    assert main(["compute", "--poly-file", str(path), "--method", "jensen", "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    other = mahler_jensen_2var(P, var=0)
+    assert abs(rec["value"] - other.value) <= rec["error_estimate"] + other.error_estimate
+
+
 def _ladder(values_at, n=None):
     """The whole-period midpoint ladder of the circle-mean driver (no cuts)."""
     return _circle_mean(values_at, (), n, DEFAULTS.measure_tol)
@@ -134,11 +157,11 @@ def _generic_values(P):
 
 
 def _p_values(lam):
-    return lambda t: _jensen_values(_p_rows(lam, np.exp(2j * np.pi * t)))
+    return lambda t: _jensen_values(_p_rows(lam, _p_nodes(t)))
 
 
 def _r_values(lam):
-    return lambda t: _jensen_values(_r_rows(lam, t))
+    return lambda t: _jensen_values(_r_rows(lam, _r_nodes(t)))
 
 
 def test_inputs_without_breakpoints_run_the_ladder_bit_for_bit():

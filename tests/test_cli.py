@@ -148,7 +148,7 @@ def test_sweep_empty_range_is_usage_error(capsys):
 )
 def test_sweep_rejects_non_finite_range_or_non_positive_step(capsys, monkeypatch, bounds):
     rows = []
-    monkeypatch.setattr("mahler.cli._sweep_row", lambda *args: rows.append(args))
+    monkeypatch.setattr("mahler.cli.family_measures", lambda *args: rows.append(args))
     code, out, err = run(capsys, ["sweep", "--family", "r", *bounds])
     assert code == 2
     assert err.startswith("error: ")

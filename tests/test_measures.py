@@ -271,12 +271,12 @@ _PINNED = {
 def _record_levels(monkeypatch):
     """Node count of every ladder level the measures evaluate, in order."""
     seen = []
-    circle_mean, torus = measures._circle_mean, measures._torus_mean_log
+    circle_means, torus = measures._circle_means, measures._torus_mean_log
 
-    def recording_circle_mean(values_at, *args):
-        return circle_mean(lambda t: seen.append(len(t)) or values_at(t), *args)
+    def recording_circle_means(nodes, *args):
+        return circle_means(lambda t: seen.append(len(t)) or nodes(t), *args)
 
-    monkeypatch.setattr(measures, "_circle_mean", recording_circle_mean)
+    monkeypatch.setattr(measures, "_circle_means", recording_circle_means)
     monkeypatch.setattr(measures, "_torus_mean_log", lambda P, m: seen.append(m) or torus(P, m))
     return seen
 
