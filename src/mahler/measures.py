@@ -415,25 +415,70 @@ def _parameter(family: str, lam) -> float:
     return FamilySpec(family, float(lam)).parameter
 
 
-def _q_cuts(lam: float) -> tuple[float, ...]:
-    """Breakpoints t of ``log|y_plus(x(t))|``, where y+ and y- collide, for |lam| >= 4.
+# Candidate map parameters a of the q rows: 1 - a = 2^(-j/4), j = 0..63, so a = 0 first
+# and 1 - a down to 2e-5, the best choice for |lam| up to about 5e9.
+_MAP_GRID = np.array([1.0 - 2.0 ** (-j / 4.0) for j in range(64)])
 
-    That happens where x(t) is a zero of (1 + lam x)(1 + lam x + 4x^2).  On
-    x(t) = z(1 - z) the value x is real only at 0 (t = 0), 1 (t = 1/6, 5/6)
-    and -2 (t = 1/2), and 0 is never a zero, so only 1 and -2 can be cut
-    points; on the fast-path range the zero x2 = 1 at lam = -5 is the one case.
+
+def _q_rows(lams: np.ndarray) -> tuple[list, np.ndarray]:
+    """(breakpoints, map parameters) of the fast-path q rows at ``lams``, from one singularity pass.
+
+    The integrand ``log|y_plus(x(z))|`` is analytic except where y+ and y-
+    collide, at the zeros x0, x1, x2 of (1 + lam x)(1 + lam x + 4x^2) (see
+    :func:`cubic_singularities`), that is at the six z with z(1 - z) in
+    {x0, x1, x2}, and at their mirror images 1/conj(z).
+
+    Breakpoints are those on the circle.  There x(z) is real only at 0
+    (t = 0), 1 (t = 1/6, 5/6) and -2 (t = 1/2), and 0 is never a zero, so
+    only 1 and -2 can be cut points; on the fast-path range the zero x2 = 1
+    at lam = -5 is the one case.
+
+    The map parameter a is the grid value (:data:`_MAP_GRID`) that maximises
+    the convergence radius rho(a) of the mapped integrand (see
+    :func:`_fast_integrand`): the least of max(|w|, 1/|w|) over the w-images
+    w = (z - a)/(1 - a z) of the six points, and of 1/a, for the map's own
+    pole at w = -1/a.  The midpoint error falls like rho^(-n), so a row is
+    mapped only where log rho(a) >= 2 log rho(0) > 0, that is where the map
+    at least halves the predicted node count, and where it has no breakpoint;
+    every other row keeps a = 0 and the unmapped arithmetic.
     """
-    zeros = cubic_singularities(lam)
-    return tuple(t for x, t in ((1.0, 1 / 6), (-2.0, 0.5), (1.0, 5 / 6)) if min(abs(z - x) for z in zeros) < _ON_CIRCLE)
+    x = np.stack(cubic_singularities(lams))
+    hits = [((x - v) ** 2 < _ON_CIRCLE**2).any(axis=0) for v in (1.0, -2.0)]
+    cuts = [tuple(t for hit, t in zip(row, (1 / 6, 0.5, 5 / 6)) if hit) for row in zip(hits[0], hits[1], hits[0])]
+    root = np.sqrt((1.0 - 4.0 * x).astype(complex))
+    z = np.concatenate([0.5 * (1.0 + root), 0.5 * (1.0 - root)])
+    re, im2 = z.real, z.imag * z.imag
+    # rho holds 2 log rho(a) = min log max(|w|^2, 1/|w|^2), with |w|^2 = |z - a|^2 / |1 - a z|^2, and
+    # the pole's -2 log a; the candidates go in blocks of 9, so that the work arrays stay (9, 6, rows)
+    with np.errstate(divide="ignore"):  # a point at w = 0 or infinity is no bound
+        w2 = re * re + im2
+        rho0 = np.log(np.maximum(w2, 1.0 / w2)).min(axis=0)
+        best, maps = rho0, np.zeros(len(lams))
+        for block in _MAP_GRID[1:].reshape(7, 9):
+            a = block[:, None, None]
+            w2 = ((re - a) ** 2 + im2) / ((1.0 - a * re) ** 2 + a * a * im2)
+            rho = np.minimum(np.log(np.maximum(w2, 1.0 / w2)).min(axis=1), -2.0 * np.log(block)[:, None])
+            for candidate, r in zip(block, rho):
+                maps = np.where(r > best, candidate, maps)
+                best = np.maximum(r, best)
+    # a row with cuts runs tanh-sinh arcs between them, in the unmapped variable
+    return cuts, np.where((rho0 > 0.0) & (best >= 2.0 * rho0) & ~hits[0] & ~hits[1], maps, 0.0)
 
 
 def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
     """Measure of the shifted hyperelliptic member at ``lam``.
 
     On lam <= -4 or lam >= 13 the one-branch reduction applies:
-    ``q = int_0^1 log|y_plus(x(t))| dt``, split at :func:`_q_cuts`.  Elsewhere
-    the generic Jensen evaluator runs on the expanded polynomial (method tag
-    "jensen").
+    ``q = int_0^1 log|y_plus(x(z))| dt`` with z = e^(2 pi i t), split at the
+    breakpoints of :func:`_q_rows`.  Its integrand has a branch point at
+    z ~ 1 + 1/lam, about 1/(2 pi |lam|) from t = 0, so the node count of the
+    unmapped midpoint ladder grows like |lam| (2,048 at lam = -55, 32,768 at
+    1000).  A Moebius map of the circle with a parameter a chosen from the
+    singular points (see :func:`_fast_integrand`) makes it grow like
+    sqrt(|lam|) (512 and 2,048).  Rows the map would not at least halve (at
+    and near the cut at lam = -5, and -5 < lam <= -4) keep a = 0, the
+    unmapped arithmetic.  Elsewhere the generic Jensen evaluator runs on the
+    expanded polynomial (method tag "jensen").
     """
     return _one(family_measures("q", [lam], n, tol=tol))
 
@@ -503,28 +548,43 @@ def r_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
 # -- batched family rows ------------------------------------------------------------
 
 _FAMILIES = {"q": "Q_shifted", "p": "P", "r": "R"}
-_CUTS = {"q": _q_cuts, "p": _p_cuts, "r": _r_cuts}
+_CUTS = {"p": _p_cuts, "r": _r_cuts}
 
 
 def _fast_integrand(family: str, lams: np.ndarray):
-    """(nodes, values) of the fast-path integrand of ``family`` at the parameters ``lams``.
+    """(nodes, values, cuts) of the fast-path integrand of ``family`` at the parameters ``lams``.
 
     See :func:`_circle_means`.  The node data depend on t only; each row adds
-    its parameter as a column.
+    its parameter as a column.  A q row adds its map parameter a (from
+    :func:`_q_rows`, with its breakpoints) as a second column: with
+    w = e^(2 pi i t) it integrates ``P_a(w) log|y_plus(x(z))|``, where
+    z = (w + a)/(1 + a w) and P_a(w) = (1 - a^2)/|1 + a w|^2 = dt_z/dt_w.
+    That is the same integral (a Moebius map of the circle onto itself), but
+    a > 0 pushes the branch point at z ~ 1 + 1/lam away from the circle, so
+    the midpoint ladder converges in far fewer nodes (Hale & Trefethen, SIAM
+    J. Numer. Anal. 2008).  With a = 0, z = w and P_a = 1 exactly, so an
+    unmapped row computes the unmapped integrand bit for bit.
     """
     lam = lams[:, None]
     if family == "q":
+        cuts, maps = _q_rows(lams)
+        a = maps[:, None]
 
-        def log_y_plus(rows, curve):
-            hi = _branch_moduli(lam[rows], curve)[1]
+        def log_y_plus(rows, w):
+            ar = a[rows]
+            u = 1.0 + ar * w
+            z = (w + ar) / u
+            x = z * (1.0 - z)
+            hi = _branch_moduli(lam[rows], (x, 2.0 * x * x, x**4))[1]
             if hi.min() < _LOG_CLAMP:
                 raise NumericalError("vanishing branch modulus on the sampling grid")
-            return np.log(hi)
+            return np.log(hi) * ((1.0 - ar * ar) / (u.real * u.real + u.imag * u.imag))
 
-        return _curve, log_y_plus
+        return (lambda t: np.exp(2j * np.pi * t)), log_y_plus, cuts
+    cuts = [_CUTS[family](v) for v in lams.tolist()]
     if family == "p":
-        return _p_nodes, lambda rows, nodes: _jensen_rows(_p_rows(lam[rows], nodes))
-    return _r_nodes, lambda rows, cos2: _jensen_rows(_r_rows(lam[rows], cos2))
+        return _p_nodes, lambda rows, nodes: _jensen_rows(_p_rows(lam[rows], nodes)), cuts
+    return _r_nodes, lambda rows, cos2: _jensen_rows(_r_rows(lam[rows], cos2)), cuts
 
 
 def _jensen_rows(C: np.ndarray) -> np.ndarray:
@@ -542,7 +602,7 @@ def family_measures(family: str, lams, n: int | None = None, *, tol: float | Non
     q off its one-branch range (Jensen) and the exact p(-4) stay alone.
     """
     out: list = [None] * len(lams)
-    fast, cuts = [], []
+    fast = []
     for i, lam in enumerate(lams):
         try:
             lam = _parameter(_FAMILIES[family], lam)
@@ -551,14 +611,16 @@ def family_measures(family: str, lams, n: int | None = None, *, tol: float | Non
             elif family == "p" and lam == -4.0:
                 _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
                 out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
+            elif family == "q" and not math.isfinite(16.0 * lam * lam):
+                # q's branch b = 2x^2 + lam x + 1 has |b| <= 2|lam| + 9 on the path, and b*b must not overflow
+                raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
             else:
-                cuts.append(_CUTS[family](lam))
                 fast.append((i, lam))
         except _ROW_ERRORS as exc:
             out[i] = exc
     if fast:
         tol = DEFAULTS.measure_tol if tol is None else float(tol)
-        nodes, values = _fast_integrand(family, np.array([lam for _, lam in fast]))
+        nodes, values, cuts = _fast_integrand(family, np.array([lam for _, lam in fast]))
         for (i, _), res in zip(fast, _circle_means(nodes, values, cuts, n, tol)):
             if not isinstance(res, Exception):
                 res = MeasureValue(value=res[0], method="family_fast", error_estimate=res[1])

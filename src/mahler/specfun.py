@@ -118,18 +118,30 @@ class SingularityProfile:
     regime: str  # "neg" (lam < -5) or "pos" (lam > 13)
 
 
-def cubic_singularities(lam: float) -> tuple[float, float, float]:
-    """(x0, x1, x2) = (-1/lam, -(lam+s)/8, -(lam-s)/8) with s = sqrt(lam^2-16).
+def cubic_singularities(lam):
+    """(x0, x1, x2) = (-1/lam, -(lam+s)/8, -(lam-s)/8) with s = sqrt(lam^2-16), elementwise.
 
-    x1 and x2 are the roots of ``4x^2 + lam x + 1``: the one of larger
-    modulus from :func:`quadratic_roots` and the other as its cofactor, so
-    neither cancels.
+    ``lam`` is a scalar (giving three floats) or an array (giving three
+    arrays of its shape); every |lam| must be at least 4.  x1 and x2 are the
+    roots of ``4x^2 + lam x + 1``: the one of larger modulus from
+    :func:`quadratic_roots` and the other as its cofactor, so neither
+    cancels.  Where (lam/4)^2 overflows, |lam| above about 5e154, x1 and x2
+    are not finite (without a warning); :func:`_finite` rejects such a row.
     """
-    lam = float(lam)
-    if lam * lam < 16.0:
-        raise ValueError("real singular points require |lam| >= 4")
-    big, small = (float(x.real) for x in quadratic_roots(lam / 4.0, 0.25))
-    return (-1.0 / lam, *((small, big) if lam < 0.0 else (big, small)))
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(lam * lam < 16.0):
+            raise ValueError("real singular points require |lam| >= 4")
+        big, small = (x.real for x in quadratic_roots(lam / 4.0, 0.25))
+    neg = lam < 0.0
+    return (-1.0 / lam)[()], np.where(neg, small, big)[()], np.where(neg, big, small)[()]
+
+
+def _finite(lam: float, x: tuple) -> tuple[float, float, float]:
+    """One row's ``x`` = (x0, x1, x2) of :func:`cubic_singularities` as floats; NumericalError where they overflowed."""
+    if not all(math.isfinite(v) for v in x):
+        raise NumericalError(f"the singular points overflow in double precision at lam={lam!r}")
+    return tuple(float(v) for v in x)
 
 
 def _z_of_x(x: float, sign: int) -> float:
@@ -150,11 +162,11 @@ def singular_points(lam: float) -> SingularityProfile:
     """
     lam = float(lam)
     if lam < -5.0:
-        x0, x1, x2 = cubic_singularities(lam)
+        x0, x1, x2 = _finite(lam, cubic_singularities(lam))
         z = (_z_of_x(x0, -1), _z_of_x(x1, -1), _z_of_x(x1, +1), _z_of_x(x0, +1))
         return SingularityProfile(x0=x0, x1=x1, x2=x2, z_points=z, regime="neg")
     if lam > 13.0:
-        x0, x1, x2 = cubic_singularities(lam)
+        x0, x1, x2 = _finite(lam, cubic_singularities(lam))
         z = (_z_of_x(x2, -1), _z_of_x(x0, -1))
         return SingularityProfile(x0=x0, x1=x1, x2=x2, z_points=z, regime="pos")
     raise UnsupportedRegimeError("singular points are classified only for lam < -5 or lam > 13")
@@ -168,7 +180,10 @@ def dp_dlambda(lam: float) -> float:
     lam = float(lam)
     if lam <= 5.0:
         raise UnsupportedRegimeError("dp/dlambda is used for lam > 5")
-    z = 27.0 * (lam + 4.0) ** 2 / (lam + 8.0) ** 3
+    try:
+        z = 27.0 * (lam + 4.0) ** 2 / (lam + 8.0) ** 3
+    except OverflowError:  # float ** raises where numpy would give inf: lam above about 5.6e102
+        raise NumericalError(f"the hypergeometric argument overflows in double precision at lam={lam!r}") from None
     if z >= 1.0:
         raise NumericalError("hypergeometric argument reached 1")
     return gauss_2f1_series(Fraction(1, 3), Fraction(2, 3), 1, z) / (lam + 8.0)
@@ -272,10 +287,12 @@ def _radical_integrals(kernels, tol: float | None = None) -> list:
 _KERNEL_TOL = 1e-13  # of the elliptic integrals between singularities
 
 
-def _kernel(lam: float, with_linear_factor: bool = False) -> tuple:
-    """(a, b, far, c, linear) of :func:`integrate_derivative_kernel` for :func:`_radical_integral`."""
-    lam = float(lam)
-    x0, x1, x2 = cubic_singularities(lam)
+def _kernel(lam: float, x: tuple, with_linear_factor: bool = False) -> tuple:
+    """(a, b, far, c, linear) of :func:`integrate_derivative_kernel` for :func:`_radical_integral`.
+
+    ``x`` is the row's (x0, x1, x2) from :func:`cubic_singularities`.
+    """
+    x0, x1, x2 = _finite(lam, x)
     if lam <= -5.0:
         if with_linear_factor:
             raise ValueError("the (1-4x) factor is only used on the positive side")
@@ -293,7 +310,8 @@ def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False,
     the factored form ``-4 lam (x - a)(b - x)(far - x)`` (see
     :func:`_radical_integral`).
     """
-    return _radical_integral(*_kernel(lam, with_linear_factor), tol)
+    lam = float(lam)
+    return _radical_integral(*_kernel(lam, cubic_singularities(lam), with_linear_factor), tol)
 
 
 def dq_dlambda_closed(lam: float) -> float:
@@ -307,15 +325,25 @@ def dq_dlambda_closed(lam: float) -> float:
 
 
 def _dq_rows(lams) -> list:
-    """:func:`dq_dlambda_closed` at every lam, or the exception its row failed with; the integrals share one ladder."""
+    """:func:`dq_dlambda_closed` at every lam, or the exception its row failed with.
+
+    The singular points of all rows come from one :func:`cubic_singularities`
+    call, and the integrals share one ladder.
+    """
     out: list = [None] * len(lams)
-    kernels, owner = [], []
+    valid = {}
     for i, lam in enumerate(lams):
         try:
             lam = float(lam)
             if not (lam < -5.0 or lam > 13.0):
                 raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
-            row = [_kernel(lam)] + ([_kernel(lam, True)] if lam > 13.0 else [])
+            valid[i] = lam
+        except _ROW_ERRORS as exc:
+            out[i] = exc
+    kernels, owner = [], []
+    for (i, lam), *x in zip(valid.items(), *cubic_singularities(np.array(list(valid.values())))):
+        try:
+            row = [_kernel(lam, x)] + ([_kernel(lam, x, True)] if lam > 13.0 else [])
         except _ROW_ERRORS as exc:
             out[i] = exc
             continue

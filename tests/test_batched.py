@@ -152,3 +152,40 @@ def test_no_integrand_call_exceeds_one_block(monkeypatch):
     specfun._dr_rows(lams)
     assert max(sizes) == quadrature._BLOCK
     assert q_measure(-5.0078125) == family_measures("q", lams)[-1]
+
+
+def test_array_singularities_equal_scalar_calls():
+    # one array call per batch feeds the q cuts, the q map parameters and the kernels
+    # of dq/dlam; each row must be what the call on its own parameter gives
+    grid = [-1e6, -55.0, -6.0, -5.0078125, -5.0, -4.5, -4.0, 4.0, 4.5, 5.0, 6.0, 13.0, 13.03125, 63.0, 1e6]
+    rows = list(zip(*(v.tolist() for v in specfun.cubic_singularities(np.array(grid)))))
+    assert rows == [tuple(float(x) for x in specfun.cubic_singularities(lam)) for lam in grid]
+    assert all(type(x) is np.float64 for x in specfun.cubic_singularities(-6.0))
+
+
+def _unmapped_mean(lam, m):
+    """The midpoint rule with m nodes on log|y_plus(x(t))|, t itself the variable."""
+    return quadrature._midpoint_means(
+        measures._curve, lambda rows, curve: np.log(measures._branch_moduli(lam, curve)[1])[None, :], np.arange(1), m
+    )[0]
+
+
+def test_unmapped_q_rows_equal_the_unmapped_midpoint_rule(monkeypatch):
+    # the rows the map would not at least halve keep a = 0: the cut at -5, the capped
+    # rows of (-5, -4] and the rows next to -5 give the unmapped midpoint values
+    lams = [-5.25 + 0.125 * k for k in range(1, 11)] + [-5.0078125]
+    assert not measures._q_rows(np.array(lams))[1].any()
+    ladders = []
+    real = measures._ladder
+
+    def spy(*args):
+        ladders[:] = real(*args)
+        return ladders
+
+    monkeypatch.setattr(measures, "_ladder", spy)
+    ladder_lams = [lam for lam in lams if lam != -5.0]  # -5 has cuts, so tanh-sinh arcs
+    values = family_measures("q", lams)
+    assert [mv.value for lam, mv in zip(lams, values) if lam != -5.0] == [
+        _unmapped_mean(lam, m) for lam, (_, _, m) in zip(ladder_lams, ladders)
+    ]
+    assert [mv.value for mv in family_measures("q", lams, 1000)] == [_unmapped_mean(lam, 1000) for lam in lams]

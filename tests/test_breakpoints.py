@@ -19,7 +19,7 @@ from mahler.measures import (
     _p_cuts,
     _p_nodes,
     _p_rows,
-    _q_cuts,
+    _q_rows,
     _r_cuts,
     _r_nodes,
     _r_rows,
@@ -82,14 +82,14 @@ def test_r_breakpoints_match_closed_form(lam):
 def test_q_cuts_are_the_branch_collisions():
     # at lam = -5 the zero x2 = 1 of the cubic is x(t) = z(1 - z) at t = 1/6
     # and 5/6, where y+ and y- collide
-    assert _q_cuts(-5.0) == (1 / 6, 5 / 6)
+    assert _q_rows(np.array([-5.0]))[0] == [(1 / 6, 5 / 6)]
     lo, hi = _branch_moduli_on_curve(-5.0, np.array([1 / 6, 5 / 6]))
     assert np.allclose(lo, hi, rtol=1e-6)
     # nowhere else on the sweep grids, unshifted or at any seed's shift (2j + 1)/128
     shifts = [0.0] + [(2 * j + 1) / 128 for j in range(16)]
     grid = {start + i / 4 for d in shifts for start in (-55.0 - d, 13.0 + d) for i in range(201)}
-    grid.discard(-5.0)
-    assert [lam for lam in grid if _q_cuts(lam)] == []
+    grid = sorted(grid - {-5.0})
+    assert [lam for lam, cuts in zip(grid, _q_rows(np.array(grid))[0]) if cuts] == []
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -161,6 +161,35 @@ def test_sweep_with_no_valid_rows_is_numerical_failure(capsys):
     assert all(",error:" in row for row in out.strip().split("\n")[1:])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "identity, reason",
+    [
+        ("derivatives", "the singular points overflow in double precision"),
+        ("J1", "the singular points overflow in double precision"),
+        ("main", "the branch moduli overflow in double precision"),
+    ],
+)
+def test_sweep_rows_past_double_range_are_numerical_failures(capsys, identity, reason):
+    # (lam/4)^2 overflows above about 5e154 and (lam + 8)^3 above 5.6e102; each row fails
+    # alone with a numerical error, without a traceback or a numpy warning
+    argv = ["sweep", "--identity", identity, "--from", "1e200", "--to", "1.2e200", "--step", "1e199"]
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    rows = out.strip().split("\n")[1:]
+    assert [row.split(",", 1)[0] for row in rows] == ["1e+200", "1.1e+200", "1.2e+200"]
+    assert all(row.split(",")[-1].startswith(f"error:{reason} at lam=") for row in rows)
+
+
+def test_derivative_rows_where_only_the_hypergeometric_argument_overflows(capsys):
+    argv = ["sweep", "--identity", "derivatives", "--from", "1e120", "--to", "1e120", "--step", "1e119"]
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    assert out.strip().split("\n")[1:] == [
+        "1e+120,,,,,error:the hypergeometric argument overflows in double precision at lam=1e+120"
+    ]
+
+
 def test_compute_numerical_failure_exit_code(capsys, tmp_path):
     f = tmp_path / "tiny.txt"
     f.write_text("1e-320:0,0\n")

@@ -19,10 +19,11 @@ leaves about 1e-12 in the mean whatever the node placement, and the
 quadrature error estimate cannot see it.
 """
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from mahler.measures import _p_cuts, _q_cuts, _r_cuts, mahler_jensen_2var, p_measure, q_measure, r_measure
+from mahler.measures import _p_cuts, _q_rows, _r_cuts, mahler_jensen_2var, p_measure, q_measure, r_measure
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family
 
 DPS = 30
@@ -115,10 +116,11 @@ def test_r_matches_split_integral(lam):
     _assert_close(mahler_jensen_2var(make_family(FamilySpec("R", lam))), ref)
 
 
-@pytest.mark.parametrize("lam", [-5.0, -5.03, -55.0, 13.03, 63.0])
+@pytest.mark.parametrize("lam", [-5.0, -5.03, -20.0, -55.0, -128.0, 13.03, 63.0, 128.0, 1000.0])
 def test_q_matches_the_paper_relations(lam):
     # q = r for lam <= -5 and q = (r + p)/2 for lam >= 13; at lam = -5 the
-    # branches y+ and y- collide on the path, at t = 1/6 and 5/6
+    # branches y+ and y- collide on the path, at t = 1/6 and 5/6; from -20 and
+    # 13.03 outwards the q rows run on the Moebius-mapped circle
     ref = r_reference(lam) if lam <= -5 else 0.5 * (r_reference(lam) + p_reference(lam))
     _assert_close(q_measure(lam), ref)
 
@@ -136,7 +138,7 @@ def test_q_near_its_cut_on_the_whole_circle_ladder():
     # just past lam = -5 the branches nearly collide at t = 1/6 and 5/6 without a
     # cut, so the ladder climbs to 16384 nodes before its tail estimate holds
     lam = -5.0078125
-    assert not _q_cuts(lam)
+    assert _q_rows(np.array([lam]))[0] == [()]
     _assert_close(q_measure(lam), r_reference(lam))
 
 

@@ -290,6 +290,19 @@ def test_pinned_node_count_is_the_final_level(monkeypatch, name, n):
     assert seen == [n // 4, n // 2, n]
 
 
+@pytest.mark.parametrize("lam", [-55.0, 128.0])
+def test_mapped_q_rows_stop_at_half_the_unmapped_node_count(monkeypatch, lam):
+    # the branch point at z ~ 1 + 1/lam holds the unmapped ladder to 2,048 and 4,096 nodes
+    seen = _record_levels(monkeypatch)
+    mapped = q_measure(lam)
+    mapped_nodes = seen[-1]
+    monkeypatch.setattr(measures, "_MAP_GRID", np.zeros(64))  # a = 0 is the only candidate
+    seen.clear()
+    unmapped = q_measure(lam)
+    assert 2 * mapped_nodes <= seen[-1]
+    assert abs(mapped.value - unmapped.value) <= mapped.error_estimate + unmapped.error_estimate
+
+
 @pytest.mark.parametrize("n", [0, 4, 7, 10, 1002])
 @pytest.mark.parametrize("name", [*_PINNED, "p_exact_zero"])
 def test_pinned_node_count_must_be_a_multiple_of_four_from_eight(name, n):
