@@ -175,6 +175,10 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
             raise ValueError(f"{option} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError("step must be positive")
+    # a step below the float spacing would leave the grid where it is, row after row
+    reach = max(abs(start), abs(stop))
+    if reach + step == reach:
+        raise ValueError(f"--step {step!r} does not move the grid at {reach!r}")
     values = []
     k = 0
     while True:

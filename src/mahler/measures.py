@@ -342,8 +342,9 @@ def mahler_jensen_2var(
     """Measure of a two-variable polynomial by the Jensen reduction in ``var``.
 
     At each circle node x the fiber polynomial's roots come from closed forms
-    for degree <= 2 and from one batched Aberth-Ehrlich solve over all nodes
-    of a higher degree; the node value is ``log|lead(x)| + sum log+ |root|``.
+    for degree <= 2 and, for a higher degree, from one :func:`batch_roots`
+    call over all nodes of that degree (companion eigenvalues polished by
+    Aberth-Ehrlich); the node value is ``log|lead(x)| + sum log+ |root|``.
     Its mean is taken by :func:`_circle_mean`, split at :func:`_breakpoints`.
     """
     if P.is_zero():

@@ -1,4 +1,5 @@
-"""Numerically stable root solving: an elementwise quadratic solver and a batched Aberth-Ehrlich solver."""
+"""Numerically stable root solving: an elementwise quadratic solver and a batched
+Aberth-Ehrlich solver started from companion-matrix eigenvalues."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ _EPS = sys.float_info.epsilon
 
 
 class RootSolveError(NumericalError):
-    """Simultaneous iteration failed to converge within the iteration cap."""
+    """The companion eigenvalues or the simultaneous iteration after them failed."""
 
 
 def quadratic_roots(b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -37,17 +38,20 @@ def quadratic_roots(b, c) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_roots(C, *, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:
-    """Roots of every column of ``C`` by Aberth-Ehrlich iteration.
+    """Roots of every column of ``C``: companion eigenvalues polished by Aberth-Ehrlich.
 
     ``C`` has shape (d+1, n): column i holds the ascending coefficients of
     one polynomial of degree d with a nonzero leading coefficient.  Returns
-    the (d, n) roots, unsorted.  Every column starts from one
-    deterministically perturbed circle, scaled by Fujiwara's bound
-    ``2 max_k |a_k|^(1/(d-k))`` on its root moduli.  A root freezes (and
-    stops moving) once its correction drops below ``tol * max(1, |root|)``
-    or its backward error is at rounding level.  Multiple roots are reported
-    as the numerical cluster the iteration settles into.  Columns are solved
-    in blocks of ``quadrature._BLOCK``.
+    the (d, n) roots, unsorted.  Every column starts from the eigenvalues of
+    its companion matrix (one batched LAPACK call per block), which are
+    backward stable, so Aberth-Ehrlich iteration starts next to the roots
+    and usually freezes them after one to three sweeps, also where two roots
+    nearly meet.  A root freezes (and stops moving) once its correction
+    drops below ``tol * max(1, |root|)`` or its backward error is at
+    rounding level.  Multiple roots are reported as the numerical cluster
+    the iteration settles into.  Failing eigenvalues, or a column still
+    moving after ``max_iter`` sweeps, raise :class:`RootSolveError`.
+    Columns are solved in blocks of ``quadrature._BLOCK``.
     """
     C = np.asarray(C, dtype=complex)
     if C.ndim != 2:
@@ -66,13 +70,17 @@ def batch_roots(C, *, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:
 
 
 def _aberth_block(mon: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
-    """Aberth-Ehrlich on monic columns ``mon`` (d+1, m), d >= 2; a column
-    leaves the work arrays once all its roots are frozen."""
+    """Aberth-Ehrlich on monic columns ``mon`` (d+1, m), d >= 2, started from
+    the eigenvalues of one companion matrix per column; a column leaves the
+    work arrays once all its roots are frozen."""
     d, m = mon.shape[0] - 1, mon.shape[1]
-    i = np.arange(d)
-    circle = (0.65 + 0.1 * np.fmod(0.618033988749895 * i, 1.0)) * np.exp(2j * np.pi * (i + 0.25) / d + 0.42j)
-    bound = 2.0 * (np.abs(mon[:-1]) ** (1.0 / (d - i))[:, None]).max(axis=0)
-    out = circle[:, None] * np.where(bound > 0, bound, 1.0)  # bound 0: y^d, all roots at 0
+    companion = np.zeros((m, d, d), dtype=complex)
+    companion[:, 0] = -mon[-2::-1].T
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    try:
+        out = np.linalg.eigvals(companion).T
+    except np.linalg.LinAlgError as exc:
+        raise RootSolveError(f"companion eigenvalues failed: {exc}") from None
     live, z, absmon, done = np.arange(m), out, np.abs(mon), np.zeros((d, m), dtype=bool)
     for _ in range(max_iter):
         absz = np.abs(z)
@@ -85,7 +93,8 @@ def _aberth_block(mon: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
         done |= np.abs(p) <= 8 * _EPS * scale
         move = ~done
         flat = move & (dp == 0)
-        w = p / np.where(flat, 1.0, dp)
+        newton = move & ~flat  # divide only here: a frozen start may sit on a multiple root, p = dp = 0
+        w = np.where(newton, p, 0.0) / np.where(newton, dp, 1.0)
         s = np.zeros_like(z)
         for j in range(d):
             diff = z - z[j]
@@ -97,7 +106,7 @@ def _aberth_block(mon: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
         step = w / np.where(denom == 0, 1.0, denom)
         step = np.where(flat, -(0.5 + 0.3j) * (1.0 + absz), step)  # nudge off a critical point
         z = np.where(move, z - step, z)
-        done |= move & ~flat & (np.abs(step) < tol * np.maximum(1.0, np.abs(z)))
+        done |= newton & (np.abs(step) < tol * np.maximum(1.0, np.abs(z)))
         finished = done.all(axis=0)
         if finished.any():
             out[:, live[finished]] = z[:, finished]

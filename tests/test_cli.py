@@ -144,6 +144,7 @@ def test_sweep_empty_range_is_usage_error(capsys):
         ("--from", "5", "--to", "7", "--step", "nan"),
         ("--from", "5", "--to", "7", "--step=-inf"),
         ("--from", "5", "--to", "7", "--step", "0"),
+        ("--from", "1e17", "--to", "1.0000000000000002e17", "--step", "1"),
     ],
 )
 def test_sweep_rejects_non_finite_range_or_non_positive_step(capsys, monkeypatch, bounds):
@@ -153,6 +154,18 @@ def test_sweep_rejects_non_finite_range_or_non_positive_step(capsys, monkeypatch
     assert code == 2
     assert err.startswith("error: ")
     assert out == "" and rows == []
+
+
+def test_sweep_rejects_a_step_below_the_float_spacing(capsys, monkeypatch):
+    # the spacing of floats at 1e17 is 16: start + k * 1 stays at 1e17 row after row
+    calls = []
+    monkeypatch.setattr("mahler.cli.sweep_reports", lambda identity, values: calls.append(values) or [])
+    code, out, err = run(capsys, ["sweep", "--identity", "main", "--from", "1e17", "--to", "1e17", "--step", "1"])
+    assert code == 2
+    assert err == "error: --step 1.0 does not move the grid at 1e+17\n"
+    assert out == "" and calls == []
+    run(capsys, ["sweep", "--identity", "main", "--from", "1e17", "--to", "1e17", "--step", "1e6"])
+    assert calls == [[1e17]]
 
 
 def test_sweep_with_no_valid_rows_is_numerical_failure(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, polyroots
 
+from mahler import measures
 from mahler.measures import _circle, _coeff_rows, mahler_jensen_2var
 from mahler.poly import FamilySpec, as_poly_in_y, make_family
 from mahler.roots import RootSolveError, batch_roots, quadratic_roots
@@ -94,9 +95,9 @@ def test_quadratic_agrees_with_aberth_on_random_quadratics():
 
 
 def test_poly_roots_square():
-    roots = _roots([-1, 0, 1])
-    assert roots[0] == pytest.approx(-1, abs=1e-12)
-    assert roots[1] == pytest.approx(1, abs=1e-12)
+    # +-1 have one modulus, so their order in _roots depends on rounding: match them as a set
+    found = batch_roots(np.array([[-1.0], [0.0], [1.0]]))
+    assert _set_distance(found, np.array([[-1.0], [1.0]]))[0] <= 1e-12
 
 
 def test_poly_roots_triple_cluster():
@@ -151,9 +152,9 @@ def test_poly_roots_vieta_residuals():
 
 
 def _scalar_aberth(coeffs, max_iter=200, tol=1e-13):
-    """Reference: the one-polynomial, one-root-at-a-time Aberth loop the
-    batched solver replaced (same start circle and freezing rules, but each
-    correction sees the roots already updated in its sweep)."""
+    """Reference: a one-polynomial, one-root-at-a-time Aberth loop from a
+    circle of radius 1 + max|a_k| (the batched solver's freezing rules, but
+    each correction sees the roots already updated in its sweep)."""
     eps = sys.float_info.epsilon
     cs = [complex(c) for c in coeffs]
     mon = [c / cs[-1] for c in cs]
@@ -227,11 +228,43 @@ def test_batch_roots_mix_clustered_and_separated_columns():
 
 
 def test_batch_roots_raises_when_iterations_run_out():
+    # -2y(y + 1)^2 + 1e-7 y^4: its root near 2e7 leaves the companion eigenvalues of the
+    # pair near -1 (4.5e-4 apart) about 1e-9 off, far from frozen after one Aberth sweep
+    slow = [0, -2, -4, -2, 1e-7]
     C = _coeff_rows(as_poly_in_y(make_family(FamilySpec("Q", 3)), 0), _circle(64))
+    batch_roots(C, max_iter=1)  # these columns freeze in one sweep
     with pytest.raises(RootSolveError):
-        batch_roots(C, max_iter=2)
+        batch_roots(np.column_stack([C, slow]), max_iter=1)
     with pytest.raises(RootSolveError):
-        _roots([1, 3, 3, 1], max_iter=3)
+        _roots(slow, max_iter=1)
+    assert len(_roots(slow)) == 4
+
+
+def test_near_double_fiber_roots_polish_in_four_sweeps(monkeypatch):
+    # Jensen on Q_3 in X (the swapped Q_3 of the benchmark): its tanh-sinh nodes crowd the
+    # arc ends, where two degree-4 fiber roots nearly meet.  Aberth converges only linearly
+    # there from a circle (more than 40 sweeps); from the companion eigenvalues it freezes at once.
+    seen = []
+    monkeypatch.setattr(measures, "batch_roots", lambda C, **kw: seen.append(C) or batch_roots(C, **kw))
+    mahler_jensen_2var(make_family(FamilySpec("Q", 3)), var=0, tol=1e-6)
+    C = np.concatenate([c for c in seen if len(c) == 5], axis=1)
+    roots = batch_roots(C)
+    gaps = np.abs(roots[:, None] - roots[None]) + np.where(np.eye(4, dtype=bool)[..., None], np.inf, 0.0)
+    near = C[:, gaps.min(axis=(0, 1)) < 1e-2 * np.maximum(1.0, np.abs(roots).max(axis=0))]
+    assert near.shape[1] >= 50
+    polished = batch_roots(near, max_iter=4)
+    with mp.workdps(40):  # a double root splits by about sqrt(eps): each root to 1e-6 of mpmath's
+        ref = np.array([[complex(z) for z in polyroots([mpc(c) for c in col[::-1]], maxsteps=200, extraprec=80)]
+                        for col in near.T]).T
+    scale = np.maximum(1.0, np.abs(ref))
+    errors = [(np.abs(polished[list(perm)] - ref) / scale).max(axis=0) for perm in itertools.permutations(range(4))]
+    assert (np.min(errors, axis=0) <= 1e-6).all()
+
+
+def test_batch_roots_turns_failing_eigenvalues_into_a_root_solve_error():
+    # LAPACK refuses a non-finite companion matrix; the caller isolates its row by RootSolveError
+    with pytest.raises(RootSolveError, match="companion eigenvalues failed"):
+        batch_roots(np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]]))
 
 
 def test_batch_roots_validation():
