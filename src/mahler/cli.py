@@ -24,7 +24,7 @@ from .identities import (
 )
 from .measures import MeasureValue, family_measures, mahler_jensen_2var, mahler_torus, p_measure, q_measure, r_measure
 from .poly import FamilySpec, make_family, poly_from_text
-from .quadrature import NumericalError
+from .quadrature import NumericalError, _isolate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -179,11 +179,13 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     reach = max(abs(start), abs(stop))
     if reach + step == reach:
         raise ValueError(f"--step {step!r} does not move the grid at {reach!r}")
+    # the slack forgives rounding in start + k * step, but never a whole step past --to
+    slack = min(1e-12 * max(1.0, abs(stop)), 0.5 * step)
     values = []
     k = 0
     while True:
         v = start + k * step
-        if v > stop + 1e-12 * max(1.0, abs(stop)):
+        if v > stop + slack:
             break
         values.append(v)
         k += 1
@@ -210,7 +212,10 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep range")
     if args.identity == "boyd" and not all(float(v).is_integer() for v in values):
         raise ValueError("boyd sweeps take integer parameters")
-    results = family_measures(args.family, values) if args.family else sweep_reports(args.identity, values)
+    if args.family:
+        results = _isolate(lambda lams: family_measures(args.family, lams), values)
+    else:
+        results = sweep_reports(args.identity, values)
     rows = [_csv_row(lam, result) for lam, result in zip(values, results)]
     text = _CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     if args.out:

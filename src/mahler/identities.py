@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 from .measures import branch_extremes, family_measures, mahler_jensen_2var, p_measure
 from .poly import FamilySpec, make_family
 from .poly import verify_substitution as _substitution_residual
-from .quadrature import _ROW_ERRORS, _one, _unwrap
+from .quadrature import _isolate
 from .specfun import (
     _dq_rows,
     _dr_rows,
@@ -153,89 +153,63 @@ def verify_boyd(k: int, *, tol: float | None = None) -> VerificationReport:
 
 def verify_main(lam: float, *, tol: float | None = None) -> VerificationReport:
     """q(lam) against r(lam) (lam <= -5) or (r(lam)+p(lam))/2 (lam >= 13)."""
-    return _one(_main_reports([lam], tol))
+    return _main_reports([lam], tol)[0]
 
 
 def _main_reports(lams, tol: float | None = None) -> list:
-    """:func:`verify_main` at every lam, or the exception its row failed with; each family is one batch."""
+    """:func:`verify_main` at every lam; each family is one batch, and a failing row raises."""
     tol = DEFAULT_TOLERANCES["main"] if tol is None else float(tol)
     lams = [float(lam) for lam in lams]
-    out: list = [
-        None if lam <= -5.0 or lam >= 13.0 else ValueError("the relation is stated for lam <= -5 or lam >= 13")
-        for lam in lams
-    ]
-    q = _batch(lambda v: family_measures("q", v), lams, out)
-    r = _batch(lambda v: family_measures("r", v), lams, out)
-    p = _batch(lambda v: family_measures("p", v), [lam if lam > 0 else None for lam in lams], out)
-    for i, lam in enumerate(lams):
-        if out[i] is None:
-            rhs, rhs_error = r[i].value, r[i].error_estimate
-            if lam > 0:
-                rhs, rhs_error = 0.5 * (r[i].value + p[i].value), 0.5 * (r[i].error_estimate + p[i].error_estimate)
-            out[i] = _report(
-                "main_neg" if lam < 0 else "main_pos", lam, q[i].value, rhs, q[i].value - rhs, tol,
-                error_estimate=q[i].error_estimate + rhs_error,
-            )
+    if not all(lam <= -5.0 or lam >= 13.0 for lam in lams):
+        raise ValueError("the relation is stated for lam <= -5 or lam >= 13")
+    q, r = family_measures("q", lams), family_measures("r", lams)
+    p = iter(family_measures("p", [lam for lam in lams if lam > 0]))
+    out = []
+    for lam, qv, rv in zip(lams, q, r):
+        rhs, rhs_error = rv.value, rv.error_estimate
+        if lam > 0:
+            pv = next(p)
+            rhs, rhs_error = 0.5 * (rv.value + pv.value), 0.5 * (rv.error_estimate + pv.error_estimate)
+        out.append(_report(
+            "main_neg" if lam < 0 else "main_pos", lam, qv.value, rhs, qv.value - rhs, tol,
+            error_estimate=qv.error_estimate + rhs_error,
+        ))
     return out
-
-
-def _batch(evaluate, params, out: list) -> dict:
-    """``evaluate`` on the list of those ``params`` that are not None and whose row in ``out`` has not failed yet.
-
-    Returns the results by row; a row that fails here gets its exception in ``out``.
-    """
-    rows = [i for i, v in enumerate(params) if out[i] is None and v is not None]
-    results = dict(zip(rows, evaluate([params[i] for i in rows])))
-    for i, res in results.items():
-        if isinstance(res, Exception):
-            out[i] = res
-    return results
 
 
 def verify_derivatives(lam: float, *, tol: float | None = None) -> VerificationReport:
     """dq/dlam against dr/dlam (lam < -5) or (dr+dp)/2 (lam > 13), open ranges."""
-    return _one(_derivative_reports([lam], tol))
+    return _derivative_reports([lam], tol)[0]
 
 
 def _derivative_reports(lams, tol: float | None = None) -> list:
-    """:func:`verify_derivatives` at every lam, or the exception its row failed with; dq and dr are one batch each."""
+    """:func:`verify_derivatives` at every lam; dq and dr are one batch each, and a failing row raises."""
     tol = DEFAULT_TOLERANCES["derivatives"] if tol is None else float(tol)
     lams = [float(lam) for lam in lams]
-    out: list = [
-        None if lam < -5.0 or lam > 13.0
-        else ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
-        for lam in lams
-    ]
-    dq = _batch(_dq_rows, lams, out)
-    dr = _batch(_dr_rows, lams, out)
-    dp = _batch(lambda v: [_attempt(dp_dlambda, lam) for lam in v], [lam if lam > 0 else None for lam in lams], out)
-    for i, lam in enumerate(lams):
-        if out[i] is None:
-            rhs = dr[i] if lam < 0 else 0.5 * (dr[i] + dp[i])
-            out[i] = _report("derivative_neg" if lam < 0 else "derivative_pos", lam, dq[i], rhs, dq[i] - rhs, tol)
+    if not all(lam < -5.0 or lam > 13.0 for lam in lams):
+        raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
+    dq, dr = _dq_rows(lams), _dr_rows(lams)
+    dp = iter([dp_dlambda(lam) for lam in lams if lam > 0])
+    out = []
+    for lam, dq_, dr_ in zip(lams, dq, dr):
+        rhs = dr_ if lam < 0 else 0.5 * (dr_ + next(dp))
+        out.append(_report("derivative_neg" if lam < 0 else "derivative_pos", lam, dq_, rhs, dq_ - rhs, tol))
     return out
 
 
-def _attempt(check, param):
-    """``check(param)``, or the exception its row failed with."""
-    try:
-        return check(param)
-    except _ROW_ERRORS as exc:
-        return exc
-
-
 def sweep_reports(identity: str, params) -> list:
-    """One report per parameter of a sweep of ``identity``, or the exception its row failed with.
+    """One report per parameter of a sweep of ``identity``, or the exception its row raises alone.
 
     ``main`` and ``derivatives`` rows are evaluated as batches; ``boyd`` and
-    the ``J`` rows one by one.
+    the ``J`` rows one by one.  :func:`quadrature._isolate` finds the rows
+    that fail.
     """
     if identity == "main":
-        return _main_reports(params)
+        return _isolate(_main_reports, params)
     if identity == "derivatives":
-        return _derivative_reports(params)
+        return _isolate(_derivative_reports, params)
     check = (lambda v: verify_boyd(int(v))) if identity == "boyd" else (lambda v: verify_J(v, identity))
-    return [_attempt(check, v) for v in params]
+    return _isolate(lambda values: [check(v) for v in values], params)
 
 
 def verify_J(lam: float, which: str, *, tol: float | None = None) -> VerificationReport:
@@ -366,7 +340,7 @@ def asymptotic_gap(lams, *, tol: float | None = None) -> list[VerificationReport
     reports = []
     families = ("q", "r", "p")
     for lam, row in zip(lams, zip(*(family_measures(fam, lams) for fam in families))):
-        vals = {fam: mv.value for fam, mv in zip(families, _unwrap(list(row)))}
+        vals = {fam: mv.value for fam, mv in zip(families, row)}
         ref = math.log(abs(lam))
         for fam in ("q", "r", "p"):
             gap = vals[fam] - ref
@@ -418,10 +392,7 @@ def run_suite(
     if suite == "all" and (lambdas or ks):
         raise ValueError("parameter overrides apply to individual suites, not to 'all'")
     tolerances = tolerances or {}
-    batches = {
-        "main": lambda lams, tol: _unwrap(_main_reports(lams, tol)),
-        "derivatives": lambda lams, tol: _unwrap(_derivative_reports(lams, tol)),
-    }
+    batches = {"main": _main_reports, "derivatives": _derivative_reports}
     checks = {
         "boyd": lambda k, tol: [verify_boyd(k, tol=tol)],
         "J": _J_reports,
@@ -436,7 +407,12 @@ def run_suite(
     for name in DEFAULT_PARAMS if suite == "all" else (suite,):
         params, tol = overrides.get(name, lambdas) or DEFAULT_PARAMS[name], tolerances.get(name)
         if name in batches:
-            reports.extend(batches[name](params, tol))
+            rows = _isolate(lambda lams: batches[name](lams, tol), params)
+            # the first failing row decides the error, as when each row is checked alone
+            failed = [row for row in rows if isinstance(row, Exception)]
+            if failed:
+                raise failed[0]
+            reports.extend(rows)
             continue
         for param in params:
             reports.extend(checks[name](param, tol))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
-from .quadrature import _ROW_ERRORS, NumericalError, _budget, _ladder, _midpoint_means, _one, _refine, tanh_sinh
+from .quadrature import NumericalError, _budget, _ladder, _midpoint_means, _refine, tanh_sinh
 from .roots import batch_roots, quadratic_roots
 from .specfun import cubic_singularities
 
@@ -290,15 +290,14 @@ def _breakpoints(view) -> np.ndarray:
 def _circle_means(nodes, values, cuts, n: int | None, tol: float) -> list:
     """(value, error estimate) of the mean over t in [0, 1) of each row's integrand.
 
-    A row that fails gets its exception instead.  Row i's integrand at an
-    array of t is ``values(np.array([i]), nodes(t))[0]`` (see
-    :func:`quadrature._midpoint_means`), and ``cuts[i]`` holds its
+    Row i's integrand at an array of t is ``values(np.array([i]), nodes(t))[0]``
+    (see :func:`quadrature._midpoint_means`), and ``cuts[i]`` holds its
     breakpoints (t in [0, 1)).  A row with breakpoints and no pinned node
     count integrates each arc between consecutive cuts by tanh-sinh; the
     integrand is analytic inside an arc and at worst square-root-like at its
     ends.  All other rows (no cuts, ``n`` given, or an arc that does not
     converge) share one midpoint ladder on the whole period, each row to its
-    own stop.
+    own stop.  A failing row raises for the batch.
     """
     start, cap, ladder_tol = _budget(n, tol)
     out: list = [None] * len(cuts)
@@ -307,15 +306,11 @@ def _circle_means(nodes, values, cuts, n: int | None, tol: float) -> list:
         if n is None and len(row_cuts):
             one = np.array([i])
             ends = list(row_cuts) + [row_cuts[0] + 1.0]
-            try:
-                arcs = [
-                    tanh_sinh(lambda t: values(one, nodes(t))[0], a, b, tol / len(row_cuts))
-                    for a, b in zip(ends[:-1], ends[1:])
-                    if a < b
-                ]
-            except _ROW_ERRORS as exc:
-                out[i] = exc
-                continue
+            arcs = [
+                tanh_sinh(lambda t: values(one, nodes(t))[0], a, b, tol / len(row_cuts))
+                for a, b in zip(ends[:-1], ends[1:])
+                if a < b
+            ]
             if all(r.converged for r in arcs):
                 out[i] = (sum(r.value for r in arcs), sum(r.error_estimate for r in arcs))
                 continue
@@ -323,13 +318,13 @@ def _circle_means(nodes, values, cuts, n: int | None, tol: float) -> list:
     rows = np.array(ladder, dtype=int)
     results = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows), start, cap, ladder_tol)
     for i, res in zip(ladder, results):
-        out[i] = res if isinstance(res, Exception) else res[:2]
+        out[i] = res[:2]
     return out
 
 
 def _circle_mean(values_at, cuts, n: int | None, tol: float) -> tuple[float, float]:
     """(value, error estimate) of the mean over t in [0, 1) of ``values_at(t)``: one row of :func:`_circle_means`."""
-    return _one(_circle_means(values_at, lambda rows, v: v[None, :], [cuts], n, tol))
+    return _circle_means(values_at, lambda rows, v: v[None, :], [cuts], n, tol)[0]
 
 
 def mahler_jensen_2var(
@@ -481,7 +476,7 @@ def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     unmapped arithmetic.  Elsewhere the generic Jensen evaluator runs on the
     expanded polynomial (method tag "jensen").
     """
-    return _one(family_measures("q", [lam], n, tol=tol))
+    return family_measures("q", [lam], n, tol=tol)[0]
 
 
 def _p_nodes(t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -520,7 +515,7 @@ def p_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     ``(x+1)(y+1)(y+x)``, each factor of measure zero, so that value is
     returned exactly rather than through quadrature.
     """
-    return _one(family_measures("p", [lam], n, tol=tol))
+    return family_measures("p", [lam], n, tol=tol)[0]
 
 
 def _r_nodes(t: np.ndarray) -> np.ndarray:
@@ -543,7 +538,7 @@ def _r_cuts(lam: float) -> tuple[float, ...]:
 
 def r_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
     """Measure of the four-term family member at ``lam`` (any real)."""
-    return _one(family_measures("r", [lam], n, tol=tol))
+    return family_measures("r", [lam], n, tol=tol)[0]
 
 
 # -- batched family rows ------------------------------------------------------------
@@ -596,8 +591,8 @@ def _jensen_rows(C: np.ndarray) -> np.ndarray:
 def family_measures(family: str, lams, n: int | None = None, *, tol: float | None = None) -> list:
     """q, p or r (``family``) at every parameter of ``lams``.
 
-    Returns a :class:`MeasureValue` per row, or the exception the row failed
-    with, in the order of ``lams``.  The rows on the fast path share one
+    Returns a :class:`MeasureValue` per row, in the order of ``lams``; a
+    failing row raises.  The rows on the fast path share one
     :func:`_circle_means` call, so those that run the midpoint ladder
     evaluate each level together.  Rows with breakpoints (tanh-sinh arcs),
     q off its one-branch range (Jensen) and the exact p(-4) stay alone.
@@ -605,25 +600,20 @@ def family_measures(family: str, lams, n: int | None = None, *, tol: float | Non
     out: list = [None] * len(lams)
     fast = []
     for i, lam in enumerate(lams):
-        try:
-            lam = _parameter(_FAMILIES[family], lam)
-            if family == "q" and not (lam <= -4.0 or lam >= 13.0):
-                out[i] = mahler_jensen_2var(make_family(FamilySpec("Q_shifted", lam)), n, tol=tol)
-            elif family == "p" and lam == -4.0:
-                _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
-                out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
-            elif family == "q" and not math.isfinite(16.0 * lam * lam):
-                # q's branch b = 2x^2 + lam x + 1 has |b| <= 2|lam| + 9 on the path, and b*b must not overflow
-                raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
-            else:
-                fast.append((i, lam))
-        except _ROW_ERRORS as exc:
-            out[i] = exc
+        lam = _parameter(_FAMILIES[family], lam)
+        if family == "q" and not (lam <= -4.0 or lam >= 13.0):
+            out[i] = mahler_jensen_2var(make_family(FamilySpec("Q_shifted", lam)), n, tol=tol)
+        elif family == "p" and lam == -4.0:
+            _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
+            out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
+        elif family == "q" and not math.isfinite(16.0 * lam * lam):
+            # q's branch b = 2x^2 + lam x + 1 has |b| <= 2|lam| + 9 on the path, and b*b must not overflow
+            raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
+        else:
+            fast.append((i, lam))
     if fast:
         tol = DEFAULTS.measure_tol if tol is None else float(tol)
         nodes, values, cuts = _fast_integrand(family, np.array([lam for _, lam in fast]))
-        for (i, _), res in zip(fast, _circle_means(nodes, values, cuts, n, tol)):
-            if not isinstance(res, Exception):
-                res = MeasureValue(value=res[0], method="family_fast", error_estimate=res[1])
-            out[i] = res
+        for (i, _), (value, err) in zip(fast, _circle_means(nodes, values, cuts, n, tol)):
+            out[i] = MeasureValue(value=value, method="family_fast", error_estimate=err)
     return out

@@ -9,6 +9,11 @@ is its one-row case and :func:`_midpoint_means` evaluates a level of the
 midpoint rule in blocks (see :mod:`mahler.measures` for the circle means
 and :mod:`mahler.specfun` for the radical kernels).  All are pure functions
 and safe for concurrent use.
+
+A batch of rows raises when one of its rows fails, as the row's one-row call
+does.  :func:`_isolate` is the one place where a failing row becomes a value
+(for the rows of a sweep): it bisects the batch until each failing row is
+alone, so the row gets the exception its one-row call raises.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class NumericalError(RuntimeError):
     """A numerical routine could not produce a trustworthy value."""
 
 
-# what one row of a batch may fail with, leaving the other rows alone
+# what one row of a batch may fail with; :func:`_isolate` leaves the other rows alone
 _ROW_ERRORS = (ValueError, NumericalError)
 
 
@@ -235,21 +240,7 @@ def _refine(level_fn, n_start: int, n_max: int, tol: float, *, geometric: bool =
 
     Returns (value, error_estimate, nodes), or raises what ``level_fn`` raised.
     """
-    return _one(_ladder(lambda live, n: [level_fn(n)], 1, n_start, n_max, tol, geometric=geometric))
-
-
-def _unwrap(results: list) -> list:
-    """The results of a batch; the exception of the first failed row is raised."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
-
-
-def _one(results: list):
-    """The result of a one-row batch; a failed row's exception is raised."""
-    (result,) = _unwrap(results)
-    return result
+    return _ladder(lambda live, n: [level_fn(n)], 1, n_start, n_max, tol, geometric=geometric)[0]
 
 
 def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol: float, *, geometric: bool = True) -> list:
@@ -263,9 +254,7 @@ def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol: float, *, geomet
     :func:`_power_estimate`.  A row stops when its last step and estimate
     are both below tol; a power-law ladder needs three gaps first, so neither
     its first gap nor an unchecked rate can stop it.  Returns per row
-    (value, error_estimate, nodes), or the ``_ROW_ERRORS`` exception its
-    evaluation raised: a level that raises is evaluated again row by row, so
-    that only the failing row leaves with it.
+    (value, error_estimate, nodes); what ``level_fn`` raises propagates.
     """
     estimate = _geometric_estimate if geometric else _power_estimate
     out: list = [None] * rows
@@ -274,10 +263,7 @@ def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol: float, *, geomet
     n = n_start
     while len(live):
         running = []
-        for i, v in zip(live.tolist(), _level(level_fn, live, n)):
-            if isinstance(v, Exception):
-                out[i] = v
-                continue
+        for i, v in zip(live.tolist(), level_fn(live, n)):
             values[i].append(v)
             value, err, stop = v, 0.0, False
             if len(values[i]) > 1:
@@ -292,14 +278,23 @@ def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol: float, *, geomet
     return out
 
 
-def _level(level_fn, live: np.ndarray, n: int) -> list:
-    """Level-n values of the rows ``live``; a row whose evaluation raises gets its exception instead."""
+def _isolate(evaluate, params) -> list:
+    """One result per parameter: ``evaluate(params)``, or, where that raises, its two halves isolated alike.
+
+    A single row that raises one of ``_ROW_ERRORS`` gets the exception as its
+    result.  A batch gives each row what its one-row call gives, so every row
+    gets the value or the exception of its one-row call.  Without a failure
+    this is one call of ``evaluate``; each failing row adds about
+    2 log2(len(params)) calls.
+    """
+    params = list(params)
     try:
-        return list(level_fn(live, n))
+        return list(evaluate(params))
     except _ROW_ERRORS as exc:
-        if len(live) == 1:
+        if len(params) == 1:
             return [exc]
-    return [v for i in range(len(live)) for v in _level(level_fn, live[i : i + 1], n)]
+    half = len(params) // 2
+    return _isolate(evaluate, params[:half]) + _isolate(evaluate, params[half:])
 
 
 # -- the midpoint rule in blocks -------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULTS
-from .quadrature import _ROW_ERRORS, NumericalError, QuadratureResult, _budget, _ladder, _midpoint_means, _one
+from .quadrature import NumericalError, QuadratureResult, _budget, _ladder, _midpoint_means
 from .roots import quadratic_roots
 
 __all__ = [
@@ -196,33 +196,24 @@ def dr_dlambda(lam: float) -> float:
     ``int_0^1 dt/sqrt(t(1-t)(lam^2 - 16t))`` and insists they agree to
     1e-11 before returning the (more precise) closed form.
     """
-    return _one(_dr_rows([lam]))
+    return _dr_rows([lam])[0]
 
 
 def _dr_rows(lams) -> list:
-    """:func:`dr_dlambda` at every lam, or the exception its row failed with; the quadratures share one ladder."""
-    out: list = [None] * len(lams)
-    fast = {}
-    for i, lam in enumerate(lams):
-        try:
-            lam = float(lam)
-            if abs(lam) <= 4.0:
-                raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
-            sign = math.copysign(1.0, lam)
-            fast[i] = (lam, sign, sign * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam))
-        except _ROW_ERRORS as exc:
-            out[i] = exc
-    kernels = [(0.0, 1.0, lam * lam / 16.0, 16.0, False) for lam, _, _ in fast.values()]
-    for (i, (lam, sign, value)), res in zip(fast.items(), _radical_integrals(kernels)):
-        if isinstance(res, Exception):
-            out[i] = res
-            continue
+    """:func:`dr_dlambda` at every lam; the quadratures share one ladder, and a failing row raises."""
+    fast = []
+    for lam in lams:
+        lam = float(lam)
+        if abs(lam) <= 4.0:
+            raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
+        sign = math.copysign(1.0, lam)
+        fast.append((lam, sign, sign * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam)))
+    kernels = [(0.0, 1.0, lam * lam / 16.0, 16.0, False) for lam, _, _ in fast]
+    for (lam, sign, value), res in zip(fast, _radical_integrals(kernels)):
         slow = sign * res.value / math.pi
         if abs(value - slow) > 1e-11 * max(1.0, abs(value)):
-            out[i] = NumericalError(f"dr/dlambda routes disagree at lam={lam!r}: {value!r} vs {slow!r}")
-        else:
-            out[i] = value
-    return out
+            raise NumericalError(f"dr/dlambda routes disagree at lam={lam!r}: {value!r} vs {slow!r}")
+    return [value for _, _, value in fast]
 
 
 def _radical_integral(a: float, b: float, far: float, c: float, linear: bool = False, tol: float | None = None):
@@ -237,15 +228,15 @@ def _radical_integral(a: float, b: float, far: float, c: float, linear: bool = F
     signed ``c`` and the side of ``far``; a radicand that is not positive at
     a node (a far root inside [a, b], say) raises :class:`NumericalError`.
     """
-    return _one(_radical_integrals([(a, b, far, c, linear)], tol))
+    return _radical_integrals([(a, b, far, c, linear)], tol)[0]
 
 
 def _radical_integrals(kernels, tol: float | None = None) -> list:
     """:func:`_radical_integral` of every ``(a, b, far, c, linear)`` in ``kernels``, on one shared ladder.
 
-    Returns a :class:`QuadratureResult` per row, or the exception the row
-    failed with.  The nodes' sin^2 and cos^2 of the half angle are computed
-    once per level; each row adds its endpoints as columns.
+    Returns a :class:`QuadratureResult` per row; a failing row raises.  The
+    nodes' sin^2 and cos^2 of the half angle are computed once per level;
+    each row adds its endpoints as columns.
     """
     if not kernels:
         return []
@@ -277,11 +268,7 @@ def _radical_integrals(kernels, tol: float | None = None) -> list:
 
     start, cap, tol = _budget(None, DEFAULTS.tanh_sinh_tol if tol is None else float(tol))
     results = _ladder(lambda live, m: _midpoint_means(nodes, values, live, m), len(kernels), start, cap, tol)
-    return [
-        res if isinstance(res, Exception)
-        else QuadratureResult(value=res[0], error_estimate=res[1], nodes=res[2], converged=res[2] < cap)
-        for res in results
-    ]
+    return [QuadratureResult(value=v, error_estimate=err, nodes=m, converged=m < cap) for v, err, m in results]
 
 
 _KERNEL_TOL = 1e-13  # of the elliptic integrals between singularities
@@ -321,43 +308,22 @@ def dq_dlambda_closed(lam: float) -> float:
     lam > 13: ``(1/2pi)`` times the sum of the integrals over [x2, x0] of the
     same kernel and of the kernel with the extra ``(1-4x)`` factor.
     """
-    return _one(_dq_rows([lam]))
+    return _dq_rows([lam])[0]
 
 
 def _dq_rows(lams) -> list:
-    """:func:`dq_dlambda_closed` at every lam, or the exception its row failed with.
+    """:func:`dq_dlambda_closed` at every lam; a failing row raises.
 
     The singular points of all rows come from one :func:`cubic_singularities`
     call, and the integrals share one ladder.
     """
-    out: list = [None] * len(lams)
-    valid = {}
-    for i, lam in enumerate(lams):
-        try:
-            lam = float(lam)
-            if not (lam < -5.0 or lam > 13.0):
-                raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
-            valid[i] = lam
-        except _ROW_ERRORS as exc:
-            out[i] = exc
-    kernels, owner = [], []
-    for (i, lam), *x in zip(valid.items(), *cubic_singularities(np.array(list(valid.values())))):
-        try:
-            row = [_kernel(lam, x)] + ([_kernel(lam, x, True)] if lam > 13.0 else [])
-        except _ROW_ERRORS as exc:
-            out[i] = exc
-            continue
-        kernels += row
-        owner += [i] * len(row)
-    parts: dict[int, list] = {}
-    for i, res in zip(owner, _radical_integrals(kernels, _KERNEL_TOL)):
-        parts.setdefault(i, []).append(res)
-    for i, row in parts.items():
-        failed = [res for res in row if isinstance(res, Exception)]
-        if failed:
-            out[i] = failed[0]
-        elif len(row) == 1:
-            out[i] = -row[0].value / math.pi
-        else:
-            out[i] = (row[0].value + row[1].value) / (2.0 * math.pi)
-    return out
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
+        if not (lam < -5.0 or lam > 13.0):
+            raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
+    kernels = []
+    for lam, *x in zip(lams, *cubic_singularities(np.array(lams))):
+        kernels += [_kernel(lam, x)] + ([_kernel(lam, x, True)] if lam > 13.0 else [])
+    # a row with lam > 13 owns two integrals in a row: the plain kernel and the one with (1-4x)
+    values = iter(res.value for res in _radical_integrals(kernels, _KERNEL_TOL))
+    return [-next(values) / math.pi if lam < 0 else (next(values) + next(values)) / (2.0 * math.pi) for lam in lams]

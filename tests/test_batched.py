@@ -1,9 +1,12 @@
 """Batched ladders: a whole parameter grid as one ladder over (row, node) blocks.
 
 Every row of a batch must equal its one-row call bit for bit, value and
-error estimate, and a row that fails must fail alone, with the message its
+error estimate.  A batch with a failing row raises; through
+``quadrature._isolate`` that row must fail alone, with the message its
 one-row call raises.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -54,19 +57,20 @@ def test_batched_rows_with_a_pinned_node_count_equal_one_row_calls(family):
 
 def test_batched_identity_rows_equal_one_row_calls():
     lams = [-20.0, -6.0, -5.0078125, -5.0, -4.5, 0.0, 12.5, 13.0, 13.03125, 63.0]
-    assert _same(_main_reports(lams), [_outcome(verify_main, lam) for lam in lams])
-    assert _same(_derivative_reports(lams), [_outcome(verify_derivatives, lam) for lam in lams])
+    assert _same(quadrature._isolate(_main_reports, lams), [_outcome(verify_main, lam) for lam in lams])
+    assert _same(quadrature._isolate(_derivative_reports, lams), [_outcome(verify_derivatives, lam) for lam in lams])
 
 
 def test_batched_derivative_kernels_equal_one_row_calls():
     lams = [-80.0, -6.0, -5.0078125, -5.0, -4.0, 0.0, 4.5, 13.0, 13.03125, 16.0, 63.0, 1e6]
-    assert _same(specfun._dq_rows(lams), [_outcome(specfun.dq_dlambda_closed, lam) for lam in lams])
-    assert _same(specfun._dr_rows(lams), [_outcome(specfun.dr_dlambda, lam) for lam in lams])
+    dq, dr = (quadrature._isolate(rows, lams) for rows in (specfun._dq_rows, specfun._dr_rows))
+    assert _same(dq, [_outcome(specfun.dq_dlambda_closed, lam) for lam in lams])
+    assert _same(dr, [_outcome(specfun.dr_dlambda, lam) for lam in lams])
     # plain and linear kernels on both sides of the interval, and a far root inside it
     kernels = [(0.0, 1.0, 2.25, 16.0, False), (0.1, 0.3, 1.1, 24.0, False), (-2.2, -0.05, -3.1, -64.0, True),
                (-2.2, -0.05, -3.1, -64.0, False), (0.0, 1.0, 0.5, 16.0, False), (0.0, 1.0, 1.0 + 1e-9, 16.0, False)]
     singles = [_outcome(specfun._radical_integral, *k) for k in kernels]
-    assert _same(specfun._radical_integrals(kernels), singles)
+    assert _same(quadrature._isolate(specfun._radical_integrals, kernels), singles)
     assert singles[4][0] is NumericalError
 
 
@@ -82,17 +86,58 @@ def test_rows_in_blocks_sum_like_one_mean_over_the_row(m):
 
 
 def test_a_failing_row_leaves_the_ladder_alone():
-    # row 2 raises at its second level; the others run on as if it had never been there
-    def level(live, n):
-        if 2 in live and n > 64:
+    # row 2 raises at its second level, which fails the shared ladder; isolated, the
+    # others run on as if it had never been there
+    def level(rows, n):
+        if 2 in rows and n > 64:
             raise NumericalError("planted")
-        return [1.0 + (i + 1) * 0.5 ** (n / 8) for i in live]
+        return [1.0 + (i + 1) * 0.5 ** (n / 8) for i in rows]
 
-    batch = quadrature._ladder(level, 5, 64, 4096, 1e-12)
+    def ladder(rows):
+        rows = np.array(rows)
+        return quadrature._ladder(lambda live, n: level(rows[live], n), len(rows), 64, 4096, 1e-12)
+
+    with pytest.raises(NumericalError, match="planted"):
+        ladder(range(5))
+    batch = quadrature._isolate(ladder, range(5))
     for i in range(5):
         alone = _outcome(quadrature._refine, lambda n, i=i: level(np.array([i]), n)[0], 64, 4096, 1e-12)
         assert (batch[i] if i != 2 else (type(batch[i]), str(batch[i]))) == alone
     assert str(batch[2]) == "planted"
+
+
+def _planted(bad, calls):
+    """A batch function on integer rows that fails where a row is in ``bad``; it records each call's size."""
+
+    def evaluate(rows):
+        calls.append(len(rows))
+        failing = [r for r in rows if r in bad]
+        if failing:
+            # a batch fails with whichever row it met last, not necessarily the first
+            r = failing[-1]
+            raise (NumericalError if r % 2 else ValueError)(f"row {r} failed")
+        return [r / 8 for r in rows]
+
+    return evaluate
+
+
+@pytest.mark.parametrize("bad", [{0}, {100}, {200}, {99, 100}, set(range(201))],
+                         ids=["first", "middle", "last", "adjacent-pair", "every-row"])
+def test_isolate_gives_each_row_its_one_row_outcome(bad):
+    evaluate = _planted(bad, [])
+    singles = [_outcome(lambda r=r: evaluate([r])[0]) for r in range(201)]
+    assert _same(quadrature._isolate(evaluate, range(201)), singles)
+    assert sum(isinstance(v, tuple) for v in singles) == len(bad)
+
+
+def test_isolate_bisects_instead_of_going_row_by_row():
+    calls = []
+    assert quadrature._isolate(_planted(set(), calls), range(201)) == [r / 8 for r in range(201)]
+    assert calls == [201]
+    calls.clear()
+    out = quadrature._isolate(_planted({137}, calls), range(201))
+    assert str(out[137]) == "row 137 failed" and out[:137] + out[138:] == [r / 8 for r in range(201) if r != 137]
+    assert len(calls) <= 2 * math.ceil(math.log2(201)) + 1 == 17
 
 
 def _csv(lam, mv):

@@ -6,7 +6,7 @@ import pytest
 
 import mahler.measures as measures
 import mahler.specfun as specfun
-from mahler.cli import main
+from mahler.cli import _sweep_values, main
 from mahler.identities import DEFAULT_PARAMS, DEFAULT_TOLERANCES, verify_branch_bounds
 from mahler.measures import q_measure, r_measure
 from mahler.roots import RootSolveError
@@ -76,6 +76,18 @@ def test_verify_rejects_gap_parameter(capsys):
     code, _, err = run(capsys, ["verify", "main", "--lambda", "5"])
     assert code == 2
     assert "stated for" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["verify", "derivatives", "--lambda", "1e200", "-6", "3"], 3,
+     "numerical failure: the singular points overflow in double precision at lam=1e+200\n"),
+    (["verify", "main", "--lambda", "0", "1e200", "-6"], 2,
+     "error: the relation is stated for lam <= -5 or lam >= 13\n"),
+])
+def test_verify_reports_the_first_failing_row(capsys, argv, code, message):
+    # several override rows fail, each in its own way: the first row's own error decides
+    # the message and the exit code, whichever check a batch of all rows would meet first
+    assert run(capsys, argv) == (code, "", message)
 
 
 def test_verify_hyp_residuals(capsys):
@@ -166,6 +178,19 @@ def test_sweep_rejects_a_step_below_the_float_spacing(capsys, monkeypatch):
     assert out == "" and calls == []
     run(capsys, ["sweep", "--identity", "main", "--from", "1e17", "--to", "1e17", "--step", "1e6"])
     assert calls == [[1e17]]
+
+
+def test_sweep_grid_stops_at_to():
+    # the stop test forgives rounding, but at large magnitude never a whole step past --to
+    assert _sweep_values(1e15, 1e15, 1.0) == [1e15]
+    assert _sweep_values(1e17, 1e17, 16.0) == [1e17]
+    assert _sweep_values(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.30000000000000004]
+    # the benchmark's sweep grids, at every offset its seeds choose: 201 rows, both ends included
+    for j in range(16):
+        delta = 0.25 * (2 * j + 1) / 32
+        for start in (-55.0 - delta, 13.0 + delta):
+            grid = [start + i * 0.25 for i in range(201)]
+            assert _sweep_values(grid[0], grid[-1], 0.25) == grid
 
 
 def test_sweep_with_no_valid_rows_is_numerical_failure(capsys):
