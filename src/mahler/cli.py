@@ -22,7 +22,7 @@ from .identities import (
     summary_table,
     sweep_reports,
 )
-from .measures import MeasureValue, family_measures, mahler_jensen_2var, mahler_torus, p_measure, q_measure, r_measure
+from .measures import MeasureValue, family_measures, mahler_jensen_2var, mahler_torus
 from .poly import FamilySpec, make_family, poly_from_text
 from .quadrature import NumericalError, _isolate
 
@@ -99,16 +99,10 @@ def _parse_tol_overrides(pairs) -> dict[str, float]:
     return out
 
 
-# the fast one-branch paths; looked up per call, so a rebinding of these
-# module names (the layer tracer in perfbench) reaches every call
-def _fast(family):
-    return {"q": q_measure, "p": p_measure, "r": r_measure}.get(family)
-
-
 def cmd_compute(args) -> int:
     if args.tol is not None:
         _check_tol("--tol", args.tol)
-    method, fast = args.method, None
+    method, fast = args.method, False
     if args.poly_file:
         with open(args.poly_file, "r", encoding="utf-8") as fh:
             poly = poly_from_text(fh.read())
@@ -123,12 +117,12 @@ def cmd_compute(args) -> int:
         if value is None:
             raise ValueError(f"family {label} needs {option}")
         parameter = float(value)
-        fast = _fast(label) if method == "fast" else None
+        fast = method == "fast" and label != "qk"
         if not fast:
             family = {"q": "Q_shifted", "p": "P", "r": "R", "qk": "Q"}[label]
             poly = make_family(FamilySpec(family, value))
     if fast:
-        mv = fast(parameter, args.nodes, tol=args.tol)
+        mv = family_measures(label, [parameter], args.nodes, tol=args.tol)[0]
     else:
         mv = (mahler_torus if method == "torus" else mahler_jensen_2var)(poly, args.nodes, tol=args.tol)
     payload = {

@@ -25,26 +25,32 @@ Identity ids:
 * ``singularity_order``: the ordering of the cubic singularities and their
   z-images;
 * ``asymptotic_gap``: measures approach log|lam|, with shrinking gap.
+
+Every suite is a rows function ``(params, tol) -> reports`` that raises on a
+failing row; the ``main``, ``derivatives``, ``J`` and ``boyd`` rows share
+ladders, and their ``verify_*`` functions are one-row calls.  Suites and
+sweeps run their rows through ``quadrature._isolate``, which finds the
+failing rows.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
 
-from .measures import branch_extremes, family_measures, mahler_jensen_2var, p_measure
+from .measures import branch_extremes, family_measures, mahler_jensen_2var
 from .poly import FamilySpec, make_family
 from .poly import verify_substitution as _substitution_residual
 from .quadrature import _isolate
 from .specfun import (
     _dq_rows,
     _dr_rows,
+    _kernel_integrals,
     dp_dlambda,
-    dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
-    integrate_derivative_kernel,
     singular_points,
 )
 
@@ -132,23 +138,31 @@ def _report(identity_id, parameter, lhs, rhs, residual, tolerance, *, error_esti
 
 def verify_boyd(k: int, *, tol: float | None = None) -> VerificationReport:
     """m(Q_k) against m(P_{k-4}), with factor 2 on 0 <= k <= 4."""
-    kf = float(k)
-    if not kf.is_integer():
-        raise ValueError("k must be an integer")
-    k = int(kf)
-    if k > 4:
-        raise ValueError("the relation is stated for k <= 4")
+    return _boyd_reports([k], tol)[0]
+
+
+def _boyd_reports(ks, tol: float | None = None) -> list:
+    """:func:`verify_boyd` at every k; the p side is one batch, and a failing row raises."""
+    rows = []
+    for k in ks:
+        kf = float(k)
+        if not kf.is_integer():
+            raise ValueError("k must be an integer")
+        if kf > 4:
+            raise ValueError("the relation is stated for k <= 4")
+        rows.append(int(kf))
     tol = DEFAULT_TOLERANCES["boyd"] if tol is None else float(tol)
-    factor = 2.0 if k >= 0 else 1.0
-    mq = mahler_jensen_2var(make_family(FamilySpec("Q", k)))
-    mp_ = p_measure(k - 4)
-    lhs = mq.value
-    rhs = factor * mp_.value
-    return _report(
-        "boyd", k, lhs, rhs, lhs - rhs, tol,
-        error_estimate=mq.error_estimate + factor * mp_.error_estimate,
-        detail=f"factor={int(factor)}",
-    )
+    mq = [mahler_jensen_2var(make_family(FamilySpec("Q", k))) for k in rows]
+    mp_ = family_measures("p", [k - 4 for k in rows])
+    out = []
+    for k, q, p in zip(rows, mq, mp_):
+        factor = 2.0 if k >= 0 else 1.0
+        out.append(_report(
+            "boyd", k, q.value, factor * p.value, q.value - factor * p.value, tol,
+            error_estimate=q.error_estimate + factor * p.error_estimate,
+            detail=f"factor={int(factor)}",
+        ))
+    return out
 
 
 def verify_main(lam: float, *, tol: float | None = None) -> VerificationReport:
@@ -197,21 +211,6 @@ def _derivative_reports(lams, tol: float | None = None) -> list:
     return out
 
 
-def sweep_reports(identity: str, params) -> list:
-    """One report per parameter of a sweep of ``identity``, or the exception its row raises alone.
-
-    ``main`` and ``derivatives`` rows are evaluated as batches; ``boyd`` and
-    the ``J`` rows one by one.  :func:`quadrature._isolate` finds the rows
-    that fail.
-    """
-    if identity == "main":
-        return _isolate(_main_reports, params)
-    if identity == "derivatives":
-        return _isolate(_derivative_reports, params)
-    check = (lambda v: verify_boyd(int(v))) if identity == "boyd" else (lambda v: verify_J(v, identity))
-    return _isolate(lambda values: [check(v) for v in values], params)
-
-
 def verify_J(lam: float, which: str, *, tol: float | None = None) -> VerificationReport:
     """One elliptic integral between singularities against its closed form.
 
@@ -220,21 +219,47 @@ def verify_J(lam: float, which: str, *, tol: float | None = None) -> Verificatio
     equal to pi * dr/dlam.  ``J2`` (lam < -5): plain kernel over [x0, x1],
     equal to pi * |dr/dlam|.
     """
-    lam = float(lam)
-    if which not in ("J1", "J2", "J3"):
+    return _J_rows([lam], tol, which)[0]
+
+
+def _J_rows(lams, tol: float | None = None, which: str | None = None) -> list:
+    """:func:`verify_J` of ``which`` at every lam; the kernels share one ladder, and a failing row raises.
+
+    Without ``which`` each lam gets the checks of the ``J`` suite: J2 for
+    lam < 0, otherwise J3, and J1 as well for lam > 5.
+    """
+    lams = [float(lam) for lam in lams]
+    if which not in (None, "J1", "J2", "J3"):
         raise ValueError("which must be J1, J2 or J3")
     tol = DEFAULT_TOLERANCES["J"] if tol is None else float(tol)
-    if which in ("J1", "J3"):
-        if lam <= 5.0:
-            raise ValueError(f"{which} requires lam > 5")
-        res = integrate_derivative_kernel(lam, with_linear_factor=(which == "J1"))
-        rhs = math.pi * (dp_dlambda(lam) if which == "J1" else dr_dlambda(lam))
-    else:
-        if lam >= -5.0:
-            raise ValueError("J2 requires lam < -5")
-        res = integrate_derivative_kernel(lam)
-        rhs = math.pi * abs(dr_dlambda(lam))
-    return _report(which, lam, res.value, rhs, res.value - rhs, tol, error_estimate=res.error_estimate)
+    checks = []
+    for lam in lams:
+        for name in [which] if which else ["J2" if lam < 0 else "J3"] + (["J1"] if lam > 5 else []):
+            if name == "J2" and lam >= -5.0:
+                raise ValueError("J2 requires lam < -5")
+            if name != "J2" and lam <= 5.0:
+                raise ValueError(f"{name} requires lam > 5")
+            checks.append((name, lam))
+    integrals = _kernel_integrals([(lam, name == "J1") for name, lam in checks])
+    dr = iter(_dr_rows([lam for name, lam in checks if name != "J1"]))
+    out = []
+    for (name, lam), res in zip(checks, integrals):
+        rhs = math.pi * (dp_dlambda(lam) if name == "J1" else abs(next(dr)) if name == "J2" else next(dr))
+        out.append(_report(name, lam, res.value, rhs, res.value - rhs, tol, error_estimate=res.error_estimate))
+    return out
+
+
+# the rows of each sweep identity but J1, J2 and J3 (:func:`_J_rows`, which rejects any other name)
+_SWEEP_ROWS = {"main": _main_reports, "derivatives": _derivative_reports, "boyd": _boyd_reports}
+
+
+def sweep_reports(identity: str, params) -> list:
+    """One report per parameter of a sweep of ``identity``, or the exception its row raises alone.
+
+    The rows are evaluated as one batch; :func:`quadrature._isolate` finds the
+    rows that fail.
+    """
+    return _isolate(_SWEEP_ROWS.get(identity, functools.partial(_J_rows, which=identity)), params)
 
 
 def verify_hyp_transforms(grid_size: int = 20, *, tol: float | None = None) -> tuple[VerificationReport, VerificationReport]:
@@ -355,18 +380,6 @@ def asymptotic_gap(lams, *, tol: float | None = None) -> list[VerificationReport
 # -- suite driver ------------------------------------------------------------
 
 
-def _sort_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
-    return sorted(reports, key=lambda r: (r.identity_id, r.parameter, r.detail))
-
-
-def _J_reports(lam, tol) -> list[VerificationReport]:
-    """J2 for lam < 0, otherwise J3, and J1 as well for lam > 5."""
-    reports = [verify_J(lam, "J2" if lam < 0 else "J3", tol=tol)]
-    if lam > 5:
-        reports.append(verify_J(lam, "J1", tol=tol))
-    return reports
-
-
 def run_suite(
     suite: str,
     *,
@@ -380,43 +393,42 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run one named suite (or ``all``) and return sorted reports.
 
-    Each suite runs its check on every entry of its ``DEFAULT_PARAMS`` list;
-    ``main`` and ``derivatives`` evaluate the list as one batch.  ``ks``
-    replaces that list for ``boyd``, ``grid`` for ``hyp`` (also under
+    Each suite evaluates its ``DEFAULT_PARAMS`` list as one batch of rows;
+    ``ks`` replaces that list for ``boyd``, ``grid`` for ``hyp`` (also under
     ``all``), and ``lambdas`` for every other suite (``asymptotics`` takes it
     as one list); ``n`` and ``samples`` are passed to the branch and
-    substitution checks.  ``tolerances`` overrides per-suite tolerances by name.
+    substitution checks.  ``tolerances`` overrides per-suite tolerances by
+    name.  Where rows fail, the error of the first failing row is raised, as
+    when each row is checked alone.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     if suite == "all" and (lambdas or ks):
         raise ValueError("parameter overrides apply to individual suites, not to 'all'")
     tolerances = tolerances or {}
-    batches = {"main": _main_reports, "derivatives": _derivative_reports}
-    checks = {
-        "boyd": lambda k, tol: [verify_boyd(k, tol=tol)],
-        "J": _J_reports,
-        "hyp": lambda size, tol: verify_hyp_transforms(size, tol=tol),
-        "branches": lambda lam, tol: [verify_branch_bounds(lam, n, tol=tol)],
-        "singularities": lambda lam, tol: [verify_singularity_order(lam, tol=tol)],
-        "asymptotics": lambda lams, tol: asymptotic_gap(lams, tol=tol),
-        "substitution": lambda lam, tol: [verify_substitution_identity(lam, samples or 100, seed=seed, tol=tol)],
+    # the rows of each suite: (params, tol) -> reports, and a failing row raises
+    suites = {
+        "main": _main_reports,
+        "boyd": _boyd_reports,
+        "derivatives": _derivative_reports,
+        "J": _J_rows,
+        "hyp": lambda sizes, tol: [r for size in sizes for r in verify_hyp_transforms(size, tol=tol)],
+        "branches": lambda lams, tol: [verify_branch_bounds(lam, n, tol=tol) for lam in lams],
+        "singularities": lambda lams, tol: [verify_singularity_order(lam, tol=tol) for lam in lams],
+        "asymptotics": lambda lists, tol: [r for lams in lists for r in asymptotic_gap(lams, tol=tol)],
+        "substitution": lambda lams, tol: [verify_substitution_identity(lam, samples or 100, seed=seed, tol=tol)
+                                           for lam in lams],
     }
     overrides = {"boyd": ks, "hyp": grid and (grid,), "asymptotics": lambdas and (lambdas,)}
     reports: list[VerificationReport] = []
     for name in DEFAULT_PARAMS if suite == "all" else (suite,):
         params, tol = overrides.get(name, lambdas) or DEFAULT_PARAMS[name], tolerances.get(name)
-        if name in batches:
-            rows = _isolate(lambda lams: batches[name](lams, tol), params)
-            # the first failing row decides the error, as when each row is checked alone
-            failed = [row for row in rows if isinstance(row, Exception)]
-            if failed:
-                raise failed[0]
-            reports.extend(rows)
-            continue
-        for param in params:
-            reports.extend(checks[name](param, tol))
-    return _sort_reports(reports)
+        rows = _isolate(lambda values: suites[name](values, tol), params)
+        failed = [row for row in rows if isinstance(row, Exception)]
+        if failed:
+            raise failed[0]
+        reports.extend(rows)
+    return sorted(reports, key=lambda r: (r.identity_id, r.parameter, r.detail))
 
 
 def reports_to_jsonl(reports) -> str:

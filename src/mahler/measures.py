@@ -322,11 +322,6 @@ def _circle_means(nodes, values, cuts, n: int | None, tol: float) -> list:
     return out
 
 
-def _circle_mean(values_at, cuts, n: int | None, tol: float) -> tuple[float, float]:
-    """(value, error estimate) of the mean over t in [0, 1) of ``values_at(t)``: one row of :func:`_circle_means`."""
-    return _circle_means(values_at, lambda rows, v: v[None, :], [cuts], n, tol)[0]
-
-
 def mahler_jensen_2var(
     P: LaurentPolynomial,
     n: int | None = None,
@@ -340,7 +335,7 @@ def mahler_jensen_2var(
     for degree <= 2 and, for a higher degree, from one :func:`batch_roots`
     call over all nodes of that degree (companion eigenvalues polished by
     Aberth-Ehrlich); the node value is ``log|lead(x)| + sum log+ |root|``.
-    Its mean is taken by :func:`_circle_mean`, split at :func:`_breakpoints`.
+    Its mean is one row of :func:`_circle_means`, split at :func:`_breakpoints`.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
@@ -348,12 +343,11 @@ def mahler_jensen_2var(
         raise ValueError("the Jensen evaluator works on two-variable polynomials")
     view = as_poly_in_y(P, var)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    value, err = _circle_mean(
-        lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t))),
-        _breakpoints(view) if n is None else (),
-        n,
-        tol,
-    )
+    # one row, whose node data are its integrand values
+    value, err = _circle_means(
+        lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t))), lambda rows, v: v[None, :],
+        [_breakpoints(view) if n is None else ()], n, tol,
+    )[0]
     return MeasureValue(value=value, method="jensen", error_estimate=err)
 
 
@@ -376,11 +370,6 @@ def _branch_moduli(lam, curve) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a_big, a_small), np.maximum(a_big, a_small)
 
 
-def _branch_moduli_on_curve(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|y-|, |y+|) along x(t) = e^(2 pi i t)(1 - e^(2 pi i t)), vectorized."""
-    return _branch_moduli(lam, _curve(t))
-
-
 def branch_extremes(lam: float, n: int | None = None) -> BranchExtremes:
     """Scan the branch moduli on a uniform t-grid over [-1/2, 1/2].
 
@@ -392,8 +381,12 @@ def branch_extremes(lam: float, n: int | None = None) -> BranchExtremes:
         raise ValueError("need at least 100 scan points")
     if n % 2:
         n += 1
+    # b = 2x^2 + lam x + 1 has |b| <= 2|lam| + 9 on the path (|x| <= 2), and b*b must not overflow
+    bound = 2.0 * abs(lam) + 9.0
+    if not math.isfinite(bound * bound):
+        raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
     t = (np.arange(n + 1) - n // 2) / float(n)
-    lo, hi = _branch_moduli_on_curve(lam, t)
+    lo, hi = _branch_moduli(lam, _curve(t))
     i_max = int(np.argmax(lo))
     i_min = int(np.argmin(hi))
     return BranchExtremes(

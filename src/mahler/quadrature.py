@@ -12,8 +12,9 @@ and safe for concurrent use.
 
 A batch of rows raises when one of its rows fails, as the row's one-row call
 does.  :func:`_isolate` is the one place where a failing row becomes a value
-(for the rows of a sweep): it bisects the batch until each failing row is
-alone, so the row gets the exception its one-row call raises.
+(every suite and sweep of ``mahler.identities`` and every family sweep runs
+through it): it bisects the batch until each failing row is alone, so the
+row gets the exception its one-row call raises.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ route for the (1/2, 1/2; 1) case), the bookkeeping of the cubic singularities
 
 The elliptic integrals, the quadrature cross-check of ``dr_dlambda``
 included, all go through one radical-kernel integral,
-:func:`_radical_integral`, whose rows can share one ladder
-(:func:`_radical_integrals`).
+:func:`_radical_integrals`, whose rows share one ladder.
 """
 
 from __future__ import annotations
@@ -199,6 +198,10 @@ def dr_dlambda(lam: float) -> float:
     return _dr_rows([lam])[0]
 
 
+_DR_CHECK_TOL = 1e-12  # of the quadrature route of dr/dlambda
+_DR_AGREE = 1e-11  # relative agreement of its two routes
+
+
 def _dr_rows(lams) -> list:
     """:func:`dr_dlambda` at every lam; the quadratures share one ladder, and a failing row raises."""
     fast = []
@@ -209,34 +212,30 @@ def _dr_rows(lams) -> list:
         sign = math.copysign(1.0, lam)
         fast.append((lam, sign, sign * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam)))
     kernels = [(0.0, 1.0, lam * lam / 16.0, 16.0, False) for lam, _, _ in fast]
-    for (lam, sign, value), res in zip(fast, _radical_integrals(kernels)):
+    for (lam, sign, value), res in zip(fast, _radical_integrals(kernels, _DR_CHECK_TOL)):
         slow = sign * res.value / math.pi
-        if abs(value - slow) > 1e-11 * max(1.0, abs(value)):
+        if abs(value - slow) > _DR_AGREE * max(1.0, abs(value)):
             raise NumericalError(f"dr/dlambda routes disagree at lam={lam!r}: {value!r} vs {slow!r}")
     return [value for _, _, value in fast]
 
 
-def _radical_integral(a: float, b: float, far: float, c: float, linear: bool = False, tol: float | None = None):
-    """Integral over [a, b] of ``1/sqrt(c (x-a)(b-x)(far-x))``, a :class:`QuadratureResult`.
+def _radical_integrals(kernels, tol: float) -> list:
+    """Integral over [a, b] of ``1/sqrt(c (x-a)(b-x)(far-x))`` for every ``(a, b, far, c, linear)`` in ``kernels``.
 
     With ``linear`` the radicand has the extra factor ``(1 - 4x)``.  The
     substitution ``x = (a+b)/2 + (b-a)/2 cos(pi t)`` turns
     ``dx/sqrt((x-a)(b-x))`` into ``pi dt``, so the integral is the mean over
     t in [0, 1) of ``pi/sqrt(c (far-x) [1-4x])``: a smooth periodic
     integrand, on which the midpoint ladder converges geometrically
-    (Gauss-Chebyshev quadrature).  The sign of the radicand comes from the
-    signed ``c`` and the side of ``far``; a radicand that is not positive at
-    a node (a far root inside [a, b], say) raises :class:`NumericalError`.
-    """
-    return _radical_integrals([(a, b, far, c, linear)], tol)[0]
+    (Gauss-Chebyshev quadrature) to ``tol``.  The sign of the radicand comes
+    from the signed ``c`` and the side of ``far``; a radicand that is not
+    positive at a node (a far root inside [a, b], say) raises
+    :class:`NumericalError`.
 
-
-def _radical_integrals(kernels, tol: float | None = None) -> list:
-    """:func:`_radical_integral` of every ``(a, b, far, c, linear)`` in ``kernels``, on one shared ladder.
-
-    Returns a :class:`QuadratureResult` per row; a failing row raises.  The
-    nodes' sin^2 and cos^2 of the half angle are computed once per level;
-    each row adds its endpoints as columns.
+    All rows share one ladder, each to its own stop, and a failing row raises
+    for the batch.  Returns a :class:`QuadratureResult` per row.  The nodes'
+    sin^2 and cos^2 of the half angle are computed once per level; each row
+    adds its endpoints as columns.
     """
     if not kernels:
         return []
@@ -266,27 +265,12 @@ def _radical_integrals(kernels, tol: float | None = None) -> list:
             raise NumericalError("radicand is not positive inside the integration interval")
         return np.pi / np.sqrt(r)
 
-    start, cap, tol = _budget(None, DEFAULTS.tanh_sinh_tol if tol is None else float(tol))
+    start, cap, tol = _budget(None, float(tol))
     results = _ladder(lambda live, m: _midpoint_means(nodes, values, live, m), len(kernels), start, cap, tol)
     return [QuadratureResult(value=v, error_estimate=err, nodes=m, converged=m < cap) for v, err, m in results]
 
 
 _KERNEL_TOL = 1e-13  # of the elliptic integrals between singularities
-
-
-def _kernel(lam: float, x: tuple, with_linear_factor: bool = False) -> tuple:
-    """(a, b, far, c, linear) of :func:`integrate_derivative_kernel` for :func:`_radical_integral`.
-
-    ``x`` is the row's (x0, x1, x2) from :func:`cubic_singularities`.
-    """
-    x0, x1, x2 = _finite(lam, x)
-    if lam <= -5.0:
-        if with_linear_factor:
-            raise ValueError("the (1-4x) factor is only used on the positive side")
-        return x0, x1, x2, -4.0 * lam, False
-    if lam > 5.0:
-        return x2, x0, x1, -4.0 * lam, with_linear_factor
-    raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
 
 
 def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False, tol: float = _KERNEL_TOL):
@@ -295,10 +279,26 @@ def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False,
     For lam <= -5 the interval is [x0, x1] with the far root x2 to its right;
     for lam > 5 it is [x2, x0] with x1 to its left.  The radicand is taken in
     the factored form ``-4 lam (x - a)(b - x)(far - x)`` (see
-    :func:`_radical_integral`).
+    :func:`_radical_integrals`).
     """
-    lam = float(lam)
-    return _radical_integral(*_kernel(lam, cubic_singularities(lam), with_linear_factor), tol)
+    return _kernel_integrals([(float(lam), with_linear_factor)], tol)[0]
+
+
+def _kernel_integrals(rows, tol: float = _KERNEL_TOL) -> list:
+    """:func:`integrate_derivative_kernel` of every ``(lam, with_linear_factor)`` in ``rows``; a failing row raises.
+
+    The singular points of all rows come from one :func:`cubic_singularities`
+    call, and the integrals share one :func:`_radical_integrals` ladder.
+    """
+    kernels = []  # (a, b, far, c, linear) of each row
+    for (lam, linear), *x in zip(rows, *cubic_singularities(np.array([lam for lam, _ in rows], dtype=float))):
+        x0, x1, x2 = _finite(lam, x)
+        if lam <= -5.0 and linear:
+            raise ValueError("the (1-4x) factor is only used on the positive side")
+        if not (lam <= -5.0 or lam > 5.0):
+            raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
+        kernels.append((x0, x1, x2, -4.0 * lam, False) if lam <= -5.0 else (x2, x0, x1, -4.0 * lam, linear))
+    return _radical_integrals(kernels, tol)
 
 
 def dq_dlambda_closed(lam: float) -> float:
@@ -312,18 +312,12 @@ def dq_dlambda_closed(lam: float) -> float:
 
 
 def _dq_rows(lams) -> list:
-    """:func:`dq_dlambda_closed` at every lam; a failing row raises.
-
-    The singular points of all rows come from one :func:`cubic_singularities`
-    call, and the integrals share one ladder.
-    """
+    """:func:`dq_dlambda_closed` at every lam; the integrals share one ladder, and a failing row raises."""
     lams = [float(lam) for lam in lams]
     for lam in lams:
         if not (lam < -5.0 or lam > 13.0):
             raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
-    kernels = []
-    for lam, *x in zip(lams, *cubic_singularities(np.array(lams))):
-        kernels += [_kernel(lam, x)] + ([_kernel(lam, x, True)] if lam > 13.0 else [])
     # a row with lam > 13 owns two integrals in a row: the plain kernel and the one with (1-4x)
-    values = iter(res.value for res in _radical_integrals(kernels, _KERNEL_TOL))
+    rows = [(lam, linear) for lam in lams for linear in ((False, True) if lam > 13.0 else (False,))]
+    values = iter(res.value for res in _kernel_integrals(rows))
     return [-next(values) / math.pi if lam < 0 else (next(values) + next(values)) / (2.0 * math.pi) for lam in lams]

@@ -6,6 +6,7 @@ error estimate.  A batch with a failing row raises; through
 one-row call raises.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,8 +16,18 @@ import mahler.measures as measures
 import mahler.quadrature as quadrature
 import mahler.specfun as specfun
 from mahler.cli import main
-from mahler.identities import _derivative_reports, _main_reports, verify_derivatives, verify_main
-from mahler.measures import family_measures, p_measure, q_measure, r_measure
+from mahler.identities import (
+    _boyd_reports,
+    _derivative_reports,
+    _J_rows,
+    _main_reports,
+    verify_boyd,
+    verify_derivatives,
+    verify_J,
+    verify_main,
+)
+from mahler.measures import family_measures, mahler_jensen_2var, p_measure, q_measure, r_measure
+from mahler.poly import FamilySpec, make_family
 from mahler.quadrature import NumericalError
 
 # crosses every row that leaves the shared ladder or stresses it: the q cut at -5,
@@ -69,9 +80,69 @@ def test_batched_derivative_kernels_equal_one_row_calls():
     # plain and linear kernels on both sides of the interval, and a far root inside it
     kernels = [(0.0, 1.0, 2.25, 16.0, False), (0.1, 0.3, 1.1, 24.0, False), (-2.2, -0.05, -3.1, -64.0, True),
                (-2.2, -0.05, -3.1, -64.0, False), (0.0, 1.0, 0.5, 16.0, False), (0.0, 1.0, 1.0 + 1e-9, 16.0, False)]
-    singles = [_outcome(specfun._radical_integral, *k) for k in kernels]
-    assert _same(quadrature._isolate(specfun._radical_integrals, kernels), singles)
+    singles = [_outcome(lambda k: specfun._radical_integrals([k], 1e-12)[0], k) for k in kernels]
+    assert _same(quadrature._isolate(lambda ks: specfun._radical_integrals(ks, 1e-12), kernels), singles)
     assert singles[4][0] is NumericalError
+
+
+# J1 and J3 fail below 5 and J2 above -5; 1e200 overflows the singular points
+J_GRID = [-80.0, -6.0, -5.0078125, -5.0, 0.0, 4.5, 5.0, 5.5, 13.0, 16.0, 63.0, 1e6, 1e200]
+J_SWEEP = [3.0 + 0.5 * i for i in range(75)]  # 3 to 40, the J1 and J3 rows up to 5 failing
+
+
+@pytest.mark.parametrize("which", ["J1", "J2", "J3"])
+def test_batched_J_rows_equal_one_row_calls(which):
+    lams = J_GRID + J_SWEEP
+    singles = [_outcome(verify_J, lam, which) for lam in lams]
+    assert _same(quadrature._isolate(functools.partial(_J_rows, which=which), lams), singles)
+    # each row is the kernel integral on a ladder of its own against its closed form
+    for lam, rep in zip(lams, singles):
+        if isinstance(rep, tuple):
+            continue
+        alone = specfun.integrate_derivative_kernel(lam, with_linear_factor=which == "J1")
+        rhs = specfun.dp_dlambda(lam) if which == "J1" else abs(specfun.dr_dlambda(lam))
+        assert (rep.lhs, rep.error_estimate, rep.rhs) == (alone.value, alone.error_estimate, math.pi * rhs)
+    assert sum(not isinstance(rep, tuple) for rep in singles) == (3 if which == "J2" else 5 + 70)
+
+
+def test_batched_J_suite_rows_equal_one_row_calls():
+    # J2 below 0, J3 from 0 on, and J1 next to it above 5; a failing lam fails as its first check
+    expected = []
+    for lam in J_GRID:
+        checks = ["J2" if lam < 0 else "J3"] + (["J1"] if lam > 5 else [])
+        outcomes = [_outcome(verify_J, lam, which) for which in checks]
+        failed = [o for o in outcomes if isinstance(o, tuple)]
+        expected += failed[:1] or outcomes
+    assert _same(quadrature._isolate(_J_rows, J_GRID), expected)
+
+
+def test_boyd_range_with_failing_rows_equals_one_row_calls():
+    ks = list(range(-6, 7))  # 5 and 6 lie past the relation
+    singles = [_outcome(verify_boyd, k) for k in ks]
+    assert _same(quadrature._isolate(_boyd_reports, ks), singles)
+    assert singles[-2:] == [(ValueError, "the relation is stated for k <= 4")] * 2
+    for k, rep in zip(ks, singles[:-2]):
+        factor = 2.0 if k >= 0 else 1.0
+        q, p = mahler_jensen_2var(make_family(FamilySpec("Q", k))), p_measure(k - 4)
+        assert (rep.lhs, rep.rhs) == (q.value, factor * p.value)
+        assert rep.error_estimate == q.error_estimate + factor * p.error_estimate
+
+
+def test_a_J_sweep_is_one_ladder(capsys, monkeypatch):
+    # the kernels of all rows share one ladder, and the dr/dlam cross-checks one more
+    calls = []
+    real = specfun._radical_integrals
+
+    def spy(kernels, *tol):
+        calls.append(len(kernels))
+        return real(kernels, *tol)
+
+    monkeypatch.setattr(specfun, "_radical_integrals", spy)
+    for identity in ("J1", "J3"):
+        calls.clear()
+        assert main(["sweep", "--identity", identity, "--from", "13", "--to", "63", "--step", "0.25"]) == 0
+        assert len(calls) <= 2 and max(calls) == 201
+    assert ",error:" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("m", [64, 1000, 6000, 16384, 262144])

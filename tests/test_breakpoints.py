@@ -11,10 +11,11 @@ import mahler.measures as measures
 from mahler.cli import main
 from mahler.config import DEFAULTS
 from mahler.measures import (
-    _branch_moduli_on_curve,
+    _branch_moduli,
     _breakpoints,
-    _circle_mean,
+    _circle_means,
     _coeff_rows,
+    _curve,
     _jensen_values,
     _p_cuts,
     _p_nodes,
@@ -83,7 +84,7 @@ def test_q_cuts_are_the_branch_collisions():
     # at lam = -5 the zero x2 = 1 of the cubic is x(t) = z(1 - z) at t = 1/6
     # and 5/6, where y+ and y- collide
     assert _q_rows(np.array([-5.0]))[0] == [(1 / 6, 5 / 6)]
-    lo, hi = _branch_moduli_on_curve(-5.0, np.array([1 / 6, 5 / 6]))
+    lo, hi = _branch_moduli(-5.0, _curve(np.array([1 / 6, 5 / 6])))
     assert np.allclose(lo, hi, rtol=1e-6)
     # nowhere else on the sweep grids, unshifted or at any seed's shift (2j + 1)/128
     shifts = [0.0] + [(2 * j + 1) / 128 for j in range(16)]
@@ -148,7 +149,7 @@ def test_breakpoints_found_twice_are_merged(tmp_path, capsys, text):
 
 def _ladder(values_at, n=None):
     """The whole-period midpoint ladder of the circle-mean driver (no cuts)."""
-    return _circle_mean(values_at, (), n, DEFAULTS.measure_tol)
+    return _circle_means(values_at, lambda rows, v: v[None, :], [()], n, DEFAULTS.measure_tol)[0]
 
 
 def _generic_values(P):

@@ -9,6 +9,7 @@ import mahler.specfun as specfun
 from mahler.cli import _sweep_values, main
 from mahler.identities import DEFAULT_PARAMS, DEFAULT_TOLERANCES, verify_branch_bounds
 from mahler.measures import q_measure, r_measure
+from mahler.quadrature import NumericalError
 from mahler.roots import RootSolveError
 
 
@@ -83,6 +84,10 @@ def test_verify_rejects_gap_parameter(capsys):
      "numerical failure: the singular points overflow in double precision at lam=1e+200\n"),
     (["verify", "main", "--lambda", "0", "1e200", "-6"], 2,
      "error: the relation is stated for lam <= -5 or lam >= 13\n"),
+    (["verify", "J", "--lambda", "1e200", "-6"], 3,
+     "numerical failure: the singular points overflow in double precision at lam=1e+200\n"),
+    (["verify", "J", "--lambda", "3", "-4", "0", "5.5"], 2, "error: J3 requires lam > 5\n"),
+    (["verify", "boyd", "--k", "5", "-3"], 2, "error: the relation is stated for k <= 4\n"),
 ])
 def test_verify_reports_the_first_failing_row(capsys, argv, code, message):
     # several override rows fail, each in its own way: the first row's own error decides
@@ -217,6 +222,20 @@ def test_sweep_rows_past_double_range_are_numerical_failures(capsys, identity, r
     rows = out.strip().split("\n")[1:]
     assert [row.split(",", 1)[0] for row in rows] == ["1e+200", "1.1e+200", "1.2e+200"]
     assert all(row.split(",")[-1].startswith(f"error:{reason} at lam=") for row in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_branch_bounds_past_double_range_are_numerical_failures(capsys):
+    # |b| <= 2|lam| + 9 for b = 2x^2 + lam x + 1 on the path, and b*b overflows above
+    # about 6.7e153: the scan fails before computing, without a numpy warning
+    message = "numerical failure: the branch moduli overflow in double precision at lam=1e+155\n"
+    assert run(capsys, ["verify", "branches", "--lambda", "1e155"]) == (3, "", message)
+    assert run(capsys, ["verify", "branches", "--lambda", "-7", "1e155", "13"]) == (3, "", message)
+    code, out, _ = run(capsys, ["verify", "branches", "--lambda", "4e153", "6.7e153"])
+    assert code == 0 and all(r["passed"] for r in _reports(out))
+    assert verify_branch_bounds(-6.7e153).passed
+    with pytest.raises(NumericalError, match="branch moduli overflow"):
+        verify_branch_bounds(-6.71e153)
 
 
 def test_derivative_rows_where_only_the_hypergeometric_argument_overflows(capsys):

@@ -359,7 +359,7 @@ def test_pinned_ladder_estimate_is_the_two_gap_guard(n):
 
     v1, v2, v3 = (float(values_at((np.arange(m) + 0.5) / m).mean()) for m in (n // 4, n // 2, n))
     expected = max(abs(v3 - v2), 0.25 * abs(v2 - v1), quadrature._err_floor(v3))
-    assert measures._circle_mean(values_at, (), n, 1e-9) == (v3, expected)
+    assert measures._circle_means(values_at, lambda rows, v: v[None, :], [()], n, 1e-9)[0] == (v3, expected)
 
 
 # -- the torus ladder's power-law estimate ------------------------------------------

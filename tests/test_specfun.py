@@ -16,7 +16,7 @@ from mahler.specfun import (
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
-    _radical_integral,
+    _radical_integrals,
     integrate_derivative_kernel,
     singular_points,
 )
@@ -201,19 +201,24 @@ def test_dq_fd_richardson_order():
     assert 3.2 < e1 / e2 < 4.8
 
 
+def _rows(lam, *x):
+    """Planted singular points (x0, x1, x2), one of each per entry of the array ``lam``."""
+    return tuple(np.full(np.shape(lam), v) for v in x)
+
+
 def test_radical_kernel_positive_inside_interval(monkeypatch):
     assert integrate_derivative_kernel(-6.0).value > 0
     assert integrate_derivative_kernel(16.0, with_linear_factor=True).value > 0
     # a third root moved inside [x0, x1] makes the radicand negative at the
     # midpoint; the kernel integral must refuse it rather than return a number
     x0, x1, x2 = cubic_singularities(-6.0)
-    monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: (x0, x1, 0.5 * (x0 + x1) - 1e-3))
+    monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: _rows(lam, x0, x1, 0.5 * (x0 + x1) - 1e-3))
     with pytest.raises(NumericalError):
         integrate_derivative_kernel(-6.0)
     # the same on the positive side, with x1 moved inside [x2, x0]: the sign
     # comes from the signed factor -4 lam, so taking |far - x| would accept it
     x0, x1, x2 = cubic_singularities(16.0)
-    monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: (x0, 0.5 * (x2 + x0) + 1e-3, x2))
+    monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: _rows(lam, x0, 0.5 * (x2 + x0) + 1e-3, x2))
     for linear in (False, True):
         with pytest.raises(NumericalError):
             integrate_derivative_kernel(16.0, with_linear_factor=linear)
@@ -262,7 +267,7 @@ def test_j1_j3_kernels_match_mpmath(lam, linear):
 def test_dr_quadrature_route_matches_mpmath(lam):
     # at 4.01 the far root lam^2/16 sits 5e-3 past the end of [0, 1]
     far = lam * lam / 16.0
-    r = _radical_integral(0.0, 1.0, far, 16.0)
+    r = _radical_integrals([(0.0, 1.0, far, 16.0, False)], 1e-12)[0]
     assert r.converged
     assert abs(r.value - _radical_reference(0.0, 1.0, far, 16.0)) <= 1e-15 * r.value
 
