@@ -27,7 +27,6 @@ class Defaults:
     torus_tol: float = 2.5e-7
 
     # tanh-sinh (double-exponential) rule
-    tanh_sinh_tol: float = 1.0e-12
     tanh_sinh_level_max: int = 12
 
     # Gauss hypergeometric series

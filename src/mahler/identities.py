@@ -234,6 +234,8 @@ def _J_rows(lams, tol: float | None = None, which: str | None = None) -> list:
     tol = DEFAULT_TOLERANCES["J"] if tol is None else float(tol)
     checks = []
     for lam in lams:
+        if not math.isfinite(lam):  # NaN would pass every range test below
+            raise ValueError(f"J needs a finite lam, got {lam!r}")
         for name in [which] if which else ["J2" if lam < 0 else "J3"] + (["J1"] if lam > 5 else []):
             if name == "J2" and lam >= -5.0:
                 raise ValueError("J2 requires lam < -5")

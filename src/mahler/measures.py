@@ -21,8 +21,9 @@ family on a whole parameter list that way.  The integrand is
 analytic on the circle except at breakpoints, where a fiber root crosses
 |y| = 1, roots collide or the leading coefficient vanishes.  When it has
 breakpoints (from resultants for generic input, from closed forms for the
-three families), each arc between them is integrated by tanh-sinh;
-otherwise a midpoint ladder doubles the node count.  Circle rules place
+three families), each arc between them is integrated by tanh-sinh, the arcs
+of all rows as the rows of one ladder; otherwise a midpoint ladder doubles
+the node count, again for all rows at once.  Circle rules place
 nodes with a half-step offset so that points where a branch modulus touches
 1 (like t = 0) are never sampled exactly.
 """
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
-from .quadrature import NumericalError, _budget, _ladder, _midpoint_means, _refine, tanh_sinh
+from .quadrature import NumericalError, _budget, _ladder, _midpoint_means, _power_estimate, _refine, tanh_sinh
 from .roots import batch_roots, quadratic_roots
 from .specfun import cubic_singularities
 
@@ -136,10 +137,10 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
         raise ValueError("torus quadrature supports at most 3 variables")
     tol = DEFAULTS.torus_tol if tol is None else float(tol)
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
-    value, err, _ = _refine(
+    value, err, *_ = _refine(
         lambda m: _torus_mean_log(P, m),
         *_budget(n, tol, min(DEFAULTS.torus_nodes_start, n_max // 16), n_max),
-        geometric=False,
+        estimate=_power_estimate,
     )
     return MeasureValue(value=value, method="torus", error_estimate=err)
 
@@ -292,29 +293,29 @@ def _circle_means(nodes, values, cuts, n: int | None, tol: float) -> list:
 
     Row i's integrand at an array of t is ``values(np.array([i]), nodes(t))[0]``
     (see :func:`quadrature._midpoint_means`), and ``cuts[i]`` holds its
-    breakpoints (t in [0, 1)).  A row with breakpoints and no pinned node
-    count integrates each arc between consecutive cuts by tanh-sinh; the
-    integrand is analytic inside an arc and at worst square-root-like at its
-    ends.  All other rows (no cuts, ``n`` given, or an arc that does not
-    converge) share one midpoint ladder on the whole period, each row to its
-    own stop.  A failing row raises for the batch.
+    breakpoints (t in [0, 1)).  Without a pinned node count, the arcs between
+    consecutive cuts of all rows are the rows of one :func:`tanh_sinh` call,
+    each to tol divided by its row's number of cuts: the integrand is
+    analytic inside an arc and at worst square-root-like at its ends.  There
+    ``nodes`` and ``values`` take a 2-D t, one row of nodes per arc, and a
+    row's value is the sum of its arcs in order.  The other rows (no cuts,
+    ``n`` given, or an arc that does not converge) share one midpoint ladder
+    on the whole period, each row to its own stop.  A failing row raises for
+    the batch.
     """
     start, cap, ladder_tol = _budget(n, tol)
+    # the arcs (a, b) between consecutive cuts of each row, and the row of each arc
+    arcs = [[(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b] if n is None and len(c) else () for c in cuts]
+    owner = np.repeat(np.arange(len(cuts)), [len(row) for row in arcs])
+    results = iter(tanh_sinh(lambda rows, t: values(owner[rows], nodes(t)), [arc for row in arcs for arc in row],
+                             [tol / len(cuts[i]) for i in owner]))
     out: list = [None] * len(cuts)
-    ladder = []
-    for i, row_cuts in enumerate(cuts):
-        if n is None and len(row_cuts):
-            one = np.array([i])
-            ends = list(row_cuts) + [row_cuts[0] + 1.0]
-            arcs = [
-                tanh_sinh(lambda t: values(one, nodes(t))[0], a, b, tol / len(row_cuts))
-                for a, b in zip(ends[:-1], ends[1:])
-                if a < b
-            ]
-            if all(r.converged for r in arcs):
-                out[i] = (sum(r.value for r in arcs), sum(r.error_estimate for r in arcs))
-                continue
-        ladder.append(i)
+    for i, row in enumerate(arcs):
+        if row:
+            done = [next(results) for _ in row]
+            if all(r.converged for r in done):
+                out[i] = (sum(r.value for r in done), sum(r.error_estimate for r in done))
+    ladder = [i for i, res in enumerate(out) if res is None]
     rows = np.array(ladder, dtype=int)
     results = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows), start, cap, ladder_tol)
     for i, res in zip(ladder, results):
@@ -345,7 +346,8 @@ def mahler_jensen_2var(
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
     # one row, whose node data are its integrand values
     value, err = _circle_means(
-        lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t))), lambda rows, v: v[None, :],
+        lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t.ravel()))),
+        lambda rows, v: v.reshape(len(rows), -1),
         [_breakpoints(view) if n is None else ()], n, tol,
     )[0]
     return MeasureValue(value=value, method="jensen", error_estimate=err)
@@ -459,15 +461,17 @@ def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
 
     On lam <= -4 or lam >= 13 the one-branch reduction applies:
     ``q = int_0^1 log|y_plus(x(z))| dt`` with z = e^(2 pi i t), split at the
-    breakpoints of :func:`_q_rows`.  Its integrand has a branch point at
-    z ~ 1 + 1/lam, about 1/(2 pi |lam|) from t = 0, so the node count of the
-    unmapped midpoint ladder grows like |lam| (2,048 at lam = -55, 32,768 at
-    1000).  A Moebius map of the circle with a parameter a chosen from the
-    singular points (see :func:`_fast_integrand`) makes it grow like
-    sqrt(|lam|) (512 and 2,048).  Rows the map would not at least halve (at
-    and near the cut at lam = -5, and -5 < lam <= -4) keep a = 0, the
-    unmapped arithmetic.  Elsewhere the generic Jensen evaluator runs on the
-    expanded polynomial (method tag "jensen").
+    breakpoints of :func:`_q_rows` into tanh-sinh arcs, which share one
+    ladder with the arcs of the other rows of a batch.  Its integrand has a
+    branch point at z ~ 1 + 1/lam, about 1/(2 pi |lam|) from t = 0, so the
+    node count of the unmapped midpoint ladder grows like |lam| (2,048 at
+    lam = -55, 32,768 at 1000).  A Moebius map of the circle with a
+    parameter a chosen from the singular points (see
+    :func:`_fast_integrand`) makes it grow like sqrt(|lam|) (512 and 2,048).
+    Rows the map would not at least halve (at and near the cut at lam = -5,
+    and -5 < lam <= -4) keep a = 0, the unmapped arithmetic.  Elsewhere the
+    generic Jensen evaluator runs on the expanded polynomial (method tag
+    "jensen").
     """
     return family_measures("q", [lam], n, tol=tol)[0]
 
@@ -586,9 +590,10 @@ def family_measures(family: str, lams, n: int | None = None, *, tol: float | Non
 
     Returns a :class:`MeasureValue` per row, in the order of ``lams``; a
     failing row raises.  The rows on the fast path share one
-    :func:`_circle_means` call, so those that run the midpoint ladder
-    evaluate each level together.  Rows with breakpoints (tanh-sinh arcs),
-    q off its one-branch range (Jensen) and the exact p(-4) stay alone.
+    :func:`_circle_means` call, so the tanh-sinh arcs of the rows with
+    breakpoints, and the rows that run the midpoint ladder, evaluate each
+    level together.  Only q off its one-branch range (Jensen) and the exact
+    p(-4) stay alone.
     """
     out: list = [None] * len(lams)
     fast = []

@@ -412,7 +412,8 @@ def verify_substitution(lam, samples: int = 100, *, seed: int = 0) -> float:
     Checks ``Q_{lam+4}(X-1, Y) = X^8 (y^2 + (2x^2+lam x+1) y + x^4)`` under
     ``x=(X-1)/X^2, y=Y/X^4`` at ``samples`` seeded pseudo-random points on
     ``|X| = |Y| = 1``, and additionally as an exact symbolic expansion when the
-    parameter is exactly representable.
+    parameter is exactly representable.  The sampled residual is relative to
+    the values compared, which grow like |lam|: max |lhs - rhs| / max(1, max |lhs|).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -422,7 +423,7 @@ def verify_substitution(lam, samples: int = 100, *, seed: int = 0) -> float:
         if _expand_substituted(inner) != shifted:
             raise ArithmeticError("exact expansion of the substitution identity failed")
     rng = random.Random(seed)
-    worst = 0.0
+    worst, size = 0.0, 1.0
     for _ in range(samples):
         X = cmath.exp(2j * math.pi * rng.random())
         Y = cmath.exp(2j * math.pi * rng.random())
@@ -430,8 +431,8 @@ def verify_substitution(lam, samples: int = 100, *, seed: int = 0) -> float:
         y = Y / X**4
         lhs = shifted.evaluate((X, Y))
         rhs = X**8 * inner.evaluate((x, y))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        worst, size = max(worst, abs(lhs - rhs)), max(size, abs(lhs))
+    return worst / size
 
 
 # -- textual serialization -----------------------------------------------------

@@ -1,13 +1,13 @@
-"""The two quadrature rules of the library.
+"""The two quadrature rules of the library, on one node-doubling ladder.
 
-:func:`tanh_sinh` integrates over a finite interval whose integrand may blow
-up like an inverse square root at the endpoints.  Singularities must sit at
-interval endpoints; interior singular points are the caller's job to split
-at.  :func:`_ladder` runs node-doubling ladders, such as the midpoint rule
-on a periodic integrand, to a tolerance, many rows at once; :func:`_refine`
-is its one-row case and :func:`_midpoint_means` evaluates a level of the
-midpoint rule in blocks (see :mod:`mahler.measures` for the circle means
-and :mod:`mahler.specfun` for the radical kernels).  All are pure functions
+:func:`_ladder` runs node-doubling ladders of many rows at once, each row to
+its own stop under an estimator it is given; :func:`_refine` is its one-row
+case.  Its two rules: :func:`_midpoint_means` evaluates a level of the
+midpoint rule on a periodic integrand in blocks (see :mod:`mahler.measures`
+for the circle means and :mod:`mahler.specfun` for the radical kernels), and
+:func:`tanh_sinh` runs a list of finite intervals as rows, for integrands
+that may blow up like an inverse square root at the endpoints (interior
+singular points are the caller's job to split at).  All are pure functions
 and safe for concurrent use.
 
 A batch of rows raises when one of its rows fails, as the row's one-row call
@@ -23,7 +23,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,6 +34,7 @@ _EPS = sys.float_info.epsilon
 # The double-exponential transform maps |t| ~ 5 to points whose weight times
 # any admissible inverse-square-root blowup is far below double rounding.
 _T_HARD = 5.0
+_BLOCK = 4096  # nodes per integrand call (rows times nodes); bounds memory at the node cap
 
 
 class NumericalError(RuntimeError):
@@ -87,76 +87,61 @@ def _tanh_sinh_row(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows
 
 
-def tanh_sinh(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float | None = None,
-    *,
-    level_max: int | None = None,
-) -> QuadratureResult:
-    """Integrate ``f`` over ``[a, b]`` with double-exponential node placement.
+def tanh_sinh(f, ends, tol, *, level_max: int | None = None) -> list:
+    """Integrate over every arc ``ends[i] = (a, b)`` with double-exponential node placement.
 
     The change of variable ``x = mid + rad*tanh((pi/2) sinh t)`` pushes the
     endpoints to infinity, so integrable endpoint singularities up to
-    ``(x-a)^(-1/2)`` / ``(b-x)^(-1/2)`` converge geometrically.  ``f``
-    receives all new nodes of a level as one array and returns the values
-    in the same shape.  The mesh is halved per level until two successive
-    levels differ by less than ``tol``.  Reaching the level cap returns the
-    last value with ``converged=False``; a NaN or infinity from ``f`` in the
-    interior is a hard error.
+    ``(x-a)^(-1/2)`` / ``(b-x)^(-1/2)`` converge geometrically.  The arcs are
+    the rows of one :func:`_ladder`, whose level n = 2^j halves their mesh.
+    ``f(rows, x)`` gets the nodes a level adds to the arcs ``rows`` as a
+    (len(rows), nodes) array, at most ``_BLOCK`` nodes unless one arc's level
+    alone is larger, and returns the values in its shape.  An arc stops once
+    two levels differ by at most its ``tol`` (a scalar or one per arc), or
+    at the level cap with ``converged=False``.  A node that rounds onto an
+    endpoint is evaluated at the midpoint, as level 0 is, and weighs nothing;
+    a NaN or infinity at a node inside is a hard error.  Returns a
+    :class:`QuadratureResult` per arc.
     """
-    if not (a < b):
+    ends = np.array(ends, dtype=float).reshape(-1, 2)
+    a, b = ends.T
+    if not (a < b).all():
         raise ValueError("need a < b")
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if not np.isfinite(ends).all():
         raise ValueError("endpoints must be finite")
-    tol = DEFAULTS.tanh_sinh_tol if tol is None else float(tol)
     level_max = DEFAULTS.tanh_sinh_level_max if level_max is None else int(level_max)
+    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+    totals = np.zeros(len(ends))  # each arc's sum of w f(x) over the levels so far
 
-    mid = 0.5 * (a + b)
-    rad = 0.5 * (b - a)
-    half_pi = 0.5 * math.pi
+    def level(live: np.ndarray, n: int) -> list[float]:
+        ch, cu2, den = _tanh_sinh_row(n.bit_length() - 1)
+        step = max(1, _BLOCK // (2 * len(ch)))
+        for lo in range(0, len(live), step):
+            rows = live[lo : lo + step]
+            a_, b_, mid_, rad_ = (v[rows, None] for v in (a, b, mid, rad))
+            # the distance d to the nearer endpoint is computed directly so that
+            # nodes hug the endpoints as closely as doubles allow
+            w = rad_ * (0.5 * math.pi) * ch / cu2
+            d = rad_ * 2.0 / den
+            x, w = np.concatenate([b_ - d, a_ + d], axis=1), np.concatenate([w, w], axis=1)
+            if n == 1:  # t = 0 is one node, at the midpoint
+                x[:, 0] = mid_[:, 0]
+                x, w = np.delete(x, len(ch), axis=1), np.delete(w, len(ch), axis=1)
+            inside = (x > a_) & (x < b_)
+            vals = np.asarray(f(rows, np.where(inside, x, mid_)), dtype=float)
+            if vals.shape != x.shape:
+                raise ValueError("integrand returned a wrong shape")
+            bad = inside & ~np.isfinite(vals)
+            if bad.any():
+                k = np.unravel_index(np.argmax(bad), bad.shape)
+                what = "returned NaN" if math.isnan(vals[k]) else "blew up at interior point"
+                raise NumericalError(f"integrand {what} at x={float(x[k])!r}")
+            for i, w_i, v_i, keep in zip(rows, w, vals, inside):
+                totals[i] += w_i[keep] @ v_i[keep]
+        return (totals[live] / n).tolist()
 
-    def row(level: int) -> float:
-        # the distance d to the nearer endpoint is computed directly so that
-        # nodes hug the endpoints as closely as doubles allow
-        ch, cu2, den = _tanh_sinh_row(level)
-        w = rad * half_pi * ch / cu2
-        d = rad * 2.0 / den
-        x, w = np.concatenate([b - d, a + d]), np.concatenate([w, w])
-        if level == 0:  # t = 0 is one node, at the midpoint
-            x[0] = mid
-            x, w = np.delete(x, len(d)), np.delete(w, len(d))
-        inside = (x > a) & (x < b)
-        x, w = x[inside], w[inside]
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != x.shape:
-            raise ValueError("integrand returned a wrong shape")
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = int(np.argmax(bad))
-            what = "returned NaN" if math.isnan(vals[k]) else "blew up at interior point"
-            raise NumericalError(f"integrand {what} at x={float(x[k])!r}")
-        return float(w @ vals)
-
-    nodes = 0
-    h = 1.0
-    total = row(0)
-    nodes += 2 * len(_tanh_sinh_row(0)[0]) - 1
-    value = h * total
-    err = math.inf
-    converged = False
-    for level in range(1, level_max + 1):
-        h *= 0.5
-        total += row(level)
-        nodes += 2 * len(_tanh_sinh_row(level)[0])
-        new_value = h * total
-        err = abs(new_value - value)
-        value = new_value
-        if err <= max(tol, _err_floor(value) / 4):
-            converged = True
-            break
-    return QuadratureResult(value=value, error_estimate=max(err, _err_floor(value)), nodes=nodes, converged=converged)
+    return [QuadratureResult(v, err, sum(2 * len(_tanh_sinh_row(j)[0]) for j in range(n.bit_length())) - 1, stop)
+            for v, err, n, stop in _ladder(level, len(ends), 1, 2**level_max, tol, estimate=_last_gap_estimate)]
 
 
 # -- node-doubling ladder -----------------------------------------------------
@@ -188,13 +173,14 @@ _RATE_AGREE = 0.1
 _POWER_SAFETY = 1.25  # scales every estimate of a power-law ladder
 
 
-def _geometric_estimate(values: list[float]) -> tuple[float, float, float]:
-    """(value, last gap, estimate) of a ladder whose error falls geometrically.
+def _geometric_estimate(values: list[float], tol: float) -> tuple[float, float, bool]:
+    """(value, estimate, stop) of a ladder whose error falls geometrically.
 
     The estimate is the last gap guarded by ``_PREV_WEIGHT`` times the
     previous gap (an accidentally small step must not masquerade as
     convergence).  Once the last three gaps fall in ratio (r < r_prev/2,
-    r < 1/2) it is the tail ``gap * r / (1 - r)``.
+    r < 1/2) it is the tail ``gap * r / (1 - r)``.  The ladder stops when the
+    last gap and the estimate are both below tol.
     """
     g2 = abs(values[-1] - values[-2])
     g1 = abs(values[-2] - values[-3]) if len(values) > 2 else 0.0
@@ -203,11 +189,11 @@ def _geometric_estimate(values: list[float]) -> tuple[float, float, float]:
         g0 = abs(values[-3] - values[-4])
         if g0 > 0 and 2 * g2 < g1 and 2 * g2 * g0 < g1 * g1:  # r = g2/g1, r_prev = g1/g0
             err = g2 * g2 / (g1 - g2)
-    return values[-1], g2, err
+    return values[-1], err, g2 < tol and err < tol
 
 
-def _power_estimate(values: list[float]) -> tuple[float, float, float]:
-    """(value, last step, estimate) of a ladder whose error falls like a power of n.
+def _power_estimate(values: list[float], tol: float) -> tuple[float, float, bool]:
+    """(value, estimate, stop) of a ladder whose error falls like a power of n.
 
     Richardson extrapolation: with signed gaps d1, d2 ending at level v, the
     exponent is p = log2(d1/d2) and the extrapolated value
@@ -218,7 +204,9 @@ def _power_estimate(values: list[float]) -> tuple[float, float, float]:
     Otherwise the raw gaps set it: with three or more, the tail of the
     slowest admitted rate n^-1/2 beyond the larger of the last two gaps,
     max(g, g_prev)/(sqrt(2) - 1); with two (a pinned node count), the guard
-    max(g, g_prev/2).
+    max(g, g_prev/2).  The ladder stops when the last step and the estimate
+    are both below tol, and never before three gaps, so neither its first
+    gap nor an unchecked rate can stop it.
     """
     fits = []
     for k in range(max(len(values) - 3, 2), len(values)):
@@ -228,36 +216,42 @@ def _power_estimate(values: list[float]) -> tuple[float, float, float]:
             fits.append((p, values[k] + d2 / (2.0**p - 1.0)))
     if len(fits) == 3 and abs(fits[2][0] - fits[1][0]) <= _RATE_AGREE and _RATE_BAND[0] <= fits[2][0] <= _RATE_BAND[1]:
         e0, e1, e2 = (e for _, e in fits)
-        return e2, abs(e2 - e1), _POWER_SAFETY * max(abs(e2 - e1), _PREV_WEIGHT * abs(e1 - e0))
+        err = _POWER_SAFETY * max(abs(e2 - e1), _PREV_WEIGHT * abs(e1 - e0))
+        return e2, err, abs(e2 - e1) < tol and err < tol
     g = abs(values[-1] - values[-2])
     g_prev = abs(values[-2] - values[-3]) if len(values) > 2 else 0.0
     if len(values) > 3:
-        return values[-1], g, _POWER_SAFETY * max(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
-    return values[-1], g, _POWER_SAFETY * max(g, 0.5 * g_prev)
+        err = _POWER_SAFETY * max(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
+        return values[-1], err, g < tol and err < tol
+    return values[-1], _POWER_SAFETY * max(g, 0.5 * g_prev), False
 
 
-def _refine(level_fn, n_start: int, n_max: int, tol: float, *, geometric: bool = True) -> tuple[float, float, int]:
+def _last_gap_estimate(values: list[float], tol: float) -> tuple[float, float, bool]:
+    """(value, estimate, stop) of a tanh-sinh ladder: the last gap, which must be at most tol or at rounding level."""
+    g = abs(values[-1] - values[-2])
+    return values[-1], g, g <= max(tol, _err_floor(values[-1]) / 4)
+
+
+def _refine(level_fn, n_start: int, n_max: int, tol: float, *, estimate=_geometric_estimate) -> tuple:
     """One ladder of :func:`_ladder`: ``level_fn(n)`` is its level-n value.
 
-    Returns (value, error_estimate, nodes), or raises what ``level_fn`` raised.
+    Returns (value, error_estimate, nodes, converged), or raises what ``level_fn`` raised.
     """
-    return _ladder(lambda live, n: [level_fn(n)], 1, n_start, n_max, tol, geometric=geometric)[0]
+    return _ladder(lambda live, n: [level_fn(n)], 1, n_start, n_max, tol, estimate=estimate)[0]
 
 
-def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol: float, *, geometric: bool = True) -> list:
-    """Node-doubling ladders of ``rows`` rows, from ``n_start`` until each row's estimate meets tol or ``n_max``.
+def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol, *, estimate=_geometric_estimate) -> list:
+    """Node-doubling ladders of ``rows`` rows, from ``n_start`` until each row's estimate stops it or ``n_max``.
 
     ``level_fn(live, n)`` returns the level-n values of the rows in the index
     array ``live``; all rows still running share each level, and a row that
-    has stopped leaves it.  A ``geometric`` ladder (midpoint rule, analytic
-    periodic integrand) is estimated by :func:`_geometric_estimate`, any
-    other (torus rule, integrand with singularities) by
-    :func:`_power_estimate`.  A row stops when its last step and estimate
-    are both below tol; a power-law ladder needs three gaps first, so neither
-    its first gap nor an unchecked rate can stop it.  Returns per row
-    (value, error_estimate, nodes); what ``level_fn`` raises propagates.
+    has stopped leaves it.  ``estimate(values, tol)`` gives a row's value,
+    error estimate and whether to stop, from its levels so far and its tol
+    (``tol`` is a scalar or one per row).  Returns per row (value,
+    error_estimate, nodes, converged), converged if the estimate stopped the
+    row; what ``level_fn`` raises propagates.
     """
-    estimate = _geometric_estimate if geometric else _power_estimate
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), rows).tolist()
     out: list = [None] * rows
     values: list[list[float]] = [[] for _ in range(rows)]
     live = np.arange(rows)
@@ -266,12 +260,11 @@ def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol: float, *, geomet
         running = []
         for i, v in zip(live.tolist(), level_fn(live, n)):
             values[i].append(v)
-            value, err, stop = v, 0.0, False
+            value, err, stop = v, math.inf, False  # one level alone has no estimate
             if len(values[i]) > 1:
-                value, step, err = estimate(values[i])
-                stop = step < tol and err < tol and (geometric or len(values[i]) > 3)
+                value, err, stop = estimate(values[i], tol[i])
             if stop or n >= n_max:
-                out[i] = (value, max(err, _err_floor(value)), n)
+                out[i] = (value, max(err, _err_floor(value)), n, stop)
             else:
                 running.append(i)
         live = np.array(running, dtype=int)
@@ -299,8 +292,6 @@ def _isolate(evaluate, params) -> list:
 
 
 # -- the midpoint rule in blocks -------------------------------------------------
-
-_BLOCK = 4096  # nodes per integrand call (rows times nodes); bounds memory at the node cap
 
 
 def _midpoint_means(nodes, values, live: np.ndarray, m: int) -> list[float]:

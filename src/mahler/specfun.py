@@ -267,7 +267,7 @@ def _radical_integrals(kernels, tol: float) -> list:
 
     start, cap, tol = _budget(None, float(tol))
     results = _ladder(lambda live, m: _midpoint_means(nodes, values, live, m), len(kernels), start, cap, tol)
-    return [QuadratureResult(value=v, error_estimate=err, nodes=m, converged=m < cap) for v, err, m in results]
+    return [QuadratureResult(*res) for res in results]
 
 
 _KERNEL_TOL = 1e-13  # of the elliptic integrals between singularities

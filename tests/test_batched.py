@@ -302,6 +302,60 @@ def test_unmapped_q_rows_equal_the_unmapped_midpoint_rule(monkeypatch):
     ladder_lams = [lam for lam in lams if lam != -5.0]  # -5 has cuts, so tanh-sinh arcs
     values = family_measures("q", lams)
     assert [mv.value for lam, mv in zip(lams, values) if lam != -5.0] == [
-        _unmapped_mean(lam, m) for lam, (_, _, m) in zip(ladder_lams, ladders)
+        _unmapped_mean(lam, m) for lam, (_, _, m, _) in zip(ladder_lams, ladders)
     ]
     assert [mv.value for mv in family_measures("q", lams, 1000)] == [_unmapped_mean(lam, 1000) for lam in lams]
+
+
+# -- tanh-sinh arcs: every arc of a batch is a row of one ladder ---------------------
+
+P_ARCS = [-5.0 + 0.25 * i for i in range(37)]  # every row has two or four arcs
+R_ARCS = [-4.0 + 0.25 * i for i in range(33)]
+
+
+@pytest.mark.parametrize("family, lams", [
+    ("p", P_ARCS),
+    ("r", R_ARCS),
+    ("q", [-5.5 + 0.125 * i for i in range(9)]),  # the cut at -5 among mapped and unmapped rows
+    ("p", [k - 4.0 for k in range(-6, 5)]),  # the p side of the boyd suite
+], ids=["p", "r", "q-near-cut", "boyd-p"])
+def test_arc_batches_equal_one_row_calls(family, lams):
+    assert family_measures(family, lams) == [SINGLE[family](lam) for lam in lams]
+
+
+def test_the_arcs_of_a_batch_share_each_integrand_call(monkeypatch):
+    # one tanh-sinh call per arc made 321 integrand calls here; the shared ladder
+    # makes one per level and block, each of at most one block of nodes
+    sizes = []
+    real = measures._jensen_rows
+
+    def spy(C):
+        sizes.append(C[0].size)
+        return real(C)
+
+    monkeypatch.setattr(measures, "_jensen_rows", spy)
+    family_measures("p", P_ARCS)
+    assert len(sizes) <= 13 and max(sizes) <= quadrature._BLOCK
+
+
+def test_a_row_whose_arc_hits_the_level_cap_falls_back_alone(monkeypatch):
+    # with the tanh-sinh levels capped at 3 (81 nodes), -4.25 and 4 (an arc needs 161
+    # nodes) join the rows without cuts (lam < -5) on the whole-circle ladder; the
+    # other rows keep their arcs, and every row is what its one-row call gives
+    lams = [-6.0, -5.5, -5.0, -4.25, -4.0, -2.75, 0.0, 4.0]
+    arcs = family_measures("p", lams)
+    real = measures.tanh_sinh
+    monkeypatch.setattr(measures, "tanh_sinh", lambda f, ends, tol: real(f, ends, tol, level_max=3))
+    capped = family_measures("p", lams)
+    assert capped == [p_measure(lam) for lam in lams]
+    nodes, values, _ = measures._fast_integrand("p", np.array(lams))
+    ladder = measures._circle_means(nodes, values, [()] * len(lams), None, 1e-9)
+    fell = [i for i, mv in enumerate(capped) if (mv.value, mv.error_estimate) == ladder[i]]
+    assert fell == [0, 1, 3, 7]
+    assert all(capped[i] == arcs[i] for i in range(len(lams)) if i not in fell)
+
+
+def test_a_row_that_stops_at_the_cap_has_converged():
+    # a constant ladder stops on its first gap, at 128 nodes: also where 128 is the cap
+    assert quadrature._refine(lambda n: 2.0, 64, 128, 1e-9) == (2.0, quadrature._err_floor(2.0), 128, True)
+    assert quadrature._refine(lambda n: 1.0 + 1.0 / n, 64, 128, 1e-9)[3] is False

@@ -389,6 +389,14 @@ def test_non_positive_or_non_finite_tolerance_is_usage_error(capsys, argv, optio
     assert out == "" and err.startswith(f"error: {option} must be a positive finite number")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_J_rejects_a_non_finite_lambda(capsys, value):
+    # NaN fails every comparison, so it passed the range tests of the J rows
+    code, out, err = run(capsys, ["verify", "J", f"--lambda={value}"])
+    assert code == 2
+    assert out == "" and err.startswith("error: J needs a finite lam")
+
+
 @pytest.mark.parametrize("family, value", [("r", "nan"), ("p", "inf"), ("q", "-inf")])
 @pytest.mark.parametrize("method", ["fast", "jensen"])
 def test_compute_rejects_non_finite_family_parameter(capsys, family, value, method):

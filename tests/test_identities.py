@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mahler.poly as poly
 from mahler.identities import (
     DEFAULT_PARAMS,
     DEFAULT_TOLERANCES,
@@ -19,6 +20,7 @@ from mahler.identities import (
     verify_singularity_order,
     verify_substitution_identity,
 )
+from mahler.poly import LaurentPolynomial
 from mahler.specfun import UnsupportedRegimeError
 
 
@@ -111,6 +113,23 @@ def test_singularity_order_rejects_gap():
 def test_substitution_identity_report():
     rep = verify_substitution_identity(13.0)
     assert rep.passed and rep.residual < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e6])
+def test_substitution_identity_holds_at_large_lambda(lam):
+    # the values compared grow like |lam|, and so does their rounding; the residual is relative to them
+    assert verify_substitution_identity(lam).passed
+
+
+@pytest.mark.parametrize("lam", [-6.0, 0.5, 13.0, 1e3, 1e6])
+def test_substitution_identity_fails_a_planted_error(monkeypatch, lam):
+    # a float lam coefficient off by 1e-9 lam skips the exact expansion; the sampled residual must catch it
+    def planted(lam):
+        return LaurentPolynomial({(0, 2): 1, (2, 1): 2, (1, 1): float(lam) + 1e-9 * float(lam), (0, 1): 1, (4, 0): 1},
+                                 nvars=2)
+
+    monkeypatch.setattr(poly, "_inner_quadratic", planted)
+    assert not verify_substitution_identity(lam).passed
 
 
 def test_asymptotic_gap_positive_side():

@@ -333,7 +333,7 @@ def test_geometric_ladder_stops_early_on_its_tail_estimate():
     def level(n):
         return 1.0 + 0.5 ** (n / 8)
 
-    value, err, nodes = quadrature._refine(level, 64, 2**18, 1e-9)
+    value, err, nodes, _ = quadrature._refine(level, 64, 2**18, 1e-9)
     assert nodes == 512
     assert abs(value - 1.0) <= err < 1e-9
     # the guard max(gap, gap_prev / 4) at the same level is 3.8e-6, above tol
@@ -346,7 +346,7 @@ def test_geometric_ladder_stops_early_on_its_tail_estimate():
 ], ids=["n^-2", "alternating n^-1.5"])
 def test_algebraic_ladder_keeps_the_guard(level):
     # n^-2 meets tol at 65536 nodes; the alternating ladder reaches the cap unconverged
-    value, err, nodes = quadrature._refine(level, 64, 2**18, 1e-9)
+    value, err, nodes, _ = quadrature._refine(level, 64, 2**18, 1e-9)
     assert (value, err, nodes) == _guard_ladder(level, 64, 2**18, 1e-9)
     assert abs(value - 1.0) <= err
 
@@ -369,7 +369,7 @@ def test_pinned_ladder_estimate_is_the_two_gap_guard(n):
 def test_power_ladder_extrapolates_a_pure_power_law(p):
     # two successive fitted exponents equal p exactly, so the fifth level (1024)
     # extrapolates to the limit up to rounding
-    value, err, nodes = quadrature._refine(lambda n: 1.0 + n**-p, 64, 4096, 1e-9, geometric=False)
+    value, err, nodes, _ = quadrature._refine(lambda n: 1.0 + n**-p, 64, 4096, 1e-9, estimate=quadrature._power_estimate)
     assert nodes == 1024
     assert abs(value - 1.0) <= err == quadrature._err_floor(value)
 
@@ -379,7 +379,7 @@ def test_power_ladder_extrapolates_a_pure_power_law(p):
     (lambda n: 1.0 + 1e-2 * n**-1.5 - 1e-3 * 2.0 ** (-n / 32), 1e-9, 4096),  # a hump: no single rate
 ], ids=["n^-2 + n^-3", "n^-1.5 - 2^(-n/32)"])
 def test_power_ladder_estimate_holds_on_two_terms(level, tol, stop):
-    value, err, nodes = quadrature._refine(level, 64, 4096, tol, geometric=False)
+    value, err, nodes, _ = quadrature._refine(level, 64, 4096, tol, estimate=quadrature._power_estimate)
     assert nodes == stop
     assert abs(value - 1.0) <= err
 
@@ -388,7 +388,7 @@ def test_power_ladder_needs_three_gaps():
     # a constant ladder has zero gaps; the whole-circle rule stops on its first
     # gap, the power-law rule only on its third
     assert quadrature._refine(lambda n: 2.0, 64, 4096, 1e-9)[2] == 128
-    assert quadrature._refine(lambda n: 2.0, 64, 4096, 1e-9, geometric=False)[2] == 512
+    assert quadrature._refine(lambda n: 2.0, 64, 4096, 1e-9, estimate=quadrature._power_estimate)[2] == 512
 
 
 def test_power_ladder_stops_on_its_estimate_not_on_a_small_gap():
@@ -396,7 +396,7 @@ def test_power_ladder_stops_on_its_estimate_not_on_a_small_gap():
     # on that gap alone at 512; the raw estimate max(g, g_prev)/(sqrt(2) - 1)
     # waits until two small gaps in a row
     table = {64: 0.0, 128: 1e-4, 256: 3e-4, 512: 3e-4 + 1e-12}
-    value, err, nodes = quadrature._refine(lambda n: table.get(n, 3e-4), 64, 4096, 1e-9, geometric=False)
+    value, err, nodes, _ = quadrature._refine(lambda n: table.get(n, 3e-4), 64, 4096, 1e-9, estimate=quadrature._power_estimate)
     assert nodes == 1024
     assert value == 3e-4 and err < 1e-9
 

@@ -11,21 +11,26 @@ from mahler.specfun import gauss_2f1_series
 J_TYPE_20 = 0.15868678474541661
 
 
+def _arc(f, a=0.0, b=1.0, tol=1e-12, **kwargs):
+    """tanh_sinh on the one arc [a, b], with ``f`` a function of the node array."""
+    return tanh_sinh(lambda rows, x: f(x), [(a, b)], tol, **kwargs)[0]
+
+
 def test_tanh_sinh_beta_half_half():
     f = lambda t: (t * (1 - t)) ** -0.5
     # double precision floors near sqrt(eps) for an inverse-sqrt singularity
     # at a nonzero endpoint
-    r = tanh_sinh(f, 0.0, 1.0)
+    r = _arc(f)
     assert abs(r.value - math.pi) < 1e-7
 
 
 def test_tanh_sinh_beta_half_threehalf():
-    r = tanh_sinh(lambda t: np.sqrt((1 - t) / t), 0.0, 1.0)
+    r = _arc(lambda t: np.sqrt((1 - t) / t))
     assert abs(r.value - math.pi / 2) < 1e-12
 
 
 def test_tanh_sinh_constant():
-    r = tanh_sinh(np.ones_like, 0.0, 1.0)
+    r = _arc(np.ones_like)
     assert abs(r.value - 1.0) < 1e-14
 
 
@@ -33,39 +38,50 @@ def test_tanh_sinh_j_type_integrand():
     oracle = math.pi / 20 * gauss_2f1_series(0.5, 0.5, 1, 0.04)
     assert abs(oracle - J_TYPE_20) < 1e-15
     f = lambda t: (t * (1 - t) * (400 - 16 * t)) ** -0.5
-    assert abs(tanh_sinh(f, 0.0, 1.0).value - J_TYPE_20) < 5e-9
+    assert abs(_arc(f).value - J_TYPE_20) < 5e-9
 
 
 def test_tanh_sinh_nan_is_hard_error():
     for bad, message in ((math.nan, "NaN"), (math.inf, "blew up"), (-math.inf, "blew up")):
         with pytest.raises(NumericalError, match=message):
-            tanh_sinh(lambda t: np.where((0.4 < t) & (t < 0.6), bad, 1.0), 0.0, 1.0)
+            tanh_sinh(lambda rows, t: np.where((0.4 < t) & (t < 0.6), bad, 1.0), [(0.0, 1.0)], 1e-12)
 
 
 def test_tanh_sinh_level_cap_returns_flag():
-    r = tanh_sinh(lambda t: np.sin(40 * t) / (t * (1 - t)) ** 0.5, 0.0, 1.0, tol=0.0, level_max=4)
+    r = _arc(lambda t: np.sin(40 * t) / (t * (1 - t)) ** 0.5, tol=0.0, level_max=4)
     assert not r.converged
 
 
 def test_tanh_sinh_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        tanh_sinh(np.ones_like, 1.0, 0.0)
+    for ends in ([(1.0, 0.0)], [(0.0, 1.0), (2.0, 2.0)], [(0.0, math.inf)]):
+        with pytest.raises(ValueError):
+            tanh_sinh(lambda rows, x: np.ones_like(x), ends, 1e-12)
 
 
 def test_tanh_sinh_rejects_a_wrong_shape():
-    for f in (lambda x: np.ones(len(x) + 1), lambda x: 1.0, lambda x: np.ones((len(x), 1))):
+    for f in (lambda x: np.ones(x.shape[1] + 1), lambda x: 1.0, lambda x: np.ones((*x.shape, 1)), lambda x: x[0]):
         with pytest.raises(ValueError, match="wrong shape"):
-            tanh_sinh(f, 0.0, 1.0)
+            tanh_sinh(lambda rows, x: f(x), [(0.0, 1.0)], 1e-12)
+
+
+def test_two_arcs_equal_two_one_arc_calls():
+    # arcs of different lengths stop at different levels of the shared ladder, each
+    # where its one-arc call stops, with the value, estimate and node count of that call
+    f = lambda rows, x: np.cos(x) / np.sqrt(x)
+    ends = [(0.0, 0.25), (0.25, 3.0)]
+    both = tanh_sinh(f, ends, 1e-12)
+    assert both == [tanh_sinh(f, [arc], 1e-12)[0] for arc in ends]
+    assert both[0].nodes != both[1].nodes and all(r.converged for r in both)
 
 
 def _midpoint_ladder(f):
     """The midpoint ladder on [0, 1) to the default tanh-sinh tolerance, as (value, error estimate)."""
-    value, err, _ = _refine(lambda m: float(f((np.arange(m) + 0.5) / m).mean()), *_budget(None, 1e-12))
+    value, err, *_ = _refine(lambda m: float(f((np.arange(m) + 0.5) / m).mean()), *_budget(None, 1e-12))
     return value, err
 
 
 def _tanh_sinh(f):
-    r = tanh_sinh(f, 0.0, 1.0)
+    r = _arc(f)
     return r.value, r.error_estimate
 
 
