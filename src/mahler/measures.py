@@ -55,7 +55,10 @@ __all__ = [
 
 _LOG_CLAMP = 1e-300  # |P| below this at a node means the grid hit a zero
 _TRIM = 1e-13  # relative threshold for dropping a vanishing leading coefficient
-_CHUNK = 256  # rows per block in torus streaming; fixed for reproducibility
+# rows * n * columns of a torus block stays below this: OpenBLAS runs a complex matrix
+# product of fewer multiply-adds on the calling thread, and the block's arrays stay in
+# cache; fixed for reproducibility
+_TORUS_BLOCK = 2**16
 _CLUSTER = 2e-2  # resultant roots closer than this are one (multiple) root
 _ON_CIRCLE = 1e-6  # a root (mean) this close to the integration path is a breakpoint
 _MERGE = 1e-10  # breakpoints t closer than this on the circle are one
@@ -99,6 +102,10 @@ def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
     Terms are grouped by their exponent in the last variable; each group's
     coefficient is evaluated on the flattened grid of the other variables, so
     a row block of P is one matrix product with the last variable's powers.
+    A block holds the largest power of two of rows (at least one) that keeps
+    rows * n * columns below ``_TORUS_BLOCK``, so a level with n a power of
+    two splits into equal blocks and leaves no lone row over, which OpenBLAS
+    would thread as a matrix-vector product.
     """
     k = P.nvars
     grids = [_circle(n, _TORUS_OFFSETS[dim]) for dim in range(k)]
@@ -111,13 +118,16 @@ def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
             term = np.multiply.outer(term, grids[dim] ** e[dim]).ravel()
         coeffs[:, column[e[-1]]] += term
 
-    total = 0.0
-    for start in range(0, len(coeffs), _CHUNK):
-        mags = np.abs(coeffs[start : start + _CHUNK] @ table)
+    rows = 1
+    while 2 * rows * table.size < _TORUS_BLOCK:
+        rows *= 2
+    sums = []
+    for start in range(0, len(coeffs), rows):
+        mags = np.abs(coeffs[start : start + rows] @ table)
         if mags.min() < _LOG_CLAMP:
             raise NumericalError("polynomial vanishes on the sampling grid; use the Jensen method")
-        total += float(np.log(mags).sum())
-    return total / float(n**k)
+        sums.append(np.log(mags).sum())
+    return math.fsum(sums) / float(n**k)
 
 
 def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
@@ -135,6 +145,10 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
     k = P.nvars
     if k > 3:
         raise ValueError("torus quadrature supports at most 3 variables")
+    with np.errstate(over="ignore"):
+        bound = np.abs(np.array([complex(c) for _, c in P.items()])).sum()  # bounds |P| on the torus
+    if not np.isfinite(bound):
+        raise NumericalError("the values on the torus overflow in double precision")
     tol = DEFAULTS.torus_tol if tol is None else float(tol)
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
     value, err, *_ = _refine(
@@ -266,12 +280,16 @@ def _breakpoints(view) -> np.ndarray:
     ):
         m = degree + 1
         x = np.exp(2j * np.pi * np.arange(m) / m)
-        C = _coeff_rows(view, x) * x ** (-lo)
-        S = _sylvester(C, partner(x, C))
         # a resultant at rounding level against its Hadamard bound 2^h vanishes identically;
         # one power-of-two scale, exact in floating point, keeps det finite for large coefficients
-        with np.errstate(divide="ignore"):  # a fiber vanishing at a node gives a zero row
+        # (a fiber vanishing at a node gives a zero row; coefficients or row norms too large
+        # for double precision give h = inf or NaN)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            C = _coeff_rows(view, x) * x ** (-lo)
+            S = _sylvester(C, partner(x, C))
             h = np.log2(np.linalg.norm(S, axis=2)).sum(axis=1).max()
+        if not np.isfinite(h):
+            raise NumericalError("the resultant's Hadamard bound overflows in double precision")
         k = math.floor(h / len(S[0]))
         res = np.linalg.det(S * 2.0**-k)
         if np.abs(res).max() > 1e-12 * 2.0 ** (h - k * len(S[0])):

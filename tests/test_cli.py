@@ -255,6 +255,34 @@ def test_compute_numerical_failure_exit_code(capsys, tmp_path):
     assert "numerical failure" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text, method, reason",
+    [
+        # sum |c| = 2e308 bounds |P| on the torus and is not finite
+        ("1e308:0,0\n1e308:1,0\n1:0,1\n", "torus", "the values on the torus overflow in double precision"),
+        ("1e308:0,0\n1e308:1,0\n1:0,1\n", "jensen", "the resultant's Hadamard bound overflows in double precision"),
+        # the Sylvester row norms square 1e200
+        ("1e200:0,0\n1:1,1\n", "jensen", "the resultant's Hadamard bound overflows in double precision"),
+    ],
+    ids=["torus-1e308", "jensen-1e308", "jensen-1e200"],
+)
+def test_compute_past_double_range_is_a_numerical_failure(capsys, tmp_path, text, method, reason):
+    f = tmp_path / "huge.txt"
+    f.write_text(text)
+    argv = ["compute", "--poly-file", str(f), "--method", method, "--format", "json"]
+    assert run(capsys, argv) == (3, "", f"numerical failure: {reason}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compute_torus_of_a_large_but_finite_polynomial(capsys, tmp_path):
+    f = tmp_path / "large.txt"
+    f.write_text("1e200:0,0\n1:1,1\n")
+    code, out, _ = run(capsys, ["compute", "--poly-file", str(f), "--method", "torus", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(200 * math.log(10), rel=1e-14)
+
+
 def test_sweep_jobs_output_is_identical(capsys):
     _, seq, _ = run(capsys, ["sweep", "--identity", "main", "--from", "13", "--to", "16", "--step", "1"])
     _, par, _ = run(capsys, ["sweep", "--identity", "main", "--from", "13", "--to", "16", "--step", "1", "--jobs", "4"])

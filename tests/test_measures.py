@@ -84,14 +84,33 @@ def _naive_torus_mean_log(P, n):
     return total / float(n**k)
 
 
-@pytest.mark.parametrize("terms, nvars, n", [
+_THREE_VARS = {(1, 1, -1): 2, (0, 0, 0): 1, (-1, 2, 1): 0.3, (0, -1, 0): 1.5, (2, 0, 1): -1}
+_KERNEL_CASES = [
     ({(3,): 2, (-2,): 1, (0,): 0.5}, 1, 1000),
     ({(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1, (0, 0): 4}, 2, 1024),  # R_4, zero on the torus
     ({(2, -1): 1.5, (0, 3): -0.25, (-3, 0): 1, (1, 1): 2, (0, 0): 0.75}, 2, 600),
-    ({(1, 1, -1): 2, (0, 0, 0): 1, (-1, 2, 1): 0.3, (0, -1, 0): 1.5, (2, 0, 1): -1}, 3, 64),
-])
+    (_THREE_VARS, 3, 64),
+    (_THREE_VARS, 3, 90),
+    (_THREE_VARS, 3, 128),  # the three-variable cap
+]
+
+
+@pytest.mark.parametrize("terms, nvars, n", _KERNEL_CASES)
 def test_torus_kernel_matches_term_by_term_reference(terms, nvars, n):
     P = LaurentPolynomial(terms, nvars=nvars)
+    ref = _naive_torus_mean_log(P, n)
+    assert abs(_torus_mean_log(P, n) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+# a budget below one row gives one row per block; blocks of 16 rows leave a partial
+# last block where the row count n^(k-1) is no multiple of 16 (one variable, n = 600,
+# and n = 90 in three variables)
+@pytest.mark.parametrize("rows", [1, 16])
+@pytest.mark.parametrize("terms, nvars, n", _KERNEL_CASES)
+def test_torus_kernel_block_size_moves_no_value(monkeypatch, terms, nvars, n, rows):
+    P = LaurentPolynomial(terms, nvars=nvars)
+    budget = 1 if rows == 1 else rows * n * len({e[-1] for e in terms}) + 1
+    monkeypatch.setattr(measures, "_TORUS_BLOCK", budget)
     ref = _naive_torus_mean_log(P, n)
     assert abs(_torus_mean_log(P, n) - ref) <= 1e-14 * max(1.0, abs(ref))
 
