@@ -9,19 +9,7 @@ hypergeometric transformations, branch and singularity claims).
 """
 
 from .config import DEFAULTS, show_config
-from .identities import (
-    VerificationReport,
-    asymptotic_gap,
-    run_suite,
-    verify_boyd,
-    verify_branch_bounds,
-    verify_derivatives,
-    verify_hyp_transforms,
-    verify_J,
-    verify_main,
-    verify_singularity_order,
-    verify_substitution_identity,
-)
+from .identities import VerificationReport, run_suite
 from .measures import (
     BranchExtremes,
     MeasureValue,

@@ -13,15 +13,7 @@ import os
 import sys
 
 from .config import DEFAULTS, show_config
-from .identities import (
-    DEFAULT_PARAMS,
-    DEFAULT_TOLERANCES,
-    SUITE_NAMES,
-    reports_to_jsonl,
-    run_suite,
-    summary_table,
-    sweep_reports,
-)
+from .identities import SUITES, reports_to_jsonl, run_suite, summary_table, sweep_reports
 from .measures import MeasureValue, family_measures, mahler_jensen_2var, mahler_torus
 from .poly import FamilySpec, make_family, poly_from_text
 from .quadrature import NumericalError, _isolate
@@ -59,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--format", choices=("table", "json"), default="table")
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=SUITE_NAMES)
+    pv.add_argument("suite", choices=("all", *SUITES))
     pv.add_argument("--lambda", dest="lams", type=float, nargs="+", help="parameter list override")
     pv.add_argument("--k", dest="ks", type=int, nargs="+", help="k list override (boyd)")
     pv.add_argument("--grid", type=int, help="mu-grid size (hyp)")
@@ -72,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="sweep a family or identity over a parameter range")
     group = ps.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", choices=("q", "p", "r"))
-    group.add_argument("--identity", choices=("main", "boyd", "derivatives", "J1", "J2", "J3"))
+    group.add_argument("--identity", choices=[name for suite in SUITES.values() for name in suite.sweeps])
     ps.add_argument("--from", dest="start", type=float, required=True)
     ps.add_argument("--to", dest="stop", type=float, required=True)
     ps.add_argument("--step", type=float, required=True)
@@ -82,20 +74,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_tol(option: str, value: float) -> float:
-    # a NaN or non-positive tolerance is never met: every ladder would run to its cap
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{option} must be a positive finite number, got {value!r}")
-    return value
+def _check_tol(option: str, value: float, *, zero: bool = False) -> float:
+    # a NaN or non-positive ladder tolerance is never met: every ladder would run to its cap;
+    # a verify tolerance (``zero``) is only the threshold a residual is held to, and 0 is one
+    if not (math.isfinite(value) and (value > 0 or zero and value == 0)):
+        raise ValueError(f"{option} must be a positive finite number{' or 0' if zero else ''}, got {value!r}")
+    return abs(value)  # -0 is 0, and prints as 0
 
 
 def _parse_tol_overrides(pairs) -> dict[str, float]:
     out = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
-        if not value or name not in DEFAULT_TOLERANCES:
+        if not value or name not in SUITES:
             raise ValueError(f"bad tolerance override {pair!r}")
-        out[name] = _check_tol(f"--tol {name}", float(value))
+        out[name] = _check_tol(f"--tol {name}", float(value), zero=True)
     return out
 
 
@@ -204,8 +197,6 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args.start, args.stop, args.step)
     if not values:
         raise ValueError("empty sweep range")
-    if args.identity == "boyd" and not all(float(v).is_integer() for v in values):
-        raise ValueError("boyd sweeps take integer parameters")
     if args.family:
         results = _isolate(lambda lams: family_measures(args.family, lams), values)
     else:
@@ -226,8 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.show_config:
-            suites = {name: {"params": DEFAULT_PARAMS[name], "tolerance": DEFAULT_TOLERANCES[name]}
-                      for name in DEFAULT_PARAMS}
+            suites = {name: {"params": suite.params, "tolerance": suite.tolerance} for name, suite in SUITES.items()}
             print(show_config(args.seed, verify=suites))
             return EXIT_OK
         if args.command is None:

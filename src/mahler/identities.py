@@ -26,11 +26,13 @@ Identity ids:
   z-images;
 * ``asymptotic_gap``: measures approach log|lam|, with shrinking gap.
 
-Every suite is a rows function ``(params, tol) -> reports`` that raises on a
-failing row; the ``main``, ``derivatives``, ``J`` and ``boyd`` rows share
-ladders, and their ``verify_*`` functions are one-row calls.  Suites and
-sweeps run their rows through ``quadrature._isolate``, which finds the
-failing rows.
+Every suite is one entry of :data:`SUITES`: a rows function
+``(params, tol) -> reports`` that raises on a failing row, its default
+parameters and its tolerance.  ``run_suite``, ``sweep_reports`` and the
+command line read nothing else about a suite.  The ``main``,
+``derivatives``, ``J`` and ``boyd`` rows share ladders.  Suites and sweeps
+run their rows through ``quadrature._isolate``, which finds the failing
+rows.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 from .measures import branch_extremes, family_measures, mahler_jensen_2var
 from .poly import FamilySpec, make_family
@@ -56,52 +59,12 @@ from .specfun import (
 
 __all__ = [
     "VerificationReport",
-    "verify_boyd",
-    "verify_main",
-    "verify_derivatives",
-    "sweep_reports",
-    "verify_J",
-    "verify_hyp_transforms",
-    "verify_branch_bounds",
-    "verify_substitution_identity",
-    "verify_singularity_order",
-    "asymptotic_gap",
+    "SUITES",
     "run_suite",
+    "sweep_reports",
     "reports_to_jsonl",
     "summary_table",
-    "SUITE_NAMES",
-    "DEFAULT_TOLERANCES",
-    "DEFAULT_PARAMS",
 ]
-
-# measure-level checks stack two quadratures, derivative/integral checks one,
-# special-function checks none; tolerances split accordingly
-DEFAULT_TOLERANCES = {
-    "boyd": 1e-8,
-    "main": 1e-7,
-    "derivatives": 1e-8,
-    "J": 1e-9,
-    "hyp": 1e-12,
-    "branches": 1e-10,
-    "substitution": 1e-12,
-    "singularities": 0.0,
-    "asymptotics": 1.0,
-}
-
-# one entry per suite: the parameters each suite runs on when not overridden
-DEFAULT_PARAMS = {
-    "main": (-5.0, -6.0, -8.0, -10.0, -20.0, 13.0, 14.0, 16.0, 20.0, 50.0),
-    "boyd": (-3, -2, -1, 0, 1, 2, 3, 4),
-    "derivatives": (-6.0, -8.0, -12.0, 14.0, 16.0, 25.0),
-    "J": (-6.0, -8.0, -12.0, 13.5, 16.0, 25.0),
-    "hyp": (20,),
-    "branches": (13.0, 20.0, -4.0, -5.0, -10.0),
-    "singularities": (-5.01, -6.0, -20.0, 13.01, 16.0, 50.0),
-    "asymptotics": ((16.0, 32.0, 64.0, 128.0), (-8.0, -16.0, -32.0, -64.0, -128.0)),
-    "substitution": (13.0, -6.0, 0.5),
-}
-
-SUITE_NAMES = ("all", *DEFAULT_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -136,13 +99,8 @@ def _report(identity_id, parameter, lhs, rhs, residual, tolerance, *, error_esti
     )
 
 
-def verify_boyd(k: int, *, tol: float | None = None) -> VerificationReport:
-    """m(Q_k) against m(P_{k-4}), with factor 2 on 0 <= k <= 4."""
-    return _boyd_reports([k], tol)[0]
-
-
-def _boyd_reports(ks, tol: float | None = None) -> list:
-    """:func:`verify_boyd` at every k; the p side is one batch, and a failing row raises."""
+def _boyd_reports(ks, tol) -> list:
+    """m(Q_k) against m(P_{k-4}), with factor 2 on 0 <= k <= 4; the p side is one batch."""
     rows = []
     for k in ks:
         kf = float(k)
@@ -151,7 +109,6 @@ def _boyd_reports(ks, tol: float | None = None) -> list:
         if kf > 4:
             raise ValueError("the relation is stated for k <= 4")
         rows.append(int(kf))
-    tol = DEFAULT_TOLERANCES["boyd"] if tol is None else float(tol)
     mq = [mahler_jensen_2var(make_family(FamilySpec("Q", k))) for k in rows]
     mp_ = family_measures("p", [k - 4 for k in rows])
     out = []
@@ -165,14 +122,8 @@ def _boyd_reports(ks, tol: float | None = None) -> list:
     return out
 
 
-def verify_main(lam: float, *, tol: float | None = None) -> VerificationReport:
-    """q(lam) against r(lam) (lam <= -5) or (r(lam)+p(lam))/2 (lam >= 13)."""
-    return _main_reports([lam], tol)[0]
-
-
-def _main_reports(lams, tol: float | None = None) -> list:
-    """:func:`verify_main` at every lam; each family is one batch, and a failing row raises."""
-    tol = DEFAULT_TOLERANCES["main"] if tol is None else float(tol)
+def _main_reports(lams, tol) -> list:
+    """q(lam) against r(lam) (lam <= -5) or (r(lam)+p(lam))/2 (lam >= 13); each family is one batch."""
     lams = [float(lam) for lam in lams]
     if not all(lam <= -5.0 or lam >= 13.0 for lam in lams):
         raise ValueError("the relation is stated for lam <= -5 or lam >= 13")
@@ -191,14 +142,8 @@ def _main_reports(lams, tol: float | None = None) -> list:
     return out
 
 
-def verify_derivatives(lam: float, *, tol: float | None = None) -> VerificationReport:
-    """dq/dlam against dr/dlam (lam < -5) or (dr+dp)/2 (lam > 13), open ranges."""
-    return _derivative_reports([lam], tol)[0]
-
-
-def _derivative_reports(lams, tol: float | None = None) -> list:
-    """:func:`verify_derivatives` at every lam; dq and dr are one batch each, and a failing row raises."""
-    tol = DEFAULT_TOLERANCES["derivatives"] if tol is None else float(tol)
+def _derivative_reports(lams, tol) -> list:
+    """dq/dlam against dr/dlam (lam < -5) or (dr+dp)/2 (lam > 13), open ranges; dq and dr are one batch each."""
     lams = [float(lam) for lam in lams]
     if not all(lam < -5.0 or lam > 13.0 for lam in lams):
         raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
@@ -211,27 +156,18 @@ def _derivative_reports(lams, tol: float | None = None) -> list:
     return out
 
 
-def verify_J(lam: float, which: str, *, tol: float | None = None) -> VerificationReport:
-    """One elliptic integral between singularities against its closed form.
+def _J_reports(lams, tol, which: str | None = None) -> list:
+    """Elliptic integrals between singularities against their closed forms; the kernels share one ladder.
 
     ``J1`` (lam > 5): kernel with the extra (1-4x) factor over [x2, x0],
     equal to pi * dp/dlam.  ``J3`` (lam > 5): plain kernel over [x2, x0],
     equal to pi * dr/dlam.  ``J2`` (lam < -5): plain kernel over [x0, x1],
-    equal to pi * |dr/dlam|.
-    """
-    return _J_rows([lam], tol, which)[0]
-
-
-def _J_rows(lams, tol: float | None = None, which: str | None = None) -> list:
-    """:func:`verify_J` of ``which`` at every lam; the kernels share one ladder, and a failing row raises.
-
-    Without ``which`` each lam gets the checks of the ``J`` suite: J2 for
-    lam < 0, otherwise J3, and J1 as well for lam > 5.
+    equal to pi * |dr/dlam|.  Without ``which`` each lam gets the checks of
+    the ``J`` suite: J2 for lam < 0, otherwise J3, and J1 as well for lam > 5.
     """
     lams = [float(lam) for lam in lams]
     if which not in (None, "J1", "J2", "J3"):
         raise ValueError("which must be J1, J2 or J3")
-    tol = DEFAULT_TOLERANCES["J"] if tol is None else float(tol)
     checks = []
     for lam in lams:
         if not math.isfinite(lam):  # NaN would pass every range test below
@@ -251,29 +187,13 @@ def _J_rows(lams, tol: float | None = None, which: str | None = None) -> list:
     return out
 
 
-# the rows of each sweep identity but J1, J2 and J3 (:func:`_J_rows`, which rejects any other name)
-_SWEEP_ROWS = {"main": _main_reports, "derivatives": _derivative_reports, "boyd": _boyd_reports}
-
-
-def sweep_reports(identity: str, params) -> list:
-    """One report per parameter of a sweep of ``identity``, or the exception its row raises alone.
-
-    The rows are evaluated as one batch; :func:`quadrature._isolate` finds the
-    rows that fail.
-    """
-    return _isolate(_SWEEP_ROWS.get(identity, functools.partial(_J_rows, which=identity)), params)
-
-
-def verify_hyp_transforms(grid_size: int = 20, *, tol: float | None = None) -> tuple[VerificationReport, VerificationReport]:
-    """Max residual of the two hypergeometric transformations over mu-grids.
+def _hyp_reports(grid_sizes, tol) -> list:
+    """Max residual of the two hypergeometric transformations over a mu-grid of each size.
 
     Transformation 1 runs on mu in (0, 1/2); transformation 2 alternates the
     grid over (-1/2, 0) and (0, 1/2).  Each report carries both sides at the
     worst grid point.
     """
-    if grid_size < 5:
-        raise ValueError("grid_size must be at least 5")
-    tol = DEFAULT_TOLERANCES["hyp"] if tol is None else float(tol)
 
     def transform_1(mu):
         den = 1.0 + 4.0 * mu + mu * mu
@@ -286,100 +206,149 @@ def verify_hyp_transforms(grid_size: int = 20, *, tol: float | None = None) -> t
         return lhs, gauss_2f1_series(0.5, 0.5, 1.0, 4.0 * mu * mu / (1.0 + mu * mu) ** 2) / (1.0 + mu * mu)
 
     reports = []
-    transforms = (("hyp_transform_1", transform_1, False), ("hyp_transform_2", transform_2, True))
-    for identity_id, sides, alternate in transforms:
-        worst = (0.0, 1.0, 1.0)  # (mu, lhs, rhs); the last of equal residuals wins
-        for j in range(1, grid_size + 1):
-            mu = 0.5 * j / (grid_size + 1)
-            if alternate and j % 2:
-                mu = -mu
-            lhs, rhs = sides(mu)
-            if abs(lhs - rhs) >= abs(worst[1] - worst[2]):
-                worst = (mu, lhs, rhs)
-        mu, lhs, rhs = worst
-        reports.append(_report(identity_id, grid_size, lhs, rhs, lhs - rhs, tol, detail=f"worst_mu={mu!r}"))
-    return tuple(reports)
+    for grid_size in grid_sizes:
+        if grid_size < 5:
+            raise ValueError("grid_size must be at least 5")
+        for identity_id, sides, alternate in (("hyp_transform_1", transform_1, False),
+                                              ("hyp_transform_2", transform_2, True)):
+            worst = (0.0, 1.0, 1.0)  # (mu, lhs, rhs); the last of equal residuals wins
+            for j in range(1, grid_size + 1):
+                mu = 0.5 * j / (grid_size + 1)
+                if alternate and j % 2:
+                    mu = -mu
+                lhs, rhs = sides(mu)
+                if abs(lhs - rhs) >= abs(worst[1] - worst[2]):
+                    worst = (mu, lhs, rhs)
+            mu, lhs, rhs = worst
+            reports.append(_report(identity_id, grid_size, lhs, rhs, lhs - rhs, tol, detail=f"worst_mu={mu!r}"))
+    return reports
 
 
-def verify_branch_bounds(lam: float, n: int | None = None, *, tol: float | None = None) -> VerificationReport:
+def _branch_reports(lams, tol, *, n: int | None = None) -> list:
     """Grid check of |y-| <= 1 <= |y+| along x(t), lam >= 13 or lam <= -4.
 
     For lam >= 13 the minimum of |y+| must additionally sit at t = 0; a
     violation there adds 1 to the residual so the report fails.
     """
-    lam = float(lam)
-    if not (lam >= 13.0 or lam <= -4.0):
-        raise ValueError("branch bounds are claimed for lam >= 13 or lam <= -4")
-    tol = DEFAULT_TOLERANCES["branches"] if tol is None else float(tol)
-    ex = branch_extremes(lam, n)
-    violation = max(ex.max_abs_y_minus - 1.0, 1.0 - ex.min_abs_y_plus, 0.0)
-    detail = f"t_max_minus={ex.arg_t_at_extremes[0]!r},t_min_plus={ex.arg_t_at_extremes[1]!r}"
-    if lam >= 13.0 and ex.arg_t_at_extremes[1] != 0.0:
-        violation += 1.0
-        detail += ",min_not_at_zero"
-    return _report(
-        "branch_bounds", lam, ex.max_abs_y_minus, ex.min_abs_y_plus, violation, tol, detail=detail,
-    )
-
-
-def verify_substitution_identity(lam: float, samples: int = 100, *, seed: int = 0, tol: float | None = None) -> VerificationReport:
-    """Numeric residual of the change-of-variables identity (plus exact check)."""
-    tol = DEFAULT_TOLERANCES["substitution"] if tol is None else float(tol)
-    residual = _substitution_residual(lam, samples, seed=seed)
-    return _report("substitution", float(lam), residual, 0.0, residual, tol, detail=f"samples={samples}")
-
-
-def verify_singularity_order(lam: float, *, tol: float | None = None) -> VerificationReport:
-    """Strict orderings of the cubic singularities and their z-images."""
-    lam = float(lam)
-    tol = DEFAULT_TOLERANCES["singularities"] if tol is None else float(tol)
-    prof = singular_points(lam)  # raises UnsupportedRegimeError in the gap
-    if prof.regime == "neg":
-        z1, z2, z3, z4 = prof.z_points
-        margins = [prof.x0, prof.x1 - prof.x0, 0.25 - prof.x1, prof.x2 - 1.0,
-                   z1, z2 - z1, z3 - z2, z4 - z3, 1.0 - z4]
-    else:
-        z1, z2 = prof.z_points
-        margins = [-2.0 - prof.x1, prof.x2 + 2.0, prof.x0 - prof.x2, -prof.x0, z1 + 1.0, z2 - z1, 1.0 - z2]
-    worst = min(m for m in margins if not math.isnan(m))  # a NaN z-image has a negative x margin already
-    return _report(
-        "singularity_order", lam, worst, 0.0, max(0.0, -worst), tol,
-        detail=prof.regime,
-    )
-
-
-def asymptotic_gap(lams, *, tol: float | None = None) -> list[VerificationReport]:
-    """Gaps measure - log|lam| along a |lam|-increasing, single-sign list.
-
-    Each (family, lam) entry passes when its gap is at most 1 in absolute
-    value and no larger in magnitude than at the previous lam, so the list
-    witnesses both boundedness and decay.
-    """
-    lams = [float(v) for v in lams]
-    if len(lams) < 2:
-        raise ValueError("need at least two lambda values")
-    if not (all(v <= -5.0 for v in lams) or all(v >= 13.0 for v in lams)):
-        raise ValueError("entries must all satisfy lam <= -5 or all lam >= 13")
-    if not all(abs(a) < abs(b) for a, b in zip(lams, lams[1:])):
-        raise ValueError("entries must be strictly increasing in |lam|")
-    tol = DEFAULT_TOLERANCES["asymptotics"] if tol is None else float(tol)
-    prev = {"q": math.inf, "r": math.inf, "p": math.inf}
     reports = []
-    families = ("q", "r", "p")
-    for lam, row in zip(lams, zip(*(family_measures(fam, lams) for fam in families))):
-        vals = {fam: mv.value for fam, mv in zip(families, row)}
-        ref = math.log(abs(lam))
-        for fam in ("q", "r", "p"):
-            gap = vals[fam] - ref
-            ok = abs(gap) <= tol and abs(gap) <= prev[fam] + 1e-12
-            reports.append(
-                _report("asymptotic_gap", lam, vals[fam], ref, gap, tol, detail=fam, passed=ok)
-            )
-            prev[fam] = abs(gap)
+    for lam in map(float, lams):
+        if not (lam >= 13.0 or lam <= -4.0):
+            raise ValueError("branch bounds are claimed for lam >= 13 or lam <= -4")
+        ex = branch_extremes(lam, n)
+        violation = max(ex.max_abs_y_minus - 1.0, 1.0 - ex.min_abs_y_plus, 0.0)
+        detail = f"t_max_minus={ex.arg_t_at_extremes[0]!r},t_min_plus={ex.arg_t_at_extremes[1]!r}"
+        if lam >= 13.0 and ex.arg_t_at_extremes[1] != 0.0:
+            violation += 1.0
+            detail += ",min_not_at_zero"
+        reports.append(_report(
+            "branch_bounds", lam, ex.max_abs_y_minus, ex.min_abs_y_plus, violation, tol, detail=detail,
+        ))
     return reports
 
 
-# -- suite driver ------------------------------------------------------------
+def _substitution_reports(lams, tol, *, samples: int | None = None, seed: int = 0) -> list:
+    """Numeric residual of the change-of-variables identity (plus exact check), 100 samples by default."""
+    samples = samples or 100
+    reports = []
+    for lam in lams:
+        residual = _substitution_residual(lam, samples, seed=seed)
+        reports.append(_report("substitution", float(lam), residual, 0.0, residual, tol, detail=f"samples={samples}"))
+    return reports
+
+
+def _singularity_reports(lams, tol) -> list:
+    """Strict orderings of the cubic singularities and their z-images."""
+    reports = []
+    for lam in map(float, lams):
+        prof = singular_points(lam)  # raises UnsupportedRegimeError in the gap
+        if prof.regime == "neg":
+            z1, z2, z3, z4 = prof.z_points
+            margins = [prof.x0, prof.x1 - prof.x0, 0.25 - prof.x1, prof.x2 - 1.0,
+                       z1, z2 - z1, z3 - z2, z4 - z3, 1.0 - z4]
+        else:
+            z1, z2 = prof.z_points
+            margins = [-2.0 - prof.x1, prof.x2 + 2.0, prof.x0 - prof.x2, -prof.x0, z1 + 1.0, z2 - z1, 1.0 - z2]
+        worst = min(m for m in margins if not math.isnan(m))  # a NaN z-image has a negative x margin already
+        reports.append(_report("singularity_order", lam, worst, 0.0, max(0.0, -worst), tol, detail=prof.regime))
+    return reports
+
+
+def _asymptotic_reports(lam_lists, tol) -> list:
+    """Gaps measure - log|lam| along each |lam|-increasing, single-sign list.
+
+    Each (family, lam) entry passes when its gap is at most ``tol`` in
+    absolute value and no larger in magnitude than at the previous lam of its
+    list, so the list witnesses both boundedness and decay.
+    """
+    families = ("q", "r", "p")
+    reports = []
+    for lams in lam_lists:
+        lams = [float(v) for v in lams]
+        if len(lams) < 2:
+            raise ValueError("need at least two lambda values")
+        if not (all(v <= -5.0 for v in lams) or all(v >= 13.0 for v in lams)):
+            raise ValueError("entries must all satisfy lam <= -5 or all lam >= 13")
+        if not all(abs(a) < abs(b) for a, b in zip(lams, lams[1:])):
+            raise ValueError("entries must be strictly increasing in |lam|")
+        prev = dict.fromkeys(families, math.inf)
+        for lam, row in zip(lams, zip(*(family_measures(fam, lams) for fam in families))):
+            ref = math.log(abs(lam))
+            for fam, mv in zip(families, row):
+                gap = mv.value - ref
+                ok = abs(gap) <= tol and abs(gap) <= prev[fam] + 1e-12
+                reports.append(_report("asymptotic_gap", lam, mv.value, ref, gap, tol, detail=fam, passed=ok))
+                prev[fam] = abs(gap)
+    return reports
+
+
+# -- the suite table -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """Everything ``verify``, ``sweep``, ``--tol`` and ``--show-config`` know of one suite."""
+
+    rows: Callable[..., list]  # (params, tol, **options) -> reports, and a failing row raises
+    params: tuple  # the default parameters
+    tolerance: float
+    given: str = "lambdas"  # the run_suite override that replaces ``params``
+    options: tuple = ()  # the run_suite keywords passed on to ``rows``
+    sweeps: dict = field(default_factory=dict)  # `sweep --identity` name -> its (params, tol) rows
+
+
+# measure-level checks stack two quadratures, derivative/integral checks one,
+# special-function checks none; tolerances split accordingly
+SUITES = {
+    "main": _Suite(_main_reports, (-5.0, -6.0, -8.0, -10.0, -20.0, 13.0, 14.0, 16.0, 20.0, 50.0), 1e-7,
+                   sweeps={"main": _main_reports}),
+    "boyd": _Suite(_boyd_reports, (-3, -2, -1, 0, 1, 2, 3, 4), 1e-8, given="ks",
+                   sweeps={"boyd": _boyd_reports}),
+    "derivatives": _Suite(_derivative_reports, (-6.0, -8.0, -12.0, 14.0, 16.0, 25.0), 1e-8,
+                          sweeps={"derivatives": _derivative_reports}),
+    "J": _Suite(_J_reports, (-6.0, -8.0, -12.0, 13.5, 16.0, 25.0), 1e-9,
+                sweeps={which: functools.partial(_J_reports, which=which) for which in ("J1", "J2", "J3")}),
+    "hyp": _Suite(_hyp_reports, (20,), 1e-12, given="grid"),
+    "branches": _Suite(_branch_reports, (13.0, 20.0, -4.0, -5.0, -10.0), 1e-10, options=("n",)),
+    "singularities": _Suite(_singularity_reports, (-5.01, -6.0, -20.0, 13.01, 16.0, 50.0), 0.0),
+    "asymptotics": _Suite(_asymptotic_reports,
+                          ((16.0, 32.0, 64.0, 128.0), (-8.0, -16.0, -32.0, -64.0, -128.0)), 1.0, given="lambda_list"),
+    "substitution": _Suite(_substitution_reports, (13.0, -6.0, 0.5), 1e-12, options=("samples", "seed")),
+}
+
+
+def sweep_reports(identity: str, params) -> list:
+    """One report per parameter of a sweep of ``identity``, or the exception its row raises alone.
+
+    ``identity`` is one of the ``sweeps`` names of :data:`SUITES`, and a suite
+    whose parameters are integers takes integers only.  The rows are
+    evaluated as one batch; :func:`quadrature._isolate` finds the rows that fail.
+    """
+    for suite in SUITES.values():
+        if identity in suite.sweeps:
+            if isinstance(suite.params[0], int) and not all(float(v).is_integer() for v in params):
+                raise ValueError(f"{identity} sweeps take integer parameters")
+            return _isolate(lambda values: suite.sweeps[identity](values, suite.tolerance), params)
+    raise ValueError(f"unknown sweep identity {identity!r}")
 
 
 def run_suite(
@@ -393,39 +362,29 @@ def run_suite(
     seed: int = 0,
     tolerances: dict[str, float] | None = None,
 ) -> list[VerificationReport]:
-    """Run one named suite (or ``all``) and return sorted reports.
+    """Run one suite of :data:`SUITES` (or ``all``) and return sorted reports.
 
-    Each suite evaluates its ``DEFAULT_PARAMS`` list as one batch of rows;
-    ``ks`` replaces that list for ``boyd``, ``grid`` for ``hyp`` (also under
-    ``all``), and ``lambdas`` for every other suite (``asymptotics`` takes it
-    as one list); ``n`` and ``samples`` are passed to the branch and
+    Each suite evaluates its parameters as one batch of rows.  The override
+    its entry names replaces them: ``ks`` for ``boyd``, ``grid`` for ``hyp``
+    (also under ``all``), and ``lambdas`` for every other suite
+    (``asymptotics`` takes it as one list).  ``n`` and ``samples`` (with
+    ``seed``) go to the suites whose entries take them, the branch and
     substitution checks.  ``tolerances`` overrides per-suite tolerances by
     name.  Where rows fail, the error of the first failing row is raised, as
     when each row is checked alone.
     """
-    if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {('all', *SUITES)}")
     if suite == "all" and (lambdas or ks):
         raise ValueError("parameter overrides apply to individual suites, not to 'all'")
     tolerances = tolerances or {}
-    # the rows of each suite: (params, tol) -> reports, and a failing row raises
-    suites = {
-        "main": _main_reports,
-        "boyd": _boyd_reports,
-        "derivatives": _derivative_reports,
-        "J": _J_rows,
-        "hyp": lambda sizes, tol: [r for size in sizes for r in verify_hyp_transforms(size, tol=tol)],
-        "branches": lambda lams, tol: [verify_branch_bounds(lam, n, tol=tol) for lam in lams],
-        "singularities": lambda lams, tol: [verify_singularity_order(lam, tol=tol) for lam in lams],
-        "asymptotics": lambda lists, tol: [r for lams in lists for r in asymptotic_gap(lams, tol=tol)],
-        "substitution": lambda lams, tol: [verify_substitution_identity(lam, samples or 100, seed=seed, tol=tol)
-                                           for lam in lams],
-    }
-    overrides = {"boyd": ks, "hyp": grid and (grid,), "asymptotics": lambdas and (lambdas,)}
+    given = {"lambdas": lambdas, "ks": ks, "grid": grid and (grid,), "lambda_list": lambdas and (lambdas,)}
+    options = {"n": n, "samples": samples, "seed": seed}
     reports: list[VerificationReport] = []
-    for name in DEFAULT_PARAMS if suite == "all" else (suite,):
-        params, tol = overrides.get(name, lambdas) or DEFAULT_PARAMS[name], tolerances.get(name)
-        rows = _isolate(lambda values: suites[name](values, tol), params)
+    for name in SUITES if suite == "all" else (suite,):
+        entry = SUITES[name]
+        params, tol = given[entry.given] or entry.params, tolerances.get(name, entry.tolerance)
+        rows = _isolate(lambda values: entry.rows(values, tol, **{k: options[k] for k in entry.options}), params)
         failed = [row for row in rows if isinstance(row, Exception)]
         if failed:
             raise failed[0]

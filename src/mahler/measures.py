@@ -130,6 +130,14 @@ def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
     return math.fsum(sums) / float(n**k)
 
 
+def _check_torus_bound(P: LaurentPolynomial) -> None:
+    """Raise :class:`NumericalError` where the sum of |coefficient|, which bounds |P| on the torus, overflows."""
+    with np.errstate(over="ignore"):
+        bound = np.abs(np.array([complex(c) for _, c in P.items()])).sum()
+    if not np.isfinite(bound):
+        raise NumericalError("the values on the torus overflow in double precision")
+
+
 def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
     """Measure of ``P`` by direct torus quadrature (1 to 3 variables).
 
@@ -145,10 +153,7 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
     k = P.nvars
     if k > 3:
         raise ValueError("torus quadrature supports at most 3 variables")
-    with np.errstate(over="ignore"):
-        bound = np.abs(np.array([complex(c) for _, c in P.items()])).sum()  # bounds |P| on the torus
-    if not np.isfinite(bound):
-        raise NumericalError("the values on the torus overflow in double precision")
+    _check_torus_bound(P)
     tol = DEFAULTS.torus_tol if tol is None else float(tol)
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
     value, err, *_ = _refine(
@@ -362,11 +367,13 @@ def mahler_jensen_2var(
         raise ValueError("the Jensen evaluator works on two-variable polynomials")
     view = as_poly_in_y(P, var)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
+    cuts = _breakpoints(view) if n is None else ()
+    _check_torus_bound(P)  # past _breakpoints, whose own overflow check is the finer one
     # one row, whose node data are its integrand values
     value, err = _circle_means(
         lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t.ravel()))),
         lambda rows, v: v.reshape(len(rows), -1),
-        [_breakpoints(view) if n is None else ()], n, tol,
+        [cuts], n, tol,
     )[0]
     return MeasureValue(value=value, method="jensen", error_estimate=err)
 

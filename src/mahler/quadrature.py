@@ -49,9 +49,11 @@ _ROW_ERRORS = (ValueError, NumericalError)
 class QuadratureResult:
     """Value plus an a posteriori error estimate.
 
-    ``error_estimate`` is the absolute difference between the last two
-    refinement levels; it is an indicator, not a guarantee.  ``converged``
-    is False when the level cap was reached first.
+    ``error_estimate`` is the estimator's of the ladder that made it: the
+    last gap (``_last_gap_estimate``) for :func:`tanh_sinh`, the geometric
+    tail (``_geometric_estimate``) for the radical kernels of
+    ``specfun._radical_integrals``; it is an indicator, not a guarantee.
+    ``converged`` is False when the level cap was reached first.
     """
 
     value: float

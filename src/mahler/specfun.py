@@ -39,7 +39,6 @@ __all__ = [
     "gauss_2f1_agm",
     "singular_points",
     "cubic_singularities",
-    "integrate_derivative_kernel",
     "dp_dlambda",
     "dr_dlambda",
     "dq_dlambda_closed",
@@ -155,7 +154,7 @@ def singular_points(lam: float) -> SingularityProfile:
     For lam < -5 the x-roots should satisfy 0 < x0 < x1 < 1/4 with x2 > 1,
     with all four z-images on (0, 1); for lam > 13 they should satisfy
     x1 < -2 < x2 < x0 < 0 with two z-images on (-1, 1).  Those orderings are
-    checked by ``identities.verify_singularity_order``; where they fail so
+    checked by the ``singularities`` suite of ``identities``; where they fail so
     that an x lies above 1/4, its z-images are NaN.  Anything in between is
     rejected.
     """
@@ -273,22 +272,16 @@ def _radical_integrals(kernels, tol: float) -> list:
 _KERNEL_TOL = 1e-13  # of the elliptic integrals between singularities
 
 
-def integrate_derivative_kernel(lam: float, *, with_linear_factor: bool = False, tol: float = _KERNEL_TOL):
-    """Integral of the radical kernel ``1/sqrt(-(1 + lam x)(1 + lam x + 4x^2))`` between consecutive roots.
+def _kernel_integrals(rows, tol: float = _KERNEL_TOL) -> list:
+    """Integrals of the radical kernel ``1/sqrt(-(1 + lam x)(1 + lam x + 4x^2))`` between consecutive roots.
 
+    One per ``(lam, with_linear_factor)`` in ``rows``; a failing row raises.
     For lam <= -5 the interval is [x0, x1] with the far root x2 to its right;
     for lam > 5 it is [x2, x0] with x1 to its left.  The radicand is taken in
-    the factored form ``-4 lam (x - a)(b - x)(far - x)`` (see
-    :func:`_radical_integrals`).
-    """
-    return _kernel_integrals([(float(lam), with_linear_factor)], tol)[0]
-
-
-def _kernel_integrals(rows, tol: float = _KERNEL_TOL) -> list:
-    """:func:`integrate_derivative_kernel` of every ``(lam, with_linear_factor)`` in ``rows``; a failing row raises.
-
-    The singular points of all rows come from one :func:`cubic_singularities`
-    call, and the integrals share one :func:`_radical_integrals` ladder.
+    the factored form ``-4 lam (x - a)(b - x)(far - x)``, times ``(1 - 4x)``
+    with the linear factor (see :func:`_radical_integrals`).  The singular
+    points of all rows come from one :func:`cubic_singularities` call, and
+    the integrals share one :func:`_radical_integrals` ladder.
     """
     kernels = []  # (a, b, far, c, linear) of each row
     for (lam, linear), *x in zip(rows, *cubic_singularities(np.array([lam for lam, _ in rows], dtype=float))):

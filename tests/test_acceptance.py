@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from mahler.cli import main as cli_main
-from mahler.identities import verify_boyd, verify_hyp_transforms, verify_J
+from mahler.identities import SUITES
 from mahler.measures import (
     branch_extremes,
     mahler_jensen_2var,
@@ -60,7 +60,7 @@ def test_criterion_02_main_relation_positive_branch():
 def test_criterion_03_boyd_relation():
     worst = 0.0
     for k in (-3, -2, -1, 0, 1, 2, 3, 4):
-        rep = verify_boyd(k)
+        rep = SUITES["boyd"].rows([k], SUITES["boyd"].tolerance)[0]
         worst = max(worst, abs(rep.residual))
         if not rep.passed:
             _announce(3, f"k={k} residual {rep.residual:.2e}", False)
@@ -116,13 +116,13 @@ def test_criterion_06_kernel_integral_chains():
     worst = 0.0
     for which, lams in (("J1", (13.5, 16.0, 25.0)), ("J2", (-6.0, -8.0, -12.0)), ("J3", (13.5, 16.0, 25.0))):
         for lam in lams:
-            rep = verify_J(lam, which)
+            rep = SUITES["J"].rows([lam], SUITES["J"].tolerance, which=which)[0]
             worst = max(worst, abs(rep.residual))
     _announce(6, f"kernel integral chains, worst residual {worst:.2e}", worst < 1e-9)
 
 
 def test_criterion_07_hypergeometric_transformations():
-    r1, r2 = verify_hyp_transforms(20)
+    r1, r2 = SUITES["hyp"].rows([20], SUITES["hyp"].tolerance)
     worst = max(abs(r1.residual), abs(r2.residual))
     # mu = 0 anchor: both transformations reduce to 1 = 1 exactly
     anchors = (

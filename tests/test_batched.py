@@ -6,7 +6,6 @@ error estimate.  A batch with a failing row raises; through
 one-row call raises.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -16,16 +15,7 @@ import mahler.measures as measures
 import mahler.quadrature as quadrature
 import mahler.specfun as specfun
 from mahler.cli import main
-from mahler.identities import (
-    _boyd_reports,
-    _derivative_reports,
-    _J_rows,
-    _main_reports,
-    verify_boyd,
-    verify_derivatives,
-    verify_J,
-    verify_main,
-)
+from mahler.identities import SUITES
 from mahler.measures import family_measures, mahler_jensen_2var, p_measure, q_measure, r_measure
 from mahler.poly import FamilySpec, make_family
 from mahler.quadrature import NumericalError
@@ -43,6 +33,16 @@ def _outcome(call, *args, **kwargs):
         return call(*args, **kwargs)
     except (ValueError, NumericalError) as exc:
         return type(exc), str(exc)
+
+
+def _batch(suite, **options):
+    """The rows of ``suite`` at its tolerance, as a function of the parameter list."""
+    return lambda params: SUITES[suite].rows(params, SUITES[suite].tolerance, **options)
+
+
+def _one(suite, param, **options):
+    """The report of ``param`` as a batch of one."""
+    return _batch(suite, **options)([param])[0]
 
 
 def _same(batch, singles):
@@ -68,8 +68,8 @@ def test_batched_rows_with_a_pinned_node_count_equal_one_row_calls(family):
 
 def test_batched_identity_rows_equal_one_row_calls():
     lams = [-20.0, -6.0, -5.0078125, -5.0, -4.5, 0.0, 12.5, 13.0, 13.03125, 63.0]
-    assert _same(quadrature._isolate(_main_reports, lams), [_outcome(verify_main, lam) for lam in lams])
-    assert _same(quadrature._isolate(_derivative_reports, lams), [_outcome(verify_derivatives, lam) for lam in lams])
+    assert _same(quadrature._isolate(_batch("main"), lams), [_outcome(_one, "main", lam) for lam in lams])
+    assert _same(quadrature._isolate(_batch("derivatives"), lams), [_outcome(_one, "derivatives", lam) for lam in lams])
 
 
 def test_batched_derivative_kernels_equal_one_row_calls():
@@ -93,13 +93,13 @@ J_SWEEP = [3.0 + 0.5 * i for i in range(75)]  # 3 to 40, the J1 and J3 rows up t
 @pytest.mark.parametrize("which", ["J1", "J2", "J3"])
 def test_batched_J_rows_equal_one_row_calls(which):
     lams = J_GRID + J_SWEEP
-    singles = [_outcome(verify_J, lam, which) for lam in lams]
-    assert _same(quadrature._isolate(functools.partial(_J_rows, which=which), lams), singles)
+    singles = [_outcome(_one, "J", lam, which=which) for lam in lams]
+    assert _same(quadrature._isolate(_batch("J", which=which), lams), singles)
     # each row is the kernel integral on a ladder of its own against its closed form
     for lam, rep in zip(lams, singles):
         if isinstance(rep, tuple):
             continue
-        alone = specfun.integrate_derivative_kernel(lam, with_linear_factor=which == "J1")
+        alone = specfun._kernel_integrals([(lam, which == "J1")])[0]
         rhs = specfun.dp_dlambda(lam) if which == "J1" else abs(specfun.dr_dlambda(lam))
         assert (rep.lhs, rep.error_estimate, rep.rhs) == (alone.value, alone.error_estimate, math.pi * rhs)
     assert sum(not isinstance(rep, tuple) for rep in singles) == (3 if which == "J2" else 5 + 70)
@@ -110,16 +110,16 @@ def test_batched_J_suite_rows_equal_one_row_calls():
     expected = []
     for lam in J_GRID:
         checks = ["J2" if lam < 0 else "J3"] + (["J1"] if lam > 5 else [])
-        outcomes = [_outcome(verify_J, lam, which) for which in checks]
+        outcomes = [_outcome(_one, "J", lam, which=which) for which in checks]
         failed = [o for o in outcomes if isinstance(o, tuple)]
         expected += failed[:1] or outcomes
-    assert _same(quadrature._isolate(_J_rows, J_GRID), expected)
+    assert _same(quadrature._isolate(_batch("J"), J_GRID), expected)
 
 
 def test_boyd_range_with_failing_rows_equals_one_row_calls():
     ks = list(range(-6, 7))  # 5 and 6 lie past the relation
-    singles = [_outcome(verify_boyd, k) for k in ks]
-    assert _same(quadrature._isolate(_boyd_reports, ks), singles)
+    singles = [_outcome(_one, "boyd", k) for k in ks]
+    assert _same(quadrature._isolate(_batch("boyd"), ks), singles)
     assert singles[-2:] == [(ValueError, "the relation is stated for k <= 4")] * 2
     for k, rep in zip(ks, singles[:-2]):
         factor = 2.0 if k >= 0 else 1.0
@@ -239,7 +239,7 @@ def test_main_sweep_across_the_gap_prints_its_error_rows(capsys):
         if -5.0 < lam < 13.0:
             expected.append(f"{lam!r},,,,,error:the relation is stated for lam <= -5 or lam >= 13")
             continue
-        rep = verify_main(lam)
+        rep = _one("main", lam)
         expected.append(f"{lam!r},{rep.lhs!r},{rep.rhs!r},{rep.residual!r},{rep.error_estimate!r},ok")
     assert main(["sweep", "--identity", "main", "--from", "-5.5", "--to", "13.5", "--step", "0.5"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == expected

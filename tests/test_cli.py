@@ -7,7 +7,7 @@ import pytest
 import mahler.measures as measures
 import mahler.specfun as specfun
 from mahler.cli import _sweep_values, main
-from mahler.identities import DEFAULT_PARAMS, DEFAULT_TOLERANCES, verify_branch_bounds
+from mahler.identities import SUITES, run_suite
 from mahler.measures import q_measure, r_measure
 from mahler.quadrature import NumericalError
 from mahler.roots import RootSolveError
@@ -233,9 +233,9 @@ def test_branch_bounds_past_double_range_are_numerical_failures(capsys):
     assert run(capsys, ["verify", "branches", "--lambda", "-7", "1e155", "13"]) == (3, "", message)
     code, out, _ = run(capsys, ["verify", "branches", "--lambda", "4e153", "6.7e153"])
     assert code == 0 and all(r["passed"] for r in _reports(out))
-    assert verify_branch_bounds(-6.7e153).passed
+    assert run_suite("branches", lambdas=[-6.7e153])[0].passed
     with pytest.raises(NumericalError, match="branch moduli overflow"):
-        verify_branch_bounds(-6.71e153)
+        run_suite("branches", lambdas=[-6.71e153])
 
 
 def test_derivative_rows_where_only_the_hypergeometric_argument_overflows(capsys):
@@ -264,13 +264,16 @@ def test_compute_numerical_failure_exit_code(capsys, tmp_path):
         ("1e308:0,0\n1e308:1,0\n1:0,1\n", "jensen", "the resultant's Hadamard bound overflows in double precision"),
         # the Sylvester row norms square 1e200
         ("1e200:0,0\n1:1,1\n", "jensen", "the resultant's Hadamard bound overflows in double precision"),
+        # a pinned node count skips the breakpoint search and its Hadamard bound
+        ("1e308:0,0\n1e308:1,0\n1:0,1\n", "jensen --nodes 1024",
+         "the values on the torus overflow in double precision"),
     ],
-    ids=["torus-1e308", "jensen-1e308", "jensen-1e200"],
+    ids=["torus-1e308", "jensen-1e308", "jensen-1e200", "jensen-pinned-1e308"],
 )
 def test_compute_past_double_range_is_a_numerical_failure(capsys, tmp_path, text, method, reason):
     f = tmp_path / "huge.txt"
     f.write_text(text)
-    argv = ["compute", "--poly-file", str(f), "--method", method, "--format", "json"]
+    argv = ["compute", "--poly-file", str(f), "--method", *method.split(), "--format", "json"]
     assert run(capsys, argv) == (3, "", f"numerical failure: {reason}\n")
 
 
@@ -296,7 +299,7 @@ def test_show_config(capsys):
     assert payload["defaults"]["tanh_sinh_level_max"] == 12
     assert payload["run"] == {"seed": 0}
     assert payload["verify"] == json.loads(json.dumps({
-        name: {"params": params, "tolerance": DEFAULT_TOLERANCES[name]} for name, params in DEFAULT_PARAMS.items()
+        name: {"params": suite.params, "tolerance": suite.tolerance} for name, suite in SUITES.items()
     }))
     assert payload["verify"]["hyp"] == {"params": [20], "tolerance": 1e-12}
     assert payload["verify"]["asymptotics"]["params"][1] == [-8.0, -16.0, -32.0, -64.0, -128.0]
@@ -315,8 +318,10 @@ def test_verify_all_applies_grid_n_and_samples(capsys):
     assert [r["parameter"] for r in hyp] == [7.0, 7.0]
     assert [r["detail"] for r in reports if r["identity_id"] == "substitution"] == ["samples=5"] * 3
     branches = [r for r in reports if r["identity_id"] == "branch_bounds"]
-    assert [r["detail"] for r in branches] == [verify_branch_bounds(r["parameter"], 200).detail for r in branches]
-    assert [r["detail"] for r in branches] != [verify_branch_bounds(r["parameter"]).detail for r in branches]
+    assert [r["detail"] for r in branches] == [run_suite("branches", lambdas=[r["parameter"]], n=200)[0].detail
+                                               for r in branches]
+    assert [r["detail"] for r in branches] != [run_suite("branches", lambdas=[r["parameter"]])[0].detail
+                                               for r in branches]
 
 
 @pytest.mark.parametrize("suite, flag", [
@@ -415,6 +420,14 @@ def test_non_positive_or_non_finite_tolerance_is_usage_error(capsys, argv, optio
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == "" and err.startswith(f"error: {option} must be a positive finite number")
+
+
+@pytest.mark.parametrize("zero", ["0", "-0"])
+def test_verify_tolerance_override_of_zero_is_a_threshold(capsys, zero):
+    # --show-config prints tolerance 0.0 for singularities; an override to that value changes nothing
+    plain = run(capsys, ["verify", "singularities"])
+    assert plain[0] == 0
+    assert run(capsys, ["verify", "singularities", "--tol", f"singularities={zero}"]) == plain
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,43 +1,35 @@
+import argparse
 import json
 
 import pytest
 
 import mahler.poly as poly
-from mahler.identities import (
-    DEFAULT_PARAMS,
-    DEFAULT_TOLERANCES,
-    SUITE_NAMES,
-    asymptotic_gap,
-    reports_to_jsonl,
-    run_suite,
-    summary_table,
-    verify_boyd,
-    verify_branch_bounds,
-    verify_derivatives,
-    verify_hyp_transforms,
-    verify_J,
-    verify_main,
-    verify_singularity_order,
-    verify_substitution_identity,
-)
+from mahler.cli import _parse_tol_overrides, build_parser, main
+from mahler.identities import SUITES, reports_to_jsonl, run_suite, summary_table
 from mahler.poly import LaurentPolynomial
 from mahler.specfun import UnsupportedRegimeError
 
 
+def _rows(suite, params, **options):
+    """The reports of the rows of ``suite`` on ``params``, at the suite's tolerance."""
+    entry = SUITES[suite]
+    return entry.rows(params, entry.tolerance, **options)
+
+
 @pytest.mark.parametrize("k", [-3, -2, -1, 0, 1, 2, 3, 4])
 def test_boyd_relation(k):
-    rep = verify_boyd(k)
+    rep = _rows("boyd", [k])[0]
     assert rep.passed, rep
 
 
 def test_boyd_rejects_out_of_range():
     with pytest.raises(ValueError):
-        verify_boyd(5)
+        _rows("boyd", [5])[0]
 
 
 @pytest.mark.parametrize("lam", [-5.0, -6.0, -8.0, -10.0, -20.0, 13.0, 14.0, 16.0, 20.0, 50.0])
 def test_main_relation(lam):
-    rep = verify_main(lam)
+    rep = _rows("main", [lam])[0]
     assert rep.passed, rep
     assert rep.identity_id == ("main_neg" if lam < 0 else "main_pos")
 
@@ -45,19 +37,19 @@ def test_main_relation(lam):
 def test_main_rejects_gap():
     for lam in (-4.9, 0.0, 5.0, 12.9):
         with pytest.raises(ValueError):
-            verify_main(lam)
+            _rows("main", [lam])[0]
 
 
 @pytest.mark.parametrize("lam", [-6.0, -8.0, -12.0, 14.0, 16.0, 25.0])
 def test_derivative_relation(lam):
-    rep = verify_derivatives(lam)
+    rep = _rows("derivatives", [lam])[0]
     assert rep.passed, rep
 
 
 def test_derivative_rejects_boundaries():
     for lam in (-5.0, 13.0, 0.0):
         with pytest.raises(ValueError):
-            verify_derivatives(lam)
+            _rows("derivatives", [lam])[0]
 
 
 @pytest.mark.parametrize(
@@ -66,59 +58,59 @@ def test_derivative_rejects_boundaries():
      (6.0, "J3"), (13.5, "J3"), (16.0, "J3"), (25.0, "J3")],
 )
 def test_kernel_integrals(lam, which):
-    rep = verify_J(lam, which)
+    rep = _rows("J", [lam], which=which)[0]
     assert rep.passed, rep
 
 
 def test_kernel_integral_regime_mismatch():
     with pytest.raises(ValueError):
-        verify_J(4.0, "J1")
+        _rows("J", [4.0], which="J1")[0]
     with pytest.raises(ValueError):
-        verify_J(6.0, "J2")
+        _rows("J", [6.0], which="J2")[0]
     with pytest.raises(ValueError):
-        verify_J(6.0, "J4")
+        _rows("J", [6.0], which="J4")[0]
 
 
 def test_hyp_transforms_grid20():
-    r1, r2 = verify_hyp_transforms(20)
+    r1, r2 = _rows("hyp", [20])
     assert r1.passed and abs(r1.residual) < 1e-12
     assert r2.passed and abs(r2.residual) < 1e-12
 
 
 def test_hyp_transforms_rejects_small_grid():
     with pytest.raises(ValueError):
-        verify_hyp_transforms(3)
+        _rows("hyp", [3])
 
 
 @pytest.mark.parametrize("lam", [13.0, -6.0, -4.0])
 def test_branch_bounds(lam):
-    assert verify_branch_bounds(lam).passed
+    assert _rows("branches", [lam])[0].passed
 
 
 def test_branch_bounds_rejects_unclaimed_range():
     with pytest.raises(ValueError):
-        verify_branch_bounds(0.0)
+        _rows("branches", [0.0])[0]
 
 
 @pytest.mark.parametrize("lam", [-6.0, 16.0, -5.01])
 def test_singularity_order(lam):
-    assert verify_singularity_order(lam).passed
+    assert _rows("singularities", [lam])[0].passed
 
 
 def test_singularity_order_rejects_gap():
     with pytest.raises(UnsupportedRegimeError):
-        verify_singularity_order(10.0)
+        _rows("singularities", [10.0])[0]
 
 
 def test_substitution_identity_report():
-    rep = verify_substitution_identity(13.0)
+    rep = _rows("substitution", [13.0])[0]
     assert rep.passed and rep.residual < 1e-12
 
 
 @pytest.mark.parametrize("lam", [1e3, 1e6])
 def test_substitution_identity_holds_at_large_lambda(lam):
     # the values compared grow like |lam|, and so does their rounding; the residual is relative to them
-    assert verify_substitution_identity(lam).passed
+    assert _rows("substitution", [lam])[0].passed
 
 
 @pytest.mark.parametrize("lam", [-6.0, 0.5, 13.0, 1e3, 1e6])
@@ -129,18 +121,18 @@ def test_substitution_identity_fails_a_planted_error(monkeypatch, lam):
                                  nvars=2)
 
     monkeypatch.setattr(poly, "_inner_quadratic", planted)
-    assert not verify_substitution_identity(lam).passed
+    assert not _rows("substitution", [lam])[0].passed
 
 
 def test_asymptotic_gap_positive_side():
-    reports = asymptotic_gap([16.0, 32.0, 64.0])
+    reports = _rows("asymptotics", [[16.0, 32.0, 64.0]])
     assert all(r.passed for r in reports)
     q_gaps = [abs(r.residual) for r in reports if r.detail == "q"]
     assert q_gaps == sorted(q_gaps, reverse=True)
 
 
 def test_asymptotic_gap_negative_side():
-    reports = asymptotic_gap([-8.0, -16.0, -32.0])
+    reports = _rows("asymptotics", [[-8.0, -16.0, -32.0]])
     assert all(r.passed for r in reports)
     r_gaps = [abs(r.residual) for r in reports if r.detail == "r"]
     assert r_gaps == sorted(r_gaps, reverse=True)
@@ -148,18 +140,18 @@ def test_asymptotic_gap_negative_side():
 
 def test_asymptotic_gap_validation():
     with pytest.raises(ValueError):
-        asymptotic_gap([16.0, -32.0])
+        _rows("asymptotics", [[16.0, -32.0]])
     with pytest.raises(ValueError):
-        asymptotic_gap([32.0, 16.0])
+        _rows("asymptotics", [[32.0, 16.0]])
     with pytest.raises(ValueError):
-        asymptotic_gap([8.0, 10.0])
+        _rows("asymptotics", [[8.0, 10.0]])
 
 
 def test_reports_are_bit_reproducible():
-    a = verify_main(-6.0)
-    b = verify_main(-6.0)
+    a = _rows("main", [-6.0])[0]
+    b = _rows("main", [-6.0])[0]
     assert a == b
-    assert verify_hyp_transforms(10) == verify_hyp_transforms(10)
+    assert _rows("hyp", [10]) == _rows("hyp", [10])
 
 
 def test_suite_runner_sorted_and_deterministic():
@@ -180,7 +172,7 @@ def test_suite_runner_rejects_unknown_suite():
 def test_jsonl_round_trips():
     reports = run_suite("singularities")
     lines = reports_to_jsonl(reports).strip().split("\n")
-    assert len(lines) == len(DEFAULT_PARAMS["singularities"])
+    assert len(lines) == len(SUITES["singularities"].params)
     for line, rep in zip(lines, reports):
         obj = json.loads(line)
         assert obj["identity_id"] == rep.identity_id
@@ -220,9 +212,21 @@ ALL_INVENTORY = {
 }
 
 
-def test_suite_table_has_one_entry_per_suite():
-    assert SUITE_NAMES == ("all", *DEFAULT_PARAMS)
-    assert set(DEFAULT_PARAMS) == set(DEFAULT_TOLERANCES)
+def test_suite_table_is_the_only_source(capsys):
+    # verify's suite choices, the names --tol NAME= accepts, --show-config's verify section
+    # and sweep --identity's choices all come from SUITES
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {a.dest: list(a.choices) for name in ("verify", "sweep") for a in subcommands[name]._actions if a.choices}
+    assert choices["suite"] == ["all", *SUITES]
+    for name in SUITES:
+        assert _parse_tol_overrides([f"{name}=1e-3"]) == {name: 1e-3}
+    for name in ("all", "J1", "nosuch"):
+        with pytest.raises(ValueError, match="bad tolerance override"):
+            _parse_tol_overrides([f"{name}=1e-3"])
+    assert main(["--show-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"] == json.loads(json.dumps(
+        {name: {"params": suite.params, "tolerance": suite.tolerance} for name, suite in SUITES.items()}))
+    assert choices["identity"] == [name for suite in SUITES.values() for name in suite.sweeps]
 
 
 def test_verify_all_inventory():

@@ -16,8 +16,8 @@ from mahler.specfun import (
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
+    _kernel_integrals,
     _radical_integrals,
-    integrate_derivative_kernel,
     singular_points,
 )
 
@@ -137,7 +137,7 @@ def test_dp_asymptotic_decay():
 
 
 def test_dp_matches_kernel_integral_at_13():
-    lhs = integrate_derivative_kernel(13.0, with_linear_factor=True).value
+    lhs = _kernel_integrals([(13.0, True)])[0].value
     assert abs(lhs - math.pi * dp_dlambda(13.0)) < 1e-10
 
 
@@ -207,21 +207,21 @@ def _rows(lam, *x):
 
 
 def test_radical_kernel_positive_inside_interval(monkeypatch):
-    assert integrate_derivative_kernel(-6.0).value > 0
-    assert integrate_derivative_kernel(16.0, with_linear_factor=True).value > 0
+    assert _kernel_integrals([(-6.0, False)])[0].value > 0
+    assert _kernel_integrals([(16.0, True)])[0].value > 0
     # a third root moved inside [x0, x1] makes the radicand negative at the
     # midpoint; the kernel integral must refuse it rather than return a number
     x0, x1, x2 = cubic_singularities(-6.0)
     monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: _rows(lam, x0, x1, 0.5 * (x0 + x1) - 1e-3))
     with pytest.raises(NumericalError):
-        integrate_derivative_kernel(-6.0)
+        _kernel_integrals([(-6.0, False)])[0]
     # the same on the positive side, with x1 moved inside [x2, x0]: the sign
     # comes from the signed factor -4 lam, so taking |far - x| would accept it
     x0, x1, x2 = cubic_singularities(16.0)
     monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: _rows(lam, x0, 0.5 * (x2 + x0) + 1e-3, x2))
     for linear in (False, True):
         with pytest.raises(NumericalError):
-            integrate_derivative_kernel(16.0, with_linear_factor=linear)
+            _kernel_integrals([(16.0, linear)])[0]
 
 
 def test_kernel_integral_matches_direct_tanh_sinh():
@@ -230,7 +230,7 @@ def test_kernel_integral_matches_direct_tanh_sinh():
     x0, x1, _ = cubic_singularities(-8.0)
     kernel = radical_kernel(-8.0)
     direct = tanh_sinh(lambda rows, x: kernel(x), [(x0, x1)], 1e-12)[0]
-    ladder = integrate_derivative_kernel(-8.0)
+    ladder = _kernel_integrals([(-8.0, False)])[0]
     assert abs(direct.value - ladder.value) < 5e-8
 
 
@@ -250,7 +250,7 @@ def _radical_reference(a, b, far, c, linear=False) -> float:
 @pytest.mark.parametrize("lam", [-1e4, -55.0078125, -20.0, -8.0, -6.0, -5.03, -5.0])
 def test_j2_kernel_matches_mpmath(lam):
     x0, x1, x2 = cubic_singularities(lam)
-    r = integrate_derivative_kernel(lam)
+    r = _kernel_integrals([(lam, False)])[0]
     assert r.converged
     assert abs(r.value - _radical_reference(x0, x1, x2, -4.0 * lam)) <= 1e-15 * r.value
 
@@ -259,7 +259,7 @@ def test_j2_kernel_matches_mpmath(lam):
 @pytest.mark.parametrize("lam", [5.0001, 5.03, 6.0, 13.0078125, 16.0, 25.0, 63.0078125, 1e4])
 def test_j1_j3_kernels_match_mpmath(lam, linear):
     x0, x1, x2 = cubic_singularities(lam)
-    r = integrate_derivative_kernel(lam, with_linear_factor=linear)
+    r = _kernel_integrals([(lam, linear)])[0]
     assert r.converged
     assert abs(r.value - _radical_reference(x2, x0, x1, -4.0 * lam, linear)) <= 1e-15 * r.value
 
