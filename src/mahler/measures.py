@@ -357,8 +357,8 @@ def mahler_jensen_2var(
 
     At each circle node x the fiber polynomial's roots come from closed forms
     for degree <= 2 and, for a higher degree, from one :func:`batch_roots`
-    call over all nodes of that degree (companion eigenvalues polished by
-    Aberth-Ehrlich); the node value is ``log|lead(x)| + sum log+ |root|``.
+    call over all nodes of that degree (their companion-matrix eigenvalues);
+    the node value is ``log|lead(x)| + sum log+ |root|``.
     Its mean is one row of :func:`_circle_means`, split at :func:`_breakpoints`.
     """
     if P.is_zero():
@@ -432,7 +432,8 @@ def _parameter(family: str, lam) -> float:
 
 
 # Candidate map parameters a of the q rows: 1 - a = 2^(-j/4), j = 0..63, so a = 0 first
-# and 1 - a down to 2e-5, the best choice for |lam| up to about 5e9.
+# and 1 - a down to 2e-5, the best choice for |lam| up to about 5e9.  The mapped node
+# count still grows like sqrt(|lam|) and reaches the circle cap between |lam| = 1e8 and 2e8.
 _MAP_GRID = np.array([1.0 - 2.0 ** (-j / 4.0) for j in range(64)])
 
 

@@ -222,6 +222,16 @@ def test_q_measure_falls_back_in_the_gap():
     assert abs(mv.value - t.value) <= mv.error_estimate + t.error_estimate
 
 
+@pytest.mark.parametrize("lam", [3e8, -3e8, 1e10, -1e10, 1e12, -1e12])
+def test_q_estimate_covers_its_relation_past_the_node_cap(lam):
+    # the mapped q ladder reaches its 262,144-node cap between |lam| = 1e8 and 2e8 and
+    # stops unconverged beyond it: the value drifts from r (lam < 0) or (r + p)/2 (lam > 0),
+    # and the estimate, which grows with it, still covers the gap
+    q = q_measure(lam)
+    ref = r_measure(lam).value if lam < 0 else (r_measure(lam).value + p_measure(lam).value) / 2
+    assert abs(q.value - ref) <= q.error_estimate
+
+
 def test_q_full_period_equals_twice_half_period():
     # q_measure(lam, n) is the n-node full-period midpoint mean of log|y+|;
     # log|y+| is even in t, so that equals the n/2-node mean over (0, 1/2)

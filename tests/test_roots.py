@@ -10,14 +10,14 @@ from mpmath import mp, mpc, polyroots
 
 from mahler import measures
 from mahler.measures import _circle, _coeff_rows, mahler_jensen_2var
-from mahler.poly import FamilySpec, as_poly_in_y, make_family
+from mahler.poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
 from mahler.roots import RootSolveError, batch_roots, quadratic_roots
 
 
-def _roots(coeffs, **kwargs):
+def _roots(coeffs):
     """Roots of one polynomial (ascending coefficients): one column of batch_roots, sorted by modulus."""
     column = np.array(coeffs, dtype=complex).reshape(-1, 1)
-    return sorted((complex(z) for z in batch_roots(column, **kwargs)[:, 0]), key=lambda z: (abs(z), z.real, z.imag))
+    return sorted((complex(z) for z in batch_roots(column)[:, 0]), key=lambda z: (abs(z), z.real, z.imag))
 
 
 def test_quadratic_distinct_real_roots():
@@ -148,13 +148,14 @@ def test_poly_roots_vieta_residuals():
         assert abs(p_found - p_true) <= 1e-10 * max(1.0, abs(p_true))
 
 
-# -- batched Aberth-Ehrlich -------------------------------------------------------
+# -- batched companion eigenvalues against an Aberth-Ehrlich reference -------------
 
 
 def _scalar_aberth(coeffs, max_iter=200, tol=1e-13):
-    """Reference: a one-polynomial, one-root-at-a-time Aberth loop from a
-    circle of radius 1 + max|a_k| (the batched solver's freezing rules, but
-    each correction sees the roots already updated in its sweep)."""
+    """Reference: a one-polynomial, one-root-at-a-time Aberth-Ehrlich loop from
+    a circle of radius 1 + max|a_k|; a root freezes once its backward error is
+    at rounding level or its correction drops below ``tol * max(1, |root|)``,
+    and each correction sees the roots already updated in its sweep."""
     eps = sys.float_info.epsilon
     cs = [complex(c) for c in coeffs]
     mon = [c / cs[-1] for c in cs]
@@ -188,10 +189,10 @@ def _scalar_aberth(coeffs, max_iter=200, tol=1e-13):
     raise AssertionError("reference solver did not converge")
 
 
-def _set_distance(found, ref):
-    """Per column, the largest root distance under the best pairing."""
+def _set_distance(found, ref, scale=1.0):
+    """Per column, the largest root distance (divided by ``scale``, one per root of ``ref``) under the best pairing."""
     return np.min(
-        [np.abs(found[list(perm)] - ref).max(axis=0) for perm in itertools.permutations(range(len(ref)))],
+        [(np.abs(found[list(perm)] - ref) / scale).max(axis=0) for perm in itertools.permutations(range(len(ref)))],
         axis=0,
     )
 
@@ -227,38 +228,46 @@ def test_batch_roots_mix_clustered_and_separated_columns():
         assert sorted(found[:, i], key=lambda z: (abs(z), z.real, z.imag)) == _roots(col)
 
 
-def test_batch_roots_raises_when_iterations_run_out():
-    # -2y(y + 1)^2 + 1e-7 y^4: its root near 2e7 leaves the companion eigenvalues of the
-    # pair near -1 (4.5e-4 apart) about 1e-9 off, far from frozen after one Aberth sweep
+def _mpmath_roots(C):
+    """Roots of every column of ``C`` from mpmath's polyroots at 40 digits, (d, n)."""
+    with mp.workdps(40):
+        return np.array([[complex(z) for z in polyroots([mpc(c) for c in col[::-1]], maxsteps=200, extraprec=80)]
+                         for col in C.T]).T
+
+
+def test_batch_roots_of_a_column_with_a_far_root_beside_a_near_pair():
+    # -2y(y + 1)^2 + 1e-7 y^4: a root near 2e7 beside a pair near -1 that is 4.5e-4 apart,
+    # solved alone and beside the degree-4 fibers of Q_3 in X
     slow = [0, -2, -4, -2, 1e-7]
     C = _coeff_rows(as_poly_in_y(make_family(FamilySpec("Q", 3)), 0), _circle(64))
-    batch_roots(C, max_iter=1)  # these columns freeze in one sweep
-    with pytest.raises(RootSolveError):
-        batch_roots(np.column_stack([C, slow]), max_iter=1)
-    with pytest.raises(RootSolveError):
-        _roots(slow, max_iter=1)
+    found = batch_roots(np.column_stack([C, slow]))
     assert len(_roots(slow)) == 4
+    assert sorted(found[:, -1], key=lambda z: (abs(z), z.real, z.imag)) == _roots(slow)
+    # the eigenvalues are backward stable relative to the companion matrix's norm, about 4e7
+    # here, so the pair moves by up to eps * 4e7 / 4.5e-4 = 2e-5 along its split, which
+    # leaves the moduli that Jensen's log+ reads within about 1e-9; 0 and the far root are
+    # exact to rounding
+    column = np.array(slow, dtype=complex)[:, None]
+    found, ref = np.sort_complex(batch_roots(column)[:, 0]), np.sort_complex(_mpmath_roots(column)[:, 0])
+    assert np.abs(found - ref).max() <= 1e-5
+    assert np.abs(np.abs(found) - np.abs(ref)).max() <= 1e-8
+    assert found[-2] == 0.0 and abs(found[-1] - ref[-1]) <= 1e-14 * abs(ref[-1])
 
 
-def test_near_double_fiber_roots_polish_in_four_sweeps(monkeypatch):
+def test_near_double_fiber_roots_match_mpmath(monkeypatch):
     # Jensen on Q_3 in X (the swapped Q_3 of the benchmark): its tanh-sinh nodes crowd the
-    # arc ends, where two degree-4 fiber roots nearly meet.  Aberth converges only linearly
-    # there from a circle (more than 40 sweeps); from the companion eigenvalues it freezes at once.
+    # arc ends, where two degree-4 fiber roots nearly meet
     seen = []
-    monkeypatch.setattr(measures, "batch_roots", lambda C, **kw: seen.append(C) or batch_roots(C, **kw))
+    monkeypatch.setattr(measures, "batch_roots", lambda C: seen.append(C) or batch_roots(C))
     mahler_jensen_2var(make_family(FamilySpec("Q", 3)), var=0, tol=1e-6)
     C = np.concatenate([c for c in seen if len(c) == 5], axis=1)
     roots = batch_roots(C)
     gaps = np.abs(roots[:, None] - roots[None]) + np.where(np.eye(4, dtype=bool)[..., None], np.inf, 0.0)
     near = C[:, gaps.min(axis=(0, 1)) < 1e-2 * np.maximum(1.0, np.abs(roots).max(axis=0))]
     assert near.shape[1] >= 50
-    polished = batch_roots(near, max_iter=4)
-    with mp.workdps(40):  # a double root splits by about sqrt(eps): each root to 1e-6 of mpmath's
-        ref = np.array([[complex(z) for z in polyroots([mpc(c) for c in col[::-1]], maxsteps=200, extraprec=80)]
-                        for col in near.T]).T
-    scale = np.maximum(1.0, np.abs(ref))
-    errors = [(np.abs(polished[list(perm)] - ref) / scale).max(axis=0) for perm in itertools.permutations(range(4))]
-    assert (np.min(errors, axis=0) <= 1e-6).all()
+    # a double root splits by about sqrt(eps): each root to 1e-6 of mpmath's
+    ref = _mpmath_roots(near)
+    assert (_set_distance(batch_roots(near), ref, np.maximum(1.0, np.abs(ref))) <= 1e-6).all()
 
 
 def test_batch_roots_turns_failing_eigenvalues_into_a_root_solve_error():
@@ -279,8 +288,27 @@ def test_batch_roots_validation():
 
 @pytest.mark.parametrize("k", [-2, 2, 3, 5])
 def test_jensen_in_either_variable_agrees_on_qk(k):
-    # var=0 solves degree-4 fibers by Aberth, var=1 quadratics in closed form
+    # var=0 solves degree-4 fibers by companion eigenvalues, var=1 quadratics in closed form
     P = make_family(FamilySpec("Q", k))
     by_x = mahler_jensen_2var(P, var=0, tol=1e-6)
     by_y = mahler_jensen_2var(P, var=1, tol=1e-6)
     assert abs(by_x.value - by_y.value) <= by_x.error_estimate + by_y.error_estimate
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # 1e-7 y^4 - 2y^3 - 4y^2 - 2y + xy: the far-root column above, moved along the circle
+        {(0, 4): 1e-7, (0, 3): -2, (0, 2): -4, (0, 1): -2, (1, 1): 1},
+        # 1.5e-7 y^4 + y^3 + 2y^2 + y + x: a tiny leading coefficient, so a root near -7e6
+        # beside three of modulus between 0.4 and 2
+        {(0, 4): 1.5e-7, (0, 3): 1, (0, 2): 2, (0, 1): 1, (1, 0): 1},
+    ],
+    ids=["far-root", "tiny-lead"],
+)
+def test_jensen_on_ill_scaled_quartic_fibers_agrees_with_linear_fibers(terms):
+    # var=1 solves degree-4 fibers by companion eigenvalues, var=0 degree-1 fibers in closed form
+    P = LaurentPolynomial(terms, nvars=2)
+    by_y = mahler_jensen_2var(P, var=1)
+    by_x = mahler_jensen_2var(P, var=0)
+    assert abs(by_y.value - by_x.value) <= by_y.error_estimate + by_x.error_estimate
