@@ -13,7 +13,8 @@ On top of those sit fast family paths ``q_measure``, ``p_measure`` and
 ``q(lam) = int_0^1 log|y_plus(x(t))| dt`` with
 ``x(t) = e^(2 pi i t)(1 - e^(2 pi i t))``, valid where the branch bounds
 ``|y_minus| <= 1 <= |y_plus|`` hold (lam <= -4 or lam >= 13); outside it
-silently falls back to the generic Jensen evaluator.
+silently falls back to the generic Jensen evaluator.  No fast path shares
+per-node code with Jensen (see :func:`_fast_integrand`).
 
 Every circle mean goes through :func:`_circle_means`, which evaluates many
 rows (parameters) of one integrand at once; :func:`family_measures` runs a
@@ -55,10 +56,11 @@ __all__ = [
 
 _LOG_CLAMP = 1e-300  # |P| below this at a node means the grid hit a zero
 _TRIM = 1e-13  # relative threshold for dropping a vanishing leading coefficient
-# rows * n * columns of a torus block stays below this: OpenBLAS runs a complex matrix
+# rows * nodes * columns of a torus block stays below this: OpenBLAS runs a complex matrix
 # product of fewer multiply-adds on the calling thread, and the block's arrays stay in
 # cache; fixed for reproducibility
 _TORUS_BLOCK = 2**16
+_TORUS_CHUNK = 64  # a torus block holds at least this many nodes of the last variable (or all n)
 _CLUSTER = 2e-2  # resultant roots closer than this are one (multiple) root
 _ON_CIRCLE = 1e-6  # a root (mean) this close to the integration path is a breakpoint
 _MERGE = 1e-10  # breakpoints t closer than this on the circle are one
@@ -102,10 +104,11 @@ def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
     Terms are grouped by their exponent in the last variable; each group's
     coefficient is evaluated on the flattened grid of the other variables, so
     a row block of P is one matrix product with the last variable's powers.
-    A block holds the largest power of two of rows (at least one) that keeps
-    rows * n * columns below ``_TORUS_BLOCK``, so a level with n a power of
-    two splits into equal blocks and leaves no lone row over, which OpenBLAS
-    would thread as a matrix-vector product.
+    Node chunks of the last variable are halved (down to ``_TORUS_CHUNK``)
+    while they exceed a quarter of ``_TORUS_BLOCK`` in the table; a block is
+    the largest power of two of rows, at least two, that keeps rows * nodes *
+    columns below it.  OpenBLAS threads a matrix-vector product, so a lone
+    row (a one-variable P) is summed by broadcasting.
     """
     k = P.nvars
     grids = [_circle(n, _TORUS_OFFSETS[dim]) for dim in range(k)]
@@ -118,12 +121,19 @@ def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
             term = np.multiply.outer(term, grids[dim] ** e[dim]).ravel()
         coeffs[:, column[e[-1]]] += term
 
-    rows = 1
-    while 2 * rows * table.size < _TORUS_BLOCK:
+    rows, width = 2, n
+    while width >= 2 * _TORUS_CHUNK and 4 * width * len(column) > _TORUS_BLOCK:
+        width = (width + 1) // 2
+    while 2 * rows * width * len(column) < _TORUS_BLOCK:
         rows *= 2
     sums = []
     for start in range(0, len(coeffs), rows):
-        mags = np.abs(coeffs[start : start + rows] @ table)
+        block = coeffs[start : start + rows]
+        if len(block) == 1:
+            mags = np.abs((block.T * table).sum(axis=0))
+        else:
+            mags = np.abs(block @ table if width == n else
+                          np.concatenate([block @ table[:, lo : lo + width] for lo in range(0, n, width)], axis=1))
         if mags.min() < _LOG_CLAMP:
             raise NumericalError("polynomial vanishes on the sampling grid; use the Jensen method")
         sums.append(np.log(mags).sum())
@@ -381,20 +391,29 @@ def mahler_jensen_2var(
 # -- branch machinery -------------------------------------------------------------
 
 
-def _curve(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node data (x, 2x^2, x^4) of x(t) = z(1 - z), z = e^(2 pi i t)."""
+def _curve(t: np.ndarray) -> np.ndarray:
+    """The path x(t) = z(1 - z), z = e^(2 pi i t)."""
     z = np.exp(2j * np.pi * t)
-    x = z * (1.0 - z)
-    return x, 2.0 * x * x, x**4
+    return z * (1.0 - z)
 
 
-def _branch_moduli(lam, curve) -> tuple[np.ndarray, np.ndarray]:
-    """(|y-|, |y+|) at the :func:`_curve` nodes, for a scalar lam or a column of them."""
-    x, x2, x4 = curve
-    big, small = quadratic_roots(x2 + lam * x + 1.0, x4)
-    a_big = np.abs(big)
-    a_small = np.abs(small)
-    return np.minimum(a_big, a_small), np.maximum(a_big, a_small)
+def _branch_moduli(lam, x) -> tuple[np.ndarray, np.ndarray]:
+    """(|y-|, |y+|) of y^2 + b y + x^4, b = 2x^2 + lam x + 1, at the nodes ``x``, for a scalar lam or a column.
+
+    D = b^2 - 4x^4 = (lam x + 1)(4x^2 + lam x + 1) has the root s = +-(r, o) if Re D >= 0, else +-(o, r),
+    with r = sqrt((|D| + |Re D|)/2) and o = Im D/(2r).  Aligned with b, ``4|y+|^2 = |b|^2 + |D| +
+    2|Re(conj(b) s)|`` does not cancel, and ``|y-| = |x|^4/|y+|``.
+    """
+    line = lam * x + 1.0
+    xx = x * x
+    b = line + 2.0 * xx
+    D = line * (line + 4.0 * xx)
+    half = 0.5 * np.abs(D)  # each term below stays under the bound (2|lam| + 9)^2 of |b|^2 and |D|
+    r = np.sqrt(half + 0.5 * np.abs(D.real))
+    o = 0.5 * D.imag / np.maximum(r, np.finfo(float).tiny)  # r = 0 only where D = 0
+    dot = np.where(D.real >= 0.0, b.real * r + b.imag * o, b.real * o + b.imag * r)
+    hi = np.sqrt(0.25 * (b.real * b.real + b.imag * b.imag) + 0.5 * half + 0.5 * np.abs(dot))
+    return np.abs(xx) ** 2 / hi, hi
 
 
 def branch_extremes(lam: float, n: int | None = None) -> BranchExtremes:
@@ -408,7 +427,7 @@ def branch_extremes(lam: float, n: int | None = None) -> BranchExtremes:
         raise ValueError("need at least 100 scan points")
     if n % 2:
         n += 1
-    # b = 2x^2 + lam x + 1 has |b| <= 2|lam| + 9 on the path (|x| <= 2), and b*b must not overflow
+    # on the path (|x| <= 2), |b|^2 and the discriminant are at most (2|lam| + 9)^2, which must not overflow
     bound = 2.0 * abs(lam) + 9.0
     if not math.isfinite(bound * bound):
         raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
@@ -487,35 +506,23 @@ def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
 
     On lam <= -4 or lam >= 13 the one-branch reduction applies:
     ``q = int_0^1 log|y_plus(x(z))| dt`` with z = e^(2 pi i t), split at the
-    breakpoints of :func:`_q_rows` into tanh-sinh arcs, which share one
-    ladder with the arcs of the other rows of a batch.  Its integrand has a
-    branch point at z ~ 1 + 1/lam, about 1/(2 pi |lam|) from t = 0, so the
-    node count of the unmapped midpoint ladder grows like |lam| (2,048 at
-    lam = -55, 32,768 at 1000).  A Moebius map of the circle with a
-    parameter a chosen from the singular points (see
-    :func:`_fast_integrand`) makes it grow like sqrt(|lam|) (512 and 2,048).
-    Rows the map would not at least halve (at and near the cut at lam = -5,
-    and -5 < lam <= -4) keep a = 0, the unmapped arithmetic.  Elsewhere the
-    generic Jensen evaluator runs on the expanded polynomial (method tag
-    "jensen").
+    breakpoints of :func:`_q_rows` into tanh-sinh arcs.  Its branch point at
+    z ~ 1 + 1/lam makes the unmapped midpoint ladder grow like |lam| (2,048
+    nodes at lam = -55, 32,768 at 1000); the map of :func:`_fast_integrand`
+    makes it grow like sqrt(|lam|) (512 and 2,048).  Elsewhere the generic
+    Jensen evaluator runs on the expanded polynomial (method tag "jensen").
     """
     return family_measures("q", [lam], n, tol=tol)[0]
 
 
-def _p_nodes(t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Node data (x, x^2, x^2 + x, x + 1) of the P fiber at x = e^(2 pi i t)."""
-    x = np.exp(2j * np.pi * t)
-    xx = x * x
-    return x, xx, xx + x, x + 1.0
+def _reciprocal_log(d, h) -> np.ndarray:
+    """``log h + arccosh(max(1, 1 + d/(2h)))``: the Jensen value of h (v^2 + beta v + 1), |beta| = 2 + d/h.
 
-
-def _p_rows(lam, nodes) -> np.ndarray:
-    """Ascending y-coefficients of the P fiber at the :func:`_p_nodes`, for a scalar lam or a column."""
-    x, xx, xx_x, x_1 = nodes
-    mid = xx - (lam + 2.0) * x + 1.0
-    C = np.empty((3, *mid.shape), dtype=complex)
-    C[0], C[1], C[2] = xx_x, mid, x_1
-    return C
+    The caller forms d = h|beta| - 2h without cancellation; with g = max(d, 0)/4 the sum has no negative
+    term and none above h|beta|/2, so it neither cancels nor overflows (h = 0 gives the limit log(d/2)).
+    """
+    g = 0.25 * np.maximum(d, 0.0)
+    return np.log(0.5 * h + g + np.sqrt(g) * np.sqrt(g + h)) + math.log(2.0)
 
 
 def _p_cuts(lam: float) -> tuple[float, ...]:
@@ -541,18 +548,6 @@ def p_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     return family_measures("p", [lam], n, tol=tol)[0]
 
 
-def _r_nodes(t: np.ndarray) -> np.ndarray:
-    """Node data 2 cos(2 pi t) of the R fiber."""
-    return 2.0 * np.cos(2.0 * np.pi * t)
-
-
-def _r_rows(lam, cos2: np.ndarray) -> np.ndarray:
-    """Ascending y-coefficients of the R fiber at the :func:`_r_nodes`, for a scalar lam or a column."""
-    b = (cos2 + lam).astype(complex)
-    one = np.ones(b.shape, dtype=complex)
-    return np.stack([one, b, one])
-
-
 def _r_cuts(lam: float) -> tuple[float, ...]:
     """Breakpoints t of the R-family integrand, from cos(2 pi t) = (+-2 - lam)/2."""
     cosines = [c for c in ((2.0 - lam) / 2.0, (-2.0 - lam) / 2.0) if -1.0 <= c <= 1.0]
@@ -567,21 +562,26 @@ def r_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
 # -- batched family rows ------------------------------------------------------------
 
 _FAMILIES = {"q": "Q_shifted", "p": "P", "r": "R"}
-_CUTS = {"p": _p_cuts, "r": _r_cuts}
 
 
 def _fast_integrand(family: str, lams: np.ndarray):
     """(nodes, values, cuts) of the fast-path integrand of ``family`` at the parameters ``lams``.
 
-    See :func:`_circle_means`.  The node data depend on t only; each row adds
-    its parameter as a column.  A q row adds its map parameter a (from
-    :func:`_q_rows`, with its breakpoints) as a second column: with
-    w = e^(2 pi i t) it integrates ``P_a(w) log|y_plus(x(z))|``, where
-    z = (w + a)/(1 + a w) and P_a(w) = (1 - a^2)/|1 + a w|^2 = dt_z/dt_w.
-    That is the same integral (a Moebius map of the circle onto itself), but
-    a > 0 pushes the branch point at z ~ 1 + 1/lam away from the circle, so
-    the midpoint ladder converges in far fewer nodes (Hale & Trefethen, SIAM
-    J. Numer. Anal. 2008).  With a = 0, z = w and P_a = 1 exactly, so an
+    See :func:`_circle_means`.  The node data depend on t only; each row adds its parameter as a
+    column.  The P and R fibers have roots of product modulus 1 on |x| = 1, so their Jensen
+    integrands are real closed forms, :func:`_reciprocal_log` per node (Boyd, Exp. Math. 1998).
+    With th = 2 pi t, r's is arccosh(max(1, |lam + 2 cos th|/2)), where
+    |lam + 2 cos th| - 2 = max(lam - 4 sin^2(th/2), -lam - 4 cos^2(th/2)).
+    y = e^(i th/2) v turns the P fiber into (1 + x)(v^2 + beta v + 1) with real
+    beta = (2 cos th - lam - 2)/(2 cos(th/2)); with h = |1 + x|,
+    h|beta| - 2h = max((h - 1)^2 - (lam + 5), (lam + 5) - (h + 1)^2), which vanishes at the cuts
+    of :func:`_p_cuts`, tangentially at lam = -5.  q's integrand is log|y+| (:func:`_branch_moduli`).
+    A q row adds its map parameter a (from :func:`_q_rows`, with its breakpoints) as a second
+    column: with w = e^(2 pi i t) it integrates ``P_a(w) log|y_plus(x(z))|``, where
+    z = (w + a)/(1 + a w) and P_a(w) = (1 - a^2)/|1 + a w|^2 = dt_z/dt_w.  That is the same
+    integral (a Moebius map of the circle onto itself), but a > 0 pushes the branch point at
+    z ~ 1 + 1/lam away from the circle, so the midpoint ladder converges in far fewer nodes
+    (Hale & Trefethen, SIAM J. Numer. Anal. 2008).  With a = 0, z = w and P_a = 1 exactly, so an
     unmapped row computes the unmapped integrand bit for bit.
     """
     lam = lams[:, None]
@@ -593,22 +593,20 @@ def _fast_integrand(family: str, lams: np.ndarray):
             ar = a[rows]
             u = 1.0 + ar * w
             z = (w + ar) / u
-            x = z * (1.0 - z)
-            hi = _branch_moduli(lam[rows], (x, 2.0 * x * x, x**4))[1]
+            hi = _branch_moduli(lam[rows], z * (1.0 - z))[1]
             if hi.min() < _LOG_CLAMP:
                 raise NumericalError("vanishing branch modulus on the sampling grid")
             return np.log(hi) * ((1.0 - ar * ar) / (u.real * u.real + u.imag * u.imag))
 
         return (lambda t: np.exp(2j * np.pi * t)), log_y_plus, cuts
-    cuts = [_CUTS[family](v) for v in lams.tolist()]
-    if family == "p":
-        return _p_nodes, lambda rows, nodes: _jensen_rows(_p_rows(lam[rows], nodes)), cuts
-    return _r_nodes, lambda rows, cos2: _jensen_rows(_r_rows(lam[rows], cos2)), cuts
-
-
-def _jensen_rows(C: np.ndarray) -> np.ndarray:
-    """:func:`_jensen_values` of coefficient planes of shape (degree+1, rows, nodes), per (row, node)."""
-    return _jensen_values(C.reshape(len(C), -1)).reshape(C.shape[1:])
+    if family == "r":  # node data 4 sin^2(th/2), 4 cos^2(th/2)
+        return (lambda t: (4.0 * np.sin(np.pi * t) ** 2, 4.0 * np.cos(np.pi * t) ** 2),
+                lambda rows, nd: _reciprocal_log(np.maximum(lam[rows] - nd[0], -lam[rows] - nd[1]), 1.0),
+                [_r_cuts(v) for v in lams.tolist()])
+    shift = 5.0 + lam  # node data h = |1 + x| = |2 cos(th/2)|
+    return (lambda t: np.abs(2.0 * np.cos(np.pi * t)),
+            lambda rows, h: _reciprocal_log(np.maximum((h - 1.0) ** 2 - shift[rows], shift[rows] - (h + 1.0) ** 2), h),
+            [_p_cuts(v) for v in lams.tolist()])
 
 
 def family_measures(family: str, lams, n: int | None = None, *, tol: float | None = None) -> list:
@@ -631,7 +629,7 @@ def family_measures(family: str, lams, n: int | None = None, *, tol: float | Non
             _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
             out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
         elif family == "q" and not math.isfinite(16.0 * lam * lam):
-            # q's branch b = 2x^2 + lam x + 1 has |b| <= 2|lam| + 9 on the path, and b*b must not overflow
+            # q's |b|^2 and discriminant are at most (2|lam| + 9)^2 on the path, which must not overflow
             raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
         else:
             fast.append((i, lam))

@@ -222,8 +222,8 @@ def test_family_sweep_isolates_a_failing_row(capsys, monkeypatch):
     expected = [_csv(lam, q_measure(lam)) for lam in grid]
     real = measures._branch_moduli
 
-    def broken(lam, curve):
-        lo, hi = real(lam, curve)
+    def broken(lam, x):
+        lo, hi = real(lam, x)
         return lo, np.where(np.asarray(lam) == -5.5, 0.0, hi)
 
     monkeypatch.setattr(measures, "_branch_moduli", broken)
@@ -282,7 +282,7 @@ def test_array_singularities_equal_scalar_calls():
 def _unmapped_mean(lam, m):
     """The midpoint rule with m nodes on log|y_plus(x(t))|, t itself the variable."""
     return quadrature._midpoint_means(
-        measures._curve, lambda rows, curve: np.log(measures._branch_moduli(lam, curve)[1])[None, :], np.arange(1), m
+        measures._curve, lambda rows, x: np.log(measures._branch_moduli(lam, x)[1])[None, :], np.arange(1), m
     )[0]
 
 
@@ -327,13 +327,13 @@ def test_the_arcs_of_a_batch_share_each_integrand_call(monkeypatch):
     # one tanh-sinh call per arc made 321 integrand calls here; the shared ladder
     # makes one per level and block, each of at most one block of nodes
     sizes = []
-    real = measures._jensen_rows
+    real = measures._reciprocal_log
 
-    def spy(C):
-        sizes.append(C[0].size)
-        return real(C)
+    def spy(d, h):
+        sizes.append(d.size)
+        return real(d, h)
 
-    monkeypatch.setattr(measures, "_jensen_rows", spy)
+    monkeypatch.setattr(measures, "_reciprocal_log", spy)
     family_measures("p", P_ARCS)
     assert len(sizes) <= 13 and max(sizes) <= quadrature._BLOCK
 

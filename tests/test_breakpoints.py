@@ -16,14 +16,11 @@ from mahler.measures import (
     _circle_means,
     _coeff_rows,
     _curve,
+    _fast_integrand,
     _jensen_values,
     _p_cuts,
-    _p_nodes,
-    _p_rows,
     _q_rows,
     _r_cuts,
-    _r_nodes,
-    _r_rows,
     mahler_jensen_2var,
     p_measure,
     r_measure,
@@ -157,20 +154,17 @@ def _generic_values(P):
     return lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t)))
 
 
-def _p_values(lam):
-    return lambda t: _jensen_values(_p_rows(lam, _p_nodes(t)))
-
-
-def _r_values(lam):
-    return lambda t: _jensen_values(_r_rows(lam, _r_nodes(t)))
+def _family_values(family, lam):
+    nodes, values, _ = _fast_integrand(family, np.array([lam]))
+    return lambda t: values(np.arange(1), nodes(t))[0]
 
 
 def test_inputs_without_breakpoints_run_the_ladder_bit_for_bit():
     assert _p_cuts(13.0) == () and _r_cuts(6.0) == ()
     mv = p_measure(13.0)
-    assert (mv.value, mv.error_estimate) == _ladder(_p_values(13.0))
+    assert (mv.value, mv.error_estimate) == _ladder(_family_values("p", 13.0))
     mv = r_measure(6.0)
-    assert (mv.value, mv.error_estimate) == _ladder(_r_values(6.0))
+    assert (mv.value, mv.error_estimate) == _ladder(_family_values("r", 6.0))
     R6 = make_family(FamilySpec("R", 6.0))
     assert len(_cuts(R6)) == 0
     mv = mahler_jensen_2var(R6)
@@ -179,9 +173,9 @@ def test_inputs_without_breakpoints_run_the_ladder_bit_for_bit():
 
 def test_pinned_node_count_runs_the_ladder_bit_for_bit():
     mv = p_measure(-1.0, 4096)
-    assert (mv.value, mv.error_estimate) == _ladder(_p_values(-1.0), 4096)
+    assert (mv.value, mv.error_estimate) == _ladder(_family_values("p", -1.0), 4096)
     mv = r_measure(2.0, 4096)
-    assert (mv.value, mv.error_estimate) == _ladder(_r_values(2.0), 4096)
+    assert (mv.value, mv.error_estimate) == _ladder(_family_values("r", 2.0), 4096)
     Q2 = make_family(FamilySpec("Q", 2))
     mv = mahler_jensen_2var(Q2, 8192)
     assert (mv.value, mv.error_estimate) == _ladder(_generic_values(Q2), 8192)
@@ -194,4 +188,4 @@ def test_an_unconverged_arc_falls_back_to_the_ladder(monkeypatch):
     mv = mahler_jensen_2var(Q2)
     assert (mv.value, mv.error_estimate) == _ladder(_generic_values(Q2))
     mv = p_measure(-1.0)
-    assert (mv.value, mv.error_estimate) == _ladder(_p_values(-1.0))
+    assert (mv.value, mv.error_estimate) == _ladder(_family_values("p", -1.0))

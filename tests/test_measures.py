@@ -92,6 +92,7 @@ _KERNEL_CASES = [
     (_THREE_VARS, 3, 64),
     (_THREE_VARS, 3, 90),
     (_THREE_VARS, 3, 128),  # the three-variable cap
+    ({(0, 0): 20, (1, 0): 1, **{(j % 3, j): 1 for j in range(1, 12)}}, 2, 256),  # 12 columns
 ]
 
 
@@ -102,9 +103,10 @@ def test_torus_kernel_matches_term_by_term_reference(terms, nvars, n):
     assert abs(_torus_mean_log(P, n) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
-# a budget below one row gives one row per block; blocks of 16 rows leave a partial
-# last block where the row count n^(k-1) is no multiple of 16 (one variable, n = 600,
-# and n = 90 in three variables)
+# a budget below one row gives blocks of two rows and node chunks of _TORUS_CHUNK to
+# 2 _TORUS_CHUNK nodes (all n = 64 or 90); blocks of 16 rows leave a partial last block
+# where the row count n^(k-1) is no multiple of 16 (n = 600, and n = 90 in three
+# variables); the one row of a one-variable P is summed by broadcasting at either budget
 @pytest.mark.parametrize("rows", [1, 16])
 @pytest.mark.parametrize("terms, nvars, n", _KERNEL_CASES)
 def test_torus_kernel_block_size_moves_no_value(monkeypatch, terms, nvars, n, rows):
