@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from .config import DEFAULTS, show_config
+from .config import show_config
 from .identities import SUITES, reports_to_jsonl, run_suite, summary_table, sweep_reports
 from .measures import MeasureValue, family_measures, mahler_jensen_2var, mahler_torus
 from .poly import FamilySpec, make_family, poly_from_text
@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mahler measures of the Q/P/R families and their identity checks.",
     )
     parser.add_argument("--show-config", action="store_true", help="print budgets/tolerances as JSON and exit")
-    parser.add_argument("--seed", type=int, default=DEFAULTS.seed, help="seed for sampled checks")
     sub = parser.add_subparsers(dest="command")
 
     pc = sub.add_parser("compute", help="compute one measure value")
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--k", dest="ks", type=int, nargs="+", help="k list override (boyd)")
     pv.add_argument("--grid", type=int, help="mu-grid size (hyp)")
     pv.add_argument("--n", type=int, help="scan nodes (branches)")
-    pv.add_argument("--samples", type=int, help="sample count (substitution)")
     pv.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                     help="tolerance override, e.g. --tol main=1e-6 (repeatable)")
     pv.add_argument("--out", help="write JSON lines here instead of stdout")
@@ -141,8 +139,6 @@ def cmd_verify(args) -> int:
         ks=args.ks,
         grid=args.grid,
         n=args.n,
-        samples=args.samples,
-        seed=args.seed,
         tolerances=tolerances,
     )
     jsonl = reports_to_jsonl(reports)
@@ -218,7 +214,7 @@ def main(argv=None) -> int:
     try:
         if args.show_config:
             suites = {name: {"params": suite.params, "tolerance": suite.tolerance} for name, suite in SUITES.items()}
-            print(show_config(args.seed, verify=suites))
+            print(show_config(verify=suites))
             return EXIT_OK
         if args.command is None:
             parser.error("a command is required (compute, verify or sweep)")
@@ -227,7 +223,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_sweep(args)
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:  # an exact coefficient past double range overflows
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -1,7 +1,8 @@
 """Default budgets and tolerances.
 
-Everything the CLI prints under ``--show-config`` lives here, so that any
-published number can be reproduced from one place.
+``--show-config`` prints these next to the parameters and tolerance of
+every ``verify`` suite (``identities.SUITES``), so that any published
+number can be reproduced from those two places.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ class Defaults:
     # branch-modulus scans
     branch_scan_nodes: int = 10_000
 
-    seed: int = 0
-
 
 DEFAULTS = Defaults()
 
 
-def show_config(seed: int = DEFAULTS.seed, **sections) -> str:
-    """Render the defaults, the run's seed and any further named sections as JSON."""
-    payload = {"defaults": dataclasses.asdict(DEFAULTS), "run": {"seed": seed}, **sections}
+def show_config(**sections) -> str:
+    """Render the defaults and any further named sections as JSON."""
+    payload = {"defaults": dataclasses.asdict(DEFAULTS), **sections}
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -20,8 +20,9 @@ Identity ids:
 * ``hyp_transform_1`` / ``hyp_transform_2``: the two Gauss hypergeometric
   transformations, on mu-grids;
 * ``branch_bounds``: |y-| <= 1 <= |y+| along the curve x(t);
-* ``substitution``: the exact change of variables linking the shifted
-  hyperelliptic member to its quadratic model;
+* ``substitution``: the change of variables linking the shifted
+  hyperelliptic member to its quadratic model, both sides expanded exactly
+  in Fractions, so any residual but 0 fails;
 * ``singularity_order``: the ordering of the cubic singularities and their
   z-images;
 * ``asymptotic_gap``: measures approach log|lam|, with shrinking gap.
@@ -236,23 +237,22 @@ def _branch_reports(lams, tol, *, n: int | None = None) -> list:
             raise ValueError("branch bounds are claimed for lam >= 13 or lam <= -4")
         ex = branch_extremes(lam, n)
         violation = max(ex.max_abs_y_minus - 1.0, 1.0 - ex.min_abs_y_plus, 0.0)
-        detail = f"t_max_minus={ex.arg_t_at_extremes[0]!r},t_min_plus={ex.arg_t_at_extremes[1]!r}"
+        detail = ""
         if lam >= 13.0 and ex.arg_t_at_extremes[1] != 0.0:
             violation += 1.0
-            detail += ",min_not_at_zero"
+            detail = "min_not_at_zero"
         reports.append(_report(
             "branch_bounds", lam, ex.max_abs_y_minus, ex.min_abs_y_plus, violation, tol, detail=detail,
         ))
     return reports
 
 
-def _substitution_reports(lams, tol, *, samples: int | None = None, seed: int = 0) -> list:
-    """Numeric residual of the change-of-variables identity (plus exact check), 100 samples by default."""
-    samples = samples or 100
+def _substitution_reports(lams, tol) -> list:
+    """Exact residual of the change-of-variables identity: 0 when both expansions have the same terms."""
     reports = []
     for lam in lams:
-        residual = _substitution_residual(lam, samples, seed=seed)
-        reports.append(_report("substitution", float(lam), residual, 0.0, residual, tol, detail=f"samples={samples}"))
+        residual = _substitution_residual(lam)
+        reports.append(_report("substitution", lam, residual, 0.0, residual, tol))
     return reports
 
 
@@ -332,7 +332,7 @@ SUITES = {
     "singularities": _Suite(_singularity_reports, (-5.01, -6.0, -20.0, 13.01, 16.0, 50.0), 0.0),
     "asymptotics": _Suite(_asymptotic_reports,
                           ((16.0, 32.0, 64.0, 128.0), (-8.0, -16.0, -32.0, -64.0, -128.0)), 1.0, given="lambda_list"),
-    "substitution": _Suite(_substitution_reports, (13.0, -6.0, 0.5), 1e-12, options=("samples", "seed")),
+    "substitution": _Suite(_substitution_reports, (13.0, -6.0, 0.5), 0.0),
 }
 
 
@@ -358,8 +358,6 @@ def run_suite(
     ks=None,
     grid: int | None = None,
     n: int | None = None,
-    samples: int | None = None,
-    seed: int = 0,
     tolerances: dict[str, float] | None = None,
 ) -> list[VerificationReport]:
     """Run one suite of :data:`SUITES` (or ``all``) and return sorted reports.
@@ -367,11 +365,10 @@ def run_suite(
     Each suite evaluates its parameters as one batch of rows.  The override
     its entry names replaces them: ``ks`` for ``boyd``, ``grid`` for ``hyp``
     (also under ``all``), and ``lambdas`` for every other suite
-    (``asymptotics`` takes it as one list).  ``n`` and ``samples`` (with
-    ``seed``) go to the suites whose entries take them, the branch and
-    substitution checks.  ``tolerances`` overrides per-suite tolerances by
-    name.  Where rows fail, the error of the first failing row is raised, as
-    when each row is checked alone.
+    (``asymptotics`` takes it as one list).  ``n`` goes to the one suite
+    whose entry takes it, the branch check.  ``tolerances`` overrides
+    per-suite tolerances by name.  Where rows fail, the error of the first
+    failing row is raised, as when each row is checked alone.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all', *SUITES)}")
@@ -379,7 +376,7 @@ def run_suite(
         raise ValueError("parameter overrides apply to individual suites, not to 'all'")
     tolerances = tolerances or {}
     given = {"lambdas": lambdas, "ks": ks, "grid": grid and (grid,), "lambda_list": lambdas and (lambdas,)}
-    options = {"n": n, "samples": samples, "seed": seed}
+    options = {"n": n}
     reports: list[VerificationReport] = []
     for name in SUITES if suite == "all" else (suite,):
         entry = SUITES[name]

@@ -297,7 +297,8 @@ def test_show_config(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["defaults"]["tanh_sinh_level_max"] == 12
-    assert payload["run"] == {"seed": 0}
+    assert sorted(payload) == ["defaults", "verify"]
+    assert payload["verify"]["substitution"] == {"params": [13.0, -6.0, 0.5], "tolerance": 0.0}
     assert payload["verify"] == json.loads(json.dumps({
         name: {"params": suite.params, "tolerance": suite.tolerance} for name, suite in SUITES.items()
     }))
@@ -309,19 +310,18 @@ def _reports(out):
     return [json.loads(line) for line in out.strip().split("\n")]
 
 
-def test_verify_all_applies_grid_n_and_samples(capsys):
-    code, out, _ = run(capsys, ["verify", "all", "--grid", "7", "--n", "200", "--samples", "5"])
+def test_verify_all_applies_grid_and_n(capsys):
+    code, out, _ = run(capsys, ["verify", "all", "--grid", "7", "--n", "200"])
     assert code == 0
     reports = _reports(out)
     assert len(reports) == 76
     hyp = [r for r in reports if r["identity_id"].startswith("hyp_transform")]
     assert [r["parameter"] for r in hyp] == [7.0, 7.0]
-    assert [r["detail"] for r in reports if r["identity_id"] == "substitution"] == ["samples=5"] * 3
-    branches = [r for r in reports if r["identity_id"] == "branch_bounds"]
-    assert [r["detail"] for r in branches] == [run_suite("branches", lambdas=[r["parameter"]], n=200)[0].detail
-                                               for r in branches]
-    assert [r["detail"] for r in branches] != [run_suite("branches", lambdas=[r["parameter"]])[0].detail
-                                               for r in branches]
+    branches = {r["parameter"]: (r["lhs"], r["rhs"]) for r in reports if r["identity_id"] == "branch_bounds"}
+    assert branches == {r.parameter: (r.lhs, r.rhs) for r in run_suite("branches", n=200)}
+    # 200 scan nodes miss the largest |y-| at lam = -5 by a tenth
+    assert round(branches[-5.0][0], 4) == 0.8832
+    assert round(run_suite("branches", lambdas=[-5.0])[0].lhs, 4) == 0.9840
 
 
 @pytest.mark.parametrize("suite, flag", [
@@ -436,6 +436,40 @@ def test_verify_J_rejects_a_non_finite_lambda(capsys, value):
     code, out, err = run(capsys, ["verify", "J", f"--lambda={value}"])
     assert code == 2
     assert out == "" and err.startswith("error: J needs a finite lam")
+
+
+def test_verify_substitution_is_exact_at_any_finite_lambda(capsys):
+    lams = ["-5.3", "0.1", "13.7", "1000000.1", "1e-300", "1.7e308"]
+    code, out, _ = run(capsys, ["verify", "substitution", "--lambda", *lams])
+    assert code == 0
+    reports = _reports(out)
+    assert sorted(r["parameter"] for r in reports) == sorted(map(float, lams))
+    assert all(r["passed"] and r["residual"] == 0.0 and r["detail"] == "" for r in reports)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_substitution_rejects_a_non_finite_lambda(capsys, value):
+    code, out, err = run(capsys, ["verify", "substitution", f"--lambda={value}"])
+    assert code == 2
+    assert out == "" and err == f"error: the parameter of family Q_shifted must be finite, got {value}\n"
+
+
+_BEYOND_DOUBLE = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--poly-file", "{file}", "--method", "jensen"],
+    ["compute", "--poly-file", "{file}", "--method", "torus"],
+    ["compute", "--family", "qk", "--k", _BEYOND_DOUBLE],
+    ["verify", "boyd", "--k", f"-{_BEYOND_DOUBLE}"],
+], ids=["poly-jensen", "poly-torus", "qk", "boyd"])
+def test_exact_coefficients_past_double_range_are_numerical_failures(capsys, tmp_path, argv):
+    # an exact integer too large for a float overflows on its conversion: exit 3, not a traceback
+    f = tmp_path / "huge.txt"
+    f.write_text(f"{_BEYOND_DOUBLE}:1,0\n1:0,1\n1:0,0\n")
+    code, out, err = run(capsys, [a.format(file=f) for a in argv])
+    assert code == 3
+    assert out == "" and err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("family, value", [("r", "nan"), ("p", "inf"), ("q", "-inf")])

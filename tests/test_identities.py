@@ -1,5 +1,6 @@
 import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -104,24 +105,26 @@ def test_singularity_order_rejects_gap():
 
 def test_substitution_identity_report():
     rep = _rows("substitution", [13.0])[0]
-    assert rep.passed and rep.residual < 1e-12
+    assert rep.passed and rep.residual == 0.0 and rep.tolerance == 0.0 and rep.detail == ""
 
 
 @pytest.mark.parametrize("lam", [1e3, 1e6])
 def test_substitution_identity_holds_at_large_lambda(lam):
-    # the values compared grow like |lam|, and so does their rounding; the residual is relative to them
-    assert _rows("substitution", [lam])[0].passed
+    # both sides are expanded in Fractions, so no rounding grows with |lam|
+    assert _rows("substitution", [lam])[0].residual == 0.0
 
 
 @pytest.mark.parametrize("lam", [-6.0, 0.5, 13.0, 1e3, 1e6])
 def test_substitution_identity_fails_a_planted_error(monkeypatch, lam):
-    # a float lam coefficient off by 1e-9 lam skips the exact expansion; the sampled residual must catch it
-    def planted(lam):
-        return LaurentPolynomial({(0, 2): 1, (2, 1): 2, (1, 1): float(lam) + 1e-9 * float(lam), (0, 1): 1, (4, 0): 1},
-                                 nvars=2)
+    # the lam coefficient of the quadratic model off by one part in 2^52, or by 1e-9 as a float:
+    # either is a failed row with a nonzero residual, at an integer lam as at any other
+    for coefficient in (Fraction(lam) * (1 + Fraction(1, 2**52)), float(lam) + 1e-9 * float(lam)):
+        def planted(lam, coefficient=coefficient):
+            return LaurentPolynomial({(0, 2): 1, (2, 1): 2, (1, 1): coefficient, (0, 1): 1, (4, 0): 1}, nvars=2)
 
-    monkeypatch.setattr(poly, "_inner_quadratic", planted)
-    assert not _rows("substitution", [lam])[0].passed
+        monkeypatch.setattr(poly, "_inner_quadratic", planted)
+        rep = _rows("substitution", [lam])[0]
+        assert not rep.passed and rep.residual > 0.0
 
 
 def test_asymptotic_gap_positive_side():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import mahler.poly as poly
 from mahler.poly import (
     FamilySpec,
     LaurentPolynomial,
@@ -17,6 +18,11 @@ from mahler.poly import (
 
 def lp(terms, nvars=2):
     return LaurentPolynomial(terms, nvars=nvars)
+
+
+def exact(P) -> bool:
+    """Every coefficient of ``P`` is a Fraction."""
+    return all(type(c) is Fraction for _, c in P.items())
 
 
 # -- family displays -----------------------------------------------------------
@@ -48,34 +54,20 @@ def test_family_rejects_non_finite_parameter(family, value):
 
 
 def test_family_coefficients_exact_for_rational_parameter():
-    assert make_family(FamilySpec("P", Fraction(1, 3))).is_exact()
-    assert make_family(FamilySpec("Q_shifted", 13)).is_exact()
+    third = make_family(FamilySpec("P", Fraction(1, 3)))
+    assert exact(third) and third.terms[(1, 1)] == Fraction(-7, 3)
+    assert exact(make_family(FamilySpec("Q_shifted", 13)))
     half = make_family(FamilySpec("Q_shifted", Fraction(1, 2)))
-    assert half.is_exact() and half.terms[(3, 1)] == Fraction(1, 2)
+    assert exact(half) and half.terms[(3, 1)] == Fraction(1, 2)
     assert make_family(FamilySpec("Q_shifted", 13.0)) == make_family(FamilySpec("Q_shifted", 13))
-    assert not make_family(FamilySpec("Q_shifted", 0.5)).is_exact()
-    assert not make_family(FamilySpec("R", 0.1)).is_exact()
+    # a float parameter that is not an integer enters the coefficients as a float
+    assert type(make_family(FamilySpec("Q_shifted", 0.5)).terms[(3, 1)]) is float
+    assert type(make_family(FamilySpec("R", 0.1)).terms[(0, 0)]) is float
 
 
-# -- evaluation ------------------------------------------------------------------
-
-
-def test_evaluate_r0_at_ones():
-    assert make_family(FamilySpec("R", 0)).evaluate((1, 1)) == pytest.approx(4)
-
-
-def test_evaluate_q0_factored_zero():
-    # Q_0 = (Y + 1)(Y + X^4)
-    assert abs(make_family(FamilySpec("Q", 0)).evaluate((1, -1))) == 0
-
-
-def test_evaluate_r5_at_i_i():
-    assert make_family(FamilySpec("R", 5)).evaluate((1j, 1j)) == pytest.approx(5)
-
-
-def test_evaluate_rejects_zero_coordinate():
-    with pytest.raises(ValueError):
-        make_family(FamilySpec("R", 5)).evaluate((0, 1))
+def test_q0_factors_exactly():
+    # Q_0 = (Y + 1)(Y + X^4), so Q_0(1, -1) = 0
+    assert lp({(0, 1): 1, (0, 0): 1}) * lp({(0, 1): 1, (4, 0): 1}) == make_family(FamilySpec("Q", 0))
 
 
 # -- univariate views -------------------------------------------------------------
@@ -133,10 +125,9 @@ def test_q_collapses_at_x_equal_one():
     # summing the coefficients of Q_k over X gives Y^2 + (4k+2) Y + 1
     for k in range(-5, 6):
         view = as_poly_in_y(make_family(FamilySpec("Q", k)), 1)
-        collapsed = [c.evaluate((1.0, 1.0)) for c in view.coeffs]
-        assert collapsed[0] == pytest.approx(1)
-        assert collapsed[1] == pytest.approx(4 * k + 2)
-        assert collapsed[2] == pytest.approx(1)
+        collapsed = [sum(c.terms.values()) for c in view.coeffs]
+        assert collapsed == [1, 4 * k + 2, 1]
+        assert all(type(c) is Fraction for c in collapsed)
 
 
 # -- the substitution identity ------------------------------------------------------
@@ -144,25 +135,29 @@ def test_q_collapses_at_x_equal_one():
 
 @pytest.mark.parametrize("lam", [13, -6])
 def test_substitution_residual_small(lam):
-    assert verify_substitution(lam, 100) < 1e-12
+    assert verify_substitution(lam) == 0.0
 
 
 def test_substitution_exact_for_rational_parameter():
-    # the exact symbolic expansion check runs internally and raises on failure
-    verify_substitution(0, 1)
-    verify_substitution(Fraction(7, 3), 1)
+    for lam in (0, Fraction(7, 3)):
+        assert verify_substitution(lam) == 0.0
+        expanded = poly._expand_substituted(poly._inner_quadratic(lam))
+        assert exact(expanded) and expanded == make_family(FamilySpec("Q_shifted", lam))
 
 
 def test_substitution_randomized_lambdas():
+    # every float is an exact Fraction, so the check is exact at any lam
     rng = random.Random(0)
-    for _ in range(20):
-        lam = rng.uniform(-20, 20)
-        assert verify_substitution(lam, 100) < 1e-12
+    for lam in [rng.uniform(-20, 20) for _ in range(20)] + [0.1, 1e-300, 1.7e308]:
+        assert verify_substitution(lam) == 0.0
+    # the X^3 Y coefficient of Q_shifted is lam itself: 0.1 as a float, not 1/10
+    assert make_family(FamilySpec("Q_shifted", Fraction(0.1))).terms[(3, 1)] == Fraction(0.1) != Fraction(1, 10)
 
 
-def test_substitution_rejects_bad_sample_count():
-    with pytest.raises(ValueError):
-        verify_substitution(13, 0)
+def test_substitution_rejects_non_finite_parameter():
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="parameter of family Q_shifted must be finite"):
+            verify_substitution(lam)
 
 
 # -- arithmetic and serialization -----------------------------------------------------
@@ -180,7 +175,7 @@ def test_multiplication_is_exact_on_fractions():
     # (x/3 + 1/y)(3/x + 3y/2) = 1 + xy/2 + 3/(xy) + 3/2
     prod = a * b
     assert prod == lp({(0, 0): Fraction(5, 2), (1, 1): Fraction(1, 2), (-1, -1): 3})
-    assert prod.is_exact()
+    assert exact(prod)
 
 
 def test_serialization_roundtrip():
