@@ -11,9 +11,7 @@ hypergeometric transformations, branch and singularity claims).
 from .config import DEFAULTS, show_config
 from .identities import VerificationReport, run_suite
 from .measures import (
-    BranchExtremes,
     MeasureValue,
-    branch_extremes,
     mahler_jensen_2var,
     mahler_torus,
     p_measure,

@@ -14,7 +14,7 @@ import sys
 
 from .config import show_config
 from .identities import SUITES, reports_to_jsonl, run_suite, summary_table, sweep_reports
-from .measures import MeasureValue, family_measures, mahler_jensen_2var, mahler_torus
+from .measures import MeasureValue, _double, family_measures, mahler_jensen_2var, mahler_torus
 from .poly import FamilySpec, make_family, poly_from_text
 from .quadrature import NumericalError, _isolate
 
@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--lambda", dest="lams", type=float, nargs="+", help="parameter list override")
     pv.add_argument("--k", dest="ks", type=int, nargs="+", help="k list override (boyd)")
     pv.add_argument("--grid", type=int, help="mu-grid size (hyp)")
-    pv.add_argument("--n", type=int, help="scan nodes (branches)")
     pv.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                     help="tolerance override, e.g. --tol main=1e-6 (repeatable)")
     pv.add_argument("--out", help="write JSON lines here instead of stdout")
@@ -107,7 +106,7 @@ def cmd_compute(args) -> int:
         option, value = ("--k", args.k) if label == "qk" else ("--lambda", args.lam)
         if value is None:
             raise ValueError(f"family {label} needs {option}")
-        parameter = float(value)
+        parameter = _double(value, f"the parameter of family {label}")
         fast = method == "fast" and label != "qk"
         if not fast:
             family = {"q": "Q_shifted", "p": "P", "r": "R", "qk": "Q"}[label]
@@ -138,7 +137,6 @@ def cmd_verify(args) -> int:
         lambdas=args.lams,
         ks=args.ks,
         grid=args.grid,
-        n=args.n,
         tolerances=tolerances,
     )
     jsonl = reports_to_jsonl(reports)
@@ -223,7 +221,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_sweep(args)
-    except (NumericalError, OverflowError) as exc:  # an exact coefficient past double range overflows
+    except (NumericalError, OverflowError) as exc:  # OverflowError: a float operation past double range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

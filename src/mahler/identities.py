@@ -44,10 +44,13 @@ import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
-from .measures import branch_extremes, family_measures, mahler_jensen_2var
+import numpy as np
+
+from .config import DEFAULTS
+from .measures import _branch_moduli, _curve, _double, family_measures, mahler_jensen_2var
 from .poly import FamilySpec, make_family
 from .poly import verify_substitution as _substitution_residual
-from .quadrature import _isolate
+from .quadrature import NumericalError, _isolate
 from .specfun import (
     _dq_rows,
     _dr_rows,
@@ -104,7 +107,7 @@ def _boyd_reports(ks, tol) -> list:
     """m(Q_k) against m(P_{k-4}), with factor 2 on 0 <= k <= 4; the p side is one batch."""
     rows = []
     for k in ks:
-        kf = float(k)
+        kf = _double(k, "the parameter of family Q")
         if not kf.is_integer():
             raise ValueError("k must be an integer")
         if kf > 4:
@@ -225,25 +228,33 @@ def _hyp_reports(grid_sizes, tol) -> list:
     return reports
 
 
-def _branch_reports(lams, tol, *, n: int | None = None) -> list:
-    """Grid check of |y-| <= 1 <= |y+| along x(t), lam >= 13 or lam <= -4.
+def _branch_reports(lams, tol) -> list:
+    """Scan of |y-| <= 1 <= |y+| along x(t), lam >= 13 or lam <= -4: max|y-| against min|y+|.
 
-    For lam >= 13 the minimum of |y+| must additionally sit at t = 0; a
-    violation there adds 1 to the residual so the report fails.
+    The scan runs on ``branch_scan_nodes`` + 1 uniform points t over
+    [-1/2, 1/2], ends and t = 0 included.  For lam >= 13 the minimum of |y+|
+    must additionally sit at t = 0; a violation there adds 1 to the residual
+    so the report fails.
     """
+    n = DEFAULTS.branch_scan_nodes
+    t = (np.arange(n + 1) - n // 2) / float(n)
+    x = _curve(t)
     reports = []
     for lam in map(float, lams):
         if not (lam >= 13.0 or lam <= -4.0):
             raise ValueError("branch bounds are claimed for lam >= 13 or lam <= -4")
-        ex = branch_extremes(lam, n)
-        violation = max(ex.max_abs_y_minus - 1.0, 1.0 - ex.min_abs_y_plus, 0.0)
+        # on the path (|x| <= 2), |b|^2 and the discriminant are at most (2|lam| + 9)^2, which must not overflow
+        bound = 2.0 * abs(lam) + 9.0
+        if not math.isfinite(bound * bound):
+            raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
+        lo, hi = _branch_moduli(lam, x)
+        lhs, rhs = lo.max(), hi.min()
+        violation = max(lhs - 1.0, 1.0 - rhs, 0.0)
         detail = ""
-        if lam >= 13.0 and ex.arg_t_at_extremes[1] != 0.0:
+        if lam >= 13.0 and t[hi.argmin()] != 0.0:
             violation += 1.0
             detail = "min_not_at_zero"
-        reports.append(_report(
-            "branch_bounds", lam, ex.max_abs_y_minus, ex.min_abs_y_plus, violation, tol, detail=detail,
-        ))
+        reports.append(_report("branch_bounds", lam, lhs, rhs, violation, tol, detail=detail))
     return reports
 
 
@@ -308,11 +319,10 @@ def _asymptotic_reports(lam_lists, tol) -> list:
 class _Suite:
     """Everything ``verify``, ``sweep``, ``--tol`` and ``--show-config`` know of one suite."""
 
-    rows: Callable[..., list]  # (params, tol, **options) -> reports, and a failing row raises
+    rows: Callable[..., list]  # (params, tol) -> reports, and a failing row raises
     params: tuple  # the default parameters
     tolerance: float
     given: str = "lambdas"  # the run_suite override that replaces ``params``
-    options: tuple = ()  # the run_suite keywords passed on to ``rows``
     sweeps: dict = field(default_factory=dict)  # `sweep --identity` name -> its (params, tol) rows
 
 
@@ -328,7 +338,7 @@ SUITES = {
     "J": _Suite(_J_reports, (-6.0, -8.0, -12.0, 13.5, 16.0, 25.0), 1e-9,
                 sweeps={which: functools.partial(_J_reports, which=which) for which in ("J1", "J2", "J3")}),
     "hyp": _Suite(_hyp_reports, (20,), 1e-12, given="grid"),
-    "branches": _Suite(_branch_reports, (13.0, 20.0, -4.0, -5.0, -10.0), 1e-10, options=("n",)),
+    "branches": _Suite(_branch_reports, (13.0, 20.0, -4.0, -5.0, -10.0), 1e-10),
     "singularities": _Suite(_singularity_reports, (-5.01, -6.0, -20.0, 13.01, 16.0, 50.0), 0.0),
     "asymptotics": _Suite(_asymptotic_reports,
                           ((16.0, 32.0, 64.0, 128.0), (-8.0, -16.0, -32.0, -64.0, -128.0)), 1.0, given="lambda_list"),
@@ -357,7 +367,6 @@ def run_suite(
     lambdas=None,
     ks=None,
     grid: int | None = None,
-    n: int | None = None,
     tolerances: dict[str, float] | None = None,
 ) -> list[VerificationReport]:
     """Run one suite of :data:`SUITES` (or ``all``) and return sorted reports.
@@ -365,8 +374,7 @@ def run_suite(
     Each suite evaluates its parameters as one batch of rows.  The override
     its entry names replaces them: ``ks`` for ``boyd``, ``grid`` for ``hyp``
     (also under ``all``), and ``lambdas`` for every other suite
-    (``asymptotics`` takes it as one list).  ``n`` goes to the one suite
-    whose entry takes it, the branch check.  ``tolerances`` overrides
+    (``asymptotics`` takes it as one list).  ``tolerances`` overrides
     per-suite tolerances by name.  Where rows fail, the error of the first
     failing row is raised, as when each row is checked alone.
     """
@@ -376,12 +384,11 @@ def run_suite(
         raise ValueError("parameter overrides apply to individual suites, not to 'all'")
     tolerances = tolerances or {}
     given = {"lambdas": lambdas, "ks": ks, "grid": grid and (grid,), "lambda_list": lambdas and (lambdas,)}
-    options = {"n": n}
     reports: list[VerificationReport] = []
     for name in SUITES if suite == "all" else (suite,):
         entry = SUITES[name]
         params, tol = given[entry.given] or entry.params, tolerances.get(name, entry.tolerance)
-        rows = _isolate(lambda values: entry.rows(values, tol, **{k: options[k] for k in entry.options}), params)
+        rows = _isolate(lambda values: entry.rows(values, tol), params)
         failed = [row for row in rows if isinstance(row, Exception)]
         if failed:
             raise failed[0]

@@ -37,17 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family
+from .poly import FamilySpec, LaurentPolynomial, make_family
 from .quadrature import NumericalError, _budget, _ladder, _midpoint_means, _power_estimate, _refine, tanh_sinh
 from .roots import batch_roots, quadratic_roots
 from .specfun import cubic_singularities
 
 __all__ = [
     "MeasureValue",
-    "BranchExtremes",
     "mahler_torus",
     "mahler_jensen_2var",
-    "branch_extremes",
     "q_measure",
     "p_measure",
     "r_measure",
@@ -75,13 +73,17 @@ class MeasureValue:
     error_estimate: float
 
 
-@dataclass(frozen=True)
-class BranchExtremes:
-    """Grid extremes of the two branch moduli along the curve x(t)."""
+def _double(value, what: str) -> float:
+    """``float(value)``; an exact ``value`` past double range raises :class:`NumericalError` naming ``what``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise NumericalError(f"{what} overflows in double precision") from None
 
-    max_abs_y_minus: float
-    min_abs_y_plus: float
-    arg_t_at_extremes: tuple[float, float]  # (t at max|y-|, t at min|y+|)
+
+def _doubles(P: LaurentPolynomial) -> list[tuple[tuple[int, ...], complex]]:
+    """The terms (exponents, coefficient) of ``P`` with each coefficient converted to double once."""
+    return [(e, complex(_double(c, f"the coefficient at exponents {e}"))) for e, c in P.items()]
 
 
 # -- torus evaluator -----------------------------------------------------------
@@ -98,8 +100,8 @@ def _circle(n: int, offset: float = 0.5) -> np.ndarray:
 _TORUS_OFFSETS = (0.5, 0.7071067811865476, 0.8660254037844386)
 
 
-def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
-    """Mean of log|P| over the offset n^k tensor grid, streamed in row blocks.
+def _torus_mean_log(terms, n: int) -> float:
+    """Mean of log|P| over the offset n^k tensor grid, streamed in row blocks; ``terms`` is ``_doubles(P)``.
 
     Terms are grouped by their exponent in the last variable; each group's
     coefficient is evaluated on the flattened grid of the other variables, so
@@ -110,13 +112,13 @@ def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
     columns below it.  OpenBLAS threads a matrix-vector product, so a lone
     row (a one-variable P) is summed by broadcasting.
     """
-    k = P.nvars
+    k = len(terms[0][0])
     grids = [_circle(n, _TORUS_OFFSETS[dim]) for dim in range(k)]
-    column = {e: g for g, e in enumerate(sorted({e[-1] for e in P.terms}))}
+    column = {e: g for g, e in enumerate(sorted({e[-1] for e, _ in terms}))}
     table = np.stack([grids[-1] ** e for e in column])
     coeffs = np.zeros((n ** (k - 1), len(column)), dtype=complex)
-    for e, c in P.items():
-        term = np.full(1, complex(c))
+    for e, c in terms:
+        term = np.full(1, c)
         for dim in range(k - 1):
             term = np.multiply.outer(term, grids[dim] ** e[dim]).ravel()
         coeffs[:, column[e[-1]]] += term
@@ -140,10 +142,10 @@ def _torus_mean_log(P: LaurentPolynomial, n: int) -> float:
     return math.fsum(sums) / float(n**k)
 
 
-def _check_torus_bound(P: LaurentPolynomial) -> None:
-    """Raise :class:`NumericalError` where the sum of |coefficient|, which bounds |P| on the torus, overflows."""
+def _check_torus_bound(terms) -> None:
+    """Raise :class:`NumericalError` where the sum of |c| over ``terms``, which bounds |P| on the torus, overflows."""
     with np.errstate(over="ignore"):
-        bound = np.abs(np.array([complex(c) for _, c in P.items()])).sum()
+        bound = np.abs(np.array([c for _, c in terms])).sum()
     if not np.isfinite(bound):
         raise NumericalError("the values on the torus overflow in double precision")
 
@@ -163,11 +165,12 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
     k = P.nvars
     if k > 3:
         raise ValueError("torus quadrature supports at most 3 variables")
-    _check_torus_bound(P)
+    terms = _doubles(P)
+    _check_torus_bound(terms)
     tol = DEFAULTS.torus_tol if tol is None else float(tol)
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
     value, err, *_ = _refine(
-        lambda m: _torus_mean_log(P, m),
+        lambda m: _torus_mean_log(terms, m),
         *_budget(n, tol, min(DEFAULTS.torus_nodes_start, n_max // 16), n_max),
         estimate=_power_estimate,
     )
@@ -216,14 +219,26 @@ def _jensen_values(C: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fiber_view(terms, var: int) -> list[list[tuple[int, complex]]]:
+    """A two-variable ``_doubles(P)`` as a polynomial in ``var``.
+
+    Entry j lists the (exponent of the other variable, coefficient) of the
+    terms of ``var**(lo + j)``, where lo is the valuation in ``var``.
+    """
+    lo, hi = min(e[var] for e, _ in terms), max(e[var] for e, _ in terms)
+    view: list = [[] for _ in range(hi - lo + 1)]
+    for e, c in terms:
+        view[e[var] - lo].append((e[1 - var], c))
+    return view
+
+
 def _coeff_rows(view, x: np.ndarray) -> np.ndarray:
-    """Evaluate the univariate-view coefficients at the circle points ``x``."""
-    other = 1 - view.var  # two-variable case
-    rows = np.zeros((len(view.coeffs), len(x)), dtype=complex)
-    for j, cj in enumerate(view.coeffs):
+    """Evaluate the coefficients of a :func:`_fiber_view` at the circle points ``x``."""
+    rows = np.zeros((len(view), len(x)), dtype=complex)
+    for j, terms in enumerate(view):
         acc = np.zeros(len(x), dtype=complex)
-        for e, c in cj.items():
-            acc += complex(c) * x ** e[other]
+        for e, c in terms:
+            acc += c * x**e
         rows[j] = acc
     return rows
 
@@ -271,7 +286,7 @@ def _circle_roots(values: np.ndarray) -> list[complex]:
 
 
 def _breakpoints(view) -> np.ndarray:
-    """Sorted t in [0, 1) where the Jensen integrand of ``view`` may fail to be analytic.
+    """Sorted t in [0, 1) where the Jensen integrand of a :func:`_fiber_view` may fail to be analytic.
 
     A fiber root crosses |y| = 1 only where it is also a root of
     ``P*(x, y) = x^D y^d conj(P)(1/x, 1/y)``, so those x are the unit-circle
@@ -281,10 +296,9 @@ def _breakpoints(view) -> np.ndarray:
     unity.  For a reciprocal P (P* = P up to a monomial) Res_y(P, P*)
     vanishes identically and is skipped.
     """
-    other = 1 - view.var
-    exps = [e[other] for cj in view.coeffs for e in cj.terms]
+    exps = [e for terms in view for e, _ in terms]
     lo, D = min(exps), max(exps) - min(exps)
-    d = len(view.coeffs) - 1
+    d = len(view) - 1
     if d < 1:
         return np.zeros(0)
     points = []
@@ -375,10 +389,13 @@ def mahler_jensen_2var(
         raise ValueError("the zero polynomial has no measure")
     if P.nvars != 2:
         raise ValueError("the Jensen evaluator works on two-variable polynomials")
-    view = as_poly_in_y(P, var)
+    if var not in (0, 1):
+        raise ValueError(f"variable index {var} out of range for 2 variables")
+    terms = _doubles(P)
+    view = _fiber_view(terms, var)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
     cuts = _breakpoints(view) if n is None else ()
-    _check_torus_bound(P)  # past _breakpoints, whose own overflow check is the finer one
+    _check_torus_bound(terms)  # past _breakpoints, whose own overflow check is the finer one
     # one row, whose node data are its integrand values
     value, err = _circle_means(
         lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t.ravel()))),
@@ -416,32 +433,6 @@ def _branch_moduli(lam, x) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(xx) ** 2 / hi, hi
 
 
-def branch_extremes(lam: float, n: int | None = None) -> BranchExtremes:
-    """Scan the branch moduli on a uniform t-grid over [-1/2, 1/2].
-
-    The grid includes both endpoints and t = 0 exactly (n even), so extremes
-    attained there are reported at the exact location.
-    """
-    n = DEFAULTS.branch_scan_nodes if n is None else int(n)
-    if n < 100:
-        raise ValueError("need at least 100 scan points")
-    if n % 2:
-        n += 1
-    # on the path (|x| <= 2), |b|^2 and the discriminant are at most (2|lam| + 9)^2, which must not overflow
-    bound = 2.0 * abs(lam) + 9.0
-    if not math.isfinite(bound * bound):
-        raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
-    t = (np.arange(n + 1) - n // 2) / float(n)
-    lo, hi = _branch_moduli(lam, _curve(t))
-    i_max = int(np.argmax(lo))
-    i_min = int(np.argmin(hi))
-    return BranchExtremes(
-        max_abs_y_minus=float(lo[i_max]),
-        min_abs_y_plus=float(hi[i_min]),
-        arg_t_at_extremes=(float(t[i_max]), float(t[i_min])),
-    )
-
-
 # -- family paths -----------------------------------------------------------------
 
 
@@ -465,9 +456,10 @@ def _q_rows(lams: np.ndarray) -> tuple[list, np.ndarray]:
     {x0, x1, x2}, and at their mirror images 1/conj(z).
 
     Breakpoints are those on the circle.  There x(z) is real only at 0
-    (t = 0), 1 (t = 1/6, 5/6) and -2 (t = 1/2), and 0 is never a zero, so
-    only 1 and -2 can be cut points; on the fast-path range the zero x2 = 1
-    at lam = -5 is the one case.
+    (t = 0), 1 (t = 1/6, 5/6) and -2 (t = 1/2).  0 is never a zero, and a
+    zero at -2 needs lam = 1/2 or 17/2, both in the gap, so only 1 can be a
+    cut point; on the fast-path range the zero x2 = 1 at lam = -5 is the one
+    case.
 
     The map parameter a is the grid value (:data:`_MAP_GRID`) that maximises
     the convergence radius rho(a) of the mapped integrand (see
@@ -479,8 +471,8 @@ def _q_rows(lams: np.ndarray) -> tuple[list, np.ndarray]:
     every other row keeps a = 0 and the unmapped arithmetic.
     """
     x = np.stack(cubic_singularities(lams))
-    hits = [((x - v) ** 2 < _ON_CIRCLE**2).any(axis=0) for v in (1.0, -2.0)]
-    cuts = [tuple(t for hit, t in zip(row, (1 / 6, 0.5, 5 / 6)) if hit) for row in zip(hits[0], hits[1], hits[0])]
+    hits = ((x - 1.0) ** 2 < _ON_CIRCLE**2).any(axis=0)
+    cuts = [(1 / 6, 5 / 6) if hit else () for hit in hits.tolist()]
     root = np.sqrt((1.0 - 4.0 * x).astype(complex))
     z = np.concatenate([0.5 * (1.0 + root), 0.5 * (1.0 - root)])
     re, im2 = z.real, z.imag * z.imag
@@ -498,7 +490,7 @@ def _q_rows(lams: np.ndarray) -> tuple[list, np.ndarray]:
                 maps = np.where(r > best, candidate, maps)
                 best = np.maximum(r, best)
     # a row with cuts runs tanh-sinh arcs between them, in the unmapped variable
-    return cuts, np.where((rho0 > 0.0) & (best >= 2.0 * rho0) & ~hits[0] & ~hits[1], maps, 0.0)
+    return cuts, np.where((rho0 > 0.0) & (best >= 2.0 * rho0) & ~hits, maps, 0.0)
 
 
 def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:

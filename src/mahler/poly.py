@@ -127,9 +127,9 @@ class LaurentPolynomial:
         return cls({(0,) * nvars: value}, nvars=nvars)
 
     @classmethod
-    def variable(cls, var: int, nvars: int, power: int = 1) -> "LaurentPolynomial":
+    def variable(cls, var: int, nvars: int) -> "LaurentPolynomial":
         e = [0] * nvars
-        e[var] = power
+        e[var] = 1
         return cls({tuple(e): 1}, nvars=nvars)
 
     # -- arithmetic ----------------------------------------------------------

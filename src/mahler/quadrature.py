@@ -89,7 +89,7 @@ def _tanh_sinh_row(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows
 
 
-def tanh_sinh(f, ends, tol, *, level_max: int | None = None) -> list:
+def tanh_sinh(f, ends, tol) -> list:
     """Integrate over every arc ``ends[i] = (a, b)`` with double-exponential node placement.
 
     The change of variable ``x = mid + rad*tanh((pi/2) sinh t)`` pushes the
@@ -100,10 +100,10 @@ def tanh_sinh(f, ends, tol, *, level_max: int | None = None) -> list:
     (len(rows), nodes) array, at most ``_BLOCK`` nodes unless one arc's level
     alone is larger, and returns the values in its shape.  An arc stops once
     two levels differ by at most its ``tol`` (a scalar or one per arc), or
-    at the level cap with ``converged=False``.  A node that rounds onto an
-    endpoint is evaluated at the midpoint, as level 0 is, and weighs nothing;
-    a NaN or infinity at a node inside is a hard error.  Returns a
-    :class:`QuadratureResult` per arc.
+    at the level cap ``tanh_sinh_level_max`` with ``converged=False``.  A
+    node that rounds onto an endpoint is evaluated at the midpoint, as level
+    0 is, and weighs nothing; a NaN or infinity at a node inside is a hard
+    error.  Returns a :class:`QuadratureResult` per arc.
     """
     ends = np.array(ends, dtype=float).reshape(-1, 2)
     a, b = ends.T
@@ -111,7 +111,7 @@ def tanh_sinh(f, ends, tol, *, level_max: int | None = None) -> list:
         raise ValueError("need a < b")
     if not np.isfinite(ends).all():
         raise ValueError("endpoints must be finite")
-    level_max = DEFAULTS.tanh_sinh_level_max if level_max is None else int(level_max)
+    n_max = 2**DEFAULTS.tanh_sinh_level_max
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
     totals = np.zeros(len(ends))  # each arc's sum of w f(x) over the levels so far
 
@@ -143,7 +143,7 @@ def tanh_sinh(f, ends, tol, *, level_max: int | None = None) -> list:
         return (totals[live] / n).tolist()
 
     return [QuadratureResult(v, err, sum(2 * len(_tanh_sinh_row(j)[0]) for j in range(n.bit_length())) - 1, stop)
-            for v, err, n, stop in _ladder(level, len(ends), 1, 2**level_max, tol, estimate=_last_gap_estimate)]
+            for v, err, n, stop in _ladder(level, len(ends), 1, n_max, tol, estimate=_last_gap_estimate)]
 
 
 # -- node-doubling ladder -----------------------------------------------------

@@ -64,12 +64,13 @@ def agm(x: float, y: float) -> float:
     return 0.5 * (a + g)
 
 
-def gauss_2f1_series(a, b, c, z, *, tol: float | None = None, max_terms: int | None = None) -> float:
+def gauss_2f1_series(a, b, c, z) -> float:
     """F(a, b; c | z) by direct summation, |z| < 1.
 
     Terms are accumulated with compensated summation and the sum stops once a
-    term falls below ``tol`` times the partial sum.  Near z = 1 the terms of
-    the cases used here decay like ``z^n / n``, so the cap is generous.
+    term falls below ``series_tol`` times the partial sum.  Near z = 1 the
+    terms of the cases used here decay like ``z^n / n``, so the cap of
+    ``series_max_terms`` is generous.
     """
     a, b, c = float(a), float(b), float(c)
     z = float(z)
@@ -77,13 +78,11 @@ def gauss_2f1_series(a, b, c, z, *, tol: float | None = None, max_terms: int | N
         raise ValueError("c must not be a non-positive integer")
     if not abs(z) < 1.0:
         raise ValueError("series evaluation requires |z| < 1")
-    tol = DEFAULTS.series_tol if tol is None else float(tol)
-    max_terms = DEFAULTS.series_max_terms if max_terms is None else int(max_terms)
-
+    tol = DEFAULTS.series_tol
     term = 1.0
     total = 1.0
     comp = 0.0
-    for n in range(max_terms):
+    for n in range(DEFAULTS.series_max_terms):
         term *= (a + n) * (b + n) / ((c + n) * (1 + n)) * z
         y = term - comp
         t = total + y

@@ -11,7 +11,6 @@ from fractions import Fraction
 from mahler.cli import main as cli_main
 from mahler.identities import SUITES
 from mahler.measures import (
-    branch_extremes,
     mahler_jensen_2var,
     mahler_torus,
     p_measure,
@@ -138,13 +137,12 @@ def test_criterion_07_hypergeometric_transformations():
 
 
 def test_criterion_08_branch_bounds():
+    # the branches suite scans 10^4 + 1 points; for lam >= 13 its detail marks a min |y+| off t = 0
     ok = True
-    for lam in (13.0, 20.0, -4.0, -5.0, -10.0):
-        ex = branch_extremes(lam, 10000)
-        ok &= ex.max_abs_y_minus <= 1 + 1e-10
-        ok &= ex.min_abs_y_plus >= 1 - 1e-10
-        if lam >= 13.0:
-            ok &= ex.arg_t_at_extremes[1] == 0.0
+    for row in SUITES["branches"].rows([13.0, 20.0, -4.0, -5.0, -10.0], 1e-10):
+        ok &= row.lhs <= 1 + 1e-10
+        ok &= row.rhs >= 1 - 1e-10
+        ok &= row.detail == ""
     _announce(8, "branch moduli bounded by 1 on 10^4-point scans, min |y+| at t=0 for lam>=13", ok)
 
 

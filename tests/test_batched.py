@@ -6,6 +6,7 @@ error estimate.  A batch with a failing row raises; through
 one-row call raises.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -344,8 +345,7 @@ def test_a_row_whose_arc_hits_the_level_cap_falls_back_alone(monkeypatch):
     # other rows keep their arcs, and every row is what its one-row call gives
     lams = [-6.0, -5.5, -5.0, -4.25, -4.0, -2.75, 0.0, 4.0]
     arcs = family_measures("p", lams)
-    real = measures.tanh_sinh
-    monkeypatch.setattr(measures, "tanh_sinh", lambda f, ends, tol: real(f, ends, tol, level_max=3))
+    monkeypatch.setattr(quadrature, "DEFAULTS", dataclasses.replace(quadrature.DEFAULTS, tanh_sinh_level_max=3))
     capped = family_measures("p", lams)
     assert capped == [p_measure(lam) for lam in lams]
     nodes, values, _ = measures._fast_integrand("p", np.array(lams))

@@ -1,5 +1,6 @@
 """Breakpoints of the Jensen integrand and the choice between arcs and the ladder."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -8,28 +9,33 @@ import numpy as np
 import pytest
 
 import mahler.measures as measures
+import mahler.quadrature as quadrature
 from mahler.cli import main
 from mahler.config import DEFAULTS
+from mahler.identities import run_suite
 from mahler.measures import (
     _branch_moduli,
     _breakpoints,
     _circle_means,
     _coeff_rows,
     _curve,
+    _doubles,
     _fast_integrand,
+    _fiber_view,
     _jensen_values,
     _p_cuts,
     _q_rows,
     _r_cuts,
+    family_measures,
     mahler_jensen_2var,
     p_measure,
     r_measure,
 )
-from mahler.poly import FamilySpec, LaurentPolynomial, as_poly_in_y, make_family, poly_from_text
+from mahler.poly import FamilySpec, LaurentPolynomial, make_family, poly_from_text
 
 
 def _cuts(P, var=1):
-    return _breakpoints(as_poly_in_y(P, var))
+    return _breakpoints(_fiber_view(_doubles(P), var))
 
 
 def _swap(P):
@@ -150,7 +156,7 @@ def _ladder(values_at, n=None):
 
 
 def _generic_values(P):
-    view = as_poly_in_y(P, 1)
+    view = _fiber_view(_doubles(P), 1)
     return lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t)))
 
 
@@ -182,10 +188,31 @@ def test_pinned_node_count_runs_the_ladder_bit_for_bit():
 
 
 def test_an_unconverged_arc_falls_back_to_the_ladder(monkeypatch):
-    real = measures.tanh_sinh
-    monkeypatch.setattr(measures, "tanh_sinh", lambda *args, **kwargs: real(*args, **kwargs, level_max=2))
+    monkeypatch.setattr(quadrature, "DEFAULTS", dataclasses.replace(DEFAULTS, tanh_sinh_level_max=2))
     Q2 = make_family(FamilySpec("Q", 2))
     mv = mahler_jensen_2var(Q2)
     assert (mv.value, mv.error_estimate) == _ladder(_generic_values(Q2))
     mv = p_measure(-1.0)
     assert (mv.value, mv.error_estimate) == _ladder(_family_values("p", -1.0))
+
+
+# Lost breakpoints: _circle_roots merges resultant roots closer than _CLUSTER = 2e-2, and the
+# mean of two distinct crossings lies off the circle, so neither becomes a cut; the arc that
+# holds them has a kink inside, and tanh-sinh converges to a wrong value with a small estimate.
+_LOST = "ROADMAP item 2: close pairs of breakpoints are merged by _circle_roots and lost"
+
+
+@pytest.mark.xfail(strict=True, reason=_LOST)
+def test_q_in_the_gap_agrees_with_jensen_in_the_other_variable():
+    # q at -1.2085 is var-1 Jensen: 1.2922637888778021, estimate 3.8e-15; var 0 gives
+    # 1.2922643946706152, estimate 2.0e-12, which is 6.1e-7 away
+    q = family_measures("q", [-1.2085])[0]
+    other = mahler_jensen_2var(make_family(FamilySpec("Q_shifted", -1.2085)), var=0)
+    assert abs(q.value - other.value) <= q.error_estimate + other.error_estimate
+
+
+@pytest.mark.xfail(strict=True, reason=_LOST)
+def test_boyd_passes_at_k_minus_10000():
+    # Q_-10000 in var 1 has cuts at t = 0.5 and 0.5 +- 0.0032 and none is found: the row is
+    # 6.4e-8 from m(P_-10004) against an estimate of 1.6e-8
+    assert run_suite("boyd", ks=[-10000])[0].passed

@@ -310,18 +310,24 @@ def _reports(out):
     return [json.loads(line) for line in out.strip().split("\n")]
 
 
-def test_verify_all_applies_grid_and_n(capsys):
-    code, out, _ = run(capsys, ["verify", "all", "--grid", "7", "--n", "200"])
+def test_verify_all_applies_grid(capsys):
+    code, out, _ = run(capsys, ["verify", "all", "--grid", "7"])
     assert code == 0
     reports = _reports(out)
     assert len(reports) == 76
     hyp = [r for r in reports if r["identity_id"].startswith("hyp_transform")]
     assert [r["parameter"] for r in hyp] == [7.0, 7.0]
     branches = {r["parameter"]: (r["lhs"], r["rhs"]) for r in reports if r["identity_id"] == "branch_bounds"}
-    assert branches == {r.parameter: (r.lhs, r.rhs) for r in run_suite("branches", n=200)}
-    # 200 scan nodes miss the largest |y-| at lam = -5 by a tenth
-    assert round(branches[-5.0][0], 4) == 0.8832
-    assert round(run_suite("branches", lambdas=[-5.0])[0].lhs, 4) == 0.9840
+    assert branches == {r.parameter: (r.lhs, r.rhs) for r in run_suite("branches")}
+    assert round(branches[-5.0][0], 4) == 0.9840
+
+
+def test_verify_has_no_scan_node_option(capsys):
+    # the branch scan always runs on branch_scan_nodes; --n is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "branches", "--n", "200"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 200" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite, flag", [
@@ -457,19 +463,18 @@ def test_verify_substitution_rejects_a_non_finite_lambda(capsys, value):
 _BEYOND_DOUBLE = str(10**400)
 
 
-@pytest.mark.parametrize("argv", [
-    ["compute", "--poly-file", "{file}", "--method", "jensen"],
-    ["compute", "--poly-file", "{file}", "--method", "torus"],
-    ["compute", "--family", "qk", "--k", _BEYOND_DOUBLE],
-    ["verify", "boyd", "--k", f"-{_BEYOND_DOUBLE}"],
+@pytest.mark.parametrize("argv, reason", [
+    (["compute", "--poly-file", "{file}", "--method", "jensen"], "the coefficient at exponents (1, 0)"),
+    (["compute", "--poly-file", "{file}", "--method", "torus"], "the coefficient at exponents (1, 0)"),
+    (["compute", "--family", "qk", "--k", _BEYOND_DOUBLE], "the parameter of family qk"),
+    (["verify", "boyd", "--k", f"-{_BEYOND_DOUBLE}"], "the parameter of family Q"),
 ], ids=["poly-jensen", "poly-torus", "qk", "boyd"])
-def test_exact_coefficients_past_double_range_are_numerical_failures(capsys, tmp_path, argv):
-    # an exact integer too large for a float overflows on its conversion: exit 3, not a traceback
+def test_exact_coefficients_past_double_range_are_numerical_failures(capsys, tmp_path, argv, reason):
+    # an exact integer too large for a float is converted once, and the failure names it: exit 3
     f = tmp_path / "huge.txt"
     f.write_text(f"{_BEYOND_DOUBLE}:1,0\n1:0,1\n1:0,0\n")
     code, out, err = run(capsys, [a.format(file=f) for a in argv])
-    assert code == 3
-    assert out == "" and err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert (code, out, err) == (3, "", f"numerical failure: {reason} overflows in double precision\n")
 
 
 @pytest.mark.parametrize("family, value", [("r", "nan"), ("p", "inf"), ("q", "-inf")])

@@ -5,11 +5,15 @@ import pytest
 
 import mahler.measures as measures
 import mahler.quadrature as quadrature
+from mahler.config import DEFAULTS
+from mahler.identities import SUITES
 from mahler.measures import (
     _TORUS_OFFSETS,
+    _branch_moduli,
     _circle,
+    _curve,
+    _doubles,
     _torus_mean_log,
-    branch_extremes,
     mahler_jensen_2var,
     mahler_torus,
     p_measure,
@@ -100,7 +104,7 @@ _KERNEL_CASES = [
 def test_torus_kernel_matches_term_by_term_reference(terms, nvars, n):
     P = LaurentPolynomial(terms, nvars=nvars)
     ref = _naive_torus_mean_log(P, n)
-    assert abs(_torus_mean_log(P, n) - ref) <= 1e-14 * max(1.0, abs(ref))
+    assert abs(_torus_mean_log(_doubles(P), n) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 # a budget below one row gives blocks of two rows and node chunks of _TORUS_CHUNK to
@@ -114,7 +118,7 @@ def test_torus_kernel_block_size_moves_no_value(monkeypatch, terms, nvars, n, ro
     budget = 1 if rows == 1 else rows * n * len({e[-1] for e in terms}) + 1
     monkeypatch.setattr(measures, "_TORUS_BLOCK", budget)
     ref = _naive_torus_mean_log(P, n)
-    assert abs(_torus_mean_log(P, n) - ref) <= 1e-14 * max(1.0, abs(ref))
+    assert abs(_torus_mean_log(_doubles(P), n) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def test_smyth_polynomial_both_methods():
@@ -172,29 +176,42 @@ def test_branch_product_equals_x_fourth_on_curve():
     assert np.abs(y_minus * y_plus) == pytest.approx(np.abs(x) ** 4, rel=1e-10)
 
 
+def _branch_row(lam):
+    """The report of the ``branches`` suite at ``lam``: lhs max|y-|, rhs min|y+|."""
+    (row,) = SUITES["branches"].rows([lam], SUITES["branches"].tolerance)
+    return row
+
+
+def _branch_scan(lam):
+    """(t, |y-|, |y+|) on the scan grid of the ``branches`` suite, whose extremes its report carries."""
+    n = DEFAULTS.branch_scan_nodes
+    t = (np.arange(n + 1) - n // 2) / float(n)
+    lo, hi = _branch_moduli(lam, _curve(t))
+    row = _branch_row(lam)
+    assert (row.lhs, row.rhs) == (lo.max(), hi.min())
+    return t, lo, hi
+
+
 def test_branch_extremes_lam13():
-    ex = branch_extremes(13.0, 10000)
-    assert ex.max_abs_y_minus <= 1 + 1e-10
-    assert ex.min_abs_y_plus == 1.0
-    assert ex.arg_t_at_extremes[1] == 0.0
-    assert abs(ex.arg_t_at_extremes[0]) == pytest.approx(0.5)  # attained at the far curve point
+    row = _branch_row(13.0)
+    assert row.lhs <= 1 + 1e-10
+    assert row.rhs == 1.0 and row.detail == ""
+    t, lo, hi = _branch_scan(13.0)
+    assert t[hi.argmin()] == 0.0
+    assert abs(t[lo.argmax()]) == pytest.approx(0.5)  # attained at the far curve point
 
 
 def test_branch_extremes_lam_minus6():
-    ex = branch_extremes(-6.0, 10000)
-    assert ex.max_abs_y_minus <= 1 + 1e-12
-    assert ex.min_abs_y_plus >= 1 - 1e-12
+    row = _branch_row(-6.0)
+    assert row.lhs <= 1 + 1e-12
+    assert row.rhs >= 1 - 1e-12
 
 
 def test_branch_extremes_lam20_min_at_zero():
-    ex = branch_extremes(20.0, 10000)
-    assert ex.min_abs_y_plus == 1.0
-    assert ex.arg_t_at_extremes[1] == 0.0
-
-
-def test_branch_extremes_needs_enough_points():
-    with pytest.raises(ValueError):
-        branch_extremes(13.0, 50)
+    row = _branch_row(20.0)
+    assert row.rhs == 1.0 and row.detail == ""
+    t, _, hi = _branch_scan(20.0)
+    assert t[hi.argmin()] == 0.0
 
 
 # -- family measures --------------------------------------------------------------------
@@ -272,11 +289,24 @@ def test_measure_value_positivity_up_to_estimate():
         assert mv.value >= -mv.error_estimate
 
 
-@pytest.mark.parametrize("lam", [13.0, 14.0, 20.0, -4.0, -5.0, -10.0])
+@pytest.mark.parametrize("lam", [13.0, 14.0, 20.0, -4.0, -5.0, -6.0, -10.0])
 def test_branch_bound_grids(lam):
-    ex = branch_extremes(lam, 10000)
-    assert ex.max_abs_y_minus <= 1 + 1e-10
-    assert ex.min_abs_y_plus >= 1 - 1e-10
+    row = _branch_row(lam)
+    assert row.lhs <= 1 + 1e-10
+    assert row.rhs >= 1 - 1e-10
+
+
+def test_coefficients_go_to_double_once_per_polynomial(monkeypatch):
+    # not once per evaluation: Jensen evaluates the coefficients of Q_2 7 times (the two
+    # resultants and 5 levels), the torus those of R_6 at 4 levels
+    seen = []
+    real = measures._double
+    monkeypatch.setattr(measures, "_double", lambda value, what: seen.append(what) or real(value, what))
+    for evaluate, P in ((mahler_jensen_2var, make_family(FamilySpec("Q", 2))),
+                        (mahler_torus, make_family(FamilySpec("R", 6.0)))):
+        seen.clear()
+        evaluate(P)
+        assert sorted(seen) == sorted(f"the coefficient at exponents {e}" for e in P.terms)
 
 
 def test_method_agreement_spot_checks():

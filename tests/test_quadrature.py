@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import mahler.quadrature as quadrature
 from mahler.quadrature import NumericalError, _budget, _refine, tanh_sinh
 from mahler.specfun import gauss_2f1_series
 
@@ -47,8 +49,9 @@ def test_tanh_sinh_nan_is_hard_error():
             tanh_sinh(lambda rows, t: np.where((0.4 < t) & (t < 0.6), bad, 1.0), [(0.0, 1.0)], 1e-12)
 
 
-def test_tanh_sinh_level_cap_returns_flag():
-    r = _arc(lambda t: np.sin(40 * t) / (t * (1 - t)) ** 0.5, tol=0.0, level_max=4)
+def test_tanh_sinh_level_cap_returns_flag(monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULTS", dataclasses.replace(quadrature.DEFAULTS, tanh_sinh_level_max=4))
+    r = _arc(lambda t: np.sin(40 * t) / (t * (1 - t)) ** 0.5, tol=0.0)
     assert not r.converged
 
 
