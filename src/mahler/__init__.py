@@ -21,11 +21,8 @@ from .measures import (
 from .poly import (
     FamilySpec,
     LaurentPolynomial,
-    UnivariateView,
-    as_poly_in_y,
     make_family,
     poly_from_text,
-    poly_to_text,
     verify_substitution,
 )
 from .quadrature import NumericalError, QuadratureResult, tanh_sinh

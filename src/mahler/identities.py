@@ -103,6 +103,11 @@ def _report(identity_id, parameter, lhs, rhs, residual, tolerance, *, error_esti
     )
 
 
+def _lams(lams) -> list[float]:
+    """The parameters as doubles; an exact one past double range raises :class:`NumericalError`."""
+    return [_double(lam, "the parameter lam") for lam in lams]
+
+
 def _boyd_reports(ks, tol) -> list:
     """m(Q_k) against m(P_{k-4}), with factor 2 on 0 <= k <= 4; the p side is one batch."""
     rows = []
@@ -128,7 +133,7 @@ def _boyd_reports(ks, tol) -> list:
 
 def _main_reports(lams, tol) -> list:
     """q(lam) against r(lam) (lam <= -5) or (r(lam)+p(lam))/2 (lam >= 13); each family is one batch."""
-    lams = [float(lam) for lam in lams]
+    lams = _lams(lams)
     if not all(lam <= -5.0 or lam >= 13.0 for lam in lams):
         raise ValueError("the relation is stated for lam <= -5 or lam >= 13")
     q, r = family_measures("q", lams), family_measures("r", lams)
@@ -148,7 +153,7 @@ def _main_reports(lams, tol) -> list:
 
 def _derivative_reports(lams, tol) -> list:
     """dq/dlam against dr/dlam (lam < -5) or (dr+dp)/2 (lam > 13), open ranges; dq and dr are one batch each."""
-    lams = [float(lam) for lam in lams]
+    lams = _lams(lams)
     if not all(lam < -5.0 or lam > 13.0 for lam in lams):
         raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
     dq, dr = _dq_rows(lams), _dr_rows(lams)
@@ -169,7 +174,7 @@ def _J_reports(lams, tol, which: str | None = None) -> list:
     equal to pi * |dr/dlam|.  Without ``which`` each lam gets the checks of
     the ``J`` suite: J2 for lam < 0, otherwise J3, and J1 as well for lam > 5.
     """
-    lams = [float(lam) for lam in lams]
+    lams = _lams(lams)
     if which not in (None, "J1", "J2", "J3"):
         raise ValueError("which must be J1, J2 or J3")
     checks = []
@@ -240,7 +245,7 @@ def _branch_reports(lams, tol) -> list:
     t = (np.arange(n + 1) - n // 2) / float(n)
     x = _curve(t)
     reports = []
-    for lam in map(float, lams):
+    for lam in _lams(lams):
         if not (lam >= 13.0 or lam <= -4.0):
             raise ValueError("branch bounds are claimed for lam >= 13 or lam <= -4")
         # on the path (|x| <= 2), |b|^2 and the discriminant are at most (2|lam| + 9)^2, which must not overflow
@@ -261,16 +266,16 @@ def _branch_reports(lams, tol) -> list:
 def _substitution_reports(lams, tol) -> list:
     """Exact residual of the change-of-variables identity: 0 when both expansions have the same terms."""
     reports = []
-    for lam in lams:
-        residual = _substitution_residual(lam)
-        reports.append(_report("substitution", lam, residual, 0.0, residual, tol))
+    for lam, parameter in zip(lams, _lams(lams)):
+        residual = _substitution_residual(lam)  # exact in lam itself
+        reports.append(_report("substitution", parameter, residual, 0.0, residual, tol))
     return reports
 
 
 def _singularity_reports(lams, tol) -> list:
     """Strict orderings of the cubic singularities and their z-images."""
     reports = []
-    for lam in map(float, lams):
+    for lam in _lams(lams):
         prof = singular_points(lam)  # raises UnsupportedRegimeError in the gap
         if prof.regime == "neg":
             z1, z2, z3, z4 = prof.z_points
@@ -294,7 +299,7 @@ def _asymptotic_reports(lam_lists, tol) -> list:
     families = ("q", "r", "p")
     reports = []
     for lams in lam_lists:
-        lams = [float(v) for v in lams]
+        lams = _lams(lams)
         if len(lams) < 2:
             raise ValueError("need at least two lambda values")
         if not (all(v <= -5.0 for v in lams) or all(v >= 13.0 for v in lams)):

@@ -115,13 +115,16 @@ def _torus_mean_log(terms, n: int) -> float:
     k = len(terms[0][0])
     grids = [_circle(n, _TORUS_OFFSETS[dim]) for dim in range(k)]
     column = {e: g for g, e in enumerate(sorted({e[-1] for e, _ in terms}))}
-    table = np.stack([grids[-1] ** e for e in column])
     coeffs = np.zeros((n ** (k - 1), len(column)), dtype=complex)
-    for e, c in terms:
-        term = np.full(1, c)
-        for dim in range(k - 1):
-            term = np.multiply.outer(term, grids[dim] ** e[dim]).ravel()
-        coeffs[:, column[e[-1]]] += term
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge exponent lifts |node| = 1 + eps past range
+        table = np.stack([grids[-1] ** e for e in column])
+        for e, c in terms:
+            term = np.full(1, c)
+            for dim in range(k - 1):
+                term = np.multiply.outer(term, grids[dim] ** e[dim]).ravel()
+            coeffs[:, column[e[-1]]] += term
+    if not (np.isfinite(table).all() and np.isfinite(coeffs).all()):
+        raise NumericalError("the powers on the torus grid overflow in double precision")
 
     rows, width = 2, n
     while width >= 2 * _TORUS_CHUNK and 4 * width * len(column) > _TORUS_BLOCK:
@@ -438,7 +441,7 @@ def _branch_moduli(lam, x) -> tuple[np.ndarray, np.ndarray]:
 
 def _parameter(family: str, lam) -> float:
     """``lam`` as a float; the family spec rejects a non-finite value."""
-    return FamilySpec(family, float(lam)).parameter
+    return FamilySpec(family, _double(lam, f"the parameter of family {family}")).parameter
 
 
 # Candidate map parameters a of the q rows: 1 - a = 2^(-j/4), j = 0..63, so a = 0 first

@@ -17,9 +17,10 @@ The three families, in the variable order used throughout:
 * ``Q_shifted`` with real parameter lam: the member ``Q_{lam+4}(X-1, Y)``,
   fully expanded in (X, Y).
 
-:func:`verify_substitution` checks the change of variables that takes
-``Q_shifted`` to a quadratic model by expanding both sides in Fractions, so
-the check is exact at every finite lam.
+One exact composition, ``_compose``, expands ``P(images...)``; it builds
+``Q_shifted`` and the substituted quadratic model that
+:func:`verify_substitution` compares with it.  Both sides are expanded in
+Fractions, so the check is exact at every finite lam.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ ExponentVector = tuple[int, ...]
 
 __all__ = [
     "LaurentPolynomial",
-    "UnivariateView",
     "FamilySpec",
     "make_family",
-    "as_poly_in_y",
     "verify_substitution",
-    "poly_to_text",
     "poly_from_text",
 ]
 
@@ -104,18 +102,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree_range(self, var: int) -> tuple[int, int]:
-        """(min, max) exponent of ``var`` over all stored terms (0, 0 if none)."""
-        self._check_var(var)
-        exps = [e[var] for e in self._terms]
-        if not exps:
-            return (0, 0)
-        return (min(exps), max(exps))
-
-    def _check_var(self, var: int) -> None:
-        if not 0 <= var < self._nvars:
-            raise ValueError(f"variable index {var} out of range for {self._nvars} variables")
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -125,12 +111,6 @@ class LaurentPolynomial:
     @classmethod
     def constant(cls, value, nvars: int) -> "LaurentPolynomial":
         return cls({(0,) * nvars: value}, nvars=nvars)
-
-    @classmethod
-    def variable(cls, var: int, nvars: int) -> "LaurentPolynomial":
-        e = [0] * nvars
-        e[var] = 1
-        return cls({tuple(e): 1}, nvars=nvars)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -158,16 +138,7 @@ class LaurentPolynomial:
             return LaurentPolynomial({e: c * v for e, v in self._terms.items()}, nvars=self._nvars)
         if other._nvars != self._nvars:
             raise ValueError("variable count mismatch")
-        out: dict[ExponentVector, Coeff] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPolynomial(out, nvars=self._nvars)
+        return LaurentPolynomial(_product(self._terms, other._terms), nvars=self._nvars)
 
     __rmul__ = __mul__
 
@@ -188,81 +159,50 @@ class LaurentPolynomial:
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "LaurentPolynomial(" + " + ".join(bits) + ")"
 
-    # -- substitution --------------------------------------------------------
 
-    def substitute_affine(self, var: int, scale, shift) -> "LaurentPolynomial":
-        """Substitute ``var -> scale*var + shift`` and expand.
-
-        Requires all exponents of ``var`` to be nonnegative.
-        """
-        self._check_var(var)
-        lo, hi = self.degree_range(var)
-        if lo < 0:
-            raise ValueError("affine substitution needs nonnegative exponents in the substituted variable")
-        image = LaurentPolynomial.variable(var, self._nvars) * scale + LaurentPolynomial.constant(shift, self._nvars)
-        pows = [LaurentPolynomial.constant(1, self._nvars)]
-        for _ in range(hi):
-            pows.append(pows[-1] * image)
-        out = LaurentPolynomial.zero(self._nvars)
-        for e, c in self._terms.items():
-            rest = list(e)
-            p = rest[var]
-            rest[var] = 0
-            out = out + LaurentPolynomial({tuple(rest): c}, nvars=self._nvars) * pows[p]
-        return out
-
-    def multiply_monomial(self, coeff, exps: Sequence[int]) -> "LaurentPolynomial":
-        """Multiply by ``coeff * prod(x_i^exps[i])`` (exponents may be negative)."""
-        e0 = tuple(int(v) for v in exps)
-        if len(e0) != self._nvars:
-            raise ValueError("exponent vector length mismatch")
-        c0 = _normalise_coeff(coeff)
-        if c0 == 0:
-            return LaurentPolynomial.zero(self._nvars)
-        return LaurentPolynomial(
-            {tuple(a + b for a, b in zip(e, e0)): c * c0 for e, c in self._terms.items()},
-            nvars=self._nvars,
-        )
+# -- exact composition ------------------------------------------------------------
 
 
-# -- univariate view ---------------------------------------------------------
+def _product(a: Mapping, b: Mapping, out: dict | None = None) -> dict:
+    """Add the product of the term maps ``a`` and ``b`` into ``out`` (a new map by default).
 
-
-@dataclass(frozen=True)
-class UnivariateView:
-    """Coefficients of a polynomial seen as univariate in one variable.
-
-    ``coeffs[j]`` is the coefficient (a polynomial in the remaining
-    variables, carried with the same variable count and a zero exponent in
-    ``var``) of ``var**(j + offset)``.  ``offset`` is the valuation, so the
-    view always starts at index 0.
+    A partial sum that reaches 0 is dropped, so a float sum that cancels
+    exactly leaves no term, and an exact term added to it later stays exact.
     """
+    out = {} if out is None else out
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
 
-    var: int
-    offset: int
-    coeffs: tuple[LaurentPolynomial, ...]
 
+def _compose(P: LaurentPolynomial, images: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
+    """``P(images[0], images[1], ...)`` expanded, for ``P`` with nonnegative exponents.
 
-def as_poly_in_y(P: LaurentPolynomial, var: int = 1) -> UnivariateView:
-    """View ``P`` as a univariate polynomial in ``var``.
-
-    The valuation is factored out first, so indices start at 0; multiplying
-    back by ``var**offset`` recovers the input exactly.
+    The terms of ``P`` are added in its term order, each as
+    ``c * images[0]**e[0] * images[1]**e[1] * ...``.
     """
-    if P.nvars < 2:
-        raise ValueError("a univariate view needs at least two variables")
-    P._check_var(var)
-    if P.is_zero():
-        raise ValueError("cannot view the zero polynomial")
-    lo, hi = P.degree_range(var)
-    buckets: list[dict[ExponentVector, Coeff]] = [{} for _ in range(hi - lo + 1)]
+    if any(v < 0 for e in P._terms for v in e):
+        raise ValueError("composition needs nonnegative exponents")
+    zero = (0,) * images[0].nvars
+    powers = []
+    for var, image in enumerate(images):
+        pows = [{zero: Fraction(1)}]
+        for _ in range(max((e[var] for e in P._terms), default=0)):
+            pows.append(_product(pows[-1], image._terms))
+        powers.append(pows)
+    out: dict[ExponentVector, Coeff] = {}
     for e, c in P.items():
-        rest = list(e)
-        p = rest[var]
-        rest[var] = 0
-        buckets[p - lo][tuple(rest)] = c
-    coeffs = tuple(LaurentPolynomial(b, nvars=P.nvars) for b in buckets)
-    return UnivariateView(var=var, offset=lo, coeffs=coeffs)
+        term = {zero: c}
+        for pows, v in zip(powers[:-1], e):
+            term = _product(term, pows[v])
+        _product(term, powers[-1][e[-1]], out)
+    return LaurentPolynomial(out, nvars=images[0].nvars)
 
 
 # -- families ----------------------------------------------------------------
@@ -350,7 +290,8 @@ def make_family(spec: FamilySpec) -> LaurentPolynomial:
             nvars=2,
         )
     # Q_shifted: Q_{lam+4}(X-1, Y), expanded once, symbolically.
-    return _q_member(_exact_parameter(a + 4)).substitute_affine(0, 1, -1)
+    images = (LaurentPolynomial({(1, 0): 1, (0, 0): -1}), LaurentPolynomial({(0, 1): 1}))
+    return _compose(_q_member(_exact_parameter(a + 4)), images)
 
 
 # -- the genus-reducing substitution identity ---------------------------------
@@ -362,19 +303,9 @@ def _inner_quadratic(lam) -> LaurentPolynomial:
 
 
 def _expand_substituted(inner: LaurentPolynomial) -> LaurentPolynomial:
-    """Expand ``X^8 * inner(x, y)`` under ``x = (X-1)/X^2``, ``y = Y/X^4``.
-
-    Each term ``c x^i y^j`` becomes ``c (X-1)^i Y^j X^(8-2i-4j)``.
-    """
-    xm1 = LaurentPolynomial({(1, 0): 1, (0, 0): -1}, nvars=2)
-    hi = max(e[0] for e in inner.terms)
-    pows = [LaurentPolynomial.constant(1, 2)]
-    for _ in range(hi):
-        pows.append(pows[-1] * xm1)
-    out = LaurentPolynomial.zero(2)
-    for (i, j), c in inner.items():
-        out = out + pows[i].multiply_monomial(c, (8 - 2 * i - 4 * j, j))
-    return out
+    """Expand ``X^8 * inner(x, y)`` under ``x = (X-1)/X^2``, ``y = Y/X^4``."""
+    images = (LaurentPolynomial({(-1, 0): 1, (-2, 0): -1}), LaurentPolynomial({(-4, 1): 1}))
+    return _compose(inner, images) * LaurentPolynomial({(8, 0): 1})
 
 
 def verify_substitution(lam) -> float:
@@ -396,19 +327,8 @@ def verify_substitution(lam) -> float:
 # -- textual serialization -----------------------------------------------------
 
 
-def poly_to_text(P: LaurentPolynomial) -> str:
-    """Serialize as sparse ``coeff:e1,e2,...`` lines (one term per line)."""
-    lines = []
-    for e, c in P.items():
-        cs = repr(c) if isinstance(c, float) else str(c)
-        lines.append(f"{cs}:{','.join(str(v) for v in e)}")
-    if not lines:
-        return f"0:{','.join('0' for _ in range(P.nvars))}\n"
-    return "\n".join(lines) + "\n"
-
-
 def poly_from_text(text: str) -> LaurentPolynomial:
-    """Parse the ``coeff:e1,e2,...`` format written by :func:`poly_to_text`.
+    """Parse sparse ``coeff:e1,e2,...`` lines, one term per line; terms with equal exponents add.
 
     Blank lines and ``#`` comments are ignored.  Coefficients containing a
     ``.`` or exponent letter parse as floats, anything else as exact

@@ -8,7 +8,7 @@ import mahler.measures as measures
 import mahler.specfun as specfun
 from mahler.cli import _sweep_values, main
 from mahler.identities import SUITES, run_suite
-from mahler.measures import q_measure, r_measure
+from mahler.measures import family_measures, q_measure, r_measure
 from mahler.quadrature import NumericalError
 from mahler.roots import RootSolveError
 
@@ -267,8 +267,11 @@ def test_compute_numerical_failure_exit_code(capsys, tmp_path):
         # a pinned node count skips the breakpoint search and its Hadamard bound
         ("1e308:0,0\n1e308:1,0\n1:0,1\n", "jensen --nodes 1024",
          "the values on the torus overflow in double precision"),
+        # |node| = 1 + eps to the power 1e20 is not finite
+        ("1:100000000000000000000,0\n1:0,1\n1:0,0\n", "torus",
+         "the powers on the torus grid overflow in double precision"),
     ],
-    ids=["torus-1e308", "jensen-1e308", "jensen-1e200", "jensen-pinned-1e308"],
+    ids=["torus-1e308", "jensen-1e308", "jensen-1e200", "jensen-pinned-1e308", "torus-exponent-1e20"],
 )
 def test_compute_past_double_range_is_a_numerical_failure(capsys, tmp_path, text, method, reason):
     f = tmp_path / "huge.txt"
@@ -284,6 +287,16 @@ def test_compute_torus_of_a_large_but_finite_polynomial(capsys, tmp_path):
     code, out, _ = run(capsys, ["compute", "--poly-file", str(f), "--method", "torus", "--format", "json"])
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(200 * math.log(10), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_compute_torus_of_a_high_degree_polynomial(capsys, tmp_path):
+    # m(1 + y + x^4000) = m(1 + x + y): the powers of the grid nodes stay finite
+    f = tmp_path / "x4000.txt"
+    f.write_text("1:4000,0\n1:0,1\n1:0,0\n")
+    code, out, _ = run(capsys, ["compute", "--poly-file", str(f), "--method", "torus", "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0 and abs(payload["value"] - 0.3230659472194505) <= payload["error_estimate"]
 
 
 def test_sweep_jobs_output_is_identical(capsys):
@@ -475,6 +488,25 @@ def test_exact_coefficients_past_double_range_are_numerical_failures(capsys, tmp
     f.write_text(f"{_BEYOND_DOUBLE}:1,0\n1:0,1\n1:0,0\n")
     code, out, err = run(capsys, [a.format(file=f) for a in argv])
     assert (code, out, err) == (3, "", f"numerical failure: {reason} overflows in double precision\n")
+
+
+_FAMILY_NAMES = {"q": "Q_shifted", "r": "R", "p": "P"}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "target", [*_FAMILY_NAMES, *(name for name, suite in SUITES.items() if suite.given in ("lambdas", "lambda_list"))]
+)
+def test_exact_lambda_past_double_range_is_a_numerical_failure(target, sign):
+    # the library, unlike --lambda, takes exact parameters: one too large for a float is named, not an OverflowError
+    lam = sign * 10**400
+    if target in _FAMILY_NAMES:
+        with pytest.raises(NumericalError, match=f"^the parameter of family {_FAMILY_NAMES[target]} overflows"):
+            family_measures(target, [lam])
+    else:
+        lams = [sign * 16.0, lam] if SUITES[target].given == "lambda_list" else [lam]
+        with pytest.raises(NumericalError, match="^the parameter lam overflows in double precision$"):
+            run_suite(target, lambdas=lams)
 
 
 @pytest.mark.parametrize("family, value", [("r", "nan"), ("p", "inf"), ("q", "-inf")])

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 import mahler.poly as poly
+from mahler.measures import _doubles, _fiber_view
 from mahler.poly import (
     FamilySpec,
     LaurentPolynomial,
-    as_poly_in_y,
     make_family,
     poly_from_text,
-    poly_to_text,
     verify_substitution,
 )
 
@@ -63,6 +62,9 @@ def test_family_coefficients_exact_for_rational_parameter():
     # a float parameter that is not an integer enters the coefficients as a float
     assert type(make_family(FamilySpec("Q_shifted", 0.5)).terms[(3, 1)]) is float
     assert type(make_family(FamilySpec("R", 0.1)).terms[(0, 0)]) is float
+    # the float multiples of lam at X Y cancel exactly, and the exact -4 added after them stays exact
+    xy = make_family(FamilySpec("Q_shifted", 0.1)).terms[(1, 1)]
+    assert type(xy) is Fraction and xy == -4
 
 
 def test_q0_factors_exactly():
@@ -70,41 +72,23 @@ def test_q0_factors_exactly():
     assert lp({(0, 1): 1, (0, 0): 1}) * lp({(0, 1): 1, (4, 0): 1}) == make_family(FamilySpec("Q", 0))
 
 
-# -- univariate views -------------------------------------------------------------
+# -- fiber views ----------------------------------------------------------------------
 
 
 def test_view_of_p_family():
-    view = as_poly_in_y(make_family(FamilySpec("P", 7)), 1)
-    assert view.offset == 0
-    assert view.coeffs[0] == lp({(2, 0): 1, (1, 0): 1})
-    assert view.coeffs[1] == lp({(2, 0): 1, (1, 0): -9, (0, 0): 1})
-    assert view.coeffs[2] == lp({(1, 0): 1, (0, 0): 1})
+    view = _fiber_view(_doubles(make_family(FamilySpec("P", 7))), 1)
+    assert view == [[(1, 1), (2, 1)], [(0, 1), (1, -9), (2, 1)], [(0, 1), (1, 1)]]
 
 
 def test_view_of_r_family_clears_negative_power():
-    view = as_poly_in_y(make_family(FamilySpec("R", 3)), 1)
-    assert view.offset == -1
-    assert view.coeffs[0] == lp({(0, 0): 1})
-    assert view.coeffs[1] == lp({(1, 0): 1, (-1, 0): 1, (0, 0): 3})
-    assert view.coeffs[2] == lp({(0, 0): 1})
+    # entry 0 is y^-1: the valuation is factored out
+    view = _fiber_view(_doubles(make_family(FamilySpec("R", 3))), 1)
+    assert view == [[(0, 1)], [(-1, 1), (0, 3), (1, 1)], [(0, 1)]]
 
 
 def test_view_of_q_family():
-    view = as_poly_in_y(make_family(FamilySpec("Q", 2)), 1)
-    assert view.coeffs[0] == lp({(4, 0): 1})
-    assert view.coeffs[1] == lp({(4, 0): 1, (3, 0): 2, (2, 0): 4, (1, 0): 2, (0, 0): 1})
-    assert view.coeffs[2] == lp({(0, 0): 1})
-
-
-def _reassemble(view) -> LaurentPolynomial:
-    """The polynomial a univariate view was taken of."""
-    nvars = view.coeffs[0].nvars
-    out = LaurentPolynomial.zero(nvars)
-    for j, cj in enumerate(view.coeffs):
-        e = [0] * nvars
-        e[view.var] = j + view.offset
-        out = out + cj.multiply_monomial(1, e)
-    return out
+    view = _fiber_view(_doubles(make_family(FamilySpec("Q", 2))), 1)
+    assert view == [[(4, 1)], [(0, 1), (1, 2), (2, 4), (3, 2), (4, 1)], [(0, 1)]]
 
 
 def test_view_roundtrip_on_random_polynomials():
@@ -118,16 +102,61 @@ def test_view_roundtrip_on_random_polynomials():
         if P.is_zero():
             continue
         for var in (0, 1):
-            assert _reassemble(as_poly_in_y(P, var)) == P
+            lo = min(e[var] for e in P.terms)
+            back = {}
+            for j, entries in enumerate(_fiber_view(_doubles(P), var)):
+                for other, c in entries:
+                    back[(lo + j, other) if var == 0 else (other, lo + j)] = c
+            assert back == {e: complex(c) for e, c in P.items()}
 
 
 def test_q_collapses_at_x_equal_one():
     # summing the coefficients of Q_k over X gives Y^2 + (4k+2) Y + 1
     for k in range(-5, 6):
-        view = as_poly_in_y(make_family(FamilySpec("Q", k)), 1)
-        collapsed = [sum(c.terms.values()) for c in view.coeffs]
+        collapsed = [Fraction(0)] * 3
+        for (_, j), c in make_family(FamilySpec("Q", k)).items():
+            collapsed[j] += c
         assert collapsed == [1, 4 * k + 2, 1]
         assert all(type(c) is Fraction for c in collapsed)
+
+
+# -- the exact composition ----------------------------------------------------------
+
+
+def _evaluate(P, point):
+    """``P`` at a point of nonzero Fractions, term by term."""
+    total = Fraction(0)
+    for e, c in P.items():
+        for v, k in zip(point, e):
+            c = c * v**k
+        total += c
+    return total
+
+
+def test_compose_agrees_with_exact_evaluation():
+    rng = random.Random(3)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        P = lp({tuple(rng.randint(0, 3) for _ in range(nvars)): rational() for _ in range(rng.randint(1, 6))}, nvars)
+        m = rng.randint(1, 3)
+        images = [
+            lp({tuple(rng.randint(-2, 2) for _ in range(m)): rational() for _ in range(rng.randint(1, 3))}, m)
+            for _ in range(nvars)
+        ]
+        composed = poly._compose(P, images)
+        assert exact(composed)
+        for _ in range(3):
+            point = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(m)]
+            assert _evaluate(composed, point) == _evaluate(P, [_evaluate(g, point) for g in images])
+
+
+def test_compose_rejects_negative_exponents():
+    with pytest.raises(ValueError, match="nonnegative"):
+        poly._compose(lp({(-1, 0): 1}), (lp({(1, 0): 1}), lp({(0, 1): 1})))
 
 
 # -- the substitution identity ------------------------------------------------------
@@ -180,8 +209,7 @@ def test_multiplication_is_exact_on_fractions():
 
 def test_serialization_roundtrip():
     P = lp({(1, -2): Fraction(-3, 2), (0, 0): 4, (2, 1): 0.125})
-    text = poly_to_text(P)
-    assert poly_from_text(text) == P
+    assert poly_from_text("4:0,0\n-3/2:1,-2\n0.125:2,1\n") == P
 
 
 def test_serialization_parses_comments_and_blanks():
