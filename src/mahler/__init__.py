@@ -28,7 +28,6 @@ from .poly import (
 from .quadrature import NumericalError, QuadratureResult, tanh_sinh
 from .roots import batch_roots, quadratic_roots
 from .specfun import (
-    SingularityProfile,
     UnsupportedRegimeError,
     agm,
     cubic_singularities,
@@ -37,7 +36,6 @@ from .specfun import (
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
-    singular_points,
 )
 
 __version__ = "0.1.0"

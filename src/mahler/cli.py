@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=("all", *SUITES))
     pv.add_argument("--lambda", dest="lams", type=float, nargs="+", help="parameter list override")
     pv.add_argument("--k", dest="ks", type=int, nargs="+", help="k list override (boyd)")
-    pv.add_argument("--grid", type=int, help="mu-grid size (hyp)")
     pv.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                     help="tolerance override, e.g. --tol main=1e-6 (repeatable)")
     pv.add_argument("--out", help="write JSON lines here instead of stdout")
@@ -132,13 +131,7 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     tolerances = _parse_tol_overrides(args.tol)
-    reports = run_suite(
-        args.suite,
-        lambdas=args.lams,
-        ks=args.ks,
-        grid=args.grid,
-        tolerances=tolerances,
-    )
+    reports = run_suite(args.suite, lambdas=args.lams, ks=args.ks, tolerances=tolerances)
     jsonl = reports_to_jsonl(reports)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -23,15 +23,16 @@ Identity ids:
 * ``substitution``: the change of variables linking the shifted
   hyperelliptic member to its quadratic model, both sides expanded exactly
   in Fractions, so any residual but 0 fails;
-* ``singularity_order``: the ordering of the cubic singularities and their
-  z-images;
+* ``singularity_order``: the strict ordering of the cubic singularities and
+  their z-images, where a margin of 0 is a numerical failure;
 * ``asymptotic_gap``: measures approach log|lam|, with shrinking gap.
 
 Every suite is one entry of :data:`SUITES`: a rows function
 ``(params, tol) -> reports`` that raises on a failing row, its default
 parameters and its tolerance.  ``run_suite``, ``sweep_reports`` and the
 command line read nothing else about a suite.  The ``main``,
-``derivatives``, ``J`` and ``boyd`` rows share ladders.  Suites and sweeps
+``derivatives``, ``J`` and ``boyd`` rows share ladders, and the
+``singularities`` rows one ``cubic_singularities`` call.  Suites and sweeps
 run their rows through ``quadrature._isolate``, which finds the failing
 rows.
 """
@@ -52,13 +53,15 @@ from .poly import FamilySpec, make_family
 from .poly import verify_substitution as _substitution_residual
 from .quadrature import NumericalError, _isolate
 from .specfun import (
+    UnsupportedRegimeError,
     _dq_rows,
     _dr_rows,
+    _finite,
     _kernel_integrals,
+    cubic_singularities,
     dp_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
-    singular_points,
 )
 
 __all__ = [
@@ -272,20 +275,40 @@ def _substitution_reports(lams, tol) -> list:
     return reports
 
 
+def _small_z(x: float) -> float:
+    """The root z of z(1 - z) = x nearer 0, as 2x/(1 + sqrt(1 - 4x)), which does not cancel; NaN for x > 1/4."""
+    d = 1.0 - 4.0 * x
+    return 2.0 * x / (1.0 + math.sqrt(d)) if d >= 0.0 else math.nan
+
+
 def _singularity_reports(lams, tol) -> list:
-    """Strict orderings of the cubic singularities and their z-images."""
+    """Strict orderings of the zeros x0, x1, x2 of ``(1 + lam x)(1 + lam x + 4x^2)`` and their z-images.
+
+    The images are the roots z of z(1 - z) = x.  For lam < -5 the x-roots
+    should satisfy 0 < x0 < x1 < 1/4 with x2 > 1, with the four z-images
+    z1 < z2 < z3 = 1 - z2 < z4 = 1 - z1 on (0, 1); for lam > 13 they should
+    satisfy x1 < -2 < x2 < x0 < 0 with the z-images of x2 and x0 on (-1, 1).
+    A NaN z-image marks an x above 1/4.  Each report carries the smallest
+    margin; a margin of 0 shows no ordering and raises :class:`NumericalError`.
+    """
+    lams = _lams(lams)
+    if not all(lam < -5.0 or lam > 13.0 for lam in lams):
+        raise UnsupportedRegimeError("singular points are classified only for lam < -5 or lam > 13")
     reports = []
-    for lam in _lams(lams):
-        prof = singular_points(lam)  # raises UnsupportedRegimeError in the gap
-        if prof.regime == "neg":
-            z1, z2, z3, z4 = prof.z_points
-            margins = [prof.x0, prof.x1 - prof.x0, 0.25 - prof.x1, prof.x2 - 1.0,
-                       z1, z2 - z1, z3 - z2, z4 - z3, 1.0 - z4]
+    for lam, *x in zip(lams, *cubic_singularities(np.array(lams))):
+        x0, x1, x2 = _finite(lam, x)
+        if lam < 0.0:
+            # z3 - z2 = 1 - 2 z2, z4 - z3 = z2 - z1 and 1 - z4 = z1: no margin is a difference near 1
+            z1, z2 = _small_z(x0), _small_z(x1)
+            margins = [x0, x1 - x0, 0.25 - x1, x2 - 1.0, z1, z2 - z1, 1.0 - 2.0 * z2]
         else:
-            z1, z2 = prof.z_points
-            margins = [-2.0 - prof.x1, prof.x2 + 2.0, prof.x0 - prof.x2, -prof.x0, z1 + 1.0, z2 - z1, 1.0 - z2]
+            z1, z2 = _small_z(x2), _small_z(x0)
+            margins = [-2.0 - x1, x2 + 2.0, x0 - x2, -x0, z1 + 1.0, z2 - z1, 1.0 - z2]
         worst = min(m for m in margins if not math.isnan(m))  # a NaN z-image has a negative x margin already
-        reports.append(_report("singularity_order", lam, worst, 0.0, max(0.0, -worst), tol, detail=prof.regime))
+        if worst == 0.0:
+            raise NumericalError(f"the singular points are not separated in double precision at lam={lam!r}")
+        regime = "neg" if lam < 0.0 else "pos"
+        reports.append(_report("singularity_order", lam, worst, 0.0, max(0.0, -worst), tol, detail=regime))
     return reports
 
 
@@ -327,7 +350,7 @@ class _Suite:
     rows: Callable[..., list]  # (params, tol) -> reports, and a failing row raises
     params: tuple  # the default parameters
     tolerance: float
-    given: str = "lambdas"  # the run_suite override that replaces ``params``
+    given: str | None = "lambdas"  # the run_suite override that replaces ``params``, if any
     sweeps: dict = field(default_factory=dict)  # `sweep --identity` name -> its (params, tol) rows
 
 
@@ -342,7 +365,7 @@ SUITES = {
                           sweeps={"derivatives": _derivative_reports}),
     "J": _Suite(_J_reports, (-6.0, -8.0, -12.0, 13.5, 16.0, 25.0), 1e-9,
                 sweeps={which: functools.partial(_J_reports, which=which) for which in ("J1", "J2", "J3")}),
-    "hyp": _Suite(_hyp_reports, (20,), 1e-12, given="grid"),
+    "hyp": _Suite(_hyp_reports, (20,), 1e-12, given=None),
     "branches": _Suite(_branch_reports, (13.0, 20.0, -4.0, -5.0, -10.0), 1e-10),
     "singularities": _Suite(_singularity_reports, (-5.01, -6.0, -20.0, 13.01, 16.0, 50.0), 0.0),
     "asymptotics": _Suite(_asymptotic_reports,
@@ -360,7 +383,8 @@ def sweep_reports(identity: str, params) -> list:
     """
     for suite in SUITES.values():
         if identity in suite.sweeps:
-            if isinstance(suite.params[0], int) and not all(float(v).is_integer() for v in params):
+            integers = all(isinstance(v, int) or float(v).is_integer() for v in params)  # an int may not fit a float
+            if isinstance(suite.params[0], int) and not integers:
                 raise ValueError(f"{identity} sweeps take integer parameters")
             return _isolate(lambda values: suite.sweeps[identity](values, suite.tolerance), params)
     raise ValueError(f"unknown sweep identity {identity!r}")
@@ -371,28 +395,26 @@ def run_suite(
     *,
     lambdas=None,
     ks=None,
-    grid: int | None = None,
     tolerances: dict[str, float] | None = None,
 ) -> list[VerificationReport]:
     """Run one suite of :data:`SUITES` (or ``all``) and return sorted reports.
 
     Each suite evaluates its parameters as one batch of rows.  The override
-    its entry names replaces them: ``ks`` for ``boyd``, ``grid`` for ``hyp``
-    (also under ``all``), and ``lambdas`` for every other suite
-    (``asymptotics`` takes it as one list).  ``tolerances`` overrides
-    per-suite tolerances by name.  Where rows fail, the error of the first
-    failing row is raised, as when each row is checked alone.
+    its entry names replaces them: ``ks`` for ``boyd``, ``lambdas`` for every
+    other suite but ``hyp``, which takes none (``asymptotics`` takes it as
+    one list).  ``tolerances`` overrides tolerances by suite name.  The
+    first failing row raises its error, as when each row runs alone.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all', *SUITES)}")
     if suite == "all" and (lambdas or ks):
         raise ValueError("parameter overrides apply to individual suites, not to 'all'")
     tolerances = tolerances or {}
-    given = {"lambdas": lambdas, "ks": ks, "grid": grid and (grid,), "lambda_list": lambdas and (lambdas,)}
+    given = {"lambdas": lambdas, "ks": ks, "lambda_list": lambdas and (lambdas,)}
     reports: list[VerificationReport] = []
     for name in SUITES if suite == "all" else (suite,):
         entry = SUITES[name]
-        params, tol = given[entry.given] or entry.params, tolerances.get(name, entry.tolerance)
+        params, tol = given.get(entry.given) or entry.params, tolerances.get(name, entry.tolerance)
         rows = _isolate(lambda values: entry.rows(values, tol), params)
         failed = [row for row in rows if isinstance(row, Exception)]
         if failed:

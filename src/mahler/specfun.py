@@ -1,9 +1,9 @@
 """Special functions and closed forms for the measure derivatives.
 
 Contains the Gauss hypergeometric machinery (direct series plus the AGM
-route for the (1/2, 1/2; 1) case), the bookkeeping of the cubic singularities
-``(1 + lam*x)(1 + lam*x + 4x^2)`` together with their images under
-``x = z(1-z)``, and the lambda-derivatives of the three family measures:
+route for the (1/2, 1/2; 1) case), the zeros of the cubic
+``(1 + lam*x)(1 + lam*x + 4x^2)`` for a whole lam array, and the
+lambda-derivatives of the three family measures:
 
 * ``dp_dlambda(lam) = F(1/3, 2/3; 1 | 27(lam+4)^2/(lam+8)^3) / (lam+8)``
   for lam > 5;
@@ -22,7 +22,6 @@ included, all go through one radical-kernel integral,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,12 +31,10 @@ from .quadrature import NumericalError, QuadratureResult, _budget, _ladder, _mid
 from .roots import quadratic_roots
 
 __all__ = [
-    "SingularityProfile",
     "UnsupportedRegimeError",
     "agm",
     "gauss_2f1_series",
     "gauss_2f1_agm",
-    "singular_points",
     "cubic_singularities",
     "dp_dlambda",
     "dr_dlambda",
@@ -104,17 +101,6 @@ def gauss_2f1_agm(z: float) -> float:
 # -- singular points of the derivative integrals ----------------------------------
 
 
-@dataclass(frozen=True)
-class SingularityProfile:
-    """Zeros of ``(1 + lam*x)(1 + lam*x + 4x^2)`` and their z-circle images."""
-
-    x0: float
-    x1: float
-    x2: float
-    z_points: tuple[float, ...]
-    regime: str  # "neg" (lam < -5) or "pos" (lam > 13)
-
-
 def cubic_singularities(lam):
     """(x0, x1, x2) = (-1/lam, -(lam+s)/8, -(lam-s)/8) with s = sqrt(lam^2-16), elementwise.
 
@@ -139,34 +125,6 @@ def _finite(lam: float, x: tuple) -> tuple[float, float, float]:
     if not all(math.isfinite(v) for v in x):
         raise NumericalError(f"the singular points overflow in double precision at lam={lam!r}")
     return tuple(float(v) for v in x)
-
-
-def _z_of_x(x: float, sign: int) -> float:
-    """A root z of z(1 - z) = x; NaN for x > 1/4, whose images are not real."""
-    d = 1.0 - 4.0 * x
-    return 0.5 * (1.0 + sign * math.sqrt(d)) if d >= 0.0 else math.nan
-
-
-def singular_points(lam: float) -> SingularityProfile:
-    """Singularity bookkeeping for the flattened derivative integrals.
-
-    For lam < -5 the x-roots should satisfy 0 < x0 < x1 < 1/4 with x2 > 1,
-    with all four z-images on (0, 1); for lam > 13 they should satisfy
-    x1 < -2 < x2 < x0 < 0 with two z-images on (-1, 1).  Those orderings are
-    checked by the ``singularities`` suite of ``identities``; where they fail so
-    that an x lies above 1/4, its z-images are NaN.  Anything in between is
-    rejected.
-    """
-    lam = float(lam)
-    if lam < -5.0:
-        x0, x1, x2 = _finite(lam, cubic_singularities(lam))
-        z = (_z_of_x(x0, -1), _z_of_x(x1, -1), _z_of_x(x1, +1), _z_of_x(x0, +1))
-        return SingularityProfile(x0=x0, x1=x1, x2=x2, z_points=z, regime="neg")
-    if lam > 13.0:
-        x0, x1, x2 = _finite(lam, cubic_singularities(lam))
-        z = (_z_of_x(x2, -1), _z_of_x(x0, -1))
-        return SingularityProfile(x0=x0, x1=x1, x2=x2, z_points=z, regime="pos")
-    raise UnsupportedRegimeError("singular points are classified only for lam < -5 or lam > 13")
 
 
 # -- derivative closed forms --------------------------------------------------------

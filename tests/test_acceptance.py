@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from mahler.cli import main as cli_main
-from mahler.identities import SUITES
+from mahler.identities import SUITES, _small_z
 from mahler.measures import (
     mahler_jensen_2var,
     mahler_torus,
@@ -19,12 +19,12 @@ from mahler.measures import (
 )
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family, verify_substitution
 from mahler.specfun import (
+    cubic_singularities,
     dp_dlambda,
     dq_dlambda_closed,
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
-    singular_points,
 )
 from test_specfun import dq_dlambda_fd
 
@@ -149,14 +149,14 @@ def test_criterion_08_branch_bounds():
 def test_criterion_09_singularity_orderings():
     ok = True
     for lam in (-5.01, -6.0, -20.0, 13.01, 16.0, 50.0):
-        prof = singular_points(lam)
-        if prof.regime == "neg":
-            ok &= 0.0 < prof.x0 < prof.x1 < 0.25 and prof.x2 > 1.0
-            z = prof.z_points
+        x0, x1, x2 = cubic_singularities(lam)
+        if lam < 0:
+            ok &= 0.0 < x0 < x1 < 0.25 and x2 > 1.0
+            z = (_small_z(x0), _small_z(x1), 1.0 - _small_z(x1), 1.0 - _small_z(x0))
             ok &= all(0.0 < a < b < 1.0 for a, b in zip(z, z[1:]))
         else:
-            ok &= prof.x1 < -2.0 < prof.x2 < prof.x0 < 0.0
-            ok &= prof.z_points[0] < prof.z_points[1]
+            ok &= x1 < -2.0 < x2 < x0 < 0.0
+            ok &= -1.0 < _small_z(x2) < _small_z(x0) < 1.0
     _announce(9, "singularity orderings at six parameters spanning both regimes", ok)
 
 

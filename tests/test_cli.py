@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import mahler.identities as identities
 import mahler.measures as measures
 import mahler.specfun as specfun
 from mahler.cli import _sweep_values, main
@@ -96,7 +97,7 @@ def test_verify_reports_the_first_failing_row(capsys, argv, code, message):
 
 
 def test_verify_hyp_residuals(capsys):
-    code, out, _ = run(capsys, ["verify", "hyp", "--grid", "20"])
+    code, out, _ = run(capsys, ["verify", "hyp"])
     assert code == 0
     for line in out.strip().split("\n"):
         assert abs(json.loads(line)["residual"]) < 1e-12
@@ -324,15 +325,20 @@ def _reports(out):
 
 
 def test_verify_all_applies_grid(capsys):
-    code, out, _ = run(capsys, ["verify", "all", "--grid", "7"])
+    code, out, _ = run(capsys, ["verify", "all"])
     assert code == 0
     reports = _reports(out)
     assert len(reports) == 76
     hyp = [r for r in reports if r["identity_id"].startswith("hyp_transform")]
-    assert [r["parameter"] for r in hyp] == [7.0, 7.0]
+    assert [r["parameter"] for r in hyp] == [20.0, 20.0]
     branches = {r["parameter"]: (r["lhs"], r["rhs"]) for r in reports if r["identity_id"] == "branch_bounds"}
     assert branches == {r.parameter: (r.lhs, r.rhs) for r in run_suite("branches")}
     assert round(branches[-5.0][0], 4) == 0.9840
+    # the hyp mu-grid is the suite's default; --grid is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--grid", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 7" in capsys.readouterr().err
 
 
 def test_verify_has_no_scan_node_option(capsys):
@@ -564,7 +570,7 @@ def test_kernel_checks_at_large_lambda(capsys, argv):
 def test_singularity_order_violation_is_a_failed_check(capsys, monkeypatch):
     # swapping x0 and x1 breaks 0 < x0 < x1 < 1/4: a FAIL row and exit 1, not a numerical failure
     cubic = specfun.cubic_singularities
-    monkeypatch.setattr(specfun, "cubic_singularities", lambda lam: (lambda x0, x1, x2: (x1, x0, x2))(*cubic(lam)))
+    monkeypatch.setattr(identities, "cubic_singularities", lambda lam: (lambda x0, x1, x2: (x1, x0, x2))(*cubic(lam)))
     code, out, err = run(capsys, ["verify", "singularities", "--lambda", "-6"])
     assert code == 1
     assert [r["passed"] for r in _reports(out)] == [False]
@@ -574,7 +580,7 @@ def test_singularity_order_violation_is_a_failed_check(capsys, monkeypatch):
 def test_singularity_order_violation_above_a_quarter_is_a_failed_check(capsys, monkeypatch):
     # swapping x1 and x2 puts x1 > 1/4, whose z-images are not real: still a FAIL row and exit 1
     cubic = specfun.cubic_singularities
-    monkeypatch.setattr(specfun, "cubic_singularities", lambda lam: (lambda x0, x1, x2: (x0, x2, x1))(*cubic(lam)))
+    monkeypatch.setattr(identities, "cubic_singularities", lambda lam: (lambda x0, x1, x2: (x0, x2, x1))(*cubic(lam)))
     code, out, err = run(capsys, ["verify", "singularities", "--lambda", "-6"])
     assert code == 1
     assert [r["passed"] for r in _reports(out)] == [False]

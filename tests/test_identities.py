@@ -1,13 +1,16 @@
 import argparse
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+import mahler.identities as identities
 import mahler.poly as poly
 from mahler.cli import _parse_tol_overrides, build_parser, main
-from mahler.identities import SUITES, reports_to_jsonl, run_suite, summary_table
+from mahler.identities import SUITES, VerificationReport, reports_to_jsonl, run_suite, summary_table, sweep_reports
 from mahler.poly import LaurentPolynomial
+from mahler.quadrature import NumericalError
 from mahler.specfun import UnsupportedRegimeError
 
 
@@ -101,6 +104,50 @@ def test_singularity_order(lam):
 def test_singularity_order_rejects_gap():
     with pytest.raises(UnsupportedRegimeError):
         _rows("singularities", [10.0])[0]
+
+
+@pytest.mark.parametrize("lam", [-1e8, -1e6, 1e6, 1e8])
+def test_singularity_order_passes_with_a_positive_margin_at_large_lambda(lam):
+    # the small z-root is taken as 2x/(1 + sqrt(1 - 4x)) and the mirrored margins without 1 - z,
+    # so neither cancels to the 0.0 that once passed here
+    report = _rows("singularities", [lam])[0]
+    assert report.passed and report.lhs > 0.0
+
+
+@pytest.mark.parametrize("lam", [-1e12, -1e9, 1e9, 1e12])
+def test_singularity_points_not_separated_in_double_precision_raise(lam):
+    message = f"the singular points are not separated in double precision at lam={lam!r}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        _rows("singularities", [lam])
+
+
+@pytest.mark.parametrize("lam", [-6.0, 16.0])
+def test_singularity_order_with_a_planted_double_point_raises(monkeypatch, lam):
+    # x1 = x0 (lam < -5) or x2 = x0 (lam > 13) gives a margin of exactly 0, which shows no ordering
+    cubic = identities.cubic_singularities
+    plant = (lambda x0, x1, x2: (x0, x0, x2)) if lam < 0 else (lambda x0, x1, x2: (x0, x1, x0))
+    monkeypatch.setattr(identities, "cubic_singularities", lambda lams: plant(*cubic(lams)))
+    with pytest.raises(NumericalError, match="not separated in double precision"):
+        _rows("singularities", [lam])
+
+
+def test_singularity_batch_rows_equal_one_row_calls():
+    # one cubic_singularities call serves the batch; each row is what its own call gives
+    lams = [*SUITES["singularities"].params, -1e6, 1e6]
+    assert run_suite("singularities", lambdas=lams) == sorted(
+        (_rows("singularities", [lam])[0] for lam in lams), key=lambda r: (r.identity_id, r.parameter, r.detail))
+    with pytest.raises(UnsupportedRegimeError, match="^singular points are classified only for lam < -5 or lam > 13$"):
+        run_suite("singularities", lambdas=[-7.0, 10.0, 16.0])
+
+
+def test_boyd_sweep_past_double_range_is_a_row_failure():
+    # an int is an integer without a float conversion, so the rows themselves name the overflow
+    rows = sweep_reports("boyd", [10**400, -3, -10**400])
+    assert [type(row) for row in rows] == [NumericalError, VerificationReport, NumericalError]
+    assert str(rows[0]) == str(rows[2]) == "the parameter of family Q overflows in double precision"
+    assert rows[1] == _rows("boyd", [-3])[0]
+    with pytest.raises(ValueError, match="^boyd sweeps take integer parameters$"):
+        sweep_reports("boyd", [-3, -2.5])
 
 
 def test_substitution_identity_report():

@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 import mahler.specfun
+from mahler.identities import SUITES, _small_z
 from mahler.measures import p_measure, q_measure
 from mahler.quadrature import NumericalError, tanh_sinh
 from mahler.specfun import (
@@ -18,7 +19,6 @@ from mahler.specfun import (
     gauss_2f1_series,
     _kernel_integrals,
     _radical_integrals,
-    singular_points,
 )
 
 # frozen oracle values (AGM fixed point / series summation, cross-checked
@@ -97,35 +97,37 @@ def test_hyp2f1_rejects_bad_c():
 
 
 def test_singular_points_negative_regime():
-    prof = singular_points(-6.0)
-    assert prof.regime == "neg"
-    assert prof.x0 == pytest.approx(1 / 6, rel=1e-14)
-    assert prof.x1 == pytest.approx(0.19098300562505255, rel=1e-12)
-    assert prof.x2 == pytest.approx(1.3090169943749475, rel=1e-12)
-    assert prof.z_points == pytest.approx(
+    x0, x1, x2 = cubic_singularities(-6.0)
+    assert x0 == pytest.approx(1 / 6, rel=1e-14)
+    assert x1 == pytest.approx(0.19098300562505255, rel=1e-12)
+    assert x2 == pytest.approx(1.3090169943749475, rel=1e-12)
+    z1, z2 = _small_z(x0), _small_z(x1)
+    assert (z1, z2, 1 - z2, 1 - z1) == pytest.approx(
         (0.21132486540518708, 0.2570658641216771, 0.7429341358783229, 0.7886751345948129), rel=1e-12
     )
 
 
 def test_singular_points_positive_regime():
-    prof = singular_points(16.0)
-    assert prof.regime == "pos"
-    assert prof.x0 == pytest.approx(-0.0625, abs=1e-15)
-    assert prof.x1 == pytest.approx(-3.9364916731037085, rel=1e-12)
-    assert prof.x2 == pytest.approx(-0.06350832689629149, rel=1e-12)
-    assert prof.x1 < -2.0 < prof.x2 < prof.x0 < 0.0
+    x0, x1, x2 = cubic_singularities(16.0)
+    assert x0 == pytest.approx(-0.0625, abs=1e-15)
+    assert x1 == pytest.approx(-3.9364916731037085, rel=1e-12)
+    assert x2 == pytest.approx(-0.06350832689629149, rel=1e-12)
+    assert x1 < -2.0 < x2 < x0 < 0.0
 
 
 def test_singular_points_inverse_map_identity():
-    prof = singular_points(-6.0)
-    z1 = prof.z_points[0]
-    assert z1 * (1 - z1) == pytest.approx(prof.x0, rel=1e-12)
+    for lam in (-6.0, 16.0, 1e6):
+        for x in cubic_singularities(lam)[:2 if lam < 0 else 1]:
+            z = _small_z(x)
+            assert z * (1 - z) == pytest.approx(x, rel=1e-15)
+    assert math.isnan(_small_z(0.25 + 1e-12))
 
 
 def test_singular_points_rejects_gap():
+    message = "^singular points are classified only for lam < -5 or lam > 13$"
     for lam in (-5.0, 0.0, 13.0, 8.0):
-        with pytest.raises(UnsupportedRegimeError):
-            singular_points(lam)
+        with pytest.raises(UnsupportedRegimeError, match=message):
+            SUITES["singularities"].rows([lam], 0.0)
 
 
 # -- derivative closed forms ----------------------------------------------------------
