@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", type=int, help="integer parameter for family qk")
     pc.add_argument("--poly-file", help="evaluate a serialized polynomial instead of a family")
     pc.add_argument("--method", choices=("fast", "jensen", "torus"), default="fast")
-    pc.add_argument("--nodes", type=int,
-                    help="final node count, a multiple of 4 and at least 8 (per dimension for torus)")
     pc.add_argument("--tol", type=float, help="target error estimate")
     pc.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -111,9 +109,9 @@ def cmd_compute(args) -> int:
             family = {"q": "Q_shifted", "p": "P", "r": "R", "qk": "Q"}[label]
             poly = make_family(FamilySpec(family, value))
     if fast:
-        mv = family_measures(label, [parameter], args.nodes, tol=args.tol)[0]
+        mv = family_measures(label, [parameter], tol=args.tol)[0]
     else:
-        mv = (mahler_torus if method == "torus" else mahler_jensen_2var)(poly, args.nodes, tol=args.tol)
+        mv = (mahler_torus if method == "torus" else mahler_jensen_2var)(poly, tol=args.tol)
     payload = {
         "family": label,
         "parameter": parameter,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Defaults:
-    """Node budgets and tolerances; a measure's caller may pin its node count or pass its tolerance, nothing else."""
+    """Node budgets and tolerances; a measure's caller may pass its tolerance, nothing else."""
 
     # circle rules (the midpoint ladders of the Jensen and family evaluators)
     circle_nodes_start: int = 64

@@ -199,8 +199,8 @@ def _J_reports(lams, tol, which: str | None = None) -> list:
     return out
 
 
-def _hyp_reports(grid_sizes, tol) -> list:
-    """Max residual of the two hypergeometric transformations over a mu-grid of each size.
+def _hyp_reports(params, tol) -> list:
+    """Max residual of the two hypergeometric transformations over a mu-grid of ``params[0]`` points.
 
     Transformation 1 runs on mu in (0, 1/2); transformation 2 alternates the
     grid over (-1/2, 0) and (0, 1/2).  Each report carries both sides at the
@@ -217,22 +217,22 @@ def _hyp_reports(grid_sizes, tol) -> list:
         lhs = gauss_2f1_agm(-m4 / (1.0 - m4)) / math.sqrt(1.0 - m4)
         return lhs, gauss_2f1_series(0.5, 0.5, 1.0, 4.0 * mu * mu / (1.0 + mu * mu) ** 2) / (1.0 + mu * mu)
 
+    (grid_size,) = params
+    if grid_size < 5:
+        raise ValueError("grid_size must be at least 5")
     reports = []
-    for grid_size in grid_sizes:
-        if grid_size < 5:
-            raise ValueError("grid_size must be at least 5")
-        for identity_id, sides, alternate in (("hyp_transform_1", transform_1, False),
-                                              ("hyp_transform_2", transform_2, True)):
-            worst = (0.0, 1.0, 1.0)  # (mu, lhs, rhs); the last of equal residuals wins
-            for j in range(1, grid_size + 1):
-                mu = 0.5 * j / (grid_size + 1)
-                if alternate and j % 2:
-                    mu = -mu
-                lhs, rhs = sides(mu)
-                if abs(lhs - rhs) >= abs(worst[1] - worst[2]):
-                    worst = (mu, lhs, rhs)
-            mu, lhs, rhs = worst
-            reports.append(_report(identity_id, grid_size, lhs, rhs, lhs - rhs, tol, detail=f"worst_mu={mu!r}"))
+    for identity_id, sides, alternate in (("hyp_transform_1", transform_1, False),
+                                          ("hyp_transform_2", transform_2, True)):
+        worst = (0.0, 1.0, 1.0)  # (mu, lhs, rhs); the last of equal residuals wins
+        for j in range(1, grid_size + 1):
+            mu = 0.5 * j / (grid_size + 1)
+            if alternate and j % 2:
+                mu = -mu
+            lhs, rhs = sides(mu)
+            if abs(lhs - rhs) >= abs(worst[1] - worst[2]):
+                worst = (mu, lhs, rhs)
+        mu, lhs, rhs = worst
+        reports.append(_report(identity_id, grid_size, lhs, rhs, lhs - rhs, tol, detail=f"worst_mu={mu!r}"))
     return reports
 
 

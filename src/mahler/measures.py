@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, make_family
-from .quadrature import NumericalError, _budget, _ladder, _midpoint_means, _power_estimate, _refine, tanh_sinh
+from .quadrature import NumericalError, _ladder, _midpoint_means, _power_estimate, _refine, tanh_sinh
 from .roots import batch_roots, quadratic_roots
 from .specfun import cubic_singularities
 
@@ -62,6 +62,10 @@ _TORUS_CHUNK = 64  # a torus block holds at least this many nodes of the last va
 _CLUSTER = 2e-2  # resultant roots closer than this are one (multiple) root
 _ON_CIRCLE = 1e-6  # a root (mean) this close to the integration path is a breakpoint
 _MERGE = 1e-10  # breakpoints t closer than this on the circle are one
+# the largest degree 2 d D of Res_y(P, P*) that Jensen takes (d in y, D in x, each counted as at least 1):
+# _breakpoints builds 2 d D + 1 Sylvester matrices of order 2 d and runs np.roots on that degree, and
+# at d = 64, D = 1 that already peaks near 130 MB (256 and 1 near 4 GB)
+_RESULTANT_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -153,15 +157,15 @@ def _check_torus_bound(terms) -> None:
         raise NumericalError("the values on the torus overflow in double precision")
 
 
-def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
+def mahler_torus(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureValue:
     """Measure of ``P`` by direct torus quadrature (1 to 3 variables).
 
-    ``n`` pins the final per-dimension node count (see :func:`_budget`);
-    otherwise levels double from ``torus_nodes_start`` (at most a sixteenth
-    of the cap, so at least five levels) until the power-law estimate of
-    ``quadrature._refine`` meets ``tol``.  Where ``P`` vanishes on the torus
-    the rule converges like a power of n, and the estimate and value come from
-    Richardson extrapolation once the fitted exponent settles.
+    The per-dimension node count doubles from ``torus_nodes_start`` (at most
+    a sixteenth of the cap, so at least five levels) until the power-law
+    estimate of ``quadrature._refine`` meets ``tol`` or the cap is reached.
+    Where ``P`` vanishes on the torus the rule converges like a power of n,
+    and the estimate and value come from Richardson extrapolation once the
+    fitted exponent settles.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
@@ -172,11 +176,8 @@ def mahler_torus(P: LaurentPolynomial, n: int | None = None, *, tol: float | Non
     _check_torus_bound(terms)
     tol = DEFAULTS.torus_tol if tol is None else float(tol)
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
-    value, err, *_ = _refine(
-        lambda m: _torus_mean_log(terms, m),
-        *_budget(n, tol, min(DEFAULTS.torus_nodes_start, n_max // 16), n_max),
-        estimate=_power_estimate,
-    )
+    value, err, *_ = _refine(lambda m: _torus_mean_log(terms, m), min(DEFAULTS.torus_nodes_start, n_max // 16),
+                             n_max, tol, estimate=_power_estimate)
     return MeasureValue(value=value, method="torus", error_estimate=err)
 
 
@@ -222,16 +223,16 @@ def _jensen_values(C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fiber_view(terms, var: int) -> list[list[tuple[int, complex]]]:
-    """A two-variable ``_doubles(P)`` as a polynomial in ``var``.
+def _fiber_view(terms) -> list[list[tuple[int, complex]]]:
+    """A two-variable ``_doubles(P)`` as a polynomial in y.
 
-    Entry j lists the (exponent of the other variable, coefficient) of the
-    terms of ``var**(lo + j)``, where lo is the valuation in ``var``.
+    Entry j lists the (exponent of x, coefficient) of the terms of
+    ``y**(lo + j)``, where lo is the valuation in y.
     """
-    lo, hi = min(e[var] for e, _ in terms), max(e[var] for e, _ in terms)
+    lo, hi = min(e[1] for e, _ in terms), max(e[1] for e, _ in terms)
     view: list = [[] for _ in range(hi - lo + 1)]
     for e, c in terms:
-        view[e[var] - lo].append((e[1 - var], c))
+        view[e[1] - lo].append((e[0], c))
     return view
 
 
@@ -338,24 +339,23 @@ def _breakpoints(view) -> np.ndarray:
 # -- circle means ------------------------------------------------------------------
 
 
-def _circle_means(nodes, values, cuts, n: int | None, tol: float) -> list:
+def _circle_means(nodes, values, cuts, tol: float) -> list:
     """(value, error estimate) of the mean over t in [0, 1) of each row's integrand.
 
     Row i's integrand at an array of t is ``values(np.array([i]), nodes(t))[0]``
     (see :func:`quadrature._midpoint_means`), and ``cuts[i]`` holds its
-    breakpoints (t in [0, 1)).  Without a pinned node count, the arcs between
-    consecutive cuts of all rows are the rows of one :func:`tanh_sinh` call,
-    each to tol divided by its row's number of cuts: the integrand is
-    analytic inside an arc and at worst square-root-like at its ends.  There
-    ``nodes`` and ``values`` take a 2-D t, one row of nodes per arc, and a
-    row's value is the sum of its arcs in order.  The other rows (no cuts,
-    ``n`` given, or an arc that does not converge) share one midpoint ladder
-    on the whole period, each row to its own stop.  A failing row raises for
-    the batch.
+    breakpoints (t in [0, 1)).  The arcs between consecutive cuts of all
+    rows are the rows of one :func:`tanh_sinh` call, each to tol divided by
+    its row's number of cuts: the integrand is analytic inside an arc and at
+    worst square-root-like at its ends.  There ``nodes`` and ``values`` take
+    a 2-D t, one row of nodes per arc, and a row's value is the sum of its
+    arcs in order.  The other rows (no cuts, or
+    an arc that does not converge) share one midpoint ladder on the whole
+    period from ``circle_nodes_start`` to ``circle_nodes_max`` nodes, each row
+    to its own stop.  A failing row raises for the batch.
     """
-    start, cap, ladder_tol = _budget(n, tol)
     # the arcs (a, b) between consecutive cuts of each row, and the row of each arc
-    arcs = [[(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b] if n is None and len(c) else () for c in cuts]
+    arcs = [[(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b] if len(c) else () for c in cuts]
     owner = np.repeat(np.arange(len(cuts)), [len(row) for row in arcs])
     results = iter(tanh_sinh(lambda rows, t: values(owner[rows], nodes(t)), [arc for row in arcs for arc in row],
                              [tol / len(cuts[i]) for i in owner]))
@@ -367,43 +367,43 @@ def _circle_means(nodes, values, cuts, n: int | None, tol: float) -> list:
                 out[i] = (sum(r.value for r in done), sum(r.error_estimate for r in done))
     ladder = [i for i, res in enumerate(out) if res is None]
     rows = np.array(ladder, dtype=int)
-    results = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows), start, cap, ladder_tol)
+    results = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows),
+                      DEFAULTS.circle_nodes_start, DEFAULTS.circle_nodes_max, tol)
     for i, res in zip(ladder, results):
         out[i] = res[:2]
     return out
 
 
-def mahler_jensen_2var(
-    P: LaurentPolynomial,
-    n: int | None = None,
-    *,
-    var: int = 1,
-    tol: float | None = None,
-) -> MeasureValue:
-    """Measure of a two-variable polynomial by the Jensen reduction in ``var``.
+def mahler_jensen_2var(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureValue:
+    """Measure of a two-variable polynomial by the Jensen reduction in y.
 
     At each circle node x the fiber polynomial's roots come from closed forms
     for degree <= 2 and, for a higher degree, from one :func:`batch_roots`
     call over all nodes of that degree (their companion-matrix eigenvalues);
     the node value is ``log|lead(x)| + sum log+ |root|``.
     Its mean is one row of :func:`_circle_means`, split at :func:`_breakpoints`.
+    To reduce in x, swap the variables of ``P``.  Degrees d in y and D in x
+    with 2 max(d, 1) max(D, 1) above ``_RESULTANT_MAX`` raise
+    :class:`NumericalError` before anything is built.
     """
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
     if P.nvars != 2:
         raise ValueError("the Jensen evaluator works on two-variable polynomials")
-    if var not in (0, 1):
-        raise ValueError(f"variable index {var} out of range for 2 variables")
+    d, D = (max(e[v] for e in P.terms) - min(e[v] for e in P.terms) for v in (1, 0))
+    if 2 * max(d, 1) * max(D, 1) > _RESULTANT_MAX:
+        raise NumericalError(f"the degrees {d} in y and {D} in x are too large for the breakpoint search "
+                             f"(2 d D at most {_RESULTANT_MAX})")
     terms = _doubles(P)
-    view = _fiber_view(terms, var)
+    view = _fiber_view(terms)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    cuts = _breakpoints(view) if n is None else ()
+    cuts = _breakpoints(view)
     _check_torus_bound(terms)  # past _breakpoints, whose own overflow check is the finer one
     # one row, whose node data are its integrand values
     value, err = _circle_means(
         lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t.ravel()))),
         lambda rows, v: v.reshape(len(rows), -1),
-        [cuts], n, tol,
+        [cuts], tol,
     )[0]
     return MeasureValue(value=value, method="jensen", error_estimate=err)
 
@@ -496,7 +496,7 @@ def _q_rows(lams: np.ndarray) -> tuple[list, np.ndarray]:
     return cuts, np.where((rho0 > 0.0) & (best >= 2.0 * rho0) & ~hits, maps, 0.0)
 
 
-def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
+def q_measure(lam: float, *, tol: float | None = None) -> MeasureValue:
     """Measure of the shifted hyperelliptic member at ``lam``.
 
     On lam <= -4 or lam >= 13 the one-branch reduction applies:
@@ -507,7 +507,7 @@ def q_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> 
     makes it grow like sqrt(|lam|) (512 and 2,048).  Elsewhere the generic
     Jensen evaluator runs on the expanded polynomial (method tag "jensen").
     """
-    return family_measures("q", [lam], n, tol=tol)[0]
+    return family_measures("q", [lam], tol=tol)[0]
 
 
 def _reciprocal_log(d, h) -> np.ndarray:
@@ -533,14 +533,14 @@ def _p_cuts(lam: float) -> tuple[float, ...]:
     return tuple(sorted({math.acos(s * m) / math.pi % 1.0 for m in mags for s in (1.0, -1.0)}))
 
 
-def p_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
+def p_measure(lam: float, *, tol: float | None = None) -> MeasureValue:
     """Measure of the elliptic P-family member at ``lam`` (any real).
 
     The degenerate member at lam = -4 factors exactly into
     ``(x+1)(y+1)(y+x)``, each factor of measure zero, so that value is
     returned exactly rather than through quadrature.
     """
-    return family_measures("p", [lam], n, tol=tol)[0]
+    return family_measures("p", [lam], tol=tol)[0]
 
 
 def _r_cuts(lam: float) -> tuple[float, ...]:
@@ -549,9 +549,9 @@ def _r_cuts(lam: float) -> tuple[float, ...]:
     return tuple(sorted({(s * math.acos(c) / (2.0 * math.pi)) % 1.0 for c in cosines for s in (1.0, -1.0)}))
 
 
-def r_measure(lam: float, n: int | None = None, *, tol: float | None = None) -> MeasureValue:
+def r_measure(lam: float, *, tol: float | None = None) -> MeasureValue:
     """Measure of the four-term family member at ``lam`` (any real)."""
-    return family_measures("r", [lam], n, tol=tol)[0]
+    return family_measures("r", [lam], tol=tol)[0]
 
 
 # -- batched family rows ------------------------------------------------------------
@@ -604,7 +604,7 @@ def _fast_integrand(family: str, lams: np.ndarray):
             [_p_cuts(v) for v in lams.tolist()])
 
 
-def family_measures(family: str, lams, n: int | None = None, *, tol: float | None = None) -> list:
+def family_measures(family: str, lams, *, tol: float | None = None) -> list:
     """q, p or r (``family``) at every parameter of ``lams``.
 
     Returns a :class:`MeasureValue` per row, in the order of ``lams``; a
@@ -619,9 +619,8 @@ def family_measures(family: str, lams, n: int | None = None, *, tol: float | Non
     for i, lam in enumerate(lams):
         lam = _parameter(_FAMILIES[family], lam)
         if family == "q" and not (lam <= -4.0 or lam >= 13.0):
-            out[i] = mahler_jensen_2var(make_family(FamilySpec("Q_shifted", lam)), n, tol=tol)
+            out[i] = mahler_jensen_2var(make_family(FamilySpec("Q_shifted", lam)), tol=tol)
         elif family == "p" and lam == -4.0:
-            _budget(n, 0.0)  # no ladder runs, but a malformed n is still rejected
             out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
         elif family == "q" and not math.isfinite(16.0 * lam * lam):
             # q's |b|^2 and discriminant are at most (2|lam| + 9)^2 on the path, which must not overflow
@@ -631,6 +630,6 @@ def family_measures(family: str, lams, n: int | None = None, *, tol: float | Non
     if fast:
         tol = DEFAULTS.measure_tol if tol is None else float(tol)
         nodes, values, cuts = _fast_integrand(family, np.array([lam for _, lam in fast]))
-        for (i, _), (value, err) in zip(fast, _circle_means(nodes, values, cuts, n, tol)):
+        for (i, _), (value, err) in zip(fast, _circle_means(nodes, values, cuts, tol)):
             out[i] = MeasureValue(value=value, method="family_fast", error_estimate=err)
     return out

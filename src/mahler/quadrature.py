@@ -149,23 +149,6 @@ def tanh_sinh(f, ends, tol) -> list:
 # -- node-doubling ladder -----------------------------------------------------
 
 
-def _budget(
-    n: int | None, tol: float, start: int = DEFAULTS.circle_nodes_start, cap: int = DEFAULTS.circle_nodes_max
-) -> tuple[int, int, float]:
-    """(start, cap, tol) for :func:`_refine`.
-
-    Without ``n`` the ladder doubles from ``start`` until the tolerance is met
-    or ``cap`` is reached.  A pinned ``n`` runs exactly the levels n/4, n/2
-    and n with no tolerance stop, so ``n`` is the final node count and the
-    estimate compares it with two coarser levels.
-    """
-    if n is None:
-        return start, cap, tol
-    if n < 8 or n % 4:
-        raise ValueError(f"the node count must be a multiple of 4 and at least 8, got {n}")
-    return n // 4, n, 0.0
-
-
 _PREV_WEIGHT = 0.25  # share of the previous gap (or extrapolated step) that guards the last one
 # A power-law ladder (error ~ C n^-p: the trapezoid rule on an integrand with
 # algebraic or logarithmic singularities) is extrapolated only with an exponent
@@ -203,12 +186,12 @@ def _power_estimate(values: list[float], tol: float) -> tuple[float, float, bool
     three levels has a fit (its two gaps share a sign and shrink) and the
     last two exponents agree and lie in ``_RATE_BAND``, the value is e and
     the estimate guards its last step: max(|e_k - e_(k-1)|, w |e_(k-1) - e_(k-2)|).
-    Otherwise the raw gaps set it: with three or more, the tail of the
-    slowest admitted rate n^-1/2 beyond the larger of the last two gaps,
-    max(g, g_prev)/(sqrt(2) - 1); with two (a pinned node count), the guard
-    max(g, g_prev/2).  The ladder stops when the last step and the estimate
-    are both below tol, and never before three gaps, so neither its first
-    gap nor an unchecked rate can stop it.
+    Otherwise the raw gaps set it: the tail of the slowest admitted rate
+    n^-1/2 beyond the larger of the last two gaps, max(g, g_prev)/(sqrt(2) - 1).
+    The ladder stops when the last step and the estimate are both below tol.
+    Before three gaps there is no estimate yet, so neither its first gap nor
+    an unchecked rate can stop it; a ladder that starts at most a sixteenth
+    below its cap is never ended there.
     """
     fits = []
     for k in range(max(len(values) - 3, 2), len(values)):
@@ -220,12 +203,11 @@ def _power_estimate(values: list[float], tol: float) -> tuple[float, float, bool
         e0, e1, e2 = (e for _, e in fits)
         err = _POWER_SAFETY * max(abs(e2 - e1), _PREV_WEIGHT * abs(e1 - e0))
         return e2, err, abs(e2 - e1) < tol and err < tol
-    g = abs(values[-1] - values[-2])
-    g_prev = abs(values[-2] - values[-3]) if len(values) > 2 else 0.0
-    if len(values) > 3:
-        err = _POWER_SAFETY * max(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
-        return values[-1], err, g < tol and err < tol
-    return values[-1], _POWER_SAFETY * max(g, 0.5 * g_prev), False
+    if len(values) < 4:
+        return values[-1], math.inf, False
+    g, g_prev = abs(values[-1] - values[-2]), abs(values[-2] - values[-3])
+    err = _POWER_SAFETY * max(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
+    return values[-1], err, g < tol and err < tol
 
 
 def _last_gap_estimate(values: list[float], tol: float) -> tuple[float, float, bool]:

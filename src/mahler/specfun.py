@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULTS
-from .quadrature import NumericalError, QuadratureResult, _budget, _ladder, _midpoint_means
+from .quadrature import NumericalError, QuadratureResult, _ladder, _midpoint_means
 from .roots import quadratic_roots
 
 __all__ = [
@@ -221,8 +221,8 @@ def _radical_integrals(kernels, tol: float) -> list:
             raise NumericalError("radicand is not positive inside the integration interval")
         return np.pi / np.sqrt(r)
 
-    start, cap, tol = _budget(None, float(tol))
-    results = _ladder(lambda live, m: _midpoint_means(nodes, values, live, m), len(kernels), start, cap, tol)
+    results = _ladder(lambda live, m: _midpoint_means(nodes, values, live, m), len(kernels),
+                      DEFAULTS.circle_nodes_start, DEFAULTS.circle_nodes_max, float(tol))
     return [QuadratureResult(*res) for res in results]
 
 

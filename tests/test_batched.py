@@ -60,11 +60,15 @@ def test_batched_family_rows_equal_one_row_calls(family):
 
 
 @pytest.mark.parametrize("family", ["q", "r", "p"])
-def test_batched_rows_with_a_pinned_node_count_equal_one_row_calls(family):
-    # 1000 = 4 * 250: rows of 250, 500 and 1000 nodes share blocks unaligned to any vector width
+def test_batched_rows_with_a_pinned_node_count_equal_one_row_calls(monkeypatch, family):
+    # the circle ladder's node count pinned by its defaults to 250 up to 1000 (= 4 * 250), at a
+    # tolerance below rounding: rows of 250, 500 and 1000 nodes share blocks unaligned to any
+    # vector width, and stop where their gaps vanish or at 1000
+    defaults = dataclasses.replace(measures.DEFAULTS, circle_nodes_start=250, circle_nodes_max=1000)
+    monkeypatch.setattr(measures, "DEFAULTS", defaults)
     lams = [-7.0, -6.0, 13.5, 16.0, 30.0]
-    singles = [_outcome(SINGLE[family], lam, 1000) for lam in lams]
-    assert _same(family_measures(family, lams, 1000), singles)
+    singles = [_outcome(SINGLE[family], lam, tol=1e-300) for lam in lams]
+    assert _same(family_measures(family, lams, tol=1e-300), singles)
 
 
 def test_batched_identity_rows_equal_one_row_calls():
@@ -305,7 +309,10 @@ def test_unmapped_q_rows_equal_the_unmapped_midpoint_rule(monkeypatch):
     assert [mv.value for lam, mv in zip(lams, values) if lam != -5.0] == [
         _unmapped_mean(lam, m) for lam, (_, _, m, _) in zip(ladder_lams, ladders)
     ]
-    assert [mv.value for mv in family_measures("q", lams, 1000)] == [_unmapped_mean(lam, 1000) for lam in lams]
+    # the 1000-node level of the whole batch, the cut at -5 included
+    nodes, values, _ = measures._fast_integrand("q", np.array(lams))
+    level = quadrature._midpoint_means(nodes, values, np.arange(len(lams)), 1000)
+    assert level == [_unmapped_mean(lam, 1000) for lam in lams]
 
 
 # -- tanh-sinh arcs: every arc of a batch is a row of one ladder ---------------------
@@ -349,7 +356,7 @@ def test_a_row_whose_arc_hits_the_level_cap_falls_back_alone(monkeypatch):
     capped = family_measures("p", lams)
     assert capped == [p_measure(lam) for lam in lams]
     nodes, values, _ = measures._fast_integrand("p", np.array(lams))
-    ladder = measures._circle_means(nodes, values, [()] * len(lams), None, 1e-9)
+    ladder = measures._circle_means(nodes, values, [()] * len(lams), 1e-9)
     fell = [i for i, mv in enumerate(capped) if (mv.value, mv.error_estimate) == ladder[i]]
     assert fell == [0, 1, 3, 7]
     assert all(capped[i] == arcs[i] for i in range(len(lams)) if i not in fell)

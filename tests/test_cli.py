@@ -58,11 +58,12 @@ def test_compute_usage_errors(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("nodes", ["4", "10"])
-def test_compute_rejects_a_node_count_that_is_not_a_multiple_of_four_from_eight(capsys, nodes):
-    code, out, err = run(capsys, ["compute", "--family", "r", "--lambda", "6", "--nodes", nodes])
-    assert code == 2
-    assert out == "" and err.startswith("error:") and "multiple of 4" in err
+def test_compute_has_no_node_count_option(capsys):
+    # every value comes from a ladder that stops on its own estimate; --nodes is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--family", "r", "--lambda", "6", "--nodes", "1024"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nodes 1024" in capsys.readouterr().err
 
 
 def test_verify_main_passes(capsys):
@@ -265,19 +266,16 @@ def test_compute_numerical_failure_exit_code(capsys, tmp_path):
         ("1e308:0,0\n1e308:1,0\n1:0,1\n", "jensen", "the resultant's Hadamard bound overflows in double precision"),
         # the Sylvester row norms square 1e200
         ("1e200:0,0\n1:1,1\n", "jensen", "the resultant's Hadamard bound overflows in double precision"),
-        # a pinned node count skips the breakpoint search and its Hadamard bound
-        ("1e308:0,0\n1e308:1,0\n1:0,1\n", "jensen --nodes 1024",
-         "the values on the torus overflow in double precision"),
         # |node| = 1 + eps to the power 1e20 is not finite
         ("1:100000000000000000000,0\n1:0,1\n1:0,0\n", "torus",
          "the powers on the torus grid overflow in double precision"),
     ],
-    ids=["torus-1e308", "jensen-1e308", "jensen-1e200", "jensen-pinned-1e308", "torus-exponent-1e20"],
+    ids=["torus-1e308", "jensen-1e308", "jensen-1e200", "torus-exponent-1e20"],
 )
 def test_compute_past_double_range_is_a_numerical_failure(capsys, tmp_path, text, method, reason):
     f = tmp_path / "huge.txt"
     f.write_text(text)
-    argv = ["compute", "--poly-file", str(f), "--method", *method.split(), "--format", "json"]
+    argv = ["compute", "--poly-file", str(f), "--method", method, "--format", "json"]
     assert run(capsys, argv) == (3, "", f"numerical failure: {reason}\n")
 
 
@@ -367,7 +365,7 @@ def test_compute_root_solve_failure_is_numerical_failure(capsys, tmp_path, monke
     monkeypatch.setattr(measures, "batch_roots", no_convergence)
     f = tmp_path / "cubic.txt"
     f.write_text("1:0,0\n1:1,0\n1:0,3\n")
-    code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen", "--nodes", "8"])
+    code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen"])
     assert code == 3
     assert out == "" and err == "numerical failure: no convergence within 200 iterations\n"
 
@@ -382,6 +380,36 @@ def test_compute_large_constant_term_with_degree_20_fibers(capsys, tmp_path):
         code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen", "--format", "json"])
     assert code == 0 and err == ""
     assert abs(json.loads(out)["value"] - math.log(9e12)) < 1e-12
+
+
+@pytest.mark.parametrize("text, degrees", [
+    ("1:0,100000000000000000000\n1:1,0\n1:0,0\n", "100000000000000000000 in y and 1 in x"),
+    ("1:100000000000000000000,0\n1:0,1\n1:0,0\n", "1 in y and 100000000000000000000 in x"),
+    ("1:0,65\n1:1,0\n1:0,0\n", "65 in y and 1 in x"),
+    ("1:0,0\n1:0,1\n1:65,0\n", "1 in y and 65 in x"),
+], ids=["fiber-1e20", "x-1e20", "fiber-65", "x-65"])
+def test_compute_jensen_rejects_degrees_past_the_breakpoint_search(capsys, tmp_path, monkeypatch, text, degrees):
+    # the check comes before the fiber view, which holds one list per power of y
+    def no_view(terms):
+        raise AssertionError("the fiber view was built")
+
+    monkeypatch.setattr(measures, "_fiber_view", no_view)
+    f = tmp_path / "huge.txt"
+    f.write_text(text)
+    assert run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen"]) == (
+        3, "", f"numerical failure: the degrees {degrees} are too large for the breakpoint search (2 d D at most 128)\n")
+
+
+@pytest.mark.parametrize("text", ["1:0,64\n1:1,0\n3:0,0\n", "1:0,0\n1:0,1\n1:64,0\n"], ids=["fiber-64", "x-64"])
+def test_compute_jensen_takes_degrees_at_the_bound(capsys, tmp_path, text):
+    # 2 d D = 128: m(y^64 + x + 3) = log 3 (|x + 3| >= 2 keeps every root inside the circle)
+    # and m(1 + y + x^64) = m(1 + x + y)
+    f = tmp_path / "bound.txt"
+    f.write_text(text)
+    code, out, _ = run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen", "--format", "json"])
+    payload = json.loads(out)
+    expected = math.log(3.0) if "3:0,0" in text else 0.3230659472194505
+    assert code == 0 and abs(payload["value"] - expected) <= max(payload["error_estimate"], 1e-12)
 
 
 @pytest.mark.parametrize("argv", [
@@ -524,9 +552,9 @@ def test_compute_rejects_non_finite_family_parameter(capsys, family, value, meth
 
 
 def test_compute_default_table_line(capsys):
-    code, out, err = run(capsys, ["compute", "--family", "r", "--lambda", "6", "--nodes", "1024"])
+    code, out, err = run(capsys, ["compute", "--family", "r", "--lambda", "6"])
     assert code == 0 and err == ""
-    assert out == "r parameter=6.0 value=1.72731175401429 method=family_fast error_estimate=2.4223394437099887e-15\n"
+    assert out == "r parameter=6.0 value=1.7273117540142897 method=family_fast error_estimate=2.4223394437099883e-15\n"
 
 
 def test_compute_three_variable_poly_file_switches_to_torus(capsys, tmp_path):

@@ -90,15 +90,11 @@ def test_p_matches_split_integral(lam):
 
 
 @pytest.mark.parametrize("k", range(-3, 5))
-@pytest.mark.parametrize("form", ["var1", "var0", "swapped"])
+@pytest.mark.parametrize("form", ["var1", "swapped"])
 def test_qk_matches_split_integral(k, form):
+    # var1 reduces Q_k in Y; swapped reduces it in X
     P = make_family(FamilySpec("Q", k))
-    if form == "var1":
-        mv = mahler_jensen_2var(P, var=1)
-    elif form == "var0":
-        mv = mahler_jensen_2var(P, var=0)
-    else:
-        mv = mahler_jensen_2var(_swap(P))
+    mv = mahler_jensen_2var(P if form == "var1" else _swap(P))
     _assert_close(mv, qk_reference(k), ROUNDING_FLOOR.get(k, 0.0))
 
 
@@ -149,12 +145,4 @@ def test_smyth_in_either_variable(var):
         l2 = (mp.zeta(2, mpf(1) / 3) - mp.zeta(2, mpf(2) / 3)) / 9  # L(chi_-3, 2)
         ref = float(3 * mp.sqrt(3) / (4 * mp.pi) * l2)  # L'(chi_-3, -1)
     P = LaurentPolynomial({(0, 0): 1, (1, 0): 1, (0, 1): 1}, nvars=2)
-    _assert_close(mahler_jensen_2var(P, var=var), ref)
-
-
-@pytest.mark.parametrize("lam, n", [(6.0, 8), (2.0, 64), (4.0, 1000)])
-def test_pinned_node_count_estimate_covers_the_error(lam, n):
-    # a pinned n runs the levels n/4, n/2 and n, so even n = 8 has two gaps to
-    # compare; a one-level ladder would report only the rounding floor
-    mv = r_measure(lam, n)
-    assert abs(mv.value - r_reference(lam)) <= mv.error_estimate
+    _assert_close(mahler_jensen_2var(P if var == 1 else _swap(P)), ref)

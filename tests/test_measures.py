@@ -151,7 +151,7 @@ def test_jensen_r5_matches_torus():
 
 def test_jensen_cubic_fiber_uses_iteration_solver():
     P = lp({(0, 3): 1, (1, 1): 2, (0, 0): 3})  # y^3 + 2xy + 3
-    j = mahler_jensen_2var(P, n=2048)
+    j = mahler_jensen_2var(P)
     t = mahler_torus(P)
     assert abs(j.value - t.value) <= j.error_estimate + t.error_estimate
 
@@ -252,8 +252,9 @@ def test_q_estimate_covers_its_relation_past_the_node_cap(lam):
 
 
 def test_q_full_period_equals_twice_half_period():
-    # q_measure(lam, n) is the n-node full-period midpoint mean of log|y+|;
-    # log|y+| is even in t, so that equals the n/2-node mean over (0, 1/2)
+    # the 2,048-node level of the fast q integrand (on its Moebius-mapped circle) is the
+    # 2,048-node full-period midpoint mean of log|y+| to 1e-12; log|y+| is even in t, so
+    # that equals the 1,024-node mean over (0, 1/2)
     lam = 16.0
 
     def mean_log_y_plus(t):
@@ -262,7 +263,8 @@ def test_q_full_period_equals_twice_half_period():
 
     full = mean_log_y_plus((np.arange(2048) + 0.5) / 2048)
     assert abs(mean_log_y_plus((np.arange(1024) + 0.5) / 2048) - full) < 1e-12
-    assert abs(q_measure(lam, n=2048).value - full) < 1e-12
+    nodes, values, _ = measures._fast_integrand("q", np.array([lam]))
+    assert abs(quadrature._midpoint_means(nodes, values, np.arange(1), 2048)[0] - full) < 1e-12
 
 
 def test_p_measure_degenerate_member_is_exactly_zero():
@@ -317,16 +319,7 @@ def test_method_agreement_spot_checks():
         assert abs(t.value - j.value) <= t.error_estimate + j.error_estimate
 
 
-# -- pinned node counts ------------------------------------------------------------
-
-
-_PINNED = {
-    "r": lambda n: r_measure(6.0, n),
-    "p": lambda n: p_measure(-1.0, n),
-    "q": lambda n: q_measure(16.0, n),
-    "jensen": lambda n: mahler_jensen_2var(make_family(FamilySpec("Q", 2)), n),
-    "torus": lambda n: mahler_torus(make_family(FamilySpec("R", 6.0)), n),
-}
+# -- ladder levels ----------------------------------------------------------------
 
 
 def _record_levels(monkeypatch):
@@ -342,13 +335,13 @@ def _record_levels(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("n", [12, 1000])
-@pytest.mark.parametrize("name", list(_PINNED))
-def test_pinned_node_count_is_the_final_level(monkeypatch, name, n):
-    # exactly n/4, n/2 and n: no tolerance stop before n, no level past it
+def test_wide_torus_input_runs_to_the_cap_below_rounding(monkeypatch):
+    # the 12-column input of the workflow's thread-count check: 1 + x + y + ... + y^11 vanishes
+    # on the torus, so at a tolerance below rounding its ladder reaches the 4096-node cap, and
+    # its last two levels go in node chunks
     seen = _record_levels(monkeypatch)
-    _PINNED[name](n)
-    assert seen == [n // 4, n // 2, n]
+    mahler_torus(lp({(0, 0): 1, (1, 0): 1, **{(0, j): 1 for j in range(1, 12)}}), tol=1e-300)
+    assert seen == [64, 128, 256, 512, 1024, 2048, 4096]
 
 
 @pytest.mark.parametrize("lam", [-55.0, 128.0])
@@ -362,15 +355,6 @@ def test_mapped_q_rows_stop_at_half_the_unmapped_node_count(monkeypatch, lam):
     unmapped = q_measure(lam)
     assert 2 * mapped_nodes <= seen[-1]
     assert abs(mapped.value - unmapped.value) <= mapped.error_estimate + unmapped.error_estimate
-
-
-@pytest.mark.parametrize("n", [0, 4, 7, 10, 1002])
-@pytest.mark.parametrize("name", [*_PINNED, "p_exact_zero"])
-def test_pinned_node_count_must_be_a_multiple_of_four_from_eight(name, n):
-    # p(-4) is returned exactly, without a ladder, and still rejects a bad n
-    evaluate = _PINNED.get(name, lambda n: p_measure(-4.0, n))
-    with pytest.raises(ValueError, match="multiple of 4"):
-        evaluate(n)
 
 
 # -- the whole-circle ladder's error estimate ------------------------------------
@@ -414,13 +398,15 @@ def test_algebraic_ladder_keeps_the_guard(level):
 
 @pytest.mark.parametrize("n", [8, 64, 1000])
 def test_pinned_ladder_estimate_is_the_two_gap_guard(n):
-    # n/4, n/2 and n give two gaps, never three, so the tail model cannot apply
+    # a midpoint ladder pinned to n/4, n/2 and n (no tolerance stop) gives two gaps,
+    # never three, so the tail model cannot apply
     def values_at(t):
         return np.log(np.abs(3.0 + np.exp(2j * np.pi * t)))
 
     v1, v2, v3 = (float(values_at((np.arange(m) + 0.5) / m).mean()) for m in (n // 4, n // 2, n))
     expected = max(abs(v3 - v2), 0.25 * abs(v2 - v1), quadrature._err_floor(v3))
-    assert measures._circle_means(values_at, lambda rows, v: v[None, :], [()], n, 1e-9)[0] == (v3, expected)
+    level = lambda live, m: quadrature._midpoint_means(values_at, lambda rows, v: v[None, :], live, m)
+    assert quadrature._ladder(level, 1, n // 4, n, 0.0) == [(v3, expected, n, False)]
 
 
 # -- the torus ladder's power-law estimate ------------------------------------------

@@ -76,18 +76,18 @@ def test_q0_factors_exactly():
 
 
 def test_view_of_p_family():
-    view = _fiber_view(_doubles(make_family(FamilySpec("P", 7))), 1)
+    view = _fiber_view(_doubles(make_family(FamilySpec("P", 7))))
     assert view == [[(1, 1), (2, 1)], [(0, 1), (1, -9), (2, 1)], [(0, 1), (1, 1)]]
 
 
 def test_view_of_r_family_clears_negative_power():
     # entry 0 is y^-1: the valuation is factored out
-    view = _fiber_view(_doubles(make_family(FamilySpec("R", 3))), 1)
+    view = _fiber_view(_doubles(make_family(FamilySpec("R", 3))))
     assert view == [[(0, 1)], [(-1, 1), (0, 3), (1, 1)], [(0, 1)]]
 
 
 def test_view_of_q_family():
-    view = _fiber_view(_doubles(make_family(FamilySpec("Q", 2))), 1)
+    view = _fiber_view(_doubles(make_family(FamilySpec("Q", 2))))
     assert view == [[(4, 1)], [(0, 1), (1, 2), (2, 4), (3, 2), (4, 1)], [(0, 1)]]
 
 
@@ -101,10 +101,11 @@ def test_view_roundtrip_on_random_polynomials():
         P = LaurentPolynomial(terms, nvars=2)
         if P.is_zero():
             continue
-        for var in (0, 1):
+        for var in (0, 1):  # the view in x is that of P with its variables swapped
             lo = min(e[var] for e in P.terms)
             back = {}
-            for j, entries in enumerate(_fiber_view(_doubles(P), var)):
+            fibers = P if var == 1 else LaurentPolynomial({(e[1], e[0]): c for e, c in P.items()}, nvars=2)
+            for j, entries in enumerate(_fiber_view(_doubles(fibers))):
                 for other, c in entries:
                     back[(lo + j, other) if var == 0 else (other, lo + j)] = c
             assert back == {e: complex(c) for e, c in P.items()}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mahler.quadrature as quadrature
-from mahler.quadrature import NumericalError, _budget, _refine, tanh_sinh
+from mahler.quadrature import NumericalError, _refine, tanh_sinh
 from mahler.specfun import gauss_2f1_series
 
 # the lam = 20 member of the dt/sqrt(t(1-t)(lam^2-16t)) integrals; the Euler
@@ -79,7 +79,9 @@ def test_two_arcs_equal_two_one_arc_calls():
 
 def _midpoint_ladder(f):
     """The midpoint ladder on [0, 1) to the default tanh-sinh tolerance, as (value, error estimate)."""
-    value, err, *_ = _refine(lambda m: float(f((np.arange(m) + 0.5) / m).mean()), *_budget(None, 1e-12))
+    defaults = quadrature.DEFAULTS
+    value, err, *_ = _refine(lambda m: float(f((np.arange(m) + 0.5) / m).mean()),
+                             defaults.circle_nodes_start, defaults.circle_nodes_max, 1e-12)
     return value, err
 
 

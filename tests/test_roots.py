@@ -14,6 +14,11 @@ from mahler.poly import FamilySpec, LaurentPolynomial, make_family
 from mahler.roots import RootSolveError, batch_roots, quadratic_roots
 
 
+def _swap(P):
+    """``P`` with its variables swapped: its fibers in y are the fibers in x of ``P``."""
+    return LaurentPolynomial({(e[1], e[0]): c for e, c in P.items()}, nvars=2)
+
+
 def _roots(coeffs):
     """Roots of one polynomial (ascending coefficients): one column of batch_roots, sorted by modulus."""
     column = np.array(coeffs, dtype=complex).reshape(-1, 1)
@@ -200,7 +205,7 @@ def _set_distance(found, ref, scale=1.0):
 @pytest.mark.parametrize("k", [-2, 0, 2, 3, 5])
 def test_batch_roots_match_scalar_aberth_on_qk_fibers(k):
     # degree-4 fibers in X of Q_k on the 4096-node circle grid
-    C = _coeff_rows(_fiber_view(_doubles(make_family(FamilySpec("Q", k))), 0), _circle(4096))
+    C = _coeff_rows(_fiber_view(_doubles(_swap(make_family(FamilySpec("Q", k))))), _circle(4096))
     found = batch_roots(C)
     ref = np.array([_scalar_aberth(C[:, i]) for i in range(C.shape[1])]).T
     scale = np.maximum(1.0, np.abs(ref).max(axis=0))
@@ -239,7 +244,7 @@ def test_batch_roots_of_a_column_with_a_far_root_beside_a_near_pair():
     # -2y(y + 1)^2 + 1e-7 y^4: a root near 2e7 beside a pair near -1 that is 4.5e-4 apart,
     # solved alone and beside the degree-4 fibers of Q_3 in X
     slow = [0, -2, -4, -2, 1e-7]
-    C = _coeff_rows(_fiber_view(_doubles(make_family(FamilySpec("Q", 3))), 0), _circle(64))
+    C = _coeff_rows(_fiber_view(_doubles(_swap(make_family(FamilySpec("Q", 3))))), _circle(64))
     found = batch_roots(np.column_stack([C, slow]))
     assert len(_roots(slow)) == 4
     assert sorted(found[:, -1], key=lambda z: (abs(z), z.real, z.imag)) == _roots(slow)
@@ -259,7 +264,7 @@ def test_near_double_fiber_roots_match_mpmath(monkeypatch):
     # arc ends, where two degree-4 fiber roots nearly meet
     seen = []
     monkeypatch.setattr(measures, "batch_roots", lambda C: seen.append(C) or batch_roots(C))
-    mahler_jensen_2var(make_family(FamilySpec("Q", 3)), var=0, tol=1e-6)
+    mahler_jensen_2var(_swap(make_family(FamilySpec("Q", 3))), tol=1e-6)
     C = np.concatenate([c for c in seen if len(c) == 5], axis=1)
     roots = batch_roots(C)
     gaps = np.abs(roots[:, None] - roots[None]) + np.where(np.eye(4, dtype=bool)[..., None], np.inf, 0.0)
@@ -288,10 +293,10 @@ def test_batch_roots_validation():
 
 @pytest.mark.parametrize("k", [-2, 2, 3, 5])
 def test_jensen_in_either_variable_agrees_on_qk(k):
-    # var=0 solves degree-4 fibers by companion eigenvalues, var=1 quadratics in closed form
+    # in x the fibers are degree-4, solved by companion eigenvalues; in y quadratics in closed form
     P = make_family(FamilySpec("Q", k))
-    by_x = mahler_jensen_2var(P, var=0, tol=1e-6)
-    by_y = mahler_jensen_2var(P, var=1, tol=1e-6)
+    by_x = mahler_jensen_2var(_swap(P), tol=1e-6)
+    by_y = mahler_jensen_2var(P, tol=1e-6)
     assert abs(by_x.value - by_y.value) <= by_x.error_estimate + by_y.error_estimate
 
 
@@ -307,8 +312,8 @@ def test_jensen_in_either_variable_agrees_on_qk(k):
     ids=["far-root", "tiny-lead"],
 )
 def test_jensen_on_ill_scaled_quartic_fibers_agrees_with_linear_fibers(terms):
-    # var=1 solves degree-4 fibers by companion eigenvalues, var=0 degree-1 fibers in closed form
+    # in y the fibers are degree-4, solved by companion eigenvalues; in x degree-1 in closed form
     P = LaurentPolynomial(terms, nvars=2)
-    by_y = mahler_jensen_2var(P, var=1)
-    by_x = mahler_jensen_2var(P, var=0)
+    by_y = mahler_jensen_2var(P)
+    by_x = mahler_jensen_2var(_swap(P))
     assert abs(by_y.value - by_x.value) <= by_y.error_estimate + by_x.error_estimate
