@@ -30,11 +30,10 @@ Identity ids:
 Every suite is one entry of :data:`SUITES`: a rows function
 ``(params, tol) -> reports`` that raises on a failing row, its default
 parameters and its tolerance.  ``run_suite``, ``sweep_reports`` and the
-command line read nothing else about a suite.  The ``main``,
-``derivatives``, ``J`` and ``boyd`` rows share ladders, and the
-``singularities`` rows one ``cubic_singularities`` call.  Suites and sweeps
-run their rows through ``quadrature._isolate``, which finds the failing
-rows.
+command line read nothing else about a suite.  The ``main`` and ``boyd``
+rows share ladders; the ``derivatives``, ``J`` and ``singularities`` rows
+share one ``cubic_singularities`` call each.  Suites and sweeps run their
+rows through ``quadrature._isolate``, which finds the failing rows.
 """
 
 from __future__ import annotations
@@ -55,11 +54,11 @@ from .quadrature import NumericalError, _isolate
 from .specfun import (
     UnsupportedRegimeError,
     _dq_rows,
-    _dr_rows,
     _finite,
     _kernel_integrals,
     cubic_singularities,
     dp_dlambda,
+    dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
 )
@@ -155,11 +154,11 @@ def _main_reports(lams, tol) -> list:
 
 
 def _derivative_reports(lams, tol) -> list:
-    """dq/dlam against dr/dlam (lam < -5) or (dr+dp)/2 (lam > 13), open ranges; dq and dr are one batch each."""
+    """dq/dlam against dr/dlam (lam < -5) or (dr+dp)/2 (lam > 13), open ranges; dq is one batch."""
     lams = _lams(lams)
     if not all(lam < -5.0 or lam > 13.0 for lam in lams):
         raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
-    dq, dr = _dq_rows(lams), _dr_rows(lams)
+    dq, dr = _dq_rows(lams), [dr_dlambda(lam) for lam in lams]
     dp = iter([dp_dlambda(lam) for lam in lams if lam > 0])
     out = []
     for lam, dq_, dr_ in zip(lams, dq, dr):
@@ -169,13 +168,16 @@ def _derivative_reports(lams, tol) -> list:
 
 
 def _J_reports(lams, tol, which: str | None = None) -> list:
-    """Elliptic integrals between singularities against their closed forms; the kernels share one ladder.
+    """Elliptic integrals between singularities against their closed forms; one kernel batch.
 
     ``J1`` (lam > 5): kernel with the extra (1-4x) factor over [x2, x0],
     equal to pi * dp/dlam.  ``J3`` (lam > 5): plain kernel over [x2, x0],
     equal to pi * dr/dlam.  ``J2`` (lam < -5): plain kernel over [x0, x1],
-    equal to pi * |dr/dlam|.  Without ``which`` each lam gets the checks of
-    the ``J`` suite: J2 for lam < 0, otherwise J3, and J1 as well for lam > 5.
+    equal to pi * |dr/dlam|.  Both sides are closed forms: the kernel's AGM
+    over the cubic's roots (:func:`_kernel_integrals`) against the 2F1
+    series at 27(lam+4)^2/(lam+8)^3 (J1) or the AGM at 16/lam^2 (J2, J3).
+    Without ``which`` each lam gets the checks of the ``J`` suite: J2 for
+    lam < 0, otherwise J3, and J1 as well for lam > 5.
     """
     lams = _lams(lams)
     if which not in (None, "J1", "J2", "J3"):
@@ -191,11 +193,10 @@ def _J_reports(lams, tol, which: str | None = None) -> list:
                 raise ValueError(f"{name} requires lam > 5")
             checks.append((name, lam))
     integrals = _kernel_integrals([(lam, name == "J1") for name, lam in checks])
-    dr = iter(_dr_rows([lam for name, lam in checks if name != "J1"]))
     out = []
-    for (name, lam), res in zip(checks, integrals):
-        rhs = math.pi * (dp_dlambda(lam) if name == "J1" else abs(next(dr)) if name == "J2" else next(dr))
-        out.append(_report(name, lam, res.value, rhs, res.value - rhs, tol, error_estimate=res.error_estimate))
+    for (name, lam), lhs in zip(checks, integrals):
+        rhs = math.pi * (dp_dlambda(lam) if name == "J1" else abs(dr_dlambda(lam)))
+        out.append(_report(name, lam, lhs, rhs, lhs - rhs, tol))
     return out
 
 
@@ -354,8 +355,8 @@ class _Suite:
     sweeps: dict = field(default_factory=dict)  # `sweep --identity` name -> its (params, tol) rows
 
 
-# measure-level checks stack two quadratures, derivative/integral checks one,
-# special-function checks none; tolerances split accordingly
+# measure-level checks stack two quadratures; the derivative, J and special-function
+# checks compare closed forms; tolerances split accordingly
 SUITES = {
     "main": _Suite(_main_reports, (-5.0, -6.0, -8.0, -10.0, -20.0, 13.0, 14.0, 16.0, 20.0, 50.0), 1e-7,
                    sweeps={"main": _main_reports}),
@@ -363,7 +364,7 @@ SUITES = {
                    sweeps={"boyd": _boyd_reports}),
     "derivatives": _Suite(_derivative_reports, (-6.0, -8.0, -12.0, 14.0, 16.0, 25.0), 1e-8,
                           sweeps={"derivatives": _derivative_reports}),
-    "J": _Suite(_J_reports, (-6.0, -8.0, -12.0, 13.5, 16.0, 25.0), 1e-9,
+    "J": _Suite(_J_reports, (-6.0, -8.0, -12.0, 13.5, 16.0, 25.0), 1e-13,
                 sweeps={which: functools.partial(_J_reports, which=which) for which in ("J1", "J2", "J3")}),
     "hyp": _Suite(_hyp_reports, (20,), 1e-12, given=None),
     "branches": _Suite(_branch_reports, (13.0, 20.0, -4.0, -5.0, -10.0), 1e-10),

@@ -4,11 +4,10 @@
 its own stop under an estimator it is given; :func:`_refine` is its one-row
 case.  Its two rules: :func:`_midpoint_means` evaluates a level of the
 midpoint rule on a periodic integrand in blocks (see :mod:`mahler.measures`
-for the circle means and :mod:`mahler.specfun` for the radical kernels), and
-:func:`tanh_sinh` runs a list of finite intervals as rows, for integrands
-that may blow up like an inverse square root at the endpoints (interior
-singular points are the caller's job to split at).  All are pure functions
-and safe for concurrent use.
+for the circle means), and :func:`tanh_sinh` runs a list of finite
+intervals as rows, for integrands that may blow up like an inverse square
+root at the endpoints (interior singular points are the caller's job to
+split at).  All are pure functions and safe for concurrent use.
 
 A batch of rows raises when one of its rows fails, as the row's one-row call
 does.  :func:`_isolate` is the one place where a failing row becomes a value
@@ -49,10 +48,9 @@ _ROW_ERRORS = (ValueError, NumericalError)
 class QuadratureResult:
     """Value plus an a posteriori error estimate.
 
-    ``error_estimate`` is the estimator's of the ladder that made it: the
-    last gap (``_last_gap_estimate``) for :func:`tanh_sinh`, the geometric
-    tail (``_geometric_estimate``) for the radical kernels of
-    ``specfun._radical_integrals``; it is an indicator, not a guarantee.
+    ``error_estimate`` is the estimator's of the :func:`tanh_sinh` ladder
+    that made it, the last gap (``_last_gap_estimate``); it is an indicator,
+    not a guarantee.
     ``converged`` is False when the level cap was reached first.
     """
 

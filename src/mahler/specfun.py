@@ -7,16 +7,13 @@ lambda-derivatives of the three family measures:
 
 * ``dp_dlambda(lam) = F(1/3, 2/3; 1 | 27(lam+4)^2/(lam+8)^3) / (lam+8)``
   for lam > 5;
-* ``dr_dlambda(lam) = sign(lam)/pi * int_0^1 dt/sqrt(t(1-t)(lam^2-16t))``
-  for |lam| > 4, with the AGM fast path
-  ``sign(lam)/|lam| * F(1/2, 1/2; 1 | 16/lam^2)`` cross-checked against the
-  quadrature on every call;
+* ``dr_dlambda(lam) = sign(lam)/|lam| * F(1/2, 1/2; 1 | 16/lam^2)`` for
+  |lam| > 4, by the AGM;
 * ``dq_dlambda_closed(lam)``: elliptic integrals between consecutive cubic
   singularities, for lam < -5 and lam > 13.
 
-The elliptic integrals, the quadrature cross-check of ``dr_dlambda``
-included, all go through one radical-kernel integral,
-:func:`_radical_integrals`, whose rows share one ladder.
+Those elliptic integrals are rows of :func:`_kernel_integrals`, which gives
+each in closed form through the AGM (Legendre's reduction).
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULTS
-from .quadrature import NumericalError, QuadratureResult, _ladder, _midpoint_means
+from .quadrature import NumericalError
 from .roots import quadratic_roots
 
 __all__ = [
@@ -145,110 +142,55 @@ def dp_dlambda(lam: float) -> float:
 
 
 def dr_dlambda(lam: float) -> float:
-    """Derivative of the R-family measure, |lam| > 4.
-
-    Evaluates both the AGM closed form and the quadrature of
-    ``int_0^1 dt/sqrt(t(1-t)(lam^2 - 16t))`` and insists they agree to
-    1e-11 before returning the (more precise) closed form.
-    """
-    return _dr_rows([lam])[0]
+    """Derivative of the R-family measure, |lam| > 4: ``sign(lam)/|lam| * F(1/2, 1/2; 1 | 16/lam^2)`` by the AGM."""
+    lam = float(lam)
+    if abs(lam) <= 4.0:
+        raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
+    return math.copysign(1.0, lam) * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam)
 
 
-_DR_CHECK_TOL = 1e-12  # of the quadrature route of dr/dlambda
-_DR_AGREE = 1e-11  # relative agreement of its two routes
+_LINEAR_ROOT = 0.25  # g, the root of the (1 - 4x) factor
 
 
-def _dr_rows(lams) -> list:
-    """:func:`dr_dlambda` at every lam; the quadratures share one ladder, and a failing row raises."""
-    fast = []
-    for lam in lams:
-        lam = float(lam)
-        if abs(lam) <= 4.0:
-            raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
-        sign = math.copysign(1.0, lam)
-        fast.append((lam, sign, sign * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam)))
-    kernels = [(0.0, 1.0, lam * lam / 16.0, 16.0, False) for lam, _, _ in fast]
-    for (lam, sign, value), res in zip(fast, _radical_integrals(kernels, _DR_CHECK_TOL)):
-        slow = sign * res.value / math.pi
-        if abs(value - slow) > _DR_AGREE * max(1.0, abs(value)):
-            raise NumericalError(f"dr/dlambda routes disagree at lam={lam!r}: {value!r} vs {slow!r}")
-    return [value for _, _, value in fast]
-
-
-def _radical_integrals(kernels, tol: float) -> list:
-    """Integral over [a, b] of ``1/sqrt(c (x-a)(b-x)(far-x))`` for every ``(a, b, far, c, linear)`` in ``kernels``.
-
-    With ``linear`` the radicand has the extra factor ``(1 - 4x)``.  The
-    substitution ``x = (a+b)/2 + (b-a)/2 cos(pi t)`` turns
-    ``dx/sqrt((x-a)(b-x))`` into ``pi dt``, so the integral is the mean over
-    t in [0, 1) of ``pi/sqrt(c (far-x) [1-4x])``: a smooth periodic
-    integrand, on which the midpoint ladder converges geometrically
-    (Gauss-Chebyshev quadrature) to ``tol``.  The sign of the radicand comes
-    from the signed ``c`` and the side of ``far``; a radicand that is not
-    positive at a node (a far root inside [a, b], say) raises
-    :class:`NumericalError`.
-
-    All rows share one ladder, each to its own stop, and a failing row raises
-    for the batch.  Returns a :class:`QuadratureResult` per row.  The nodes'
-    sin^2 and cos^2 of the half angle are computed once per level; each row
-    adds its endpoints as columns.
-    """
-    if not kernels:
-        return []
-    # far - x is taken from the end nearer to far, so that a far root close to it does not
-    # cancel: gap = offset + slope * (sin^2 or cos^2 of the half angle).  The factor
-    # [1 - 4x] = base - tilt cos^2 of a row without it is 1 - 0 cos^2 = 1 exactly.
-    columns, near_b = [], []
-    for a, b, far, c, linear in kernels:
-        rad = 0.5 * (b - a)
-        near_b.append(far >= b)
-        offset, slope = (far - b, 2.0 * rad) if far >= b else (far - a, -(2.0 * rad))
-        columns.append((offset, slope, c, 1.0 - 4.0 * a if linear else 1.0, 8.0 * rad if linear else 0.0))
-    columns, near_b = np.array(columns), np.array(near_b)[:, None]
-    any_linear = any(linear for *_, linear in kernels)
-
-    def nodes(t):
-        half = 0.5 * np.pi * t  # half the angle pi t
-        return np.sin(half) ** 2, np.cos(half) ** 2
-
-    def values(rows, trig):
-        sin2, cos2 = trig
-        offset, slope, c, base, tilt = columns[rows].T[:, :, None]
-        r = c * (offset + slope * np.where(near_b[rows], sin2, cos2))
-        if any_linear:
-            r = r * (base - tilt * cos2)
-        if r.min() <= 0.0:
-            raise NumericalError("radicand is not positive inside the integration interval")
-        return np.pi / np.sqrt(r)
-
-    results = _ladder(lambda live, m: _midpoint_means(nodes, values, live, m), len(kernels),
-                      DEFAULTS.circle_nodes_start, DEFAULTS.circle_nodes_max, float(tol))
-    return [QuadratureResult(*res) for res in results]
-
-
-_KERNEL_TOL = 1e-13  # of the elliptic integrals between singularities
-
-
-def _kernel_integrals(rows, tol: float = _KERNEL_TOL) -> list:
+def _kernel_integrals(rows) -> list:
     """Integrals of the radical kernel ``1/sqrt(-(1 + lam x)(1 + lam x + 4x^2))`` between consecutive roots.
 
-    One per ``(lam, with_linear_factor)`` in ``rows``; a failing row raises.
-    For lam <= -5 the interval is [x0, x1] with the far root x2 to its right;
-    for lam > 5 it is [x2, x0] with x1 to its left.  The radicand is taken in
-    the factored form ``-4 lam (x - a)(b - x)(far - x)``, times ``(1 - 4x)``
-    with the linear factor (see :func:`_radical_integrals`).  The singular
-    points of all rows come from one :func:`cubic_singularities` call, and
-    the integrals share one :func:`_radical_integrals` ladder.
+    One float per ``(lam, with_linear_factor)`` in ``rows``; a failing row
+    raises.  With the linear factor the radicand has the extra factor
+    ``(1 - 4x)``, whose root is g = 1/4.  Each is a complete elliptic
+    integral, which Legendre's reduction gives through the AGM (Byrd and
+    Friedman, *Handbook of Elliptic Integrals*, 1971), with c the leading
+    coefficient of the radicand:
+
+    * lam <= -5, over [x0, x1] with the far root x2 to its right, c = -4 lam:
+      ``pi / (sqrt(c) agm(sqrt(x2 - x0), sqrt(x2 - x1)))``;
+    * lam > 5, over [x2, x0] with the far root x1 to its left, c = 4 lam:
+      ``pi / (sqrt(c) agm(sqrt(x0 - x1), sqrt(x2 - x1)))``;
+    * lam > 5 with the linear factor, c = 16 lam:
+      ``pi / (sqrt(c) agm(sqrt((g - x2)(x0 - x1)), sqrt((g - x0)(x2 - x1))))``.
+
+    No difference of two nearby roots enters.  The singular points of all
+    rows come from one :func:`cubic_singularities` call; a row whose points
+    are out of order, so that an AGM argument is not positive, raises
+    :class:`NumericalError`.
     """
-    kernels = []  # (a, b, far, c, linear) of each row
+    out = []
     for (lam, linear), *x in zip(rows, *cubic_singularities(np.array([lam for lam, _ in rows], dtype=float))):
         x0, x1, x2 = _finite(lam, x)
         if lam <= -5.0 and linear:
             raise ValueError("the (1-4x) factor is only used on the positive side")
         if not (lam <= -5.0 or lam > 5.0):
             raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
-        kernels.append((x0, x1, x2, -4.0 * lam, False) if lam <= -5.0 else (x2, x0, x1, -4.0 * lam, linear))
-    return _radical_integrals(kernels, tol)
+        if lam <= -5.0:
+            c, u, v = -4.0 * lam, x2 - x0, x2 - x1
+        elif linear:
+            c, u, v = 16.0 * lam, (_LINEAR_ROOT - x2) * (x0 - x1), (_LINEAR_ROOT - x0) * (x2 - x1)
+        else:
+            c, u, v = 4.0 * lam, x0 - x1, x2 - x1
+        if not (u > 0.0 and v > 0.0):
+            raise NumericalError(f"the singular points are out of order at lam={lam!r}")
+        out.append(math.pi / (math.sqrt(c) * agm(math.sqrt(u), math.sqrt(v))))
+    return out
 
 
 def dq_dlambda_closed(lam: float) -> float:
@@ -262,12 +204,12 @@ def dq_dlambda_closed(lam: float) -> float:
 
 
 def _dq_rows(lams) -> list:
-    """:func:`dq_dlambda_closed` at every lam; the integrals share one ladder, and a failing row raises."""
+    """:func:`dq_dlambda_closed` at every lam, from one :func:`_kernel_integrals` call; a failing row raises."""
     lams = [float(lam) for lam in lams]
     for lam in lams:
         if not (lam < -5.0 or lam > 13.0):
             raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
     # a row with lam > 13 owns two integrals in a row: the plain kernel and the one with (1-4x)
     rows = [(lam, linear) for lam in lams for linear in ((False, True) if lam > 13.0 else (False,))]
-    values = iter(res.value for res in _kernel_integrals(rows))
+    values = iter(_kernel_integrals(rows))
     return [-next(values) / math.pi if lam < 0 else (next(values) + next(values)) / (2.0 * math.pi) for lam in lams]

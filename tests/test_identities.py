@@ -7,6 +7,7 @@ import pytest
 
 import mahler.identities as identities
 import mahler.poly as poly
+import mahler.specfun as specfun
 from mahler.cli import _parse_tol_overrides, build_parser, main
 from mahler.identities import SUITES, VerificationReport, reports_to_jsonl, run_suite, summary_table, sweep_reports
 from mahler.poly import LaurentPolynomial
@@ -64,6 +65,16 @@ def test_derivative_rejects_boundaries():
 def test_kernel_integrals(lam, which):
     rep = _rows("J", [lam], which=which)[0]
     assert rep.passed, rep
+
+
+def test_j1_fails_when_the_linear_root_moves(monkeypatch):
+    # both sides of J1 are closed forms, so a 2^-36 relative shift of the root 1/4 of
+    # the (1 - 4x) factor (a J1 residual near 1e-12) fails the 1e-13 tolerance; J2 and
+    # J3 do not use that root and still pass
+    monkeypatch.setattr(specfun, "_LINEAR_ROOT", 0.25 * (1.0 + 2.0**-36))
+    reports = _rows("J", [13.5, 16.0, 25.0])
+    assert [(rep.identity_id, rep.passed) for rep in reports] == [("J3", True), ("J1", False)] * 3
+    assert SUITES["J"].tolerance == 1e-13
 
 
 def test_kernel_integral_regime_mismatch():

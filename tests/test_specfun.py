@@ -18,11 +18,10 @@ from mahler.specfun import (
     gauss_2f1_agm,
     gauss_2f1_series,
     _kernel_integrals,
-    _radical_integrals,
 )
 
-# frozen oracle values (AGM fixed point / series summation, cross-checked
-# against the independent quadrature route)
+# frozen oracle values (AGM fixed point / series summation); dr_dlambda
+# itself is held to mp.hyp2f1 in test_dr_matches_mpmath
 F_HALF_AT_HALF = 1.1803405990160962
 DR_AT_20 = 0.050511572391185255
 
@@ -139,7 +138,7 @@ def test_dp_asymptotic_decay():
 
 
 def test_dp_matches_kernel_integral_at_13():
-    lhs = _kernel_integrals([(13.0, True)])[0].value
+    lhs = _kernel_integrals([(13.0, True)])[0]
     assert abs(lhs - math.pi * dp_dlambda(13.0)) < 1e-10
 
 
@@ -209,31 +208,30 @@ def _rows(lam, *x):
 
 
 def test_radical_kernel_positive_inside_interval(monkeypatch):
-    assert _kernel_integrals([(-6.0, False)])[0].value > 0
-    assert _kernel_integrals([(16.0, True)])[0].value > 0
-    # a third root moved inside [x0, x1] makes the radicand negative at the
-    # midpoint; the kernel integral must refuse it rather than return a number
+    assert _kernel_integrals([(-6.0, False)])[0] > 0
+    assert _kernel_integrals([(16.0, True)])[0] > 0
+    # a third root moved inside [x0, x1] makes an AGM argument negative; the
+    # kernel integral must refuse it with a NumericalError naming lam (exit 3),
+    # not the ValueError of a negative square root (exit 2, a usage error)
     x0, x1, x2 = cubic_singularities(-6.0)
     monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: _rows(lam, x0, x1, 0.5 * (x0 + x1) - 1e-3))
-    with pytest.raises(NumericalError):
-        _kernel_integrals([(-6.0, False)])[0]
-    # the same on the positive side, with x1 moved inside [x2, x0]: the sign
-    # comes from the signed factor -4 lam, so taking |far - x| would accept it
+    with pytest.raises(NumericalError, match=r"out of order at lam=-6\.0"):
+        _kernel_integrals([(-6.0, False)])
+    # the same on the positive side, with x1 moved inside [x2, x0]
     x0, x1, x2 = cubic_singularities(16.0)
     monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: _rows(lam, x0, 0.5 * (x2 + x0) + 1e-3, x2))
     for linear in (False, True):
-        with pytest.raises(NumericalError):
-            _kernel_integrals([(16.0, linear)])[0]
+        with pytest.raises(NumericalError, match=r"out of order at lam=16\.0"):
+            _kernel_integrals([(16.0, linear)])
 
 
 def test_kernel_integral_matches_direct_tanh_sinh():
-    # the cosine-variable ladder must agree with the naive engine call to
-    # within the naive call's representability floor
+    # the closed form must agree with the naive engine call to within the
+    # naive call's representability floor
     x0, x1, _ = cubic_singularities(-8.0)
     kernel = radical_kernel(-8.0)
     direct = tanh_sinh(lambda rows, x: kernel(x), [(x0, x1)], 1e-12)[0]
-    ladder = _kernel_integrals([(-8.0, False)])[0]
-    assert abs(direct.value - ladder.value) < 5e-8
+    assert abs(direct.value - _kernel_integrals([(-8.0, False)])[0]) < 5e-8
 
 
 def _radical_reference(a, b, far, c, linear=False) -> float:
@@ -253,8 +251,7 @@ def _radical_reference(a, b, far, c, linear=False) -> float:
 def test_j2_kernel_matches_mpmath(lam):
     x0, x1, x2 = cubic_singularities(lam)
     r = _kernel_integrals([(lam, False)])[0]
-    assert r.converged
-    assert abs(r.value - _radical_reference(x0, x1, x2, -4.0 * lam)) <= 1e-15 * r.value
+    assert abs(r - _radical_reference(x0, x1, x2, -4.0 * lam)) <= 1e-15 * r
 
 
 @pytest.mark.parametrize("linear", [False, True], ids=["J1", "J3"])
@@ -262,17 +259,16 @@ def test_j2_kernel_matches_mpmath(lam):
 def test_j1_j3_kernels_match_mpmath(lam, linear):
     x0, x1, x2 = cubic_singularities(lam)
     r = _kernel_integrals([(lam, linear)])[0]
-    assert r.converged
-    assert abs(r.value - _radical_reference(x2, x0, x1, -4.0 * lam, linear)) <= 1e-15 * r.value
+    assert abs(r - _radical_reference(x2, x0, x1, -4.0 * lam, linear)) <= 1e-15 * r
 
 
 @pytest.mark.parametrize("lam", [4.01, 4.5, 5.03, 20.0, 1e4])
-def test_dr_quadrature_route_matches_mpmath(lam):
-    # at 4.01 the far root lam^2/16 sits 5e-3 past the end of [0, 1]
-    far = lam * lam / 16.0
-    r = _radical_integrals([(0.0, 1.0, far, 16.0, False)], 1e-12)[0]
-    assert r.converged
-    assert abs(r.value - _radical_reference(0.0, 1.0, far, 16.0)) <= 1e-15 * r.value
+def test_dr_matches_mpmath(lam):
+    # at 4.01 the 2F1 argument 16/lam^2 lies 5e-3 below 1
+    with mp.workdps(40):
+        want = float(mp.hyp2f1(0.5, 0.5, 1, 16 / mpf(lam) ** 2) / lam)
+    assert abs(dr_dlambda(lam) - want) <= 1e-15 * want
+    assert dr_dlambda(-lam) == -dr_dlambda(lam)
 
 
 @pytest.mark.parametrize("lam", [-1e6, -1e4, 1e4, 1e6])
