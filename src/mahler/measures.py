@@ -11,10 +11,10 @@ Two generic, mutually independent evaluators:
 On top of those sit fast family paths ``q_measure``, ``p_measure`` and
 ``r_measure``.  ``q_measure`` uses the one-branch reduction
 ``q(lam) = int_0^1 log|y_plus(x(t))| dt`` with
-``x(t) = e^(2 pi i t)(1 - e^(2 pi i t))``, valid where the branch bounds
-``|y_minus| <= 1 <= |y_plus|`` hold (lam <= -4 or lam >= 13); outside it
-silently falls back to the generic Jensen evaluator.  No fast path shares
-per-node code with Jensen (see :func:`_fast_integrand`).
+``x(t) = e^(i pi t)(1 - e^(i pi t))`` on the upper half circle, valid where
+the branch bounds ``|y_minus| <= 1 <= |y_plus|`` hold (lam <= -4 or
+lam >= 13); outside it silently falls back to the generic Jensen evaluator.
+No fast path shares per-node code with Jensen (see :func:`_fast_integrand`).
 
 Every circle mean goes through :func:`_circle_means`, which evaluates many
 rows (parameters) of one integrand at once; :func:`family_measures` runs a
@@ -40,7 +40,6 @@ from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, make_family
 from .quadrature import NumericalError, _ladder, _midpoint_means, _power_estimate, _refine, tanh_sinh
 from .roots import batch_roots, quadratic_roots
-from .specfun import cubic_singularities
 
 __all__ = [
     "MeasureValue",
@@ -444,68 +443,34 @@ def _parameter(family: str, lam) -> float:
     return FamilySpec(family, _double(lam, f"the parameter of family {family}")).parameter
 
 
-# Candidate map parameters a of the q rows: 1 - a = 2^(-j/4), j = 0..63, so a = 0 first
-# and 1 - a down to 2e-5, the best choice for |lam| up to about 5e9.  The mapped node
-# count still grows like sqrt(|lam|) and reaches the circle cap between |lam| = 1e8 and 2e8.
-_MAP_GRID = np.array([1.0 - 2.0 ** (-j / 4.0) for j in range(64)])
+def _q_cuts(lam: float) -> tuple[float, ...]:
+    """Breakpoints t of the q integrand on the half circle z = e^(i pi t), t in [0, 1).
 
-
-def _q_rows(lams: np.ndarray) -> tuple[list, np.ndarray]:
-    """(breakpoints, map parameters) of the fast-path q rows at ``lams``, from one singularity pass.
-
-    The integrand ``log|y_plus(x(z))|`` is analytic except where y+ and y-
-    collide, at the zeros x0, x1, x2 of (1 + lam x)(1 + lam x + 4x^2) (see
-    :func:`cubic_singularities`), that is at the six z with z(1 - z) in
-    {x0, x1, x2}, and at their mirror images 1/conj(z).
-
-    Breakpoints are those on the circle.  There x(z) is real only at 0
-    (t = 0), 1 (t = 1/6, 5/6) and -2 (t = 1/2).  0 is never a zero, and a
-    zero at -2 needs lam = 1/2 or 17/2, both in the gap, so only 1 can be a
-    cut point; on the fast-path range the zero x2 = 1 at lam = -5 is the one
-    case.
-
-    The map parameter a is the grid value (:data:`_MAP_GRID`) that maximises
-    the convergence radius rho(a) of the mapped integrand (see
-    :func:`_fast_integrand`): the least of max(|w|, 1/|w|) over the w-images
-    w = (z - a)/(1 - a z) of the six points, and of 1/a, for the map's own
-    pole at w = -1/a.  The midpoint error falls like rho^(-n), so a row is
-    mapped only where log rho(a) >= 2 log rho(0) > 0, that is where the map
-    at least halves the predicted node count, and where it has no breakpoint;
-    every other row keeps a = 0 and the unmapped arithmetic.
+    x(z) = z(1 - z) is conjugated with z, and the fiber has real coefficients,
+    so ``log|y_plus(x(z))|`` is the same at conjugate z and its mean over the
+    upper half circle is its circle mean.  It is analytic except
+    where y+ and y- collide, at the zeros x0, x1, x2 of
+    (1 + lam x)(1 + lam x + 4x^2), that is at the z with z(1 - z) in
+    {x0, x1, x2}.  For large |lam| two of these z lie near 1 +- 1/lam, next to
+    t = 0, so t = 0 is always an arc end, where tanh-sinh crowds its nodes.
+    For lam < 0 the zero x2 = (s - lam)/8, s = sqrt(lam^2 - 16), is near 1
+    when lam is near -5 (x2 = 1 at lam = -5); its z have modulus sqrt(x2) and
+    lie next to z = e^(i pi/3), where x(z) = 1, so t = 1/3 is a second cut.
     """
-    x = np.stack(cubic_singularities(lams))
-    hits = ((x - 1.0) ** 2 < _ON_CIRCLE**2).any(axis=0)
-    cuts = [(1 / 6, 5 / 6) if hit else () for hit in hits.tolist()]
-    root = np.sqrt((1.0 - 4.0 * x).astype(complex))
-    z = np.concatenate([0.5 * (1.0 + root), 0.5 * (1.0 - root)])
-    re, im2 = z.real, z.imag * z.imag
-    # rho holds 2 log rho(a) = min log max(|w|^2, 1/|w|^2), with |w|^2 = |z - a|^2 / |1 - a z|^2, and
-    # the pole's -2 log a; the candidates go in blocks of 9, so that the work arrays stay (9, 6, rows)
-    with np.errstate(divide="ignore"):  # a point at w = 0 or infinity is no bound
-        w2 = re * re + im2
-        rho0 = np.log(np.maximum(w2, 1.0 / w2)).min(axis=0)
-        best, maps = rho0, np.zeros(len(lams))
-        for block in _MAP_GRID[1:].reshape(7, 9):
-            a = block[:, None, None]
-            w2 = ((re - a) ** 2 + im2) / ((1.0 - a * re) ** 2 + a * a * im2)
-            rho = np.minimum(np.log(np.maximum(w2, 1.0 / w2)).min(axis=1), -2.0 * np.log(block)[:, None])
-            for candidate, r in zip(block, rho):
-                maps = np.where(r > best, candidate, maps)
-                best = np.maximum(r, best)
-    # a row with cuts runs tanh-sinh arcs between them, in the unmapped variable
-    return cuts, np.where((rho0 > 0.0) & (best >= 2.0 * rho0) & ~hits, maps, 0.0)
+    return (0.0, 1.0 / 3.0) if lam < 0.0 else (0.0,)
 
 
 def q_measure(lam: float, *, tol: float | None = None) -> MeasureValue:
     """Measure of the shifted hyperelliptic member at ``lam``.
 
     On lam <= -4 or lam >= 13 the one-branch reduction applies:
-    ``q = int_0^1 log|y_plus(x(z))| dt`` with z = e^(2 pi i t), split at the
-    breakpoints of :func:`_q_rows` into tanh-sinh arcs.  Its branch point at
-    z ~ 1 + 1/lam makes the unmapped midpoint ladder grow like |lam| (2,048
-    nodes at lam = -55, 32,768 at 1000); the map of :func:`_fast_integrand`
-    makes it grow like sqrt(|lam|) (512 and 2,048).  Elsewhere the generic
-    Jensen evaluator runs on the expanded polynomial (method tag "jensen").
+    ``q = int_0^1 log|y_plus(x(z))| dt`` with z = e^(i pi t) on the upper
+    half circle, split at the cuts of :func:`_q_cuts` into tanh-sinh arcs.
+    Its branch points at z ~ 1 +- 1/lam lie next to the arc end t = 0, where
+    the nodes crowd, so an arc stops within a few hundred nodes at any lam
+    (a midpoint rule on the whole circle needs a node count that grows like
+    |lam|).  Elsewhere the generic Jensen evaluator runs on the expanded
+    polynomial (method tag "jensen").
     """
     return family_measures("q", [lam], tol=tol)[0]
 
@@ -570,30 +535,19 @@ def _fast_integrand(family: str, lams: np.ndarray):
     y = e^(i th/2) v turns the P fiber into (1 + x)(v^2 + beta v + 1) with real
     beta = (2 cos th - lam - 2)/(2 cos(th/2)); with h = |1 + x|,
     h|beta| - 2h = max((h - 1)^2 - (lam + 5), (lam + 5) - (h + 1)^2), which vanishes at the cuts
-    of :func:`_p_cuts`, tangentially at lam = -5.  q's integrand is log|y+| (:func:`_branch_moduli`).
-    A q row adds its map parameter a (from :func:`_q_rows`, with its breakpoints) as a second
-    column: with w = e^(2 pi i t) it integrates ``P_a(w) log|y_plus(x(z))|``, where
-    z = (w + a)/(1 + a w) and P_a(w) = (1 - a^2)/|1 + a w|^2 = dt_z/dt_w.  That is the same
-    integral (a Moebius map of the circle onto itself), but a > 0 pushes the branch point at
-    z ~ 1 + 1/lam away from the circle, so the midpoint ladder converges in far fewer nodes
-    (Hale & Trefethen, SIAM J. Numer. Anal. 2008).  With a = 0, z = w and P_a = 1 exactly, so an
-    unmapped row computes the unmapped integrand bit for bit.
+    of :func:`_p_cuts`, tangentially at lam = -5.  q's integrand is log|y+| (:func:`_branch_moduli`)
+    at x = z(1 - z) on the upper half circle z = e^(i pi t), whose mean is the circle mean; the
+    cuts of :func:`_q_cuts` make t = 0, next to the branch points at z ~ 1 +- 1/lam, an arc end.
     """
     lam = lams[:, None]
     if family == "q":
-        cuts, maps = _q_rows(lams)
-        a = maps[:, None]
-
-        def log_y_plus(rows, w):
-            ar = a[rows]
-            u = 1.0 + ar * w
-            z = (w + ar) / u
+        def log_y_plus(rows, z):
             hi = _branch_moduli(lam[rows], z * (1.0 - z))[1]
             if hi.min() < _LOG_CLAMP:
                 raise NumericalError("vanishing branch modulus on the sampling grid")
-            return np.log(hi) * ((1.0 - ar * ar) / (u.real * u.real + u.imag * u.imag))
+            return np.log(hi)
 
-        return (lambda t: np.exp(2j * np.pi * t)), log_y_plus, cuts
+        return (lambda t: np.exp(1j * np.pi * t)), log_y_plus, [_q_cuts(v) for v in lams.tolist()]
     if family == "r":  # node data 4 sin^2(th/2), 4 cos^2(th/2)
         return (lambda t: (4.0 * np.sin(np.pi * t) ** 2, 4.0 * np.cos(np.pi * t) ** 2),
                 lambda rows, nd: _reciprocal_log(np.maximum(lam[rows] - nd[0], -lam[rows] - nd[1]), 1.0),

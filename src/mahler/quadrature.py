@@ -136,12 +136,14 @@ def tanh_sinh(f, ends, tol) -> list:
                 k = np.unravel_index(np.argmax(bad), bad.shape)
                 what = "returned NaN" if math.isnan(vals[k]) else "blew up at interior point"
                 raise NumericalError(f"integrand {what} at x={float(x[k])!r}")
-            for i, w_i, v_i, keep in zip(rows, w, vals, inside):
-                totals[i] += w_i[keep] @ v_i[keep]
+            totals[rows] += np.where(inside, w * vals, 0.0).sum(axis=1)
         return (totals[live] / n).tolist()
 
-    return [QuadratureResult(v, err, sum(2 * len(_tanh_sinh_row(j)[0]) for j in range(n.bit_length())) - 1, stop)
-            for v, err, n, stop in _ladder(level, len(ends), 1, n_max, tol, estimate=_last_gap_estimate)]
+    out = _ladder(level, len(ends), 1, n_max, tol, estimate=_last_gap_estimate)
+    # nodes[j]: the nodes of the levels n = 1 to 2^j together, the one at t = 0 counted once
+    top = max((n for *_, n, _ in out), default=1)
+    nodes = np.cumsum([2 * len(_tanh_sinh_row(j)[0]) for j in range(top.bit_length())]) - 1
+    return [QuadratureResult(v, err, int(nodes[n.bit_length() - 1]), stop) for v, err, n, stop in out]
 
 
 # -- node-doubling ladder -----------------------------------------------------

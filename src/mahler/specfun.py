@@ -142,11 +142,17 @@ def dp_dlambda(lam: float) -> float:
 
 
 def dr_dlambda(lam: float) -> float:
-    """Derivative of the R-family measure, |lam| > 4: ``sign(lam)/|lam| * F(1/2, 1/2; 1 | 16/lam^2)`` by the AGM."""
+    """Derivative of the R-family measure, |lam| > 4: ``sign(lam)/|lam| * F(1/2, 1/2; 1 | 16/lam^2)`` by the AGM.
+
+    F = 1/agm(1, k') with k' = sqrt(1 - 16/lam^2), formed as
+    sqrt((|lam| - 4)/|lam|) sqrt((|lam| + 4)/|lam|): no 1 - z cancels next to
+    |lam| = 4, and no square overflows.
+    """
     lam = float(lam)
-    if abs(lam) <= 4.0:
+    a = abs(lam)
+    if a <= 4.0:
         raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
-    return math.copysign(1.0, lam) * gauss_2f1_agm(16.0 / (lam * lam)) / abs(lam)
+    return math.copysign(1.0, lam) * (1.0 / agm(1.0, math.sqrt((a - 4.0) / a) * math.sqrt((a + 4.0) / a))) / a
 
 
 _LINEAR_ROOT = 0.25  # g, the root of the (1 - 4x) factor

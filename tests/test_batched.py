@@ -21,9 +21,9 @@ from mahler.measures import family_measures, mahler_jensen_2var, p_measure, q_me
 from mahler.poly import FamilySpec, make_family
 from mahler.quadrature import NumericalError
 
-# crosses every row that leaves the shared ladder or stresses it: the q cut at -5,
-# -5.0078125 (16,384 nodes), -4.5 (q capped at 262,144 nodes), q on Jensen in the gap
-# -4 < lam < 13, the exact p(-4), r's cuts for |lam| <= 4 and p's for lam >= -5
+# crosses every row that leaves the shared ladder or stresses it: the q collision at -5
+# and the rows next to it (-5.0078125, -4.5), q on Jensen in the gap -4 < lam < 13, the
+# exact p(-4), r's cuts for |lam| <= 4 and p's for lam >= -5
 GRID = [-20.0, -6.0, -5.25, -5.0078125, -5.0, -4.5, -4.0, -2.0, 0.0, 3.0, 4.0, 4.5, 13.0, 13.03125, 20.0, 63.0]
 SINGLE = {"q": q_measure, "r": r_measure, "p": p_measure}
 
@@ -197,8 +197,8 @@ def _csv(lam, mv):
 
 
 def test_family_sweep_isolates_a_failing_row(capsys, monkeypatch):
-    # the planted row fails inside the shared ladder; its neighbours on the ladder, on
-    # tanh-sinh arcs (-5) and on Jensen (-3.75, -3.5) print what their one-row calls give
+    # the planted row fails inside the shared tanh-sinh ladder; its neighbours on the arcs
+    # and on Jensen (-3.75, -3.5) print what their one-row calls give
     grid = [-6.5 + 0.25 * i for i in range(13)]
     expected = [_csv(lam, q_measure(lam)) for lam in grid]
     real = measures._branch_moduli
@@ -227,20 +227,22 @@ def test_main_sweep_across_the_gap_prints_its_error_rows(capsys):
 
 
 def test_no_integrand_call_exceeds_one_block(monkeypatch):
-    # the bound that keeps a batch's memory flat: rows times nodes per call, also for a
-    # row of 16,384 nodes (-5.0078125) and for 201 rows at once
+    # the bound that keeps a batch's memory flat: rows times nodes per call, on the tanh-sinh
+    # arcs and on the midpoint ladder alike, and for 201 rows at once
     sizes = []
-    real = quadrature._midpoint_means
+    real = measures._fast_integrand
 
-    def spy(nodes, values, live, m):
+    def spy(family, lams):
+        nodes, values, cuts = real(family, lams)
+
         def counted(rows, data):
             out = values(rows, data)
             sizes.append(out.size)
             return out
 
-        return real(nodes, counted, live, m)
+        return nodes, counted, cuts
 
-    monkeypatch.setattr(measures, "_midpoint_means", spy)
+    monkeypatch.setattr(measures, "_fast_integrand", spy)
     lams = [-55.0078125 + 0.25 * i for i in range(201)]
     for family in ("q", "r", "p"):
         family_measures(family, lams)
@@ -249,43 +251,33 @@ def test_no_integrand_call_exceeds_one_block(monkeypatch):
 
 
 def test_array_singularities_equal_scalar_calls():
-    # one array call per batch feeds the q cuts, the q map parameters and the kernels
-    # of dq/dlam; each row must be what the call on its own parameter gives
+    # one array call per batch feeds the kernels of dq/dlam; each row must be what the
+    # call on its own parameter gives
     grid = [-1e6, -55.0, -6.0, -5.0078125, -5.0, -4.5, -4.0, 4.0, 4.5, 5.0, 6.0, 13.0, 13.03125, 63.0, 1e6]
     rows = list(zip(*(v.tolist() for v in specfun.cubic_singularities(np.array(grid)))))
     assert rows == [tuple(float(x) for x in specfun.cubic_singularities(lam)) for lam in grid]
     assert all(type(x) is np.float64 for x in specfun.cubic_singularities(-6.0))
 
 
-def _unmapped_mean(lam, m):
-    """The midpoint rule with m nodes on log|y_plus(x(t))|, t itself the variable."""
-    return quadrature._midpoint_means(
-        measures._curve, lambda rows, x: np.log(measures._branch_moduli(lam, x)[1])[None, :], np.arange(1), m
-    )[0]
+def _half_circle_log_y_plus(lam):
+    """The integrand log|y_plus(x(z))| of a q row on z = e^(i pi t), as a tanh-sinh integrand."""
+
+    def f(rows, t):
+        z = np.exp(1j * np.pi * t)
+        return np.log(measures._branch_moduli(lam, z * (1.0 - z))[1])
+
+    return f
 
 
-def test_unmapped_q_rows_equal_the_unmapped_midpoint_rule(monkeypatch):
-    # the rows the map would not at least halve keep a = 0: the cut at -5, the capped
-    # rows of (-5, -4] and the rows next to -5 give the unmapped midpoint values
-    lams = [-5.25 + 0.125 * k for k in range(1, 11)] + [-5.0078125]
-    assert not measures._q_rows(np.array(lams))[1].any()
-    ladders = []
-    real = measures._ladder
-
-    def spy(*args):
-        ladders[:] = real(*args)
-        return ladders
-
-    monkeypatch.setattr(measures, "_ladder", spy)
-    ladder_lams = [lam for lam in lams if lam != -5.0]  # -5 has cuts, so tanh-sinh arcs
-    values = family_measures("q", lams)
-    assert [mv.value for lam, mv in zip(lams, values) if lam != -5.0] == [
-        _unmapped_mean(lam, m) for lam, (_, _, m, _) in zip(ladder_lams, ladders)
-    ]
-    # the 1000-node level of the whole batch, the cut at -5 included
-    nodes, values, _ = measures._fast_integrand("q", np.array(lams))
-    level = quadrature._midpoint_means(nodes, values, np.arange(len(lams)), 1000)
-    assert level == [_unmapped_mean(lam, 1000) for lam in lams]
+def test_each_q_row_is_the_sum_of_its_half_circle_arcs():
+    # each row's value and estimate are the sums over its arcs between the cuts t = 0 (and
+    # 1/3 for lam < 0) of log|y_plus(x(z))| on z = e^(i pi t), each arc to tol / len(cuts)
+    lams = [-1e12, -55.0, -5.0078125, -5.0, -4.5, -4.0, 13.0, 1000.0, 1e10]
+    for lam, mv in zip(lams, family_measures("q", lams)):
+        cuts = (0.0, 1 / 3) if lam < 0 else (0.0,)
+        arcs = quadrature.tanh_sinh(_half_circle_log_y_plus(lam), list(zip(cuts, [*cuts[1:], 1.0])), 1e-9 / len(cuts))
+        assert all(r.converged for r in arcs)
+        assert (mv.value, mv.error_estimate) == (sum(r.value for r in arcs), sum(r.error_estimate for r in arcs))
 
 
 # -- tanh-sinh arcs: every arc of a batch is a row of one ladder ---------------------
@@ -297,7 +289,7 @@ R_ARCS = [-4.0 + 0.25 * i for i in range(33)]
 @pytest.mark.parametrize("family, lams", [
     ("p", P_ARCS),
     ("r", R_ARCS),
-    ("q", [-5.5 + 0.125 * i for i in range(9)]),  # the cut at -5 among mapped and unmapped rows
+    ("q", [-5.5 + 0.125 * i for i in range(9)]),  # the collision at -5 among its neighbours
     ("p", [k - 4.0 for k in range(-6, 5)]),  # the p side of the boyd suite
 ], ids=["p", "r", "q-near-cut", "boyd-p"])
 def test_arc_batches_equal_one_row_calls(family, lams):

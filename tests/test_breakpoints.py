@@ -18,13 +18,12 @@ from mahler.measures import (
     _breakpoints,
     _circle_means,
     _coeff_rows,
-    _curve,
     _doubles,
     _fast_integrand,
     _fiber_view,
     _jensen_values,
     _p_cuts,
-    _q_rows,
+    _q_cuts,
     _r_cuts,
     family_measures,
     mahler_jensen_2var,
@@ -32,6 +31,7 @@ from mahler.measures import (
     r_measure,
 )
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family, poly_from_text
+from mahler.specfun import cubic_singularities
 
 
 def _cuts(P):
@@ -83,17 +83,20 @@ def test_r_breakpoints_match_closed_form(lam):
     _assert_same_points(_r_cuts(lam), _t_of_cosines([(2 - lam) / 2, (-2 - lam) / 2]))
 
 
-def test_q_cuts_are_the_branch_collisions():
-    # at lam = -5 the zero x2 = 1 of the cubic is x(t) = z(1 - z) at t = 1/6
-    # and 5/6, where y+ and y- collide
-    assert _q_rows(np.array([-5.0]))[0] == [(1 / 6, 5 / 6)]
-    lo, hi = _branch_moduli(-5.0, _curve(np.array([1 / 6, 5 / 6])))
-    assert np.allclose(lo, hi, rtol=1e-6)
-    # nowhere else on the sweep grids, unshifted or at any seed's shift (2j + 1)/128
-    shifts = [0.0] + [(2 * j + 1) / 128 for j in range(16)]
-    grid = {start + i / 4 for d in shifts for start in (-55.0 - d, 13.0 + d) for i in range(201)}
-    grid = sorted(grid - {-5.0})
-    assert [lam for lam, cuts in zip(grid, _q_rows(np.array(grid))[0]) if cuts] == []
+def test_q_cuts_are_the_arc_ends_of_the_half_circle():
+    # on z = e^(i pi t) the collisions of y+ and y- nearest the path lie next to z = 1, at the
+    # cut t = 0, and at lam = -5 the zero x2 = 1 of the cubic is x(z) = z(1 - z) at t = 1/3
+    assert _q_cuts(-5.0) == _q_cuts(-1e10) == (0.0, 1 / 3)
+    assert _q_cuts(13.0) == _q_cuts(1e10) == (0.0,)
+    z = np.exp(1j * np.pi / 3)
+    lo, hi = _branch_moduli(-5.0, z * (1 - z))
+    assert abs(z * (1 - z) - 1.0) < 1e-15 and np.allclose(lo, hi, rtol=1e-6)
+    for lam in (-1e6, -1e3, 1e3, 1e6):
+        x = np.array(cubic_singularities(lam))
+        root = np.sqrt((1.0 - 4.0 * x).astype(complex))
+        z = np.concatenate([0.5 * (1.0 + root), 0.5 * (1.0 - root)])  # z(1 - z) = x
+        near = z[np.abs(np.abs(z) - 1.0) < 0.5]
+        assert len(near) and np.abs(near - 1.0).max() <= 2.0 / abs(lam)
 
 
 @pytest.mark.parametrize("k", [2, 3])

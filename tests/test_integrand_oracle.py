@@ -2,12 +2,13 @@
 
 The p and r integrands are real closed forms (``measures._fast_integrand``
 on ``measures._reciprocal_log``), and q's is log|y+| from
-``measures._branch_moduli``.  Each is held, at the float node t itself, to
-the Jensen value (p, r) or the larger root modulus (q) of its fiber, whose
-roots come from ``mp.polyroots`` at 40 digits.  The parameters lie on both sides of every regime boundary:
+``measures._branch_moduli`` on the half circle z = e^(i pi t).  Each is held,
+at the float node t itself, to the Jensen value (p, r) or the larger root
+modulus (q) of its fiber, whose roots come from ``mp.polyroots`` at 40
+digits.  The parameters lie on both sides of every regime boundary:
 lam = -4, 0 and 4 for r, where its cuts appear, meet or vanish, -5, -4 and 4
 for p, with p's tangential cuts at -5, and -5 and -4 for q, with its
-collision cut at -5; every family also runs at -5 and far out.
+collision at the cut t = 1/3 at -5; every family also runs at -5 and far out.
 
 A node at least 1e-3 from every cut is held to 1e-13 max(1, |v|).  Closer to
 a cut the integrand has a square-root singularity (linear at p's tangential
@@ -36,27 +37,24 @@ def _jensen(coeffs) -> float:
 def _reference(family, lam, t) -> float:
     with mp.workdps(DPS):
         lam = mp.mpf(lam)
+        if family == "q":  # the path x(z) = z(1 - z) on the half circle
+            z = mp.expjpi(mp.mpf(float(t)))
+            x = z * (1 - z)
+            roots = mp.polyroots([1, 2 * x * x + lam * x + 1, x**4], maxsteps=200, extraprec=2 * DPS)
+            return float(mp.log(max(abs(r) for r in roots)))
         x = mp.expjpi(2 * mp.mpf(float(t)))
         if family == "r":
             return _jensen([1, lam + x + 1 / x, 1])
-        if family == "p":
-            return _jensen([x * x + x, x * x - (lam + 2) * x + 1, x + 1])
-        x = x * (1 - x)  # q: the path x(t) = z(1 - z)
-        roots = mp.polyroots([1, 2 * x * x + lam * x + 1, x**4], maxsteps=200, extraprec=2 * DPS)
-        return float(mp.log(max(abs(r) for r in roots)))
+        return _jensen([x * x + x, x * x - (lam + 2) * x + 1, x + 1])
 
 
 def _integrand(family, lam, t) -> np.ndarray:
-    if family == "q":  # unmapped: the map changes the variable, not log|y+|
-        return np.log(measures._branch_moduli(lam, measures._curve(t))[1])
     nodes, values, _ = measures._fast_integrand(family, np.array([lam]))
     return values(np.arange(1), nodes(t))[0]
 
 
 def _cuts(family, lam):
-    if family == "q":
-        return measures._q_rows(np.array([lam]))[0][0]
-    return {"p": measures._p_cuts, "r": measures._r_cuts}[family](lam)
+    return {"p": measures._p_cuts, "q": measures._q_cuts, "r": measures._r_cuts}[family](lam)
 
 
 CASES = [
@@ -86,7 +84,8 @@ def test_integrand_at_seeded_nodes_away_from_cuts(family, lam):
 @pytest.mark.parametrize("family, lam", [(f, lam) for f, lam in CASES if _cuts(f, lam)])
 @pytest.mark.parametrize("distance", [1e-6, 1e-9])
 def test_integrand_next_to_its_cuts(family, lam, distance):
-    t = np.array([c + s * distance for c in _cuts(family, lam) for s in (1.0, -1.0)]) % 1.0
+    # every integrand is a function of t of period 1, and q's is even in t as well
+    t = np.array([c + s * distance for c in _cuts(family, lam) for s in (1.0, -1.0)])
     _assert_close(family, lam, t, NEAR)
 
 

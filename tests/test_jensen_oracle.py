@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from mahler.measures import _p_cuts, _q_rows, _r_cuts, mahler_jensen_2var, p_measure, q_measure, r_measure
+from mahler.measures import _p_cuts, _q_cuts, _r_cuts, mahler_jensen_2var, p_measure, q_measure, r_measure
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family
 
 DPS = 30
@@ -115,8 +115,7 @@ def test_r_matches_split_integral(lam):
 @pytest.mark.parametrize("lam", [-5.0, -5.03, -20.0, -55.0, -128.0, 13.03, 63.0, 128.0, 1000.0])
 def test_q_matches_the_paper_relations(lam):
     # q = r for lam <= -5 and q = (r + p)/2 for lam >= 13; at lam = -5 the
-    # branches y+ and y- collide on the path, at t = 1/6 and 5/6; from -20 and
-    # 13.03 outwards the q rows run on the Moebius-mapped circle
+    # branches y+ and y- collide on the path, at the cut t = 1/3 of the half circle
     ref = r_reference(lam) if lam <= -5 else 0.5 * (r_reference(lam) + p_reference(lam))
     _assert_close(q_measure(lam), ref)
 
@@ -130,12 +129,22 @@ def test_r_and_p_on_the_whole_circle_ladder(lam):
     _assert_close(p_measure(lam), p_reference(lam))
 
 
-def test_q_near_its_cut_on_the_whole_circle_ladder():
-    # just past lam = -5 the branches nearly collide at t = 1/6 and 5/6 without a
-    # cut, so the ladder climbs to 16384 nodes before its tail estimate holds
+def test_q_near_its_collision_runs_two_arcs():
+    # just past lam = -5 the branches nearly collide next to t = 1/3 of the half circle,
+    # which is an arc end, as t = 0 is
     lam = -5.0078125
-    assert _q_rows(np.array([lam]))[0] == [()]
+    assert _q_cuts(lam) == (0.0, 1 / 3)
     _assert_close(q_measure(lam), r_reference(lam))
+
+
+@pytest.mark.parametrize("lam", [-6063500.3, -2229308.7, 22983.9, 1e7])
+def test_q_far_out_lies_within_its_estimate_of_the_relations(lam):
+    # the branch points at z ~ 1 +- 1/lam sit next to the arc end t = 0; a midpoint ladder
+    # on a conformally mapped circle missed these values by 3.7e-14 to 3.7e-13, 4 to 26
+    # times its estimate
+    ref = r_reference(lam) if lam < 0 else 0.5 * (r_reference(lam) + p_reference(lam))
+    q = q_measure(lam)
+    assert abs(q.value - ref) <= q.error_estimate
 
 
 @pytest.mark.parametrize("var", [0, 1])

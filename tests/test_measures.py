@@ -241,20 +241,19 @@ def test_q_measure_falls_back_in_the_gap():
     assert abs(mv.value - t.value) <= mv.error_estimate + t.error_estimate
 
 
-@pytest.mark.parametrize("lam", [3e8, -3e8, 1e10, -1e10, 1e12, -1e12])
+@pytest.mark.parametrize("lam", [3e8, -3e8, 1e10, -1e10, 1e12, -1e12, 1e100])
 def test_q_estimate_covers_its_relation_past_the_node_cap(lam):
-    # the mapped q ladder reaches its 262,144-node cap between |lam| = 1e8 and 2e8 and
-    # stops unconverged beyond it: the value drifts from r (lam < 0) or (r + p)/2 (lam > 0),
-    # and the estimate, which grows with it, still covers the gap
+    # past |lam| = 1.5e8 the midpoint ladder, even on a conformally mapped circle, needed
+    # more than its 262,144-node cap; the tanh-sinh arcs from t = 0 converge there too
     q = q_measure(lam)
     ref = r_measure(lam).value if lam < 0 else (r_measure(lam).value + p_measure(lam).value) / 2
-    assert abs(q.value - ref) <= q.error_estimate
+    assert abs(q.value - ref) <= q.error_estimate <= 1e-9
 
 
 def test_q_full_period_equals_twice_half_period():
-    # the 2,048-node level of the fast q integrand (on its Moebius-mapped circle) is the
-    # 2,048-node full-period midpoint mean of log|y+| to 1e-12; log|y+| is even in t, so
-    # that equals the 1,024-node mean over (0, 1/2)
+    # log|y+| is even in t, so its 1,024-node midpoint mean over (0, 1/2) is its 2,048-node
+    # full-period mean; the 2,048-node level of the fast q integrand, whose nodes lie on the
+    # half circle z = e^(i pi t), equals it to 1e-12
     lam = 16.0
 
     def mean_log_y_plus(t):
@@ -344,17 +343,17 @@ def test_wide_torus_input_runs_to_the_cap_below_rounding(monkeypatch):
     assert seen == [64, 128, 256, 512, 1024, 2048, 4096]
 
 
-@pytest.mark.parametrize("lam", [-55.0, 128.0])
-def test_mapped_q_rows_stop_at_half_the_unmapped_node_count(monkeypatch, lam):
-    # the branch point at z ~ 1 + 1/lam holds the unmapped ladder to 2,048 and 4,096 nodes
-    seen = _record_levels(monkeypatch)
-    mapped = q_measure(lam)
-    mapped_nodes = seen[-1]
-    monkeypatch.setattr(measures, "_MAP_GRID", np.zeros(64))  # a = 0 is the only candidate
-    seen.clear()
-    unmapped = q_measure(lam)
-    assert 2 * mapped_nodes <= seen[-1]
-    assert abs(mapped.value - unmapped.value) <= mapped.error_estimate + unmapped.error_estimate
+@pytest.mark.parametrize("lam", [-55.0, 128.0, -1e12, 1e100])
+def test_q_arcs_converge_in_a_few_hundred_nodes(monkeypatch, lam):
+    # the branch points at z ~ 1 +- 1/lam sit next to the arc end t = 0, where the tanh-sinh
+    # nodes crowd; a midpoint ladder on the whole circle needed 2,048 nodes at -55 and 4,096
+    # at 128, and on a conformally mapped circle more than its cap past |lam| = 1.5e8
+    seen = []
+    real = measures.tanh_sinh
+    monkeypatch.setattr(measures, "tanh_sinh", lambda *args: seen.append(real(*args)) or seen[-1])
+    q_measure(lam)
+    assert [r.converged for r in seen[0]] == [True] * (2 if lam < 0 else 1)
+    assert max(r.nodes for r in seen[0]) <= 321
 
 
 # -- the whole-circle ladder's error estimate ------------------------------------

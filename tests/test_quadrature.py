@@ -77,6 +77,23 @@ def test_two_arcs_equal_two_one_arc_calls():
     assert both[0].nodes != both[1].nodes and all(r.converged for r in both)
 
 
+def test_no_arcs_give_no_results():
+    assert tanh_sinh(lambda rows, x: x, [], 1e-12) == []
+
+
+def test_an_arcs_node_count_is_its_evaluations():
+    # the nodes of every level the arc ran, the one at t = 0 once; the other arc stops later
+    seen = [0, 0]
+
+    def f(rows, x):
+        for i in rows:
+            seen[i] += x.shape[1]
+        return np.cos(x) / np.sqrt(x)
+
+    both = tanh_sinh(f, [(0.0, 0.25), (0.25, 3.0)], 1e-12)
+    assert [r.nodes for r in both] == seen and seen[0] != seen[1]
+
+
 def _midpoint_ladder(f):
     """The midpoint ladder on [0, 1) to the default tanh-sinh tolerance, as (value, error estimate)."""
     defaults = quadrature.DEFAULTS

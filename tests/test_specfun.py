@@ -262,9 +262,10 @@ def test_j1_j3_kernels_match_mpmath(lam, linear):
     assert abs(r - _radical_reference(x2, x0, x1, -4.0 * lam, linear)) <= 1e-15 * r
 
 
-@pytest.mark.parametrize("lam", [4.01, 4.5, 5.03, 20.0, 1e4])
+@pytest.mark.parametrize("lam", [4.0001, 4.01, 4.5, 5.03, 20.0, 1e4, 1e200])
 def test_dr_matches_mpmath(lam):
-    # at 4.01 the 2F1 argument 16/lam^2 lies 5e-3 below 1
+    # at 4.0001 the 2F1 argument 16/lam^2 lies 5e-5 below 1, where forming 1 - 16/lam^2
+    # lost 1.2e-13; lam^2 overflows at 1e200
     with mp.workdps(40):
         want = float(mp.hyp2f1(0.5, 0.5, 1, 16 / mpf(lam) ** 2) / lam)
     assert abs(dr_dlambda(lam) - want) <= 1e-15 * want
