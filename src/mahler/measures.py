@@ -6,7 +6,8 @@ Two generic, mutually independent evaluators:
   unit torus (any 1 to 3 variables);
 * :func:`mahler_jensen_2var` reduces the inner circle integral of a
   two-variable polynomial with Jensen's formula, leaving a single circle
-  average of ``log|lead| + sum log+ |root|``.
+  average of ``log|lead| + sum log+ |root|``; :func:`jensen_measures` does
+  so for many polynomials at once.
 
 On top of those sit fast family paths ``q_measure``, ``p_measure`` and
 ``r_measure``.  ``q_measure`` uses the one-branch reduction
@@ -45,6 +46,7 @@ __all__ = [
     "MeasureValue",
     "mahler_torus",
     "mahler_jensen_2var",
+    "jensen_measures",
     "q_measure",
     "p_measure",
     "r_measure",
@@ -374,37 +376,51 @@ def _circle_means(nodes, values, cuts, tol: float) -> list:
 
 
 def mahler_jensen_2var(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureValue:
-    """Measure of a two-variable polynomial by the Jensen reduction in y.
+    """Measure of a two-variable polynomial by the Jensen reduction in y: one row of :func:`jensen_measures`."""
+    return jensen_measures([P], tol=tol)[0]
+
+
+def jensen_measures(polys, *, tol: float | None = None) -> list:
+    """Measures of two-variable polynomials by the Jensen reduction in y, one :class:`MeasureValue` per row.
 
     At each circle node x the fiber polynomial's roots come from closed forms
     for degree <= 2 and, for a higher degree, from one :func:`batch_roots`
     call over all nodes of that degree (their companion-matrix eigenvalues);
-    the node value is ``log|lead(x)| + sum log+ |root|``.
-    Its mean is one row of :func:`_circle_means`, split at :func:`_breakpoints`.
-    To reduce in x, swap the variables of ``P``.  Degrees d in y and D in x
-    with 2 max(d, 1) max(D, 1) above ``_RESULTANT_MAX`` raise
-    :class:`NumericalError` before anything is built.
+    the node value is ``log|lead(x)| + sum log+ |root|``.  Each mean is a row of
+    one :func:`_circle_means` call, split at its :func:`_breakpoints`, and equals
+    its one-row call bit for bit.  To reduce in x, swap the variables of ``P``.
+    Degrees d in y and D in x with 2 max(d, 1) max(D, 1) above
+    ``_RESULTANT_MAX`` raise :class:`NumericalError` before anything is built;
+    a failing row raises.
     """
-    if P.is_zero():
-        raise ValueError("the zero polynomial has no measure")
-    if P.nvars != 2:
-        raise ValueError("the Jensen evaluator works on two-variable polynomials")
-    d, D = (max(e[v] for e in P.terms) - min(e[v] for e in P.terms) for v in (1, 0))
-    if 2 * max(d, 1) * max(D, 1) > _RESULTANT_MAX:
-        raise NumericalError(f"the degrees {d} in y and {D} in x are too large for the breakpoint search "
-                             f"(2 d D at most {_RESULTANT_MAX})")
-    terms = _doubles(P)
-    view = _fiber_view(terms)
+    views, cuts = [], []
+    for P in polys:
+        if P.is_zero():
+            raise ValueError("the zero polynomial has no measure")
+        if P.nvars != 2:
+            raise ValueError("the Jensen evaluator works on two-variable polynomials")
+        d, D = (max(e[v] for e in P.terms) - min(e[v] for e in P.terms) for v in (1, 0))
+        if 2 * max(d, 1) * max(D, 1) > _RESULTANT_MAX:
+            raise NumericalError(f"the degrees {d} in y and {D} in x are too large for the breakpoint search "
+                                 f"(2 d D at most {_RESULTANT_MAX})")
+        terms = _doubles(P)
+        views.append(_fiber_view(terms))
+        cuts.append(_breakpoints(views[-1]))
+        _check_torus_bound(terms)  # past _breakpoints, whose own overflow check is the finer one
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    cuts = _breakpoints(view)
-    _check_torus_bound(terms)  # past _breakpoints, whose own overflow check is the finer one
-    # one row, whose node data are its integrand values
-    value, err = _circle_means(
-        lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t.ravel()))),
-        lambda rows, v: v.reshape(len(rows), -1),
-        [cuts], tol,
-    )[0]
-    return MeasureValue(value=value, method="jensen", error_estimate=err)
+    width = max((len(view) for view in views), default=0)
+
+    def values(rows, x):
+        x = x if x.ndim == 2 else np.broadcast_to(x, (len(rows), len(x)))  # midpoint rows share their nodes
+        ids = rows.tolist()
+        runs = [a for a in range(len(ids)) if a == 0 or ids[a] != ids[a - 1]] + [len(ids)]  # of equal rows
+        C = [_coeff_rows(views[ids[a]], x[a:b].ravel()) for a, b in zip(runs, runs[1:])]
+        if len(C) > 1:  # pad with zero leading coefficients, which _jensen_values skips
+            C = [np.concatenate([np.vstack([c, np.zeros((width - len(c), c.shape[1]))]) for c in C], axis=1)]
+        return _jensen_values(C[0]).reshape(x.shape)
+
+    return [MeasureValue(value=value, method="jensen", error_estimate=err)
+            for value, err in _circle_means(lambda t: np.exp(2j * np.pi * t), values, cuts, tol)]
 
 
 # -- branch machinery -------------------------------------------------------------
@@ -565,15 +581,15 @@ def family_measures(family: str, lams, *, tol: float | None = None) -> list:
     failing row raises.  The rows on the fast path share one
     :func:`_circle_means` call, so the tanh-sinh arcs of the rows with
     breakpoints, and the rows that run the midpoint ladder, evaluate each
-    level together.  Only q off its one-branch range (Jensen) and the exact
-    p(-4) stay alone.
+    level together.  The q rows off its one-branch range are one
+    :func:`jensen_measures` call, and the exact p(-4) stays alone.
     """
     out: list = [None] * len(lams)
-    fast = []
+    fast, gap = [], []
     for i, lam in enumerate(lams):
         lam = _parameter(_FAMILIES[family], lam)
         if family == "q" and not (lam <= -4.0 or lam >= 13.0):
-            out[i] = mahler_jensen_2var(make_family(FamilySpec("Q_shifted", lam)), tol=tol)
+            gap.append((i, make_family(FamilySpec("Q_shifted", lam))))
         elif family == "p" and lam == -4.0:
             out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
         elif family == "q" and not math.isfinite(16.0 * lam * lam):
@@ -581,6 +597,9 @@ def family_measures(family: str, lams, *, tol: float | None = None) -> list:
             raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
         else:
             fast.append((i, lam))
+    if gap:
+        for (i, _), value in zip(gap, jensen_measures([P for _, P in gap], tol=tol)):
+            out[i] = value
     if fast:
         tol = DEFAULTS.measure_tol if tol is None else float(tol)
         nodes, values, cuts = _fast_integrand(family, np.array([lam for _, lam in fast]))

@@ -1,12 +1,12 @@
 """Special functions and closed forms for the measure derivatives.
 
-Contains the Gauss hypergeometric machinery (direct series plus the AGM
-route for the (1/2, 1/2; 1) case), the zeros of the cubic
-``(1 + lam*x)(1 + lam*x + 4x^2)`` for a whole lam array, and the
-lambda-derivatives of the three family measures:
+Contains the Gauss hypergeometric machinery (a direct series, the AGM
+for the (1/2, 1/2; 1) case and the cubic AGM for the (1/3, 2/3; 1) case),
+the zeros of the cubic ``(1 + lam*x)(1 + lam*x + 4x^2)`` for a whole lam
+array, and the lambda-derivatives of the three family measures:
 
 * ``dp_dlambda(lam) = F(1/3, 2/3; 1 | 27(lam+4)^2/(lam+8)^3) / (lam+8)``
-  for lam > 5;
+  for lam > 5, by the cubic AGM;
 * ``dr_dlambda(lam) = sign(lam)/|lam| * F(1/2, 1/2; 1 | 16/lam^2)`` for
   |lam| > 4, by the AGM;
 * ``dq_dlambda_closed(lam)``: elliptic integrals between consecutive cubic
@@ -19,7 +19,6 @@ each in closed form through the AGM (Legendre's reduction).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .roots import quadratic_roots
 __all__ = [
     "UnsupportedRegimeError",
     "agm",
+    "agm3",
     "gauss_2f1_series",
     "gauss_2f1_agm",
     "cubic_singularities",
@@ -46,16 +46,26 @@ class UnsupportedRegimeError(ValueError):
 # -- Gauss hypergeometric ------------------------------------------------------
 
 
-def agm(x: float, y: float) -> float:
-    """Arithmetic-geometric mean of two positive reals, to machine fixed point."""
-    if x <= 0 or y <= 0:
-        raise ValueError("agm needs positive arguments")
+def _mean(x: float, y: float, step) -> float:
+    """The common limit of the pairs ``(a, g) -> step(a, g)`` from (x, y), to machine fixed point."""
+    if not (x > 0 and y > 0):  # NaN too
+        raise ValueError("an AGM needs positive arguments")
     a, g = float(x), float(y)
     for _ in range(64):
         if abs(a - g) <= 4e-16 * a:
             break
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-    return 0.5 * (a + g)
+        a, g = step(a, g)
+    return step(a, g)[0]
+
+
+def agm(x: float, y: float) -> float:
+    """Arithmetic-geometric mean of two positive reals, to machine fixed point."""
+    return _mean(x, y, lambda a, g: (0.5 * (a + g), math.sqrt(a * g)))
+
+
+def agm3(x: float, y: float) -> float:
+    """Cubic AGM of two positive reals: F(1/3, 2/3; 1 | 1 - s^3) = 1/agm3(1, s) (Borwein and Borwein, 1991)."""
+    return _mean(x, y, lambda a, g: ((a + 2.0 * g) / 3.0, (g * (a * a + a * g + g * g) / 3.0) ** (1.0 / 3.0)))
 
 
 def gauss_2f1_series(a, b, c, z) -> float:
@@ -128,17 +138,16 @@ def _finite(lam: float, x: tuple) -> tuple[float, float, float]:
 
 
 def dp_dlambda(lam: float) -> float:
-    """Derivative of the P-family measure, lam > 5."""
+    """Derivative of the P-family measure, lam > 5: ``1/((lam + 8) agm3(1, s))``.
+
+    s^3 = 1 - z = (lam - 4)^2 (lam + 5)/(lam + 8)^3, formed from ratios to lam + 8,
+    so nothing cancels next to lam = 5 and nothing overflows at any finite lam.
+    """
     lam = float(lam)
     if lam <= 5.0:
         raise UnsupportedRegimeError("dp/dlambda is used for lam > 5")
-    try:
-        z = 27.0 * (lam + 4.0) ** 2 / (lam + 8.0) ** 3
-    except OverflowError:  # float ** raises where numpy would give inf: lam above about 5.6e102
-        raise NumericalError(f"the hypergeometric argument overflows in double precision at lam={lam!r}") from None
-    if z >= 1.0:
-        raise NumericalError("hypergeometric argument reached 1")
-    return gauss_2f1_series(Fraction(1, 3), Fraction(2, 3), 1, z) / (lam + 8.0)
+    s = ((lam - 4.0) / (lam + 8.0)) ** (2.0 / 3.0) * ((lam + 5.0) / (lam + 8.0)) ** (1.0 / 3.0)
+    return 1.0 / ((lam + 8.0) * agm3(1.0, s))
 
 
 def dr_dlambda(lam: float) -> float:

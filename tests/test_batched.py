@@ -17,8 +17,8 @@ import mahler.quadrature as quadrature
 import mahler.specfun as specfun
 from mahler.cli import main
 from mahler.identities import SUITES
-from mahler.measures import family_measures, mahler_jensen_2var, p_measure, q_measure, r_measure
-from mahler.poly import FamilySpec, make_family
+from mahler.measures import family_measures, jensen_measures, mahler_jensen_2var, p_measure, q_measure, r_measure
+from mahler.poly import FamilySpec, LaurentPolynomial, make_family, poly_from_text
 from mahler.quadrature import NumericalError
 
 # crosses every row that leaves the shared ladder or stresses it: the q collision at -5
@@ -124,6 +124,29 @@ def test_boyd_range_with_failing_rows_equals_one_row_calls():
         q, p = mahler_jensen_2var(make_family(FamilySpec("Q", k))), p_measure(k - 4)
         assert (rep.lhs, rep.rhs) == (q.value, factor * p.value)
         assert rep.error_estimate == q.error_estimate + factor * p.error_estimate
+
+
+# Q_3(y, x), with degree-4 fibers (companion eigenvalues), and 1 + x + y, of degree 1
+SWAPPED_Q3 = poly_from_text("1:2,0\n1:0,4\n1:1,0\n3:1,1\n6:1,2\n3:1,3\n1:1,4\n")
+SMYTH = poly_from_text("1:0,0\n1:1,0\n1:0,1\n")
+
+
+def test_jensen_rows_equal_one_row_calls():
+    polys = [make_family(FamilySpec("Q", k)) for k in range(-12, 5)] + [SWAPPED_Q3, SMYTH]
+    batch = jensen_measures(polys, tol=1e-6)
+    assert batch == [mahler_jensen_2var(P, tol=1e-6) for P in polys]
+
+
+@pytest.mark.parametrize("bad", [
+    LaurentPolynomial({(0, 0, 0): 1, (1, 1, 1): 1}, nvars=3),
+    poly_from_text("1e308:0,0\n1e308:1,0\n1:0,1\n"),
+    LaurentPolynomial({(0, 0): 1, (65, 1): 1}, nvars=2),
+], ids=["three-variables", "hadamard-overflow", "degree"])
+def test_a_jensen_batch_raises_its_failing_rows_error(bad):
+    one = _outcome(mahler_jensen_2var, bad)
+    assert isinstance(one, tuple)
+    polys = [make_family(FamilySpec("Q", k)) for k in (-2, 1)]
+    assert _outcome(jensen_measures, [polys[0], bad, polys[1]]) == one
 
 
 @pytest.mark.parametrize("m", [64, 1000, 6000, 16384, 262144])

@@ -3,6 +3,7 @@ import math
 import warnings
 
 import pytest
+from mpmath import mp, mpf
 
 import mahler.identities as identities
 import mahler.measures as measures
@@ -216,7 +217,7 @@ def test_sweep_with_no_valid_rows_is_numerical_failure(capsys):
     ],
 )
 def test_sweep_rows_past_double_range_are_numerical_failures(capsys, identity, reason):
-    # (lam/4)^2 overflows above about 5e154 and (lam + 8)^3 above 5.6e102; each row fails
+    # (lam/4)^2 overflows above about 5e154, so the singular points do; each row fails
     # alone with a numerical error, without a traceback or a numpy warning
     argv = ["sweep", "--identity", identity, "--from", "1e200", "--to", "1.2e200", "--step", "1e199"]
     code, out, _ = run(capsys, argv)
@@ -240,13 +241,19 @@ def test_branch_bounds_past_double_range_are_numerical_failures(capsys):
         run_suite("branches", lambdas=[-6.71e153])
 
 
-def test_derivative_rows_where_only_the_hypergeometric_argument_overflows(capsys):
+def test_derivative_rows_at_1e120_are_finite(capsys):
+    # dp/dlam takes its 2F1 from the cubic AGM of s^3 = (lam - 4)^2 (lam + 5)/(lam + 8)^3,
+    # formed from ratios to lam + 8, so no power of lam overflows; the singular points are
+    # finite up to about 5e154
     argv = ["sweep", "--identity", "derivatives", "--from", "1e120", "--to", "1e120", "--step", "1e119"]
     code, out, _ = run(capsys, argv)
-    assert code == 3
-    assert out.strip().split("\n")[1:] == [
-        "1e+120,,,,,error:the hypergeometric argument overflows in double precision at lam=1e+120"
-    ]
+    assert code == 0
+    (row,) = out.strip().split("\n")[1:]
+    assert row.startswith("1e+120,") and row.endswith(",ok")
+    with mp.workdps(40):
+        lam = mpf(1e120)
+        want = mp.hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, 27 * (lam + 4) ** 2 / (lam + 8) ** 3) / (lam + 8)
+        assert abs(specfun.dp_dlambda(1e120) - want) <= 1e-15 * want
 
 
 def test_compute_numerical_failure_exit_code(capsys, tmp_path):

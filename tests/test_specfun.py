@@ -11,6 +11,7 @@ from mahler.quadrature import NumericalError, tanh_sinh
 from mahler.specfun import (
     UnsupportedRegimeError,
     agm,
+    agm3,
     cubic_singularities,
     dp_dlambda,
     dq_dlambda_closed,
@@ -71,6 +72,32 @@ def test_hyp2f1_half_case_agm_vs_series():
 @pytest.mark.parametrize("z", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
 def test_hyp2f1_routes_agree(z):
     assert abs(gauss_2f1_agm(z) - gauss_2f1_series(0.5, 0.5, 1, z)) < 1e-13
+
+
+@pytest.mark.parametrize("z", [0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.85, 0.9])
+def test_third_case_series_matches_the_cubic_agm(z):
+    # F(1/3, 2/3; 1 | 1 - s^3) = 1/agm3(1, s); the series loses its tail term z/(1 - z)
+    # times the last term, 8.5e-16 relative at z = 0.9
+    want = 1.0 / agm3(1.0, (1.0 - z) ** (1.0 / 3.0))
+    assert abs(gauss_2f1_series(1 / 3, 2 / 3, 1, z) - want) <= 2e-15 * want
+
+
+@pytest.mark.parametrize("lam", [5.0 + 2.0**-k for k in range(1, 31)] + [6.0, 13.0, 13.2, 63.0, 1e4, 1e300])
+def test_dp_matches_mpmath(lam):
+    # the 2F1 series of the argument z, 0.9955 at lam = 5, was 2e-14 off next to 5 (its
+    # stop ignored the tail), and (lam + 8)^3 overflowed past 5.6e102; the cubic AGM of
+    # s^3 = 1 - z = (lam - 4)^2 (lam + 5)/(lam + 8)^3 has neither fault
+    with mp.workdps(40):
+        x = mpf(lam)
+        want = float(mp.hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, 27 * (x + 4) ** 2 / (x + 8) ** 3) / (x + 8))
+    assert abs(dp_dlambda(lam) - want) <= 1e-15 * want
+
+
+def test_agm3_needs_positive_arguments():
+    assert agm3(2.0, 2.0) == 2.0
+    for bad in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            agm3(*bad)
 
 
 def test_hyp2f1_third_case_near_largest_used_argument():
