@@ -19,15 +19,15 @@ No fast path shares per-node code with Jensen (see :func:`_fast_integrand`).
 
 Every circle mean goes through :func:`_circle_means`, which evaluates many
 rows (parameters) of one integrand at once; :func:`family_measures` runs a
-family on a whole parameter list that way.  The integrand is
-analytic on the circle except at breakpoints, where a fiber root crosses
-|y| = 1, roots collide or the leading coefficient vanishes.  When it has
-breakpoints (from resultants for generic input, from closed forms for the
-three families), each arc between them is integrated by tanh-sinh, the arcs
-of all rows as the rows of one ladder; otherwise a midpoint ladder doubles
-the node count, again for all rows at once.  Circle rules place
-nodes with a half-step offset so that points where a branch modulus touches
-1 (like t = 0) are never sampled exactly.
+family on a whole parameter list that way.  An integrand is analytic on
+the circle except at breakpoints: the Jensen sum where a fiber root lies on
+|y| = 1 (from a resultant for generic input, from closed forms for p and
+r), q's one branch where y+ and y- collide.  Each arc between breakpoints
+is integrated by tanh-sinh, the arcs of all rows as the rows of one ladder;
+without breakpoints a midpoint ladder doubles the node count, again for all
+rows at once.  Circle rules place nodes with a half-step offset so that
+points where a branch modulus touches 1 (like t = 0) are never sampled
+exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ _TORUS_BLOCK = 2**16
 _TORUS_CHUNK = 64  # a torus block holds at least this many nodes of the last variable (or all n)
 _CLUSTER = 2e-2  # resultant roots closer than this are one (multiple) root
 _ON_CIRCLE = 1e-6  # a root (mean) this close to the integration path is a breakpoint
-_MERGE = 1e-10  # breakpoints t closer than this on the circle are one
 # the largest degree 2 d D of Res_y(P, P*) that Jensen takes (d in y, D in x, each counted as at least 1):
 # _breakpoints builds 2 d D + 1 Sylvester matrices of order 2 d and runs np.roots on that degree, and
 # at d = 64, D = 1 that already peaks near 130 MB (256 and 1 near 4 GB)
@@ -291,26 +290,24 @@ def _circle_roots(values: np.ndarray) -> list[complex]:
 
 
 def _breakpoints(view) -> np.ndarray:
-    """Sorted t in [0, 1) where the Jensen integrand of a :func:`_fiber_view` may fail to be analytic.
+    """Sorted t in [0, 1) where the Jensen integrand of a :func:`_fiber_view` fails to be analytic.
 
-    A fiber root crosses |y| = 1 only where it is also a root of
-    ``P*(x, y) = x^D y^d conj(P)(1/x, 1/y)``, so those x are the unit-circle
-    roots of Res_y(P, P*); colliding roots and a vanishing leading
-    coefficient show up as roots of Res_y(P, dP/dy).  Both resultants are
-    sampled as determinants of Sylvester matrices at m >= degree + 1 roots of
-    unity.  For a reciprocal P (P* = P up to a monomial) Res_y(P, P*)
-    vanishes identically and is skipped.
+    That is where a fiber root lies on |y| = 1 and so is a root of
+    ``P*(x, y) = x^D y^d conj(P)(1/x, 1/y)`` too: at the unit-circle roots of
+    Res_y(P, P*), sampled as Sylvester determinants at m >= degree + 1 roots
+    of unity.  Where P shares a factor with P* (a reciprocal P, say) that
+    resultant vanishes identically and Res_y(P, dP/dy) stands in: a root of
+    a reciprocal factor leaves the circle only by meeting 1/conj(y).
     """
     exps = [e for terms in view for e, _ in terms]
     lo, D = min(exps), max(exps) - min(exps)
     d = len(view) - 1
     if d < 1:
         return np.zeros(0)
-    points = []
     # (degree bound in x of the resultant, y-coefficients of the partner of P)
     for degree, partner in (
-        ((2 * d - 1) * D, lambda x, C: C[1:] * np.arange(1, d + 1)[:, None]),  # dP/dy
         (2 * d * D, lambda x, C: x**D * np.conj(C[::-1])),  # P*, using conj(x) = 1/x
+        ((2 * d - 1) * D, lambda x, C: C[1:] * np.arange(1, d + 1)[:, None]),  # dP/dy
     ):
         m = degree + 1
         x = np.exp(2j * np.pi * np.arange(m) / m)
@@ -327,14 +324,9 @@ def _breakpoints(view) -> np.ndarray:
         k = math.floor(h / len(S[0]))
         res = np.linalg.det(S * 2.0**-k)
         if np.abs(res).max() > 1e-12 * 2.0 ** (h - k * len(S[0])):
-            points += _circle_roots(res)
-    t = np.angle(points) / (2.0 * np.pi) % 1.0
-    t = np.sort(np.where(t < 1.0, t, 0.0))
-    # one point found twice (by both resultants, say) comes back as two t a few ulps
-    # apart, possibly on either side of the wrap of [0, 1): keep the first, so that no
-    # arc between consecutive breakpoints is too short to hold a node
-    t = t[np.diff(t, prepend=-1.0) > _MERGE]
-    return t[:-1] if len(t) > 1 and t[-1] - t[0] >= 1.0 - _MERGE else t
+            t = np.angle(_circle_roots(res)) / (2.0 * np.pi) % 1.0
+            return np.sort(np.where(t < 1.0, t, 0.0))
+    return np.zeros(0)
 
 
 # -- circle means ------------------------------------------------------------------

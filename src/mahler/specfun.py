@@ -71,10 +71,11 @@ def agm3(x: float, y: float) -> float:
 def gauss_2f1_series(a, b, c, z) -> float:
     """F(a, b; c | z) by direct summation, |z| < 1.
 
-    Terms are accumulated with compensated summation and the sum stops once a
-    term falls below ``series_tol`` times the partial sum.  Near z = 1 the
-    terms of the cases used here decay like ``z^n / n``, so the cap of
-    ``series_max_terms`` is generous.
+    Terms are accumulated with compensated summation and the sum stops once
+    the tail bound ``|term| |z| / (1 - |z|)`` falls below ``series_tol``
+    times the partial sum: in the cases used here, (1/2, 1/2; 1) and
+    (1/3, 2/3; 1), no term ratio exceeds |z|.  Near z = 1 their terms decay
+    like ``z^n / n``, so the cap of ``series_max_terms`` is generous.
     """
     a, b, c = float(a), float(b), float(c)
     z = float(z)
@@ -92,7 +93,7 @@ def gauss_2f1_series(a, b, c, z) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < tol * abs(total):
+        if abs(term) * abs(z) < tol * abs(total) * (1.0 - abs(z)):
             return total
     raise NumericalError("hypergeometric series did not converge within the term cap")
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,10 +77,20 @@ def test_hyp2f1_routes_agree(z):
 
 @pytest.mark.parametrize("z", [0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.85, 0.9])
 def test_third_case_series_matches_the_cubic_agm(z):
-    # F(1/3, 2/3; 1 | 1 - s^3) = 1/agm3(1, s); the series loses its tail term z/(1 - z)
-    # times the last term, 8.5e-16 relative at z = 0.9
+    # F(1/3, 2/3; 1 | 1 - s^3) = 1/agm3(1, s)
     want = 1.0 / agm3(1.0, (1.0 - z) ** (1.0 / 3.0))
     assert abs(gauss_2f1_series(1 / 3, 2 / 3, 1, z) - want) <= 2e-15 * want
+
+
+@pytest.mark.parametrize("a, b", [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))],
+                         ids=["half", "third"])
+@pytest.mark.parametrize("z", [0.64, 0.9, 0.99, 0.9955])
+def test_series_stops_on_its_tail_bound(a, b, z):
+    # the tail after a term is up to term z/(1 - z): a stop on the term alone is 2.2e-14 relative
+    # off at z = 0.9955 and 8.8e-16 at 0.9
+    with mp.workdps(40):
+        want = mp.hyp2f1(mpf(a.numerator) / a.denominator, mpf(b.numerator) / b.denominator, 1, mpf(z))
+        assert abs(gauss_2f1_series(float(a), float(b), 1, z) - want) <= 4e-16 * want
 
 
 @pytest.mark.parametrize("lam", [5.0 + 2.0**-k for k in range(1, 31)] + [6.0, 13.0, 13.2, 63.0, 1e4, 1e300])
