@@ -30,9 +30,10 @@ Identity ids:
 Every suite is one entry of :data:`SUITES`: a rows function
 ``(params, tol) -> reports`` that raises on a failing row, its default
 parameters and its tolerance.  ``run_suite``, ``sweep_reports`` and the
-command line read nothing else about a suite.  The ``main`` and ``boyd``
-rows share ladders; the ``derivatives``, ``J`` and ``singularities`` rows
-share one ``cubic_singularities`` call each.  Suites and sweeps run their
+command line read nothing else about a suite.  The ``main``, ``boyd`` and
+``asymptotics`` rows share ladders; the ``derivatives``, ``J`` and
+``singularities`` rows share one ``cubic_singularities`` call each, and the
+``derivatives``, ``J`` and ``hyp`` rows one array loop per AGM.  Suites and sweeps run their
 rows through ``quadrature._isolate``, which finds the failing rows.
 """
 
@@ -53,13 +54,13 @@ from .poly import verify_substitution as _substitution_residual
 from .quadrature import NumericalError, _isolate
 from .specfun import (
     UnsupportedRegimeError,
+    _dp_rows,
     _dq_rows,
+    _dr_rows,
     _finite,
     _kernel_integrals,
     agm3,
     cubic_singularities,
-    dp_dlambda,
-    dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
 )
@@ -159,8 +160,8 @@ def _derivative_reports(lams, tol) -> list:
     lams = _lams(lams)
     if not all(lam < -5.0 or lam > 13.0 for lam in lams):
         raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
-    dq, dr = _dq_rows(lams), [dr_dlambda(lam) for lam in lams]
-    dp = iter([dp_dlambda(lam) for lam in lams if lam > 0])
+    dq, dr = _dq_rows(lams), _dr_rows(lams)
+    dp = iter(_dp_rows([lam for lam in lams if lam > 0]))
     out = []
     for lam, dq_, dr_ in zip(lams, dq, dr):
         rhs = dr_ if lam < 0 else 0.5 * (dr_ + next(dp))
@@ -194,9 +195,11 @@ def _J_reports(lams, tol, which: str | None = None) -> list:
                 raise ValueError(f"{name} requires lam > 5")
             checks.append((name, lam))
     integrals = _kernel_integrals([(lam, name == "J1") for name, lam in checks])
+    dr = iter(_dr_rows([lam for name, lam in checks if name != "J1"]))
+    dp = iter(_dp_rows([lam for name, lam in checks if name == "J1"]))
     out = []
     for (name, lam), lhs in zip(checks, integrals):
-        rhs = math.pi * (dp_dlambda(lam) if name == "J1" else abs(dr_dlambda(lam)))
+        rhs = math.pi * (next(dp) if name == "J1" else abs(next(dr)))
         out.append(_report(name, lam, lhs, rhs, lhs - rhs, tol))
     return out
 
@@ -210,29 +213,25 @@ def _hyp_reports(params, tol) -> list:
     1 - z = (1 - mu)^4 (2 + mu)(1 + 2 mu)/(2 den^3); transformation 2 against the series.
     """
 
-    def transform_1(mu):
-        den = 1.0 + 4.0 * mu + mu * mu
-        lhs = gauss_2f1_agm(mu**3 * (2.0 + mu) / (1.0 + 2.0 * mu)) / math.sqrt(1.0 + 2.0 * mu)
-        s = ((1.0 - mu) ** 4 * (2.0 + mu) * (1.0 + 2.0 * mu) / 2.0) ** (1.0 / 3.0) / den
-        return lhs, 1.0 / (agm3(1.0, s) * den)
-
-    def transform_2(mu):
-        m4 = mu**4
-        lhs = gauss_2f1_agm(-m4 / (1.0 - m4)) / math.sqrt(1.0 - m4)
-        return lhs, gauss_2f1_series(0.5, 0.5, 1.0, 4.0 * mu * mu / (1.0 + mu * mu) ** 2) / (1.0 + mu * mu)
-
     (grid_size,) = params
     if grid_size < 5:
         raise ValueError("grid_size must be at least 5")
+    mus_1 = [0.5 * j / (grid_size + 1) for j in range(1, grid_size + 1)]
+    mus_2 = [-mu if j % 2 else mu for j, mu in enumerate(mus_1, 1)]
+    m4 = np.array([mu**4 for mu in mus_2])
+    # both left sides are F(1/2, 1/2; 1 | z), from one AGM over both grids
+    z = np.array([mu**3 * (2.0 + mu) / (1.0 + 2.0 * mu) for mu in mus_1] + (-m4 / (1.0 - m4)).tolist())
+    f_1, f_2 = np.split(gauss_2f1_agm(z), 2)
+    mu_1 = np.array(mus_1)
+    den = 1.0 + 4.0 * mu_1 + mu_1 * mu_1
+    s = np.array([((1.0 - mu) ** 4 * (2.0 + mu) * (1.0 + 2.0 * mu) / 2.0) ** (1.0 / 3.0) for mu in mus_1])
+    series = [gauss_2f1_series(0.5, 0.5, 1.0, 4.0 * mu * mu / (1.0 + mu * mu) ** 2) / (1.0 + mu * mu) for mu in mus_2]
+    sides = (("hyp_transform_1", mus_1, f_1 / np.sqrt(1.0 + 2.0 * mu_1), 1.0 / (agm3(1.0, s / den) * den)),
+             ("hyp_transform_2", mus_2, f_2 / np.sqrt(1.0 - m4), np.array(series)))
     reports = []
-    for identity_id, sides, alternate in (("hyp_transform_1", transform_1, False),
-                                          ("hyp_transform_2", transform_2, True)):
+    for identity_id, mus, lhs_grid, rhs_grid in sides:
         worst = (0.0, 1.0, 1.0)  # (mu, lhs, rhs); the last of equal residuals wins
-        for j in range(1, grid_size + 1):
-            mu = 0.5 * j / (grid_size + 1)
-            if alternate and j % 2:
-                mu = -mu
-            lhs, rhs = sides(mu)
+        for mu, lhs, rhs in zip(mus, lhs_grid.tolist(), rhs_grid.tolist()):
             if abs(lhs - rhs) >= abs(worst[1] - worst[2]):
                 worst = (mu, lhs, rhs)
         mu, lhs, rhs = worst
@@ -324,17 +323,20 @@ def _asymptotic_reports(lam_lists, tol) -> list:
     list, so the list witnesses both boundedness and decay.
     """
     families = ("q", "r", "p")
-    reports = []
+    lam_lists = [_lams(lams) for lams in lam_lists]
     for lams in lam_lists:
-        lams = _lams(lams)
         if len(lams) < 2:
             raise ValueError("need at least two lambda values")
         if not (all(v <= -5.0 for v in lams) or all(v >= 13.0 for v in lams)):
             raise ValueError("entries must all satisfy lam <= -5 or all lam >= 13")
         if not all(abs(a) < abs(b) for a, b in zip(lams, lams[1:])):
             raise ValueError("entries must be strictly increasing in |lam|")
+    # the lams of all lists are one batch per family
+    rows = iter(zip(*(family_measures(fam, [lam for lams in lam_lists for lam in lams]) for fam in families)))
+    reports = []
+    for lams in lam_lists:
         prev = dict.fromkeys(families, math.inf)
-        for lam, row in zip(lams, zip(*(family_measures(fam, lams) for fam in families))):
+        for lam, row in zip(lams, rows):
             ref = math.log(abs(lam))
             for fam, mv in zip(families, row):
                 gap = mv.value - ref

@@ -23,9 +23,9 @@ family on a whole parameter list that way.  An integrand is analytic on
 the circle except at breakpoints: the Jensen sum where a fiber root lies on
 |y| = 1 (from a resultant for generic input, from closed forms for p and
 r), q's one branch where y+ and y- collide.  Each arc between breakpoints
-is integrated by tanh-sinh, the arcs of all rows as the rows of one ladder;
-without breakpoints a midpoint ladder doubles the node count, again for all
-rows at once.  Circle rules place nodes with a half-step offset so that
+is integrated by tanh-sinh, the arcs of all rows as the rows of one ladder,
+rows with equal cuts sharing their arcs' nodes; without breakpoints a midpoint
+ladder doubles the node count, again for all rows at once.  Circle rules place nodes with a half-step offset so that
 points where a branch modulus touches 1 (like t = 0) are never sampled
 exactly.
 """
@@ -39,7 +39,16 @@ import numpy as np
 
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, make_family
-from .quadrature import NumericalError, _ladder, _midpoint_means, _power_estimate, _refine, tanh_sinh
+from .quadrature import (
+    _SHARED_MIN,
+    NumericalError,
+    _ladder,
+    _midpoint_means,
+    _power_estimate,
+    _raise_first_failure,
+    _refine,
+    tanh_sinh,
+)
 from .roots import batch_roots, quadratic_roots
 
 __all__ = [
@@ -340,24 +349,74 @@ def _circle_means(nodes, values, cuts, tol: float) -> list:
     breakpoints (t in [0, 1)).  The arcs between consecutive cuts of all
     rows are the rows of one :func:`tanh_sinh` call, each to tol divided by
     its row's number of cuts: the integrand is analytic inside an arc and at
-    worst square-root-like at its ends.  There ``nodes`` and ``values`` take
-    a 2-D t, one row of nodes per arc, and a row's value is the sum of its
-    arcs in order.  The other rows (no cuts, or
-    an arc that does not converge) share one midpoint ladder on the whole
-    period from ``circle_nodes_start`` to ``circle_nodes_max`` nodes, each row
-    to its own stop.  A failing row raises for the batch.
+    worst square-root-like at its ends.  There ``nodes`` takes a 2-D t, one
+    row of nodes per arc, ``values`` takes node data with one row per arc,
+    and a row's value is the sum of its arcs in order.  Rows with equal cuts
+    share their arcs, which are found once per call; where at least
+    ``quadrature._SHARED_MIN`` arcs repeat one, a level evaluates ``nodes``
+    once per distinct arc (a range of q rows has two) and hands that data
+    to every row on the arc.  The other rows (no cuts, or an arc
+    that does not converge) share one midpoint ladder on the whole period
+    from ``circle_nodes_start`` to ``circle_nodes_max`` nodes, each row to
+    its own stop.  A failing row raises for the batch.
     """
-    # the arcs (a, b) between consecutive cuts of each row, and the row of each arc
-    arcs = [[(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b] if len(c) else () for c in cuts]
-    owner = np.repeat(np.arange(len(cuts)), [len(row) for row in arcs])
-    results = iter(tanh_sinh(lambda rows, t: values(owner[rows], nodes(t)), [arc for row in arcs for arc in row],
-                             [tol / len(cuts[i]) for i in owner]))
+    arcs_of: dict = {}  # cuts -> (the arcs between them, the number of each among the distinct arcs, their tol)
+    ends, owner, share, distinct, arc_rows, count = [], [], [], [], [], []  # per arc; per row with arcs
+    known = 0  # distinct arcs so far
+    for i, c in enumerate(cuts):
+        if not len(c):
+            continue
+        if (key := tuple(c)) not in arcs_of:
+            arcs = [(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b]
+            arcs_of[key] = arcs, range(known, known + len(arcs)), tol / len(c)
+            known += len(arcs)
+        arcs, numbers, arc_tol = arcs_of[key]
+        ends += arcs
+        distinct += numbers
+        owner += [i] * len(arcs)
+        share += [arc_tol] * len(arcs)
+        arc_rows.append(i)
+        count.append(len(arcs))
+    owner, distinct = np.array(owner, dtype=int), np.array(distinct, dtype=int)
+    shared = len(ends) - known >= _SHARED_MIN
+
+    # node data of the distinct arcs at the current level, and the first t each was taken at
+    cache, taken = None, np.full(known, np.nan)
+
+    def integrand(arcs, t):
+        nonlocal cache
+        if not shared:
+            return values(owner[arcs], nodes(t))
+        d = distinct[arcs]
+        stale = taken[d] != t[:, 0]  # a distinct arc whose data is from another level, or none
+        if np.count_nonzero(stale):
+            pick = np.zeros(known, dtype=bool)
+            pick[d[stale]] = True
+            at = np.empty(known, dtype=int)
+            at[d] = np.arange(len(arcs))  # an arc of each distinct arc in ``arcs``
+            new = pick.nonzero()[0]
+            data = nodes(t[at[new]])
+            if cache is None or cache.shape[1:] != data.shape[1:]:
+                cache = np.empty((known, *data.shape[1:]), dtype=data.dtype)
+            cache[new], taken[new] = data, t[at[new], 0]
+        return values(owner[arcs], cache[d])
+
     out: list = [None] * len(cuts)
-    for i, row in enumerate(arcs):
-        if row:
-            done = [next(results) for _ in row]
-            if all(r.converged for r in done):
-                out[i] = (sum(r.value for r in done), sum(r.error_estimate for r in done))
+    if ends:
+        results = tanh_sinh(integrand, ends, share)
+        # each row's arcs in order, one column per arc; a row with fewer arcs points past the end, at a zero
+        count = np.array(count, dtype=int)
+        columns = np.arange(count.max())
+        arc_at = np.where(columns < count[:, None], (np.cumsum(count) - count)[:, None] + columns, len(results))
+        value, err, converged = (np.array([*(getattr(r, name) for r in results), pad])
+                                 for name, pad in (("value", 0.0), ("error_estimate", 0.0), ("converged", True)))
+        sums, errors = np.zeros(len(arc_rows)), np.zeros(len(arc_rows))
+        for column in arc_at.T:  # in arc order, as sum() adds (a zero added to a sum changes nothing)
+            sums += value[column]
+            errors += err[column]
+        done = converged[arc_at].all(axis=1)
+        for i, v, e in zip(np.array(arc_rows)[done].tolist(), sums[done].tolist(), errors[done].tolist()):
+            out[i] = (v, e)
     ladder = [i for i, res in enumerate(out) if res is None]
     rows = np.array(ladder, dtype=int)
     results = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows),
@@ -444,11 +503,6 @@ def _branch_moduli(lam, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- family paths -----------------------------------------------------------------
-
-
-def _parameter(family: str, lam) -> float:
-    """``lam`` as a float; the family spec rejects a non-finite value."""
-    return FamilySpec(family, _double(lam, f"the parameter of family {family}")).parameter
 
 
 def _q_cuts(lam: float) -> tuple[float, ...]:
@@ -556,9 +610,9 @@ def _fast_integrand(family: str, lams: np.ndarray):
             return np.log(hi)
 
         return (lambda t: np.exp(1j * np.pi * t)), log_y_plus, [_q_cuts(v) for v in lams.tolist()]
-    if family == "r":  # node data 4 sin^2(th/2), 4 cos^2(th/2)
-        return (lambda t: (4.0 * np.sin(np.pi * t) ** 2, 4.0 * np.cos(np.pi * t) ** 2),
-                lambda rows, nd: _reciprocal_log(np.maximum(lam[rows] - nd[0], -lam[rows] - nd[1]), 1.0),
+    if family == "r":  # node data 4 sin^2(th/2), 4 cos^2(th/2) on a last axis
+        return (lambda t: np.stack((4.0 * np.sin(np.pi * t) ** 2, 4.0 * np.cos(np.pi * t) ** 2), axis=-1),
+                lambda rows, nd: _reciprocal_log(np.maximum(lam[rows] - nd[..., 0], -lam[rows] - nd[..., 1]), 1.0),
                 [_r_cuts(v) for v in lams.tolist()])
     shift = 5.0 + lam  # node data h = |1 + x| = |2 cos(th/2)|
     return (lambda t: np.abs(2.0 * np.cos(np.pi * t)),
@@ -577,24 +631,30 @@ def family_measures(family: str, lams, *, tol: float | None = None) -> list:
     :func:`jensen_measures` call, and the exact p(-4) stays alone.
     """
     out: list = [None] * len(lams)
-    fast, gap = [], []
-    for i, lam in enumerate(lams):
-        lam = _parameter(_FAMILIES[family], lam)
-        if family == "q" and not (lam <= -4.0 or lam >= 13.0):
-            gap.append((i, make_family(FamilySpec("Q_shifted", lam))))
-        elif family == "p" and lam == -4.0:
-            out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
-        elif family == "q" and not math.isfinite(16.0 * lam * lam):
-            # q's |b|^2 and discriminant are at most (2|lam| + 9)^2 on the path, which must not overflow
-            raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
-        else:
-            fast.append((i, lam))
-    if gap:
-        for (i, _), value in zip(gap, jensen_measures([P for _, P in gap], tol=tol)):
+    if not len(lams):
+        return out
+    name = _FAMILIES[family]
+    what = f"the parameter of family {name}"
+    lam = np.array([_double(v, what) for v in lams], dtype=float)
+    gap = (family == "q") & ~((lam <= -4.0) | (lam >= 13.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # q's |b|^2 and discriminant are at most (2|lam| + 9)^2 on the path, which must not overflow
+        overflows = (family == "q") & ~gap & ~np.isfinite(16.0 * lam * lam)
+    _raise_first_failure([
+        (~np.isfinite(lam), lambda v: ValueError(f"{what} must be finite, got {v!r}")),
+        (overflows, lambda v: NumericalError(f"the branch moduli overflow in double precision at lam={v!r}")),
+    ], lam)
+    exact = (family == "p") & (lam == -4.0)
+    for i in exact.nonzero()[0].tolist():
+        out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)
+    if gap.any():
+        rows = gap.nonzero()[0].tolist()
+        polys = [make_family(FamilySpec("Q_shifted", v)) for v in lam[rows].tolist()]
+        for i, value in zip(rows, jensen_measures(polys, tol=tol)):
             out[i] = value
-    if fast:
+    fast = (~gap & ~exact).nonzero()[0]
+    if len(fast):
         tol = DEFAULTS.measure_tol if tol is None else float(tol)
-        nodes, values, cuts = _fast_integrand(family, np.array([lam for _, lam in fast]))
-        for (i, _), (value, err) in zip(fast, _circle_means(nodes, values, cuts, tol)):
+        for i, (value, err) in zip(fast.tolist(), _circle_means(*_fast_integrand(family, lam[fast]), tol)):
             out[i] = MeasureValue(value=value, method="family_fast", error_estimate=err)
     return out

@@ -1,8 +1,8 @@
 """The two quadrature rules of the library, on one node-doubling ladder.
 
 :func:`_ladder` runs node-doubling ladders of many rows at once, each row to
-its own stop under an estimator it is given; :func:`_refine` is its one-row
-case.  Its two rules: :func:`_midpoint_means` evaluates a level of the
+its own stop under an estimator it is given, which acts on the levels of all
+live rows as one array; :func:`_refine` is its one-row case.  Its two rules: :func:`_midpoint_means` evaluates a level of the
 midpoint rule on a periodic integrand in blocks (see :mod:`mahler.measures`
 for the circle means), and :func:`tanh_sinh` runs a list of finite
 intervals as rows, for integrands that may blow up like an inverse square
@@ -34,6 +34,9 @@ _EPS = sys.float_info.epsilon
 # any admissible inverse-square-root blowup is far below double rounding.
 _T_HARD = 5.0
 _BLOCK = 4096  # nodes per integrand call (rows times nodes); bounds memory at the node cap
+# a level computes node data once per distinct interval where at least this many arcs repeat
+# one; with fewer, that bookkeeping costs more than the node data it saves
+_SHARED_MIN = 32
 
 
 class NumericalError(RuntimeError):
@@ -94,50 +97,67 @@ def tanh_sinh(f, ends, tol) -> list:
     endpoints to infinity, so integrable endpoint singularities up to
     ``(x-a)^(-1/2)`` / ``(b-x)^(-1/2)`` converge geometrically.  The arcs are
     the rows of one :func:`_ladder`, whose level n = 2^j halves their mesh.
-    ``f(rows, x)`` gets the nodes a level adds to the arcs ``rows`` as a
-    (len(rows), nodes) array, at most ``_BLOCK`` nodes unless one arc's level
-    alone is larger, and returns the values in its shape.  An arc stops once
-    two levels differ by at most its ``tol`` (a scalar or one per arc), or
-    at the level cap ``tanh_sinh_level_max`` with ``converged=False``.  A
-    node that rounds onto an endpoint is evaluated at the midpoint, as level
-    0 is, and weighs nothing; a NaN or infinity at a node inside is a hard
-    error.  Returns a :class:`QuadratureResult` per arc.
+    Arcs may repeat an interval: where at least ``_SHARED_MIN`` do, each level
+    places its abscissae and weights once per distinct interval among the
+    arcs still running, and every arc on it gets that row.  ``f(rows, x)``
+    gets the nodes a level adds to the arcs ``rows`` (ascending) as a
+    (len(rows), nodes) array, at most ``_BLOCK`` nodes unless one arc's
+    level alone is larger, and returns the values in its shape.  An
+    arc stops once two levels differ by at most its ``tol`` (a scalar or one
+    per arc), or at the level cap ``tanh_sinh_level_max`` with
+    ``converged=False``.  A node that rounds onto an endpoint is evaluated at
+    the midpoint, as level 0 is, and weighs nothing; a NaN or infinity at a
+    node inside is a hard error.  Returns a :class:`QuadratureResult` per arc,
+    each the one-arc call's.
     """
     ends = np.array(ends, dtype=float).reshape(-1, 2)
-    a, b = ends.T
-    if not (a < b).all():
+    if not (ends[:, 0] < ends[:, 1]).all():
         raise ValueError("need a < b")
     if not np.isfinite(ends).all():
         raise ValueError("endpoints must be finite")
     n_max = 2**DEFAULTS.tanh_sinh_level_max
+    # the distinct intervals, as a + bi (exact), and each arc's, found once per call
+    index: dict = {}
+    interval = np.array([index.setdefault(arc, len(index)) for arc in ends.view(complex).ravel().tolist()], dtype=int)
+    shared = len(ends) - len(index) >= _SHARED_MIN
+    key = np.array(list(index), dtype=complex)
+    a, b = key.real, key.imag
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
     totals = np.zeros(len(ends))  # each arc's sum of w f(x) over the levels so far
 
-    def level(live: np.ndarray, n: int) -> list[float]:
+    def level(live: np.ndarray, n: int) -> np.ndarray:
         ch, cu2, den = _tanh_sinh_row(n.bit_length() - 1)
+        ids, slot = interval[live], None  # the level's intervals, and each live arc's among them
+        if shared:
+            running = np.zeros(len(key), dtype=bool)
+            running[ids] = True
+            ids, slot = np.flatnonzero(running), (np.cumsum(running) - 1)[ids]
+        a_, b_, mid_, rad_ = (v[ids, None] for v in (a, b, mid, rad))
+        # the distance d to the nearer endpoint is computed directly so that
+        # nodes hug the endpoints as closely as doubles allow; at n = 1, t = 0
+        # is one node, at the midpoint
+        w = rad_ * (0.5 * math.pi) * ch / cu2
+        d = rad_ * 2.0 / den
+        skip = 1 if n == 1 else 0
+        x, w = np.concatenate([b_ - d, a_ + d[:, skip:]], axis=1), np.concatenate([w, w[:, skip:]], axis=1)
+        if skip:
+            x[:, 0] = mid_[:, 0]
+        inside = (x > a_) & (x < b_)
+        at = np.where(inside, x, mid_)
         step = max(1, _BLOCK // (2 * len(ch)))
         for lo in range(0, len(live), step):
             rows = live[lo : lo + step]
-            a_, b_, mid_, rad_ = (v[rows, None] for v in (a, b, mid, rad))
-            # the distance d to the nearer endpoint is computed directly so that
-            # nodes hug the endpoints as closely as doubles allow
-            w = rad_ * (0.5 * math.pi) * ch / cu2
-            d = rad_ * 2.0 / den
-            x, w = np.concatenate([b_ - d, a_ + d], axis=1), np.concatenate([w, w], axis=1)
-            if n == 1:  # t = 0 is one node, at the midpoint
-                x[:, 0] = mid_[:, 0]
-                x, w = np.delete(x, len(ch), axis=1), np.delete(w, len(ch), axis=1)
-            inside = (x > a_) & (x < b_)
-            vals = np.asarray(f(rows, np.where(inside, x, mid_)), dtype=float)
-            if vals.shape != x.shape:
+            s = slice(lo, lo + step) if slot is None else slot[lo : lo + step]
+            vals = np.asarray(f(rows, at[s]), dtype=float)
+            if vals.shape != (len(rows), x.shape[1]):
                 raise ValueError("integrand returned a wrong shape")
-            bad = inside & ~np.isfinite(vals)
+            bad = inside[s] & ~np.isfinite(vals)
             if bad.any():
                 k = np.unravel_index(np.argmax(bad), bad.shape)
                 what = "returned NaN" if math.isnan(vals[k]) else "blew up at interior point"
-                raise NumericalError(f"integrand {what} at x={float(x[k])!r}")
-            totals[rows] += np.where(inside, w * vals, 0.0).sum(axis=1)
-        return (totals[live] / n).tolist()
+                raise NumericalError(f"integrand {what} at x={float(x[s][k])!r}")
+            totals[rows] += np.where(inside[s], w[s] * vals, 0.0).sum(axis=1)
+        return totals[live] / n
 
     out = _ladder(level, len(ends), 1, n_max, tol, estimate=_last_gap_estimate)
     # nodes[j]: the nodes of the levels n = 1 to 2^j together, the one at t = 0 counted once
@@ -158,27 +178,45 @@ _RATE_AGREE = 0.1
 _POWER_SAFETY = 1.25  # scales every estimate of a power-law ladder
 
 
-def _geometric_estimate(values: list[float], tol: float) -> tuple[float, float, bool]:
-    """(value, estimate, stop) of a ladder whose error falls geometrically.
+def _larger(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(u, v)`` as Python's: ``v`` where ``v > u``, else ``u`` (a NaN ``u`` stays)."""
+    return np.where(v > u, v, u)
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` per element, by libm: numpy's vectorised log2 and pow do not always round as libm does."""
+    return np.array([fn(v) for v in x.tolist()], dtype=float)
+
+
+# Each estimator takes the levels so far of the live rows, a (rows, levels) array with at
+# least two levels, and their tols, and returns their (value, estimate, stop) arrays.
+
+
+def _geometric_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
+    """(value, estimate, stop) of ladders whose error falls geometrically.
 
     The estimate is the last gap guarded by ``_PREV_WEIGHT`` times the
     previous gap (an accidentally small step must not masquerade as
     convergence).  Once the last three gaps fall in ratio (r < r_prev/2,
-    r < 1/2) it is the tail ``gap * r / (1 - r)``.  The ladder stops when the
-    last gap and the estimate are both below tol.
+    r < 1/2) it is the tail ``gap * r / (1 - r)``.  A ladder stops when its
+    last gap and its estimate are both below tol.
     """
-    g2 = abs(values[-1] - values[-2])
-    g1 = abs(values[-2] - values[-3]) if len(values) > 2 else 0.0
-    err = max(g2, _PREV_WEIGHT * g1)
-    if len(values) > 3:
-        g0 = abs(values[-3] - values[-4])
-        if g0 > 0 and 2 * g2 < g1 and 2 * g2 * g0 < g1 * g1:  # r = g2/g1, r_prev = g1/g0
-            err = g2 * g2 / (g1 - g2)
-    return values[-1], err, g2 < tol and err < tol
+    v = values[:, -4:]
+    gaps = np.abs(v[:, 1:] - v[:, :-1])  # the last three gaps at most, g2 last
+    g2 = gaps[:, -1]
+    err = g2 if gaps.shape[1] < 2 else _larger(g2, _PREV_WEIGHT * gaps[:, -2])
+    if gaps.shape[1] == 3:
+        g0, g1 = gaps[:, 0], gaps[:, 1]
+        tail = (g0 > 0) & (2 * g2 < g1) & (2 * g2 * g0 < g1 * g1)  # r = g2/g1, r_prev = g1/g0
+        if np.count_nonzero(tail):
+            i = tail.nonzero()[0]
+            err = err.copy()
+            err[i] = g2[i] * g2[i] / (g1[i] - g2[i])
+    return v[:, -1], err, (g2 < tol) & (err < tol)
 
 
-def _power_estimate(values: list[float], tol: float) -> tuple[float, float, bool]:
-    """(value, estimate, stop) of a ladder whose error falls like a power of n.
+def _power_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
+    """(value, estimate, stop) of ladders whose error falls like a power of n.
 
     Richardson extrapolation: with signed gaps d1, d2 ending at level v, the
     exponent is p = log2(d1/d2) and the extrapolated value
@@ -188,32 +226,43 @@ def _power_estimate(values: list[float], tol: float) -> tuple[float, float, bool
     the estimate guards its last step: max(|e_k - e_(k-1)|, w |e_(k-1) - e_(k-2)|).
     Otherwise the raw gaps set it: the tail of the slowest admitted rate
     n^-1/2 beyond the larger of the last two gaps, max(g, g_prev)/(sqrt(2) - 1).
-    The ladder stops when the last step and the estimate are both below tol.
+    A ladder stops when its last step and its estimate are both below tol.
     Before three gaps there is no estimate yet, so neither its first gap nor
     an unchecked rate can stop it; a ladder that starts at most a sixteenth
     below its cap is never ended there.
     """
-    fits = []
-    for k in range(max(len(values) - 3, 2), len(values)):
-        d1, d2 = values[k - 1] - values[k - 2], values[k] - values[k - 1]
-        if d2 != 0.0 and d1 / d2 > 1.0:
-            p = math.log2(d1 / d2)
-            fits.append((p, values[k] + d2 / (2.0**p - 1.0)))
-    if len(fits) == 3 and abs(fits[2][0] - fits[1][0]) <= _RATE_AGREE and _RATE_BAND[0] <= fits[2][0] <= _RATE_BAND[1]:
-        e0, e1, e2 = (e for _, e in fits)
-        err = _POWER_SAFETY * max(abs(e2 - e1), _PREV_WEIGHT * abs(e1 - e0))
-        return e2, err, abs(e2 - e1) < tol and err < tol
-    if len(values) < 4:
-        return values[-1], math.inf, False
-    g, g_prev = abs(values[-1] - values[-2]), abs(values[-2] - values[-3])
-    err = _POWER_SAFETY * max(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
-    return values[-1], err, g < tol and err < tol
+    levels = values.shape[1]
+    if levels < 4:
+        return values[:, -1], np.full(len(values), math.inf), np.zeros(len(values), dtype=bool)
+    g, g_prev = np.abs(values[:, -1] - values[:, -2]), np.abs(values[:, -2] - values[:, -3])
+    value = values[:, -1]
+    err = _POWER_SAFETY * _larger(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
+    stop = (g < tol) & (err < tol)
+    if levels < 5:
+        return value, err, stop
+    fit = np.ones(len(values), dtype=bool)
+    p, e = [], []
+    for k in range(levels - 3, levels):  # the last three levels
+        d1, d2 = values[:, k - 1] - values[:, k - 2], values[:, k] - values[:, k - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = d1 / d2
+        fit &= (d2 != 0.0) & (ratio > 1.0)
+        pk = np.ones(len(values))  # a placeholder exponent where there is no fit
+        pk[fit] = _libm(math.log2, ratio[fit])
+        p.append(pk)
+        e.append(values[:, k] + d2 / (_libm(lambda v: 2.0**v, pk) - 1.0))
+    fit &= (np.abs(p[2] - p[1]) <= _RATE_AGREE) & (_RATE_BAND[0] <= p[2]) & (p[2] <= _RATE_BAND[1])
+    step = np.abs(e[2] - e[1])
+    fit_err = _POWER_SAFETY * _larger(step, _PREV_WEIGHT * np.abs(e[1] - e[0]))
+    return (np.where(fit, e[2], value), np.where(fit, fit_err, err),
+            np.where(fit, (step < tol) & (fit_err < tol), stop))
 
 
-def _last_gap_estimate(values: list[float], tol: float) -> tuple[float, float, bool]:
-    """(value, estimate, stop) of a tanh-sinh ladder: the last gap, which must be at most tol or at rounding level."""
-    g = abs(values[-1] - values[-2])
-    return values[-1], g, g <= max(tol, _err_floor(values[-1]) / 4)
+def _last_gap_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
+    """(value, estimate, stop) of tanh-sinh ladders: the last gap, which must be at most tol or at rounding level."""
+    v = values[:, -1]
+    g = np.abs(v - values[:, -2])
+    return v, g, g <= _larger(tol, _err_floor(v) / 4)
 
 
 def _refine(level_fn, n_start: int, n_max: int, tol: float, *, estimate=_geometric_estimate) -> tuple:
@@ -229,31 +278,49 @@ def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol, *, estimate=_geo
 
     ``level_fn(live, n)`` returns the level-n values of the rows in the index
     array ``live``; all rows still running share each level, and a row that
-    has stopped leaves it.  ``estimate(values, tol)`` gives a row's value,
-    error estimate and whether to stop, from its levels so far and its tol
-    (``tol`` is a scalar or one per row).  Returns per row (value,
-    error_estimate, nodes, converged), converged if the estimate stopped the
-    row; what ``level_fn`` raises propagates.
+    has stopped leaves it.  The live rows' levels so far are one
+    (rows, levels) array, and ``estimate(values, tol)`` gives the value,
+    error estimate and stop of all of them at once, from that array and
+    their tols (``tol`` is a scalar or one per row); a row's result depends
+    on its own levels and tol only.  Returns per row (value, error_estimate,
+    nodes, converged), converged if the estimate stopped the row; what
+    ``level_fn`` raises propagates.
     """
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), rows).tolist()
+    tol = np.zeros(rows) + np.asarray(tol, dtype=float)
     out: list = [None] * rows
-    values: list[list[float]] = [[] for _ in range(rows)]
     live = np.arange(rows)
+    values = np.zeros((rows, 0))
     n = n_start
     while len(live):
-        running = []
-        for i, v in zip(live.tolist(), level_fn(live, n)):
-            values[i].append(v)
-            value, err, stop = v, math.inf, False  # one level alone has no estimate
-            if len(values[i]) > 1:
-                value, err, stop = estimate(values[i], tol[i])
-            if stop or n >= n_max:
-                out[i] = (value, max(err, _err_floor(value)), n, stop)
-            else:
-                running.append(i)
-        live = np.array(running, dtype=int)
+        values = np.concatenate([values, np.asarray(level_fn(live, n), dtype=float)[:, None]], axis=1)
+        if values.shape[1] > 1:
+            value, err, stop = estimate(values, tol)
+        else:  # one level alone has no estimate
+            value, err, stop = values[:, 0], np.full(len(live), math.inf), np.zeros(len(live), dtype=bool)
+        done = stop if n < n_max else np.ones(len(live), dtype=bool)
+        if np.count_nonzero(done):
+            i = done.nonzero()[0]
+            value = value[i]
+            err = _larger(err[i], _err_floor(value))
+            for row, v, e, s in zip(live[i].tolist(), value.tolist(), err.tolist(), stop[i].tolist()):
+                out[row] = (v, e, n, s)
+            keep = (~done).nonzero()[0]
+            live, values, tol = live[keep], values[keep], tol[keep]
         n *= 2
     return out
+
+
+def _raise_first_failure(checks, params) -> None:
+    """Raise the error of the first row that fails one of ``checks``, from its first failing check.
+
+    ``checks`` lists (the rows that fail it, a bool array; the error for a row's
+    parameter) in the order a row is checked, and ``params`` holds the rows'
+    parameters, so a batch raises what its first failing row raises alone.
+    """
+    failed = np.array([fails for fails, _ in checks])
+    if failed.any():
+        row = failed.any(axis=0).argmax()
+        raise next(error for fails, error in checks if fails[row])(float(params[row]))
 
 
 def _isolate(evaluate, params) -> list:

@@ -13,17 +13,22 @@ array, and the lambda-derivatives of the three family measures:
   singularities, for lam < -5 and lam > 13.
 
 Those elliptic integrals are rows of :func:`_kernel_integrals`, which gives
-each in closed form through the AGM (Legendre's reduction).
+each in closed form through the AGM (Legendre's reduction).  Both AGMs run
+on arrays, every element to its own fixed point, so the library takes each
+batch of rows (:func:`_kernel_integrals`, :func:`_dp_rows`,
+:func:`_dr_rows`, the ``hyp`` grids) through one loop; the scalar
+functions are their one-element case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
 from .config import DEFAULTS
-from .quadrature import NumericalError
+from .quadrature import NumericalError, _libm, _raise_first_failure
 from .roots import quadratic_roots
 
 __all__ = [
@@ -46,26 +51,76 @@ class UnsupportedRegimeError(ValueError):
 # -- Gauss hypergeometric ------------------------------------------------------
 
 
-def _mean(x: float, y: float, step) -> float:
-    """The common limit of the pairs ``(a, g) -> step(a, g)`` from (x, y), to machine fixed point."""
-    if not (x > 0 and y > 0):  # NaN too
+_MEAN_STEPS = 64  # an AGM pair converges quadratically (the cubic one cubically) within a few steps
+_MEAN_NEAR = 8.0  # a pair inside [1/_MEAN_NEAR, _MEAN_NEAR] is never scaled
+
+
+def _mean(x, y, step, center):
+    """The common limits of the pairs ``(a, g) -> step(a, g)`` from (x, y), elementwise; a float for scalars.
+
+    Each element stops at its own machine fixed point, ``|a - g| <= 4e-16 a``,
+    and takes one more step's ``a``.  ``step`` is homogeneous of degree one.
+    A pair inside ``[1/_MEAN_NEAR, _MEAN_NEAR]`` stays there and is never
+    scaled; any other is scaled by 2^-c before every step, with
+    c = ``center(ea, eg)`` from the exponents of a and g, so that the step's
+    products stay near 1, in double range, while the exponents lie less
+    than about 2000 (the cubic mean: 1500) apart.  A power of two scales +,
+    * and sqrt exactly, so the quadratic mean keeps the bits it has without
+    scaling; the cubic mean's cube root, libm's pow(v, 1/3) with 1/3 rounded
+    down, is biased by about 2e-17 ln(v) relative, which would keep a pair
+    far from 1 apart for ever.  A result that is not a positive double, or
+    an element still apart after ``_MEAN_STEPS`` steps (an iterate that left
+    the range stays apart), raises :class:`NumericalError`.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    zero = np.zeros(np.broadcast(x, y).shape)
+    shape, a, g = zero.shape, (x + zero).ravel(), (y + zero).ravel()
+    if np.count_nonzero((a > 0) & (g > 0)) < len(a):  # NaN too
         raise ValueError("an AGM needs positive arguments")
-    a, g = float(x), float(y)
-    for _ in range(64):
-        if abs(a - g) <= 4e-16 * a:
-            break
-        a, g = step(a, g)
-    return step(a, g)[0]
+    far = (np.maximum(a, g) > _MEAN_NEAR) | (np.minimum(a, g) < 1.0 / _MEAN_NEAR)
+    scaled = np.count_nonzero(far) > 0
+    out, live, shift = np.empty(len(a)), np.arange(len(a)), 0
+    # only a scaled pair can leave double range, and it raises below
+    with np.errstate(over="ignore", invalid="ignore") if scaled else contextlib.nullcontext():
+        for _ in range(_MEAN_STEPS + 1):
+            if scaled:
+                c = np.where(far, center(np.frexp(a)[1], np.frexp(g)[1]), 0)
+                a, g, shift = np.ldexp(a, -c), np.ldexp(g, -c), shift + c
+            done = np.abs(a - g) <= 4e-16 * a
+            if np.count_nonzero(done):
+                i, keep = done.nonzero()[0], (~done).nonzero()[0]
+                last = step(a[i], g[i])[0]
+                out[live[i]] = np.ldexp(last, shift[i]) if scaled else last
+                a, g, live = a[keep], g[keep], live[keep]
+                if scaled:
+                    shift, far = shift[keep], far[keep]
+            if not len(live):
+                break
+            a, g = step(a, g)
+        else:
+            raise NumericalError(f"the mean did not reach a fixed point within {_MEAN_STEPS} steps")
+    if scaled and np.count_nonzero((out > 0) & (out < math.inf)) < len(out):
+        raise NumericalError("the mean overflows in double precision")
+    return out.reshape(shape) if shape else float(out[0])
 
 
-def agm(x: float, y: float) -> float:
-    """Arithmetic-geometric mean of two positive reals, to machine fixed point."""
-    return _mean(x, y, lambda a, g: (0.5 * (a + g), math.sqrt(a * g)))
+def agm(x, y):
+    """Arithmetic-geometric mean of positive reals (or arrays of them, elementwise), to machine fixed point."""
+    # the step's product is a g
+    return _mean(x, y, lambda a, g: (0.5 * (a + g), np.sqrt(a * g)), lambda ea, eg: (ea + eg) // 2)
 
 
-def agm3(x: float, y: float) -> float:
-    """Cubic AGM of two positive reals: F(1/3, 2/3; 1 | 1 - s^3) = 1/agm3(1, s) (Borwein and Borwein, 1991)."""
-    return _mean(x, y, lambda a, g: ((a + 2.0 * g) / 3.0, (g * (a * a + a * g + g * g) / 3.0) ** (1.0 / 3.0)))
+def agm3(x, y):
+    """Cubic AGM of positive reals (or arrays of them, elementwise), to machine fixed point.
+
+    F(1/3, 2/3; 1 | 1 - s^3) = 1/agm3(1, s) (Borwein and Borwein, 1991).
+    """
+
+    def step(a, g):  # the cube root by libm's pow, per element
+        return (a + 2.0 * g) / 3.0, _libm(lambda v: v ** (1.0 / 3.0), g * (a * a + a * g + g * g) / 3.0)
+
+    # the step's largest product is g max(a, g)^2
+    return _mean(x, y, step, lambda ea, eg: (2 * np.maximum(ea, eg) + eg) // 3)
 
 
 def gauss_2f1_series(a, b, c, z) -> float:
@@ -98,12 +153,12 @@ def gauss_2f1_series(a, b, c, z) -> float:
     raise NumericalError("hypergeometric series did not converge within the term cap")
 
 
-def gauss_2f1_agm(z: float) -> float:
-    """F(1/2, 1/2; 1 | z) = 1/agm(1, sqrt(1-z)), valid for all z < 1."""
-    z = float(z)
-    if not z < 1.0:
+def gauss_2f1_agm(z):
+    """F(1/2, 1/2; 1 | z) = 1/agm(1, sqrt(1-z)), valid for all z < 1 (an array elementwise)."""
+    z = np.asarray(z, dtype=float)
+    if not (z < 1.0).all():
         raise ValueError("the AGM route requires z < 1")
-    return 1.0 / agm(1.0, math.sqrt(1.0 - z))
+    return 1.0 / agm(1.0, np.sqrt(1.0 - z))
 
 
 # -- singular points of the derivative integrals ----------------------------------
@@ -139,16 +194,22 @@ def _finite(lam: float, x: tuple) -> tuple[float, float, float]:
 
 
 def dp_dlambda(lam: float) -> float:
-    """Derivative of the P-family measure, lam > 5: ``1/((lam + 8) agm3(1, s))``.
+    """Derivative of the P-family measure, lam > 5: ``1/((lam + 8) agm3(1, s))``; one row of :func:`_dp_rows`.
 
     s^3 = 1 - z = (lam - 4)^2 (lam + 5)/(lam + 8)^3, formed from ratios to lam + 8,
     so nothing cancels next to lam = 5 and nothing overflows at any finite lam.
     """
-    lam = float(lam)
-    if lam <= 5.0:
+    return _dp_rows([lam])[0]
+
+
+def _dp_rows(lams) -> list:
+    """:func:`dp_dlambda` at every lam, through one cubic AGM; a failing row raises."""
+    lams = [float(lam) for lam in lams]
+    if any(lam <= 5.0 for lam in lams):
         raise UnsupportedRegimeError("dp/dlambda is used for lam > 5")
-    s = ((lam - 4.0) / (lam + 8.0)) ** (2.0 / 3.0) * ((lam + 5.0) / (lam + 8.0)) ** (1.0 / 3.0)
-    return 1.0 / ((lam + 8.0) * agm3(1.0, s))
+    s = [((lam - 4.0) / (lam + 8.0)) ** (2.0 / 3.0) * ((lam + 5.0) / (lam + 8.0)) ** (1.0 / 3.0) for lam in lams]
+    lam = np.array(lams)
+    return (1.0 / ((lam + 8.0) * agm3(1.0, np.array(s)))).tolist()
 
 
 def dr_dlambda(lam: float) -> float:
@@ -156,13 +217,18 @@ def dr_dlambda(lam: float) -> float:
 
     F = 1/agm(1, k') with k' = sqrt(1 - 16/lam^2), formed as
     sqrt((|lam| - 4)/|lam|) sqrt((|lam| + 4)/|lam|): no 1 - z cancels next to
-    |lam| = 4, and no square overflows.
+    |lam| = 4, and no square overflows.  One row of :func:`_dr_rows`.
     """
-    lam = float(lam)
-    a = abs(lam)
-    if a <= 4.0:
+    return _dr_rows([lam])[0]
+
+
+def _dr_rows(lams) -> list:
+    """:func:`dr_dlambda` at every lam, through one AGM; a failing row raises."""
+    lam = np.array([float(lam) for lam in lams])
+    a = np.abs(lam)
+    if (a <= 4.0).any():
         raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
-    return math.copysign(1.0, lam) * (1.0 / agm(1.0, math.sqrt((a - 4.0) / a) * math.sqrt((a + 4.0) / a))) / a
+    return (np.copysign(1.0, lam) * (1.0 / agm(1.0, np.sqrt((a - 4.0) / a) * np.sqrt((a + 4.0) / a))) / a).tolist()
 
 
 _LINEAR_ROOT = 0.25  # g, the root of the (1 - 4x) factor
@@ -190,23 +256,24 @@ def _kernel_integrals(rows) -> list:
     are out of order, so that an AGM argument is not positive, raises
     :class:`NumericalError`.
     """
-    out = []
-    for (lam, linear), *x in zip(rows, *cubic_singularities(np.array([lam for lam, _ in rows], dtype=float))):
-        x0, x1, x2 = _finite(lam, x)
-        if lam <= -5.0 and linear:
-            raise ValueError("the (1-4x) factor is only used on the positive side")
-        if not (lam <= -5.0 or lam > 5.0):
-            raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
-        if lam <= -5.0:
-            c, u, v = -4.0 * lam, x2 - x0, x2 - x1
-        elif linear:
-            c, u, v = 16.0 * lam, (_LINEAR_ROOT - x2) * (x0 - x1), (_LINEAR_ROOT - x0) * (x2 - x1)
-        else:
-            c, u, v = 4.0 * lam, x0 - x1, x2 - x1
-        if not (u > 0.0 and v > 0.0):
-            raise NumericalError(f"the singular points are out of order at lam={lam!r}")
-        out.append(math.pi / (math.sqrt(c) * agm(math.sqrt(u), math.sqrt(v))))
-    return out
+    lam = np.array([lam for lam, _ in rows], dtype=float)
+    linear = np.array([linear for _, linear in rows], dtype=bool)
+    x0, x1, x2 = (np.asarray(x) for x in cubic_singularities(lam))
+    neg = lam <= -5.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing row may compute NaN before it raises
+        c = np.where(neg, -4.0 * lam, np.where(linear, 16.0 * lam, 4.0 * lam))
+        u = np.where(neg, x2 - x0, np.where(linear, (_LINEAR_ROOT - x2) * (x0 - x1), x0 - x1))
+        v = np.where(neg, x2 - x1, np.where(linear, (_LINEAR_ROOT - x0) * (x2 - x1), x2 - x1))
+        ordered = (u > 0.0) & (v > 0.0)
+    _raise_first_failure([
+        (~(np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2)),
+         lambda at: NumericalError(f"the singular points overflow in double precision at lam={at!r}")),
+        (neg & linear, lambda at: ValueError("the (1-4x) factor is only used on the positive side")),
+        (~(neg | (lam > 5.0)),
+         lambda at: UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")),
+        (~ordered, lambda at: NumericalError(f"the singular points are out of order at lam={at!r}")),
+    ], lam)
+    return (math.pi / (np.sqrt(c) * agm(np.sqrt(u), np.sqrt(v)))).tolist()
 
 
 def dq_dlambda_closed(lam: float) -> float:

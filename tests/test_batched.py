@@ -354,3 +354,28 @@ def test_a_row_that_stops_at_the_cap_has_converged():
     # a constant ladder stops on its first gap, at 128 nodes: also where 128 is the cap
     assert quadrature._refine(lambda n: 2.0, 64, 128, 1e-9) == (2.0, quadrature._err_floor(2.0), 128, True)
     assert quadrature._refine(lambda n: 1.0 + 1.0 / n, 64, 128, 1e-9)[3] is False
+
+
+def test_the_q_integrand_takes_each_distinct_arcs_nodes_once_per_level(monkeypatch):
+    # the 201 rows of a q range share two arcs, (0, 1/3) and (1/3, 1): a level computes
+    # e^(i pi t) once per arc still running, and the rows equal their one-row calls
+    seen = []
+    real = measures._fast_integrand
+
+    def spy(family, lams):
+        nodes, values, cuts = real(family, lams)
+
+        def counted(t):
+            if t.ndim == 2:
+                seen.extend(row.tobytes() for row in t)
+            return nodes(t)
+
+        return counted, values, cuts
+
+    monkeypatch.setattr(measures, "_fast_integrand", spy)
+    lams = [-55.0 + 0.25 * i for i in range(201)]
+    batch = family_measures("q", lams)
+    levels = len(seen)
+    assert 0 < levels == len(set(seen)) <= 2 * (quadrature.DEFAULTS.tanh_sinh_level_max + 1)
+    monkeypatch.setattr(measures, "_fast_integrand", real)
+    assert batch == [q_measure(lam) for lam in lams]

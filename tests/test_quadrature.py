@@ -113,3 +113,48 @@ def test_engines_are_additive(engine):
     g = lambda t: 1.0 / (2.0 + np.sin(2 * np.pi * t))
     (a, ea), (b, eb), (c, ec) = (engine(h) for h in (f, g, lambda t: f(t) + g(t)))
     assert abs(c - (a + b)) <= 2 * (ea + eb + ec)
+
+
+# -- ladders of many rows: every row stops where its one-row ladder stops -----------
+
+
+def _ladder_rows():
+    """Level values of six rows: geometric, power-law, algebraic, exact, and one that never settles."""
+    return [
+        lambda n: 1.0 + 0.5**n,
+        lambda n: 2.0 + 0.9**n,
+        lambda n: 3.0 + n**-2.0 - 0.5 * n**-3.0,
+        lambda n: 4.0 + 1.0 / n,
+        lambda n: 5.0,
+        lambda n: 6.0 + 1e-3 * math.sin(n),
+    ]
+
+
+@pytest.mark.parametrize("estimate", ["_geometric_estimate", "_power_estimate", "_last_gap_estimate"])
+def test_a_ladder_batch_gives_each_row_its_one_row_result(estimate):
+    # the rows stop at different levels, and 6 + sin(n)/1000 at the cap, under each
+    # estimator; each row's tol is its own
+    rows, estimate = _ladder_rows(), getattr(quadrature, estimate)
+    tols = [1e-12, 1e-9, 1e-12, 1e-12, 1e-12, 1e-12]
+    batch = quadrature._ladder(lambda live, n: [rows[i](n) for i in live], len(rows), 4, 4096, tols, estimate=estimate)
+    singles = [_refine(row, 4, 4096, tol, estimate=estimate) for row, tol in zip(rows, tols)]
+    assert batch == singles
+    assert len({n for *_, n, _ in batch}) >= 3 and batch[5][2:] == (4096, False)
+
+
+def _scaled_cos(rows, x):
+    """An integrand that differs from arc to arc: cos(k x)/sqrt(x) with k = 1 + (arc mod 3)."""
+    return np.cos((1.0 + rows[:, None] % 3) * x) / np.sqrt(x)
+
+
+def test_arcs_on_repeated_intervals_equal_one_arc_calls():
+    # 40 arcs share (0, 1) and 3 share (0.25, 3), past the repeats from which a level places
+    # the nodes once per interval; every arc is its one-arc call, value, estimate and node count
+    ends = [(0.0, 1.0)] * 40 + [(0.25, 3.0)] * 3 + [(0.5, 2.0)]
+    tols = [1e-12 if i % 2 else 1e-6 for i in range(len(ends))]
+    assert len(ends) - len(set(ends)) >= quadrature._SHARED_MIN
+    batch = tanh_sinh(_scaled_cos, ends, tols)
+    singles = [tanh_sinh(lambda rows, x, i=i: _scaled_cos(np.full(len(rows), i), x), [arc], tol)[0]
+               for i, (arc, tol) in enumerate(zip(ends, tols))]
+    assert batch == singles
+    assert len({r.nodes for r in batch}) >= 2

@@ -111,6 +111,62 @@ def test_agm3_needs_positive_arguments():
             agm3(*bad)
 
 
+def _one_pair_mean(x, y, step):
+    """The scalar AGM loop: to the fixed point |a - g| <= 4e-16 a, then one more step's a; and its step count."""
+    a, g = x, y
+    for steps in range(64):
+        if abs(a - g) <= 4e-16 * a:
+            break
+        a, g = step(a, g)
+    return step(a, g)[0], steps
+
+
+ONE_PAIR_STEPS = {
+    "agm": lambda a, g: (0.5 * (a + g), math.sqrt(a * g)),
+    "agm3": lambda a, g: ((a + 2.0 * g) / 3.0, (g * (a * a + a * g + g * g) / 3.0) ** (1.0 / 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", ["agm", "agm3"])
+def test_array_means_equal_the_one_pair_loop(name):
+    # seeded pairs inside [1/8, 8], equal, close and far apart, so that they stop after
+    # different numbers of steps; each element is the one-pair loop's value bit for bit
+    rng = np.random.default_rng(30)
+    x = rng.uniform(0.125, 8.0, 300)
+    y = np.concatenate([x[:20], x[20:60] * (1.0 + rng.uniform(-1e-6, 1e-6, 40)), rng.uniform(0.125, 8.0, 240)])
+    got = getattr(mahler.specfun, name)(x, y)
+    want = [_one_pair_mean(a, g, ONE_PAIR_STEPS[name]) for a, g in zip(x.tolist(), y.tolist())]
+    assert got.tolist() == [v for v, _ in want]
+    assert len({steps for _, steps in want}) >= 3
+
+
+@pytest.mark.parametrize("mean, x, y", [
+    ("agm", 1e300, 1e-300),  # a g overflows from the third step on
+    ("agm", 1.0, 1e308),
+    ("agm", 1.7e308, 1.7e308),  # a + g overflows
+    ("agm3", 1.0, 5e-324),  # g underflows to 0 in the first step
+    ("agm3", 1e-300, 1e300),
+])
+def test_means_at_extreme_arguments(mean, x, y):
+    # unscaled, every one of these pairs leaves double range; scaled by powers of two, none does
+    with mp.workdps(40):
+        if mean == "agm":
+            want = float(mp.agm(x, y))
+        else:
+            a, g = mpf(x), mpf(y)
+            for _ in range(200):
+                a, g = (a + 2 * g) / 3, mp.cbrt(g * (a * a + a * g + g * g) / 3)
+            want = float(a)
+    assert abs(getattr(mahler.specfun, mean)(x, y) - want) <= 4e-16 * want
+
+
+@pytest.mark.parametrize("mean, x, y", [("agm", 1.7e308, 5e-324), ("agm3", 1e300, 1e-300)])
+def test_a_mean_out_of_double_range_raises(mean, x, y):
+    # exponents too far apart for any common scale: an iterate leaves the positive doubles
+    with pytest.raises(NumericalError):
+        getattr(mahler.specfun, mean)(x, y)
+
+
 def test_hyp2f1_third_case_near_largest_used_argument():
     z = 27.0 * 17.0**2 / 21.0**3  # ~0.8426, the lam = 13 argument
     val = gauss_2f1_series(1 / 3, 2 / 3, 1, z)
