@@ -54,11 +54,8 @@ from .poly import verify_substitution as _substitution_residual
 from .quadrature import NumericalError, _isolate
 from .specfun import (
     UnsupportedRegimeError,
-    _dp_rows,
-    _dq_rows,
-    _dr_rows,
+    _closed_forms,
     _finite,
-    _kernel_integrals,
     agm3,
     cubic_singularities,
     gauss_2f1_agm,
@@ -160,8 +157,8 @@ def _derivative_reports(lams, tol) -> list:
     lams = _lams(lams)
     if not all(lam < -5.0 or lam > 13.0 for lam in lams):
         raise ValueError("the derivative relation holds on the open ranges lam < -5 and lam > 13")
-    dq, dr = _dq_rows(lams), _dr_rows(lams)
-    dp = iter(_dp_rows([lam for lam in lams if lam > 0]))
+    _, dq, dr, dp = _closed_forms(dq=lams, dr=lams, dp=[lam for lam in lams if lam > 0])
+    dp = iter(dp)
     out = []
     for lam, dq_, dr_ in zip(lams, dq, dr):
         rhs = dr_ if lam < 0 else 0.5 * (dr_ + next(dp))
@@ -194,9 +191,10 @@ def _J_reports(lams, tol, which: str | None = None) -> list:
             if name != "J2" and lam <= 5.0:
                 raise ValueError(f"{name} requires lam > 5")
             checks.append((name, lam))
-    integrals = _kernel_integrals([(lam, name == "J1") for name, lam in checks])
-    dr = iter(_dr_rows([lam for name, lam in checks if name != "J1"]))
-    dp = iter(_dp_rows([lam for name, lam in checks if name == "J1"]))
+    integrals, _, dr, dp = _closed_forms(kernels=[(lam, name == "J1") for name, lam in checks],
+                                         dr=[lam for name, lam in checks if name != "J1"],
+                                         dp=[lam for name, lam in checks if name == "J1"])
+    dr, dp = iter(dr), iter(dp)
     out = []
     for (name, lam), lhs in zip(checks, integrals):
         rhs = math.pi * (next(dp) if name == "J1" else abs(next(dr)))

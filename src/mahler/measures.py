@@ -40,12 +40,10 @@ import numpy as np
 from .config import DEFAULTS
 from .poly import FamilySpec, LaurentPolynomial, make_family
 from .quadrature import (
-    _SHARED_MIN,
     NumericalError,
     _ladder,
     _midpoint_means,
     _power_estimate,
-    _raise_first_failure,
     _refine,
     tanh_sinh,
 )
@@ -92,6 +90,14 @@ def _double(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise NumericalError(f"{what} overflows in double precision") from None
+
+
+def _float_or_nan(value) -> float:
+    """``float(value)``, or NaN where that raises."""
+    try:
+        return float(value)
+    except (OverflowError, TypeError, ValueError):
+        return math.nan
 
 
 def _doubles(P: LaurentPolynomial) -> list[tuple[tuple[int, ...], complex]]:
@@ -352,24 +358,24 @@ def _circle_means(nodes, values, cuts, tol: float) -> list:
     worst square-root-like at its ends.  There ``nodes`` takes a 2-D t, one
     row of nodes per arc, ``values`` takes node data with one row per arc,
     and a row's value is the sum of its arcs in order.  Rows with equal cuts
-    share their arcs, which are found once per call; where at least
-    ``quadrature._SHARED_MIN`` arcs repeat one, a level evaluates ``nodes``
+    share their arcs, which are found once per call.  ``tanh_sinh`` hands
+    the arcs on one interval over together, so a level evaluates ``nodes``
     once per distinct arc (a range of q rows has two) and hands that data
-    to every row on the arc.  The other rows (no cuts, or an arc
-    that does not converge) share one midpoint ladder on the whole period
-    from ``circle_nodes_start`` to ``circle_nodes_max`` nodes, each row to
-    its own stop.  A failing row raises for the batch.
+    to every row on the arc; only the last arc's data is kept from one block
+    to the next.  The other rows (no cuts, or an arc that does not converge)
+    share one midpoint ladder on the whole period from
+    ``circle_nodes_start`` to ``circle_nodes_max`` nodes, each row to its own
+    stop.  A failing row raises for the batch.
     """
     arcs_of: dict = {}  # cuts -> (the arcs between them, the number of each among the distinct arcs, their tol)
+    number: dict = {}  # arc -> its number among the distinct arcs
     ends, owner, share, distinct, arc_rows, count = [], [], [], [], [], []  # per arc; per row with arcs
-    known = 0  # distinct arcs so far
     for i, c in enumerate(cuts):
         if not len(c):
             continue
         if (key := tuple(c)) not in arcs_of:
             arcs = [(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b]
-            arcs_of[key] = arcs, range(known, known + len(arcs)), tol / len(c)
-            known += len(arcs)
+            arcs_of[key] = arcs, [number.setdefault(arc, len(number)) for arc in arcs], tol / len(c)
         arcs, numbers, arc_tol = arcs_of[key]
         ends += arcs
         distinct += numbers
@@ -378,28 +384,25 @@ def _circle_means(nodes, values, cuts, tol: float) -> list:
         arc_rows.append(i)
         count.append(len(arcs))
     owner, distinct = np.array(owner, dtype=int), np.array(distinct, dtype=int)
-    shared = len(ends) - known >= _SHARED_MIN
-
-    # node data of the distinct arcs at the current level, and the first t each was taken at
-    cache, taken = None, np.full(known, np.nan)
+    last: tuple = (-1, None, None)  # the last arc of the block before: its number, nodes and node data
 
     def integrand(arcs, t):
-        nonlocal cache
-        if not shared:
-            return values(owner[arcs], nodes(t))
+        # the node data is taken once per run of a distinct arc, whose nodes are the same, and
+        # a run that goes on from the block before takes the data that block left
+        nonlocal last
         d = distinct[arcs]
-        stale = taken[d] != t[:, 0]  # a distinct arc whose data is from another level, or none
-        if np.count_nonzero(stale):
-            pick = np.zeros(known, dtype=bool)
-            pick[d[stale]] = True
-            at = np.empty(known, dtype=int)
-            at[d] = np.arange(len(arcs))  # an arc of each distinct arc in ``arcs``
-            new = pick.nonzero()[0]
-            data = nodes(t[at[new]])
-            if cache is None or cache.shape[1:] != data.shape[1:]:
-                cache = np.empty((known, *data.shape[1:]), dtype=data.dtype)
-            cache[new], taken[new] = data, t[at[new], 0]
-        return values(owner[arcs], cache[d])
+        first = np.empty(len(d), dtype=bool)
+        first[0] = d[0] != last[0] or not np.array_equal(t[0], last[1])
+        np.not_equal(d[1:], d[:-1], out=first[1:])
+        if np.count_nonzero(first) == len(d):
+            data = nodes(t)
+        else:
+            data = nodes(t[first])
+            if not first[0]:
+                data = np.concatenate([last[2][None], data])
+            data = data[np.cumsum(first) - first[0]]
+        last = d[-1], t[-1], data[-1]
+        return values(owner[arcs], data)
 
     out: list = [None] * len(cuts)
     if ends:
@@ -503,6 +506,19 @@ def _branch_moduli(lam, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- family paths -----------------------------------------------------------------
+
+
+def _check_parameter(family: str, lam) -> None:
+    """Raise what :func:`family_measures` raises for a row at ``lam``, if anything.
+
+    The parameter must convert to a double, the family spec rejects a
+    non-finite value, and a q row on the branch path must keep its branch
+    moduli in double range.
+    """
+    lam = FamilySpec(_FAMILIES[family], _double(lam, f"the parameter of family {_FAMILIES[family]}")).parameter
+    if family == "q" and (lam <= -4.0 or lam >= 13.0) and not math.isfinite(16.0 * lam * lam):
+        # q's |b|^2 and discriminant are at most (2|lam| + 9)^2 on the path, which must not overflow
+        raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
 
 
 def _q_cuts(lam: float) -> tuple[float, ...]:
@@ -633,17 +649,12 @@ def family_measures(family: str, lams, *, tol: float | None = None) -> list:
     out: list = [None] * len(lams)
     if not len(lams):
         return out
-    name = _FAMILIES[family]
-    what = f"the parameter of family {name}"
-    lam = np.array([_double(v, what) for v in lams], dtype=float)
+    lam = np.array([_float_or_nan(v) for v in lams], dtype=float)
     gap = (family == "q") & ~((lam <= -4.0) | (lam >= 13.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # q's |b|^2 and discriminant are at most (2|lam| + 9)^2 on the path, which must not overflow
-        overflows = (family == "q") & ~gap & ~np.isfinite(16.0 * lam * lam)
-    _raise_first_failure([
-        (~np.isfinite(lam), lambda v: ValueError(f"{what} must be finite, got {v!r}")),
-        (overflows, lambda v: NumericalError(f"the branch moduli overflow in double precision at lam={v!r}")),
-    ], lam)
+    with np.errstate(over="ignore"):
+        failed = ~np.isfinite(lam) | ((family == "q") & ~gap & ~np.isfinite(16.0 * lam * lam))
+    if np.count_nonzero(failed):
+        _check_parameter(family, lams[int(np.argmax(failed))])  # raises the first failing row's error
     exact = (family == "p") & (lam == -4.0)
     for i in exact.nonzero()[0].tolist():
         out[i] = MeasureValue(value=0.0, method="family_fast", error_estimate=0.0)

@@ -2,9 +2,9 @@
 
 :func:`_ladder` runs node-doubling ladders of many rows at once, each row to
 its own stop under an estimator it is given, which acts on the levels of all
-live rows as one array; :func:`_refine` is its one-row case.  Its two rules: :func:`_midpoint_means` evaluates a level of the
-midpoint rule on a periodic integrand in blocks (see :mod:`mahler.measures`
-for the circle means), and :func:`tanh_sinh` runs a list of finite
+live rows as one array; :func:`_refine` is its one-row case.  Its two rules:
+:func:`_midpoint_means` evaluates a level of the midpoint rule on a periodic
+integrand in blocks (see :mod:`mahler.measures` for the circle means), and :func:`tanh_sinh` runs a list of finite
 intervals as rows, for integrands that may blow up like an inverse square
 root at the endpoints (interior singular points are the caller's job to
 split at).  All are pure functions and safe for concurrent use.
@@ -34,9 +34,6 @@ _EPS = sys.float_info.epsilon
 # any admissible inverse-square-root blowup is far below double rounding.
 _T_HARD = 5.0
 _BLOCK = 4096  # nodes per integrand call (rows times nodes); bounds memory at the node cap
-# a level computes node data once per distinct interval where at least this many arcs repeat
-# one; with fewer, that bookkeeping costs more than the node data it saves
-_SHARED_MIN = 32
 
 
 class NumericalError(RuntimeError):
@@ -97,14 +94,15 @@ def tanh_sinh(f, ends, tol) -> list:
     endpoints to infinity, so integrable endpoint singularities up to
     ``(x-a)^(-1/2)`` / ``(b-x)^(-1/2)`` converge geometrically.  The arcs are
     the rows of one :func:`_ladder`, whose level n = 2^j halves their mesh.
-    Arcs may repeat an interval: where at least ``_SHARED_MIN`` do, each level
-    places its abscissae and weights once per distinct interval among the
-    arcs still running, and every arc on it gets that row.  ``f(rows, x)``
-    gets the nodes a level adds to the arcs ``rows`` (ascending) as a
-    (len(rows), nodes) array, at most ``_BLOCK`` nodes unless one arc's
-    level alone is larger, and returns the values in its shape.  An
-    arc stops once two levels differ by at most its ``tol`` (a scalar or one
-    per arc), or at the level cap ``tanh_sinh_level_max`` with
+    The ladder runs the arcs grouped by interval: a level places the
+    abscissae and weights once per block of distinct intervals, and the arcs
+    on them take those a block at a time, every block at most ``_BLOCK``
+    nodes unless one arc's level alone is larger.  ``f(rows, x)`` gets the
+    nodes a level adds to the arcs ``rows`` of a block as a (len(rows),
+    nodes) array, the arcs on one interval next to each other, and returns
+    the values in its shape.
+    An arc stops once two levels differ by at most its ``tol`` (a scalar or
+    one per arc), or at the level cap ``tanh_sinh_level_max`` with
     ``converged=False``.  A node that rounds onto an endpoint is evaluated at
     the midpoint, as level 0 is, and weighs nothing; a NaN or infinity at a
     node inside is a hard error.  Returns a :class:`QuadratureResult` per arc,
@@ -116,50 +114,62 @@ def tanh_sinh(f, ends, tol) -> list:
     if not np.isfinite(ends).all():
         raise ValueError("endpoints must be finite")
     n_max = 2**DEFAULTS.tanh_sinh_level_max
-    # the distinct intervals, as a + bi (exact), and each arc's, found once per call
+    # the distinct intervals, as a + bi (exact), and each arc's; ladder row r is arc order[r]
     index: dict = {}
     interval = np.array([index.setdefault(arc, len(index)) for arc in ends.view(complex).ravel().tolist()], dtype=int)
-    shared = len(ends) - len(index) >= _SHARED_MIN
+    order = np.argsort(interval, kind="stable")
+    interval = interval[order]
     key = np.array(list(index), dtype=complex)
     a, b = key.real, key.imag
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    totals = np.zeros(len(ends))  # each arc's sum of w f(x) over the levels so far
+    totals = np.zeros(len(ends))  # each row's sum of w f(x) over the levels so far
 
     def level(live: np.ndarray, n: int) -> np.ndarray:
         ch, cu2, den = _tanh_sinh_row(n.bit_length() - 1)
-        ids, slot = interval[live], None  # the level's intervals, and each live arc's among them
-        if shared:
-            running = np.zeros(len(key), dtype=bool)
-            running[ids] = True
-            ids, slot = np.flatnonzero(running), (np.cumsum(running) - 1)[ids]
-        a_, b_, mid_, rad_ = (v[ids, None] for v in (a, b, mid, rad))
-        # the distance d to the nearer endpoint is computed directly so that
-        # nodes hug the endpoints as closely as doubles allow; at n = 1, t = 0
-        # is one node, at the midpoint
-        w = rad_ * (0.5 * math.pi) * ch / cu2
-        d = rad_ * 2.0 / den
-        skip = 1 if n == 1 else 0
-        x, w = np.concatenate([b_ - d, a_ + d[:, skip:]], axis=1), np.concatenate([w, w[:, skip:]], axis=1)
-        if skip:
-            x[:, 0] = mid_[:, 0]
-        inside = (x > a_) & (x < b_)
-        at = np.where(inside, x, mid_)
-        step = max(1, _BLOCK // (2 * len(ch)))
-        for lo in range(0, len(live), step):
-            rows = live[lo : lo + step]
-            s = slice(lo, lo + step) if slot is None else slot[lo : lo + step]
-            vals = np.asarray(f(rows, at[s]), dtype=float)
-            if vals.shape != (len(rows), x.shape[1]):
-                raise ValueError("integrand returned a wrong shape")
-            bad = inside[s] & ~np.isfinite(vals)
-            if bad.any():
-                k = np.unravel_index(np.argmax(bad), bad.shape)
-                what = "returned NaN" if math.isnan(vals[k]) else "blew up at interior point"
-                raise NumericalError(f"integrand {what} at x={float(x[s][k])!r}")
-            totals[rows] += np.where(inside[s], w[s] * vals, 0.0).sum(axis=1)
+        skip = 1 if n == 1 else 0  # at n = 1, t = 0 is one node, at the midpoint
+        step = max(1, _BLOCK // (2 * len(ch)))  # arcs, or intervals, per block
+        ids = interval[live]
+        first = np.empty(len(ids), dtype=bool)  # the first live arc of each interval
+        first[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        bounds = [*starts[::step].tolist(), len(live)]
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            # a block of intervals places its nodes once, and its arcs take them a block at a time
+            u = ids[starts[j * step : (j + 1) * step]]
+            a_, b_, mid_, rad_ = (v[u, None] for v in (a, b, mid, rad))
+            # the distance d to the nearer endpoint is computed directly so that
+            # nodes hug the endpoints as closely as doubles allow
+            w = rad_ * (0.5 * math.pi) * ch / cu2
+            d = rad_ * 2.0 / den
+            x, w = np.concatenate([b_ - d, a_ + d[:, skip:]], axis=1), np.concatenate([w, w[:, skip:]], axis=1)
+            if skip:
+                x[:, 0] = mid_[:, 0]
+            inside = (x > a_) & (x < b_)
+            at = np.where(inside, x, mid_)
+            for k in range(lo, hi, step):
+                rows = live[k : min(k + step, hi)]
+                if len(u) < hi - lo:  # arcs on one interval share its nodes
+                    slot = np.cumsum(first[k : k + len(rows)]) + (np.count_nonzero(first[lo:k]) - 1)
+                    x_, w_, inside_, at_ = x[slot], w[slot], inside[slot], at[slot]
+                else:
+                    x_, w_, inside_, at_ = x, w, inside, at
+                vals = np.asarray(f(order[rows], at_), dtype=float)
+                if vals.shape != x_.shape:
+                    raise ValueError("integrand returned a wrong shape")
+                bad = inside_ & ~np.isfinite(vals)
+                if bad.any():
+                    i = np.unravel_index(np.argmax(bad), bad.shape)
+                    what = "returned NaN" if math.isnan(vals[i]) else "blew up at interior point"
+                    raise NumericalError(f"integrand {what} at x={float(x_[i])!r}")
+                totals[rows] += np.where(inside_, w_ * vals, 0.0).sum(axis=1)
         return totals[live] / n
 
-    out = _ladder(level, len(ends), 1, n_max, tol, estimate=_last_gap_estimate)
+    tol = (np.zeros(len(ends)) + np.asarray(tol, dtype=float))[order]
+    rows = _ladder(level, len(ends), 1, n_max, tol, estimate=_last_gap_estimate)
+    out: list = [None] * len(ends)
+    for arc, row in zip(order.tolist(), rows):
+        out[arc] = row
     # nodes[j]: the nodes of the levels n = 1 to 2^j together, the one at t = 0 counted once
     top = max((n for *_, n, _ in out), default=1)
     nodes = np.cumsum([2 * len(_tanh_sinh_row(j)[0]) for j in range(top.bit_length())]) - 1
@@ -308,19 +318,6 @@ def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol, *, estimate=_geo
             live, values, tol = live[keep], values[keep], tol[keep]
         n *= 2
     return out
-
-
-def _raise_first_failure(checks, params) -> None:
-    """Raise the error of the first row that fails one of ``checks``, from its first failing check.
-
-    ``checks`` lists (the rows that fail it, a bool array; the error for a row's
-    parameter) in the order a row is checked, and ``params`` holds the rows'
-    parameters, so a batch raises what its first failing row raises alone.
-    """
-    failed = np.array([fails for fails, _ in checks])
-    if failed.any():
-        row = failed.any(axis=0).argmax()
-        raise next(error for fails, error in checks if fails[row])(float(params[row]))
 
 
 def _isolate(evaluate, params) -> list:

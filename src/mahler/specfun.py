@@ -14,10 +14,11 @@ array, and the lambda-derivatives of the three family measures:
 
 Those elliptic integrals are rows of :func:`_kernel_integrals`, which gives
 each in closed form through the AGM (Legendre's reduction).  Both AGMs run
-on arrays, every element to its own fixed point, so the library takes each
-batch of rows (:func:`_kernel_integrals`, :func:`_dp_rows`,
-:func:`_dr_rows`, the ``hyp`` grids) through one loop; the scalar
-functions are their one-element case.
+on arrays, every element to its own fixed point, so the library takes a
+batch of rows through one loop per AGM: :func:`_closed_forms` gives kernel
+integrals and the three derivatives of many lams at once, and the ``hyp``
+grids take one call each.  The scalar functions are their one-element
+case.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from .config import DEFAULTS
-from .quadrature import NumericalError, _libm, _raise_first_failure
+from .quadrature import NumericalError, _libm
 from .roots import quadratic_roots
 
 __all__ = [
@@ -73,11 +74,15 @@ def _mean(x, y, step, center):
     the range stays apart), raises :class:`NumericalError`.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    zero = np.zeros(np.broadcast(x, y).shape)
-    shape, a, g = zero.shape, (x + zero).ravel(), (y + zero).ravel()
-    if np.count_nonzero((a > 0) & (g > 0)) < len(a):  # NaN too
+    if x.shape == y.shape:
+        shape, a, g = x.shape, x.ravel(), y.ravel()
+    else:
+        zero = np.zeros(np.broadcast(x, y).shape)
+        shape, a, g = zero.shape, (x + zero).ravel(), (y + zero).ravel()
+    lo, hi = np.minimum(a, g), np.maximum(a, g)
+    if np.count_nonzero(lo > 0.0) < len(a):  # NaN too
         raise ValueError("an AGM needs positive arguments")
-    far = (np.maximum(a, g) > _MEAN_NEAR) | (np.minimum(a, g) < 1.0 / _MEAN_NEAR)
+    far = (hi > _MEAN_NEAR) | (lo < 1.0 / _MEAN_NEAR)
     scaled = np.count_nonzero(far) > 0
     out, live, shift = np.empty(len(a)), np.arange(len(a)), 0
     # only a scaled pair can leave double range, and it raises below
@@ -87,15 +92,18 @@ def _mean(x, y, step, center):
                 c = np.where(far, center(np.frexp(a)[1], np.frexp(g)[1]), 0)
                 a, g, shift = np.ldexp(a, -c), np.ldexp(g, -c), shift + c
             done = np.abs(a - g) <= 4e-16 * a
-            if np.count_nonzero(done):
+            finished = np.count_nonzero(done)
+            if finished == len(a):  # the last ones
+                last = step(a, g)[0]
+                out[live] = np.ldexp(last, shift) if scaled else last
+                break
+            if finished:
                 i, keep = done.nonzero()[0], (~done).nonzero()[0]
                 last = step(a[i], g[i])[0]
                 out[live[i]] = np.ldexp(last, shift[i]) if scaled else last
                 a, g, live = a[keep], g[keep], live[keep]
                 if scaled:
                     shift, far = shift[keep], far[keep]
-            if not len(live):
-                break
             a, g = step(a, g)
         else:
             raise NumericalError(f"the mean did not reach a fixed point within {_MEAN_STEPS} steps")
@@ -194,22 +202,12 @@ def _finite(lam: float, x: tuple) -> tuple[float, float, float]:
 
 
 def dp_dlambda(lam: float) -> float:
-    """Derivative of the P-family measure, lam > 5: ``1/((lam + 8) agm3(1, s))``; one row of :func:`_dp_rows`.
+    """Derivative of the P-family measure, lam > 5: ``1/((lam + 8) agm3(1, s))``; one row of :func:`_closed_forms`.
 
     s^3 = 1 - z = (lam - 4)^2 (lam + 5)/(lam + 8)^3, formed from ratios to lam + 8,
     so nothing cancels next to lam = 5 and nothing overflows at any finite lam.
     """
-    return _dp_rows([lam])[0]
-
-
-def _dp_rows(lams) -> list:
-    """:func:`dp_dlambda` at every lam, through one cubic AGM; a failing row raises."""
-    lams = [float(lam) for lam in lams]
-    if any(lam <= 5.0 for lam in lams):
-        raise UnsupportedRegimeError("dp/dlambda is used for lam > 5")
-    s = [((lam - 4.0) / (lam + 8.0)) ** (2.0 / 3.0) * ((lam + 5.0) / (lam + 8.0)) ** (1.0 / 3.0) for lam in lams]
-    lam = np.array(lams)
-    return (1.0 / ((lam + 8.0) * agm3(1.0, np.array(s)))).tolist()
+    return _closed_forms(dp=[lam])[3][0]
 
 
 def dr_dlambda(lam: float) -> float:
@@ -217,18 +215,9 @@ def dr_dlambda(lam: float) -> float:
 
     F = 1/agm(1, k') with k' = sqrt(1 - 16/lam^2), formed as
     sqrt((|lam| - 4)/|lam|) sqrt((|lam| + 4)/|lam|): no 1 - z cancels next to
-    |lam| = 4, and no square overflows.  One row of :func:`_dr_rows`.
+    |lam| = 4, and no square overflows.  One row of :func:`_closed_forms`.
     """
-    return _dr_rows([lam])[0]
-
-
-def _dr_rows(lams) -> list:
-    """:func:`dr_dlambda` at every lam, through one AGM; a failing row raises."""
-    lam = np.array([float(lam) for lam in lams])
-    a = np.abs(lam)
-    if (a <= 4.0).any():
-        raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
-    return (np.copysign(1.0, lam) * (1.0 / agm(1.0, np.sqrt((a - 4.0) / a) * np.sqrt((a + 4.0) / a))) / a).tolist()
+    return _closed_forms(dr=[lam])[2][0]
 
 
 _LINEAR_ROOT = 0.25  # g, the root of the (1 - 4x) factor
@@ -254,26 +243,9 @@ def _kernel_integrals(rows) -> list:
     No difference of two nearby roots enters.  The singular points of all
     rows come from one :func:`cubic_singularities` call; a row whose points
     are out of order, so that an AGM argument is not positive, raises
-    :class:`NumericalError`.
+    :class:`NumericalError`.  The first list of :func:`_closed_forms`.
     """
-    lam = np.array([lam for lam, _ in rows], dtype=float)
-    linear = np.array([linear for _, linear in rows], dtype=bool)
-    x0, x1, x2 = (np.asarray(x) for x in cubic_singularities(lam))
-    neg = lam <= -5.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a failing row may compute NaN before it raises
-        c = np.where(neg, -4.0 * lam, np.where(linear, 16.0 * lam, 4.0 * lam))
-        u = np.where(neg, x2 - x0, np.where(linear, (_LINEAR_ROOT - x2) * (x0 - x1), x0 - x1))
-        v = np.where(neg, x2 - x1, np.where(linear, (_LINEAR_ROOT - x0) * (x2 - x1), x2 - x1))
-        ordered = (u > 0.0) & (v > 0.0)
-    _raise_first_failure([
-        (~(np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2)),
-         lambda at: NumericalError(f"the singular points overflow in double precision at lam={at!r}")),
-        (neg & linear, lambda at: ValueError("the (1-4x) factor is only used on the positive side")),
-        (~(neg | (lam > 5.0)),
-         lambda at: UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")),
-        (~ordered, lambda at: NumericalError(f"the singular points are out of order at lam={at!r}")),
-    ], lam)
-    return (math.pi / (np.sqrt(c) * agm(np.sqrt(u), np.sqrt(v)))).tolist()
+    return _closed_forms(kernels=rows)[0]
 
 
 def dq_dlambda_closed(lam: float) -> float:
@@ -287,12 +259,72 @@ def dq_dlambda_closed(lam: float) -> float:
 
 
 def _dq_rows(lams) -> list:
-    """:func:`dq_dlambda_closed` at every lam, from one :func:`_kernel_integrals` call; a failing row raises."""
-    lams = [float(lam) for lam in lams]
-    for lam in lams:
-        if not (lam < -5.0 or lam > 13.0):
-            raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
-    # a row with lam > 13 owns two integrals in a row: the plain kernel and the one with (1-4x)
-    rows = [(lam, linear) for lam in lams for linear in ((False, True) if lam > 13.0 else (False,))]
-    values = iter(_kernel_integrals(rows))
-    return [-next(values) / math.pi if lam < 0 else (next(values) + next(values)) / (2.0 * math.pi) for lam in lams]
+    """:func:`dq_dlambda_closed` at every lam: the second list of :func:`_closed_forms`."""
+    return _closed_forms(dq=lams)[1]
+
+
+def _closed_forms(kernels=(), dq=(), dr=(), dp=()) -> tuple[list, list, list, list]:
+    """Four lists: :func:`_kernel_integrals` of the rows ``kernels``, then derivatives at the lams ``dq``, ``dr``, ``dp``.
+
+    The derivatives are :func:`dq_dlambda_closed`, :func:`dr_dlambda` and
+    :func:`dp_dlambda`.  The kernel integrals, dq/dlambda's among them, and
+    dr/dlambda share one AGM loop, and dp/dlambda takes one cubic AGM loop,
+    however many rows there are.  A failing row raises what it raises alone;
+    dq's regime, the kernel rows, dr's regime and dp's are checked in that
+    order.
+    """
+    dq = [float(lam) for lam in dq]
+    if not all(lam < -5.0 or lam > 13.0 for lam in dq):
+        raise UnsupportedRegimeError("the closed form holds for lam < -5 or lam > 13 only")
+    # a dq row with lam > 13 owns two integrals in a row: the plain kernel and the one with (1-4x)
+    rows = [*kernels, *((lam, linear) for lam in dq for linear in ((False, True) if lam > 13.0 else (False,)))]
+    x, y, root_c = _kernel_pairs(rows)
+    r = np.array([float(lam) for lam in dr])
+    a = np.abs(r)
+    if (a <= 4.0).any():
+        raise UnsupportedRegimeError("dr/dlambda requires |lam| > 4")
+    p = [float(lam) for lam in dp]
+    if any(lam <= 5.0 for lam in p):
+        raise UnsupportedRegimeError("dp/dlambda is used for lam > 5")
+    k = np.sqrt((a - 4.0) / a) * np.sqrt((a + 4.0) / a)  # dr/dlambda's k'
+    mean = agm(np.concatenate([x, np.ones(len(a))]), np.concatenate([y, k]))
+    integrals = (math.pi / (root_c * mean[: len(x)])).tolist()
+    values = iter(integrals[len(kernels) :])
+    slopes_q = [-next(values) / math.pi if lam < 0 else (next(values) + next(values)) / (2.0 * math.pi) for lam in dq]
+    slopes_r = (np.copysign(1.0, r) * (1.0 / mean[len(x) :]) / a).tolist()
+    s = [((lam - 4.0) / (lam + 8.0)) ** (2.0 / 3.0) * ((lam + 5.0) / (lam + 8.0)) ** (1.0 / 3.0) for lam in p]
+    slopes_p = (1.0 / ((np.array(p) + 8.0) * agm3(1.0, np.array(s)))).tolist()
+    return integrals[: len(kernels)], slopes_q, slopes_r, slopes_p
+
+
+def _kernel_pairs(rows) -> tuple:
+    """(x, y, sqrt(c)) of the rows of :func:`_kernel_integrals`, row i's integral ``pi / (sqrt(c)[i] agm(x[i], y[i]))``.
+
+    The first failing row raises what it raises alone.
+    """
+    if not len(rows):
+        return np.zeros(0), np.zeros(0), np.zeros(0)
+    lam = np.array([lam for lam, _ in rows], dtype=float)
+    linear = np.array([linear for _, linear in rows], dtype=bool)
+    x0, x1, x2 = (np.asarray(x) for x in cubic_singularities(lam))
+    neg = lam <= -5.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing row may compute NaN before it raises
+        c = np.where(neg, -4.0 * lam, np.where(linear, 16.0 * lam, 4.0 * lam))
+        u = np.where(neg, x2 - x0, np.where(linear, (_LINEAR_ROOT - x2) * (x0 - x1), x0 - x1))
+        v = np.where(neg, x2 - x1, np.where(linear, (_LINEAR_ROOT - x0) * (x2 - x1), x2 - x1))
+        ok = np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2) & (u > 0.0) & (v > 0.0)
+    ok &= ~(neg & linear) & (neg | (lam > 5.0))
+    if np.count_nonzero(ok) < len(ok):
+        i = int(np.argmin(ok))
+        _raise_kernel_row(rows[i][0], rows[i][1], (x0[i], x1[i], x2[i]))
+    return np.sqrt(u), np.sqrt(v), np.sqrt(c)
+
+
+def _raise_kernel_row(lam, linear: bool, x: tuple) -> None:
+    """Raise the error of the failing row (lam, linear) of :func:`_kernel_integrals`, x its singular points."""
+    _finite(lam, x)
+    if lam <= -5.0 and linear:
+        raise ValueError("the (1-4x) factor is only used on the positive side")
+    if not (lam <= -5.0 or lam > 5.0):
+        raise UnsupportedRegimeError("the kernel integral is used for lam <= -5 or lam > 5")
+    raise NumericalError(f"the singular points are out of order at lam={lam!r}")

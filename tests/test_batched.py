@@ -126,6 +126,28 @@ def test_boyd_range_with_failing_rows_equals_one_row_calls():
         assert rep.error_estimate == q.error_estimate + factor * p.error_estimate
 
 
+@pytest.mark.parametrize("lams", [
+    [1e200, 10**400],
+    [10**400, 1e200],
+    [-6.0, math.nan, 10**400],
+    [-6.0, "x", math.inf],
+], ids=["moduli-then-conversion", "conversion-then-moduli", "finite-then-conversion", "conversion-then-finite"])
+def test_a_family_batch_raises_its_first_failing_rows_error(lams):
+    # each failing row fails a different check; the batch raises what the first one raises alone
+    alone = [_outcome(family_measures, "q", [lam]) for lam in lams]
+    assert _outcome(family_measures, "q", lams) == next(one for one in alone if isinstance(one, tuple))
+
+
+@pytest.mark.parametrize("rows", [
+    [(-6.0, False), (-6.0, True), (1e300, False)],
+    [(1e300, False), (-6.0, True)],
+    [(16.0, True), (4.5, False), (-6.0, True)],
+], ids=["side-then-overflow", "overflow-then-side", "regime-then-side"])
+def test_a_kernel_batch_raises_its_first_failing_rows_error(rows):
+    alone = [_outcome(specfun._kernel_integrals, [row]) for row in rows]
+    assert _outcome(specfun._kernel_integrals, rows) == next(one for one in alone if isinstance(one, tuple))
+
+
 # Q_3(y, x), with degree-4 fibers (companion eigenvalues), and 1 + x + y, of degree 1
 SWAPPED_Q3 = poly_from_text("1:2,0\n1:0,4\n1:1,0\n3:1,1\n6:1,2\n3:1,3\n1:1,4\n")
 SMYTH = poly_from_text("1:0,0\n1:1,0\n1:0,1\n")

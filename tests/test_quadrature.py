@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,13 +149,28 @@ def _scaled_cos(rows, x):
 
 
 def test_arcs_on_repeated_intervals_equal_one_arc_calls():
-    # 40 arcs share (0, 1) and 3 share (0.25, 3), past the repeats from which a level places
-    # the nodes once per interval; every arc is its one-arc call, value, estimate and node count
-    ends = [(0.0, 1.0)] * 40 + [(0.25, 3.0)] * 3 + [(0.5, 2.0)]
+    # 40 arcs share (0, 1) and 3 share (0.25, 3), interleaved, so that the blocks of a level
+    # place each interval's nodes once; every arc is its one-arc call, value, estimate and
+    # node count
+    ends = [(0.0, 1.0)] * 20 + [(0.25, 3.0), (0.0, 1.0)] * 3 + [(0.5, 2.0)] + [(0.0, 1.0)] * 17
     tols = [1e-12 if i % 2 else 1e-6 for i in range(len(ends))]
-    assert len(ends) - len(set(ends)) >= quadrature._SHARED_MIN
     batch = tanh_sinh(_scaled_cos, ends, tols)
     singles = [tanh_sinh(lambda rows, x, i=i: _scaled_cos(np.full(len(rows), i), x), [arc], tol)[0]
                for i, (arc, tol) in enumerate(zip(ends, tols))]
     assert batch == singles
     assert len({r.nodes for r in batch}) >= 2
+
+
+def test_many_arcs_place_their_nodes_a_block_at_a_time():
+    # 2000 distinct arcs of some 170 nodes a level: the nodes of a level are placed and
+    # evaluated a block of _BLOCK at a time, so beyond each arc's few hundred bytes of
+    # ladder state the peak stays a few dozen blocks however many arcs there are (a whole
+    # level at once would be several megabytes)
+    ends = [(0.0, 1.0 + i / 2000) for i in range(2000)]
+    tracemalloc.start()
+    try:
+        tanh_sinh(lambda rows, x: np.cos(x) / np.sqrt(x), ends, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * len(ends) + 48 * 8 * quadrature._BLOCK
