@@ -25,7 +25,7 @@ from .poly import (
     poly_from_text,
     verify_substitution,
 )
-from .quadrature import NumericalError, QuadratureResult, tanh_sinh
+from .quadrature import NumericalError, tanh_sinh
 from .roots import batch_roots, quadratic_roots
 from .specfun import (
     UnsupportedRegimeError,

@@ -173,7 +173,7 @@ def _J_reports(lams, tol, which: str | None = None) -> list:
     equal to pi * dp/dlam.  ``J3`` (lam > 5): plain kernel over [x2, x0],
     equal to pi * dr/dlam.  ``J2`` (lam < -5): plain kernel over [x0, x1],
     equal to pi * |dr/dlam|.  Both sides are closed forms: the kernel's AGM
-    over the cubic's roots (:func:`_kernel_integrals`) against the cubic
+    over the cubic's roots (:func:`specfun._kernel_pairs`) against the cubic
     AGM of dp/dlam (J1) or the AGM of dr/dlam (J2, J3).
     Without ``which`` each lam gets the checks of the ``J`` suite: J2 for
     lam < 0, otherwise J3, and J1 as well for lam > 5.

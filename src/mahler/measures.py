@@ -44,7 +44,6 @@ from .quadrature import (
     _ladder,
     _midpoint_means,
     _power_estimate,
-    _refine,
     tanh_sinh,
 )
 from .roots import batch_roots, quadratic_roots
@@ -177,7 +176,7 @@ def mahler_torus(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureVa
 
     The per-dimension node count doubles from ``torus_nodes_start`` (at most
     a sixteenth of the cap, so at least five levels) until the power-law
-    estimate of ``quadrature._refine`` meets ``tol`` or the cap is reached.
+    estimate of a one-row ``quadrature._ladder`` meets ``tol`` or the cap is reached.
     Where ``P`` vanishes on the torus the rule converges like a power of n,
     and the estimate and value come from Richardson extrapolation once the
     fitted exponent settles.
@@ -191,9 +190,9 @@ def mahler_torus(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureVa
     _check_torus_bound(terms)
     tol = DEFAULTS.torus_tol if tol is None else float(tol)
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
-    value, err, *_ = _refine(lambda m: _torus_mean_log(terms, m), min(DEFAULTS.torus_nodes_start, n_max // 16),
-                             n_max, tol, estimate=_power_estimate)
-    return MeasureValue(value=value, method="torus", error_estimate=err)
+    value, err, *_ = _ladder(lambda live, m: [_torus_mean_log(terms, m)], 1,
+                             min(DEFAULTS.torus_nodes_start, n_max // 16), n_max, tol, estimate=_power_estimate)
+    return MeasureValue(value=float(value[0]), method="torus", error_estimate=float(err[0]))
 
 
 # -- Jensen evaluator -----------------------------------------------------------
@@ -347,86 +346,51 @@ def _breakpoints(view) -> np.ndarray:
 # -- circle means ------------------------------------------------------------------
 
 
-def _circle_means(nodes, values, cuts, tol: float) -> list:
-    """(value, error estimate) of the mean over t in [0, 1) of each row's integrand.
+def _circle_means(nodes, values, cuts, tol: float) -> tuple:
+    """The mean over t in [0, 1) of each row's integrand, as five arrays with one entry per row.
 
     Row i's integrand at an array of t is ``values(np.array([i]), nodes(t))[0]``
     (see :func:`quadrature._midpoint_means`), and ``cuts[i]`` holds its
     breakpoints (t in [0, 1)).  The arcs between consecutive cuts of all
     rows are the rows of one :func:`tanh_sinh` call, each to tol divided by
     its row's number of cuts: the integrand is analytic inside an arc and at
-    worst square-root-like at its ends.  There ``nodes`` takes a 2-D t, one
-    row of nodes per arc, ``values`` takes node data with one row per arc,
-    and a row's value is the sum of its arcs in order.  Rows with equal cuts
-    share their arcs, which are found once per call.  ``tanh_sinh`` hands
-    the arcs on one interval over together, so a level evaluates ``nodes``
-    once per distinct arc (a range of q rows has two) and hands that data
-    to every row on the arc; only the last arc's data is kept from one block
-    to the next.  The other rows (no cuts, or an arc that does not converge)
-    share one midpoint ladder on the whole period from
-    ``circle_nodes_start`` to ``circle_nodes_max`` nodes, each row to its own
-    stop.  A failing row raises for the batch.
+    worst square-root-like at its ends.  ``tanh_sinh`` takes ``nodes`` as it
+    is, so a level evaluates it once per distinct arc (a range of q rows has
+    two), and ``values`` with node data of one row per arc.  A row's value
+    and estimate are the sums of its arcs' in order, its nodes their total.
+    The other rows (no cuts, or an arc that does not converge) share one
+    midpoint ladder on the whole period from ``circle_nodes_start`` to
+    ``circle_nodes_max`` nodes, each row to its own stop; their nodes are
+    the last level's.  Returns value, estimate, nodes, converged, and
+    ``on_arcs``, False where the row ran the midpoint ladder.  A failing row
+    raises for the batch.
     """
-    arcs_of: dict = {}  # cuts -> (the arcs between them, the number of each among the distinct arcs, their tol)
-    number: dict = {}  # arc -> its number among the distinct arcs
-    ends, owner, share, distinct, arc_rows, count = [], [], [], [], [], []  # per arc; per row with arcs
+    ends, owner, share, count = [], [], [], []  # per arc; per row
     for i, c in enumerate(cuts):
-        if not len(c):
-            continue
-        if (key := tuple(c)) not in arcs_of:
-            arcs = [(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b]
-            arcs_of[key] = arcs, [number.setdefault(arc, len(number)) for arc in arcs], tol / len(c)
-        arcs, numbers, arc_tol = arcs_of[key]
+        arcs = [(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b] if len(c) else []
         ends += arcs
-        distinct += numbers
         owner += [i] * len(arcs)
-        share += [arc_tol] * len(arcs)
-        arc_rows.append(i)
+        share += [tol / max(len(c), 1)] * len(arcs)
         count.append(len(arcs))
-    owner, distinct = np.array(owner, dtype=int), np.array(distinct, dtype=int)
-    last: tuple = (-1, None, None)  # the last arc of the block before: its number, nodes and node data
-
-    def integrand(arcs, t):
-        # the node data is taken once per run of a distinct arc, whose nodes are the same, and
-        # a run that goes on from the block before takes the data that block left
-        nonlocal last
-        d = distinct[arcs]
-        first = np.empty(len(d), dtype=bool)
-        first[0] = d[0] != last[0] or not np.array_equal(t[0], last[1])
-        np.not_equal(d[1:], d[:-1], out=first[1:])
-        if np.count_nonzero(first) == len(d):
-            data = nodes(t)
-        else:
-            data = nodes(t[first])
-            if not first[0]:
-                data = np.concatenate([last[2][None], data])
-            data = data[np.cumsum(first) - first[0]]
-        last = d[-1], t[-1], data[-1]
-        return values(owner[arcs], data)
-
-    out: list = [None] * len(cuts)
-    if ends:
-        results = tanh_sinh(integrand, ends, share)
-        # each row's arcs in order, one column per arc; a row with fewer arcs points past the end, at a zero
-        count = np.array(count, dtype=int)
-        columns = np.arange(count.max())
-        arc_at = np.where(columns < count[:, None], (np.cumsum(count) - count)[:, None] + columns, len(results))
-        value, err, converged = (np.array([*(getattr(r, name) for r in results), pad])
-                                 for name, pad in (("value", 0.0), ("error_estimate", 0.0), ("converged", True)))
-        sums, errors = np.zeros(len(arc_rows)), np.zeros(len(arc_rows))
-        for column in arc_at.T:  # in arc order, as sum() adds (a zero added to a sum changes nothing)
-            sums += value[column]
-            errors += err[column]
-        done = converged[arc_at].all(axis=1)
-        for i, v, e in zip(np.array(arc_rows)[done].tolist(), sums[done].tolist(), errors[done].tolist()):
-            out[i] = (v, e)
-    ladder = [i for i, res in enumerate(out) if res is None]
-    rows = np.array(ladder, dtype=int)
-    results = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows),
-                      DEFAULTS.circle_nodes_start, DEFAULTS.circle_nodes_max, tol)
-    for i, res in zip(ladder, results):
-        out[i] = res[:2]
-    return out
+    owner, count = np.array(owner, dtype=int), np.array(count, dtype=int)
+    # without arcs nothing indexes the arc arrays but an empty column set
+    arcs = tanh_sinh(nodes, lambda arcs, data: values(owner[arcs], data), ends, share) if ends else np.zeros((4, 0))
+    value, err, n, converged = (np.append(v, pad) for v, pad in zip(arcs, (0.0, 0.0, 0, True)))
+    # each row's arcs in order, one column per arc; a row with fewer arcs points past the end, at a zero
+    columns = np.arange(count.max(initial=0))
+    arc_at = np.where(columns < count[:, None], (np.cumsum(count) - count)[:, None] + columns, len(ends))
+    out = [np.zeros(len(cuts)), np.zeros(len(cuts)), np.zeros(len(cuts), dtype=int)]
+    for column in arc_at.T:  # in arc order, as sum() adds (a zero added to a sum changes nothing)
+        for total, arc in zip(out, (value, err, n)):
+            total += arc[column]
+    on_arcs = (count > 0) & converged[arc_at].all(axis=1)
+    out.append(on_arcs.copy())  # converged: every row on arcs, and the ladder rows' own below
+    rows = (~on_arcs).nonzero()[0]
+    ladder = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows),
+                     DEFAULTS.circle_nodes_start, DEFAULTS.circle_nodes_max, tol)
+    for total, row in zip(out, ladder):
+        total[rows] = row
+    return (*out, on_arcs)
 
 
 def mahler_jensen_2var(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureValue:
@@ -473,8 +437,8 @@ def jensen_measures(polys, *, tol: float | None = None) -> list:
             C = [np.concatenate([np.vstack([c, np.zeros((width - len(c), c.shape[1]))]) for c in C], axis=1)]
         return _jensen_values(C[0]).reshape(x.shape)
 
-    return [MeasureValue(value=value, method="jensen", error_estimate=err)
-            for value, err in _circle_means(lambda t: np.exp(2j * np.pi * t), values, cuts, tol)]
+    value, err, *_ = _circle_means(lambda t: np.exp(2j * np.pi * t), values, cuts, tol)
+    return [MeasureValue(value=v, method="jensen", error_estimate=e) for v, e in zip(value.tolist(), err.tolist())]
 
 
 # -- branch machinery -------------------------------------------------------------
@@ -666,6 +630,7 @@ def family_measures(family: str, lams, *, tol: float | None = None) -> list:
     fast = (~gap & ~exact).nonzero()[0]
     if len(fast):
         tol = DEFAULTS.measure_tol if tol is None else float(tol)
-        for i, (value, err) in zip(fast.tolist(), _circle_means(*_fast_integrand(family, lam[fast]), tol)):
-            out[i] = MeasureValue(value=value, method="family_fast", error_estimate=err)
+        value, err, *_ = _circle_means(*_fast_integrand(family, lam[fast]), tol)
+        for i, v, e in zip(fast.tolist(), value.tolist(), err.tolist()):
+            out[i] = MeasureValue(value=v, method="family_fast", error_estimate=e)
     return out

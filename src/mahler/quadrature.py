@@ -2,12 +2,14 @@
 
 :func:`_ladder` runs node-doubling ladders of many rows at once, each row to
 its own stop under an estimator it is given, which acts on the levels of all
-live rows as one array; :func:`_refine` is its one-row case.  Its two rules:
+live rows as one array, and returns arrays.  Its two rules take the
+integrand in two parts, node data and the rows' values on them:
 :func:`_midpoint_means` evaluates a level of the midpoint rule on a periodic
-integrand in blocks (see :mod:`mahler.measures` for the circle means), and :func:`tanh_sinh` runs a list of finite
-intervals as rows, for integrands that may blow up like an inverse square
-root at the endpoints (interior singular points are the caller's job to
-split at).  All are pure functions and safe for concurrent use.
+integrand in blocks (see :mod:`mahler.measures` for the circle means), and
+:func:`tanh_sinh` runs a list of finite intervals as rows, for integrands
+that may blow up like an inverse square root at the endpoints (interior
+singular points are the caller's job to split at).  All are pure functions
+and safe for concurrent use.
 
 A batch of rows raises when one of its rows fails, as the row's one-row call
 does.  :func:`_isolate` is the one place where a failing row becomes a value
@@ -21,13 +23,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULTS
 
-__all__ = ["QuadratureResult", "NumericalError", "tanh_sinh"]
+__all__ = ["NumericalError", "tanh_sinh"]
 
 _EPS = sys.float_info.epsilon
 # The double-exponential transform maps |t| ~ 5 to points whose weight times
@@ -42,22 +43,6 @@ class NumericalError(RuntimeError):
 
 # what one row of a batch may fail with; :func:`_isolate` leaves the other rows alone
 _ROW_ERRORS = (ValueError, NumericalError)
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value plus an a posteriori error estimate.
-
-    ``error_estimate`` is the estimator's of the :func:`tanh_sinh` ladder
-    that made it, the last gap (``_last_gap_estimate``); it is an indicator,
-    not a guarantee.
-    ``converged`` is False when the level cap was reached first.
-    """
-
-    value: float
-    error_estimate: float
-    nodes: int
-    converged: bool = True
 
 
 def _err_floor(value: float) -> float:
@@ -87,26 +72,27 @@ def _tanh_sinh_row(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows
 
 
-def tanh_sinh(f, ends, tol) -> list:
+def tanh_sinh(nodes, values, ends, tol) -> tuple:
     """Integrate over every arc ``ends[i] = (a, b)`` with double-exponential node placement.
 
     The change of variable ``x = mid + rad*tanh((pi/2) sinh t)`` pushes the
     endpoints to infinity, so integrable endpoint singularities up to
     ``(x-a)^(-1/2)`` / ``(b-x)^(-1/2)`` converge geometrically.  The arcs are
     the rows of one :func:`_ladder`, whose level n = 2^j halves their mesh.
-    The ladder runs the arcs grouped by interval: a level places the
-    abscissae and weights once per block of distinct intervals, and the arcs
-    on them take those a block at a time, every block at most ``_BLOCK``
-    nodes unless one arc's level alone is larger.  ``f(rows, x)`` gets the
-    nodes a level adds to the arcs ``rows`` of a block as a (len(rows),
-    nodes) array, the arcs on one interval next to each other, and returns
-    the values in its shape.
+    The integrand comes as :func:`_midpoint_means` takes it, in two parts.
+    A level places the abscissae a block of distinct intervals at a time and
+    calls ``nodes(x)`` once per block, x an (intervals, nodes) array; the
+    arcs on those intervals then take their rows of that node data, at most
+    ``_BLOCK`` nodes at a time unless one arc's level alone is larger, in
+    ``values(rows, data)``, which returns the (len(rows), nodes) values of
+    the arcs ``rows``, the arcs on one interval next to each other.
     An arc stops once two levels differ by at most its ``tol`` (a scalar or
-    one per arc), or at the level cap ``tanh_sinh_level_max`` with
-    ``converged=False``.  A node that rounds onto an endpoint is evaluated at
-    the midpoint, as level 0 is, and weighs nothing; a NaN or infinity at a
-    node inside is a hard error.  Returns a :class:`QuadratureResult` per arc,
-    each the one-arc call's.
+    one per arc), or at the level cap ``tanh_sinh_level_max`` unconverged.
+    A node that rounds onto an endpoint is evaluated at the midpoint, as
+    level 0 is, and weighs nothing; a NaN or infinity at a node inside is a
+    hard error.  Returns four arrays with one entry per arc, each the one-arc
+    call's: the value, its error estimate (the last gap), the nodes evaluated
+    and whether the arc converged.
     """
     ends = np.array(ends, dtype=float).reshape(-1, 2)
     if not (ends[:, 0] < ends[:, 1]).all():
@@ -123,11 +109,13 @@ def tanh_sinh(f, ends, tol) -> list:
     a, b = key.real, key.imag
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
     totals = np.zeros(len(ends))  # each row's sum of w f(x) over the levels so far
+    used = np.zeros(len(ends), dtype=int)  # each row's nodes over the levels so far
 
     def level(live: np.ndarray, n: int) -> np.ndarray:
         ch, cu2, den = _tanh_sinh_row(n.bit_length() - 1)
         skip = 1 if n == 1 else 0  # at n = 1, t = 0 is one node, at the midpoint
         step = max(1, _BLOCK // (2 * len(ch)))  # arcs, or intervals, per block
+        used[live] += 2 * len(ch) - skip
         ids = interval[live]
         first = np.empty(len(ids), dtype=bool)  # the first live arc of each interval
         first[0] = True
@@ -146,15 +134,12 @@ def tanh_sinh(f, ends, tol) -> list:
             if skip:
                 x[:, 0] = mid_[:, 0]
             inside = (x > a_) & (x < b_)
-            at = np.where(inside, x, mid_)
+            data = nodes(np.where(inside, x, mid_))
+            slots = np.cumsum(first[lo:hi]) - 1  # each arc's interval within the block
             for k in range(lo, hi, step):
-                rows = live[k : min(k + step, hi)]
-                if len(u) < hi - lo:  # arcs on one interval share its nodes
-                    slot = np.cumsum(first[k : k + len(rows)]) + (np.count_nonzero(first[lo:k]) - 1)
-                    x_, w_, inside_, at_ = x[slot], w[slot], inside[slot], at[slot]
-                else:
-                    x_, w_, inside_, at_ = x, w, inside, at
-                vals = np.asarray(f(order[rows], at_), dtype=float)
+                rows, slot = live[k : min(k + step, hi)], slots[k - lo : k - lo + step]
+                x_, inside_ = x[slot], inside[slot]
+                vals = np.asarray(values(order[rows], data[slot]), dtype=float)
                 if vals.shape != x_.shape:
                     raise ValueError("integrand returned a wrong shape")
                 bad = inside_ & ~np.isfinite(vals)
@@ -162,18 +147,13 @@ def tanh_sinh(f, ends, tol) -> list:
                     i = np.unravel_index(np.argmax(bad), bad.shape)
                     what = "returned NaN" if math.isnan(vals[i]) else "blew up at interior point"
                     raise NumericalError(f"integrand {what} at x={float(x_[i])!r}")
-                totals[rows] += np.where(inside_, w_ * vals, 0.0).sum(axis=1)
+                totals[rows] += np.where(inside_, w[slot] * vals, 0.0).sum(axis=1)
         return totals[live] / n
 
     tol = (np.zeros(len(ends)) + np.asarray(tol, dtype=float))[order]
-    rows = _ladder(level, len(ends), 1, n_max, tol, estimate=_last_gap_estimate)
-    out: list = [None] * len(ends)
-    for arc, row in zip(order.tolist(), rows):
-        out[arc] = row
-    # nodes[j]: the nodes of the levels n = 1 to 2^j together, the one at t = 0 counted once
-    top = max((n for *_, n, _ in out), default=1)
-    nodes = np.cumsum([2 * len(_tanh_sinh_row(j)[0]) for j in range(top.bit_length())]) - 1
-    return [QuadratureResult(v, err, int(nodes[n.bit_length() - 1]), stop) for v, err, n, stop in out]
+    value, err, _, converged = _ladder(level, len(ends), 1, n_max, tol, estimate=_last_gap_estimate)
+    arc = np.argsort(order)  # arc i is ladder row arc[i]
+    return value[arc], err[arc], used[arc], converged[arc]
 
 
 # -- node-doubling ladder -----------------------------------------------------
@@ -275,15 +255,7 @@ def _last_gap_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
     return v, g, g <= _larger(tol, _err_floor(v) / 4)
 
 
-def _refine(level_fn, n_start: int, n_max: int, tol: float, *, estimate=_geometric_estimate) -> tuple:
-    """One ladder of :func:`_ladder`: ``level_fn(n)`` is its level-n value.
-
-    Returns (value, error_estimate, nodes, converged), or raises what ``level_fn`` raised.
-    """
-    return _ladder(lambda live, n: [level_fn(n)], 1, n_start, n_max, tol, estimate=estimate)[0]
-
-
-def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol, *, estimate=_geometric_estimate) -> list:
+def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol, *, estimate=_geometric_estimate) -> tuple:
     """Node-doubling ladders of ``rows`` rows, from ``n_start`` until each row's estimate stops it or ``n_max``.
 
     ``level_fn(live, n)`` returns the level-n values of the rows in the index
@@ -292,32 +264,31 @@ def _ladder(level_fn, rows: int, n_start: int, n_max: int, tol, *, estimate=_geo
     (rows, levels) array, and ``estimate(values, tol)`` gives the value,
     error estimate and stop of all of them at once, from that array and
     their tols (``tol`` is a scalar or one per row); a row's result depends
-    on its own levels and tol only.  Returns per row (value, error_estimate,
-    nodes, converged), converged if the estimate stopped the row; what
-    ``level_fn`` raises propagates.
+    on its own levels and tol only.  Returns four arrays with one entry per
+    row: the value, the error estimate, the node count n of the last level
+    and whether the estimate stopped the row (converged); what ``level_fn``
+    raises propagates.
     """
     tol = np.zeros(rows) + np.asarray(tol, dtype=float)
-    out: list = [None] * rows
+    value, error, nodes, converged = np.zeros(rows), np.zeros(rows), np.zeros(rows, dtype=int), np.zeros(rows, bool)
     live = np.arange(rows)
     values = np.zeros((rows, 0))
     n = n_start
     while len(live):
         values = np.concatenate([values, np.asarray(level_fn(live, n), dtype=float)[:, None]], axis=1)
         if values.shape[1] > 1:
-            value, err, stop = estimate(values, tol)
+            v, err, stop = estimate(values, tol)
         else:  # one level alone has no estimate
-            value, err, stop = values[:, 0], np.full(len(live), math.inf), np.zeros(len(live), dtype=bool)
+            v, err, stop = values[:, 0], np.full(len(live), math.inf), np.zeros(len(live), dtype=bool)
         done = stop if n < n_max else np.ones(len(live), dtype=bool)
         if np.count_nonzero(done):
             i = done.nonzero()[0]
-            value = value[i]
-            err = _larger(err[i], _err_floor(value))
-            for row, v, e, s in zip(live[i].tolist(), value.tolist(), err.tolist(), stop[i].tolist()):
-                out[row] = (v, e, n, s)
+            row = live[i]
+            value[row], error[row], nodes[row], converged[row] = v[i], _larger(err[i], _err_floor(v[i])), n, stop[i]
             keep = (~done).nonzero()[0]
             live, values, tol = live[keep], values[keep], tol[keep]
         n *= 2
-    return out
+    return value, error, nodes, converged
 
 
 def _isolate(evaluate, params) -> list:

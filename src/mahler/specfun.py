@@ -12,13 +12,13 @@ array, and the lambda-derivatives of the three family measures:
 * ``dq_dlambda_closed(lam)``: elliptic integrals between consecutive cubic
   singularities, for lam < -5 and lam > 13.
 
-Those elliptic integrals are rows of :func:`_kernel_integrals`, which gives
-each in closed form through the AGM (Legendre's reduction).  Both AGMs run
-on arrays, every element to its own fixed point, so the library takes a
-batch of rows through one loop per AGM: :func:`_closed_forms` gives kernel
-integrals and the three derivatives of many lams at once, and the ``hyp``
-grids take one call each.  The scalar functions are their one-element
-case.
+Those elliptic integrals are kernel rows of :func:`_closed_forms`, which
+gives each in closed form through the AGM (Legendre's reduction,
+:func:`_kernel_pairs`).  Both AGMs run on arrays, every element to its own
+fixed point, so the library takes a batch of rows through one loop per
+AGM: :func:`_closed_forms` gives kernel integrals and the three derivatives
+of many lams at once, and the ``hyp`` grids take one call each.  The scalar
+functions are their one-element case.
 """
 
 from __future__ import annotations
@@ -223,48 +223,18 @@ def dr_dlambda(lam: float) -> float:
 _LINEAR_ROOT = 0.25  # g, the root of the (1 - 4x) factor
 
 
-def _kernel_integrals(rows) -> list:
-    """Integrals of the radical kernel ``1/sqrt(-(1 + lam x)(1 + lam x + 4x^2))`` between consecutive roots.
-
-    One float per ``(lam, with_linear_factor)`` in ``rows``; a failing row
-    raises.  With the linear factor the radicand has the extra factor
-    ``(1 - 4x)``, whose root is g = 1/4.  Each is a complete elliptic
-    integral, which Legendre's reduction gives through the AGM (Byrd and
-    Friedman, *Handbook of Elliptic Integrals*, 1971), with c the leading
-    coefficient of the radicand:
-
-    * lam <= -5, over [x0, x1] with the far root x2 to its right, c = -4 lam:
-      ``pi / (sqrt(c) agm(sqrt(x2 - x0), sqrt(x2 - x1)))``;
-    * lam > 5, over [x2, x0] with the far root x1 to its left, c = 4 lam:
-      ``pi / (sqrt(c) agm(sqrt(x0 - x1), sqrt(x2 - x1)))``;
-    * lam > 5 with the linear factor, c = 16 lam:
-      ``pi / (sqrt(c) agm(sqrt((g - x2)(x0 - x1)), sqrt((g - x0)(x2 - x1))))``.
-
-    No difference of two nearby roots enters.  The singular points of all
-    rows come from one :func:`cubic_singularities` call; a row whose points
-    are out of order, so that an AGM argument is not positive, raises
-    :class:`NumericalError`.  The first list of :func:`_closed_forms`.
-    """
-    return _closed_forms(kernels=rows)[0]
-
-
 def dq_dlambda_closed(lam: float) -> float:
     """Derivative of the shifted hyperelliptic measure via elliptic integrals.
 
     lam < -5: ``-(1/pi) * int_{x0}^{x1} dx/sqrt(-(1+lam x)(1+lam x+4x^2))``.
     lam > 13: ``(1/2pi)`` times the sum of the integrals over [x2, x0] of the
-    same kernel and of the kernel with the extra ``(1-4x)`` factor.
+    same kernel and of the kernel with the extra ``(1-4x)`` factor.  One row of :func:`_closed_forms`.
     """
-    return _dq_rows([lam])[0]
-
-
-def _dq_rows(lams) -> list:
-    """:func:`dq_dlambda_closed` at every lam: the second list of :func:`_closed_forms`."""
-    return _closed_forms(dq=lams)[1]
+    return _closed_forms(dq=[lam])[1][0]
 
 
 def _closed_forms(kernels=(), dq=(), dr=(), dp=()) -> tuple[list, list, list, list]:
-    """Four lists: :func:`_kernel_integrals` of the rows ``kernels``, then derivatives at the lams ``dq``, ``dr``, ``dp``.
+    """Four lists: the kernel integrals of the rows ``kernels``, then derivatives at the lams ``dq``, ``dr``, ``dp``.
 
     The derivatives are :func:`dq_dlambda_closed`, :func:`dr_dlambda` and
     :func:`dp_dlambda`.  The kernel integrals, dq/dlambda's among them, and
@@ -298,9 +268,27 @@ def _closed_forms(kernels=(), dq=(), dr=(), dp=()) -> tuple[list, list, list, li
 
 
 def _kernel_pairs(rows) -> tuple:
-    """(x, y, sqrt(c)) of the rows of :func:`_kernel_integrals`, row i's integral ``pi / (sqrt(c)[i] agm(x[i], y[i]))``.
+    """(x, y, sqrt(c)) of kernel rows ``(lam, with_linear_factor)``: row i's integral: ``pi / (sqrt(c) agm(x, y))[i]``.
 
-    The first failing row raises what it raises alone.
+    A row's integral is that of the radical kernel
+    ``1/sqrt(-(1 + lam x)(1 + lam x + 4x^2))`` between consecutive roots;
+    with the linear factor the radicand has the extra factor ``(1 - 4x)``,
+    whose root is g = 1/4.  Each is a complete elliptic integral, which
+    Legendre's reduction gives through the AGM (Byrd and Friedman, *Handbook
+    of Elliptic Integrals*, 1971), with c the leading coefficient of the
+    radicand:
+
+    * lam <= -5, over [x0, x1] with the far root x2 to its right, c = -4 lam:
+      ``pi / (sqrt(c) agm(sqrt(x2 - x0), sqrt(x2 - x1)))``;
+    * lam > 5, over [x2, x0] with the far root x1 to its left, c = 4 lam:
+      ``pi / (sqrt(c) agm(sqrt(x0 - x1), sqrt(x2 - x1)))``;
+    * lam > 5 with the linear factor, c = 16 lam:
+      ``pi / (sqrt(c) agm(sqrt((g - x2)(x0 - x1)), sqrt((g - x0)(x2 - x1))))``.
+
+    No difference of two nearby roots enters.  The singular points of all
+    rows come from one :func:`cubic_singularities` call.  The first failing
+    row raises what it raises alone; a row whose points are out of order, so
+    that an AGM argument is not positive, raises :class:`NumericalError`.
     """
     if not len(rows):
         return np.zeros(0), np.zeros(0), np.zeros(0)
@@ -321,7 +309,7 @@ def _kernel_pairs(rows) -> tuple:
 
 
 def _raise_kernel_row(lam, linear: bool, x: tuple) -> None:
-    """Raise the error of the failing row (lam, linear) of :func:`_kernel_integrals`, x its singular points."""
+    """Raise the error of the failing kernel row (lam, linear) of :func:`_kernel_pairs`, x its singular points."""
     _finite(lam, x)
     if lam <= -5.0 and linear:
         raise ValueError("the (1-4x) factor is only used on the positive side")

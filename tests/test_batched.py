@@ -20,6 +20,7 @@ from mahler.identities import SUITES
 from mahler.measures import family_measures, jensen_measures, mahler_jensen_2var, p_measure, q_measure, r_measure
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family, poly_from_text
 from mahler.quadrature import NumericalError
+from test_quadrature import _one_row, _rows
 
 # crosses every row that leaves the shared ladder or stresses it: the q collision at -5
 # and the rows next to it (-5.0078125, -4.5), q on Jensen in the gap -4 < lam < 13, the
@@ -79,7 +80,7 @@ def test_batched_identity_rows_equal_one_row_calls():
 
 def test_batched_derivative_kernels_equal_one_row_calls():
     lams = [-80.0, -6.0, -5.0078125, -5.0, -4.0, 0.0, 4.5, 13.0, 13.03125, 16.0, 63.0, 1e6]
-    dq = quadrature._isolate(specfun._dq_rows, lams)
+    dq = quadrature._isolate(lambda lams: specfun._closed_forms(dq=lams)[1], lams)
     assert _same(dq, [_outcome(specfun.dq_dlambda_closed, lam) for lam in lams])
 
 
@@ -97,7 +98,7 @@ def test_batched_J_rows_equal_one_row_calls(which):
     for lam, rep in zip(lams, singles):
         if isinstance(rep, tuple):
             continue
-        alone = specfun._kernel_integrals([(lam, which == "J1")])[0]
+        alone = specfun._closed_forms(kernels=[(lam, which == "J1")])[0][0]
         rhs = specfun.dp_dlambda(lam) if which == "J1" else abs(specfun.dr_dlambda(lam))
         assert (rep.lhs, rep.error_estimate, rep.rhs) == (alone, 0.0, math.pi * rhs)
     assert sum(not isinstance(rep, tuple) for rep in singles) == (3 if which == "J2" else 5 + 70)
@@ -144,8 +145,11 @@ def test_a_family_batch_raises_its_first_failing_rows_error(lams):
     [(16.0, True), (4.5, False), (-6.0, True)],
 ], ids=["side-then-overflow", "overflow-then-side", "regime-then-side"])
 def test_a_kernel_batch_raises_its_first_failing_rows_error(rows):
-    alone = [_outcome(specfun._kernel_integrals, [row]) for row in rows]
-    assert _outcome(specfun._kernel_integrals, rows) == next(one for one in alone if isinstance(one, tuple))
+    def kernels(rows):
+        return specfun._closed_forms(kernels=rows)[0]
+
+    alone = [_outcome(kernels, [row]) for row in rows]
+    assert _outcome(kernels, rows) == next(one for one in alone if isinstance(one, tuple))
 
 
 # Q_3(y, x), with degree-4 fibers (companion eigenvalues), and 1 + x + y, of degree 1
@@ -192,13 +196,13 @@ def test_a_failing_row_leaves_the_ladder_alone():
 
     def ladder(rows):
         rows = np.array(rows)
-        return quadrature._ladder(lambda live, n: level(rows[live], n), len(rows), 64, 4096, 1e-12)
+        return _rows(quadrature._ladder(lambda live, n: level(rows[live], n), len(rows), 64, 4096, 1e-12))
 
     with pytest.raises(NumericalError, match="planted"):
         ladder(range(5))
     batch = quadrature._isolate(ladder, range(5))
     for i in range(5):
-        alone = _outcome(quadrature._refine, lambda n, i=i: level(np.array([i]), n)[0], 64, 4096, 1e-12)
+        alone = _outcome(_one_row, lambda n, i=i: level(np.array([i]), n)[0], 64, 4096, 1e-12)
         assert (batch[i] if i != 2 else (type(batch[i]), str(batch[i]))) == alone
     assert str(batch[2]) == "planted"
 
@@ -305,13 +309,8 @@ def test_array_singularities_equal_scalar_calls():
 
 
 def _half_circle_log_y_plus(lam):
-    """The integrand log|y_plus(x(z))| of a q row on z = e^(i pi t), as a tanh-sinh integrand."""
-
-    def f(rows, t):
-        z = np.exp(1j * np.pi * t)
-        return np.log(measures._branch_moduli(lam, z * (1.0 - z))[1])
-
-    return f
+    """The integrand log|y_plus(x(z))| of a q row on z = e^(i pi t), as tanh-sinh node data and values."""
+    return (lambda t: np.exp(1j * np.pi * t)), (lambda rows, z: np.log(measures._branch_moduli(lam, z * (1.0 - z))[1]))
 
 
 def test_each_q_row_is_the_sum_of_its_half_circle_arcs():
@@ -320,9 +319,10 @@ def test_each_q_row_is_the_sum_of_its_half_circle_arcs():
     lams = [-1e12, -55.0, -5.0078125, -5.0, -4.5, -4.0, 13.0, 1000.0, 1e10]
     for lam, mv in zip(lams, family_measures("q", lams)):
         cuts = (0.0, 1 / 3) if lam < 0 else (0.0,)
-        arcs = quadrature.tanh_sinh(_half_circle_log_y_plus(lam), list(zip(cuts, [*cuts[1:], 1.0])), 1e-9 / len(cuts))
-        assert all(r.converged for r in arcs)
-        assert (mv.value, mv.error_estimate) == (sum(r.value for r in arcs), sum(r.error_estimate for r in arcs))
+        value, err, _, converged = quadrature.tanh_sinh(*_half_circle_log_y_plus(lam), list(zip(cuts, [*cuts[1:], 1.0])),
+                                                        1e-9 / len(cuts))
+        assert converged.all()
+        assert (mv.value, mv.error_estimate) == (sum(value.tolist()), sum(err.tolist()))
 
 
 # -- tanh-sinh arcs: every arc of a batch is a row of one ladder ---------------------
@@ -365,17 +365,18 @@ def test_a_row_whose_arc_hits_the_level_cap_falls_back_alone(monkeypatch):
     monkeypatch.setattr(quadrature, "DEFAULTS", dataclasses.replace(quadrature.DEFAULTS, tanh_sinh_level_max=3))
     capped = family_measures("p", lams)
     assert capped == [p_measure(lam) for lam in lams]
-    nodes, values, _ = measures._fast_integrand("p", np.array(lams))
-    ladder = measures._circle_means(nodes, values, [()] * len(lams), 1e-9)
-    fell = [i for i, mv in enumerate(capped) if (mv.value, mv.error_estimate) == ladder[i]]
+    nodes, values, cuts = measures._fast_integrand("p", np.array(lams))
+    value, err, *_ = measures._circle_means(nodes, values, [()] * len(lams), 1e-9)
+    fell = [i for i, mv in enumerate(capped) if (mv.value, mv.error_estimate) == (value[i], err[i])]
     assert fell == [0, 1, 3, 7]
+    assert (~measures._circle_means(nodes, values, cuts, 1e-9)[4]).nonzero()[0].tolist() == fell
     assert all(capped[i] == arcs[i] for i in range(len(lams)) if i not in fell)
 
 
 def test_a_row_that_stops_at_the_cap_has_converged():
     # a constant ladder stops on its first gap, at 128 nodes: also where 128 is the cap
-    assert quadrature._refine(lambda n: 2.0, 64, 128, 1e-9) == (2.0, quadrature._err_floor(2.0), 128, True)
-    assert quadrature._refine(lambda n: 1.0 + 1.0 / n, 64, 128, 1e-9)[3] is False
+    assert _one_row(lambda n: 2.0, 64, 128, 1e-9) == (2.0, quadrature._err_floor(2.0), 128, True)
+    assert _one_row(lambda n: 1.0 + 1.0 / n, 64, 128, 1e-9)[3] is False
 
 
 def test_the_q_integrand_takes_each_distinct_arcs_nodes_once_per_level(monkeypatch):

@@ -190,8 +190,9 @@ def test_breakpoints_found_twice_are_merged(tmp_path, capsys, text):
 
 
 def _ladder(values_at):
-    """The whole-period midpoint ladder of the circle-mean driver (no cuts)."""
-    return _circle_means(values_at, lambda rows, v: v[None, :], [()], DEFAULTS.measure_tol)[0]
+    """(value, estimate) of the whole-period midpoint ladder of `_circle_means` (no cuts)."""
+    value, err, *_ = _circle_means(values_at, lambda rows, v: v[None, :], [()], DEFAULTS.measure_tol)
+    return value[0], err[0]
 
 
 def _generic_values(P):
@@ -217,12 +218,21 @@ def test_inputs_without_breakpoints_run_the_ladder_bit_for_bit():
 
 
 def test_an_unconverged_arc_falls_back_to_the_ladder(monkeypatch):
+    # p(-1)'s arcs converge at the default level cap; at a cap of 2 (9 nodes an arc) its
+    # arcs and Q_2's do not, and both rows run the whole-circle ladder, which _circle_means
+    # reports in on_arcs
+    p_row = _fast_integrand("p", np.array([-1.0]))
+    assert len(p_row[2][0]) and _circle_means(*p_row, DEFAULTS.measure_tol)[4].tolist() == [True]
     monkeypatch.setattr(quadrature, "DEFAULTS", dataclasses.replace(DEFAULTS, tanh_sinh_level_max=2))
     Q2 = make_family(FamilySpec("Q", 2))
     mv = mahler_jensen_2var(Q2)
     assert (mv.value, mv.error_estimate) == _ladder(_generic_values(Q2))
     mv = p_measure(-1.0)
     assert (mv.value, mv.error_estimate) == _ladder(_family_values("p", -1.0))
+    assert _circle_means(*p_row, DEFAULTS.measure_tol)[4].tolist() == [False]
+    values_at = _generic_values(Q2)
+    q_row = (lambda t: t), (lambda rows, t: values_at(t.ravel()).reshape(-1, t.shape[-1])), [_cuts(Q2)]
+    assert len(q_row[2][0]) and _circle_means(*q_row, DEFAULTS.measure_tol)[4].tolist() == [False]
 
 
 # Lost breakpoints: _circle_roots merges resultant roots closer than _CLUSTER = 2e-2, and the

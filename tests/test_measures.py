@@ -23,6 +23,7 @@ from mahler.measures import (
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family
 from mahler.quadrature import NumericalError
 from mahler.roots import quadratic_roots
+from test_quadrature import _one_row, _rows
 
 # the measure of 1 + x + y has the closed form (3 sqrt(3) / 4 pi) L(chi_-3, 2)
 M_ONE_X_Y = 0.32306594721945051
@@ -344,16 +345,16 @@ def test_wide_torus_input_runs_to_the_cap_below_rounding(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [-55.0, 128.0, -1e12, 1e100])
-def test_q_arcs_converge_in_a_few_hundred_nodes(monkeypatch, lam):
+def test_q_arcs_converge_in_a_few_hundred_nodes(lam):
     # the branch points at z ~ 1 +- 1/lam sit next to the arc end t = 0, where the tanh-sinh
     # nodes crowd; a midpoint ladder on the whole circle needed 2,048 nodes at -55 and 4,096
     # at 128, and on a conformally mapped circle more than its cap past |lam| = 1.5e8
-    seen = []
-    real = measures.tanh_sinh
-    monkeypatch.setattr(measures, "tanh_sinh", lambda *args: seen.append(real(*args)) or seen[-1])
-    q_measure(lam)
-    assert [r.converged for r in seen[0]] == [True] * (2 if lam < 0 else 1)
-    assert max(r.nodes for r in seen[0]) <= 321
+    value, err, nodes, converged, on_arcs = measures._circle_means(*measures._fast_integrand("q", np.array([lam])),
+                                                                   DEFAULTS.measure_tol)
+    mv = q_measure(lam)
+    assert (value[0], err[0]) == (mv.value, mv.error_estimate)
+    assert on_arcs[0] and converged[0]
+    assert nodes[0] <= 321 * len(measures._q_cuts(lam))
 
 
 # -- the whole-circle ladder's error estimate ------------------------------------
@@ -377,7 +378,7 @@ def test_geometric_ladder_stops_early_on_its_tail_estimate():
     def level(n):
         return 1.0 + 0.5 ** (n / 8)
 
-    value, err, nodes, _ = quadrature._refine(level, 64, 2**18, 1e-9)
+    value, err, nodes, _ = _one_row(level, 64, 2**18, 1e-9)
     assert nodes == 512
     assert abs(value - 1.0) <= err < 1e-9
     # the guard max(gap, gap_prev / 4) at the same level is 3.8e-6, above tol
@@ -390,7 +391,7 @@ def test_geometric_ladder_stops_early_on_its_tail_estimate():
 ], ids=["n^-2", "alternating n^-1.5"])
 def test_algebraic_ladder_keeps_the_guard(level):
     # n^-2 meets tol at 65536 nodes; the alternating ladder reaches the cap unconverged
-    value, err, nodes, _ = quadrature._refine(level, 64, 2**18, 1e-9)
+    value, err, nodes, _ = _one_row(level, 64, 2**18, 1e-9)
     assert (value, err, nodes) == _guard_ladder(level, 64, 2**18, 1e-9)
     assert abs(value - 1.0) <= err
 
@@ -405,7 +406,7 @@ def test_pinned_ladder_estimate_is_the_two_gap_guard(n):
     v1, v2, v3 = (float(values_at((np.arange(m) + 0.5) / m).mean()) for m in (n // 4, n // 2, n))
     expected = max(abs(v3 - v2), 0.25 * abs(v2 - v1), quadrature._err_floor(v3))
     level = lambda live, m: quadrature._midpoint_means(values_at, lambda rows, v: v[None, :], live, m)
-    assert quadrature._ladder(level, 1, n // 4, n, 0.0) == [(v3, expected, n, False)]
+    assert _rows(quadrature._ladder(level, 1, n // 4, n, 0.0)) == [(v3, expected, n, False)]
 
 
 # -- the torus ladder's power-law estimate ------------------------------------------
@@ -415,7 +416,7 @@ def test_pinned_ladder_estimate_is_the_two_gap_guard(n):
 def test_power_ladder_extrapolates_a_pure_power_law(p):
     # two successive fitted exponents equal p exactly, so the fifth level (1024)
     # extrapolates to the limit up to rounding
-    value, err, nodes, _ = quadrature._refine(lambda n: 1.0 + n**-p, 64, 4096, 1e-9, estimate=quadrature._power_estimate)
+    value, err, nodes, _ = _one_row(lambda n: 1.0 + n**-p, 64, 4096, 1e-9, estimate=quadrature._power_estimate)
     assert nodes == 1024
     assert abs(value - 1.0) <= err == quadrature._err_floor(value)
 
@@ -425,7 +426,7 @@ def test_power_ladder_extrapolates_a_pure_power_law(p):
     (lambda n: 1.0 + 1e-2 * n**-1.5 - 1e-3 * 2.0 ** (-n / 32), 1e-9, 4096),  # a hump: no single rate
 ], ids=["n^-2 + n^-3", "n^-1.5 - 2^(-n/32)"])
 def test_power_ladder_estimate_holds_on_two_terms(level, tol, stop):
-    value, err, nodes, _ = quadrature._refine(level, 64, 4096, tol, estimate=quadrature._power_estimate)
+    value, err, nodes, _ = _one_row(level, 64, 4096, tol, estimate=quadrature._power_estimate)
     assert nodes == stop
     assert abs(value - 1.0) <= err
 
@@ -433,8 +434,8 @@ def test_power_ladder_estimate_holds_on_two_terms(level, tol, stop):
 def test_power_ladder_needs_three_gaps():
     # a constant ladder has zero gaps; the whole-circle rule stops on its first
     # gap, the power-law rule only on its third
-    assert quadrature._refine(lambda n: 2.0, 64, 4096, 1e-9)[2] == 128
-    assert quadrature._refine(lambda n: 2.0, 64, 4096, 1e-9, estimate=quadrature._power_estimate)[2] == 512
+    assert _one_row(lambda n: 2.0, 64, 4096, 1e-9)[2] == 128
+    assert _one_row(lambda n: 2.0, 64, 4096, 1e-9, estimate=quadrature._power_estimate)[2] == 512
 
 
 def test_power_ladder_stops_on_its_estimate_not_on_a_small_gap():
@@ -442,7 +443,7 @@ def test_power_ladder_stops_on_its_estimate_not_on_a_small_gap():
     # on that gap alone at 512; the raw estimate max(g, g_prev)/(sqrt(2) - 1)
     # waits until two small gaps in a row
     table = {64: 0.0, 128: 1e-4, 256: 3e-4, 512: 3e-4 + 1e-12}
-    value, err, nodes, _ = quadrature._refine(lambda n: table.get(n, 3e-4), 64, 4096, 1e-9, estimate=quadrature._power_estimate)
+    value, err, nodes, _ = _one_row(lambda n: table.get(n, 3e-4), 64, 4096, 1e-9, estimate=quadrature._power_estimate)
     assert nodes == 1024
     assert value == 3e-4 and err < 1e-9
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mahler.quadrature as quadrature
-from mahler.quadrature import NumericalError, _refine, tanh_sinh
+from mahler.quadrature import NumericalError, tanh_sinh
 from mahler.specfun import gauss_2f1_series
 
 # the lam = 20 member of the dt/sqrt(t(1-t)(lam^2-16t)) integrals; the Euler
@@ -14,58 +14,70 @@ from mahler.specfun import gauss_2f1_series
 J_TYPE_20 = 0.15868678474541661
 
 
-def _arc(f, a=0.0, b=1.0, tol=1e-12, **kwargs):
-    """tanh_sinh on the one arc [a, b], with ``f`` a function of the node array."""
-    return tanh_sinh(lambda rows, x: f(x), [(a, b)], tol, **kwargs)[0]
+def _arc(f, a=0.0, b=1.0, tol=1e-12):
+    """(value, estimate, nodes, converged) of tanh_sinh on the one arc [a, b], with ``f`` a function of the nodes."""
+    return tuple(v[0].item() for v in tanh_sinh(_same, lambda rows, x: f(x), [(a, b)], tol))
+
+
+def _same(x):
+    """Node data that are the nodes themselves."""
+    return x
+
+
+def _one_row(level, n_start, n_max, tol, *, estimate=quadrature._geometric_estimate):
+    """(value, estimate, nodes, converged) of the one-row ladder whose level-n value is ``level(n)``."""
+    return tuple(v[0].item() for v in quadrature._ladder(lambda live, n: [level(n)], 1, n_start, n_max, tol,
+                                                          estimate=estimate))
+
+
+def _rows(result):
+    """The arrays of a ladder or tanh_sinh call as one (value, estimate, nodes, converged) tuple per row."""
+    return list(zip(*(v.tolist() for v in result)))
 
 
 def test_tanh_sinh_beta_half_half():
     f = lambda t: (t * (1 - t)) ** -0.5
     # double precision floors near sqrt(eps) for an inverse-sqrt singularity
     # at a nonzero endpoint
-    r = _arc(f)
-    assert abs(r.value - math.pi) < 1e-7
+    assert abs(_arc(f)[0] - math.pi) < 1e-7
 
 
 def test_tanh_sinh_beta_half_threehalf():
-    r = _arc(lambda t: np.sqrt((1 - t) / t))
-    assert abs(r.value - math.pi / 2) < 1e-12
+    assert abs(_arc(lambda t: np.sqrt((1 - t) / t))[0] - math.pi / 2) < 1e-12
 
 
 def test_tanh_sinh_constant():
-    r = _arc(np.ones_like)
-    assert abs(r.value - 1.0) < 1e-14
+    assert abs(_arc(np.ones_like)[0] - 1.0) < 1e-14
 
 
 def test_tanh_sinh_j_type_integrand():
     oracle = math.pi / 20 * gauss_2f1_series(0.5, 0.5, 1, 0.04)
     assert abs(oracle - J_TYPE_20) < 1e-15
     f = lambda t: (t * (1 - t) * (400 - 16 * t)) ** -0.5
-    assert abs(_arc(f).value - J_TYPE_20) < 5e-9
+    assert abs(_arc(f)[0] - J_TYPE_20) < 5e-9
 
 
 def test_tanh_sinh_nan_is_hard_error():
     for bad, message in ((math.nan, "NaN"), (math.inf, "blew up"), (-math.inf, "blew up")):
         with pytest.raises(NumericalError, match=message):
-            tanh_sinh(lambda rows, t: np.where((0.4 < t) & (t < 0.6), bad, 1.0), [(0.0, 1.0)], 1e-12)
+            tanh_sinh(_same, lambda rows, t: np.where((0.4 < t) & (t < 0.6), bad, 1.0), [(0.0, 1.0)], 1e-12)
 
 
 def test_tanh_sinh_level_cap_returns_flag(monkeypatch):
     monkeypatch.setattr(quadrature, "DEFAULTS", dataclasses.replace(quadrature.DEFAULTS, tanh_sinh_level_max=4))
-    r = _arc(lambda t: np.sin(40 * t) / (t * (1 - t)) ** 0.5, tol=0.0)
-    assert not r.converged
+    assert _arc(lambda t: np.sin(40 * t) / (t * (1 - t)) ** 0.5, tol=0.0)[3] is False
 
 
 def test_tanh_sinh_rejects_bad_interval():
     for ends in ([(1.0, 0.0)], [(0.0, 1.0), (2.0, 2.0)], [(0.0, math.inf)]):
         with pytest.raises(ValueError):
-            tanh_sinh(lambda rows, x: np.ones_like(x), ends, 1e-12)
+            tanh_sinh(_same, lambda rows, x: np.ones_like(x), ends, 1e-12)
 
 
 def test_tanh_sinh_rejects_a_wrong_shape():
     for f in (lambda x: np.ones(x.shape[1] + 1), lambda x: 1.0, lambda x: np.ones((*x.shape, 1)), lambda x: x[0]):
         with pytest.raises(ValueError, match="wrong shape"):
-            tanh_sinh(lambda rows, x: f(x), [(0.0, 1.0)], 1e-12)
+            tanh_sinh(_same, lambda rows, x: f(x), [(0.0, 1.0)], 1e-12)
 
 
 def test_two_arcs_equal_two_one_arc_calls():
@@ -73,13 +85,13 @@ def test_two_arcs_equal_two_one_arc_calls():
     # where its one-arc call stops, with the value, estimate and node count of that call
     f = lambda rows, x: np.cos(x) / np.sqrt(x)
     ends = [(0.0, 0.25), (0.25, 3.0)]
-    both = tanh_sinh(f, ends, 1e-12)
-    assert both == [tanh_sinh(f, [arc], 1e-12)[0] for arc in ends]
-    assert both[0].nodes != both[1].nodes and all(r.converged for r in both)
+    both = _rows(tanh_sinh(_same, f, ends, 1e-12))
+    assert both == [_rows(tanh_sinh(_same, f, [arc], 1e-12))[0] for arc in ends]
+    assert both[0][2] != both[1][2] and all(r[3] for r in both)
 
 
 def test_no_arcs_give_no_results():
-    assert tanh_sinh(lambda rows, x: x, [], 1e-12) == []
+    assert _rows(tanh_sinh(_same, lambda rows, x: x, [], 1e-12)) == []
 
 
 def test_an_arcs_node_count_is_its_evaluations():
@@ -91,21 +103,20 @@ def test_an_arcs_node_count_is_its_evaluations():
             seen[i] += x.shape[1]
         return np.cos(x) / np.sqrt(x)
 
-    both = tanh_sinh(f, [(0.0, 0.25), (0.25, 3.0)], 1e-12)
-    assert [r.nodes for r in both] == seen and seen[0] != seen[1]
+    nodes = tanh_sinh(_same, f, [(0.0, 0.25), (0.25, 3.0)], 1e-12)[2]
+    assert nodes.tolist() == seen and seen[0] != seen[1]
 
 
 def _midpoint_ladder(f):
     """The midpoint ladder on [0, 1) to the default tanh-sinh tolerance, as (value, error estimate)."""
     defaults = quadrature.DEFAULTS
-    value, err, *_ = _refine(lambda m: float(f((np.arange(m) + 0.5) / m).mean()),
-                             defaults.circle_nodes_start, defaults.circle_nodes_max, 1e-12)
+    value, err, *_ = _one_row(lambda m: float(f((np.arange(m) + 0.5) / m).mean()),
+                              defaults.circle_nodes_start, defaults.circle_nodes_max, 1e-12)
     return value, err
 
 
 def _tanh_sinh(f):
-    r = _arc(f)
-    return r.value, r.error_estimate
+    return _arc(f)[:2]
 
 
 @pytest.mark.parametrize("engine", [_tanh_sinh, _midpoint_ladder], ids=["tanh_sinh", "midpoint_ladder"])
@@ -137,8 +148,9 @@ def test_a_ladder_batch_gives_each_row_its_one_row_result(estimate):
     # estimator; each row's tol is its own
     rows, estimate = _ladder_rows(), getattr(quadrature, estimate)
     tols = [1e-12, 1e-9, 1e-12, 1e-12, 1e-12, 1e-12]
-    batch = quadrature._ladder(lambda live, n: [rows[i](n) for i in live], len(rows), 4, 4096, tols, estimate=estimate)
-    singles = [_refine(row, 4, 4096, tol, estimate=estimate) for row, tol in zip(rows, tols)]
+    batch = _rows(quadrature._ladder(lambda live, n: [rows[i](n) for i in live], len(rows), 4, 4096, tols,
+                                     estimate=estimate))
+    singles = [_one_row(row, 4, 4096, tol, estimate=estimate) for row, tol in zip(rows, tols)]
     assert batch == singles
     assert len({n for *_, n, _ in batch}) >= 3 and batch[5][2:] == (4096, False)
 
@@ -154,11 +166,11 @@ def test_arcs_on_repeated_intervals_equal_one_arc_calls():
     # node count
     ends = [(0.0, 1.0)] * 20 + [(0.25, 3.0), (0.0, 1.0)] * 3 + [(0.5, 2.0)] + [(0.0, 1.0)] * 17
     tols = [1e-12 if i % 2 else 1e-6 for i in range(len(ends))]
-    batch = tanh_sinh(_scaled_cos, ends, tols)
-    singles = [tanh_sinh(lambda rows, x, i=i: _scaled_cos(np.full(len(rows), i), x), [arc], tol)[0]
+    batch = _rows(tanh_sinh(_same, _scaled_cos, ends, tols))
+    singles = [_rows(tanh_sinh(_same, lambda rows, x, i=i: _scaled_cos(np.full(len(rows), i), x), [arc], tol))[0]
                for i, (arc, tol) in enumerate(zip(ends, tols))]
     assert batch == singles
-    assert len({r.nodes for r in batch}) >= 2
+    assert len({r[2] for r in batch}) >= 2
 
 
 def test_many_arcs_place_their_nodes_a_block_at_a_time():
@@ -169,7 +181,7 @@ def test_many_arcs_place_their_nodes_a_block_at_a_time():
     ends = [(0.0, 1.0 + i / 2000) for i in range(2000)]
     tracemalloc.start()
     try:
-        tanh_sinh(lambda rows, x: np.cos(x) / np.sqrt(x), ends, 1e-12)
+        tanh_sinh(_same, lambda rows, x: np.cos(x) / np.sqrt(x), ends, 1e-12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -19,7 +19,7 @@ from mahler.specfun import (
     dr_dlambda,
     gauss_2f1_agm,
     gauss_2f1_series,
-    _kernel_integrals,
+    _closed_forms,
 )
 
 # frozen oracle values (AGM fixed point / series summation); dr_dlambda
@@ -232,7 +232,7 @@ def test_dp_asymptotic_decay():
 
 
 def test_dp_matches_kernel_integral_at_13():
-    lhs = _kernel_integrals([(13.0, True)])[0]
+    lhs = _closed_forms(kernels=[(13.0, True)])[0][0]
     assert abs(lhs - math.pi * dp_dlambda(13.0)) < 1e-10
 
 
@@ -302,21 +302,21 @@ def _rows(lam, *x):
 
 
 def test_radical_kernel_positive_inside_interval(monkeypatch):
-    assert _kernel_integrals([(-6.0, False)])[0] > 0
-    assert _kernel_integrals([(16.0, True)])[0] > 0
+    assert _closed_forms(kernels=[(-6.0, False)])[0][0] > 0
+    assert _closed_forms(kernels=[(16.0, True)])[0][0] > 0
     # a third root moved inside [x0, x1] makes an AGM argument negative; the
     # kernel integral must refuse it with a NumericalError naming lam (exit 3),
     # not the ValueError of a negative square root (exit 2, a usage error)
     x0, x1, x2 = cubic_singularities(-6.0)
     monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: _rows(lam, x0, x1, 0.5 * (x0 + x1) - 1e-3))
     with pytest.raises(NumericalError, match=r"out of order at lam=-6\.0"):
-        _kernel_integrals([(-6.0, False)])
+        _closed_forms(kernels=[(-6.0, False)])
     # the same on the positive side, with x1 moved inside [x2, x0]
     x0, x1, x2 = cubic_singularities(16.0)
     monkeypatch.setattr(mahler.specfun, "cubic_singularities", lambda lam: _rows(lam, x0, 0.5 * (x2 + x0) + 1e-3, x2))
     for linear in (False, True):
         with pytest.raises(NumericalError, match=r"out of order at lam=16\.0"):
-            _kernel_integrals([(16.0, linear)])
+            _closed_forms(kernels=[(16.0, linear)])
 
 
 def test_kernel_integral_matches_direct_tanh_sinh():
@@ -324,8 +324,8 @@ def test_kernel_integral_matches_direct_tanh_sinh():
     # naive call's representability floor
     x0, x1, _ = cubic_singularities(-8.0)
     kernel = radical_kernel(-8.0)
-    direct = tanh_sinh(lambda rows, x: kernel(x), [(x0, x1)], 1e-12)[0]
-    assert abs(direct.value - _kernel_integrals([(-8.0, False)])[0]) < 5e-8
+    direct = tanh_sinh(lambda x: x, lambda rows, x: kernel(x), [(x0, x1)], 1e-12)[0][0]
+    assert abs(direct - _closed_forms(kernels=[(-8.0, False)])[0][0]) < 5e-8
 
 
 def _radical_reference(a, b, far, c, linear=False) -> float:
@@ -344,7 +344,7 @@ def _radical_reference(a, b, far, c, linear=False) -> float:
 @pytest.mark.parametrize("lam", [-1e4, -55.0078125, -20.0, -8.0, -6.0, -5.03, -5.0])
 def test_j2_kernel_matches_mpmath(lam):
     x0, x1, x2 = cubic_singularities(lam)
-    r = _kernel_integrals([(lam, False)])[0]
+    r = _closed_forms(kernels=[(lam, False)])[0][0]
     assert abs(r - _radical_reference(x0, x1, x2, -4.0 * lam)) <= 1e-15 * r
 
 
@@ -352,7 +352,7 @@ def test_j2_kernel_matches_mpmath(lam):
 @pytest.mark.parametrize("lam", [5.0001, 5.03, 6.0, 13.0078125, 16.0, 25.0, 63.0078125, 1e4])
 def test_j1_j3_kernels_match_mpmath(lam, linear):
     x0, x1, x2 = cubic_singularities(lam)
-    r = _kernel_integrals([(lam, linear)])[0]
+    r = _closed_forms(kernels=[(lam, linear)])[0][0]
     assert abs(r - _radical_reference(x2, x0, x1, -4.0 * lam, linear)) <= 1e-15 * r
 
 
