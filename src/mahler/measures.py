@@ -215,10 +215,10 @@ def _jensen_values(C: np.ndarray) -> np.ndarray:
     scale = absC.max(axis=0)
     if scale.min() < _LOG_CLAMP:
         raise NumericalError("all fiber coefficients vanish at a node")
-    eff = np.full(n, -1, dtype=int)
-    for j in range(d1 - 1, -1, -1):
-        sel = (eff < 0) & (absC[j] > _TRIM * scale)
-        eff[sel] = j
+    if not np.isfinite(scale).all():
+        raise NumericalError("the fiber coefficients overflow in double precision at a node")
+    # each column's last row above the trim, which its largest coefficient passes
+    eff = d1 - 1 - np.argmax((absC > _TRIM * scale)[::-1], axis=0)
     out = np.zeros(n)
     for deg in np.unique(eff):
         idx = np.nonzero(eff == deg)[0]
@@ -237,27 +237,16 @@ def _jensen_values(C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fiber_view(terms) -> list[list[tuple[int, complex]]]:
-    """A two-variable ``_doubles(P)`` as a polynomial in y.
+def _coeff_rows(terms, x: np.ndarray) -> np.ndarray:
+    """The coefficients of a two-variable ``_doubles(P)`` as a polynomial in y, at the circle points ``x``.
 
-    Entry j lists the (exponent of x, coefficient) of the terms of
-    ``y**(lo + j)``, where lo is the valuation in y.
+    Row j holds the coefficient of ``y**(lo + j)``, lo the valuation in y;
+    each term is added into its row in term order.
     """
-    lo, hi = min(e[1] for e, _ in terms), max(e[1] for e, _ in terms)
-    view: list = [[] for _ in range(hi - lo + 1)]
+    lo = min(e[1] for e, _ in terms)
+    rows = np.zeros((max(e[1] for e, _ in terms) - lo + 1, len(x)), dtype=complex)
     for e, c in terms:
-        view[e[1] - lo].append((e[0], c))
-    return view
-
-
-def _coeff_rows(view, x: np.ndarray) -> np.ndarray:
-    """Evaluate the coefficients of a :func:`_fiber_view` at the circle points ``x``."""
-    rows = np.zeros((len(view), len(x)), dtype=complex)
-    for j, terms in enumerate(view):
-        acc = np.zeros(len(x), dtype=complex)
-        for e, c in terms:
-            acc += c * x**e
-        rows[j] = acc
+        rows[e[1] - lo] += c * x ** e[0]
     return rows
 
 
@@ -275,8 +264,8 @@ def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return S
 
 
-def _circle_roots(values: np.ndarray) -> list[complex]:
-    """Unit-circle roots of the polynomial whose values at the m-th roots of unity are given.
+def _circle_roots(values: np.ndarray) -> np.ndarray:
+    """Sorted t in [0, 1) of the circle roots e^(2 pi i t) of the polynomial with these values at the roots of unity.
 
     The coefficients come back from one FFT (``fft``, not ``ifft``: the
     samples sit at ``exp(+2 pi i k/m)``).  Roots closer than ``_CLUSTER`` are
@@ -289,48 +278,50 @@ def _circle_roots(values: np.ndarray) -> list[complex]:
     # turn them into spurious huge ones
     big = np.nonzero(np.abs(coeffs) > 1e-12 * np.abs(coeffs).max())[0]
     roots = np.roots(coeffs[: big[-1] + 1][::-1])
-    if not len(roots):
-        return []
     # single-linkage clusters: spread the smallest index along chains of close roots
     close = np.abs(roots[:, None] - roots[None, :]) < _CLUSTER
     label = np.arange(len(roots))
     while True:
-        spread = np.where(close, label, len(roots)).min(axis=1)
+        spread = np.where(close, label, len(roots)).min(axis=1, initial=len(roots))  # initial lets zero roots reduce
         if (spread == label).all():
             break
         label = spread
-    means = [roots[label == k].mean() for k in np.unique(label)]
-    return [complex(z) for z in means if abs(abs(z) - 1.0) < _ON_CIRCLE]
+    means = np.array([roots[label == k].mean() for k in np.unique(label)], dtype=complex)
+    t = np.angle(means[np.abs(np.abs(means) - 1.0) < _ON_CIRCLE]) / (2.0 * np.pi) % 1.0
+    return np.sort(np.where(t < 1.0, t, 0.0))
 
 
-def _breakpoints(view) -> np.ndarray:
-    """Sorted t in [0, 1) where the Jensen integrand of a :func:`_fiber_view` fails to be analytic.
+def _breakpoints(terms) -> np.ndarray:
+    """Sorted t in [0, 1) where the Jensen integrand of a two-variable ``_doubles(P)`` fails to be analytic.
 
     That is where a fiber root lies on |y| = 1 and so is a root of
     ``P*(x, y) = x^D y^d conj(P)(1/x, 1/y)`` too: at the unit-circle roots of
     Res_y(P, P*), sampled as Sylvester determinants at m >= degree + 1 roots
     of unity.  Where P shares a factor with P* (a reciprocal P, say) that
     resultant vanishes identically and Res_y(P, dP/dy) stands in: a root of
-    a reciprocal factor leaves the circle only by meeting 1/conj(y).
+    a reciprocal factor leaves the circle only by meeting 1/conj(y).  With
+    one power of y (d = 0) the integrand is log|c(x)| of the lone coefficient
+    c, which stands in for the resultant.
     """
-    exps = [e for terms in view for e, _ in terms]
-    lo, D = min(exps), max(exps) - min(exps)
-    d = len(view) - 1
-    if d < 1:
-        return np.zeros(0)
-    # (degree bound in x of the resultant, y-coefficients of the partner of P)
-    for degree, partner in (
+    xs, ys = zip(*(e for e, _ in terms))
+    lo, D, d = min(xs), max(xs) - min(xs), max(ys) - min(ys)
+    # (degree bound in x of the resultant, y-coefficients of the partner of P, which d = 0 lacks)
+    for degree, partner in ((D, None),) if d == 0 else (
         (2 * d * D, lambda x, C: x**D * np.conj(C[::-1])),  # P*, using conj(x) = 1/x
         ((2 * d - 1) * D, lambda x, C: C[1:] * np.arange(1, d + 1)[:, None]),  # dP/dy
     ):
         m = degree + 1
         x = np.exp(2j * np.pi * np.arange(m) / m)
-        # a resultant at rounding level against its Hadamard bound 2^h vanishes identically;
-        # one power-of-two scale, exact in floating point, keeps det finite for large coefficients
-        # (a fiber vanishing at a node gives a zero row; coefficients or row norms too large
-        # for double precision give h = inf or NaN)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            C = _coeff_rows(view, x) * x ** (-lo)
+            C = _coeff_rows(terms, x) * x ** (-lo)
+            if partner is None:
+                if not np.isfinite(C).all():
+                    raise NumericalError("the values on the torus overflow in double precision")
+                return _circle_roots(C[0])
+            # a resultant at rounding level against its Hadamard bound 2^h vanishes identically;
+            # one power-of-two scale, exact in floating point, keeps det finite for large coefficients
+            # (a fiber vanishing at a node gives a zero row; coefficients or row norms too large
+            # for double precision give h = inf or NaN)
             S = _sylvester(C, partner(x, C))
             h = np.log2(np.linalg.norm(S, axis=2)).sum(axis=1).max()
         if not np.isfinite(h):
@@ -338,8 +329,7 @@ def _breakpoints(view) -> np.ndarray:
         k = math.floor(h / len(S[0]))
         res = np.linalg.det(S * 2.0**-k)
         if np.abs(res).max() > 1e-12 * 2.0 ** (h - k * len(S[0])):
-            t = np.angle(_circle_roots(res)) / (2.0 * np.pi) % 1.0
-            return np.sort(np.where(t < 1.0, t, 0.0))
+            return _circle_roots(res)
     return np.zeros(0)
 
 
@@ -406,33 +396,33 @@ def jensen_measures(polys, *, tol: float | None = None) -> list:
     call over all nodes of that degree (their companion-matrix eigenvalues);
     the node value is ``log|lead(x)| + sum log+ |root|``.  Each mean is a row of
     one :func:`_circle_means` call, split at its :func:`_breakpoints`, and equals
-    its one-row call bit for bit.  To reduce in x, swap the variables of ``P``.
-    Degrees d in y and D in x with 2 max(d, 1) max(D, 1) above
-    ``_RESULTANT_MAX`` raise :class:`NumericalError` before anything is built;
-    a failing row raises.
+    its one-row call bit for bit.  Breakpoints and fiber coefficients
+    (:func:`_coeff_rows`) read the ``_doubles`` terms of ``P`` as they are.
+    To reduce in x, swap the variables of ``P``.  Degrees d in y and D in x
+    with 2 max(d, 1) max(D, 1) above ``_RESULTANT_MAX`` raise
+    :class:`NumericalError` before anything is built; a failing row raises.
     """
-    views, cuts = [], []
+    doubles, cuts, width = [], [], 0
     for P in polys:
         if P.is_zero():
             raise ValueError("the zero polynomial has no measure")
         if P.nvars != 2:
             raise ValueError("the Jensen evaluator works on two-variable polynomials")
-        d, D = (max(e[v] for e in P.terms) - min(e[v] for e in P.terms) for v in (1, 0))
+        D, d = (max(v) - min(v) for v in zip(*P.terms))
         if 2 * max(d, 1) * max(D, 1) > _RESULTANT_MAX:
             raise NumericalError(f"the degrees {d} in y and {D} in x are too large for the breakpoint search "
                                  f"(2 d D at most {_RESULTANT_MAX})")
-        terms = _doubles(P)
-        views.append(_fiber_view(terms))
-        cuts.append(_breakpoints(views[-1]))
-        _check_torus_bound(terms)  # past _breakpoints, whose own overflow check is the finer one
+        doubles.append(_doubles(P))
+        cuts.append(_breakpoints(doubles[-1]))
+        _check_torus_bound(doubles[-1])  # past _breakpoints, whose own overflow checks are the finer ones
+        width = max(width, d + 1)
     tol = DEFAULTS.measure_tol if tol is None else float(tol)
-    width = max((len(view) for view in views), default=0)
 
     def values(rows, x):
         x = x if x.ndim == 2 else np.broadcast_to(x, (len(rows), len(x)))  # midpoint rows share their nodes
         ids = rows.tolist()
         runs = [a for a in range(len(ids)) if a == 0 or ids[a] != ids[a - 1]] + [len(ids)]  # of equal rows
-        C = [_coeff_rows(views[ids[a]], x[a:b].ravel()) for a, b in zip(runs, runs[1:])]
+        C = [_coeff_rows(doubles[ids[a]], x[a:b].ravel()) for a, b in zip(runs, runs[1:])]
         if len(C) > 1:  # pad with zero leading coefficients, which _jensen_values skips
             C = [np.concatenate([np.vstack([c, np.zeros((width - len(c), c.shape[1]))]) for c in C], axis=1)]
         return _jensen_values(C[0]).reshape(x.shape)

@@ -173,11 +173,6 @@ def _larger(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(v > u, v, u)
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` per element, by libm: numpy's vectorised log2 and pow do not always round as libm does."""
-    return np.array([fn(v) for v in x.tolist()], dtype=float)
-
-
 # Each estimator takes the levels so far of the live rows, a (rows, levels) array with at
 # least two levels, and their tols, and returns their (value, estimate, stop) arrays.
 
@@ -206,7 +201,7 @@ def _geometric_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
 
 
 def _power_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
-    """(value, estimate, stop) of ladders whose error falls like a power of n.
+    """(value, estimate, stop) of ladders whose error falls like a power of n, one row at a time.
 
     Richardson extrapolation: with signed gaps d1, d2 ending at level v, the
     exponent is p = log2(d1/d2) and the extrapolated value
@@ -219,33 +214,33 @@ def _power_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
     A ladder stops when its last step and its estimate are both below tol.
     Before three gaps there is no estimate yet, so neither its first gap nor
     an unchecked rate can stop it; a ladder that starts at most a sixteenth
-    below its cap is never ended there.
+    below its cap is never ended there.  It runs row by row on Python floats,
+    with libm's ``log2`` and ``2^p`` (numpy's vectorised ones round differently).
     """
-    levels = values.shape[1]
-    if levels < 4:
-        return values[:, -1], np.full(len(values), math.inf), np.zeros(len(values), dtype=bool)
-    g, g_prev = np.abs(values[:, -1] - values[:, -2]), np.abs(values[:, -2] - values[:, -3])
-    value = values[:, -1]
-    err = _POWER_SAFETY * _larger(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
-    stop = (g < tol) & (err < tol)
-    if levels < 5:
-        return value, err, stop
-    fit = np.ones(len(values), dtype=bool)
-    p, e = [], []
-    for k in range(levels - 3, levels):  # the last three levels
-        d1, d2 = values[:, k - 1] - values[:, k - 2], values[:, k] - values[:, k - 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = d1 / d2
-        fit &= (d2 != 0.0) & (ratio > 1.0)
-        pk = np.ones(len(values))  # a placeholder exponent where there is no fit
-        pk[fit] = _libm(math.log2, ratio[fit])
-        p.append(pk)
-        e.append(values[:, k] + d2 / (_libm(lambda v: 2.0**v, pk) - 1.0))
-    fit &= (np.abs(p[2] - p[1]) <= _RATE_AGREE) & (_RATE_BAND[0] <= p[2]) & (p[2] <= _RATE_BAND[1])
-    step = np.abs(e[2] - e[1])
-    fit_err = _POWER_SAFETY * _larger(step, _PREV_WEIGHT * np.abs(e[1] - e[0]))
-    return (np.where(fit, e[2], value), np.where(fit, fit_err, err),
-            np.where(fit, (step < tol) & (fit_err < tol), stop))
+
+    def row(v: list, tol: float) -> tuple:
+        if len(v) < 4:
+            return v[-1], math.inf, False
+        g, g_prev = abs(v[-1] - v[-2]), abs(v[-2] - v[-3])
+        err = _POWER_SAFETY * max(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
+        raw = v[-1], err, g < tol and err < tol
+        if len(v) < 5:
+            return raw
+        p, e = [], []
+        for k in range(len(v) - 3, len(v)):  # the last three levels
+            d1, d2 = v[k - 1] - v[k - 2], v[k] - v[k - 1]
+            if d2 == 0.0 or not d1 / d2 > 1.0:
+                return raw
+            p.append(math.log2(d1 / d2))
+            e.append(v[k] + d2 / (2.0 ** p[-1] - 1.0))
+        if not (abs(p[2] - p[1]) <= _RATE_AGREE and _RATE_BAND[0] <= p[2] <= _RATE_BAND[1]):
+            return raw
+        step = abs(e[2] - e[1])
+        fit_err = _POWER_SAFETY * max(step, _PREV_WEIGHT * abs(e[1] - e[0]))
+        return e[2], fit_err, step < tol and fit_err < tol
+
+    value, err, stop = zip(*map(row, values.tolist(), tol.tolist()))
+    return np.array(value), np.array(err), np.array(stop)
 
 
 def _last_gap_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:

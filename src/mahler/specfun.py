@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .config import DEFAULTS
-from .quadrature import NumericalError, _libm
+from .quadrature import NumericalError
 from .roots import quadratic_roots
 
 __all__ = [
@@ -121,11 +121,12 @@ def agm(x, y):
 def agm3(x, y):
     """Cubic AGM of positive reals (or arrays of them, elementwise), to machine fixed point.
 
-    F(1/3, 2/3; 1 | 1 - s^3) = 1/agm3(1, s) (Borwein and Borwein, 1991).
+    F(1/3, 2/3; 1 | 1 - s^3) = 1/agm3(1, s) (Borwein and Borwein, 1991).  A step takes its cube roots
+    by libm's pow, per element in one comprehension (numpy's vectorised power rounds differently).
     """
 
-    def step(a, g):  # the cube root by libm's pow, per element
-        return (a + 2.0 * g) / 3.0, _libm(lambda v: v ** (1.0 / 3.0), g * (a * a + a * g + g * g) / 3.0)
+    def step(a, g):
+        return (a + 2.0 * g) / 3.0, np.array([v ** (1.0 / 3.0) for v in (g * (a * a + a * g + g * g) / 3.0).tolist()])
 
     # the step's largest product is g max(a, g)^2
     return _mean(x, y, step, lambda ea, eg: (2 * np.maximum(ea, eg) + eg) // 3)

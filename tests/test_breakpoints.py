@@ -20,7 +20,6 @@ from mahler.measures import (
     _coeff_rows,
     _doubles,
     _fast_integrand,
-    _fiber_view,
     _jensen_values,
     _p_cuts,
     _q_cuts,
@@ -35,7 +34,7 @@ from mahler.specfun import cubic_singularities
 
 
 def _cuts(P):
-    return _breakpoints(_fiber_view(_doubles(P)))
+    return _breakpoints(_doubles(P))
 
 
 def _swap(P):
@@ -123,7 +122,7 @@ def test_smyth_breakpoints_come_from_res_with_p_star():
 
 def _toric_gap(P, t):
     """Per cut t, how far the fiber of P at x = exp(2 pi i t) is from a root on |y| = 1 or a pair y, 1/conj(y)."""
-    C = _coeff_rows(_fiber_view(_doubles(P)), np.exp(2j * np.pi * np.asarray(t)))
+    C = _coeff_rows(_doubles(P), np.exp(2j * np.pi * np.asarray(t)))
     gaps = []
     for column in C.T:
         y = np.roots(column[::-1])
@@ -196,8 +195,8 @@ def _ladder(values_at):
 
 
 def _generic_values(P):
-    view = _fiber_view(_doubles(P))
-    return lambda t: _jensen_values(_coeff_rows(view, np.exp(2j * np.pi * t)))
+    terms = _doubles(P)
+    return lambda t: _jensen_values(_coeff_rows(terms, np.exp(2j * np.pi * t)))
 
 
 def _family_values(family, lam):

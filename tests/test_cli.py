@@ -396,11 +396,11 @@ def test_compute_large_constant_term_with_degree_20_fibers(capsys, tmp_path):
     ("1:0,0\n1:0,1\n1:65,0\n", "1 in y and 65 in x"),
 ], ids=["fiber-1e20", "x-1e20", "fiber-65", "x-65"])
 def test_compute_jensen_rejects_degrees_past_the_breakpoint_search(capsys, tmp_path, monkeypatch, text, degrees):
-    # the check comes before the fiber view, which holds one list per power of y
-    def no_view(terms):
-        raise AssertionError("the fiber view was built")
+    # the check comes before the coefficient rows, the first allocation of one row per power of y
+    def no_rows(terms, x):
+        raise AssertionError("the coefficient rows were built")
 
-    monkeypatch.setattr(measures, "_fiber_view", no_view)
+    monkeypatch.setattr(measures, "_coeff_rows", no_rows)
     f = tmp_path / "huge.txt"
     f.write_text(text)
     assert run(capsys, ["compute", "--poly-file", str(f), "--method", "jensen"]) == (

@@ -136,11 +136,38 @@ def test_smyth_polynomial_both_methods():
 
 def test_jensen_constant_root():
     assert mahler_jensen_2var(lp({(0, 1): 1, (0, 0): -2})).value == pytest.approx(math.log(2), abs=1e-12)
+    # one power of y, whose lone coefficient 2 + x has no circle zeros: no cuts, the midpoint ladder
+    mv = mahler_jensen_2var(lp({(0, 0): 2, (1, 0): 1}))
+    assert abs(mv.value - math.log(2)) <= mv.error_estimate <= 1e-9
 
 
-def test_jensen_unit_roots_give_zero():
+def _no_midpoint_ladder(*args):
+    raise AssertionError("a row ran the whole-circle midpoint ladder")
+
+
+def test_jensen_unit_roots_give_zero(monkeypatch):
     P = lp({(0, 1): 1, (0, 0): 1}) * lp({(0, 1): 1, (1, 0): 1})  # (y+1)(y+x)
     assert abs(mahler_jensen_2var(P).value) < 1e-12
+    # with one power of y the integrand is log|c(x)| of the lone coefficient c: its cuts are the
+    # circle zeros of c, and the tanh-sinh arcs between them converge without the midpoint ladder
+    monkeypatch.setattr(measures, "_midpoint_means", _no_midpoint_ladder)
+    for terms, cuts in [
+        ({(0, 0): 1, (1, 0): 1}, [0.5]),  # 1 + x
+        ({(0, 2): 1, (1, 2): 1}, [0.5]),  # (1 + x) y^2
+        ({(0, 0): 1, (2, 0): 1}, [0.25, 0.75]),  # 1 + x^2
+        ({(0, 0): 1, (3, 0): -1}, [0.0, 1 / 3, 2 / 3]),  # 1 - x^3
+    ]:
+        P = lp(terms)
+        np.testing.assert_allclose(measures._breakpoints(_doubles(P)), cuts, rtol=0, atol=1e-12)
+        mv = mahler_jensen_2var(P)
+        assert abs(mv.value) <= mv.error_estimate <= 1e-9, terms
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_jensen_values_reject_a_non_finite_fiber_coefficient(bad):
+    # x^e past double range at a node (a valuation near 1e20, say) must not become a NaN mean
+    with pytest.raises(NumericalError, match="overflow"):
+        measures._jensen_values(np.array([[1.0, 1.0], [2.0, bad]], dtype=complex))
 
 
 def test_jensen_r5_matches_torus():

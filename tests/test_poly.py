@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import mahler.poly as poly
-from mahler.measures import _doubles, _fiber_view
+from mahler.measures import _coeff_rows, _doubles
 from mahler.poly import (
     FamilySpec,
     LaurentPolynomial,
@@ -72,27 +73,32 @@ def test_q0_factors_exactly():
     assert lp({(0, 1): 1, (0, 0): 1}) * lp({(0, 1): 1, (4, 0): 1}) == make_family(FamilySpec("Q", 0))
 
 
-# -- fiber views ----------------------------------------------------------------------
+# -- fiber coefficient rows ------------------------------------------------------------
+
+_X = np.exp(2j * np.pi * np.array([0.1, 0.37, 0.5, 0.83]))  # circle points
 
 
 def test_view_of_p_family():
-    view = _fiber_view(_doubles(make_family(FamilySpec("P", 7))))
-    assert view == [[(1, 1), (2, 1)], [(0, 1), (1, -9), (2, 1)], [(0, 1), (1, 1)]]
+    rows = _coeff_rows(_doubles(make_family(FamilySpec("P", 7))), _X)
+    np.testing.assert_allclose(rows, [_X + _X**2, 1 - 9 * _X + _X**2, 1 + _X], rtol=0, atol=1e-14)
 
 
 def test_view_of_r_family_clears_negative_power():
-    # entry 0 is y^-1: the valuation is factored out
-    view = _fiber_view(_doubles(make_family(FamilySpec("R", 3))))
-    assert view == [[(0, 1)], [(-1, 1), (0, 3), (1, 1)], [(0, 1)]]
+    # row 0 is y^-1: the valuation is factored out
+    rows = _coeff_rows(_doubles(make_family(FamilySpec("R", 3))), _X)
+    np.testing.assert_allclose(rows, [np.ones(4), 1 / _X + 3 + _X, np.ones(4)], rtol=0, atol=1e-14)
 
 
 def test_view_of_q_family():
-    view = _fiber_view(_doubles(make_family(FamilySpec("Q", 2))))
-    assert view == [[(4, 1)], [(0, 1), (1, 2), (2, 4), (3, 2), (4, 1)], [(0, 1)]]
+    rows = _coeff_rows(_doubles(make_family(FamilySpec("Q", 2))), _X)
+    expected = [_X**4, 1 + 2 * _X + 4 * _X**2 + 2 * _X**3 + _X**4, np.ones(4)]
+    np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-14)
 
 
 def test_view_roundtrip_on_random_polynomials():
+    # sum_j rows[j](x) y^(lo + j) = P(x, y) at random torus points, in y and (swapped) in x
     rng = random.Random(7)
+    nrng = np.random.default_rng(7)
     for _ in range(50):
         terms = {}
         for _ in range(rng.randint(1, 10)):
@@ -101,14 +107,15 @@ def test_view_roundtrip_on_random_polynomials():
         P = LaurentPolynomial(terms, nvars=2)
         if P.is_zero():
             continue
-        for var in (0, 1):  # the view in x is that of P with its variables swapped
-            lo = min(e[var] for e in P.terms)
-            back = {}
+        x, y = np.exp(2j * np.pi * nrng.random((2, 16)))
+        direct = sum(complex(c) * x ** e[0] * y ** e[1] for e, c in P.items())
+        for var in (0, 1):  # in x: P with its variables swapped
             fibers = P if var == 1 else LaurentPolynomial({(e[1], e[0]): c for e, c in P.items()}, nvars=2)
-            for j, entries in enumerate(_fiber_view(_doubles(fibers))):
-                for other, c in entries:
-                    back[(lo + j, other) if var == 0 else (other, lo + j)] = c
-            assert back == {e: complex(c) for e, c in P.items()}
+            at, power = (x, y) if var == 1 else (y, x)
+            lo = min(e[var] for e in P.terms)
+            rows = _coeff_rows(_doubles(fibers), at)
+            back = sum(row * power ** (lo + j) for j, row in enumerate(rows))
+            np.testing.assert_allclose(back, direct, rtol=0, atol=1e-12)
 
 
 def test_q_collapses_at_x_equal_one():

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpc, polyroots
 
 from mahler import measures
-from mahler.measures import _circle, _coeff_rows, _doubles, _fiber_view, mahler_jensen_2var
+from mahler.measures import _circle, _coeff_rows, _doubles, mahler_jensen_2var
 from mahler.poly import FamilySpec, LaurentPolynomial, make_family
 from mahler.roots import RootSolveError, batch_roots, quadratic_roots
 
@@ -205,7 +205,7 @@ def _set_distance(found, ref, scale=1.0):
 @pytest.mark.parametrize("k", [-2, 0, 2, 3, 5])
 def test_batch_roots_match_scalar_aberth_on_qk_fibers(k):
     # degree-4 fibers in X of Q_k on the 4096-node circle grid
-    C = _coeff_rows(_fiber_view(_doubles(_swap(make_family(FamilySpec("Q", k))))), _circle(4096))
+    C = _coeff_rows(_doubles(_swap(make_family(FamilySpec("Q", k)))), _circle(4096))
     found = batch_roots(C)
     ref = np.array([_scalar_aberth(C[:, i]) for i in range(C.shape[1])]).T
     scale = np.maximum(1.0, np.abs(ref).max(axis=0))
@@ -244,7 +244,7 @@ def test_batch_roots_of_a_column_with_a_far_root_beside_a_near_pair():
     # -2y(y + 1)^2 + 1e-7 y^4: a root near 2e7 beside a pair near -1 that is 4.5e-4 apart,
     # solved alone and beside the degree-4 fibers of Q_3 in X
     slow = [0, -2, -4, -2, 1e-7]
-    C = _coeff_rows(_fiber_view(_doubles(_swap(make_family(FamilySpec("Q", 3))))), _circle(64))
+    C = _coeff_rows(_doubles(_swap(make_family(FamilySpec("Q", 3)))), _circle(64))
     found = batch_roots(np.column_stack([C, slow]))
     assert len(_roots(slow)) == 4
     assert sorted(found[:, -1], key=lambda z: (abs(z), z.real, z.imag)) == _roots(slow)
