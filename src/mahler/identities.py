@@ -241,13 +241,17 @@ def _branch_reports(lams, tol) -> list:
     """Scan of |y-| <= 1 <= |y+| along x(t), lam >= 13 or lam <= -4: max|y-| against min|y+|.
 
     The scan runs on ``branch_scan_nodes`` + 1 uniform points t over
-    [-1/2, 1/2], ends and t = 0 included.  For lam >= 13 the minimum of |y+|
-    must additionally sit at t = 0; a violation there adds 1 to the residual
-    so the report fails.
+    [-1/2, 1/2], ends and t = 0 included, one lam at a time (a batch of the
+    five default lams would hold four times the memory), with
+    |y-| = |x|^4/|y+|.  For lam >= 13 the minimum of |y+| must additionally
+    sit at t = 0; a violation there adds 1 to the residual so the report
+    fails.
     """
     n = DEFAULTS.branch_scan_nodes
     t = (np.arange(n + 1) - n // 2) / float(n)
     x = _curve(t)
+    xx = x * x
+    x4 = np.abs(xx) ** 2
     reports = []
     for lam in _lams(lams):
         if not (lam >= 13.0 or lam <= -4.0):
@@ -256,8 +260,8 @@ def _branch_reports(lams, tol) -> list:
         bound = 2.0 * abs(lam) + 9.0
         if not math.isfinite(bound * bound):
             raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
-        lo, hi = _branch_moduli(lam, x)
-        lhs, rhs = lo.max(), hi.min()
+        hi = _branch_moduli(lam, x, xx)
+        lhs, rhs = (x4 / hi).max(), hi.min()
         violation = max(lhs - 1.0, 1.0 - rhs, 0.0)
         detail = ""
         if lam >= 13.0 and t[hi.argmin()] != 0.0:

@@ -32,6 +32,7 @@ exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -121,6 +122,10 @@ _TORUS_OFFSETS = (0.5, 0.7071067811865476, 0.8660254037844386)
 def _torus_mean_log(terms, n: int) -> float:
     """Mean of log|P| over the offset n^k tensor grid, streamed in row blocks; ``terms`` is ``_doubles(P)``.
 
+    The monomial of P's valuation in each variable is divided out first: it
+    has measure 0, and its powers at a huge exponent would scale |P| by the
+    rounding of the grid's |node| = 1 raised to that exponent.
+
     Terms are grouped by their exponent in the last variable; each group's
     coefficient is evaluated on the flattened grid of the other variables, so
     a row block of P is one matrix product with the last variable's powers.
@@ -130,7 +135,9 @@ def _torus_mean_log(terms, n: int) -> float:
     columns below it.  OpenBLAS threads a matrix-vector product, so a lone
     row (a one-variable P) is summed by broadcasting.
     """
-    k = len(terms[0][0])
+    lo = [min(v) for v in zip(*(e for e, _ in terms))]
+    terms = [(tuple(a - b for a, b in zip(e, lo)), c) for e, c in terms]
+    k = len(lo)
     grids = [_circle(n, _TORUS_OFFSETS[dim]) for dim in range(k)]
     column = {e: g for g, e in enumerate(sorted({e[-1] for e, _ in terms}))}
     coeffs = np.zeros((n ** (k - 1), len(column)), dtype=complex)
@@ -240,13 +247,17 @@ def _jensen_values(C: np.ndarray) -> np.ndarray:
 def _coeff_rows(terms, x: np.ndarray) -> np.ndarray:
     """The coefficients of a two-variable ``_doubles(P)`` as a polynomial in y, at the circle points ``x``.
 
-    Row j holds the coefficient of ``y**(lo + j)``, lo the valuation in y;
-    each term is added into its row in term order.
+    Row j holds the coefficient of ``y**(lo' + j)``, lo' the valuation in y,
+    with the power x^lo of the valuation in x divided out: a monomial has
+    measure 0, and ``x ** lo`` at a huge lo would scale each term by the
+    rounding of |x| = 1 raised to lo.  Each term is added into its row in
+    term order.
     """
-    lo = min(e[1] for e, _ in terms)
-    rows = np.zeros((max(e[1] for e, _ in terms) - lo + 1, len(x)), dtype=complex)
-    for e, c in terms:
-        rows[e[1] - lo] += c * x ** e[0]
+    xs, ys = zip(*(e for e, _ in terms))
+    lo, lo_y = min(xs), min(ys)
+    rows = np.zeros((max(ys) - lo_y + 1, len(x)), dtype=complex)
+    for (ex, ey), c in terms:
+        rows[ey - lo_y] += c * x ** (ex - lo)
     return rows
 
 
@@ -304,7 +315,7 @@ def _breakpoints(terms) -> np.ndarray:
     c, which stands in for the resultant.
     """
     xs, ys = zip(*(e for e, _ in terms))
-    lo, D, d = min(xs), max(xs) - min(xs), max(ys) - min(ys)
+    D, d = max(xs) - min(xs), max(ys) - min(ys)
     # (degree bound in x of the resultant, y-coefficients of the partner of P, which d = 0 lacks)
     for degree, partner in ((D, None),) if d == 0 else (
         (2 * d * D, lambda x, C: x**D * np.conj(C[::-1])),  # P*, using conj(x) = 1/x
@@ -313,7 +324,7 @@ def _breakpoints(terms) -> np.ndarray:
         m = degree + 1
         x = np.exp(2j * np.pi * np.arange(m) / m)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            C = _coeff_rows(terms, x) * x ** (-lo)
+            C = _coeff_rows(terms, x)
             if partner is None:
                 if not np.isfinite(C).all():
                     raise NumericalError("the values on the torus overflow in double precision")
@@ -355,16 +366,17 @@ def _circle_means(nodes, values, cuts, tol: float) -> tuple:
     ``on_arcs``, False where the row ran the midpoint ladder.  A failing row
     raises for the batch.
     """
-    ends, owner, share, count = [], [], [], []  # per arc; per row
-    for i, c in enumerate(cuts):
-        arcs = [(a, b) for a, b in zip(c, [*c[1:], c[0] + 1.0]) if a < b] if len(c) else []
-        ends += arcs
-        owner += [i] * len(arcs)
-        share += [tol / max(len(c), 1)] * len(arcs)
-        count.append(len(arcs))
-    owner, count = np.array(owner, dtype=int), np.array(count, dtype=int)
+    k = np.fromiter(map(len, cuts), dtype=int, count=len(cuts))  # cuts per row
+    a = np.fromiter(itertools.chain.from_iterable(cuts), dtype=float, count=k.sum())
+    first, some = np.cumsum(k) - k, k > 0
+    b = np.append(a[1:], a[:1])  # each cut's successor in its row, and the row's first cut + 1 after its last
+    b[(first + k - 1)[some]] = a[first[some]] + 1.0
+    owner = np.repeat(np.arange(len(cuts)), k)[a < b]  # per arc; a repeated cut bounds no arc
+    ends = np.stack((a, b), axis=1)[a < b]
+    count = np.bincount(owner, minlength=len(cuts))
     # without arcs nothing indexes the arc arrays but an empty column set
-    arcs = tanh_sinh(nodes, lambda arcs, data: values(owner[arcs], data), ends, share) if ends else np.zeros((4, 0))
+    arcs = (tanh_sinh(nodes, lambda arcs, data: values(owner[arcs], data), ends, tol / np.maximum(k, 1)[owner])
+            if len(ends) else np.zeros((4, 0)))
     value, err, n, converged = (np.append(v, pad) for v, pad in zip(arcs, (0.0, 0.0, 0, True)))
     # each row's arcs in order, one column per arc; a row with fewer arcs points past the end, at a zero
     columns = np.arange(count.max(initial=0))
@@ -440,23 +452,34 @@ def _curve(t: np.ndarray) -> np.ndarray:
     return z * (1.0 - z)
 
 
-def _branch_moduli(lam, x) -> tuple[np.ndarray, np.ndarray]:
-    """(|y-|, |y+|) of y^2 + b y + x^4, b = 2x^2 + lam x + 1, at the nodes ``x``, for a scalar lam or a column.
+def _branch_moduli(lam, x, xx) -> np.ndarray:
+    """|y+| of y^2 + b y + x^4, b = 2x^2 + lam x + 1, at the nodes ``x`` with ``xx`` = x^2, for a scalar lam or a column.
 
     D = b^2 - 4x^4 = (lam x + 1)(4x^2 + lam x + 1) has the root s = +-(r, o) if Re D >= 0, else +-(o, r),
     with r = sqrt((|D| + |Re D|)/2) and o = Im D/(2r).  Aligned with b, ``4|y+|^2 = |b|^2 + |D| +
-    2|Re(conj(b) s)|`` does not cancel, and ``|y-| = |x|^4/|y+|``.
+    2|Re(conj(b) s)|`` does not cancel; the other root has |y-| = |x|^4/|y+| (``np.abs(xx) ** 2 / hi``).
     """
     line = lam * x + 1.0
-    xx = x * x
     b = line + 2.0 * xx
     D = line * (line + 4.0 * xx)
-    half = 0.5 * np.abs(D)  # each term below stays under the bound (2|lam| + 9)^2 of |b|^2 and |D|
-    r = np.sqrt(half + 0.5 * np.abs(D.real))
-    o = 0.5 * D.imag / np.maximum(r, np.finfo(float).tiny)  # r = 0 only where D = 0
-    dot = np.where(D.real >= 0.0, b.real * r + b.imag * o, b.real * o + b.imag * r)
-    hi = np.sqrt(0.25 * (b.real * b.real + b.imag * b.imag) + 0.5 * half + 0.5 * np.abs(dot))
-    return np.abs(xx) ** 2 / hi, hi
+    # the real arithmetic runs on contiguous copies, mostly in place, which keeps its temporaries few
+    br, bi, re = b.real.copy(), b.imag.copy(), D.real.copy()
+    half = np.abs(D)
+    half *= 0.5  # each term below stays under the bound (2|lam| + 9)^2 of |b|^2 and |D|
+    r = np.abs(re)
+    r *= 0.5
+    r = np.sqrt(r + half)
+    o = 0.5 * D.imag
+    o /= np.maximum(r, np.finfo(float).tiny)  # r = 0 only where D = 0
+    right = re >= 0.0
+    dot = br * np.where(right, r, o)
+    dot += bi * np.where(right, o, r)
+    hi = br * br
+    hi += bi * bi
+    hi *= 0.25
+    hi += 0.5 * half
+    hi += 0.5 * np.abs(dot)
+    return np.sqrt(hi)
 
 
 # -- family paths -----------------------------------------------------------------
@@ -568,18 +591,24 @@ def _fast_integrand(family: str, lams: np.ndarray):
     beta = (2 cos th - lam - 2)/(2 cos(th/2)); with h = |1 + x|,
     h|beta| - 2h = max((h - 1)^2 - (lam + 5), (lam + 5) - (h + 1)^2), which vanishes at the cuts
     of :func:`_p_cuts`, tangentially at lam = -5.  q's integrand is log|y+| (:func:`_branch_moduli`)
-    at x = z(1 - z) on the upper half circle z = e^(i pi t), whose mean is the circle mean; the
+    at x = z(1 - z) on the upper half circle z = e^(i pi t), whose mean is the circle mean; its
+    node data are x and x^2, which hold no lam, so they are computed once per distinct arc.  The
     cuts of :func:`_q_cuts` make t = 0, next to the branch points at z ~ 1 +- 1/lam, an arc end.
     """
     lam = lams[:, None]
-    if family == "q":
-        def log_y_plus(rows, z):
-            hi = _branch_moduli(lam[rows], z * (1.0 - z))[1]
+    if family == "q":  # node data x and x^2 on an axis in front of the nodes' own
+        def path(t):
+            z = np.exp(1j * np.pi * t)
+            x = z * (1.0 - z)
+            return np.stack((x, x * x), axis=-2)
+
+        def log_y_plus(rows, nd):
+            hi = _branch_moduli(lam[rows], nd[..., 0, :], nd[..., 1, :])
             if hi.min() < _LOG_CLAMP:
                 raise NumericalError("vanishing branch modulus on the sampling grid")
             return np.log(hi)
 
-        return (lambda t: np.exp(1j * np.pi * t)), log_y_plus, [_q_cuts(v) for v in lams.tolist()]
+        return path, log_y_plus, [_q_cuts(v) for v in lams.tolist()]
     if family == "r":  # node data 4 sin^2(th/2), 4 cos^2(th/2) on a last axis
         return (lambda t: np.stack((4.0 * np.sin(np.pi * t) ** 2, 4.0 * np.cos(np.pi * t) ** 2), axis=-1),
                 lambda rows, nd: _reciprocal_log(np.maximum(lam[rows] - nd[..., 0], -lam[rows] - nd[..., 1]), 1.0),

@@ -31,9 +31,6 @@ from .config import DEFAULTS
 __all__ = ["NumericalError", "tanh_sinh"]
 
 _EPS = sys.float_info.epsilon
-# The double-exponential transform maps |t| ~ 5 to points whose weight times
-# any admissible inverse-square-root blowup is far below double rounding.
-_T_HARD = 5.0
 _BLOCK = 4096  # nodes per integrand call (rows times nodes); bounds memory at the node cap
 
 
@@ -54,17 +51,27 @@ def _tanh_sinh_row(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node terms of the abscissae ``t >= 0`` that refinement level ``level`` adds.
 
     Level 0 is the mesh ``h = 1`` from ``t = 0``; level ``j >= 1`` adds the odd
-    multiples of ``2^-j``, all out to the tail cutoff.  For each ``t`` the
-    triple ``(cosh t, cosh(u)^2, 1 + exp(2|u|))`` with ``u = (pi/2) sinh t`` is
+    multiples of ``2^-j``.  The range ends where a node stops counting: it
+    holds the t at which the weight ``w = (pi/2) cosh t / cosh(u)^2`` times
+    an admissible blow-up ``d^(-1/2)`` at the nearer end, ``d = 2/(1 + exp(2|u|))``
+    away, is at least eps on [-1, 1].  That blow-up integrates to 2 sqrt(2)
+    there (and the ratio does not depend on the interval), so a node left
+    out adds less than eps/2.8 of the integral.  The product falls from
+    t = 1/2 on and passes eps at t = 3.95, so every level ends below it (the
+    mesh point t = 4 would add about 3e-17).  For each ``t`` the triple
+    ``(cosh t, cosh(u)^2, 1 + exp(2|u|))`` with ``u = (pi/2) sinh t`` is
     computed once per process, as three read-only arrays; the interval only
     scales them.
     """
     h = 0.5**level
     t, step = (0.0, h) if level == 0 else (h, 2.0 * h)
     terms = []
-    while t <= _T_HARD:
+    while True:
         u = 0.5 * math.pi * math.sinh(t)
-        terms.append((math.cosh(t), math.cosh(u) ** 2, 1.0 + math.exp(2.0 * abs(u))))
+        ch, cu2, den = math.cosh(t), math.cosh(u) ** 2, 1.0 + math.exp(2.0 * abs(u))
+        if 0.5 * math.pi * ch / cu2 * math.sqrt(0.5 * den) < _EPS:
+            break
+        terms.append((ch, cu2, den))
         t += step
     rows = tuple(np.array(v) for v in zip(*terms))
     for v in rows:
@@ -134,20 +141,23 @@ def tanh_sinh(nodes, values, ends, tol) -> tuple:
             if skip:
                 x[:, 0] = mid_[:, 0]
             inside = (x > a_) & (x < b_)
+            w[~inside] = 0.0
             data = nodes(np.where(inside, x, mid_))
             slots = np.cumsum(first[lo:hi]) - 1  # each arc's interval within the block
             for k in range(lo, hi, step):
                 rows, slot = live[k : min(k + step, hi)], slots[k - lo : k - lo + step]
-                x_, inside_ = x[slot], inside[slot]
                 vals = np.asarray(values(order[rows], data[slot]), dtype=float)
-                if vals.shape != x_.shape:
+                if vals.shape != (len(rows), x.shape[1]):
                     raise ValueError("integrand returned a wrong shape")
-                bad = inside_ & ~np.isfinite(vals)
-                if bad.any():
-                    i = np.unravel_index(np.argmax(bad), bad.shape)
-                    what = "returned NaN" if math.isnan(vals[i]) else "blew up at interior point"
-                    raise NumericalError(f"integrand {what} at x={float(x_[i])!r}")
-                totals[rows] += np.where(inside_, w[slot] * vals, 0.0).sum(axis=1)
+                if not np.isfinite(vals).all():  # fine on the endpoints, which weigh nothing; else an error
+                    inside_ = inside[slot]
+                    bad = inside_ & ~np.isfinite(vals)
+                    if bad.any():
+                        i = np.unravel_index(np.argmax(bad), bad.shape)
+                        what = "returned NaN" if math.isnan(vals[i]) else "blew up at interior point"
+                        raise NumericalError(f"integrand {what} at x={float(x[slot][i])!r}")
+                    vals = np.where(inside_, vals, 0.0)
+                totals[rows] += (w[slot] * vals).sum(axis=1)
         return totals[live] / n
 
     tol = (np.zeros(len(ends)) + np.asarray(tol, dtype=float))[order]

@@ -88,8 +88,9 @@ def test_q_cuts_are_the_arc_ends_of_the_half_circle():
     assert _q_cuts(-5.0) == _q_cuts(-1e10) == (0.0, 1 / 3)
     assert _q_cuts(13.0) == _q_cuts(1e10) == (0.0,)
     z = np.exp(1j * np.pi / 3)
-    lo, hi = _branch_moduli(-5.0, z * (1 - z))
-    assert abs(z * (1 - z) - 1.0) < 1e-15 and np.allclose(lo, hi, rtol=1e-6)
+    x = z * (1 - z)
+    hi = _branch_moduli(-5.0, x, x * x)
+    assert abs(x - 1.0) < 1e-15 and np.allclose(abs(x * x) ** 2 / hi, hi, rtol=1e-6)
     for lam in (-1e6, -1e3, 1e3, 1e6):
         x = np.array(cubic_singularities(lam))
         root = np.sqrt((1.0 - 4.0 * x).astype(complex))

@@ -131,6 +131,17 @@ def test_smyth_polynomial_both_methods():
     assert abs(t.value - M_ONE_X_Y) <= t.error_estimate
 
 
+@pytest.mark.parametrize("valuation", [(10**17, 0), (10**17, 10**17)])
+def test_a_huge_valuation_is_divided_out(valuation):
+    # x^N (1 + x + y), and x^N y^N (1 + x + y), with N = 1e17 have the measure of 1 + x + y; the
+    # powers x^N at circle nodes, whose modulus is 1 only up to rounding, used to scale each
+    # term by up to e^(N eps), and both methods printed values far off with exit 0
+    (a, b) = valuation
+    P = lp({(a, b): 1, (a + 1, b): 1, (a, b + 1): 1})
+    for mv in (mahler_jensen_2var(P), mahler_torus(P)):
+        assert abs(mv.value - M_ONE_X_Y) <= mv.error_estimate, mv
+
+
 # -- Jensen evaluator --------------------------------------------------------------
 
 
@@ -214,7 +225,9 @@ def _branch_scan(lam):
     """(t, |y-|, |y+|) on the scan grid of the ``branches`` suite, whose extremes its report carries."""
     n = DEFAULTS.branch_scan_nodes
     t = (np.arange(n + 1) - n // 2) / float(n)
-    lo, hi = _branch_moduli(lam, _curve(t))
+    x = _curve(t)
+    hi = _branch_moduli(lam, x, x * x)
+    lo = np.abs(x * x) ** 2 / hi
     row = _branch_row(lam)
     assert (row.lhs, row.rhs) == (lo.max(), hi.min())
     return t, lo, hi

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mahler.quadrature as quadrature
+from mahler.config import DEFAULTS
 from mahler.quadrature import NumericalError, tanh_sinh
 from mahler.specfun import gauss_2f1_series
 
@@ -78,6 +79,41 @@ def test_tanh_sinh_rejects_a_wrong_shape():
     for f in (lambda x: np.ones(x.shape[1] + 1), lambda x: 1.0, lambda x: np.ones((*x.shape, 1)), lambda x: x[0]):
         with pytest.raises(ValueError, match="wrong shape"):
             tanh_sinh(_same, lambda rows, x: f(x), [(0.0, 1.0)], 1e-12)
+
+
+def _endpoint_term(t):
+    """Weight times the blow-up d^(-1/2) at the nearer end, d away, of the node t on [-1, 1]."""
+    u = 0.5 * math.pi * math.sinh(t)
+    return 0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2 * math.sqrt(0.5 * (1.0 + math.exp(2.0 * u)))
+
+
+def test_node_range_ends_at_rounding_level():
+    # every level's last node still adds at least eps to an admissible (x - a)^(-1/2), and
+    # the next point of its mesh would add less; the range ends near t = 3.95
+    for level in range(DEFAULTS.tanh_sinh_level_max + 1):
+        h = 0.5**level
+        first, step = (0.0, h) if level == 0 else (h, 2.0 * h)
+        last = first + (len(quadrature._tanh_sinh_row(level)[0]) - 1) * step
+        assert _endpoint_term(last) >= quadrature._EPS > _endpoint_term(last + step)
+        assert level < 4 or 3.9 < last < 3.951
+
+
+@pytest.mark.parametrize("f, a, exact", [
+    (lambda x: x**-0.5, 0.0, 2.0),
+    (np.log, 0.0, -1.0),
+    (lambda x: np.log(1.0 - x), 0.0, -1.0),
+    (lambda x: np.log(x - 1 / 3), 1 / 3, 2 / 3 * math.log(2 / 3) - 2 / 3),
+], ids=["inverse_sqrt", "log", "log_right_end", "log_inner_end"])
+def test_endpoint_singularities_within_rounding_of_closed_forms(f, a, exact):
+    # the nodes past the range would add less than rounding, so dropping them costs no digit
+    value, _, _, converged = _arc(f, a, 1.0)
+    assert converged and abs(value - exact) <= 4.5e-16 * max(1.0, abs(exact))
+
+
+def test_one_arc_evaluates_the_nodes_of_its_range():
+    # t^(-1/2) on [0, 1] stops at n = 8: levels of 7, 8, 16 and 32 nodes (t = 0 once) out to
+    # t = 3.875; out to t = 5 the same levels took 81 nodes
+    assert _arc(lambda x: x**-0.5)[2:] == (63, True)
 
 
 def test_two_arcs_equal_two_one_arc_calls():
