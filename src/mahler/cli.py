@@ -7,6 +7,7 @@ failure.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import sys
 
 from .config import show_config
 from .identities import SUITES, reports_to_jsonl, run_suite, summary_table, sweep_reports
-from .measures import MeasureValue, _double, family_measures, mahler_jensen_2var, mahler_torus
+from .measures import _FAMILIES, MeasureValue, _double, family_measures, mahler_jensen_2var, mahler_torus
 from .poly import FamilySpec, make_family, poly_from_text
 from .quadrature import NumericalError, _isolate
 
@@ -30,6 +31,7 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mahler",
@@ -106,8 +108,7 @@ def cmd_compute(args) -> int:
         parameter = _double(value, f"the parameter of family {label}")
         fast = method == "fast" and label != "qk"
         if not fast:
-            family = {"q": "Q_shifted", "p": "P", "r": "R", "qk": "Q"}[label]
-            poly = make_family(FamilySpec(family, value))
+            poly = make_family(FamilySpec({**_FAMILIES, "qk": "Q"}[label], value))
     if fast:
         mv = family_measures(label, [parameter], tol=args.tol)[0]
     else:

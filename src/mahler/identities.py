@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .measures import _branch_moduli, _curve, _double, family_measures, jensen_measures
+from .measures import _branch_moduli, _check_parameter, _curve, _double, family_measures, jensen_measures
 from .poly import FamilySpec, make_family
 from .poly import verify_substitution as _substitution_residual
 from .quadrature import NumericalError, _isolate
@@ -256,10 +256,7 @@ def _branch_reports(lams, tol) -> list:
     for lam in _lams(lams):
         if not (lam >= 13.0 or lam <= -4.0):
             raise ValueError("branch bounds are claimed for lam >= 13 or lam <= -4")
-        # on the path (|x| <= 2), |b|^2 and the discriminant are at most (2|lam| + 9)^2, which must not overflow
-        bound = 2.0 * abs(lam) + 9.0
-        if not math.isfinite(bound * bound):
-            raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
+        _check_parameter("q", lam)
         hi = _branch_moduli(lam, x, xx)
         lhs, rhs = (x4 / hi).max(), hi.min()
         violation = max(lhs - 1.0, 1.0 - rhs, 0.0)

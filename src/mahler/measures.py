@@ -101,8 +101,14 @@ def _float_or_nan(value) -> float:
 
 
 def _doubles(P: LaurentPolynomial) -> list[tuple[tuple[int, ...], complex]]:
-    """The terms (exponents, coefficient) of ``P`` with each coefficient converted to double once."""
-    return [(e, complex(_double(c, f"the coefficient at exponents {e}"))) for e, c in P.items()]
+    """The terms (exponents, coefficient) of ``P``, each coefficient converted to double once.
+
+    The monomial of P's valuation is divided out, so each variable's lowest exponent is 0: it has measure 0,
+    and its powers at a huge exponent would scale each term by the rounding of |node| = 1 raised to it.
+    """
+    lo = [min(v) for v in zip(*P.terms)]
+    return [(tuple(a - b for a, b in zip(e, lo)), complex(_double(c, f"the coefficient at exponents {e}")))
+            for e, c in P.items()]
 
 
 # -- torus evaluator -----------------------------------------------------------
@@ -122,10 +128,6 @@ _TORUS_OFFSETS = (0.5, 0.7071067811865476, 0.8660254037844386)
 def _torus_mean_log(terms, n: int) -> float:
     """Mean of log|P| over the offset n^k tensor grid, streamed in row blocks; ``terms`` is ``_doubles(P)``.
 
-    The monomial of P's valuation in each variable is divided out first: it
-    has measure 0, and its powers at a huge exponent would scale |P| by the
-    rounding of the grid's |node| = 1 raised to that exponent.
-
     Terms are grouped by their exponent in the last variable; each group's
     coefficient is evaluated on the flattened grid of the other variables, so
     a row block of P is one matrix product with the last variable's powers.
@@ -135,9 +137,7 @@ def _torus_mean_log(terms, n: int) -> float:
     columns below it.  OpenBLAS threads a matrix-vector product, so a lone
     row (a one-variable P) is summed by broadcasting.
     """
-    lo = [min(v) for v in zip(*(e for e, _ in terms))]
-    terms = [(tuple(a - b for a, b in zip(e, lo)), c) for e, c in terms]
-    k = len(lo)
+    k = len(terms[0][0])
     grids = [_circle(n, _TORUS_OFFSETS[dim]) for dim in range(k)]
     column = {e: g for g, e in enumerate(sorted({e[-1] for e, _ in terms}))}
     coeffs = np.zeros((n ** (k - 1), len(column)), dtype=complex)
@@ -247,17 +247,11 @@ def _jensen_values(C: np.ndarray) -> np.ndarray:
 def _coeff_rows(terms, x: np.ndarray) -> np.ndarray:
     """The coefficients of a two-variable ``_doubles(P)`` as a polynomial in y, at the circle points ``x``.
 
-    Row j holds the coefficient of ``y**(lo' + j)``, lo' the valuation in y,
-    with the power x^lo of the valuation in x divided out: a monomial has
-    measure 0, and ``x ** lo`` at a huge lo would scale each term by the
-    rounding of |x| = 1 raised to lo.  Each term is added into its row in
-    term order.
+    Row j holds the coefficient of ``y**j``; each term is added into its row in term order.
     """
-    xs, ys = zip(*(e for e, _ in terms))
-    lo, lo_y = min(xs), min(ys)
-    rows = np.zeros((max(ys) - lo_y + 1, len(x)), dtype=complex)
+    rows = np.zeros((max(ey for (_, ey), _ in terms) + 1, len(x)), dtype=complex)
     for (ex, ey), c in terms:
-        rows[ey - lo_y] += c * x ** (ex - lo)
+        rows[ey] += c * x**ex
     return rows
 
 
@@ -314,8 +308,7 @@ def _breakpoints(terms) -> np.ndarray:
     one power of y (d = 0) the integrand is log|c(x)| of the lone coefficient
     c, which stands in for the resultant.
     """
-    xs, ys = zip(*(e for e, _ in terms))
-    D, d = max(xs) - min(xs), max(ys) - min(ys)
+    D, d = (max(v) for v in zip(*(e for e, _ in terms)))  # each lowest exponent is 0
     # (degree bound in x of the resultant, y-coefficients of the partner of P, which d = 0 lacks)
     for degree, partner in ((D, None),) if d == 0 else (
         (2 * d * D, lambda x, C: x**D * np.conj(C[::-1])),  # P*, using conj(x) = 1/x
@@ -373,20 +366,12 @@ def _circle_means(nodes, values, cuts, tol: float) -> tuple:
     b[(first + k - 1)[some]] = a[first[some]] + 1.0
     owner = np.repeat(np.arange(len(cuts)), k)[a < b]  # per arc; a repeated cut bounds no arc
     ends = np.stack((a, b), axis=1)[a < b]
-    count = np.bincount(owner, minlength=len(cuts))
-    # without arcs nothing indexes the arc arrays but an empty column set
-    arcs = (tanh_sinh(nodes, lambda arcs, data: values(owner[arcs], data), ends, tol / np.maximum(k, 1)[owner])
-            if len(ends) else np.zeros((4, 0)))
-    value, err, n, converged = (np.append(v, pad) for v, pad in zip(arcs, (0.0, 0.0, 0, True)))
-    # each row's arcs in order, one column per arc; a row with fewer arcs points past the end, at a zero
-    columns = np.arange(count.max(initial=0))
-    arc_at = np.where(columns < count[:, None], (np.cumsum(count) - count)[:, None] + columns, len(ends))
-    out = [np.zeros(len(cuts)), np.zeros(len(cuts)), np.zeros(len(cuts), dtype=int)]
-    for column in arc_at.T:  # in arc order, as sum() adds (a zero added to a sum changes nothing)
-        for total, arc in zip(out, (value, err, n)):
-            total += arc[column]
-    on_arcs = (count > 0) & converged[arc_at].all(axis=1)
-    out.append(on_arcs.copy())  # converged: every row on arcs, and the ladder rows' own below
+    value, err, n, converged = tanh_sinh(nodes, lambda arcs, data: values(owner[arcs], data), ends,
+                                         tol / np.maximum(k, 1)[owner])
+    # bincount adds each row's arcs in arc order from 0.0, as sum() does, in doubles (ints without arcs)
+    value, err, n = (np.bincount(owner, weights=v, minlength=len(cuts)).astype(v.dtype) for v in (value, err, n))
+    on_arcs = (k > 0) & (np.bincount(owner[~converged], minlength=len(cuts)) == 0)  # a row with cuts has arcs
+    out = [value, err, n, on_arcs.copy()]  # converged: every row on arcs, and the ladder rows' own below
     rows = (~on_arcs).nonzero()[0]
     ladder = _ladder(lambda live, m: _midpoint_means(nodes, values, rows[live], m), len(rows),
                      DEFAULTS.circle_nodes_start, DEFAULTS.circle_nodes_max, tol)
@@ -490,12 +475,18 @@ def _check_parameter(family: str, lam) -> None:
 
     The parameter must convert to a double, the family spec rejects a
     non-finite value, and a q row on the branch path must keep its branch
-    moduli in double range.
+    moduli in double range (:func:`_q_overflows`).
     """
     lam = FamilySpec(_FAMILIES[family], _double(lam, f"the parameter of family {_FAMILIES[family]}")).parameter
-    if family == "q" and (lam <= -4.0 or lam >= 13.0) and not math.isfinite(16.0 * lam * lam):
-        # q's |b|^2 and discriminant are at most (2|lam| + 9)^2 on the path, which must not overflow
+    if family == "q" and (lam <= -4.0 or lam >= 13.0) and _q_overflows(lam):
         raise NumericalError(f"the branch moduli overflow in double precision at lam={lam!r}")
+
+
+def _q_overflows(lam):
+    """Whether (2|lam| + 9)^2, the bound of q's |b|^2 and discriminant on the path |x| <= 2, overflows; elementwise."""
+    with np.errstate(over="ignore"):
+        bound = 2.0 * np.abs(lam) + 9.0
+        return ~np.isfinite(bound * bound)  # a product: a float's ** 2 raises OverflowError
 
 
 def _q_cuts(lam: float) -> tuple[float, ...]:
@@ -634,8 +625,7 @@ def family_measures(family: str, lams, *, tol: float | None = None) -> list:
         return out
     lam = np.array([_float_or_nan(v) for v in lams], dtype=float)
     gap = (family == "q") & ~((lam <= -4.0) | (lam >= 13.0))
-    with np.errstate(over="ignore"):
-        failed = ~np.isfinite(lam) | ((family == "q") & ~gap & ~np.isfinite(16.0 * lam * lam))
+    failed = ~np.isfinite(lam) | ((family == "q") & ~gap & _q_overflows(lam))
     if np.count_nonzero(failed):
         _check_parameter(family, lams[int(np.argmax(failed))])  # raises the first failing row's error
     exact = (family == "p") & (lam == -4.0)

@@ -360,16 +360,33 @@ def test_the_arcs_of_a_batch_share_each_integrand_call(monkeypatch):
     assert len(sizes) <= 13 and max(sizes) <= quadrature._BLOCK
 
 
+def _assert_rows_join_their_arcs(nodes, values, cuts, tol):
+    # a row runs on arcs exactly when it has cuts and each of its arcs converges, and then its value,
+    # estimate and (int) node total are sum() of its one-arc tanh_sinh calls, left to right, bit for bit
+    value, err, n, _, on_arcs = measures._circle_means(nodes, values, cuts, tol)
+    assert n.dtype.kind == "i"
+    for i, row in enumerate(cuts):
+        ends = [(a, b) for a, b in zip(row, [*row[1:], row[0] + 1.0]) if a < b] if row else []
+        arcs = [quadrature.tanh_sinh(nodes, lambda rows, data: values(np.full(len(rows), i), data), [e], tol / len(row))
+                for e in ends]
+        assert on_arcs[i] == (bool(arcs) and all(arc[3][0] for arc in arcs))
+        if on_arcs[i]:
+            assert (value[i], err[i], n[i]) == tuple(sum(arc[j][0] for arc in arcs) for j in range(3))
+
+
 def test_a_row_whose_arc_hits_the_level_cap_falls_back_alone(monkeypatch):
     # with the tanh-sinh levels capped at 3 (81 nodes), -4.25 and 4 (an arc needs 161
     # nodes) join the rows without cuts (lam < -5) on the whole-circle ladder; the
     # other rows keep their arcs, and every row is what its one-row call gives
     lams = [-6.0, -5.5, -5.0, -4.25, -4.0, -2.75, 0.0, 4.0]
+    nodes, values, cuts = measures._fast_integrand("p", np.array(lams))
+    joined = [*cuts[:5], cuts[5][:1] + cuts[5], *cuts[6:]]  # rows of 0, 1, 2 and 4 cuts, one cut repeated
+    _assert_rows_join_their_arcs(nodes, values, joined, 1e-9)
     arcs = family_measures("p", lams)
     monkeypatch.setattr(quadrature, "DEFAULTS", dataclasses.replace(quadrature.DEFAULTS, tanh_sinh_level_max=3))
+    _assert_rows_join_their_arcs(nodes, values, joined, 1e-9)
     capped = family_measures("p", lams)
     assert capped == [p_measure(lam) for lam in lams]
-    nodes, values, cuts = measures._fast_integrand("p", np.array(lams))
     value, err, *_ = measures._circle_means(nodes, values, [()] * len(lams), 1e-9)
     fell = [i for i, mv in enumerate(capped) if (mv.value, mv.error_estimate) == (value[i], err[i])]
     assert fell == [0, 1, 3, 7]

@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 import mahler.identities as identities
 import mahler.measures as measures
 import mahler.specfun as specfun
-from mahler.cli import _sweep_values, main
+from mahler.cli import _sweep_values, build_parser, main
 from mahler.identities import SUITES, run_suite
 from mahler.measures import family_measures, q_measure, r_measure
 from mahler.quadrature import NumericalError
@@ -239,6 +239,30 @@ def test_branch_bounds_past_double_range_are_numerical_failures(capsys):
     assert run_suite("branches", lambdas=[-6.7e153])[0].passed
     with pytest.raises(NumericalError, match="branch moduli overflow"):
         run_suite("branches", lambdas=[-6.71e153])
+
+
+@pytest.mark.filterwarnings("error")
+def test_q_rows_and_the_branch_scan_share_one_overflow_bound():
+    # (2|lam| + 9)^2 bounds |b|^2 and the discriminant on the path for both; it overflows
+    # above about 6.7e153, so q rows below it lie within their estimates of log|lam|
+    lams = [5e153, -6.6e153, 6.7e153]
+    for lam, mv in zip(lams, [*family_measures("q", lams[:2]), q_measure(lams[2])]):
+        assert abs(mv.value - math.log(abs(lam))) <= mv.error_estimate <= 1.7e-11
+    for lam in (7e153, -7e153):
+        with pytest.raises(NumericalError, match="branch moduli overflow") as row:
+            q_measure(lam)
+        with pytest.raises(NumericalError) as scan:
+            run_suite("branches", lambdas=[lam])
+        assert str(scan.value) == str(row.value)
+
+
+def test_one_parser_serves_every_call_without_leaking_an_override(capsys):
+    # the parser is built once per process, and a --tol given once is not the default of the next call
+    assert build_parser() is build_parser()
+    _, out, _ = run(capsys, ["verify", "main", "--lambda", "-6", "--tol", "main=1e-300"])
+    assert {r["tolerance"] for r in _reports(out)} == {1e-300}
+    code, out, _ = run(capsys, ["verify", "main", "--lambda", "-6"])
+    assert code == 0 and {r["tolerance"] for r in _reports(out)} == {1e-07}
 
 
 def test_derivative_rows_at_1e120_are_finite(capsys):
