@@ -1,10 +1,11 @@
 """Sparse multivariate Laurent polynomials and the three curve families.
 
-Coefficients are exact :class:`fractions.Fraction` values whenever the inputs
-are exact (ints, Fractions, or floats with integral value); otherwise plain
-floats.  Exponent vectors are tuples of ints, one entry per variable, and may
-be negative.  Terms are stored in lexicographic order so that arithmetic and
-printing are deterministic.
+Every coefficient is an exact :class:`fractions.Fraction`: an int, a Fraction
+or a finite float enters as the Fraction it is (every finite double is one),
+and doubles are made once, in ``measures._doubles``.  Exponent vectors are
+tuples of ints, one entry per variable, and may be negative.  Terms are
+stored in lexicographic order so that arithmetic and printing are
+deterministic.
 
 The three families, in the variable order used throughout:
 
@@ -19,8 +20,8 @@ The three families, in the variable order used throughout:
 
 One exact composition, ``_compose``, expands ``P(images...)``; it builds
 ``Q_shifted`` and the substituted quadratic model that
-:func:`verify_substitution` compares with it.  Both sides are expanded in
-Fractions, so the check is exact at every finite lam.
+:func:`verify_substitution` compares with it, so every family member and the
+check are exact at every finite parameter.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-Coeff = Fraction | float
 ExponentVector = tuple[int, ...]
 
 __all__ = [
@@ -42,27 +42,25 @@ __all__ = [
 ]
 
 
-def _normalise_coeff(c) -> Coeff:
-    if isinstance(c, bool):
-        raise TypeError("bool is not a valid coefficient")
+def _normalise_coeff(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    if isinstance(c, bool):
+        raise TypeError("bool is not a valid coefficient")
+    if isinstance(c, float) and not math.isfinite(c):
+        raise ValueError(f"coefficient must be finite, got {c!r}")
+    if isinstance(c, (int, float)):
         return Fraction(c)
-    if isinstance(c, float):
-        if not math.isfinite(c):
-            raise ValueError(f"coefficient must be finite, got {c!r}")
-        return c
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
 
 
 class LaurentPolynomial:
-    """Immutable sparse Laurent polynomial over Fraction/float coefficients."""
+    """Immutable sparse Laurent polynomial over Fraction coefficients."""
 
     __slots__ = ("_terms", "_nvars")
 
-    def __init__(self, terms: Mapping[Sequence[int], Coeff | int], nvars: int | None = None):
-        items: list[tuple[ExponentVector, Coeff]] = []
+    def __init__(self, terms: Mapping[Sequence[int], Fraction | int | float], nvars: int | None = None):
+        items: list[tuple[ExponentVector, Fraction]] = []
         for exps, coeff in terms.items():
             e = tuple(int(v) for v in exps)
             c = _normalise_coeff(coeff)
@@ -92,11 +90,11 @@ class LaurentPolynomial:
         return self._nvars
 
     @property
-    def terms(self) -> dict[ExponentVector, Coeff]:
+    def terms(self) -> dict[ExponentVector, Fraction]:
         """Copy of the term map {exponent vector: coefficient}."""
         return dict(self._terms)
 
-    def items(self) -> Iterator[tuple[ExponentVector, Coeff]]:
+    def items(self) -> Iterator[tuple[ExponentVector, Fraction]]:
         return iter(self._terms.items())
 
     def is_zero(self) -> bool:
@@ -121,11 +119,7 @@ class LaurentPolynomial:
             raise ValueError("variable count mismatch")
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out, nvars=self._nvars)
 
     __radd__ = __add__
@@ -133,8 +127,6 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if not isinstance(other, LaurentPolynomial):
             c = _normalise_coeff(other)
-            if c == 0:
-                return LaurentPolynomial.zero(self._nvars)
             return LaurentPolynomial({e: c * v for e, v in self._terms.items()}, nvars=self._nvars)
         if other._nvars != self._nvars:
             raise ValueError("variable count mismatch")
@@ -164,20 +156,12 @@ class LaurentPolynomial:
 
 
 def _product(a: Mapping, b: Mapping, out: dict | None = None) -> dict:
-    """Add the product of the term maps ``a`` and ``b`` into ``out`` (a new map by default).
-
-    A partial sum that reaches 0 is dropped, so a float sum that cancels
-    exactly leaves no term, and an exact term added to it later stays exact.
-    """
+    """Add the product of the term maps ``a`` and ``b`` into ``out`` (a new map by default)."""
     out = {} if out is None else out
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, 0) + c1 * c2
     return out
 
 
@@ -196,7 +180,7 @@ def _compose(P: LaurentPolynomial, images: Sequence[LaurentPolynomial]) -> Laure
         for _ in range(max((e[var] for e in P._terms), default=0)):
             pows.append(_product(pows[-1], image._terms))
         powers.append(pows)
-    out: dict[ExponentVector, Coeff] = {}
+    out: dict[ExponentVector, Fraction] = {}
     for e, c in P.items():
         term = {zero: c}
         for pows, v in zip(powers[:-1], e):
@@ -225,31 +209,12 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
         if isinstance(self.parameter, float) and not math.isfinite(self.parameter):
             raise ValueError(f"the parameter of family {self.family} must be finite, got {self.parameter!r}")
-        if self.family == "Q" and not _is_integral(self.parameter):
+        if self.family == "Q" and Fraction(self.parameter).denominator != 1:
             raise ValueError("family Q requires an integer parameter")
 
 
-def _is_integral(v) -> bool:
-    if isinstance(v, int):
-        return True
-    if isinstance(v, Fraction):
-        return v.denominator == 1
-    if isinstance(v, float):
-        return v.is_integer()
-    return False
-
-
-def _exact_parameter(v) -> Fraction | float:
-    """Fraction when the parameter is exactly representable, else float."""
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    if isinstance(v, float) and v.is_integer():
-        return Fraction(int(v))
-    return float(v)
-
-
-def _q_member(k: Fraction | float) -> LaurentPolynomial:
-    """``Q_k`` for an exact or float k; only the family ``Q`` restricts k to integers."""
+def _q_member(k: Fraction) -> LaurentPolynomial:
+    """``Q_k`` for any rational k; only the family ``Q`` restricts k to integers."""
     return LaurentPolynomial(
         {
             (0, 2): 1,
@@ -265,8 +230,8 @@ def _q_member(k: Fraction | float) -> LaurentPolynomial:
 
 
 def make_family(spec: FamilySpec) -> LaurentPolynomial:
-    """Construct the requested family member, expanded in its two variables."""
-    a = _exact_parameter(spec.parameter)
+    """Construct the requested family member, expanded in its two variables, in Fractions."""
+    a = Fraction(spec.parameter)
     if spec.family == "Q":
         return _q_member(a)
     if spec.family == "P":
@@ -291,7 +256,7 @@ def make_family(spec: FamilySpec) -> LaurentPolynomial:
         )
     # Q_shifted: Q_{lam+4}(X-1, Y), expanded once, symbolically.
     images = (LaurentPolynomial({(1, 0): 1, (0, 0): -1}), LaurentPolynomial({(0, 1): 1}))
-    return _compose(_q_member(_exact_parameter(a + 4)), images)
+    return _compose(_q_member(a + 4), images)
 
 
 # -- the genus-reducing substitution identity ---------------------------------
@@ -316,10 +281,8 @@ def verify_substitution(lam) -> float:
     returns 0.0 when the two term maps are equal; otherwise the largest
     coefficient difference over max(1, largest |coefficient| of the left side).
     """
-    FamilySpec("Q_shifted", lam)  # a non-finite lam is a ValueError here, not Fraction's OverflowError
-    a = Fraction(lam)
-    lhs = make_family(FamilySpec("Q_shifted", a))
-    diff = lhs + _expand_substituted(_inner_quadratic(a)) * -1
+    lhs = make_family(FamilySpec("Q_shifted", lam))
+    diff = lhs + _expand_substituted(_inner_quadratic(lam)) * -1
     worst = max((abs(c) for _, c in diff.items()), default=0)
     return float(worst / max(1, *(abs(c) for _, c in lhs.items())))
 
@@ -330,11 +293,11 @@ def verify_substitution(lam) -> float:
 def poly_from_text(text: str) -> LaurentPolynomial:
     """Parse sparse ``coeff:e1,e2,...`` lines, one term per line; terms with equal exponents add.
 
-    Blank lines and ``#`` comments are ignored.  Coefficients containing a
-    ``.`` or exponent letter parse as floats, anything else as exact
-    fractions (``-3/2``, ``4``).
+    Blank lines and ``#`` comments are ignored.  Each coefficient is read
+    exactly as written (``4``, ``-3/2``, ``0.1`` = 1/10, ``1e400``), and a line
+    that does not parse is named in the error.
     """
-    terms: dict[ExponentVector, Coeff] = {}
+    terms: dict[ExponentVector, Fraction] = {}
     nvars = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -342,21 +305,14 @@ def poly_from_text(text: str) -> LaurentPolynomial:
             continue
         try:
             cs, es = line.split(":", 1)
-        except ValueError as exc:
+            coeff = Fraction(cs)
+            e = tuple(int(v) for v in es.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial line {line!r}") from exc
-        coeff: Coeff
-        if any(ch in cs for ch in ".eE") and "/" not in cs:
-            coeff = float(cs)
-        else:
-            try:
-                coeff = Fraction(cs)
-            except ZeroDivisionError as exc:
-                raise ValueError(f"zero denominator in polynomial line {line!r}") from exc
-        e = tuple(int(v) for v in es.split(","))
         if nvars is None:
             nvars = len(e)
         elif len(e) != nvars:
-            raise ValueError("inconsistent exponent vector lengths")
+            raise ValueError(f"polynomial line {line!r} has {len(e)} exponents, not {nvars}")
         terms[e] = terms.get(e, 0) + coeff
     if nvars is None:
         raise ValueError("no terms found")

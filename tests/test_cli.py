@@ -479,8 +479,6 @@ def test_precision_option_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("first, reason, method", [
-    ("1e400:0,0", "finite", "torus"),
-    ("1e400:0,0", "finite", "jensen"),
     ("1/0:0,0", "'1/0:0,0'", "torus"),
 ])
 def test_compute_rejects_malformed_poly_file(capsys, tmp_path, first, reason, method):
@@ -489,6 +487,29 @@ def test_compute_rejects_malformed_poly_file(capsys, tmp_path, first, reason, me
     code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", method])
     assert code == 2
     assert out == "" and err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("abc:1,0", "malformed polynomial line 'abc:1,0'"),
+    ("nan:1,0", "malformed polynomial line 'nan:1,0'"),
+    ("inf:1,0", "malformed polynomial line 'inf:1,0'"),
+    ("1.5.2:1,0", "malformed polynomial line '1.5.2:1,0'"),
+    ("3:a,0", "malformed polynomial line '3:a,0'"),
+    ("3:1,0,0", "polynomial line '3:1,0,0' has 3 exponents, not 2"),
+], ids=["letters", "nan", "inf", "two-points", "exponent", "length"])
+def test_poly_file_parse_errors_name_the_line(capsys, tmp_path, line, reason):
+    f = tmp_path / "bad.txt"
+    f.write_text(f"1:0,0\n{line}\n1:0,1\n")
+    assert run(capsys, ["compute", "--poly-file", str(f)]) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("method", ["torus", "jensen"])
+def test_decimal_coefficient_past_double_range_is_a_numerical_failure(capsys, tmp_path, method):
+    # 1e400 is read as the exact integer 10^400, like a 401-digit coefficient
+    f = tmp_path / "huge.txt"
+    f.write_text("1e400:0,0\n1:1,0\n1:0,1\n")
+    code, out, err = run(capsys, ["compute", "--poly-file", str(f), "--method", method])
+    assert (code, out, err) == (3, "", "numerical failure: the coefficient at exponents (0, 0) overflows in double precision\n")
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -14,6 +14,7 @@ from mahler.poly import (
     poly_from_text,
     verify_substitution,
 )
+from mahler.quadrature import NumericalError
 
 
 def lp(terms, nvars=2):
@@ -60,12 +61,20 @@ def test_family_coefficients_exact_for_rational_parameter():
     half = make_family(FamilySpec("Q_shifted", Fraction(1, 2)))
     assert exact(half) and half.terms[(3, 1)] == Fraction(1, 2)
     assert make_family(FamilySpec("Q_shifted", 13.0)) == make_family(FamilySpec("Q_shifted", 13))
-    # a float parameter that is not an integer enters the coefficients as a float
-    assert type(make_family(FamilySpec("Q_shifted", 0.5)).terms[(3, 1)]) is float
-    assert type(make_family(FamilySpec("R", 0.1)).terms[(0, 0)]) is float
-    # the float multiples of lam at X Y cancel exactly, and the exact -4 added after them stays exact
-    xy = make_family(FamilySpec("Q_shifted", 0.1)).terms[(1, 1)]
-    assert type(xy) is Fraction and xy == -4
+    # a float parameter enters the coefficients as the Fraction it is
+    assert make_family(FamilySpec("Q_shifted", 0.5)).terms[(3, 1)] == Fraction(1, 2)
+    assert make_family(FamilySpec("R", 0.1)).terms[(0, 0)] == Fraction(0.1) != Fraction(1, 10)
+    tenth = make_family(FamilySpec("Q_shifted", 0.1))
+    assert exact(tenth) and tenth.terms[(1, 1)] == -4
+
+
+@pytest.mark.parametrize("lam", [-1.2085, 7.3])
+def test_shifted_fiber_at_x_equal_one_is_exact_at_a_float_parameter(lam):
+    # Q_shifted(1, Y) = Q_{lam+4}(0, Y) = Y^2 + Y: rounded float coefficients gave Y^2 + (1 - 2^-50) Y at -1.2085
+    collapsed = [Fraction(0)] * 3
+    for (_, j), c in make_family(FamilySpec("Q_shifted", lam)).items():
+        collapsed[j] += c
+    assert collapsed == [0, 1, 1]
 
 
 def test_q0_factors_exactly():
@@ -221,14 +230,32 @@ def test_serialization_roundtrip():
     assert poly_from_text("4:0,0\n-3/2:1,-2\n0.125:2,1\n") == P
 
 
+def test_serialization_reads_decimals_exactly():
+    # 0.1 + 0.2 is 3/10, not the double sum 0.30000000000000004
+    P = poly_from_text("0.1:1,0\n0.2:1,0\n1:0,1\n")
+    assert P.terms == {(0, 1): 1, (1, 0): Fraction(3, 10)}
+
+
+def test_doubles_give_back_the_doubles_a_polynomial_was_built_from():
+    rng = random.Random(11)
+    doubles = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1060, 1020) for _ in range(200)] + [5e-324, 1.7e308, 0.1]
+    P = lp({(j, 0): d for j, d in enumerate(doubles)})
+    assert exact(P)
+    back = [c for _, c in _doubles(P)]
+    assert [(c.real.hex(), c.imag) for c in back] == [(d.hex(), 0.0) for d in doubles]
+
+
 def test_serialization_parses_comments_and_blanks():
     P = poly_from_text("# a comment\n\n2:1,0\n1/2:0,-1\n")
     assert P == lp({(1, 0): 2, (0, -1): Fraction(1, 2)})
 
 
 def test_serialization_rejects_malformed_coefficients():
-    with pytest.raises(ValueError, match="finite"):
-        poly_from_text("1e400:0,0\n1:1,0\n1:0,1\n")
+    # 1e400 is the exact integer 10^400, refused only where it becomes a double
+    huge = poly_from_text("1e400:0,0\n1:1,0\n1:0,1\n")
+    assert huge.terms[(0, 0)] == 10**400
+    with pytest.raises(NumericalError, match=r"^the coefficient at exponents \(0, 0\) overflows in double precision$"):
+        _doubles(huge)
     with pytest.raises(ValueError, match="1/0:0,0"):
         poly_from_text("1:1,0\n1/0:0,0\n")
     for bad in (math.inf, -math.inf, math.nan):
