@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .config import show_config
+from .config import check_tol, show_config
 from .identities import SUITES, reports_to_jsonl, run_suite, summary_table, sweep_reports
 from .measures import _FAMILIES, MeasureValue, _double, family_measures, mahler_jensen_2var, mahler_torus
 from .poly import FamilySpec, make_family, poly_from_text
@@ -70,27 +70,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_tol(option: str, value: float, *, zero: bool = False) -> float:
-    # a NaN or non-positive ladder tolerance is never met: every ladder would run to its cap;
-    # a verify tolerance (``zero``) is only the threshold a residual is held to, and 0 is one
-    if not (math.isfinite(value) and (value > 0 or zero and value == 0)):
-        raise ValueError(f"{option} must be a positive finite number{' or 0' if zero else ''}, got {value!r}")
-    return abs(value)  # -0 is 0, and prints as 0
-
-
 def _parse_tol_overrides(pairs) -> dict[str, float]:
     out = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
         if not value or name not in SUITES:
             raise ValueError(f"bad tolerance override {pair!r}")
-        out[name] = _check_tol(f"--tol {name}", float(value), zero=True)
+        out[name] = check_tol(f"--tol {name}", value, zero=True)
     return out
 
 
 def cmd_compute(args) -> int:
     if args.tol is not None:
-        _check_tol("--tol", args.tol)
+        check_tol("--tol", args.tol)
     method, fast = args.method, False
     if args.poly_file:
         with open(args.poly_file, "r", encoding="utf-8") as fh:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -39,6 +40,19 @@ class Defaults:
 
 
 DEFAULTS = Defaults()
+
+
+def check_tol(name: str, value, *, zero: bool = False) -> float:
+    """``value`` as a float if it is positive and finite (or 0, where ``zero``), else a ValueError naming ``name``.
+
+    A NaN or non-positive ladder tolerance is never met: every ladder would run
+    to its cap.  A verify tolerance (``zero``) is only the threshold a residual
+    is held to, and 0 is one.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0 or zero and value == 0)):
+        raise ValueError(f"{name} must be a positive finite number{' or 0' if zero else ''}, got {value!r}")
+    return abs(value)  # -0 is 0, and prints as 0
 
 
 def show_config(**sections) -> str:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, check_tol
 from .poly import FamilySpec, LaurentPolynomial, make_family
 from .quadrature import (
     NumericalError,
@@ -186,8 +186,11 @@ def mahler_torus(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureVa
     estimate of a one-row ``quadrature._ladder`` meets ``tol`` or the cap is reached.
     Where ``P`` vanishes on the torus the rule converges like a power of n,
     and the estimate and value come from Richardson extrapolation once the
-    fitted exponent settles.
+    fitted exponent settles, or once the last two fits lie near one
+    half-integer exponent.  A ``tol`` that is not positive and finite raises
+    ValueError.
     """
+    tol = DEFAULTS.torus_tol if tol is None else check_tol("tol", tol)
     if P.is_zero():
         raise ValueError("the zero polynomial has no measure")
     k = P.nvars
@@ -195,7 +198,6 @@ def mahler_torus(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureVa
         raise ValueError("torus quadrature supports at most 3 variables")
     terms = _doubles(P)
     _check_torus_bound(terms)
-    tol = DEFAULTS.torus_tol if tol is None else float(tol)
     n_max = DEFAULTS.torus_nodes_max if k <= 2 else DEFAULTS.torus3_nodes_max
     value, err, *_ = _ladder(lambda live, m: [_torus_mean_log(terms, m)], 1,
                              min(DEFAULTS.torus_nodes_start, n_max // 16), n_max, tol, estimate=_power_estimate)
@@ -398,7 +400,9 @@ def jensen_measures(polys, *, tol: float | None = None) -> list:
     To reduce in x, swap the variables of ``P``.  Degrees d in y and D in x
     with 2 max(d, 1) max(D, 1) above ``_RESULTANT_MAX`` raise
     :class:`NumericalError` before anything is built; a failing row raises.
+    A ``tol`` that is not positive and finite raises ValueError.
     """
+    tol = DEFAULTS.measure_tol if tol is None else check_tol("tol", tol)
     doubles, cuts, width = [], [], 0
     for P in polys:
         if P.is_zero():
@@ -413,7 +417,6 @@ def jensen_measures(polys, *, tol: float | None = None) -> list:
         cuts.append(_breakpoints(doubles[-1]))
         _check_torus_bound(doubles[-1])  # past _breakpoints, whose own overflow checks are the finer ones
         width = max(width, d + 1)
-    tol = DEFAULTS.measure_tol if tol is None else float(tol)
 
     def values(rows, x):
         x = x if x.ndim == 2 else np.broadcast_to(x, (len(rows), len(x)))  # midpoint rows share their nodes
@@ -618,8 +621,10 @@ def family_measures(family: str, lams, *, tol: float | None = None) -> list:
     :func:`_circle_means` call, so the tanh-sinh arcs of the rows with
     breakpoints, and the rows that run the midpoint ladder, evaluate each
     level together.  The q rows off its one-branch range are one
-    :func:`jensen_measures` call, and the exact p(-4) stays alone.
+    :func:`jensen_measures` call, and the exact p(-4) stays alone.  A ``tol``
+    that is not positive and finite raises ValueError.
     """
+    tol = DEFAULTS.measure_tol if tol is None else check_tol("tol", tol)
     out: list = [None] * len(lams)
     if not len(lams):
         return out
@@ -638,7 +643,6 @@ def family_measures(family: str, lams, *, tol: float | None = None) -> list:
             out[i] = value
     fast = (~gap & ~exact).nonzero()[0]
     if len(fast):
-        tol = DEFAULTS.measure_tol if tol is None else float(tol)
         value, err, *_ = _circle_means(*_fast_integrand(family, lam[fast]), tol)
         for i, v, e in zip(fast.tolist(), value.tolist(), err.tolist()):
             out[i] = MeasureValue(value=v, method="family_fast", error_estimate=e)

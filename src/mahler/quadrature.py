@@ -175,6 +175,10 @@ _PREV_WEIGHT = 0.25  # share of the previous gap (or extrapolated step) that gua
 # in this band on which two successive levels agree to within _RATE_AGREE.
 _RATE_BAND = (0.5, 4.0)
 _RATE_AGREE = 0.1
+# Where that fit is refused, a ladder whose last two exponents both lie within _RATE_AGREE
+# of one of these (the exponents of the trapezoid rule at a point singularity) is
+# extrapolated with it; never with 1/2, whose misfits decay too slowly for the guard.
+_HALF_RATES = tuple(k / 2 for k in range(2, 9))  # 1, 1.5, ..., 4
 _POWER_SAFETY = 1.25  # scales every estimate of a power-law ladder
 
 
@@ -219,6 +223,12 @@ def _power_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
     three levels has a fit (its two gaps share a sign and shrink) and the
     last two exponents agree and lie in ``_RATE_BAND``, the value is e and
     the estimate guards its last step: max(|e_k - e_(k-1)|, w |e_(k-1) - e_(k-2)|).
+    Where that fit is refused, but the last two levels have fits whose
+    exponents both lie within ``_RATE_AGREE`` of one half-integer q of
+    ``_HALF_RATES`` (they may straddle it, or the level before them has no
+    fit), the last three levels are extrapolated with q, e = v + d2/(2^q - 1),
+    under the same estimate and stop: the trapezoid-rule expansion at a point
+    singularity runs in such powers (Lyness & Ninham, Math. Comp. 1967).
     Otherwise the raw gaps set it: the tail of the slowest admitted rate
     n^-1/2 beyond the larger of the last two gaps, max(g, g_prev)/(sqrt(2) - 1).
     A ladder stops when its last step and its estimate are both below tol.
@@ -236,15 +246,17 @@ def _power_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
         raw = v[-1], err, g < tol and err < tol
         if len(v) < 5:
             return raw
-        p, e = [], []
-        for k in range(len(v) - 3, len(v)):  # the last three levels
-            d1, d2 = v[k - 1] - v[k - 2], v[k] - v[k - 1]
-            if d2 == 0.0 or not d1 / d2 > 1.0:
-                return raw
-            p.append(math.log2(d1 / d2))
-            e.append(v[k] + d2 / (2.0 ** p[-1] - 1.0))
-        if not (abs(p[2] - p[1]) <= _RATE_AGREE and _RATE_BAND[0] <= p[2] <= _RATE_BAND[1]):
+        d = [v[k] - v[k - 1] for k in range(len(v) - 4, len(v))]  # the last four signed gaps
+        ratio = [d1 / d2 if d2 != 0.0 else math.nan for d1, d2 in zip(d, d[1:])]
+        if not (ratio[1] > 1.0 and ratio[2] > 1.0):
             return raw
+        p = [math.log2(r) if r > 1.0 else math.nan for r in ratio]
+        if not (ratio[0] > 1.0 and abs(p[2] - p[1]) <= _RATE_AGREE and _RATE_BAND[0] <= p[2] <= _RATE_BAND[1]):
+            q = min(_HALF_RATES, key=lambda h: abs(h - p[2]))  # the unrounded fit is refused
+            if max(abs(p[1] - q), abs(p[2] - q)) > _RATE_AGREE:
+                return raw
+            p = [q] * 3
+        e = [v[k] + d2 / (2.0**r - 1.0) for k, d2, r in zip(range(-3, 0), d[1:], p)]
         step = abs(e[2] - e[1])
         fit_err = _POWER_SAFETY * max(step, _PREV_WEIGHT * abs(e[1] - e[0]))
         return e[2], fit_err, step < tol and fit_err < tol

@@ -49,6 +49,27 @@ def test_torus_three_variables():
     assert mahler_torus(P).value == pytest.approx(math.log(2), abs=1e-13)
 
 
+def _no_ladder(*args, **kwargs):
+    raise AssertionError("a ladder ran")
+
+
+@pytest.mark.parametrize("measure", [
+    lambda tol: mahler_torus(lp({(0, 0): 1, (1, 0): 1, (0, 1): 1}), tol=tol),
+    lambda tol: mahler_jensen_2var(lp({(0, 0): 1, (1, 0): 1, (0, 1): 1}), tol=tol),
+    lambda tol: measures.jensen_measures([], tol=tol),
+    lambda tol: measures.family_measures("r", [3.0], tol=tol),
+    lambda tol: q_measure(-1.2085, tol=tol),  # a gap row, by Jensen
+], ids=["torus", "jensen", "jensen_measures", "family", "q gap"])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1e-9, math.inf])
+def test_a_tolerance_that_is_never_met_is_rejected(monkeypatch, measure, tol):
+    # a NaN or non-positive tol ran every ladder to its cap (and a NaN one returned the capped
+    # value of a family without a word); the check comes before any ladder
+    for module, name in [(quadrature, "_ladder"), (measures, "_ladder"), (measures, "_circle_means")]:
+        monkeypatch.setattr(module, name, _no_ladder)
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        measure(tol)
+
+
 def test_torus_rejects_too_many_variables():
     with pytest.raises(ValueError):
         mahler_torus(LaurentPolynomial({(0, 0, 0, 0): 1}, nvars=4))
@@ -469,6 +490,46 @@ def test_power_ladder_estimate_holds_on_two_terms(level, tol, stop):
     value, err, nodes, _ = _one_row(level, 64, 4096, tol, estimate=quadrature._power_estimate)
     assert nodes == stop
     assert abs(value - 1.0) <= err
+
+
+def test_power_ladder_estimates_hold_on_a_battery_of_power_laws():
+    # 1 + C n^-p + f C n^-(p+1) for p from 0.40 to 4.00 in steps of 0.01, every C, f and tol
+    # below: 8,664 rows of one ladder, each value within its estimate of the limit 1
+    grid = np.array(np.meshgrid(np.arange(40, 401) / 100, [1.0, -1.0, 1e-2], [0.0, 0.3, -0.3, 3.0],
+                                [2.5e-7, 1e-9], indexing="ij")).reshape(4, -1)
+    p, C, f, tol = grid
+
+    def level(live, n):
+        return [1.0 + c * n**-e + g * c * n ** -(e + 1.0) for e, c, g in zip(*(v[live].tolist() for v in (p, C, f)))]
+
+    value, err, _, _ = quadrature._ladder(level, len(p), 64, 4096, tol, estimate=quadrature._power_estimate)
+    missed = (np.abs(value - 1.0) > err).nonzero()[0]
+    assert len(p) == 8664
+    assert not len(missed), [(p[i], C[i], f[i], tol[i]) for i in missed[:5]]
+
+
+@pytest.mark.parametrize("rates, q", [
+    ((1.0, 1.43, 1.56), 1.5),  # the last two fits straddle 3/2, 0.13 apart
+    ((1.0, 0.93, 1.05), 1.0),
+    ((None, 1.45, 1.52), 1.5),  # they agree, but the earliest gap ratio is below 1
+    ((1.0, 1.38, 1.52), None),  # the earlier fit is 0.12 from 3/2
+    ((1.0, 0.45, 0.58), None),  # 1/2 is no rate to snap to
+])
+def test_power_ladder_snaps_a_refused_fit_to_a_half_integer_rate(rates, q):
+    # five levels ending at 1 whose last three gap ratios are 2^rate (None: a ratio of -1/2);
+    # no unrounded fit applies, so the value is extrapolated with the rate q, or comes raw
+    d = [1e-6]
+    for r in reversed(rates):
+        d.insert(0, d[0] * (-0.5 if r is None else 2.0**r))
+    v = [1.0]
+    for gap in reversed(d):
+        v.insert(0, v[0] - gap)
+    value, err, _ = (a[0] for a in quadrature._power_estimate(np.array([v]), np.array([1e-9])))
+    if q is None:  # the raw gaps, at the slowest admitted rate
+        assert (value, err) == (v[4], quadrature._POWER_SAFETY * abs(v[3] - v[2]) / (math.sqrt(2.0) - 1.0))
+    else:  # e = v + d/(2^q - 1) at the last three levels, and the guard on its steps
+        e = [v[k] + (v[k] - v[k - 1]) / (2.0**q - 1.0) for k in (2, 3, 4)]
+        assert (value, err) == (e[2], quadrature._POWER_SAFETY * max(abs(e[2] - e[1]), 0.25 * abs(e[1] - e[0])))
 
 
 def test_power_ladder_needs_three_gaps():
