@@ -186,8 +186,7 @@ def cmd_sweep(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    succeeded = sum(1 for r in rows if ",error:" not in r)
-    return EXIT_OK if succeeded >= 1 else EXIT_NUMERICAL
+    return EXIT_NUMERICAL if all(isinstance(r, Exception) for r in results) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -24,17 +24,18 @@ Identity ids:
   hyperelliptic member to its quadratic model, both sides expanded exactly
   in Fractions, so any residual but 0 fails;
 * ``singularity_order``: the strict ordering of the cubic singularities and
-  their z-images, where a margin of 0 is a numerical failure;
+  their z-images, from the signs of a few exact witnesses in Fractions, so
+  a row is decided exactly at any finite lambda;
 * ``asymptotic_gap``: measures approach log|lam|, with shrinking gap.
 
 Every suite is one entry of :data:`SUITES`: a rows function
 ``(params, tol) -> reports`` that raises on a failing row, its default
 parameters and its tolerance.  ``run_suite``, ``sweep_reports`` and the
 command line read nothing else about a suite.  The ``main``, ``boyd`` and
-``asymptotics`` rows share ladders; the ``derivatives``, ``J`` and
-``singularities`` rows share one ``cubic_singularities`` call each, and the
-``derivatives``, ``J`` and ``hyp`` rows one array loop per AGM.  Suites and sweeps run their
-rows through ``quadrature._isolate``, which finds the failing rows.
+``asymptotics`` rows share ladders; the ``derivatives`` and ``J`` rows share
+one ``cubic_singularities`` call each, and the ``derivatives``, ``J`` and
+``hyp`` rows one array loop per AGM.  Suites and sweeps run their rows
+through ``quadrature._isolate``, which finds the failing rows.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,15 +54,7 @@ from .measures import _branch_moduli, _check_parameter, _curve, _double, family_
 from .poly import FamilySpec, make_family
 from .poly import verify_substitution as _substitution_residual
 from .quadrature import NumericalError, _isolate
-from .specfun import (
-    UnsupportedRegimeError,
-    _closed_forms,
-    _finite,
-    agm3,
-    cubic_singularities,
-    gauss_2f1_agm,
-    gauss_2f1_series,
-)
+from .specfun import UnsupportedRegimeError, _closed_forms, agm3, gauss_2f1_agm, gauss_2f1_series
 
 __all__ = [
     "VerificationReport",
@@ -277,40 +271,41 @@ def _substitution_reports(lams, tol) -> list:
     return reports
 
 
-def _small_z(x: float) -> float:
-    """The root z of z(1 - z) = x nearer 0, as 2x/(1 + sqrt(1 - 4x)), which does not cancel; NaN for x > 1/4."""
-    d = 1.0 - 4.0 * x
-    return 2.0 * x / (1.0 + math.sqrt(d)) if d >= 0.0 else math.nan
+def _singularity_witnesses(lam: Fraction) -> list[Fraction]:
+    """Exact quantities, all positive where the singular points of the row at ``lam`` are ordered as claimed.
+
+    With x0 = -1/lam, f(x) = 4x^2 + lam x + 1 and its vertex v = -lam/8: for
+    lam < 0 they are x0, v - x0, -f(1/4) and -f(1); for lam > 0 they are
+    -f(-2), x0 - v and -x0.  f(x0) = 4 x0^2 is positive once x0 is not 0, so
+    x0 lies outside [x1, x2], on the side of v that the vertex witness names.
+    """
+    x0, v = -1 / lam, -lam / 8
+    if lam < 0:
+        return [x0, v - x0, -(5 + lam) / 4, -(5 + lam)]  # f(1/4) = (5 + lam)/4, f(1) = 5 + lam
+    return [2 * lam - 17, x0 - v, -x0]  # f(-2) = 17 - 2 lam
 
 
 def _singularity_reports(lams, tol) -> list:
-    """Strict orderings of the zeros x0, x1, x2 of ``(1 + lam x)(1 + lam x + 4x^2)`` and their z-images.
+    """Strict orderings of the zeros x0, x1, x2 of ``(1 + lam x)(1 + lam x + 4x^2)`` and their z-images, exactly.
 
     The images are the roots z of z(1 - z) = x.  For lam < -5 the x-roots
-    should satisfy 0 < x0 < x1 < 1/4 with x2 > 1, with the four z-images
+    should satisfy 0 < x0 < x1 < 1/4 < 1 < x2, with the four z-images
     z1 < z2 < z3 = 1 - z2 < z4 = 1 - z1 on (0, 1); for lam > 13 they should
     satisfy x1 < -2 < x2 < x0 < 0 with the z-images of x2 and x0 on (-1, 1).
-    A NaN z-image marks an x above 1/4.  Each report carries the smallest
-    margin; a margin of 0 shows no ordering and raises :class:`NumericalError`.
+    The x-orderings follow from the signs of :func:`_singularity_witnesses`,
+    evaluated in Fractions at the exact lam, and the z-orderings from them:
+    the root z nearer 0 increases with x and maps -2, 0 and 1/4 to -1, 0 and
+    1/2.  Each report carries the smallest witness, which passes when it is
+    above ``-tol``, so a witness of 0 fails at tolerance 0.
     """
-    lams = _lams(lams)
-    if not all(lam < -5.0 or lam > 13.0 for lam in lams):
+    parameters = _lams(lams)
+    if not all(-math.inf < lam < -5.0 or 13.0 < lam < math.inf for lam in parameters):
         raise UnsupportedRegimeError("singular points are classified only for lam < -5 or lam > 13")
     reports = []
-    for lam, *x in zip(lams, *cubic_singularities(np.array(lams))):
-        x0, x1, x2 = _finite(lam, x)
-        if lam < 0.0:
-            # z3 - z2 = 1 - 2 z2, z4 - z3 = z2 - z1 and 1 - z4 = z1: no margin is a difference near 1
-            z1, z2 = _small_z(x0), _small_z(x1)
-            margins = [x0, x1 - x0, 0.25 - x1, x2 - 1.0, z1, z2 - z1, 1.0 - 2.0 * z2]
-        else:
-            z1, z2 = _small_z(x2), _small_z(x0)
-            margins = [-2.0 - x1, x2 + 2.0, x0 - x2, -x0, z1 + 1.0, z2 - z1, 1.0 - z2]
-        worst = min(m for m in margins if not math.isnan(m))  # a NaN z-image has a negative x margin already
-        if worst == 0.0:
-            raise NumericalError(f"the singular points are not separated in double precision at lam={lam!r}")
-        regime = "neg" if lam < 0.0 else "pos"
-        reports.append(_report("singularity_order", lam, worst, 0.0, max(0.0, -worst), tol, detail=regime))
+    for lam, parameter in zip(lams, parameters):
+        worst = min(_singularity_witnesses(Fraction(lam)))
+        reports.append(_report("singularity_order", parameter, worst, 0.0, max(0, -worst), tol,
+                               detail="neg" if lam < 0 else "pos", passed=worst > -tol))
     return reports
 
 

@@ -103,10 +103,6 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "LaurentPolynomial":
-        return cls({}, nvars=nvars)
-
-    @classmethod
     def constant(cls, value, nvars: int) -> "LaurentPolynomial":
         return cls({(0,) * nvars: value}, nvars=nvars)
 

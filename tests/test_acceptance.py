@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from mahler.cli import main as cli_main
-from mahler.identities import SUITES, _small_z
+from mahler.identities import SUITES
 from mahler.measures import (
     mahler_jensen_2var,
     mahler_torus,
@@ -26,7 +26,7 @@ from mahler.specfun import (
     gauss_2f1_agm,
     gauss_2f1_series,
 )
-from test_specfun import dq_dlambda_fd
+from test_specfun import dq_dlambda_fd, small_z
 
 
 def _announce(num: int, text: str, ok: bool) -> None:
@@ -152,11 +152,11 @@ def test_criterion_09_singularity_orderings():
         x0, x1, x2 = cubic_singularities(lam)
         if lam < 0:
             ok &= 0.0 < x0 < x1 < 0.25 and x2 > 1.0
-            z = (_small_z(x0), _small_z(x1), 1.0 - _small_z(x1), 1.0 - _small_z(x0))
+            z = (small_z(x0), small_z(x1), 1.0 - small_z(x1), 1.0 - small_z(x0))
             ok &= all(0.0 < a < b < 1.0 for a, b in zip(z, z[1:]))
         else:
             ok &= x1 < -2.0 < x2 < x0 < 0.0
-            ok &= -1.0 < _small_z(x2) < _small_z(x0) < 1.0
+            ok &= -1.0 < small_z(x2) < small_z(x0) < 1.0
     _announce(9, "singularity orderings at six parameters spanning both regimes", ok)
 
 

@@ -146,6 +146,20 @@ def test_every_cut_of_q_shifted_in_the_gap_is_a_toric_point(lam):
     assert abs(mv.value - other.value) <= mv.error_estimate + other.error_estimate
 
 
+@pytest.mark.parametrize("text, cuts, measure", [
+    ("1:2,0\n2:1,1\n1:0,2\n", [], 0.0),  # (x + y)^2
+    ("1:0,0\n2:1,0\n2:0,1\n1:2,0\n2:1,1\n1:0,2\n", [1 / 3, 2 / 3], 2 * 0.3230659472194505),  # (1 + x + y)^2
+], ids=["x+y", "1+x+y"])
+def test_squares_with_a_vanishing_discriminant(text, cuts, measure):
+    # the fiber roots of a square are double, so Res_y(P, dP/dy) vanishes identically; (x + y)^2 is
+    # reciprocal, so Res_y(P, P*) does too and there is no cut, while (1 + x + y)^2 keeps the toric
+    # points of 1 + x + y from Res_y(P, P*)
+    P = poly_from_text(text)
+    _assert_same_points(_cuts(P), cuts)
+    mv = mahler_jensen_2var(P)
+    assert abs(mv.value - measure) <= mv.error_estimate, mv
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: split off gcd(P, P*) and take the discriminant of that "
                                        "factor alone; the toric points of the other factor are lost")
 def test_cuts_of_a_factor_not_shared_with_p_star_are_found():

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
@@ -552,6 +553,17 @@ def test_verify_substitution_is_exact_at_any_finite_lambda(capsys):
     assert all(r["passed"] and r["residual"] == 0.0 and r["detail"] == "" for r in reports)
 
 
+def test_verify_singularities_is_exact_at_any_finite_lambda(capsys):
+    # the float margins once exited 3 past about |lam| = 1.6e8; negatives in decimal form, since
+    # argparse reads -1e9 as an option
+    lams = [-1.7e308, -1e200, -1e12, -1e9, 1e9, 1e12, 1e200, 1.7e308]
+    code, out, _ = run(capsys, ["verify", "singularities", "--lambda", *(f"{lam:.1f}" for lam in lams)])
+    assert code == 0
+    reports = _reports(out)
+    assert [r["parameter"] for r in reports] == lams
+    assert all(r["passed"] and r["residual"] == 0.0 and r["lhs"] > 0.0 for r in reports)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_verify_substitution_rejects_a_non_finite_lambda(capsys, value):
     code, out, err = run(capsys, ["verify", "substitution", f"--lambda={value}"])
@@ -648,20 +660,22 @@ def test_kernel_checks_at_large_lambda(capsys, argv):
 
 
 def test_singularity_order_violation_is_a_failed_check(capsys, monkeypatch):
-    # swapping x0 and x1 breaks 0 < x0 < x1 < 1/4: a FAIL row and exit 1, not a numerical failure
-    cubic = specfun.cubic_singularities
-    monkeypatch.setattr(identities, "cubic_singularities", lambda lam: (lambda x0, x1, x2: (x1, x0, x2))(*cubic(lam)))
-    code, out, err = run(capsys, ["verify", "singularities", "--lambda", "-6"])
+    # the row at 16 evaluates the witnesses of lam = 8, past the regime check: there -2 lies below
+    # x1 = -1.707, so x1 < -2 fails, a FAIL row and exit 1, not a numerical failure
+    witnesses = identities._singularity_witnesses
+    monkeypatch.setattr(identities, "_singularity_witnesses", lambda lam: witnesses(Fraction(8)))
+    code, out, err = run(capsys, ["verify", "singularities", "--lambda", "16"])
     assert code == 1
-    assert [r["passed"] for r in _reports(out)] == [False]
+    assert [(r["passed"], r["lhs"], r["residual"]) for r in _reports(out)] == [(False, -1.0, 1.0)]
     assert "singularity_order" in err and "FAIL" in err and "0/1 checks passed" in err
 
 
 def test_singularity_order_violation_above_a_quarter_is_a_failed_check(capsys, monkeypatch):
-    # swapping x1 and x2 puts x1 > 1/4, whose z-images are not real: still a FAIL row and exit 1
-    cubic = specfun.cubic_singularities
-    monkeypatch.setattr(identities, "cubic_singularities", lambda lam: (lambda x0, x1, x2: (x0, x2, x1))(*cubic(lam)))
+    # at lam = -4.5 the roots of 4x^2 + lam x + 1 are 0.305 and 0.820: x1 > 1/4 and x2 < 1, so the
+    # row at -6 that evaluates the witnesses of -4.5 fails with exit 1
+    witnesses = identities._singularity_witnesses
+    monkeypatch.setattr(identities, "_singularity_witnesses", lambda lam: witnesses(Fraction(-9, 2)))
     code, out, err = run(capsys, ["verify", "singularities", "--lambda", "-6"])
     assert code == 1
-    assert [r["passed"] for r in _reports(out)] == [False]
+    assert [(r["passed"], r["lhs"], r["residual"]) for r in _reports(out)] == [(False, -0.5, 0.5)]
     assert "singularity_order" in err and "FAIL" in err and "0/1 checks passed" in err

@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import json
-import re
 from fractions import Fraction
 
 import pytest
@@ -125,34 +124,48 @@ def test_singularity_order_rejects_gap():
         _rows("singularities", [10.0])[0]
 
 
-@pytest.mark.parametrize("lam", [-1e8, -1e6, 1e6, 1e8])
+@pytest.mark.parametrize("lam", [-1.7e308, -1e200, -1e8, -1e6, 1e6, 1e8, 1e200, 1.7e308])
 def test_singularity_order_passes_with_a_positive_margin_at_large_lambda(lam):
-    # the small z-root is taken as 2x/(1 + sqrt(1 - 4x)) and the mirrored margins without 1 - z,
-    # so neither cancels to the 0.0 that once passed here
+    # the smallest witness is |x0| = 1/|lam|, exact in Fractions at every finite lam
     report = _rows("singularities", [lam])[0]
-    assert report.passed and report.lhs > 0.0
+    assert report.passed and report.residual == 0.0 and report.lhs == 1.0 / abs(lam)
+    assert report.detail == ("neg" if lam < 0 else "pos")
 
 
 @pytest.mark.parametrize("lam", [-1e12, -1e9, 1e9, 1e12])
-def test_singularity_points_not_separated_in_double_precision_raise(lam):
-    message = f"the singular points are not separated in double precision at lam={lam!r}"
-    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
-        _rows("singularities", [lam])
+def test_singularity_order_passes_past_the_old_float_limit(lam):
+    # float margins cancelled to 0.0 past about |lam| = 1.6e8 and raised "not separated in double
+    # precision" here; the exact witnesses pass with the smallest one 1/|lam|
+    report = _rows("singularities", [lam])[0]
+    assert report.passed and report.residual == 0.0 and report.lhs == 1.0 / abs(lam)
+    assert report.detail == ("neg" if lam < 0 else "pos")
+
+
+def test_singularity_witnesses_are_the_signs_of_the_ordering():
+    w = identities._singularity_witnesses
+    # lam = -6: x0 = 1/6, v - x0 = 3/4 - 1/6, -f(1/4) = 1/4 and -f(1) = 1
+    assert w(Fraction(-6)) == [Fraction(1, 6), Fraction(7, 12), Fraction(1, 4), Fraction(1)]
+    # lam = 16: -f(-2) = 15, x0 - v = -1/16 + 2 and -x0 = 1/16
+    assert w(Fraction(16)) == [Fraction(15), Fraction(31, 16), Fraction(1, 16)]
+    # outside the regimes: at -4.5, 1/4 and 1 lie below x1 = 0.305; at 8, -2 lies below x1 = -1.707
+    assert min(w(Fraction(-9, 2))) == Fraction(-1, 2)
+    assert min(w(Fraction(8))) == -1
+    # at 10 the ordering x1 < -2 < x2 < x0 < 0 holds (-2.396 < -2 < -0.104 < -0.1): f(-2) < 0 for lam > 17/2
+    assert min(w(Fraction(10))) > 0
 
 
 @pytest.mark.parametrize("lam", [-6.0, 16.0])
-def test_singularity_order_with_a_planted_double_point_raises(monkeypatch, lam):
-    # x1 = x0 (lam < -5) or x2 = x0 (lam > 13) gives a margin of exactly 0, which shows no ordering
-    cubic = identities.cubic_singularities
-    plant = (lambda x0, x1, x2: (x0, x0, x2)) if lam < 0 else (lambda x0, x1, x2: (x0, x1, x0))
-    monkeypatch.setattr(identities, "cubic_singularities", lambda lams: plant(*cubic(lams)))
-    with pytest.raises(NumericalError, match="not separated in double precision"):
-        _rows("singularities", [lam])
+def test_singularity_order_with_a_planted_zero_witness_fails(monkeypatch, lam):
+    # a witness of exactly 0 (x1 = x0, say) shows no strict ordering: a FAIL row at tolerance 0
+    witnesses = identities._singularity_witnesses
+    monkeypatch.setattr(identities, "_singularity_witnesses", lambda lam: [*witnesses(lam), Fraction(0)])
+    report = _rows("singularities", [lam])[0]
+    assert not report.passed and report.lhs == 0.0 and report.residual == 0.0
 
 
 def test_singularity_batch_rows_equal_one_row_calls():
-    # one cubic_singularities call serves the batch; each row is what its own call gives
-    lams = [*SUITES["singularities"].params, -1e6, 1e6]
+    # each row of a batch is what its own call gives
+    lams = [*SUITES["singularities"].params, -1e6, 1e6, -1e200, 1e200]
     assert run_suite("singularities", lambdas=lams) == sorted(
         (_rows("singularities", [lam])[0] for lam in lams), key=lambda r: (r.identity_id, r.parameter, r.detail))
     with pytest.raises(UnsupportedRegimeError, match="^singular points are classified only for lam < -5 or lam > 13$"):

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 import mahler.specfun
-from mahler.identities import SUITES, _small_z
+from mahler.identities import SUITES
 from mahler.measures import p_measure, q_measure
 from mahler.quadrature import NumericalError, tanh_sinh
 from mahler.specfun import (
@@ -189,12 +189,18 @@ def test_hyp2f1_rejects_bad_c():
 # -- singular points ---------------------------------------------------------------
 
 
+def small_z(x: float) -> float:
+    """The root z of z(1 - z) = x nearer 0, as 2x/(1 + sqrt(1 - 4x)), which does not cancel; NaN for x > 1/4."""
+    d = 1.0 - 4.0 * x
+    return 2.0 * x / (1.0 + math.sqrt(d)) if d >= 0.0 else math.nan
+
+
 def test_singular_points_negative_regime():
     x0, x1, x2 = cubic_singularities(-6.0)
     assert x0 == pytest.approx(1 / 6, rel=1e-14)
     assert x1 == pytest.approx(0.19098300562505255, rel=1e-12)
     assert x2 == pytest.approx(1.3090169943749475, rel=1e-12)
-    z1, z2 = _small_z(x0), _small_z(x1)
+    z1, z2 = small_z(x0), small_z(x1)
     assert (z1, z2, 1 - z2, 1 - z1) == pytest.approx(
         (0.21132486540518708, 0.2570658641216771, 0.7429341358783229, 0.7886751345948129), rel=1e-12
     )
@@ -211,14 +217,14 @@ def test_singular_points_positive_regime():
 def test_singular_points_inverse_map_identity():
     for lam in (-6.0, 16.0, 1e6):
         for x in cubic_singularities(lam)[:2 if lam < 0 else 1]:
-            z = _small_z(x)
+            z = small_z(x)
             assert z * (1 - z) == pytest.approx(x, rel=1e-15)
-    assert math.isnan(_small_z(0.25 + 1e-12))
+    assert math.isnan(small_z(0.25 + 1e-12))
 
 
 def test_singular_points_rejects_gap():
     message = "^singular points are classified only for lam < -5 or lam > 13$"
-    for lam in (-5.0, 0.0, 13.0, 8.0):
+    for lam in (-5.0, 0.0, 13.0, 8.0, math.nan, math.inf, -math.inf):
         with pytest.raises(UnsupportedRegimeError, match=message):
             SUITES["singularities"].rows([lam], 0.0)
 
