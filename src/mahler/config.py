@@ -23,7 +23,7 @@ class Defaults:
     measure_tol: float = 1.0e-9
 
     # tensor-product torus rule
-    torus_nodes_start: int = 64
+    torus_nodes_start: int = 16
     torus_nodes_max: int = 4096
     torus3_nodes_max: int = 128
     torus_tol: float = 2.5e-7

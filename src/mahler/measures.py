@@ -182,13 +182,14 @@ def mahler_torus(P: LaurentPolynomial, *, tol: float | None = None) -> MeasureVa
     """Measure of ``P`` by direct torus quadrature (1 to 3 variables).
 
     The per-dimension node count doubles from ``torus_nodes_start`` (at most
-    a sixteenth of the cap, so at least five levels) until the power-law
-    estimate of a one-row ``quadrature._ladder`` meets ``tol`` or the cap is reached.
-    Where ``P`` vanishes on the torus the rule converges like a power of n,
-    and the estimate and value come from Richardson extrapolation once the
-    fitted exponent settles, or once the last two fits lie near one
-    half-integer exponent.  A ``tol`` that is not positive and finite raises
-    ValueError.
+    a sixteenth of the cap, so at least five levels; from 16, the five a fit
+    needs end at 256^2) until the power-law estimate of a one-row
+    ``quadrature._ladder`` meets ``tol`` or the cap is reached.  Where ``P``
+    vanishes on the torus the rule converges like a power of n: the value and
+    estimate come from Richardson extrapolation once the fitted exponent
+    settles or lies near a half-integer, repeated on the half-integer exponents
+    further down the error expansion.  A ``tol`` that is not positive and
+    finite raises ValueError.
     """
     tol = DEFAULTS.torus_tol if tol is None else check_tol("tol", tol)
     if P.is_zero():

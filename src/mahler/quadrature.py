@@ -179,6 +179,7 @@ _RATE_AGREE = 0.1
 # of one of these (the exponents of the trapezoid rule at a point singularity) is
 # extrapolated with it; never with 1/2, whose misfits decay too slowly for the guard.
 _HALF_RATES = tuple(k / 2 for k in range(2, 9))  # 1, 1.5, ..., 4
+_STAGE_SNAP = 0.01  # a fitted exponent this close to a half-integer opens the further stages
 _POWER_SAFETY = 1.25  # scales every estimate of a power-law ladder
 
 
@@ -229,8 +230,18 @@ def _power_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
     fit), the last three levels are extrapolated with q, e = v + d2/(2^q - 1),
     under the same estimate and stop: the trapezoid-rule expansion at a point
     singularity runs in such powers (Lyness & Ninham, Math. Comp. 1967).
+    Where that stage's exponent lies within ``_STAGE_SNAP`` of a half-integer
+    q, further stages follow (the expansion runs on in higher powers, whose
+    coefficients may alternate in sign with the level; Lyness, Math. Comp.
+    1976): all levels are extrapolated with q, and where the last two signed
+    gap ratios of those values share a sign s and both log2|ratio| lie within
+    ``_RATE_AGREE`` of one half-integer q' >= q + 1/2, again with
+    e = w + d/(s 2^q' - 1), and so on.  The deepest stage gives the value; its
+    estimate is its guarded step or its distance from the first stage's value, the larger.
     Otherwise the raw gaps set it: the tail of the slowest admitted rate
-    n^-1/2 beyond the larger of the last two gaps, max(g, g_prev)/(sqrt(2) - 1).
+    n^-1/2 beyond the larger of the last two gaps, max(g, g_prev)/(sqrt(2) - 1),
+    which stops a ladder only while its gaps do not grow (a growing gap
+    means the error is still rising toward a hump).
     A ladder stops when its last step and its estimate are both below tol.
     Before three gaps there is no estimate yet, so neither its first gap nor
     an unchecked rate can stop it; a ladder that starts at most a sixteenth
@@ -243,7 +254,7 @@ def _power_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
             return v[-1], math.inf, False
         g, g_prev = abs(v[-1] - v[-2]), abs(v[-2] - v[-3])
         err = _POWER_SAFETY * max(g, g_prev) / (2.0 ** _RATE_BAND[0] - 1.0)
-        raw = v[-1], err, g < tol and err < tol
+        raw = v[-1], err, g <= g_prev and g < tol and err < tol
         if len(v) < 5:
             return raw
         d = [v[k] - v[k - 1] for k in range(len(v) - 4, len(v))]  # the last four signed gaps
@@ -258,8 +269,25 @@ def _power_estimate(values: np.ndarray, tol: np.ndarray) -> tuple:
             p = [q] * 3
         e = [v[k] + d2 / (2.0**r - 1.0) for k, d2, r in zip(range(-3, 0), d[1:], p)]
         step = abs(e[2] - e[1])
-        fit_err = _POWER_SAFETY * max(step, _PREV_WEIGHT * abs(e[1] - e[0]))
-        return e[2], fit_err, step < tol and fit_err < tol
+        value, fit_err = e[2], _POWER_SAFETY * max(step, _PREV_WEIGHT * abs(e[1] - e[0]))
+        q, sign, w, deeper = round(2.0 * p[2]) / 2.0, 1.0, v, False
+        while deeper or abs(p[2] - q) <= _STAGE_SNAP:
+            w = [b + (b - a) / (sign * 2.0**q - 1.0) for a, b in zip(w, w[1:])]  # every level, extrapolated with q
+            if deeper:
+                step, value = abs(w[-1] - w[-2]), w[-1]
+                fit_err = max(_POWER_SAFETY * max(step, _PREV_WEIGHT * abs(w[-2] - w[-3])), abs(value - e[2]))
+            if len(w) < 4:
+                break
+            d = [b - a for a, b in zip(w[-4:], w[-3:])]
+            ratio = [d1 / d2 if d2 != 0.0 else math.nan for d1, d2 in zip(d, d[1:])]
+            if not 0.0 < ratio[0] * ratio[1] < math.inf:  # both signed ratios share a sign (NaN fails)
+                break
+            fits = [math.log2(abs(r)) for r in ratio]
+            q_next = round(2.0 * fits[1]) / 2.0
+            if q_next < q + 0.5 or max(abs(f - q_next) for f in fits) > _RATE_AGREE:
+                break
+            q, sign, deeper = q_next, math.copysign(1.0, ratio[1]), True
+        return value, fit_err, step < tol and fit_err < tol
 
     value, err, stop = zip(*map(row, values.tolist(), tol.tolist()))
     return np.array(value), np.array(err), np.array(stop)

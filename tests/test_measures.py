@@ -402,7 +402,7 @@ def test_wide_torus_input_runs_to_the_cap_below_rounding(monkeypatch):
     # its last two levels go in node chunks
     seen = _record_levels(monkeypatch)
     mahler_torus(lp({(0, 0): 1, (1, 0): 1, **{(0, j): 1 for j in range(1, 12)}}), tol=1e-300)
-    assert seen == [64, 128, 256, 512, 1024, 2048, 4096]
+    assert seen == [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
 
 
 @pytest.mark.parametrize("lam", [-55.0, 128.0, -1e12, 1e100])
@@ -492,9 +492,55 @@ def test_power_ladder_estimate_holds_on_two_terms(level, tol, stop):
     assert abs(value - 1.0) <= err
 
 
+def test_power_ladder_extrapolates_in_a_second_stage():
+    # 1 + n^-2 - n^-4: the first fit lies within 0.01 of 2, so every level is extrapolated with
+    # 2 and the n^-4 term left over is fitted and extrapolated again; the fifth level from 16,
+    # 256, is exact to rounding
+    value, err, nodes, _ = _one_row(lambda n: 1.0 + n**-2.0 - n**-4.0, 16, 256, 0.0, estimate=quadrature._power_estimate)
+    assert nodes == 256
+    assert abs(value - 1.0) <= err
+    assert abs(value - 1.0) < 1e-13
+
+
+def test_power_ladder_extrapolates_a_sign_alternating_stage():
+    # 1 + n^-2 + (-1)^k n^-3 at n = 16 * 2^k: once the level values are extrapolated with 2,
+    # their gap ratios are near -2^3, so the second stage extrapolates with 3 and the sign -1
+    def level(n):
+        return 1.0 + n**-2.0 + (-1.0) ** (n.bit_length() - 5) * n**-3.0
+
+    v = [level(16 * 2**k) for k in range(8)]  # 16 ... 2048
+    w = [b + (b - a) / 3.0 for a, b in zip(v, v[1:])]
+    ratio = [(w[-3] - w[-4]) / (w[-2] - w[-3]), (w[-2] - w[-3]) / (w[-1] - w[-2])]
+    assert all(-8.8 < r < -7.3 for r in ratio)
+    value, err, stop = (a[0] for a in quadrature._power_estimate(np.array([v]), np.array([DEFAULTS.torus_tol])))
+    assert stop and abs(value - 1.0) <= 4 * quadrature._EPS and err < DEFAULTS.torus_tol
+    value, err, nodes, converged = _one_row(level, 16, 4096, 1e-9, estimate=quadrature._power_estimate)
+    assert (nodes, converged) == (4096, True)
+    assert abs(value - 1.0) <= err < 1e-9
+
+
+def test_power_ladder_refuses_a_stage_at_the_rate_it_follows():
+    # 1 + (1 + 1e-3 log2 n) n^-2: after the n^-2 stage the log term leaves gaps that still fall
+    # as n^-2, not at a rate of 5/2 or more, so no further stage is taken and the value stays
+    # the first stage's, 2.7e-11 off within its estimate
+    level = lambda n: 1.0 + n**-2.0 * (1.0 + 1e-3 * (n.bit_length() - 1))
+    value, err, _, _ = _one_row(level, 16, 256, 0.0, estimate=quadrature._power_estimate)
+    assert 1e-11 < abs(value - 1.0) <= err
+
+
+def test_power_ladder_raw_estimate_waits_while_its_gaps_grow():
+    # levels 1 + 1e-11 k^2 at n = 16 * 2^k: no rate fits (every gap ratio is below 1), and the raw
+    # estimate falls below tol from the fourth level on, but the gaps grow, so nothing stops it
+    value, err, nodes, converged = _one_row(lambda n: 1.0 + 1e-11 * (n.bit_length() - 5) ** 2, 16, 4096, 1e-9,
+                                            estimate=quadrature._power_estimate)
+    assert (nodes, converged) == (4096, False)
+    assert err < 1e-9
+
+
 def test_power_ladder_estimates_hold_on_a_battery_of_power_laws():
     # 1 + C n^-p + f C n^-(p+1) for p from 0.40 to 4.00 in steps of 0.01, every C, f and tol
-    # below: 8,664 rows of one ladder, each value within its estimate of the limit 1
+    # below: 8,664 rows of one ladder, each value within its estimate of the limit 1, from the
+    # torus start and from four times it
     grid = np.array(np.meshgrid(np.arange(40, 401) / 100, [1.0, -1.0, 1e-2], [0.0, 0.3, -0.3, 3.0],
                                 [2.5e-7, 1e-9], indexing="ij")).reshape(4, -1)
     p, C, f, tol = grid
@@ -502,10 +548,11 @@ def test_power_ladder_estimates_hold_on_a_battery_of_power_laws():
     def level(live, n):
         return [1.0 + c * n**-e + g * c * n ** -(e + 1.0) for e, c, g in zip(*(v[live].tolist() for v in (p, C, f)))]
 
-    value, err, _, _ = quadrature._ladder(level, len(p), 64, 4096, tol, estimate=quadrature._power_estimate)
-    missed = (np.abs(value - 1.0) > err).nonzero()[0]
     assert len(p) == 8664
-    assert not len(missed), [(p[i], C[i], f[i], tol[i]) for i in missed[:5]]
+    for start in (16, 64):
+        value, err, _, _ = quadrature._ladder(level, len(p), start, 4096, tol, estimate=quadrature._power_estimate)
+        missed = (np.abs(value - 1.0) > err).nonzero()[0]
+        assert not len(missed), (start, [(p[i], C[i], f[i], tol[i]) for i in missed[:5]])
 
 
 @pytest.mark.parametrize("rates, q", [
@@ -552,7 +599,8 @@ def test_power_ladder_stops_on_its_estimate_not_on_a_small_gap():
 def test_cubic_fiber_torus_estimate_guards_the_extrapolated_values():
     # y^3 + 2xy + 3: extrapolated values approach log 3 slowly; at 1024^2 the last
     # extrapolated step is 3.3e-10 but the value is 9.9e-10 off, so the estimate
-    # must keep the guard on the previous step
+    # must keep the guard on the previous step (from 16 nodes the ladder stops at
+    # 512^2, 1.3e-9 off with an estimate of 2.1e-7)
     mv = mahler_torus(lp({(0, 3): 1, (1, 1): 2, (0, 0): 3}))
     assert abs(mv.value - math.log(3.0)) <= mv.error_estimate <= 2.5e-7
 
